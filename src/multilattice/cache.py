@@ -33,6 +33,26 @@ def parse_derivation(fs: FieldSpec, obj: dict) -> Derivation:
     return Derivation(P, Q)
 
 
+def _parse_entry(obj: dict) -> Tuple[Tuple[str, Tuple[int, ...]], ExponentResult]:
+    """Rebuild one cache line, checking it against the degree-sum identity.
+
+    Raises KeyError, TypeError or ValueError (ParseError included) on a
+    malformed or inconsistent entry.
+    """
+    fs = FieldSpec.from_json(obj["field"])
+    arr, mu, non_unique = obj["arr"], obj["mu"], obj["non_unique"]
+    d1, d2, delta = obj["d1"], obj["d2"], obj["delta"]
+    if (not isinstance(arr, str) or not isinstance(mu, list) or not isinstance(non_unique, bool)
+            or any(type(v) is not int for v in [*mu, d1, d2, delta])):
+        raise TypeError("wrong-typed field")
+    if d1 + d2 != sum(mu) or delta != d2 - d1:
+        raise ValueError(f"exponents ({d1}, {d2}, delta {delta}) do not fit |mu|={sum(mu)}")
+    theta = parse_derivation(fs, obj["theta"])
+    if theta.is_zero or theta.degree != d1:
+        raise ValueError(f"theta is zero or not of degree d1={d1}")
+    return (arr, tuple(mu)), ExponentResult(d1, d2, delta, theta, non_unique)
+
+
 class ResultCache:
     """In-memory exponent cache with optional JSONL persistence.
 
@@ -45,7 +65,6 @@ class ResultCache:
             directory = os.environ.get(ENV_CACHE_DIR)
         self.directory = Path(directory) if directory else None
         self._mem: Dict[Tuple[str, Tuple[int, ...]], ExponentResult] = {}
-        self._fields: Dict[str, FieldSpec] = {}
         self._loaded = False
 
     @property
@@ -69,15 +88,13 @@ class ResultCache:
                     obj = json.loads(line)
                 except json.JSONDecodeError:
                     continue  # torn write; entry is re-derivable
-                if obj.get("schema") != SCHEMA_VERSION:
+                if not isinstance(obj, dict) or obj.get("schema") != SCHEMA_VERSION:
                     continue
-                fs = FieldSpec.from_json(obj["field"])
-                key = (obj["arr"], tuple(obj["mu"]))
-                self._mem[key] = ExponentResult(
-                    obj["d1"], obj["d2"], obj["delta"],
-                    parse_derivation(fs, obj["theta"]),
-                    obj["non_unique"],
-                )
+                try:
+                    key, result = _parse_entry(obj)
+                except (KeyError, TypeError, ValueError):
+                    continue  # malformed or inconsistent; entry is re-derivable
+                self._mem[key] = result
 
     def get(self, A: Arrangement, mu: Tuple[int, ...]) -> Optional[ExponentResult]:
         self._ensure_loaded()

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success (all verifications pass), 1 when a verification
-fails, 2 on usage errors (malformed input, bad options).
+fails, 2 on usage errors (malformed input, bad options), 3 when the solver
+contradicts freeness (InternalInconsistency, a solver bug).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import explorer, lattice, theorems
 from .cache import ResultCache
 from .dermod import delta as solve_delta
 from .dermod import exponents, full_basis, verify_saito
-from .errors import MultilatticeError, ParseError
+from .errors import InternalInconsistency, MultilatticeError, ParseError
 from .explorer import ScanResult
 from .field import FieldSpec
 from .poly import Arrangement
@@ -25,6 +26,7 @@ from .theorems import ThetaOracle
 
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def load_arrangement(path: str) -> Arrangement:
@@ -392,6 +394,9 @@ def run():  # console-script entry point with domain-error handling
         sys.exit(exc.exit_code)
     except click.Abort:
         sys.exit(EXIT_USAGE)
+    except InternalInconsistency as exc:
+        click.echo(f"internal error: {exc}", err=True)
+        sys.exit(EXIT_INTERNAL)
     except MultilatticeError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_USAGE)

@@ -4,14 +4,18 @@ A derivation theta = P*dx + Q*dy of degree d belongs to the module of an
 arrangement with multiplicity mu iff for every hyperplane H the polynomial
 theta(alpha_H) is divisible by alpha_H**mu_H.  Each divisibility requirement
 is linear in the 2*(d+1) unknown coefficients of P and Q, so the graded
-piece of the module at degree d is the nullspace of a stacked constraint
-system.  Exponents come out of a search for the minimal degree with a
-nonzero nullspace; the degree-sum identity pins the second exponent.
+piece D_d of the module is the nullspace of a stacked constraint system.
+
+Every 2-multiarrangement is free (Ziegler 1989): its exponents d1 <= d2
+satisfy d1 + d2 = |mu| and dim D_d = max(0, d-d1+1) + max(0, d-d2+1).  One
+rank below d2 therefore fixes d1, and the nullspace at d1, which yields the
+minimal generator, must have the dimension freeness predicts.
 
 Two independent constraint constructions are provided:
 
-* ``basis``: expand theta(alpha_H) in the basis {alpha**i * beta**(d-i)}
-  for a fixed complementary form beta and kill the low alpha-coordinates;
+* ``basis``: read the coordinates of theta(alpha_H) on the basis
+  {alpha**i * beta**(d-i)}, for a fixed complementary form beta, off a
+  closed form and kill the low alpha-coordinates;
 * ``division``: run the exact synthetic division of theta(alpha_H) by
   alpha_H symbolically and kill the remainders.
 
@@ -25,12 +29,12 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import List, Optional, Sequence, Tuple
 
-from . import lattice
 from .errors import BadReduction, InternalInconsistency, LengthMismatch, ProportionalForms
 from .field import FieldSpec, Projection, Scalar, is_prime
-from .linalg import invert_matrix, nullspace, rank
+from .linalg import nullspace, rank
 from .poly import (
     Arrangement,
     Derivation,
@@ -45,48 +49,33 @@ from .poly import (
 Multiplicity = Tuple[int, ...]
 
 
-def _complementary_form(fs: FieldSpec, lf: LinearForm) -> LinearForm:
-    # beta = y unless alpha is proportional to y, then beta = x
-    if lf.a:
-        return LinearForm.make(fs, 0, 1)
-    return LinearForm.make(fs, 1, 0)
-
-
 @functools.lru_cache(maxsize=4096)
 def _alpha_basis_rows(fs: FieldSpec, lf: LinearForm, d: int) -> Tuple[Tuple[Scalar, ...], ...]:
-    """Rows of the inverse of the basis-change matrix to {alpha^i beta^(d-i)}.
+    """Constraint rows [a*r_i | b*r_i], i = 0..d, for alpha = a*x + b*y.
 
-    Row i applied to a monomial coefficient vector yields the coordinate of
-    alpha**i * beta**(d-i).
+    r_i maps the coefficients of x**j * y**(d-j) to the coordinate of
+    alpha**i * beta**(d-i).  For alpha = x + b*y and beta = y, expanding
+    x = alpha - b*beta gives r_i[j] = C(j, i) * (-b)**(j-i); for alpha = y
+    and beta = x, r_i is the unit vector at j = d - i.
     """
-    beta = _complementary_form(fs, lf)
-    ap = HomogPoly.from_linear_form(lf)
-    bp = HomogPoly.from_linear_form(beta)
-    cols = []
-    for i in range(d + 1):
-        poly = ap.pow(i, fs) * bp.pow(d - i, fs)
-        cols.append(poly.coeffs)
-    # matrix with entry [j][i] = coefficient of x^j y^(d-j) in alpha^i beta^(d-i)
-    mat = [[cols[i][j] for i in range(d + 1)] for j in range(d + 1)]
-    inv = invert_matrix(mat, fs)
-    return tuple(tuple(row) for row in inv)
+    zero, one = fs.zero(), fs.one()
+    if lf.a:
+        neg_b = -lf.b
+        powers = [one]
+        for _ in range(d):
+            powers.append(powers[-1] * neg_b)
+        coords = [[powers[j - i] * comb(j, i) if j >= i else zero for j in range(d + 1)]
+                  for i in range(d + 1)]
+    else:
+        coords = [[one if j == d - i else zero for j in range(d + 1)] for i in range(d + 1)]
+    return tuple(tuple(lf.a * v for v in r) + tuple(lf.b * v for v in r) for r in coords)
 
 
-def _constraint_rows_basis(A: Arrangement, mu: Sequence[int], d: int) -> List[List[Scalar]]:
-    fs = A.field
-    zero = fs.zero()
-    rows: List[List[Scalar]] = []
+def _constraint_rows_basis(A: Arrangement, mu: Sequence[int], d: int) -> List[Tuple[Scalar, ...]]:
+    rows: List[Tuple[Scalar, ...]] = []
     for lf, m in zip(A.forms, mu):
-        m = min(m, d + 1)
-        if m <= 0:
-            continue
-        inv_rows = _alpha_basis_rows(fs, lf, d)
-        a, b = lf.a, lf.b
-        for i in range(m):
-            r = inv_rows[i]
-            left = [a * v if a else zero for v in r]
-            right = [b * v if b else zero for v in r]
-            rows.append(left + right)
+        if m > 0:
+            rows.extend(_alpha_basis_rows(A.field, lf, d)[:m])
     return rows
 
 
@@ -171,71 +160,24 @@ class ExponentResult:
         return (self.d1, self.d2)
 
 
-_GOOD_PRIME_CACHE: dict = {}
+def _minimal_degree(A: Arrangement, mu: Multiplicity) -> int:
+    """The lower exponent d1, from the rank at one degree.
 
-
-def _heuristic_prime(A: Arrangement) -> Optional[int]:
-    """A deterministic good-reduction prime for the arrangement, if any.
-
-    Derived from the canonical hash so repeated runs (and parallel
-    workers) always pick the same prime.
+    For |mu| >= 1 take d* = (|mu| - 1) // 2.  Then d* < d2 and d1 <= d* + 1,
+    so freeness gives dim D_{d*} = d* + 1 - d1.
     """
-    key = A.canonical_hash()
-    if key not in _GOOD_PRIME_CACHE:
-        rng = random.Random(key)
-        found = None
-        for _ in range(50):
-            p = random_good_prime(rng, bits=31)
-            try:
-                project_arrangement(A, p)
-            except (BadReduction, ValueError):
-                continue
-            found = p
-            break
-        _GOOD_PRIME_CACHE[key] = found
-    return _GOOD_PRIME_CACHE[key]
-
-
-def _minimal_degree(A: Arrangement, mu: Multiplicity, hi: int) -> int:
-    """Least degree with a nonzero graded piece, over [0, hi].
-
-    Nonemptiness is monotone in the degree (multiply by x or y), so a
-    binary search suffices.  The search is first run over a good-reduction
-    prime field as an accelerator: rank can only drop mod p, so a zero
-    modular dimension certifies a zero exact dimension, while positive
-    modular dimensions are confirmed in characteristic 0.
-    """
-    if A.field.kind != "prime":
-        p = _heuristic_prime(A)
-        if p is not None:
-            Ap = project_arrangement(A, p)
-            lo, h = 0, hi
-            while lo < h:
-                mid = (lo + h) // 2
-                if graded_dimension(Ap, mu, mid) > 0:
-                    h = mid
-                else:
-                    lo = mid + 1
-            # degrees below lo are certified empty; confirm positivity exactly
-            c = lo
-            while c < hi and graded_dimension(A, mu, c) == 0:
-                c += 1  # bad reduction inflated the modular dimension; rare
-            return c
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if graded_dimension(A, mu, mid) > 0:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    total = sum(mu)
+    if total == 0:
+        return 0
+    top = (total - 1) // 2
+    return top + 1 - graded_dimension(A, mu, top)
 
 
 def exponents(A: Arrangement, mu: Sequence[int], cache=None) -> ExponentResult:
-    """Exponents of the multiarrangement, by minimal-degree search.
+    """Exponents of the multiarrangement and a minimal-degree generator.
 
-    The search runs over d in [0, |mu|/2] (the lower exponent cannot
-    exceed half the size).
+    The nullspace at d1 is the consistency check: freeness predicts
+    dimension 1 when delta > 0 and 2 when delta == 0.
     """
     mu = tuple(mu)
     if len(mu) != len(A):
@@ -245,20 +187,18 @@ def exponents(A: Arrangement, mu: Sequence[int], cache=None) -> ExponentResult:
         if hit is not None:
             return hit
     total = sum(mu)
-    hi = total // 2
-    if graded_dimension(A, mu, hi) == 0:
-        raise InternalInconsistency(
-            f"no derivation of degree <= |mu|/2 for mu={mu}; solver bug")
-    d1 = _minimal_degree(A, mu, hi)
+    d1 = _minimal_degree(A, mu)
     d2 = total - d1
     if mu and total > 0 and d1 > total - max(mu):
         raise InternalInconsistency(
             f"d1={d1} exceeds the constructive bound |mu|-max(mu) for mu={mu}")
     gens = _nullspace_derivations(A, mu, d1)
     delta = d2 - d1
-    if delta > 0 and len(gens) != 1:
+    expected = 1 if delta > 0 else 2
+    if delta < 0 or len(gens) != expected:
         raise InternalInconsistency(
-            f"degree-{d1} piece has dimension {len(gens)}, expected 1, mu={mu}")
+            f"degree-{d1} piece has dimension {len(gens)}, freeness predicts"
+            f" {expected} for exponents ({d1}, {d2}), mu={mu}")
     result = ExponentResult(d1, d2, delta, gens[0], non_unique=(delta == 0))
     if cache is not None:
         cache.put(A, mu, result)

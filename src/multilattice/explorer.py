@@ -10,13 +10,14 @@ boundary-undetermined when neither certificate applies.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import lattice
-from .dermod import exponents
+from .dermod import ExponentResult, exponents
 from .errors import NotUnimodal, ParseError, PointNotInComponent
 from .field import FieldSpec
 from .lattice import Box, Multiplicity
@@ -65,18 +66,42 @@ class ScanResult:
 
     @classmethod
     def from_json(cls, text: str) -> "ScanResult":
-        obj = json.loads(text)
+        """Parse scan JSON; anything malformed raises ParseError."""
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"scan file is not JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ParseError("scan file must hold a JSON object")
         if obj.get("schema") != SCAN_SCHEMA:
             raise ParseError(f"unsupported scan schema {obj.get('schema')!r}")
-        arr_obj = obj["arrangement"]
-        fs = FieldSpec.from_json(arr_obj["field"])
-        pairs = [(fs.parse_scalar(a), fs.parse_scalar(b)) for a, b in arr_obj["forms"]]
-        A = Arrangement.make(fs, pairs, names=arr_obj.get("names"))
-        table = {}
-        for row in obj["points"]:
-            table[tuple(row["mu"])] = PointResult(
-                row["d1"], row["d2"], row["delta"], row.get("estimated", False))
-        return cls(A, tuple(obj["box"]), table)
+        try:
+            arr_obj = obj["arrangement"]
+            fs = FieldSpec.from_json(arr_obj["field"])
+            pairs = [(fs.parse_scalar(a), fs.parse_scalar(b)) for a, b in arr_obj["forms"]]
+            A = Arrangement.make(fs, pairs, names=arr_obj.get("names"))
+            points = obj["points"]
+            if not isinstance(points, list):
+                raise TypeError(f"points must be a list, got {type(points).__name__}")
+            table = {}
+            for row in points:
+                estimated = row.get("estimated", False)
+                if not isinstance(estimated, bool):
+                    raise TypeError(f"estimated must be a boolean, got {estimated!r}")
+                d1, d2, dlt = _int_tuple([row["d1"], row["d2"], row["delta"]])
+                table[_int_tuple(row["mu"])] = PointResult(d1, d2, dlt, estimated)
+            box = _int_tuple(obj["box"])
+        except KeyError as exc:
+            raise ParseError(f"scan file lacks the key {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed scan file: {exc}") from exc
+        return cls(A, box, table)
+
+
+def _int_tuple(vals) -> Tuple[int, ...]:
+    if not isinstance(vals, list) or any(type(v) is not int for v in vals):
+        raise TypeError(f"expected a list of integers, got {vals!r}")
+    return tuple(vals)
 
 
 _WORKER_ARRANGEMENT: Optional[Arrangement] = None
@@ -87,9 +112,15 @@ def _init_worker(A: Arrangement) -> None:
     _WORKER_ARRANGEMENT = A
 
 
-def _solve_point(mu: Multiplicity) -> Tuple[Multiplicity, int, int, int]:
-    res = exponents(_WORKER_ARRANGEMENT, mu)
-    return (mu, res.d1, res.d2, res.delta)
+def _solve_point(mu: Multiplicity) -> Tuple[Multiplicity, ExponentResult]:
+    return (mu, exponents(_WORKER_ARRANGEMENT, mu))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def scan(A: Arrangement, box: Box, jobs: int = 1, balanced_only: bool = False,
@@ -99,7 +130,10 @@ def scan(A: Arrangement, box: Box, jobs: int = 1, balanced_only: bool = False,
     With balanced_only, cone points are not solved: their gap is recorded
     from the weight-dominance bound (2*mu_H - |mu|, flagged estimated),
     which is a lower bound guaranteed positive on every cone point.
-    The output table is deterministic and independent of the job count.
+    Points missing from the cache are solved once each, by at most
+    min(jobs, usable CPUs, pending points) worker processes, and their
+    results are stored in the cache.  The output table is deterministic and
+    independent of the job count.
     """
     if len(box) != len(A):
         raise ValueError("box length must match the arrangement")
@@ -116,34 +150,31 @@ def scan(A: Arrangement, box: Box, jobs: int = 1, balanced_only: bool = False,
         else:
             table[mu] = None  # placeholder, filled below
             to_solve.append(mu)
-    solved: List[Tuple[Multiplicity, int, int, int]] = []
+    hits: List[Tuple[Multiplicity, ExponentResult]] = []
     pending = []
-    if cache is not None:
-        for mu in to_solve:
-            hit = cache.get(A, mu)
-            if hit is not None:
-                solved.append((mu, hit.d1, hit.d2, hit.delta))
-            else:
-                pending.append(mu)
-    else:
-        pending = to_solve
-    if jobs <= 1 or len(pending) < 2:
+    for mu in to_solve:
+        hit = cache.get(A, mu) if cache is not None else None
+        if hit is not None:
+            hits.append((mu, hit))
+        else:
+            pending.append(mu)
+    workers = min(jobs, _usable_cpus(), len(pending))
+    if workers <= 1:
         _init_worker(A)
-        solved.extend(_solve_point(mu) for mu in pending)
+        fresh = [_solve_point(mu) for mu in pending]
     else:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(A,)) as pool:
-            chunk = max(1, len(pending) // (4 * jobs))
-            solved.extend(pool.map(_solve_point, pending, chunksize=chunk))
-    for mu, d1, d2, dlt in solved:
-        table[mu] = PointResult(d1, d2, dlt)
+            chunk = max(1, len(pending) // (4 * workers))
+            fresh = list(pool.map(_solve_point, pending, chunksize=chunk))
+    for mu, res in hits + fresh:
+        table[mu] = PointResult(res.d1, res.d2, res.delta)
     if cache is not None:
-        for mu in pending:
-            if cache.get(A, mu) is None:
-                exponents(A, mu, cache=cache)  # memoize theta too
+        for mu, res in fresh:
+            cache.put(A, mu, res)
     result = ScanResult(A, box, table)
     result.timing = {"seconds": time.monotonic() - start, "jobs": jobs,
-                     "points": len(table), "solved": len(solved)}
+                     "points": len(table), "solved": len(hits) + len(fresh)}
     return result
 
 
@@ -165,26 +196,9 @@ class Component:
 
 def components(scan_result: ScanResult) -> List[Component]:
     """Partition the in-window support into Hasse-connected components."""
-    box = scan_result.box
-    table = scan_result.table
-    support = set(scan_result.support())
-    seen = set()
-    out: List[Component] = []
-    for start_mu in sorted(support):
-        if start_mu in seen:
-            continue
-        queue = [start_mu]
-        seen.add(start_mu)
-        members = []
-        while queue:
-            mu = queue.pop()
-            members.append(mu)
-            for nu, _h, _dirn in lattice.covering_neighbors(mu, box):
-                if nu in support and nu not in seen:
-                    seen.add(nu)
-                    queue.append(nu)
-        out.append(_classify_component(scan_result, frozenset(members)))
-    return out
+    return [_classify_component(scan_result, members)
+            for members in lattice.connected_components(scan_result.support(),
+                                                         scan_result.box)]
 
 
 def _classify_component(scan_result: ScanResult, members: frozenset) -> Component:

@@ -264,8 +264,6 @@ class FieldSpec:
     d: int = 0
     p: int = 0
 
-    RECOMMENDED_PRIME_BITS = 32  # collisions of bad reduction should be rare
-
     def __post_init__(self):
         if self.kind == "rational":
             pass

@@ -67,6 +67,29 @@ def covering_neighbors(mu: Multiplicity, box: Box) -> List[Tuple[Multiplicity, i
     return out
 
 
+def connected_components(points: Sequence[Multiplicity], box: Box) -> List[frozenset]:
+    """Components of the Hasse graph induced on the points, in the order of
+    their least members."""
+    pts = set(points)
+    seen = set()
+    out = []
+    for start in sorted(pts):
+        if start in seen:
+            continue
+        stack = [start]
+        seen.add(start)
+        members = []
+        while stack:
+            mu = stack.pop()
+            members.append(mu)
+            for nu, _h, _dirn in covering_neighbors(mu, box):
+                if nu in pts and nu not in seen:
+                    seen.add(nu)
+                    stack.append(nu)
+        out.append(frozenset(members))
+    return out
+
+
 def cone_index(mu: Multiplicity) -> Optional[int]:
     """Index of the hyperplane carrying more than half the weight, if any."""
     total = sum(mu)
@@ -162,7 +185,7 @@ def format_multiplicity(mu: Multiplicity) -> str:
 # re-exported for callers that only need the window machinery
 __all__ = [
     "Multiplicity", "Box", "size", "distance", "leq", "meet_join", "in_box",
-    "box_points", "covering_neighbors", "cone_index", "classify_point",
+    "box_points", "covering_neighbors", "connected_components", "cone_index", "classify_point",
     "is_balanced", "ball", "saturated_chain", "chain_steps", "downalpha",
     "parse_multiplicity", "format_multiplicity",
 ]

@@ -1,11 +1,11 @@
 """Exact rank and nullspace computations over the supported fields.
 
-Rank is the hot path (it is called repeatedly while locating the minimal
-degree of a derivation), so it clears denominators row by row and runs
-fraction-free (Bareiss) elimination on integer data: plain machine-assisted
-big integers for the rationals, integer pairs for quadratic extensions, and
-residues for prime fields.  Nullspace bases are only needed once a degree is
-pinned down, so they use straightforward exact Gauss-Jordan over the field.
+Each field has one forward-elimination kernel on integer data: rows are
+cleared of denominators and reduced fraction-free (Bareiss), as big integers
+for the rationals and as integer pairs for quadratic extensions; prime
+fields reduce residues with unit pivots.  Rank is the kernel's pivot count,
+and a nullspace basis is back-substituted from the same echelon form, one
+vector per free column.
 """
 
 from __future__ import annotations
@@ -41,36 +41,6 @@ def _clear_row_quadratic(row) -> List[tuple]:
     return out
 
 
-def _rank_bareiss_int(mat: List[List[int]], ncols: int) -> int:
-    prev = 1
-    r = 0
-    nrows = len(mat)
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pr = mat[r]
-        for i in range(r + 1, nrows):
-            ri = mat[i]
-            if ri[c]:
-                f = ri[c]
-                for k in range(c + 1, ncols):
-                    ri[k] = (pr[c] * ri[k] - f * pr[k]) // prev
-                ri[c] = 0
-            else:
-                # Sylvester identity with a zero pivot entry still rescales
-                for k in range(c + 1, ncols):
-                    ri[k] = pr[c] * ri[k] // prev
-        prev = pr[c]
-        r += 1
-    return r
-
-
 def _qmul(u: tuple, v: tuple, d: int) -> tuple:
     return (u[0] * v[0] + d * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
 
@@ -82,75 +52,6 @@ def _qdivexact(u: tuple, v: tuple, d: int) -> tuple:
     if a % n or b % n:
         raise InternalInconsistency("fraction-free elimination lost exactness")
     return (a // n, b // n)
-
-
-def _rank_bareiss_quadratic(mat: List[List[tuple]], ncols: int, d: int) -> int:
-    prev = (1, 0)
-    r = 0
-    nrows = len(mat)
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if mat[i][c] != (0, 0):
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pr = mat[r]
-        for i in range(r + 1, nrows):
-            ri = mat[i]
-            f = ri[c]
-            if f != (0, 0):
-                for k in range(c + 1, ncols):
-                    t1 = _qmul(pr[c], ri[k], d)
-                    t2 = _qmul(f, pr[k], d)
-                    ri[k] = _qdivexact((t1[0] - t2[0], t1[1] - t2[1]), prev, d)
-                ri[c] = (0, 0)
-            else:
-                for k in range(c + 1, ncols):
-                    ri[k] = _qdivexact(_qmul(pr[c], ri[k], d), prev, d)
-        prev = pr[c]
-        r += 1
-    return r
-
-
-def _rank_modp(mat: List[List[int]], ncols: int, p: int) -> int:
-    r = 0
-    nrows = len(mat)
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if mat[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        pr = [v * inv % p for v in mat[r]]
-        mat[r] = pr
-        for i in range(r + 1, nrows):
-            f = mat[i][c] % p
-            if f:
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], pr)]
-        r += 1
-    return r
-
-
-def rank(rows: Sequence[Sequence[Scalar]], fs: FieldSpec, ncols: int) -> int:
-    """Rank of the row list, exactly, over the given field."""
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    if fs.kind == "rational":
-        mat = [_clear_row_rational(r) for r in rows]
-        return _rank_bareiss_int(mat, ncols)
-    if fs.kind == "quadratic":
-        mat = [_clear_row_quadratic(r) for r in rows]
-        return _rank_bareiss_quadratic(mat, ncols, fs.d)
-    mat = [[c.v for c in r] for r in rows]
-    return _rank_modp(mat, ncols, fs.p)
 
 
 def _echelon_int(mat: List[List[int]], ncols: int):
@@ -218,6 +119,32 @@ def _echelon_quad(mat: List[List[tuple]], ncols: int, d: int):
     return mat[:r], pivcols
 
 
+def _echelon_modp(mat: List[List[int]], ncols: int, p: int):
+    """Forward elimination with unit pivots mod p; returns (echelon rows, pivot columns)."""
+    r = 0
+    nrows = len(mat)
+    pivcols = []
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if mat[i][c] % p:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = pow(mat[r][c], -1, p)
+        pr = [v * inv % p for v in mat[r]]
+        mat[r] = pr
+        for i in range(r + 1, nrows):
+            f = mat[i][c] % p
+            if f:
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], pr)]
+        pivcols.append(c)
+        r += 1
+    return mat[:r], pivcols
+
+
 def _nullspace_from_echelon(ech, pivcols, ncols, fs: FieldSpec, conv):
     """Back-substitute one basis vector per free column (in column order)."""
     zero, one = fs.zero(), fs.one()
@@ -241,55 +168,32 @@ def _nullspace_from_echelon(ech, pivcols, ncols, fs: FieldSpec, conv):
     return basis
 
 
-def nullspace(rows: Sequence[Sequence[Scalar]], fs: FieldSpec, ncols: int) -> List[List[Scalar]]:
-    """Deterministic nullspace basis (free variables in column order).
+def _echelon(rows: Sequence[Sequence[Scalar]], fs: FieldSpec, ncols: int):
+    """Echelon form of the nonzero rows in the field's kernel.
 
-    Characteristic-0 fields go through fraction-free echelon reduction on
-    cleared-integer rows, with exact back-substitution only for the (few)
-    basis vectors; prime fields use plain Gauss-Jordan.
+    Returns (echelon rows, pivot columns, conv), where conv maps an echelon
+    entry back to a field element.
     """
+    rows = [r for r in rows if any(r)]
     if fs.kind == "rational":
-        mat = [_clear_row_rational(r) for r in rows if any(r)]
-        ech, pivcols = _echelon_int(mat, ncols)
-        return _nullspace_from_echelon(ech, pivcols, ncols, fs, Fraction)
+        ech, pivcols = _echelon_int([_clear_row_rational(r) for r in rows], ncols)
+        return ech, pivcols, Fraction
     if fs.kind == "quadratic":
-        mat = [_clear_row_quadratic(r) for r in rows if any(r)]
-        ech, pivcols = _echelon_quad(mat, ncols, fs.d)
-        conv = lambda v: QuadElem(Fraction(v[0]), Fraction(v[1]), fs.d)
-        return _nullspace_from_echelon(ech, pivcols, ncols, fs, conv)
-    zero, one = fs.zero(), fs.one()
-    mat = [list(r) for r in rows if any(r)]
-    nrows = len(mat)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c] if isinstance(mat[r][c], Fraction) else mat[r][c].inverse()
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [zero] * ncols
-        v[free] = one
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -mat[row_idx][free]
-        basis.append(v)
-    return basis
+        ech, pivcols = _echelon_quad([_clear_row_quadratic(r) for r in rows], ncols, fs.d)
+        return ech, pivcols, lambda v: QuadElem(Fraction(v[0]), Fraction(v[1]), fs.d)
+    ech, pivcols = _echelon_modp([[c.v for c in r] for r in rows], ncols, fs.p)
+    return ech, pivcols, lambda v: ModInt(v, fs.p)
+
+
+def rank(rows: Sequence[Sequence[Scalar]], fs: FieldSpec, ncols: int) -> int:
+    """Rank of the row list, exactly, over the given field."""
+    return len(_echelon(rows, fs, ncols)[1])
+
+
+def nullspace(rows: Sequence[Sequence[Scalar]], fs: FieldSpec, ncols: int) -> List[List[Scalar]]:
+    """Deterministic nullspace basis (free variables in column order)."""
+    ech, pivcols, conv = _echelon(rows, fs, ncols)
+    return _nullspace_from_echelon(ech, pivcols, ncols, fs, conv)
 
 
 def invert_matrix(rows: Sequence[Sequence[Scalar]], fs: FieldSpec) -> List[List[Scalar]]:

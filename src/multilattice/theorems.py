@@ -394,27 +394,6 @@ def _balanced_window(box: Box) -> List[Multiplicity]:
     return [mu for mu in lattice.box_points(box) if lattice.is_balanced(mu)]
 
 
-def _induced_components(points: Sequence[Multiplicity], box: Box) -> List[frozenset]:
-    pts = set(points)
-    seen = set()
-    out = []
-    for start in sorted(pts):
-        if start in seen:
-            continue
-        queue = [start]
-        seen.add(start)
-        members = []
-        while queue:
-            mu = queue.pop()
-            members.append(mu)
-            for nu, _h, _d in lattice.covering_neighbors(mu, box):
-                if nu in pts and nu not in seen:
-                    seen.add(nu)
-                    queue.append(nu)
-        out.append(frozenset(members))
-    return out
-
-
 def _check_membership(A: Arrangement, candidate: CandidateMap) -> Optional[Multiplicity]:
     for mu, theta in candidate.assignment.items():
         if theta.is_zero or not in_module(A, mu, theta):
@@ -442,12 +421,12 @@ def certify_support(A: Arrangement, candidate: CandidateMap, box: Box,
     if bad is not None:
         return Verdict(name, "skipped",
                        details={"reason": f"candidate at {bad} is not a module member"})
-    leftovers = _induced_components(sorted(balanced - N), box)
+    leftovers = lattice.connected_components(balanced - N, box)
     big = [sorted(c)[0] for c in leftovers if len(c) > 1]
     if big:
         raise HypothesisViolated(
             f"complement has a connected component larger than one, near {big[0]}")
-    ncomps = _induced_components(sorted(N), box)
+    ncomps = lattice.connected_components(N, box)
     comp_of = {mu: i for i, c in enumerate(ncomps) for mu in c}
     condition = True
     cond_witness = None
@@ -497,7 +476,7 @@ def certify_centers(A: Arrangement, candidate: CandidateMap, box: Box,
     covered = set()
     for mu in N:
         covered.update(lattice.ball(mu, candidate.delta_prime(mu), box))
-    leftovers = _induced_components(sorted(balanced - covered), box)
+    leftovers = lattice.connected_components(balanced - covered, box)
     big = [sorted(c)[0] for c in leftovers if len(c) > 1]
     if big:
         raise HypothesisViolated(

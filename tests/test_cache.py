@@ -79,3 +79,33 @@ def test_distinct_arrangements_do_not_collide(B2, G2, tmp_path):
     c = ResultCache(str(tmp_path))
     c.put(B2, (1, 1, 1, 1), exponents(B2, (1, 1, 1, 1)))
     assert c.get(G2, (1, 1, 1, 1)) is None  # different key despite same mu shape
+
+
+def test_malformed_and_inconsistent_lines_are_skipped(B2, tmp_path):
+    src = ResultCache(str(tmp_path / "src"))
+    src.put(B2, (1, 1, 1, 1), exponents(B2, (1, 1, 1, 1)))  # exponents (1, 3)
+    good = json.loads(src.path.read_text())
+
+    def variant(**changes):
+        return json.dumps({**good, **changes})
+
+    bad_lines = [
+        '{"schema":1,"arr":"x","mu":[1,1,1,1]}',             # missing keys
+        variant(d1="1"),                                      # wrong-typed scalar
+        variant(mu="1,1,1,1"),
+        variant(field={"type": "quadratic"}),
+        variant(theta={"P": ["1/0"], "Q": ["0"]}),            # unparsable scalar
+        variant(theta={"P": ["1"]}),
+        variant(d1=0, d2=3, delta=3),                         # d1 + d2 != |mu|
+        variant(delta=0),                                     # delta != d2 - d1
+        variant(theta={"P": ["0", "0"], "Q": ["0", "0"]}),    # zero theta
+        variant(theta={"P": ["0", "0", "1"], "Q": ["0", "0", "0"]}),  # degree 2 != d1
+        "[1, 2]",
+    ]
+    c = ResultCache(str(tmp_path))
+    c.directory.mkdir(parents=True, exist_ok=True)
+    c.path.write_text("\n".join(bad_lines) + "\n")
+    assert len(c) == 0
+    assert c.get(B2, (1, 1, 1, 1)) is None
+    assert exponents(B2, (1, 1, 1, 1), cache=c) == exponents(B2, (1, 1, 1, 1))
+    assert len(ResultCache(str(tmp_path))) == 1  # the fresh solve was appended

@@ -7,8 +7,9 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from multilattice import cli
 from multilattice.cli import load_arrangement, main
-from multilattice.errors import ParseError
+from multilattice.errors import InternalInconsistency, ParseError
 
 
 @pytest.fixture()
@@ -200,3 +201,30 @@ def test_exit_code_one_on_verification_failure(tmp_path):
     bad.write_text(json.dumps(obj) + "\n")
     proc = _run_ml("verify", "--scan", str(bad), "covering")
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("text", ["not json", '{"schema":1}'])
+def test_exit_code_two_on_malformed_scan_file(tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    proc = _run_ml("components", "--scan", str(bad))
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_malformed_cache_line_is_skipped(tmp_path):
+    (tmp_path / "exponents.jsonl").write_text('{"schema":1,"arr":"x","mu":[1,1,1,1]}\n')
+    proc = _run_ml("exponents", "--coxeter", "B2", "--cache-dir", str(tmp_path), "1,1,1,1")
+    assert proc.returncode == 0, proc.stderr
+    assert "exponents: (1, 3)" in proc.stdout
+
+
+def test_exit_code_three_on_solver_inconsistency(monkeypatch):
+    def broken(*args, **kwargs):
+        raise InternalInconsistency("degree-0 piece has dimension 0")
+
+    monkeypatch.setattr(cli, "exponents", broken)
+    monkeypatch.setattr(sys, "argv", ["ml", "exponents", "--coxeter", "B2", "1,1,1,1"])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 3

@@ -6,14 +6,21 @@ Oracles:
 * The two independent constraint constructions ("basis" vs "division")
   must agree everywhere.
 * Prime-field projections must agree with characteristic 0 on good primes.
+* The one-rank lower exponent must be the least degree where the division
+  construction has a derivation, and the closed-form constraint rows must
+  equal the ones built from polynomial powers and a matrix inverse.
 """
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multilattice import dermod
 from multilattice.dermod import (
+    _alpha_basis_rows,
     delta,
     exponents,
     full_basis,
@@ -24,8 +31,9 @@ from multilattice.dermod import (
     project_arrangement,
     verify_saito,
 )
-from multilattice.errors import BadReduction, LengthMismatch
-from multilattice.field import FieldSpec
+from multilattice.errors import BadReduction, InternalInconsistency, LengthMismatch
+from multilattice.field import FieldSpec, QuadElem
+from multilattice.linalg import invert_matrix
 from multilattice.poly import (
     Arrangement,
     Derivation,
@@ -93,6 +101,74 @@ def test_constraint_construction_oracle_equivalence(seed):
     mu = tuple(rng.randint(0, 4) for _ in range(len(A)))
     d = rng.randint(0, max(1, sum(mu) // 2 + 1))
     assert graded_dimension(A, mu, d, "basis") == graded_dimension(A, mu, d, "division")
+
+
+# -- one rank and closed-form rows, against their oracles ----------------------
+
+FIELDS = [FieldSpec.rational(), FieldSpec.quadratic(3), FieldSpec.prime(101)]
+
+
+def random_scalar(rng, fs):
+    if fs.kind == "quadratic":
+        return QuadElem(Fraction(rng.randint(-3, 3)),
+                        Fraction(rng.randint(-2, 2), rng.randint(1, 2)), fs.d)
+    return fs.coerce(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+
+def random_form(rng, fs):
+    while True:
+        a = rng.choice([fs.zero(), random_scalar(rng, fs)])
+        b = random_scalar(rng, fs)
+        if a or b:
+            return LinearForm.make(fs, a, b)
+
+
+def random_arrangement_over(rng, fs, n):
+    forms = {}
+    while len(forms) < n:
+        lf = random_form(rng, fs)
+        forms[(lf.a, lf.b)] = lf
+    return Arrangement(fs, tuple(forms.values()))
+
+
+@pytest.mark.parametrize("fs", FIELDS, ids=lambda fs: fs.kind)
+def test_d1_is_least_degree_of_the_division_oracle(fs):
+    rng = random.Random(fs.kind)
+    for total in range(8):  # |mu| = 0, 1 and both parities above
+        for _ in range(4):
+            A = random_arrangement_over(rng, fs, rng.randint(1, 4))
+            mu = [0] * len(A)
+            for _ in range(total):
+                mu[rng.randrange(len(A))] += 1
+            least = next(d for d in itertools.count()
+                         if graded_dimension(A, mu, d, "division") > 0)
+            assert exponents(A, mu).d1 == least, (A, mu)
+
+
+def rows_by_inversion(fs, lf, d):
+    """Constraint rows from powers of alpha and beta and a matrix inverse."""
+    beta = LinearForm.make(fs, 0, 1) if lf.a else LinearForm.make(fs, 1, 0)
+    ap, bp = HomogPoly.from_linear_form(lf), HomogPoly.from_linear_form(beta)
+    cols = [(ap.pow(i, fs) * bp.pow(d - i, fs)).coeffs for i in range(d + 1)]
+    inv = invert_matrix([[cols[i][j] for i in range(d + 1)] for j in range(d + 1)], fs)
+    return tuple(tuple(lf.a * v for v in r) + tuple(lf.b * v for v in r) for r in inv)
+
+
+@pytest.mark.parametrize("fs", FIELDS, ids=lambda fs: fs.kind)
+def test_closed_form_rows_match_inverted_basis_change(fs):
+    rng = random.Random(fs.kind)
+    forms = [LinearForm.make(fs, 0, 1), LinearForm.make(fs, 1, 0)]
+    forms += [random_form(rng, fs) for _ in range(12)]
+    for lf in forms:
+        for d in range(7):
+            assert _alpha_basis_rows(fs, lf, d) == rows_by_inversion(fs, lf, d), (lf, d)
+
+
+def test_wrong_lower_exponent_raises(B2, monkeypatch):
+    # (1,1,1,1) has exponents (1, 3): nothing lives in degree 0
+    monkeypatch.setattr(dermod, "_minimal_degree", lambda A, mu: 0)
+    with pytest.raises(InternalInconsistency):
+        exponents(B2, (1, 1, 1, 1))
 
 
 # -- exponent invariants ------------------------------------------------------

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from multilattice import lattice
+from multilattice import explorer, lattice
+from multilattice.cache import ResultCache
 from multilattice.errors import NotUnimodal, ParseError, PointNotInComponent
 from multilattice.explorer import (
     ScanResult,
@@ -156,3 +157,91 @@ def test_csv_export(b2_scan):
 def test_scan_box_length_mismatch(B2):
     with pytest.raises(ValueError):
         scan(B2, (3, 3))
+
+
+def test_scan_with_cache_solves_each_pending_point_once(B2, monkeypatch):
+    calls = []
+    real = explorer.exponents
+
+    def counting(A, mu, cache=None):
+        calls.append(tuple(mu))
+        return real(A, mu, cache=cache)
+
+    monkeypatch.setattr(explorer, "exponents", counting)
+    cache = ResultCache(use_env=False)
+    box = (2, 2, 2, 2)
+    first = scan(B2, box, jobs=1, cache=cache)
+    assert sorted(calls) == sorted(lattice.box_points(box))
+    assert len(cache) == 3 ** 4
+    for mu, pr in first.table.items():
+        assert cache.get(B2, mu).as_pair() == (pr.d1, pr.d2)
+    calls.clear()
+    assert scan(B2, box, jobs=1, cache=cache).to_json() == first.to_json()
+    assert calls == []
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def test_scan_bounds_worker_count(B2, monkeypatch):
+    monkeypatch.setattr(explorer, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(explorer, "_usable_cpus", lambda: 3)
+    want = scan(B2, (1, 1, 1, 1)).to_json()
+    assert scan(B2, (1, 1, 1, 1), jobs=5000).to_json() == want
+    monkeypatch.setattr(explorer, "_usable_cpus", lambda: 64)
+    scan(B2, (1, 0, 0, 0), jobs=5000)  # two pending points
+    scan(B2, (0, 0, 0, 0), jobs=5000)  # one point: solved in-process
+    assert RecordingPool.sizes == [3, 2]
+
+
+def test_usable_cpus_is_positive():
+    assert explorer._usable_cpus() >= 1
+
+
+MALFORMED_SCANS = {
+    "no-arrangement": lambda obj: obj.pop("arrangement"),
+    "no-points": lambda obj: obj.pop("points"),
+    "no-box": lambda obj: obj.pop("box"),
+    "no-d1": lambda obj: obj["points"][0].pop("d1"),
+    "arrangement-list": lambda obj: obj.__setitem__("arrangement", []),
+    "points-object": lambda obj: obj.__setitem__("points", {}),
+    "box-string": lambda obj: obj.__setitem__("box", "1,1"),
+    "d1-string": lambda obj: obj["points"][0].__setitem__("d1", "0"),
+    "delta-bool": lambda obj: obj["points"][0].__setitem__("delta", True),
+    "mu-string": lambda obj: obj["points"][0].__setitem__("mu", "0,0"),
+    "estimated-string": lambda obj: obj["points"][0].__setitem__("estimated", "no"),
+    "row-list": lambda obj: obj["points"].__setitem__(0, [0, 0]),
+    "form-short": lambda obj: obj["arrangement"].__setitem__("forms", [["1"]]),
+    "field-no-d": lambda obj: obj["arrangement"]["field"].__setitem__("type", "quadratic"),
+}
+
+
+@pytest.mark.parametrize("mutate", MALFORMED_SCANS.values(), ids=MALFORMED_SCANS.keys())
+def test_from_json_rejects_malformed_fields(boolean, mutate):
+    obj = json.loads(scan(boolean, (1, 1)).to_json())
+    mutate(obj)
+    with pytest.raises(ParseError):
+        ScanResult.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("text", ["not json", "", "[1, 2]", "3", '{"schema":1}'])
+def test_from_json_rejects_malformed_text(text):
+    with pytest.raises(ParseError):
+        ScanResult.from_json(text)

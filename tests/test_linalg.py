@@ -130,3 +130,42 @@ def test_invert_matrix_roundtrip(n, data):
 def test_rank_empty_and_zero_rows():
     assert rank([], RAT, 3) == 0
     assert rank([[Fraction(0)] * 3], RAT, 3) == 0
+
+
+def oracle_nullspace(rows, fs, ncols):
+    """Gauss-Jordan to reduced echelon form, then one vector per free column."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        piv = next((i for i in range(len(pivots), len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        r = len(pivots)
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = mat[r][c].inverse()
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [fs.zero()] * ncols
+        v[free] = fs.one()
+        for row_idx, pc in enumerate(pivots):
+            v[pc] = -mat[row_idx][free]
+        basis.append(v)
+    return basis
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 5), st.integers(1, 6), st.data())
+def test_nullspace_prime_matches_gauss_jordan(nrows, ncols, data):
+    # a small prime makes dependent rows and zero pivots common
+    fs = FieldSpec.prime(7)
+    rows = [[fs.from_int(data.draw(st.integers(0, 6))) for _ in range(ncols)]
+            for _ in range(nrows)]
+    want = oracle_nullspace(rows, fs, ncols)
+    assert nullspace(rows, fs, ncols) == want
+    assert rank(rows, fs, ncols) == ncols - len(want)
