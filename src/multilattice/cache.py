@@ -12,7 +12,7 @@ import os
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-from .dermod import ExponentResult
+from .dermod import ExponentResult, in_module
 from .field import FieldSpec
 from .poly import Arrangement, Derivation, HomogPoly
 
@@ -57,7 +57,10 @@ class ResultCache:
     """In-memory exponent cache with optional JSONL persistence.
 
     The directory comes from the ML_CACHE_DIR environment variable (or an
-    explicit path); with neither, the cache is memory-only.
+    explicit path); with neither, the cache is memory-only.  A line read
+    from disk is served only after its generator passes the membership
+    test on its first lookup; ``rejected`` counts the lines skipped at load
+    and the entries dropped by that test (exponents then re-solves them).
     """
 
     def __init__(self, directory: Optional[str] = None, use_env: bool = True):
@@ -65,7 +68,9 @@ class ResultCache:
             directory = os.environ.get(ENV_CACHE_DIR)
         self.directory = Path(directory) if directory else None
         self._mem: Dict[Tuple[str, Tuple[int, ...]], ExponentResult] = {}
+        self._unchecked = set()  # keys read from disk, not yet looked up
         self._loaded = False
+        self.rejected = 0
 
     @property
     def path(self) -> Optional[Path]:
@@ -87,18 +92,27 @@ class ResultCache:
                 try:
                     obj = json.loads(line)
                 except json.JSONDecodeError:
+                    self.rejected += 1
                     continue  # torn write; entry is re-derivable
                 if not isinstance(obj, dict) or obj.get("schema") != SCHEMA_VERSION:
                     continue
                 try:
                     key, result = _parse_entry(obj)
                 except (KeyError, TypeError, ValueError):
+                    self.rejected += 1
                     continue  # malformed or inconsistent; entry is re-derivable
                 self._mem[key] = result
+                self._unchecked.add(key)
 
     def get(self, A: Arrangement, mu: Tuple[int, ...]) -> Optional[ExponentResult]:
         self._ensure_loaded()
-        return self._mem.get((A.canonical_hash(), tuple(mu)))
+        key = (A.canonical_hash(), tuple(mu))
+        if key in self._unchecked:
+            self._unchecked.discard(key)
+            if not in_module(A, key[1], self._mem[key].theta_min):
+                del self._mem[key]
+                self.rejected += 1
+        return self._mem.get(key)
 
     def put(self, A: Arrangement, mu: Tuple[int, ...], result: ExponentResult) -> None:
         self._ensure_loaded()
@@ -125,6 +139,7 @@ class ResultCache:
 
     def clear(self) -> None:
         self._mem.clear()
+        self._unchecked.clear()
         self._loaded = True
         if self.path is not None and self.path.exists():
             self.path.unlink()

@@ -26,14 +26,13 @@ for the first.
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import BadReduction, InternalInconsistency, LengthMismatch, ProportionalForms
-from .field import FieldSpec, Projection, Scalar, is_prime
+from .errors import InternalInconsistency, LengthMismatch
+from .field import FieldSpec, Scalar
 from .linalg import nullspace, rank
 from .poly import (
     Arrangement,
@@ -235,14 +234,35 @@ class SaitoVerdict:
 
 
 def in_module(A: Arrangement, mu: Sequence[int], theta: Derivation) -> bool:
-    """Membership test by exact linear-form multiplicity."""
+    """Membership test: alpha_H**mu_H divides theta(alpha_H) for every H.
+
+    Over Q and Q(sqrt d), theta(alpha) = a*P + b*Q is formed on cleared
+    images and divided exactly; F_p keeps the residue arithmetic of
+    linear_form_multiplicity.
+    """
+    if theta.is_zero:
+        return True
+    if theta.cleared is None:
+        for lf, m in zip(A.forms, mu):
+            if m > 0:
+                f = apply_derivation(theta, lf)
+                if not f.is_zero and linear_form_multiplicity(f, lf) < m:
+                    return False
+        return True
+    dom, P, Q, _ = theta.cleared
     for lf, m in zip(A.forms, mu):
         if m <= 0:
             continue
-        f = apply_derivation(theta, lf)
-        if f.is_zero:
+        if not lf.a:
+            # alpha = y and theta(alpha) = Q: its top m coefficients must vanish
+            if any(theta.Q.coeffs[max(len(theta.Q.coeffs) - m, 0):]):
+                return False
             continue
-        if linear_form_multiplicity(f, lf) < m:
+        (s, r), _ = dom.clear((lf.a, lf.b))
+        f = [dom.zero] * (theta.degree + 1)
+        dom.convolve(f, [s], P, 1)
+        dom.convolve(f, [r], Q, 1)
+        if f.count(dom.zero) < len(f) and not dom.power_divides(f, s, r, m):
             return False
     return True
 
@@ -273,63 +293,3 @@ def verify_saito(A: Arrangement, mu: Sequence[int], t1: Derivation, t2: Derivati
     if det != q.scale(c):
         return SaitoVerdict(False, "determinant is not a scalar multiple of the defining polynomial")
     return SaitoVerdict(True, None, c)
-
-
-# -- heuristic modular cross-checks ------------------------------------------
-
-
-def project_arrangement(A: Arrangement, p: int) -> Arrangement:
-    """Reduce a characteristic-0 arrangement mod p (good reduction only)."""
-    proj = Projection(A.field, p)
-    target = proj.target
-    pairs = []
-    for lf in A.forms:
-        a, b = proj(lf.a), proj(lf.b)
-        if not a and not b:
-            raise BadReduction(f"form collapses mod {p}")
-        pairs.append((a, b))
-    try:
-        return Arrangement.make(target, pairs, names=A.names)
-    except ProportionalForms as exc:
-        raise BadReduction(f"forms collide mod {p}") from exc
-
-
-def modular_exponents(A: Arrangement, mu: Sequence[int], p: int) -> Tuple[int, int]:
-    Ap = project_arrangement(A, p)
-    res = exponents(Ap, tuple(mu))
-    return res.as_pair()
-
-
-def random_good_prime(rng: random.Random, bits: int = 40) -> int:
-    while True:
-        p = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if is_prime(p):
-            return p
-
-
-def modular_consistency(A: Arrangement, mus: Sequence[Multiplicity], rng: random.Random,
-                        bits: int = 40, cache=None) -> dict:
-    """Compare prime-field exponents with characteristic-0 exponents.
-
-    Mismatches are collected, never silently dropped; the caller decides
-    what rate is acceptable (bad reduction makes rare mismatches possible).
-    """
-    matches = 0
-    mismatches = []
-    for mu in mus:
-        expected = exponents(A, mu, cache=cache).as_pair()
-        for _ in range(20):
-            p = random_good_prime(rng, bits)
-            try:
-                got = modular_exponents(A, mu, p)
-                break
-            except (BadReduction, ValueError):
-                continue
-        else:
-            mismatches.append({"mu": mu, "error": "no good prime found"})
-            continue
-        if got == expected:
-            matches += 1
-        else:
-            mismatches.append({"mu": mu, "p": p, "expected": expected, "got": got})
-    return {"total": len(mus), "matches": matches, "mismatches": mismatches}

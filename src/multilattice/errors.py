@@ -5,10 +5,6 @@ class MultilatticeError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ZeroDenominator(MultilatticeError, ZeroDivisionError):
-    pass
-
-
 class DivisionByZero(MultilatticeError, ZeroDivisionError):
     pass
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import List, Tuple, Union
 
-from .errors import BadReduction, DivisionByZero, FieldMismatch, ParseError, ZeroDenominator
+from .errors import BadReduction, DivisionByZero, FieldMismatch, ParseError
 
 Scalar = Union[Fraction, "QuadElem", "ModInt"]
 
@@ -394,33 +394,6 @@ def _parse_fraction(s) -> Fraction:
     raise ParseError(f"bad rational {s!r}")
 
 
-def make_rational(num: int, den: int = 1) -> Fraction:
-    """Reduced rational with canonical sign; den must be nonzero."""
-    if den == 0:
-        raise ZeroDenominator("zero denominator")
-    return Fraction(num, den)
-
-
-def reduce_scalar(s: Scalar) -> Scalar:
-    """Re-canonicalize a scalar.  Idempotent and value-preserving.
-
-    All element constructors already produce canonical forms, so this
-    mostly re-runs the normalization; it exists so callers holding raw
-    components can funnel them through one choke point.
-    """
-    if isinstance(s, Fraction):
-        if s.denominator == 0:  # pragma: no cover - Fraction forbids this
-            raise ZeroDenominator("zero denominator")
-        return Fraction(s.numerator, s.denominator)
-    if isinstance(s, QuadElem):
-        return QuadElem(reduce_scalar(s.a), reduce_scalar(s.b), s.d)
-    if isinstance(s, ModInt):
-        return ModInt(s.v, s.p)
-    if isinstance(s, int):
-        return Fraction(s)
-    raise FieldMismatch(f"not a scalar: {s!r}")
-
-
 def invert(s: Scalar) -> Scalar:
     """Multiplicative inverse; raises DivisionByZero on zero."""
     if isinstance(s, Fraction):
@@ -434,6 +407,32 @@ def invert(s: Scalar) -> Scalar:
             raise DivisionByZero("inverse of zero")
         return Fraction(1, s)
     raise FieldMismatch(f"not a scalar: {s!r}")
+
+
+# -- cleared integer images --------------------------------------------------
+#
+# The exact kernels (elimination, Saito determinants, membership) work on
+# Python ints: a row of rationals is scaled by one common denominator to
+# ints, a row of a + b*sqrt(d) to integer pairs (a, b).  Field elements are
+# built again only for results.
+
+
+def clear_rational(row) -> Tuple[List[int], int]:
+    """(ints, den) with row[i] == ints[i] / den."""
+    den = math.lcm(*(c.denominator for c in row))
+    return [c.numerator * (den // c.denominator) for c in row], den
+
+
+def clear_quadratic(row) -> Tuple[List[Tuple[int, int]], int]:
+    """(pairs, den) with row[i] == (pairs[i][0] + pairs[i][1]*sqrt(d)) / den."""
+    den = math.lcm(*(c.a.denominator for c in row), *(c.b.denominator for c in row))
+    return [(c.a.numerator * (den // c.a.denominator), c.b.numerator * (den // c.b.denominator))
+            for c in row], den
+
+
+def qmul(u: Tuple[int, int], v: Tuple[int, int], d: int) -> Tuple[int, int]:
+    """Product of integer pairs read as u[0] + u[1]*sqrt(d)."""
+    return (u[0] * v[0] + d * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
 
 
 # -- modular projection ------------------------------------------------------

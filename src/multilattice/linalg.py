@@ -11,38 +11,10 @@ vector per free column.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import List, Sequence
 
 from .errors import InternalInconsistency
-from .field import FieldSpec, ModInt, QuadElem, Scalar
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
-def _clear_row_rational(row) -> List[int]:
-    den = 1
-    for c in row:
-        den = _lcm(den, c.denominator)
-    return [c.numerator * (den // c.denominator) for c in row]
-
-
-def _clear_row_quadratic(row) -> List[tuple]:
-    den = 1
-    for c in row:
-        den = _lcm(den, _lcm(c.a.denominator, c.b.denominator))
-    out = []
-    for c in row:
-        a = c.a.numerator * (den // c.a.denominator)
-        b = c.b.numerator * (den // c.b.denominator)
-        out.append((a, b))
-    return out
-
-
-def _qmul(u: tuple, v: tuple, d: int) -> tuple:
-    return (u[0] * v[0] + d * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+from .field import FieldSpec, ModInt, QuadElem, Scalar, clear_quadratic, clear_rational, qmul
 
 
 def _qdivexact(u: tuple, v: tuple, d: int) -> tuple:
@@ -106,13 +78,13 @@ def _echelon_quad(mat: List[List[tuple]], ncols: int, d: int):
             f = ri[c]
             if f != (0, 0):
                 for k in range(c + 1, ncols):
-                    t1 = _qmul(pr[c], ri[k], d)
-                    t2 = _qmul(f, pr[k], d)
+                    t1 = qmul(pr[c], ri[k], d)
+                    t2 = qmul(f, pr[k], d)
                     ri[k] = _qdivexact((t1[0] - t2[0], t1[1] - t2[1]), prev, d)
                 ri[c] = (0, 0)
             else:
                 for k in range(c + 1, ncols):
-                    ri[k] = _qdivexact(_qmul(pr[c], ri[k], d), prev, d)
+                    ri[k] = _qdivexact(qmul(pr[c], ri[k], d), prev, d)
         prev = pr[c]
         pivcols.append(c)
         r += 1
@@ -176,10 +148,10 @@ def _echelon(rows: Sequence[Sequence[Scalar]], fs: FieldSpec, ncols: int):
     """
     rows = [r for r in rows if any(r)]
     if fs.kind == "rational":
-        ech, pivcols = _echelon_int([_clear_row_rational(r) for r in rows], ncols)
+        ech, pivcols = _echelon_int([clear_rational(r)[0] for r in rows], ncols)
         return ech, pivcols, Fraction
     if fs.kind == "quadratic":
-        ech, pivcols = _echelon_quad([_clear_row_quadratic(r) for r in rows], ncols, fs.d)
+        ech, pivcols = _echelon_quad([clear_quadratic(r)[0] for r in rows], ncols, fs.d)
         return ech, pivcols, lambda v: QuadElem(Fraction(v[0]), Fraction(v[1]), fs.d)
     ech, pivcols = _echelon_modp([[c.v for c in r] for r in rows], ncols, fs.p)
     return ech, pivcols, lambda v: ModInt(v, fs.p)

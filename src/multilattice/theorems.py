@@ -260,6 +260,26 @@ def component_distance(c1: Component, c2: Component) -> int:
     return min(lattice.distance(a, b) for a in c1.members for b in c2.members)
 
 
+def pairs_at_distance_two(groups: Sequence[Sequence[Multiplicity]], box: Box) -> List[Tuple[int, int]]:
+    """Index pairs i < j, in combinations order, of the disjoint point groups
+    whose least distance is exactly 2.
+
+    Each member is looked up against the radius-2 ball around it instead of
+    against every point of every other group.
+    """
+    owner = {mu: i for i, g in enumerate(groups) for mu in g}
+    least: Dict[Tuple[int, int], int] = {}
+    for i, g in enumerate(groups):
+        for a in g:
+            for b in lattice.ball(a, 3, box):
+                j = owner.get(b, -1)
+                if j > i:
+                    dist = lattice.distance(a, b)
+                    if dist < least.get((i, j), 3):
+                        least[(i, j)] = dist
+    return sorted(pair for pair, dist in least.items() if dist == 2)
+
+
 def check_independency(scan: ScanResult, oracle: ThetaOracle,
                        comps: Optional[List[Component]] = None,
                        seed: int = 0, max_pairs: Optional[int] = None) -> Verdict:
@@ -275,9 +295,8 @@ def check_independency(scan: ScanResult, oracle: ThetaOracle,
     rng = random.Random(seed)
     witnesses = []
     cross = same = 0
-    for c1, c2 in combinations(comps, 2):
-        if component_distance(c1, c2) != 2:
-            continue
+    for i, j in pairs_at_distance_two([c.members for c in comps], scan.box):
+        c1, c2 = comps[i], comps[j]
         pairs = [(a, b) for a in c1.sorted_members() for b in c2.sorted_members()]
         if max_pairs and len(pairs) > max_pairs:
             pairs = sorted(rng.sample(pairs, max_pairs))
@@ -427,13 +446,9 @@ def certify_support(A: Arrangement, candidate: CandidateMap, box: Box,
         raise HypothesisViolated(
             f"complement has a connected component larger than one, near {big[0]}")
     ncomps = lattice.connected_components(N, box)
-    comp_of = {mu: i for i, c in enumerate(ncomps) for mu in c}
     condition = True
     cond_witness = None
-    for c1, c2 in combinations(range(len(ncomps)), 2):
-        dist = min(lattice.distance(a, b) for a in ncomps[c1] for b in ncomps[c2])
-        if dist != 2:
-            continue
+    for c1, c2 in pairs_at_distance_two(ncomps, box):
         for a in sorted(ncomps[c1]):
             for b in sorted(ncomps[c2]):
                 if saito_determinant(candidate.assignment[a],
@@ -530,9 +545,8 @@ def reconstruct_components(A: Arrangement, box: Box, oracle: ThetaOracle,
             x = parent[x]
         return x
 
-    for a, b in combinations(N, 2):
-        if lattice.distance(a, b) != 2:
-            continue
+    for i, j in pairs_at_distance_two([(mu,) for mu in N], box):
+        a, b = N[i], N[j]
         if saito_determinant(oracle(a), oracle(b)).is_zero:
             ra, rb = find(a), find(b)
             if ra != rb:

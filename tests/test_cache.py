@@ -109,3 +109,24 @@ def test_malformed_and_inconsistent_lines_are_skipped(B2, tmp_path):
     assert c.get(B2, (1, 1, 1, 1)) is None
     assert exponents(B2, (1, 1, 1, 1), cache=c) == exponents(B2, (1, 1, 1, 1))
     assert len(ResultCache(str(tmp_path))) == 1  # the fresh solve was appended
+
+
+def test_cached_generator_outside_the_module_is_resolved_again(B2, tmp_path):
+    mu = (2, 1, 2, 1)
+    want = exponents(B2, mu)
+    src = ResultCache(str(tmp_path / "src"))
+    src.put(B2, mu, want)
+    line = json.loads(src.path.read_text())
+    assert line["d1"] == 3
+    # well-formed and of degree d1, but x^3 + x^2*y + x*y^2 + y^3 dx is not in the module
+    line["theta"] = {"P": ["1", "1", "1", "1"], "Q": []}
+    c = ResultCache(str(tmp_path))
+    c.directory.mkdir(parents=True, exist_ok=True)
+    c.path.write_text(json.dumps(line) + "\n")
+    assert len(c) == 1 and c.rejected == 0
+    assert c.get(B2, mu) is None
+    assert c.rejected == 1 and len(c) == 0
+    assert exponents(B2, mu, cache=c) == want
+    assert len(c.path.read_text().splitlines()) == 2  # the fresh solve was appended
+    reloaded = ResultCache(str(tmp_path))
+    assert reloaded.get(B2, mu) == want and reloaded.rejected == 0

@@ -7,9 +7,11 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from multilattice import cli
+from multilattice import cli, dermod
+from multilattice.cache import ResultCache
 from multilattice.cli import load_arrangement, main
 from multilattice.errors import InternalInconsistency, ParseError
+from multilattice.explorer import ScanResult
 
 
 @pytest.fixture()
@@ -76,6 +78,32 @@ def test_verify_passes(runner, scan_file, what):
     result = runner.invoke(main, ["verify", "--scan", scan_file, what])
     assert result.exit_code == 0, result.output
     assert "PASS" in result.output
+
+
+def count_verify_saito(monkeypatch):
+    calls = []
+    real = dermod.verify_saito
+
+    def counting(*args):
+        calls.append(tuple(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(dermod, "verify_saito", counting)
+    monkeypatch.setattr(cli, "verify_saito", counting, raising=False)
+    return calls
+
+
+def test_saito_everywhere_verifies_each_basis_once(runner, scan_file, monkeypatch):
+    calls = count_verify_saito(monkeypatch)
+    with open(scan_file) as fh:
+        result = ScanResult.from_json(fh.read())
+    verdict = cli._check_saito_everywhere(result, ResultCache(use_env=False))
+    assert verdict.status == "pass"
+    assert len(calls) == verdict.details["checked"] == len(result.table)
+    calls.clear()
+    out = runner.invoke(main, ["basis", "--coxeter", "B2", "2,1,2,1"])
+    assert out.exit_code == 0 and "saito: accepted" in out.output
+    assert calls == [(2, 1, 2, 1)]
 
 
 def test_verify_criteria(runner, scan_file):

@@ -27,12 +27,10 @@ from multilattice.dermod import (
     graded_dimension,
     in_module,
     min_derivation,
-    modular_consistency,
-    project_arrangement,
     verify_saito,
 )
-from multilattice.errors import BadReduction, InternalInconsistency, LengthMismatch
-from multilattice.field import FieldSpec, QuadElem
+from multilattice.errors import BadReduction, InternalInconsistency, LengthMismatch, ProportionalForms
+from multilattice.field import FieldSpec, Projection, QuadElem, is_prime
 from multilattice.linalg import invert_matrix
 from multilattice.poly import (
     Arrangement,
@@ -40,6 +38,7 @@ from multilattice.poly import (
     HomogPoly,
     LinearForm,
     apply_derivation,
+    linear_form_multiplicity,
     proportional_derivations,
     saito_determinant,
 )
@@ -234,6 +233,51 @@ def test_theta_min_membership_b2(B2):
             assert f.is_zero or True  # exercised through in_module above
 
 
+def in_module_oracle(A, mu, theta):
+    """Membership by repeated division with HomogPoly arithmetic."""
+    for lf, m in zip(A.forms, mu):
+        if m > 0:
+            f = apply_derivation(theta, lf)
+            if not f.is_zero and linear_form_multiplicity(f, lf) < m:
+                return False
+    return True
+
+
+MEMBERSHIP_CASES = [
+    # alpha = y, integer and non-integer slopes
+    (FS, [(1, 0), (0, 1), (1, 1), (2, 3), (3, -5)]),
+    (FieldSpec.quadratic(3), [(1, 0), (0, 1), (1, QuadElem(Fraction(1, 2), Fraction(1, 3), 3)),
+                              (3, QuadElem(Fraction(0), Fraction(1), 3))]),
+    (FieldSpec.prime(101), [(1, 0), (0, 1), (1, 1), (2, 3)]),
+]
+
+
+@pytest.mark.parametrize("fs,pairs", MEMBERSHIP_CASES, ids=["rational", "quadratic", "prime"])
+def test_in_module_matches_division_oracle(fs, pairs):
+    A = Arrangement.make(fs, pairs)
+    rng = random.Random(fs.kind)
+    outcomes = set()
+    for _ in range(12):
+        mu = tuple(rng.randint(0, 3) for _ in A.forms)
+        t1, t2 = full_basis(A, mu)
+        # members, neighbours one step up (mostly not members), products
+        # with forms and random perturbations that leave the module
+        nus = [mu] + [mu[:i] + (mu[i] + 1,) + mu[i + 1:] for i in range(len(mu))]
+        bump = Derivation(HomogPoly.make([fs.zero()] * t1.degree + [fs.one()]), HomogPoly.zero())
+        thetas = [t1, t2, t1 + bump, t2.scale(fs.from_int(3)) + t1.mul_poly(
+            HomogPoly.make([fs.zero()] * (t2.degree - t1.degree) + [fs.one()])),
+                  t1.mul_poly(HomogPoly.from_linear_form(rng.choice(A.forms))),
+                  Derivation(t1.P, HomogPoly.zero()), Derivation(HomogPoly.zero(), t1.Q),
+                  Derivation.zero()]
+        for nu in nus:
+            for theta in thetas:
+                got = in_module(A, nu, theta)
+                assert got == in_module_oracle(A, nu, theta), (mu, nu, theta)
+                outcomes.add(got)
+        assert in_module(A, mu, t1) and in_module(A, mu, t2)
+    assert outcomes == {True, False}
+
+
 def test_full_basis_saito_accepted(B2, G2):
     for A, mu in [(B2, (1, 1, 1, 1)), (B2, (2, 1, 2, 1)), (B2, (0, 3, 1, 2)),
                   (G2, (1, 1, 1, 1, 1, 1)), (G2, (2, 1, 1, 0, 2, 1))]:
@@ -269,6 +313,51 @@ def test_saito_determinant_matches_defining_polynomial(B2):
 
 
 # -- modular projection -------------------------------------------------------
+
+
+def project_arrangement(A, p):
+    """Reduce a characteristic-0 arrangement mod p (good reduction only)."""
+    proj = Projection(A.field, p)
+    pairs = []
+    for lf in A.forms:
+        a, b = proj(lf.a), proj(lf.b)
+        if not a and not b:
+            raise BadReduction(f"form collapses mod {p}")
+        pairs.append((a, b))
+    try:
+        return Arrangement.make(proj.target, pairs, names=A.names)
+    except ProportionalForms as exc:
+        raise BadReduction(f"forms collide mod {p}") from exc
+
+
+def random_good_prime(rng, bits):
+    while True:
+        p = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if is_prime(p):
+            return p
+
+
+def modular_consistency(A, mus, rng, bits=40, cache=None):
+    """Compare exponents over random good primes with characteristic 0."""
+    matches = 0
+    mismatches = []
+    for mu in mus:
+        expected = exponents(A, mu, cache=cache).as_pair()
+        for _ in range(20):
+            p = random_good_prime(rng, bits)
+            try:
+                got = exponents(project_arrangement(A, p), tuple(mu)).as_pair()
+                break
+            except (BadReduction, ValueError):
+                continue
+        else:
+            mismatches.append({"mu": mu, "error": "no good prime found"})
+            continue
+        if got == expected:
+            matches += 1
+        else:
+            mismatches.append({"mu": mu, "p": p, "expected": expected, "got": got})
+    return {"total": len(mus), "matches": matches, "mismatches": mismatches}
 
 
 def test_project_arrangement_bad_reduction():

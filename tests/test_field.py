@@ -15,7 +15,6 @@ from multilattice.errors import (
     DivisionByZero,
     FieldMismatch,
     ParseError,
-    ZeroDenominator,
 )
 from multilattice.field import (
     FieldSpec,
@@ -25,8 +24,6 @@ from multilattice.field import (
     invert,
     is_prime,
     is_squarefree,
-    make_rational,
-    reduce_scalar,
     sqrt_mod,
 )
 
@@ -176,19 +173,6 @@ def test_coerce_rejects_foreign_elements():
         FieldSpec.rational().coerce(QuadElem(1, 1, 3))
     with pytest.raises(FieldMismatch):
         FieldSpec.quadratic(3).coerce(QuadElem(1, 1, 5))
-
-
-def test_make_rational_zero_denominator():
-    with pytest.raises(ZeroDenominator):
-        make_rational(1, 0)
-    assert make_rational(2, 4) == Fraction(1, 2)
-    assert make_rational(1, -2) == Fraction(-1, 2)
-
-
-@given(st.one_of(rationals, quad(3), st.integers()))
-def test_reduce_scalar_idempotent(x):
-    once = reduce_scalar(x)
-    assert reduce_scalar(once) == once
 
 
 def test_invert_dispatch():

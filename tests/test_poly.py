@@ -4,6 +4,7 @@ Divisibility facts are cross-checked against the multiplication oracle
 (building f = alpha**m * g explicitly and recovering m).
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -199,3 +200,65 @@ def test_canonical_leading_one():
     # first nonzero flattened coefficient (highest x power of P) becomes 1
     assert c.P.coeffs[1] == 1
     assert proportional_derivations(t, c)
+
+
+# -- cleared-integer kernels against the HomogPoly arithmetic -----------------
+
+FIELDS = [FieldSpec.rational(), FieldSpec.quadratic(3), FieldSpec.prime(101)]
+
+
+def rand_scalar(fs, rng):
+    if rng.random() < 0.3:
+        return fs.zero()
+    a = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    if fs.kind == "quadratic":
+        return QuadElem(a, Fraction(rng.randint(-9, 9), rng.randint(1, 6)), fs.d)
+    return fs.coerce(a)
+
+
+def rand_derivation(fs, rng, d):
+    """Random degree-d derivation; P, Q or both may be zero."""
+    def part():
+        if rng.random() < 0.2:
+            return HomogPoly.zero()
+        return HomogPoly.make([rand_scalar(fs, rng) for _ in range(d + 1)])
+    return Derivation(part(), part())
+
+
+@pytest.mark.parametrize("fs", FIELDS, ids=lambda fs: fs.kind)
+def test_saito_determinant_matches_polynomial_product(fs):
+    rng = random.Random(fs.kind)
+    zeros = 0
+    for _ in range(300):
+        t1 = rand_derivation(fs, rng, rng.randint(0, 5))
+        t2 = rand_derivation(fs, rng, rng.randint(0, 5))  # degrees may differ
+        if rng.random() < 0.1:
+            t2 = t1.scale(rand_scalar(fs, rng))  # dependent: cancels to zero
+        det = saito_determinant(t1, t2)
+        assert det == t1.P * t2.Q - t2.P * t1.Q
+        assert det.is_zero or type(det.coeffs[0]) is type(fs.one())
+        zeros += det.is_zero
+    assert 0 < zeros < 300
+    z = Derivation.zero()
+    t = rand_derivation(fs, rng, 3)
+    assert saito_determinant(z, t).is_zero and saito_determinant(t, z).is_zero
+
+
+ARRANGEMENTS = [
+    # alpha = y, integer and non-integer slopes
+    (FieldSpec.rational(), [(1, 0), (0, 1), (1, 1), (2, 3), (3, -5)]),
+    (FieldSpec.quadratic(3), [(1, 0), (0, 1), (1, QuadElem(Fraction(1, 2), Fraction(1, 3), 3)),
+                              (3, QuadElem(Fraction(0), Fraction(1), 3))]),
+    (FieldSpec.prime(101), [(1, 0), (0, 1), (1, 1), (2, 3)]),
+]
+
+
+@pytest.mark.parametrize("fs,pairs", ARRANGEMENTS, ids=["rational", "quadratic", "prime"])
+def test_defining_polynomial_matches_power_product(fs, pairs):
+    A = Arrangement.make(fs, pairs)
+    rng = random.Random(7)
+    for mu in [(0,) * len(A)] + [tuple(rng.randint(0, 4) for _ in A.forms) for _ in range(20)]:
+        want = HomogPoly.one(fs)
+        for lf, m in zip(A.forms, mu):
+            want = want * HomogPoly.from_linear_form(lf).pow(m, fs)
+        assert defining_polynomial(A, mu) == want

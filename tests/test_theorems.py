@@ -6,10 +6,12 @@ candidate inputs and assert the checks notice.
 """
 
 import copy
+from itertools import combinations
 
 import pytest
 
 from multilattice import lattice
+from multilattice.coxeter import coxeter_arrangement
 from multilattice.dermod import exponents
 from multilattice.errors import (
     HypothesisViolated,
@@ -32,6 +34,7 @@ from multilattice.theorems import (
     construct_basis_between,
     basis_for,
     multiplier_form,
+    pairs_at_distance_two,
     reconstruct_components,
 )
 
@@ -115,6 +118,26 @@ def test_component_distance(b2_scan):
     assert component_distance(balls[0], balls[0]) == 0
     if len(balls) > 1:
         assert component_distance(balls[0], balls[1]) >= 2
+
+
+def all_pairs_at_distance_two(groups):
+    return [(i, j) for i, j in combinations(range(len(groups)), 2)
+            if min(lattice.distance(a, b) for a in groups[i] for b in groups[j]) == 2]
+
+
+@pytest.mark.parametrize("ctype,box", [("B2", (3, 3, 3, 3)), ("G2", (2, 2, 1, 1, 2, 1))])
+def test_pairs_at_distance_two_match_all_pairs(ctype, box, session_cache):
+    s = scan(coxeter_arrangement(ctype), box, cache=session_cache)
+    groups = [c.members for c in components(s)]
+    want = all_pairs_at_distance_two(groups)
+    assert want and pairs_at_distance_two(groups, box) == want
+    # adjacent pieces of one component (distance 1) are not at distance 2
+    big = max(groups, key=len)
+    members = sorted(big)
+    pieces = [members[:len(big) // 2], members[len(big) // 2:]] + [g for g in groups if g is not big]
+    assert pairs_at_distance_two(pieces, box) == all_pairs_at_distance_two(pieces)
+    odd = [(mu,) for mu in lattice.box_points(box) if lattice.is_balanced(mu) and sum(mu) % 2]
+    assert pairs_at_distance_two(odd, box) == all_pairs_at_distance_two(odd)
 
 
 # -- oracle preconditions -----------------------------------------------------
