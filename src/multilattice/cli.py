@@ -19,7 +19,6 @@ from .cache import ResultCache
 from .dermod import exponents, full_basis
 from .errors import InternalInconsistency, MultilatticeError, ParseError
 from .explorer import ScanResult
-from .field import FieldSpec
 from .poly import Arrangement
 from .theorems import ThetaOracle
 
@@ -38,14 +37,9 @@ def load_arrangement(path: str) -> Arrangement:
     """
     try:
         with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return Arrangement.from_json(json.load(fh))
+    except (OSError, json.JSONDecodeError, ParseError) as exc:
         raise ParseError(f"cannot read arrangement file {path}: {exc}") from exc
-    if not isinstance(obj, dict) or "field" not in obj or "forms" not in obj:
-        raise ParseError(f"{path}: expected an object with 'field' and 'forms'")
-    fs = FieldSpec.from_json(obj["field"])
-    pairs = [(fs.parse_scalar(a), fs.parse_scalar(b)) for a, b in obj["forms"]]
-    return Arrangement.make(fs, pairs, names=obj.get("names"))
 
 
 def _resolve_arrangement(arrangement: Optional[str], coxeter_type: Optional[str]) -> Arrangement:
@@ -58,11 +52,6 @@ def _resolve_arrangement(arrangement: Optional[str], coxeter_type: Optional[str]
 
 def _parse_mu(ctx_a: Arrangement, text: str):
     return lattice.parse_multiplicity(text, len(ctx_a))
-
-
-def _parse_box(ctx_a: Arrangement, text: str):
-    vals = lattice.parse_multiplicity(text, len(ctx_a))
-    return tuple(vals)
 
 
 def _cache(cache_dir: Optional[str]) -> ResultCache:
@@ -120,17 +109,15 @@ def cmd_basis(arrangement, coxeter_type, cache_dir, mu):
 @_cox_opt
 @_cache_opt
 @click.option("--box", required=True, help="Inclusive upper bounds, comma-separated.")
-@click.option("--jobs", default=1, show_default=True, help="Worker processes.")
-@click.option("--balanced-only", is_flag=True,
-              help="Estimate cone points from the dominance bound instead of solving.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Worker processes.")
 @click.option("--output", "-o", type=click.Path(), default=None,
               help="Write the scan JSON here (default: stdout).")
-def cmd_scan(arrangement, coxeter_type, cache_dir, box, jobs, balanced_only, output):
+def cmd_scan(arrangement, coxeter_type, cache_dir, box, jobs, output):
     """Tabulate (d1, d2, delta) over a box of the multiplicity lattice."""
     A = _resolve_arrangement(arrangement, coxeter_type)
-    b = _parse_box(A, box)
-    result = explorer.scan(A, b, jobs=jobs, balanced_only=balanced_only,
-                           cache=_cache(cache_dir))
+    b = _parse_mu(A, box)
+    result = explorer.scan(A, b, jobs=jobs, cache=_cache(cache_dir))
     text = result.to_json()
     if output:
         with open(output, "w") as fh:
@@ -236,26 +223,20 @@ def cmd_verify(scan_path, cache_dir, seed, max_pairs, what):
 
 
 def _check_saito_everywhere(result: ScanResult, cache) -> theorems.Verdict:
-    """Construct and verify a full basis at every solved point of the scan.
+    """Construct and verify a full basis at every point of the scan.
 
     full_basis runs verify_saito on the pair it returns and raises
     InternalInconsistency (exit 3) on a rejection, so every returned pair passed.
     """
-    A = result.arrangement
-    checked = 0
     for mu in sorted(result.table):
-        if result.table[mu].estimated:
-            continue
-        checked += 1
-        full_basis(A, mu, cache=cache)
-    return theorems.Verdict("saito-everywhere", "pass", [], {"checked": checked})
+        full_basis(result.arrangement, mu, cache=cache)
+    return theorems.Verdict("saito-everywhere", "pass", [], {"checked": len(result.table)})
 
 
 def _run_criteria(result: ScanResult, oracle: ThetaOracle) -> List[theorems.Verdict]:
     A = result.arrangement
     box = result.box
-    support = [mu for mu in result.support()
-               if lattice.is_balanced(mu) and not result.table[mu].estimated]
+    support = [mu for mu in result.support() if lattice.is_balanced(mu)]
     candidate = theorems.CandidateMap({mu: oracle(mu) for mu in support})
     out = [theorems.certify_support(A, candidate, box, trusted_scan=result)]
     center_pts = {e.center: e.delta for e in explorer.centers(result) if e.center}
@@ -335,13 +316,16 @@ def cmd_coxeter(ctype, cache_dir, inv_box, nc_k, offsets):
     click.echo(f"group order: {len(group)}")
     failed = False
     if inv_box:
-        b = _parse_box(A, inv_box)
+        b = _parse_mu(A, inv_box)
         verdict = cox.check_delta_invariance(A, gens, b, cache=cache)
         click.echo(f"{verdict.name}: {verdict.status.upper()}"
                    f" ({verdict.details.get('checked', 0)} orbit steps)")
         failed |= verdict.status == "fail"
     if nc_k is not None:
-        offs = ([int(v) for v in offsets.split(",")] if offsets else [0] * len(A))
+        try:
+            offs = [int(v) for v in offsets.split(",")] if offsets else [0] * len(A)
+        except ValueError as exc:
+            raise ParseError(f"offsets must be comma-separated integers: {offsets}") from exc
         res = cox.near_constant_exponents(ctype, nc_k, offs, A=A, cache=cache)
         click.echo(f"nu: {lattice.format_multiplicity(res.nu)}")
         click.echo(f"predicted (distance law): {res.predicted}")

@@ -273,7 +273,7 @@ def near_constant_exponents(ctype: str, k: int, offsets: Sequence[int],
     """
     ctype = ctype.upper()
     if ctype not in CENTER_GAP:
-        raise ValueError(f"near-constant formulas exist only for B2 and G2, not {ctype!r}")
+        raise HypothesisViolated(f"near-constant formulas exist only for B2 and G2, not {ctype!r}")
     if A is None:
         A = coxeter_arrangement(ctype)
     n = len(A)

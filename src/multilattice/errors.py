@@ -65,10 +65,6 @@ class PreconditionViolated(MultilatticeError, ValueError):
     pass
 
 
-class VerificationFailed(MultilatticeError, RuntimeError):
-    pass
-
-
 class NoCenterPairFound(MultilatticeError, LookupError):
     pass
 

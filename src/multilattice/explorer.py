@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import lattice
 from .dermod import ExponentResult, exponents
 from .errors import NotUnimodal, ParseError, PointNotInComponent
-from .field import FieldSpec
 from .lattice import Box, Multiplicity
 from .poly import Arrangement
 
@@ -31,7 +30,6 @@ class PointResult:
     d1: int
     d2: int
     delta: int
-    estimated: bool = False
 
 
 @dataclass
@@ -48,13 +46,8 @@ class ScanResult:
         return [mu for mu in sorted(self.table) if self.table[mu].delta > 0]
 
     def to_json(self) -> str:
-        rows = []
-        for mu in sorted(self.table):
-            pr = self.table[mu]
-            row = {"mu": list(mu), "d1": pr.d1, "d2": pr.d2, "delta": pr.delta}
-            if pr.estimated:
-                row["estimated"] = True
-            rows.append(row)
+        rows = [{"mu": list(mu), "d1": pr.d1, "d2": pr.d2, "delta": pr.delta}
+                for mu, pr in sorted(self.table.items())]
         obj = {
             "schema": SCAN_SCHEMA,
             "arrangement": self.arrangement.to_json(),
@@ -66,7 +59,11 @@ class ScanResult:
 
     @classmethod
     def from_json(cls, text: str) -> "ScanResult":
-        """Parse scan JSON; anything malformed raises ParseError."""
+        """Parse scan JSON; anything malformed raises ParseError.
+
+        Older versions flagged cone rows as estimates; the flag is ignored,
+        since those rows hold the exact closed form (|mu| - mu_H, mu_H).
+        """
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -76,25 +73,22 @@ class ScanResult:
         if obj.get("schema") != SCAN_SCHEMA:
             raise ParseError(f"unsupported scan schema {obj.get('schema')!r}")
         try:
-            arr_obj = obj["arrangement"]
-            fs = FieldSpec.from_json(arr_obj["field"])
-            pairs = [(fs.parse_scalar(a), fs.parse_scalar(b)) for a, b in arr_obj["forms"]]
-            A = Arrangement.make(fs, pairs, names=arr_obj.get("names"))
+            A = Arrangement.from_json(obj["arrangement"])
             points = obj["points"]
             if not isinstance(points, list):
                 raise TypeError(f"points must be a list, got {type(points).__name__}")
             table = {}
             for row in points:
-                estimated = row.get("estimated", False)
-                if not isinstance(estimated, bool):
-                    raise TypeError(f"estimated must be a boolean, got {estimated!r}")
                 d1, d2, dlt = _int_tuple([row["d1"], row["d2"], row["delta"]])
-                table[_int_tuple(row["mu"])] = PointResult(d1, d2, dlt, estimated)
+                table[_int_tuple(row["mu"])] = PointResult(d1, d2, dlt)
             box = _int_tuple(obj["box"])
         except KeyError as exc:
             raise ParseError(f"scan file lacks the key {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ParseError(f"malformed scan file: {exc}") from exc
+        if (len(box) != len(A) or len(table) != len(points)
+                or set(table) != set(lattice.box_points(box))):
+            raise ParseError("scan rows must list every point of the box once")
         return cls(A, box, table)
 
 
@@ -123,13 +117,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def scan(A: Arrangement, box: Box, jobs: int = 1, balanced_only: bool = False,
-         cache=None) -> ScanResult:
-    """Tabulate exponents over the box.
+def scan(A: Arrangement, box: Box, jobs: int = 1, cache=None) -> ScanResult:
+    """Tabulate exponents over the box, solving every point exactly.
 
-    With balanced_only, cone points are not solved: their gap is recorded
-    from the weight-dominance bound (2*mu_H - |mu|, flagged estimated),
-    which is a lower bound guaranteed positive on every cone point.
     Points missing from the cache are solved once each, by at most
     min(jobs, usable CPUs, pending points) worker processes, and their
     results are stored in the cache.  The output table is deterministic and
@@ -138,21 +128,10 @@ def scan(A: Arrangement, box: Box, jobs: int = 1, balanced_only: bool = False,
     if len(box) != len(A):
         raise ValueError("box length must match the arrangement")
     start = time.monotonic()
-    to_solve: List[Multiplicity] = []
-    table: Dict[Multiplicity, PointResult] = {}
-    for mu in lattice.box_points(box):
-        h = lattice.cone_index(mu)
-        if balanced_only and h is not None:
-            total = sum(mu)
-            est = 2 * mu[h] - total
-            d1_bound = total - mu[h]
-            table[mu] = PointResult(d1_bound, total - d1_bound, est, estimated=True)
-        else:
-            table[mu] = None  # placeholder, filled below
-            to_solve.append(mu)
+    points = list(lattice.box_points(box))
     hits: List[Tuple[Multiplicity, ExponentResult]] = []
     pending = []
-    for mu in to_solve:
+    for mu in points:
         hit = cache.get(A, mu) if cache is not None else None
         if hit is not None:
             hits.append((mu, hit))
@@ -167,8 +146,9 @@ def scan(A: Arrangement, box: Box, jobs: int = 1, balanced_only: bool = False,
                                  initargs=(A,)) as pool:
             chunk = max(1, len(pending) // (4 * workers))
             fresh = list(pool.map(_solve_point, pending, chunksize=chunk))
-    for mu, res in hits + fresh:
-        table[mu] = PointResult(res.d1, res.d2, res.delta)
+    solved = dict(hits + fresh)
+    table = {mu: PointResult(solved[mu].d1, solved[mu].d2, solved[mu].delta)
+             for mu in points}
     if cache is not None:
         for mu, res in fresh:
             cache.put(A, mu, res)

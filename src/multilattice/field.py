@@ -6,8 +6,8 @@ Three domains are available:
 * real quadratic extensions of the rationals, ``a + b*sqrt(d)`` with
   ``a, b`` rational and ``d`` a squarefree integer > 1, represented by
   :class:`QuadElem`;
-* prime fields, used only as a heuristic accelerator for cross-checks,
-  represented by :class:`ModInt`.
+* prime fields F_p with p an odd prime, represented by :class:`ModInt`;
+  results over F_p describe the arrangement over F_p.
 
 All arithmetic is exact; there is no floating-point fallback anywhere in a
 correctness path.  ``float()`` conversions exist purely for sanity tests.
@@ -169,7 +169,7 @@ class QuadElem:
 
 @dataclass(frozen=True)
 class ModInt:
-    """Residue in [0, p); heuristic cross-check domain only."""
+    """Residue in [0, p), an element of the prime field F_p."""
 
     v: int
     p: int
@@ -256,8 +256,8 @@ class FieldSpec:
     """Which coefficient domain an arrangement lives over.
 
     kind is one of "rational", "quadratic" (with squarefree d > 1) or
-    "prime" (with an odd prime p).  Prime fields are heuristic only:
-    any result obtained over one must be confirmable in characteristic 0.
+    "prime" (with an odd prime p).  Every domain is exact; results over a
+    prime field are those of the arrangement over F_p.
     """
 
     kind: str
@@ -433,70 +433,3 @@ def clear_quadratic(row) -> Tuple[List[Tuple[int, int]], int]:
 def qmul(u: Tuple[int, int], v: Tuple[int, int], d: int) -> Tuple[int, int]:
     """Product of integer pairs read as u[0] + u[1]*sqrt(d)."""
     return (u[0] * v[0] + d * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
-
-
-# -- modular projection ------------------------------------------------------
-
-
-def sqrt_mod(a: int, p: int) -> int:
-    """Tonelli-Shanks; returns a square root of a mod p or raises ValueError."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise ValueError(f"{a} is not a quadratic residue mod {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-class Projection:
-    """Map scalars of a characteristic-0 field into F_p.
-
-    For a quadratic field, d must be a quadratic residue mod p; the
-    smaller of the two square roots is the canonical image of sqrt(d).
-    """
-
-    def __init__(self, source: FieldSpec, p: int):
-        if source.kind == "prime":
-            raise FieldMismatch("source must be characteristic 0")
-        if not is_prime(p) or p <= 2:
-            raise FieldMismatch(f"p must be an odd prime, got {p}")
-        self.source = source
-        self.target = FieldSpec.prime(p)
-        self.sqrt_image = 0
-        if source.kind == "quadratic":
-            r = sqrt_mod(source.d % p, p)
-            self.sqrt_image = min(r, p - r)
-
-    def __call__(self, s: Scalar) -> ModInt:
-        p = self.target.p
-        if isinstance(s, int):
-            return ModInt(s, p)
-        if isinstance(s, Fraction):
-            if s.denominator % p == 0:
-                raise BadReduction(f"denominator divisible by {p}")
-            return ModInt(s.numerator * pow(s.denominator, -1, p), p)
-        if isinstance(s, QuadElem):
-            if s.d != self.source.d:
-                raise FieldMismatch("wrong quadratic field")
-            a = self(s.a)
-            b = self(s.b)
-            return ModInt(a.v + b.v * self.sqrt_image, p)
-        raise FieldMismatch(f"cannot project {s!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .errors import LengthMismatch, NotComparable
+from .errors import LengthMismatch, NotComparable, ParseError
 from .poly import Arrangement, HomogPoly
 
 Multiplicity = Tuple[int, ...]
@@ -168,13 +168,16 @@ def downalpha(A: Arrangement, chain: Sequence[Multiplicity], delta_vals: Sequenc
 
 
 def parse_multiplicity(text: str, n: int) -> Multiplicity:
-    """Comma-separated naturals in arrangement order."""
+    """Comma-separated naturals in arrangement order; bad text raises ParseError."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise LengthMismatch(f"expected {n} entries, got {len(parts)}")
-    vals = tuple(int(p) for p in parts)
+    try:
+        vals = tuple(int(p) for p in parts)
+    except ValueError as exc:
+        raise ParseError(f"multiplicities must be integers: {text}") from exc
     if any(v < 0 for v in vals):
-        raise ValueError(f"multiplicities must be nonnegative: {text}")
+        raise ParseError(f"multiplicities must be nonnegative: {text}")
     return vals
 
 

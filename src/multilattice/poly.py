@@ -22,6 +22,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 from .errors import (
     ExactDivisionError,
     FieldMismatch,
+    ParseError,
     ProportionalForms,
     ZeroPolynomial,
 )
@@ -96,6 +97,18 @@ class Arrangement:
         if self.names:
             obj["names"] = list(self.names)
         return obj
+
+    @classmethod
+    def from_json(cls, obj) -> "Arrangement":
+        """Inverse of to_json; anything malformed raises ParseError."""
+        try:
+            fs = FieldSpec.from_json(obj["field"])
+            pairs = [(fs.parse_scalar(a), fs.parse_scalar(b)) for a, b in obj["forms"]]
+            return cls.make(fs, pairs, names=obj.get("names"))
+        except KeyError as exc:
+            raise ParseError(f"arrangement lacks the key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"malformed arrangement: {exc}") from exc
 
     def canonical_hash(self) -> str:
         return _arrangement_hash(self)

@@ -86,20 +86,12 @@ class ThetaOracle:
 def check_covering_steps(scan: ScanResult) -> Verdict:
     """Every covering pair in the box changes the gap by exactly one."""
     witnesses = []
-    skipped = 0
-    for mu in scan.table:
-        pr = scan.table[mu]
-        for nu, h, dirn in lattice.covering_neighbors(mu, scan.box):
-            if dirn != +1:
-                continue
-            qr = scan.table[nu]
-            if pr.estimated or qr.estimated:
-                skipped += 1
-                continue
-            if abs(pr.delta - qr.delta) != 1:
-                witnesses.append({"mu": mu, "nu": nu,
-                                  "delta_mu": pr.delta, "delta_nu": qr.delta})
-    return _finish("covering-steps", witnesses, {"skipped_estimated_pairs": skipped})
+    for mu, pr in scan.table.items():
+        for nu, _h, dirn in lattice.covering_neighbors(mu, scan.box):
+            if dirn == +1 and abs(pr.delta - scan.table[nu].delta) != 1:
+                witnesses.append({"mu": mu, "nu": nu, "delta_mu": pr.delta,
+                                  "delta_nu": scan.table[nu].delta})
+    return _finish("covering-steps", witnesses, {})
 
 
 def check_ball_structure(scan: ScanResult, comps: Optional[List[Component]] = None) -> Verdict:
@@ -134,7 +126,7 @@ def check_ball_structure(scan: ScanResult, comps: Optional[List[Component]] = No
         # shells at distance r and r+1 (strictly outside the component)
         for nu in lattice.ball(c, r + 2, scan.box):
             d = lattice.distance(c, nu)
-            if d < r or scan.table[nu].estimated:
+            if d < r:
                 continue
             want = d - r  # 0 on the sphere, 1 one step further
             if scan.table[nu].delta != want:
@@ -147,12 +139,10 @@ def check_singleton_gaps(scan: ScanResult) -> Verdict:
     """No two adjacent points both have gap zero."""
     witnesses = []
     for mu in scan.table:
-        if scan.table[mu].estimated or scan.table[mu].delta != 0:
+        if scan.table[mu].delta != 0:
             continue
         for nu, _h, dirn in lattice.covering_neighbors(mu, scan.box):
-            if dirn != +1 or scan.table[nu].estimated:
-                continue
-            if scan.table[nu].delta == 0:
+            if dirn == +1 and scan.table[nu].delta == 0:
                 witnesses.append({"mu": mu, "nu": nu})
     return _finish("zero-set-singletons", witnesses, {})
 
@@ -180,8 +170,6 @@ def check_basis_step_and_path(scan: ScanResult, oracle: ThetaOracle,
     A = scan.arrangement
     for comp in comps:
         members = comp.sorted_members()
-        if any(scan.table[mu].estimated for mu in members):
-            continue
         # covering steps inside the component
         pairs = []
         mem = comp.members
@@ -256,10 +244,6 @@ def _chain_high_first(mu: Multiplicity, nu: Multiplicity) -> List[Multiplicity]:
     return chain
 
 
-def component_distance(c1: Component, c2: Component) -> int:
-    return min(lattice.distance(a, b) for a in c1.members for b in c2.members)
-
-
 def pairs_at_distance_two(groups: Sequence[Sequence[Multiplicity]], box: Box) -> List[Tuple[int, int]]:
     """Index pairs i < j, in combinations order, of the disjoint point groups
     whose least distance is exactly 2.
@@ -290,8 +274,6 @@ def check_independency(scan: ScanResult, oracle: ThetaOracle,
     """
     if comps is None:
         comps = scan_components(scan)
-    comps = [c for c in comps
-             if not any(scan.table[mu].estimated for mu in c.members)]
     rng = random.Random(seed)
     witnesses = []
     cross = same = 0

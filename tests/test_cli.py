@@ -256,3 +256,36 @@ def test_exit_code_three_on_solver_inconsistency(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.run()
     assert exc.value.code == 3
+
+
+def _arrangement_file(**changes):
+    obj = {"field": {"type": "rational"}, "forms": [["1", "0"], ["0", "1"]]}
+    obj.update(changes)
+    return obj
+
+
+MALFORMED_INPUTS = {
+    "mu-letter": (["exponents", "--coxeter", "B2", "1,a,1,1"], None),
+    "mu-negative": (["exponents", "--coxeter", "B2", "1,-1,1,1"], None),
+    "box-negative": (["scan", "--coxeter", "B2", "--box", "1,-1,1,1"], None),
+    "jobs-zero": (["scan", "--coxeter", "B2", "--box", "1,1,1,1", "--jobs", "0"], None),
+    "offsets-letter": (["coxeter", "B2", "--near-constant", "1", "--offsets", "a,0,0,0"], None),
+    "near-constant-a1a1": (["coxeter", "A1A1", "--near-constant", "1"], None),
+    "zero-form": (None, _arrangement_file(forms=[["1", "0"], ["0", "0"]])),
+    "three-entry-form": (None, _arrangement_file(forms=[["1", "0", "2"], ["0", "1"]])),
+    "field-d-string": (None, _arrangement_file(field={"type": "quadratic", "d": "x"})),
+    "no-forms": (None, _arrangement_file(forms=[])),
+    "names-short": (None, _arrangement_file(names=["x"])),
+}
+
+
+@pytest.mark.parametrize("args,arrangement", MALFORMED_INPUTS.values(),
+                         ids=MALFORMED_INPUTS.keys())
+def test_exit_code_two_on_malformed_input(tmp_path, args, arrangement):
+    if arrangement is not None:
+        path = tmp_path / "arr.json"
+        path.write_text(json.dumps(arrangement))
+        args = ["exponents", "-a", str(path), "1,1"]
+    proc = _run_ml(*args)
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr

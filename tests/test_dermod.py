@@ -6,6 +6,8 @@ Oracles:
 * The two independent constraint constructions ("basis" vs "division")
   must agree everywhere.
 * Prime-field projections must agree with characteristic 0 on good primes.
+* On a cone (2*mu_H > |mu|) the exponents are (|mu| - mu_H, mu_H), with
+  the closed-form generator (Wakamiko 2007).
 * The one-rank lower exponent must be the least degree where the division
   construction has a derivation, and the closed-form constraint rows must
   equal the ones built from polynomial powers and a matrix inverse.
@@ -18,7 +20,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multilattice import dermod
+from multilattice import dermod, lattice
 from multilattice.dermod import (
     _alpha_basis_rows,
     delta,
@@ -30,7 +32,7 @@ from multilattice.dermod import (
     verify_saito,
 )
 from multilattice.errors import BadReduction, InternalInconsistency, LengthMismatch, ProportionalForms
-from multilattice.field import FieldSpec, Projection, QuadElem, is_prime
+from multilattice.field import FieldSpec, QuadElem, is_prime
 from multilattice.linalg import invert_matrix
 from multilattice.poly import (
     Arrangement,
@@ -38,10 +40,12 @@ from multilattice.poly import (
     HomogPoly,
     LinearForm,
     apply_derivation,
+    defining_polynomial,
     linear_form_multiplicity,
     proportional_derivations,
     saito_determinant,
 )
+from modular import Projection
 
 FS = FieldSpec.rational()
 
@@ -161,6 +165,40 @@ def test_closed_form_rows_match_inverted_basis_change(fs):
     for lf in forms:
         for d in range(7):
             assert _alpha_basis_rows(fs, lf, d) == rows_by_inversion(fs, lf, d), (lf, d)
+
+
+def assert_cone_closed_form(A, mu, cache=None):
+    """Exponents (|mu| - mu_H, mu_H) and generator f*(b dx - a dy), where
+    alpha_H = a x + b y dominates and f is the product of the other lines."""
+    h = lattice.cone_index(mu)
+    res = exponents(A, mu, cache=cache)
+    assert res.as_pair() == (sum(mu) - mu[h], mu[h]) and not res.non_unique, (A, mu)
+    f = defining_polynomial(A, mu[:h] + (0,) + mu[h + 1:])
+    lf = A.forms[h]
+    assert res.theta_min == Derivation(f.scale(lf.b), f.scale(-lf.a)).canonical(), (A, mu)
+
+
+@pytest.mark.parametrize("name,box,count", [("B2", (5,) * 4, 280), ("G2", (2,) * 6, 42)])
+def test_cone_points_have_closed_form_exponents(request, session_cache, name, box, count):
+    A = request.getfixturevalue(name)
+    cones = [mu for mu in lattice.box_points(box) if lattice.cone_index(mu) is not None]
+    assert len(cones) == count
+    for mu in cones:
+        assert_cone_closed_form(A, mu, cache=session_cache)
+
+
+def test_cone_closed_form_on_random_arrangements():
+    rng = random.Random("cone")
+    slopes = set()
+    for _ in range(200):
+        A = random_arrangement_over(rng, FS, rng.randint(1, 4))
+        mu = [rng.randint(0, 3) for _ in A.forms]
+        h = rng.randrange(len(A))
+        mu[h] = sum(mu) - mu[h] + rng.randint(1, 3)
+        assert_cone_closed_form(A, tuple(mu))
+        slopes.update("y" if not lf.a else "fraction" if lf.b.denominator > 1 else "integer"
+                      for lf in A.forms)
+    assert slopes == {"y", "fraction", "integer"}
 
 
 def test_wrong_lower_exponent_raises(B2, monkeypatch):

@@ -66,20 +66,6 @@ def test_scan_determinism_across_workers(B2):
     assert len(texts) == 1
 
 
-def test_balanced_only_estimates_cones(B2, session_cache):
-    s = scan(B2, (3, 3, 3, 3), balanced_only=True, cache=session_cache)
-    full = scan(B2, (3, 3, 3, 3), cache=session_cache)
-    for mu, pr in s.table.items():
-        h = lattice.cone_index(mu)
-        if h is None:
-            assert not pr.estimated
-            assert pr == full.table[mu]
-        else:
-            assert pr.estimated
-            # the dominance bound is a lower bound on the true gap
-            assert 0 < pr.delta <= full.table[mu].delta
-
-
 def test_components_partition_support(b2_scan):
     comps = components(b2_scan)
     seen = set()
@@ -226,8 +212,11 @@ MALFORMED_SCANS = {
     "d1-string": lambda obj: obj["points"][0].__setitem__("d1", "0"),
     "delta-bool": lambda obj: obj["points"][0].__setitem__("delta", True),
     "mu-string": lambda obj: obj["points"][0].__setitem__("mu", "0,0"),
-    "estimated-string": lambda obj: obj["points"][0].__setitem__("estimated", "no"),
     "row-list": lambda obj: obj["points"].__setitem__(0, [0, 0]),
+    "row-missing": lambda obj: obj["points"].pop(),
+    "row-twice": lambda obj: obj["points"].append(obj["points"][0]),
+    "row-outside-box": lambda obj: obj["points"][0].__setitem__("mu", [2, 0]),
+    "box-too-long": lambda obj: obj.__setitem__("box", [1, 1, 0]),
     "form-short": lambda obj: obj["arrangement"].__setitem__("forms", [["1"]]),
     "field-no-d": lambda obj: obj["arrangement"]["field"].__setitem__("type", "quadratic"),
 }

@@ -19,13 +19,12 @@ from multilattice.errors import (
 from multilattice.field import (
     FieldSpec,
     ModInt,
-    Projection,
     QuadElem,
     invert,
     is_prime,
     is_squarefree,
-    sqrt_mod,
 )
+from modular import Projection, sqrt_mod
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
 

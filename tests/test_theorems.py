@@ -6,11 +6,13 @@ candidate inputs and assert the checks notice.
 """
 
 import copy
+import json
 from itertools import combinations
 
 import pytest
 
 from multilattice import lattice
+from multilattice.cli import _check_saito_everywhere
 from multilattice.coxeter import coxeter_arrangement
 from multilattice.dermod import exponents
 from multilattice.errors import (
@@ -18,7 +20,7 @@ from multilattice.errors import (
     NoCenterPairFound,
     PreconditionViolated,
 )
-from multilattice.explorer import PointResult, centers, components, scan
+from multilattice.explorer import PointResult, ScanResult, centers, components, scan
 from multilattice.poly import HomogPoly
 from multilattice.theorems import (
     CandidateMap,
@@ -30,7 +32,6 @@ from multilattice.theorems import (
     check_singleton_gaps,
     certify_centers,
     certify_support,
-    component_distance,
     construct_basis_between,
     basis_for,
     multiplier_form,
@@ -88,6 +89,25 @@ def test_independency_exhaustive_pass(b2_scan, b2_oracle):
 # -- negative controls on corrupted scans ------------------------------------
 
 
+def test_legacy_estimated_cone_rows_read_as_exact(b2_scan, b2_oracle, session_cache):
+    """Older scan files flag cone rows as estimates; their values are the exact
+    closed form, so they load as the same table and every check covers them."""
+    obj = json.loads(b2_scan.to_json())
+    for row in obj["points"]:
+        if lattice.cone_index(tuple(row["mu"])) is not None:
+            row["estimated"] = True
+    legacy = ScanResult.from_json(json.dumps(obj))
+    assert legacy.table == b2_scan.table
+    checks = [check_covering_steps,
+              lambda s: check_independency(s, b2_oracle, seed=0),
+              lambda s: check_basis_step_and_path(s, b2_oracle, seed=0),
+              lambda s: _check_saito_everywhere(s, session_cache)]
+    for check in checks:
+        want, got = check(b2_scan), check(legacy)
+        assert (got.status, got.witnesses, got.details) == (want.status, want.witnesses,
+                                                             want.details)
+
+
 def test_covering_steps_detects_corruption(b2_scan):
     bad = corrupt(b2_scan, (1, 1, 1, 1), 4)
     v = check_covering_steps(bad)
@@ -110,6 +130,10 @@ def test_singleton_gaps_detects_adjacent_zeros(b2_scan):
     bad = corrupt(bad, (1, 1, 0, 0), 0)      # make two adjacent deltas zero
     v = check_singleton_gaps(bad)
     assert v.status == "fail"
+
+
+def component_distance(c1, c2):
+    return min(lattice.distance(a, b) for a in c1.members for b in c2.members)
 
 
 def test_component_distance(b2_scan):
