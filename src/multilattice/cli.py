@@ -17,7 +17,7 @@ from . import coxeter as cox
 from . import explorer, lattice, theorems
 from .cache import ResultCache
 from .dermod import exponents, full_basis
-from .errors import InternalInconsistency, MultilatticeError, ParseError
+from .errors import HypothesisViolated, InternalInconsistency, MultilatticeError, ParseError
 from .explorer import ScanResult
 from .poly import Arrangement
 from .theorems import ThetaOracle
@@ -233,12 +233,21 @@ def _check_saito_everywhere(result: ScanResult, cache) -> theorems.Verdict:
     return theorems.Verdict("saito-everywhere", "pass", [], {"checked": len(result.table)})
 
 
+def _certify(name: str, criterion, *args, **kwargs) -> theorems.Verdict:
+    """Run a criterion; a window that breaks its hypotheses is skipped, with the reason."""
+    try:
+        return criterion(*args, **kwargs)
+    except HypothesisViolated as exc:
+        return theorems.Verdict(name, "skipped", details={"reason": str(exc)})
+
+
 def _run_criteria(result: ScanResult, oracle: ThetaOracle) -> List[theorems.Verdict]:
     A = result.arrangement
     box = result.box
     support = [mu for mu in result.support() if lattice.is_balanced(mu)]
     candidate = theorems.CandidateMap({mu: oracle(mu) for mu in support})
-    out = [theorems.certify_support(A, candidate, box, trusted_scan=result)]
+    out = [_certify("criterion-support", theorems.certify_support, A, candidate, box,
+                    trusted_scan=result)]
     center_pts = {e.center: e.delta for e in explorer.centers(result) if e.center}
     if center_pts:
         cmap = theorems.CandidateMap({mu: oracle(mu) for mu in center_pts})
@@ -246,8 +255,8 @@ def _run_criteria(result: ScanResult, oracle: ThetaOracle) -> List[theorems.Verd
         # hypothesis is only testable on an inner window
         margin = max(center_pts.values())
         inner = tuple(max(b - margin, 0) for b in box)
-        out.append(theorems.certify_centers(A, cmap, inner, trusted_scan=result,
-                                            oracle=oracle))
+        out.append(_certify("criterion-centers", theorems.certify_centers, A, cmap, inner,
+                            trusted_scan=result, oracle=oracle))
     _, verdict = theorems.reconstruct_components(A, box, oracle, trusted_scan=result)
     out.append(verdict)
     return out

@@ -121,8 +121,8 @@ def standard_generators(A: Arrangement, ctype: str) -> List[GroupElement]:
     if ctype in ("A1A1",):
         gens = [refl_x, ((1, 0), (0, -1))]
     elif ctype == "A2":
-        # reflections in ker(x) and ker(x + y)
-        gens = [refl_x, ((0, -1), (-1, 0))]
+        # reflections swapping the lines y, x+y and the lines x, y
+        gens = [((-1, 0), (1, 1)), ((0, -1), (-1, 0))]
     elif ctype == "B2":
         # reflections in ker(x) and ker(x - y)
         gens = [refl_x, ((0, 1), (1, 0))]

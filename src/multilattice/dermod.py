@@ -27,21 +27,18 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistency, LengthMismatch
-from .field import FieldSpec, Scalar
+from .field import FieldSpec, Scalar, invert
 from .linalg import nullspace, rank
 from .poly import (
     Arrangement,
     Derivation,
     HomogPoly,
     LinearForm,
-    apply_derivation,
     defining_polynomial,
-    linear_form_multiplicity,
     saito_determinant,
 )
 
@@ -236,18 +233,10 @@ class SaitoVerdict:
 def in_module(A: Arrangement, mu: Sequence[int], theta: Derivation) -> bool:
     """Membership test: alpha_H**mu_H divides theta(alpha_H) for every H.
 
-    Over Q and Q(sqrt d), theta(alpha) = a*P + b*Q is formed on cleared
-    images and divided exactly; F_p keeps the residue arithmetic of
-    linear_form_multiplicity.
+    theta(alpha) = a*P + b*Q is formed on the integer images of the field's
+    linalg.Domain and divided exactly.
     """
     if theta.is_zero:
-        return True
-    if theta.cleared is None:
-        for lf, m in zip(A.forms, mu):
-            if m > 0:
-                f = apply_derivation(theta, lf)
-                if not f.is_zero and linear_form_multiplicity(f, lf) < m:
-                    return False
         return True
     dom, P, Q, _ = theta.cleared
     for lf, m in zip(A.forms, mu):
@@ -288,8 +277,7 @@ def verify_saito(A: Arrangement, mu: Sequence[int], t1: Derivation, t2: Derivati
         return SaitoVerdict(False, "dependent: determinant is zero")
     q = defining_polynomial(A, mu)
     lead_idx = next(i for i, c in enumerate(q.coeffs) if c)
-    c = det.coeffs[lead_idx] / q.coeffs[lead_idx] if isinstance(q.coeffs[lead_idx], Fraction) \
-        else det.coeffs[lead_idx] * q.coeffs[lead_idx].inverse()
+    c = det.coeffs[lead_idx] * invert(q.coeffs[lead_idx])
     if det != q.scale(c):
         return SaitoVerdict(False, "determinant is not a scalar multiple of the defining polynomial")
     return SaitoVerdict(True, None, c)

@@ -9,8 +9,10 @@ Three domains are available:
 * prime fields F_p with p an odd prime, represented by :class:`ModInt`;
   results over F_p describe the arrangement over F_p.
 
-All arithmetic is exact; there is no floating-point fallback anywhere in a
-correctness path.  ``float()`` conversions exist purely for sanity tests.
+This module holds the scalars only.  The exact kernels work on integer
+images of them, one domain per field (see linalg.Domain).  All arithmetic
+is exact; there is no floating-point fallback anywhere in a correctness
+path.  ``float()`` conversions exist purely for sanity tests.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple, Union
+from typing import Union
 
 from .errors import BadReduction, DivisionByZero, FieldMismatch, ParseError
 
@@ -372,10 +374,17 @@ class FieldSpec:
         if t == "rational":
             return cls.rational()
         if t == "quadratic":
-            return cls.quadratic(int(obj["d"]))
+            return cls.quadratic(_json_int(obj, "d"))
         if t == "prime":
-            return cls.prime(int(obj["p"]))
+            return cls.prime(_json_int(obj, "p"))
         raise ParseError(f"unknown field type {t!r}")
+
+
+def _json_int(obj: dict, key: str) -> int:
+    v = obj[key]
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ParseError(f"field {key} must be an integer, got {v!r}")
+    return v
 
 
 def _format_fraction(x: Fraction) -> str:
@@ -407,29 +416,3 @@ def invert(s: Scalar) -> Scalar:
             raise DivisionByZero("inverse of zero")
         return Fraction(1, s)
     raise FieldMismatch(f"not a scalar: {s!r}")
-
-
-# -- cleared integer images --------------------------------------------------
-#
-# The exact kernels (elimination, Saito determinants, membership) work on
-# Python ints: a row of rationals is scaled by one common denominator to
-# ints, a row of a + b*sqrt(d) to integer pairs (a, b).  Field elements are
-# built again only for results.
-
-
-def clear_rational(row) -> Tuple[List[int], int]:
-    """(ints, den) with row[i] == ints[i] / den."""
-    den = math.lcm(*(c.denominator for c in row))
-    return [c.numerator * (den // c.denominator) for c in row], den
-
-
-def clear_quadratic(row) -> Tuple[List[Tuple[int, int]], int]:
-    """(pairs, den) with row[i] == (pairs[i][0] + pairs[i][1]*sqrt(d)) / den."""
-    den = math.lcm(*(c.a.denominator for c in row), *(c.b.denominator for c in row))
-    return [(c.a.numerator * (den // c.a.denominator), c.b.numerator * (den // c.b.denominator))
-            for c in row], den
-
-
-def qmul(u: Tuple[int, int], v: Tuple[int, int], d: int) -> Tuple[int, int]:
-    """Product of integer pairs read as u[0] + u[1]*sqrt(d)."""
-    return (u[0] * v[0] + d * u[1] * v[1], u[0] * v[1] + u[1] * v[0])

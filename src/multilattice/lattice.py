@@ -22,10 +22,6 @@ def _check_lengths(mu: Sequence[int], nu: Sequence[int]) -> None:
         raise LengthMismatch(f"lengths {len(mu)} and {len(nu)} differ")
 
 
-def size(mu: Multiplicity) -> int:
-    return sum(mu)
-
-
 def distance(mu: Multiplicity, nu: Multiplicity) -> int:
     _check_lengths(mu, nu)
     return sum(abs(a - b) for a, b in zip(mu, nu))
@@ -187,7 +183,7 @@ def format_multiplicity(mu: Multiplicity) -> str:
 
 # re-exported for callers that only need the window machinery
 __all__ = [
-    "Multiplicity", "Box", "size", "distance", "leq", "meet_join", "in_box",
+    "Multiplicity", "Box", "distance", "leq", "meet_join", "in_box",
     "box_points", "covering_neighbors", "connected_components", "cone_index", "classify_point",
     "is_balanced", "ball", "saturated_chain", "chain_steps", "downalpha",
     "parse_multiplicity", "format_multiplicity",

@@ -1,29 +1,43 @@
-"""Exact rank and nullspace computations over the supported fields.
+"""Integer images and exact kernels per field.
 
-Each field has one forward-elimination kernel on integer data: rows are
-cleared of denominators and reduced fraction-free (Bareiss), as big integers
-for the rationals and as integer pairs for quadratic extensions; prime
-fields reduce residues with unit pivots.  Rank is the kernel's pivot count,
-and a nullspace basis is back-substituted from the same echelon form, one
-vector per free column.
+Each field has one Domain: it clears elements to integer images (ints over
+Q, integer pairs (a, b) for a + b*sqrt(d) over Q(sqrt d), residues over
+F_p), builds elements back, and runs every exact kernel on the images:
+fraction-free (Bareiss) or unit-pivot mod-p elimination, convolution and
+synthetic division.  Rank is the elimination's pivot count; a nullspace
+basis is back-substituted from the same echelon form.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from .errors import InternalInconsistency
-from .field import FieldSpec, ModInt, QuadElem, Scalar, clear_quadratic, clear_rational, qmul
+from .field import FieldSpec, ModInt, QuadElem, Scalar, invert
 
 
-def _qdivexact(u: tuple, v: tuple, d: int) -> tuple:
-    n = v[0] * v[0] - d * v[1] * v[1]
-    a = u[0] * v[0] - d * u[1] * v[1]
-    b = u[1] * v[0] - u[0] * v[1]
-    if a % n or b % n:
-        raise InternalInconsistency("fraction-free elimination lost exactness")
-    return (a // n, b // n)
+class Domain(NamedTuple):
+    """The integer images of one field's elements and the kernels on them.
+
+    Coefficient lists of polynomials run from the y-power end as in
+    HomogPoly.  Members are module-level functions or partials of them, so
+    a Derivation that caches its images still pickles to pool workers.
+    """
+
+    clear: Callable  # row -> (images, den) with row[i] == images[i] / den
+    zero: object  # the image of 0
+    back: Callable  # (image[, den]) -> the field element image / den
+    echelon: Callable  # (mat, ncols) -> (echelon rows, pivot columns); mat is consumed
+    convolve: Callable  # (out, f, g, sign) adds sign * f * g into out
+    power_divides: Callable  # (f, s, r, m) -> whether (s*t + r)**m divides f(t)
+
+
+def _clear_rational(row) -> Tuple[List[int], int]:
+    den = math.lcm(*(c.denominator for c in row))
+    return [c.numerator * (den // c.denominator) for c in row], den
 
 
 def _echelon_int(mat: List[List[int]], ncols: int):
@@ -58,7 +72,63 @@ def _echelon_int(mat: List[List[int]], ncols: int):
     return mat[:r], pivcols
 
 
-def _echelon_quad(mat: List[List[tuple]], ncols: int, d: int):
+def _convolve_int(out: List[int], f: Sequence[int], g: Sequence[int], sign: int) -> None:
+    n = len(g)
+    for i, a in enumerate(f):
+        if a:
+            a *= sign
+            out[i:i + n] = [o + a * b for o, b in zip(out[i:i + n], g)]
+
+
+def _power_divides_int(f: List[int], s: int, r: int, m: int) -> bool:
+    """Exact synthetic division by s*t + r (gcd(s, r) = 1, f nonzero).
+
+    By Gauss's lemma a primitive divisor leaves an integer quotient, so
+    the first inexact step already proves that it does not divide.
+    """
+    for _ in range(m):
+        n = len(f) - 1
+        if n == 0:
+            return False
+        quot = [0] * n
+        acc = f[n]
+        for i in range(n, 0, -1):
+            g, rem = divmod(acc, s)
+            if rem:
+                return False
+            quot[i - 1] = g
+            acc = f[i - 1] - r * g
+        if acc:
+            return False
+        f = quot
+    return True
+
+
+_RATIONAL_DOMAIN = Domain(_clear_rational, 0, Fraction, _echelon_int, _convolve_int,
+                          _power_divides_int)
+
+
+def _clear_quadratic(row) -> Tuple[List[Tuple[int, int]], int]:
+    den = math.lcm(*(c.a.denominator for c in row), *(c.b.denominator for c in row))
+    return [(c.a.numerator * (den // c.a.denominator), c.b.numerator * (den // c.b.denominator))
+            for c in row], den
+
+
+def _qmul(u: Tuple[int, int], v: Tuple[int, int], d: int) -> Tuple[int, int]:
+    """Product of integer pairs read as u[0] + u[1]*sqrt(d)."""
+    return (u[0] * v[0] + d * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def _qdivexact(u: tuple, v: tuple, d: int) -> tuple:
+    n = v[0] * v[0] - d * v[1] * v[1]
+    a = u[0] * v[0] - d * u[1] * v[1]
+    b = u[1] * v[0] - u[0] * v[1]
+    if a % n or b % n:
+        raise InternalInconsistency("fraction-free elimination lost exactness")
+    return (a // n, b // n)
+
+
+def _echelon_quad(d: int, mat: List[List[tuple]], ncols: int):
     prev = (1, 0)
     r = 0
     nrows = len(mat)
@@ -78,20 +148,65 @@ def _echelon_quad(mat: List[List[tuple]], ncols: int, d: int):
             f = ri[c]
             if f != (0, 0):
                 for k in range(c + 1, ncols):
-                    t1 = qmul(pr[c], ri[k], d)
-                    t2 = qmul(f, pr[k], d)
+                    t1 = _qmul(pr[c], ri[k], d)
+                    t2 = _qmul(f, pr[k], d)
                     ri[k] = _qdivexact((t1[0] - t2[0], t1[1] - t2[1]), prev, d)
                 ri[c] = (0, 0)
             else:
                 for k in range(c + 1, ncols):
-                    ri[k] = _qdivexact(qmul(pr[c], ri[k], d), prev, d)
+                    ri[k] = _qdivexact(_qmul(pr[c], ri[k], d), prev, d)
         prev = pr[c]
         pivcols.append(c)
         r += 1
     return mat[:r], pivcols
 
 
-def _echelon_modp(mat: List[List[int]], ncols: int, p: int):
+def _convolve_quad(d: int, out, f, g, sign: int) -> None:
+    for i, a in enumerate(f):
+        if a != (0, 0):
+            a = (sign * a[0], sign * a[1])
+            for j, b in enumerate(g):
+                u, v = _qmul(a, b, d)
+                o = out[i + j]
+                out[i + j] = (o[0] + u, o[1] + v)
+
+
+def _power_divides_quad(d: int, f, s, r, m: int) -> bool:
+    """Synthetic division by t + r/q (s = (q, 0), f nonzero), the
+    denominator carried as a power of q: h[j] = q**(n-1-j) * quotient[j]."""
+    q = s[0]
+    for _ in range(m):
+        n = len(f) - 1
+        if n == 0:
+            return False
+        h = [None] * n
+        acc = f[n]
+        scale = 1
+        for i in range(n, 0, -1):
+            h[i - 1] = acc
+            scale *= q
+            u, v = _qmul(r, acc, d)
+            acc = (f[i - 1][0] * scale - u, f[i - 1][1] * scale - v)
+        if acc != (0, 0):
+            return False
+        f = [(a * q ** j, b * q ** j) for j, (a, b) in enumerate(h)]  # q**(n-1) * quotient
+    return True
+
+
+def _quad_back(d: int, v, den: int = 1) -> QuadElem:
+    if den == 1:
+        return QuadElem(Fraction(v[0]), Fraction(v[1]), d)
+    return QuadElem(Fraction(v[0], den), Fraction(v[1], den), d)
+
+
+@functools.lru_cache(maxsize=None)
+def _quadratic_domain(d: int) -> Domain:
+    return Domain(_clear_quadratic, (0, 0), functools.partial(_quad_back, d),
+                  functools.partial(_echelon_quad, d), functools.partial(_convolve_quad, d),
+                  functools.partial(_power_divides_quad, d))
+
+
+def _echelon_modp(p: int, mat: List[List[int]], ncols: int):
     """Forward elimination with unit pivots mod p; returns (echelon rows, pivot columns)."""
     r = 0
     nrows = len(mat)
@@ -117,9 +232,70 @@ def _echelon_modp(mat: List[List[int]], ncols: int, p: int):
     return mat[:r], pivcols
 
 
-def _nullspace_from_echelon(ech, pivcols, ncols, fs: FieldSpec, conv):
-    """Back-substitute one basis vector per free column (in column order)."""
+def _convolve_modp(p: int, out: List[int], f, g, sign: int) -> None:
+    _convolve_int(out, f, g, sign)
+    out[:] = [o % p for o in out]
+
+
+def _power_divides_modp(p: int, f: List[int], s: int, r: int, m: int) -> bool:
+    """Synthetic division by s*t + r mod p (s a unit, f nonzero)."""
+    inv = pow(s, -1, p)
+    for _ in range(m):
+        n = len(f) - 1
+        if n == 0:
+            return False
+        quot = [0] * n
+        acc = f[n]
+        for i in range(n, 0, -1):
+            g = acc * inv % p
+            quot[i - 1] = g
+            acc = (f[i - 1] - r * g) % p
+        if acc:
+            return False
+        f = quot
+    return True
+
+
+def _clear_modp(row) -> Tuple[List[int], int]:
+    return [c.v for c in row], 1
+
+
+def _modp_back(p: int, v: int, den: int = 1) -> ModInt:
+    # residues clear over den = 1, so every product of denominators is 1
+    return ModInt(v, p)
+
+
+@functools.lru_cache(maxsize=None)
+def _prime_domain(p: int) -> Domain:
+    return Domain(_clear_modp, 0, functools.partial(_modp_back, p),
+                  functools.partial(_echelon_modp, p), functools.partial(_convolve_modp, p),
+                  functools.partial(_power_divides_modp, p))
+
+
+def domain_of(x: Scalar) -> Domain:
+    """The domain of the field x lies in."""
+    if isinstance(x, QuadElem):
+        return _quadratic_domain(x.d)
+    if isinstance(x, ModInt):
+        return _prime_domain(x.p)
+    return _RATIONAL_DOMAIN
+
+
+def _echelon(rows: Sequence[Sequence[Scalar]], dom: Domain, ncols: int):
+    return dom.echelon([dom.clear(r)[0] for r in rows if any(r)], ncols)
+
+
+def rank(rows: Sequence[Sequence[Scalar]], fs: FieldSpec, ncols: int) -> int:
+    """Rank of the row list, exactly, over the given field."""
+    return len(_echelon(rows, domain_of(fs.one()), ncols)[1])
+
+
+def nullspace(rows: Sequence[Sequence[Scalar]], fs: FieldSpec, ncols: int) -> List[List[Scalar]]:
+    """Deterministic nullspace basis (free variables in column order)."""
     zero, one = fs.zero(), fs.one()
+    dom = domain_of(one)
+    back = dom.back
+    ech, pivcols = _echelon(rows, dom, ncols)
     pivset = set(pivcols)
     basis = []
     for free in range(ncols):
@@ -133,39 +309,11 @@ def _nullspace_from_echelon(ech, pivcols, ncols, fs: FieldSpec, conv):
             s = zero
             for j in range(pc + 1, ncols):
                 if v[j] and row[j]:
-                    s = s + conv(row[j]) * v[j]
+                    s = s + back(row[j]) * v[j]
             if s:
-                v[pc] = -s / conv(row[pc])
+                v[pc] = -s / back(row[pc])
         basis.append(v)
     return basis
-
-
-def _echelon(rows: Sequence[Sequence[Scalar]], fs: FieldSpec, ncols: int):
-    """Echelon form of the nonzero rows in the field's kernel.
-
-    Returns (echelon rows, pivot columns, conv), where conv maps an echelon
-    entry back to a field element.
-    """
-    rows = [r for r in rows if any(r)]
-    if fs.kind == "rational":
-        ech, pivcols = _echelon_int([clear_rational(r)[0] for r in rows], ncols)
-        return ech, pivcols, Fraction
-    if fs.kind == "quadratic":
-        ech, pivcols = _echelon_quad([clear_quadratic(r)[0] for r in rows], ncols, fs.d)
-        return ech, pivcols, lambda v: QuadElem(Fraction(v[0]), Fraction(v[1]), fs.d)
-    ech, pivcols = _echelon_modp([[c.v for c in r] for r in rows], ncols, fs.p)
-    return ech, pivcols, lambda v: ModInt(v, fs.p)
-
-
-def rank(rows: Sequence[Sequence[Scalar]], fs: FieldSpec, ncols: int) -> int:
-    """Rank of the row list, exactly, over the given field."""
-    return len(_echelon(rows, fs, ncols)[1])
-
-
-def nullspace(rows: Sequence[Sequence[Scalar]], fs: FieldSpec, ncols: int) -> List[List[Scalar]]:
-    """Deterministic nullspace basis (free variables in column order)."""
-    ech, pivcols, conv = _echelon(rows, fs, ncols)
-    return _nullspace_from_echelon(ech, pivcols, ncols, fs, conv)
 
 
 def invert_matrix(rows: Sequence[Sequence[Scalar]], fs: FieldSpec) -> List[List[Scalar]]:
@@ -182,7 +330,7 @@ def invert_matrix(rows: Sequence[Sequence[Scalar]], fs: FieldSpec) -> List[List[
         if piv is None:
             raise InternalInconsistency("singular basis-change matrix")
         aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c] if isinstance(aug[c][c], Fraction) else aug[c][c].inverse()
+        inv = invert(aug[c][c])
         aug[c] = [v * inv for v in aug[c]]
         for i in range(n):
             if i != c and aug[i][c]:

@@ -5,9 +5,9 @@ the tuple (c_0, ..., c_d) meaning sum(c_i * x**i * y**(d - i)).  The zero
 polynomial is the empty tuple and carries no degree.
 
 The verification kernels (Saito determinants, defining polynomials and the
-divisions behind module membership) run over Q and Q(sqrt d) on cleared
-integer images of the coefficients (see ClearedDomain); the HomogPoly
-arithmetic stays for everything else and for F_p.
+divisions behind module membership) run on the integer images of the
+coefficients, through the field's linalg.Domain; the HomogPoly arithmetic
+stays for everything else and as their test oracle.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import functools as _functools
 import hashlib
 import json
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import (
     ExactDivisionError,
@@ -26,7 +25,8 @@ from .errors import (
     ProportionalForms,
     ZeroPolynomial,
 )
-from .field import FieldSpec, ModInt, QuadElem, Scalar, clear_quadratic, clear_rational, invert, qmul
+from .field import FieldSpec, Scalar, invert
+from .linalg import domain_of
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,11 @@ class Arrangement:
         try:
             fs = FieldSpec.from_json(obj["field"])
             pairs = [(fs.parse_scalar(a), fs.parse_scalar(b)) for a, b in obj["forms"]]
-            return cls.make(fs, pairs, names=obj.get("names"))
+            names = obj.get("names")
+            if names is not None and not (isinstance(names, list)
+                                          and all(isinstance(n, str) for n in names)):
+                raise ParseError(f"names must be a list of strings, got {names!r}")
+            return cls.make(fs, pairs, names=names)
         except KeyError as exc:
             raise ParseError(f"arrangement lacks the key {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -245,21 +249,6 @@ def divide_by_linear_form(f: HomogPoly, lf: LinearForm) -> HomogPoly:
     return HomogPoly.make(tuple(q))
 
 
-def poly_divisible(f: HomogPoly, lf: LinearForm) -> bool:
-    if f.is_zero:
-        return True
-    d = f.degree
-    if d == 0:
-        return False
-    if not lf.a:
-        return not f.coeffs[d]
-    r = -lf.b
-    acc = f.coeffs[d]
-    for j in range(d - 1, -1, -1):
-        acc = f.coeffs[j] + r * acc
-    return not acc
-
-
 def linear_form_multiplicity(f: HomogPoly, lf: LinearForm) -> int:
     """Largest m with alpha**m dividing f (f nonzero)."""
     if f.is_zero:
@@ -301,16 +290,14 @@ class Derivation:
 
     @_functools.cached_property
     def cleared(self):
-        """(dom, P, Q, den): P and Q as cleared images over one common
-        denominator (a zero part as []), with their ClearedDomain.
+        """(dom, P, Q, den): P and Q as integer images over one common
+        denominator (a zero part as []), with their linalg.Domain.
 
-        None for the zero derivation and over F_p.  Computed once per object.
+        None for the zero derivation.  Computed once per object.
         """
         if self.is_zero:
             return None
-        dom = cleared_domain((self.P.coeffs or self.Q.coeffs)[0])
-        if dom is None:
-            return None
+        dom = domain_of((self.P.coeffs or self.Q.coeffs)[0])
         n = len(self.P.coeffs)
         vals, den = dom.clear(self.P.coeffs + self.Q.coeffs)
         return dom, vals[:n], vals[n:], den
@@ -384,13 +371,11 @@ def apply_derivation(theta: Derivation, lf: LinearForm) -> HomogPoly:
 def saito_determinant(t1: Derivation, t2: Derivation) -> HomogPoly:
     """P1*Q2 - P2*Q1; nonzero iff {t1, t2} is independent over the ring.
 
-    Over Q and Q(sqrt d) the products are convolutions of cleared images
-    over den1*den2, and field elements are built only for a nonzero result.
+    The products are convolutions of integer images over den1*den2, and
+    field elements are built only for a nonzero result.
     """
     if t1.is_zero or t2.is_zero:
         return HomogPoly.zero()
-    if t1.cleared is None:
-        return t1.P * t2.Q - t2.P * t1.Q
     dom, p1, q1, den1 = t1.cleared
     _, p2, q2, den2 = t2.cleared
     out = [dom.zero] * (t1.degree + t2.degree + 1)
@@ -428,13 +413,7 @@ def defining_polynomial(A: Arrangement, mu: Sequence[int]) -> HomogPoly:
     """Product of alpha_H ** mu_H over the arrangement; degree |mu|."""
     if len(mu) != len(A):
         raise FieldMismatch("multiplicity length does not match arrangement")
-    dom = cleared_domain(A.field.one())
-    if dom is None:
-        out = HomogPoly.one(A.field)
-        for lf, m in zip(A.forms, mu):
-            if m:
-                out = out * HomogPoly.from_linear_form(lf).pow(m, A.field)
-        return out
+    dom = domain_of(A.field.one())
     out, den = dom.clear((A.field.one(),))
     for lf, m in zip(A.forms, mu):
         if not m:
@@ -446,108 +425,3 @@ def defining_polynomial(A: Arrangement, mu: Sequence[int]) -> HomogPoly:
             dom.convolve(prod, out, form, 1)
             out = prod
     return HomogPoly(tuple(dom.back(v, den) for v in out))
-
-
-# -- kernels on cleared images -----------------------------------------------
-
-
-class ClearedDomain(NamedTuple):
-    """Polynomial kernels on the cleared images of one field's elements.
-
-    Images are Python ints over Q and integer pairs (a, b), read as
-    a + b*sqrt(d), over Q(sqrt d); coefficient lists run from the y-power
-    end as in HomogPoly.
-    """
-
-    clear: Callable  # row -> (images, den) with row[i] == images[i] / den
-    zero: object  # the image of 0
-    back: Callable  # (image, den) -> the field element image / den
-    convolve: Callable  # (out, f, g, sign) adds sign * f * g into out
-    power_divides: Callable  # (f, s, r, m) -> whether (s*t + r)**m divides f(t)
-
-
-def _convolve_int(out: List[int], f: Sequence[int], g: Sequence[int], sign: int) -> None:
-    n = len(g)
-    for i, a in enumerate(f):
-        if a:
-            a *= sign
-            out[i:i + n] = [o + a * b for o, b in zip(out[i:i + n], g)]
-
-
-def _power_divides_int(f: List[int], s: int, r: int, m: int) -> bool:
-    """Exact synthetic division by s*t + r (gcd(s, r) = 1, f nonzero).
-
-    By Gauss's lemma a primitive divisor leaves an integer quotient, so
-    the first inexact step already proves that it does not divide.
-    """
-    for _ in range(m):
-        n = len(f) - 1
-        if n == 0:
-            return False
-        quot = [0] * n
-        acc = f[n]
-        for i in range(n, 0, -1):
-            g, rem = divmod(acc, s)
-            if rem:
-                return False
-            quot[i - 1] = g
-            acc = f[i - 1] - r * g
-        if acc:
-            return False
-        f = quot
-    return True
-
-
-def _convolve_quad(d: int, out, f, g, sign: int) -> None:
-    for i, a in enumerate(f):
-        if a != (0, 0):
-            a = (sign * a[0], sign * a[1])
-            for j, b in enumerate(g):
-                u, v = qmul(a, b, d)
-                o = out[i + j]
-                out[i + j] = (o[0] + u, o[1] + v)
-
-
-def _power_divides_quad(d: int, f, s, r, m: int) -> bool:
-    """Synthetic division by t + r/q (s = (q, 0), f nonzero), the
-    denominator carried as a power of q: h[j] = q**(n-1-j) * quotient[j]."""
-    q = s[0]
-    for _ in range(m):
-        n = len(f) - 1
-        if n == 0:
-            return False
-        h = [None] * n
-        acc = f[n]
-        scale = 1
-        for i in range(n, 0, -1):
-            h[i - 1] = acc
-            scale *= q
-            u, v = qmul(r, acc, d)
-            acc = (f[i - 1][0] * scale - u, f[i - 1][1] * scale - v)
-        if acc != (0, 0):
-            return False
-        f = [(a * q ** j, b * q ** j) for j, (a, b) in enumerate(h)]  # q**(n-1) * quotient
-    return True
-
-
-_RATIONAL_DOMAIN = ClearedDomain(clear_rational, 0, Fraction, _convolve_int, _power_divides_int)
-
-
-def _quad_back(d: int, v, den: int) -> QuadElem:
-    return QuadElem(Fraction(v[0], den), Fraction(v[1], den), d)
-
-
-@_functools.lru_cache(maxsize=None)
-def _quadratic_domain(d: int) -> ClearedDomain:
-    return ClearedDomain(clear_quadratic, (0, 0), _functools.partial(_quad_back, d),
-                         _functools.partial(_convolve_quad, d),
-                         _functools.partial(_power_divides_quad, d))
-
-
-def cleared_domain(x: Scalar) -> Optional[ClearedDomain]:
-    """The kernels for the field of x; None over F_p, which keeps residues."""
-    if isinstance(x, QuadElem):
-        return _quadratic_domain(x.d)
-    if isinstance(x, ModInt):
-        return None
-    return _RATIONAL_DOMAIN

@@ -112,6 +112,19 @@ def test_verify_criteria(runner, scan_file):
     assert result.output.count("PASS") >= 3
 
 
+def test_verify_all_skips_a_criterion_whose_window_breaks_its_hypotheses(runner, tmp_path):
+    # on B2 [0,4]^4 the inner window of the center criterion leaves an
+    # uncovered balanced component of size > 1
+    path = tmp_path / "b2_4.json"
+    runner.invoke(main, ["scan", "--coxeter", "B2", "--box", "4,4,4,4", "-o", str(path)])
+    result = runner.invoke(main, ["verify", "--scan", str(path), "all"])
+    assert result.exit_code == 0, result.output
+    checks = [line for line in result.output.splitlines() if not line.startswith(" ")]
+    assert len(checks) == 9, result.output
+    assert "criterion-centers: SKIPPED" in checks
+    assert "component larger than one" in result.output
+
+
 def test_verify_detects_corrupted_scan(runner, scan_file, tmp_path):
     obj = json.loads(open(scan_file).read())
     for row in obj["points"]:
@@ -145,6 +158,13 @@ def test_coxeter_report(runner):
     assert result.exit_code == 0, result.output
     assert "group order: 4" in result.output
     assert "-> match" in result.output
+
+
+def test_coxeter_a2_group(runner):
+    result = runner.invoke(main, ["coxeter", "A2", "--check-invariance", "2,2,2"])
+    assert result.exit_code == 0, result.output
+    assert "group order: 6" in result.output
+    assert "gap-invariance: PASS" in result.output
 
 
 def test_coxeter_near_constant_offsets(runner):
@@ -276,6 +296,9 @@ MALFORMED_INPUTS = {
     "field-d-string": (None, _arrangement_file(field={"type": "quadratic", "d": "x"})),
     "no-forms": (None, _arrangement_file(forms=[])),
     "names-short": (None, _arrangement_file(names=["x"])),
+    "names-string": (None, _arrangement_file(names="xy")),
+    "field-d-float": (None, _arrangement_file(field={"type": "quadratic", "d": 3.7})),
+    "field-p-float": (None, _arrangement_file(field={"type": "prime", "p": 101.5})),
 }
 
 

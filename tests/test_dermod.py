@@ -14,6 +14,7 @@ Oracles:
 """
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -287,10 +288,13 @@ MEMBERSHIP_CASES = [
     (FieldSpec.quadratic(3), [(1, 0), (0, 1), (1, QuadElem(Fraction(1, 2), Fraction(1, 3), 3)),
                               (3, QuadElem(Fraction(0), Fraction(1), 3))]),
     (FieldSpec.prime(101), [(1, 0), (0, 1), (1, 1), (2, 3)]),
+    # p = 7: convolution sums exceed p and synthetic-division quotients wrap
+    (FieldSpec.prime(7), [(1, 0), (0, 1), (1, 1), (2, 3), (1, 4)]),
 ]
+MEMBERSHIP_IDS = ["rational", "quadratic", "prime", "prime7"]
 
 
-@pytest.mark.parametrize("fs,pairs", MEMBERSHIP_CASES, ids=["rational", "quadratic", "prime"])
+@pytest.mark.parametrize("fs,pairs", MEMBERSHIP_CASES, ids=MEMBERSHIP_IDS)
 def test_in_module_matches_division_oracle(fs, pairs):
     A = Arrangement.make(fs, pairs)
     rng = random.Random(fs.kind)
@@ -314,6 +318,18 @@ def test_in_module_matches_division_oracle(fs, pairs):
                 outcomes.add(got)
         assert in_module(A, mu, t1) and in_module(A, mu, t2)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("fs,pairs", MEMBERSHIP_CASES, ids=MEMBERSHIP_IDS)
+def test_result_with_cached_images_pickles(fs, pairs):
+    # scan workers send results back pickled; a membership test caches the
+    # generator's integer images (and their domain) on it
+    A = Arrangement.make(fs, pairs)
+    mu = (2, 1, 1, 2, 1)[:len(A)]
+    res = exponents(A, mu)
+    assert in_module(A, mu, res.theta_min) and res.theta_min.cleared is not None
+    back = pickle.loads(pickle.dumps(res))
+    assert back == res and in_module(A, mu, back.theta_min)
 
 
 def test_full_basis_saito_accepted(B2, G2):
