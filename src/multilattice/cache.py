@@ -115,27 +115,37 @@ class ResultCache:
         return self._mem.get(key)
 
     def put(self, A: Arrangement, mu: Tuple[int, ...], result: ExponentResult) -> None:
+        self.put_many(A, [(mu, result)])
+
+    def put_many(self, A: Arrangement, items) -> None:
+        """Store (mu, result) pairs, appending the new ones to the file in
+        one write."""
         self._ensure_loaded()
-        key = (A.canonical_hash(), tuple(mu))
-        if key in self._mem:
-            return
-        self._mem[key] = result
-        if self.path is None:
+        arr = A.canonical_hash()
+        field = A.field.to_json()
+        lines = []
+        for mu, result in items:
+            key = (arr, tuple(mu))
+            if key in self._mem:
+                continue
+            self._mem[key] = result
+            entry = {
+                "schema": SCHEMA_VERSION,
+                "arr": arr,
+                "mu": list(mu),
+                "field": field,
+                "d1": result.d1,
+                "d2": result.d2,
+                "delta": result.delta,
+                "non_unique": result.non_unique,
+                "theta": serialize_derivation(A.field, result.theta_min),
+            }
+            lines.append(json.dumps(entry, sort_keys=True) + "\n")
+        if self.path is None or not lines:
             return
         self.directory.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "schema": SCHEMA_VERSION,
-            "arr": key[0],
-            "mu": list(mu),
-            "field": A.field.to_json(),
-            "d1": result.d1,
-            "d2": result.d2,
-            "delta": result.delta,
-            "non_unique": result.non_unique,
-            "theta": serialize_derivation(A.field, result.theta_min),
-        }
         with open(self.path, "a") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            fh.write("".join(lines))
 
     def clear(self) -> None:
         self._mem.clear()

@@ -28,11 +28,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import comb
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistency, LengthMismatch
 from .field import FieldSpec, Scalar, invert
-from .linalg import nullspace, rank
+from .linalg import domain_of, nullspace, rank
 from .poly import (
     Arrangement,
     Derivation,
@@ -45,26 +45,30 @@ from .poly import (
 Multiplicity = Tuple[int, ...]
 
 
+def _alpha_row(fs: FieldSpec, lf: LinearForm, i: int, d: int) -> Tuple[Scalar, ...]:
+    """Constraint row [a*r | b*r] for alpha = a*x + b*y in degree d.
+
+    r maps the coefficients of x**j * y**(d-j) to the coordinate of
+    alpha**i * beta**(d-i).  For alpha = x + b*y and beta = y, expanding
+    x = alpha - b*beta gives r[j] = C(j, i) * (-b)**(j-i); for alpha = y
+    and beta = x, r is the unit vector at j = d - i.
+    """
+    zero = fs.zero()
+    r = [zero] * (d + 1)
+    if lf.a:
+        neg_b, power = -lf.b, fs.one()
+        for j in range(i, d + 1):
+            r[j] = power * comb(j, i)
+            power = power * neg_b
+    elif i <= d:
+        r[d - i] = fs.one()
+    return tuple(lf.a * v for v in r) + tuple(lf.b * v for v in r)
+
+
 @functools.lru_cache(maxsize=4096)
 def _alpha_basis_rows(fs: FieldSpec, lf: LinearForm, d: int) -> Tuple[Tuple[Scalar, ...], ...]:
-    """Constraint rows [a*r_i | b*r_i], i = 0..d, for alpha = a*x + b*y.
-
-    r_i maps the coefficients of x**j * y**(d-j) to the coordinate of
-    alpha**i * beta**(d-i).  For alpha = x + b*y and beta = y, expanding
-    x = alpha - b*beta gives r_i[j] = C(j, i) * (-b)**(j-i); for alpha = y
-    and beta = x, r_i is the unit vector at j = d - i.
-    """
-    zero, one = fs.zero(), fs.one()
-    if lf.a:
-        neg_b = -lf.b
-        powers = [one]
-        for _ in range(d):
-            powers.append(powers[-1] * neg_b)
-        coords = [[powers[j - i] * comb(j, i) if j >= i else zero for j in range(d + 1)]
-                  for i in range(d + 1)]
-    else:
-        coords = [[one if j == d - i else zero for j in range(d + 1)] for i in range(d + 1)]
-    return tuple(tuple(lf.a * v for v in r) + tuple(lf.b * v for v in r) for r in coords)
+    """The constraint rows i = 0..d of alpha in degree d (see _alpha_row)."""
+    return tuple(_alpha_row(fs, lf, i, d) for i in range(d + 1))
 
 
 def _constraint_rows_basis(A: Arrangement, mu: Sequence[int], d: int) -> List[Tuple[Scalar, ...]]:
@@ -169,12 +173,200 @@ def _minimal_degree(A: Arrangement, mu: Multiplicity) -> int:
     return top + 1 - graded_dimension(A, mu, top)
 
 
-def exponents(A: Arrangement, mu: Sequence[int], cache=None) -> ExponentResult:
-    """Exponents of the multiarrangement and a minimal-degree generator.
+# -- the lattice walk ----------------------------------------------------------
+#
+# A derivation of degree d is held as the flat list [P | Q] of the integer
+# images of its 2*(d+1) coefficients, P and Q each from the y-power end: the
+# column order of the constraint rows.  A state (t1, d1, t2, d2) is a basis
+# of D(A, mu) with deg t1 = d1 <= d2 = deg t2.
 
-    The nullspace at d1 is the consistency check: freeness predicts
-    dimension 1 when delta > 0 and 2 when delta == 0.
+_MAX_STATES = 1 << 16  # a walk drops its memo past this many bases
+_MAX_WALKS = 64  # the memo drops every walk past this many arrangements
+_WALKS: Dict[Arrangement, "_Walk"] = {}
+
+_State = Tuple[List, int, List, int]
+
+
+def _residual_row(A: Arrangement, h: int, m: int, d: int) -> List:
+    """Images of row m of the degree-d constraint rows of line h, up to one
+    nonzero factor: its dot product with [P | Q] is the coordinate of
+    theta(alpha_H) on alpha_H**m * beta**(d-m)."""
+    return domain_of(A.field.one()).clear(_alpha_row(A.field, A.forms[h], m, d))[0]
+
+
+def _shift(t: List, d: int, lo: int, hi: int, zero) -> List:
+    """x**lo * y**hi * t for t of degree d."""
+    n = d + 1
+    pad_lo, pad_hi = [zero] * lo, [zero] * hi
+    return pad_lo + t[:n] + pad_hi + pad_lo + t[n:] + pad_hi
+
+
+def _last(t: List, zero) -> int:
+    """Index of the last nonzero coordinate of t."""
+    return max(i for i, v in enumerate(t) if v != zero)
+
+
+class _Walk:
+    """Bases of D(A, mu) for one arrangement, memoised by mu.
+
+    The step from mu to mu + e_h is the order-basis (sigma-basis) recursion
+    (Beckermann and Labahn 1994).  Let r_i be the coordinate of t_i(alpha_h)
+    on alpha_h**m * beta**(d_i - m), m = mu_h, with beta = y (beta = x when
+    alpha_h = y).  The pivot is t1 if r1 != 0 and t2 otherwise; for pivot t1
+    the partner becomes r1*t2 - r2*beta**(d2-d1)*t1, which kills its
+    residual; then the pivot is multiplied by alpha_h.  Both results lie in
+    D(mu + e_h), their degrees sum to |mu| + 1 and their Saito determinant
+    gains the factor alpha_h, so by Saito's criterion they are a basis.
+    Ziegler's freeness theorem makes a basis exist at every mu, so a step
+    where both residuals vanish is a solver bug.
     """
+
+    def __init__(self, A: Arrangement):
+        self.A = A
+        self.dom = domain_of(A.field.one())
+        # cleared alpha_h as a coefficient list [y, x]
+        self.forms = [self.dom.clear((lf.b, lf.a))[0] for lf in A.forms]
+        self.rows: Dict[Tuple[int, int, int], List] = {}
+        self.states: Dict[Multiplicity, _State] = {}
+
+    def _root(self) -> _State:
+        one, zero = self.dom.clear((self.A.field.one(),))[0][0], self.dom.zero
+        return ([one, zero], 0, [zero, one], 0)  # dx, dy
+
+    def _residual(self, t: List, d: int, h: int, m: int):
+        if m > d:
+            return self.dom.zero  # alpha**m divides the degree-d theta(alpha): it is 0
+        key = (h, m, d)
+        row = self.rows.get(key)
+        if row is None:
+            row = self.rows[key] = _residual_row(self.A, h, m, d)
+        return self.dom.dot(row, t)
+
+    def _times_alpha(self, t: List, d: int, h: int) -> List:
+        dom, n = self.dom, d + 1
+        p, q = [dom.zero] * (n + 1), [dom.zero] * (n + 1)
+        dom.convolve(p, self.forms[h], t[:n], 1)
+        dom.convolve(q, self.forms[h], t[n:], 1)
+        return dom.primitive(p + q)
+
+    def step(self, state: _State, h: int, m: int) -> _State:
+        """The basis at mu + e_h from the basis at mu (mu_h = m)."""
+        t1, d1, t2, d2 = state
+        dom = self.dom
+        r1, r2 = self._residual(t1, d1, h, m), self._residual(t2, d2, h, m)
+        if r1 == dom.zero:
+            if r2 == dom.zero:
+                raise InternalInconsistency(
+                    f"both generators already lie in the module one step up line {h}")
+            return (t1, d1, self._times_alpha(t2, d2, h), d2 + 1)
+        if r2 != dom.zero:
+            # rows of different degrees clear over different factors, so
+            # beta**k * t1 takes its residual from t2's row
+            k = d2 - d1
+            lo, hi = (k, 0) if self.forms[h][1] == dom.zero else (0, k)  # beta = x or y
+            shifted = _shift(t1, d1, lo, hi, dom.zero)
+            rs = r1 if k == 0 else self._residual(shifted, d2, h, m)
+            out = [dom.zero] * len(t2)
+            dom.convolve(out, [rs], t2, 1)
+            dom.convolve(out, [r2], shifted, -1)
+            t2 = dom.primitive(out)
+        t1 = self._times_alpha(t1, d1, h)
+        if d1 + 1 > d2:
+            return (t2, d2, t1, d1 + 1)
+        return (t1, d1 + 1, t2, d2)
+
+    def basis(self, mu: Multiplicity) -> _State:
+        """The basis at mu, walked up from the nearest memoised point on
+        the chain mu, mu - e_h, ... (h the last nonzero coordinate), which
+        ends at 0 and runs back through box order.
+
+        A walk that starts at 0 checks its lower exponent against one rank.
+        """
+        chain = []
+        nu = mu
+        while nu not in self.states and any(nu):
+            h = max(i for i, v in enumerate(nu) if v)
+            chain.append(h)
+            nu = nu[:h] + (nu[h] - 1,) + nu[h + 1:]
+        rooted = not any(nu)
+        state = self.states.get(nu) or self._root()
+        for h in reversed(chain):
+            state = self.step(state, h, nu[h])
+            nu = nu[:h] + (nu[h] + 1,) + nu[h + 1:]
+            if len(self.states) >= _MAX_STATES:
+                self.states.clear()
+                self.rows.clear()
+            self.states[nu] = state
+        if rooted and chain and state[1] != _minimal_degree(self.A, mu):
+            raise InternalInconsistency(
+                f"the walk gives d1={state[1]} but one rank gives"
+                f" {_minimal_degree(self.A, mu)} for mu={mu}")
+        return state
+
+    def minimal(self, state: _State) -> Tuple[List, List]:
+        """(theta_min, another generator of degree d2) as images.
+
+        For delta > 0 theta_min is t1.  For delta == 0 it is the element of
+        span{t1, t2} whose last nonzero coordinate comes first: the first
+        nullspace vector, whose free variables run in column order.
+        """
+        t1, d1, t2, d2 = state
+        if d1 < d2:
+            return t1, t2
+        zero = self.dom.zero
+        l1, l2 = _last(t1, zero), _last(t2, zero)
+        if l1 < l2:
+            return t1, t2
+        if l2 < l1:
+            return t2, t1
+        out = [zero] * len(t1)
+        self.dom.convolve(out, [t2[l1]], t1, 1)
+        self.dom.convolve(out, [t1[l1]], t2, -1)
+        return self.dom.primitive(out), t1
+
+    def partner(self, state: _State) -> List:
+        """The degree-d2 generator that full_basis pairs with theta_min.
+
+        It is the first vector of the reduced right-echelon basis of D_{d2}
+        = span{x**i * y**(delta-i) * theta_min} + span{t2} whose Saito
+        determinant with theta_min is nonzero: t2 reduced to zero at the
+        last nonzero coordinates of the shifts of theta_min.
+        """
+        _, d1, _, d2 = state
+        t, w = self.minimal(state)
+        dom, k = self.dom, d2 - d1
+        last = _last(t, dom.zero)
+        for i in range(k, -1, -1):  # shift i has its last nonzero at f
+            f = last + i + (k if last > d1 else 0)
+            if w[f] != dom.zero:
+                out = [dom.zero] * len(w)
+                dom.convolve(out, [t[last]], w, 1)
+                dom.convolve(out, [w[f]], _shift(t, d1, i, k - i, dom.zero), -1)
+                w = dom.primitive(out)
+        return w
+
+    def derivation(self, t: List, d: int) -> Derivation:
+        """canonical() of the derivation with images t, built on the images:
+        each coefficient over the first nonzero one in _flat order."""
+        zero, n = self.dom.zero, d + 1
+        lead = next(v for v in (*reversed(t[:n]), *reversed(t[n:])) if v != zero)
+        ratio = self.dom.ratio
+        return Derivation(HomogPoly.make(tuple(ratio(v, lead) for v in t[:n])),
+                          HomogPoly.make(tuple(ratio(v, lead) for v in t[n:])))
+
+
+def _walk(A: Arrangement) -> _Walk:
+    w = _WALKS.get(A)
+    if w is None:
+        if len(_WALKS) >= _MAX_WALKS:
+            _WALKS.clear()
+        w = _WALKS[A] = _Walk(A)
+    return w
+
+
+def exponents(A: Arrangement, mu: Sequence[int], cache=None) -> ExponentResult:
+    """Exponents of the multiarrangement and a minimal-degree generator,
+    from a basis walked up the multiplicity lattice."""
     mu = tuple(mu)
     if len(mu) != len(A):
         raise LengthMismatch("multiplicity length does not match arrangement")
@@ -182,20 +374,15 @@ def exponents(A: Arrangement, mu: Sequence[int], cache=None) -> ExponentResult:
         hit = cache.get(A, mu)
         if hit is not None:
             return hit
+    walk = _walk(A)
+    state = walk.basis(mu)
+    d1, d2 = state[1], state[3]
     total = sum(mu)
-    d1 = _minimal_degree(A, mu)
-    d2 = total - d1
     if mu and total > 0 and d1 > total - max(mu):
         raise InternalInconsistency(
             f"d1={d1} exceeds the constructive bound |mu|-max(mu) for mu={mu}")
-    gens = _nullspace_derivations(A, mu, d1)
-    delta = d2 - d1
-    expected = 1 if delta > 0 else 2
-    if delta < 0 or len(gens) != expected:
-        raise InternalInconsistency(
-            f"degree-{d1} piece has dimension {len(gens)}, freeness predicts"
-            f" {expected} for exponents ({d1}, {d2}), mu={mu}")
-    result = ExponentResult(d1, d2, delta, gens[0], non_unique=(delta == 0))
+    theta = walk.derivation(walk.minimal(state)[0], d1)
+    result = ExponentResult(d1, d2, d2 - d1, theta, non_unique=(d1 == d2))
     if cache is not None:
         cache.put(A, mu, result)
     return result
@@ -211,16 +398,15 @@ def min_derivation(A: Arrangement, mu: Sequence[int], cache=None) -> Derivation:
 
 def full_basis(A: Arrangement, mu: Sequence[int], cache=None) -> Tuple[Derivation, Derivation]:
     """A Saito-verified homogeneous basis with degrees (d1, d2)."""
-    res = exponents(A, mu, cache=cache)
-    t1 = res.theta_min
-    for cand in _nullspace_derivations(A, mu, res.d2):
-        if not saito_determinant(t1, cand).is_zero:
-            verdict = verify_saito(A, mu, t1, cand)
-            if not verdict.accepted:
-                raise InternalInconsistency(
-                    f"independent partner failed Saito verification: {verdict.reason}")
-            return (t1, cand)
-    raise InternalInconsistency(f"no independent partner at degree {res.d2} for mu={mu}")
+    t1 = exponents(A, mu, cache=cache).theta_min
+    walk = _walk(A)
+    state = walk.basis(tuple(mu))
+    t2 = walk.derivation(walk.partner(state), state[3])
+    verdict = verify_saito(A, mu, t1, t2)
+    if not verdict.accepted:
+        raise InternalInconsistency(
+            f"independent partner failed Saito verification: {verdict.reason}")
+    return (t1, t2)
 
 
 @dataclass(frozen=True)

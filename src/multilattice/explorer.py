@@ -150,8 +150,7 @@ def scan(A: Arrangement, box: Box, jobs: int = 1, cache=None) -> ScanResult:
     table = {mu: PointResult(solved[mu].d1, solved[mu].d2, solved[mu].delta)
              for mu in points}
     if cache is not None:
-        for mu, res in fresh:
-            cache.put(A, mu, res)
+        cache.put_many(A, fresh)
     result = ScanResult(A, box, table)
     result.timing = {"seconds": time.monotonic() - start, "jobs": jobs,
                      "points": len(table), "solved": len(hits) + len(fresh)}

@@ -3,15 +3,18 @@
 Each field has one Domain: it clears elements to integer images (ints over
 Q, integer pairs (a, b) for a + b*sqrt(d) over Q(sqrt d), residues over
 F_p), builds elements back, and runs every exact kernel on the images:
-fraction-free (Bareiss) or unit-pivot mod-p elimination, convolution and
-synthetic division.  Rank is the elimination's pivot count; a nullspace
-basis is back-substituted from the same echelon form.
+fraction-free (Bareiss) or unit-pivot mod-p elimination, convolution,
+synthetic division, and the dot products, content removal and division by a
+lead coefficient that the lattice walk in dermod runs on.  Rank is the
+elimination's pivot count; a nullspace basis is back-substituted from the
+same echelon form.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Sequence, Tuple
 
@@ -33,6 +36,9 @@ class Domain(NamedTuple):
     echelon: Callable  # (mat, ncols) -> (echelon rows, pivot columns); mat is consumed
     convolve: Callable  # (out, f, g, sign) adds sign * f * g into out
     power_divides: Callable  # (f, s, r, m) -> whether (s*t + r)**m divides f(t)
+    dot: Callable  # (u, v) -> the image of sum(u[i] * v[i])
+    primitive: Callable  # vec -> vec over its integer content (residues reduced over F_p)
+    ratio: Callable  # (v, lead) -> the field element v / lead (lead nonzero)
 
 
 def _clear_rational(row) -> Tuple[List[int], int]:
@@ -104,8 +110,17 @@ def _power_divides_int(f: List[int], s: int, r: int, m: int) -> bool:
     return True
 
 
+def _dot_int(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(operator.mul, u, v))
+
+
+def _primitive_int(vec: List[int]) -> List[int]:
+    g = math.gcd(*vec)
+    return vec if g <= 1 else [c // g for c in vec]
+
+
 _RATIONAL_DOMAIN = Domain(_clear_rational, 0, Fraction, _echelon_int, _convolve_int,
-                          _power_divides_int)
+                          _power_divides_int, _dot_int, _primitive_int, Fraction)
 
 
 def _clear_quadratic(row) -> Tuple[List[Tuple[int, int]], int]:
@@ -193,6 +208,25 @@ def _power_divides_quad(d: int, f, s, r, m: int) -> bool:
     return True
 
 
+def _dot_quad(d: int, u, v) -> Tuple[int, int]:
+    a = b = 0
+    for x, y in zip(u, v):
+        if x != (0, 0) and y != (0, 0):
+            a += x[0] * y[0] + d * x[1] * y[1]
+            b += x[0] * y[1] + x[1] * y[0]
+    return (a, b)
+
+
+def _primitive_quad(vec: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    g = math.gcd(*(c for pair in vec for c in pair))
+    return vec if g <= 1 else [(a // g, b // g) for a, b in vec]
+
+
+def _ratio_quad(d: int, v, lead) -> QuadElem:
+    # v / lead = v * conj(lead) / norm(lead); the norm is nonzero since d is no square
+    return _quad_back(d, _qmul(v, (lead[0], -lead[1]), d), lead[0] ** 2 - d * lead[1] ** 2)
+
+
 def _quad_back(d: int, v, den: int = 1) -> QuadElem:
     if den == 1:
         return QuadElem(Fraction(v[0]), Fraction(v[1]), d)
@@ -203,7 +237,8 @@ def _quad_back(d: int, v, den: int = 1) -> QuadElem:
 def _quadratic_domain(d: int) -> Domain:
     return Domain(_clear_quadratic, (0, 0), functools.partial(_quad_back, d),
                   functools.partial(_echelon_quad, d), functools.partial(_convolve_quad, d),
-                  functools.partial(_power_divides_quad, d))
+                  functools.partial(_power_divides_quad, d), functools.partial(_dot_quad, d),
+                  _primitive_quad, functools.partial(_ratio_quad, d))
 
 
 def _echelon_modp(p: int, mat: List[List[int]], ncols: int):
@@ -256,6 +291,18 @@ def _power_divides_modp(p: int, f: List[int], s: int, r: int, m: int) -> bool:
     return True
 
 
+def _dot_modp(p: int, u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(operator.mul, u, v)) % p
+
+
+def _primitive_modp(p: int, vec: List[int]) -> List[int]:
+    return [c % p for c in vec]
+
+
+def _ratio_modp(p: int, v: int, lead: int) -> ModInt:
+    return ModInt(v * pow(lead, -1, p), p)
+
+
 def _clear_modp(row) -> Tuple[List[int], int]:
     return [c.v for c in row], 1
 
@@ -269,7 +316,8 @@ def _modp_back(p: int, v: int, den: int = 1) -> ModInt:
 def _prime_domain(p: int) -> Domain:
     return Domain(_clear_modp, 0, functools.partial(_modp_back, p),
                   functools.partial(_echelon_modp, p), functools.partial(_convolve_modp, p),
-                  functools.partial(_power_divides_modp, p))
+                  functools.partial(_power_divides_modp, p), functools.partial(_dot_modp, p),
+                  functools.partial(_primitive_modp, p), functools.partial(_ratio_modp, p))
 
 
 def domain_of(x: Scalar) -> Domain:
