@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success (all verifications pass), 1 when a verification
 fails, 2 on usage errors (malformed input, bad options), 3 when the solver
-contradicts freeness (InternalInconsistency, a solver bug).
+contradicts freeness (InternalInconsistency, a solver bug), 4 when the
+operating system refuses a file operation (OSError, e.g. an output path in a
+missing directory or a cache directory that cannot be created).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .theorems import ThetaOracle
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_OS = 4
 
 
 def load_arrangement(path: str) -> Arrangement:
@@ -241,6 +244,32 @@ def _certify(name: str, criterion, *args, **kwargs) -> theorems.Verdict:
         return theorems.Verdict(name, "skipped", details={"reason": str(exc)})
 
 
+def _certify_centers(result: ScanResult, oracle: ThetaOracle, center_pts) -> theorems.Verdict:
+    """The center criterion on the box shrunk by a margin.
+
+    Balls near the scan boundary are truncated, so the coverage hypothesis
+    is only testable on an inner window.  The margin starts at the largest
+    center gap and grows by one while the window breaks the criterion's
+    hypotheses, until the window shrinks to the origin.
+    """
+    cmap = theorems.CandidateMap({mu: oracle(mu) for mu in center_pts})
+    gap = margin = max(center_pts.values())
+    while True:
+        inner = tuple(max(b - margin, 0) for b in result.box)
+        try:
+            verdict = theorems.certify_centers(result.arrangement, cmap, inner,
+                                               trusted_scan=result, oracle=oracle)
+        except HypothesisViolated as exc:
+            if any(inner):
+                margin += 1
+                continue
+            return theorems.Verdict("criterion-centers", "skipped",
+                                    details={"reason": str(exc)})
+        if margin != gap:
+            verdict.details["margin"] = margin
+        return verdict
+
+
 def _run_criteria(result: ScanResult, oracle: ThetaOracle) -> List[theorems.Verdict]:
     A = result.arrangement
     box = result.box
@@ -250,13 +279,7 @@ def _run_criteria(result: ScanResult, oracle: ThetaOracle) -> List[theorems.Verd
                     trusted_scan=result)]
     center_pts = {e.center: e.delta for e in explorer.centers(result) if e.center}
     if center_pts:
-        cmap = theorems.CandidateMap({mu: oracle(mu) for mu in center_pts})
-        # balls near the scan boundary are truncated, so the coverage
-        # hypothesis is only testable on an inner window
-        margin = max(center_pts.values())
-        inner = tuple(max(b - margin, 0) for b in box)
-        out.append(_certify("criterion-centers", theorems.certify_centers, A, cmap, inner,
-                            trusted_scan=result, oracle=oracle))
+        out.append(_certify_centers(result, oracle, center_pts))
     _, verdict = theorems.reconstruct_components(A, box, oracle, trusted_scan=result)
     out.append(verdict)
     return out
@@ -389,6 +412,9 @@ def run():  # console-script entry point with domain-error handling
     except MultilatticeError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_USAGE)
+    except OSError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_OS)
 
 
 if __name__ == "__main__":

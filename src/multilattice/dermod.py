@@ -2,16 +2,24 @@
 
 A derivation theta = P*dx + Q*dy of degree d belongs to the module of an
 arrangement with multiplicity mu iff for every hyperplane H the polynomial
-theta(alpha_H) is divisible by alpha_H**mu_H.  Each divisibility requirement
-is linear in the 2*(d+1) unknown coefficients of P and Q, so the graded
-piece D_d of the module is the nullspace of a stacked constraint system.
+theta(alpha_H) is divisible by alpha_H**mu_H.
 
 Every 2-multiarrangement is free (Ziegler 1989): its exponents d1 <= d2
-satisfy d1 + d2 = |mu| and dim D_d = max(0, d-d1+1) + max(0, d-d2+1).  One
-rank below d2 therefore fixes d1, and the nullspace at d1, which yields the
-minimal generator, must have the dimension freeness predicts.
+satisfy d1 + d2 = |mu|.  exponents and full_basis walk the multiplicity
+lattice: from the basis {dx, dy} at 0, one order-basis step per covering
+pair mu -> mu + e_H turns a basis at mu into one at mu + e_H (see _Walk),
+on the integer images of the field's linalg.Domain.  Each process memoises
+the bases it has walked, so a scan in box order costs one step per point.
+The reported generators are fixed by the module, not by the path: theta_min
+and the full_basis partner are the nullspace vectors that elimination would
+pick (see _Walk.minimal and _Walk.partner).
 
-Two independent constraint constructions are provided:
+Each requirement alpha_H**mu_H | theta(alpha_H) is also linear in the
+2*(d+1) coefficients of P and Q, so the graded piece D_d is the nullspace
+of a stacked constraint system.  Freeness gives dim D_d = max(0, d-d1+1) +
+max(0, d-d2+1), so one rank below d2 fixes d1: a walk rooted at 0 checks
+its lower exponent against it.  Two independent constraint constructions
+are provided:
 
 * ``basis``: read the coordinates of theta(alpha_H) on the basis
   {alpha**i * beta**(d-i)}, for a fixed complementary form beta, off a
@@ -20,7 +28,8 @@ Two independent constraint constructions are provided:
   alpha_H symbolically and kill the remainders.
 
 They must always agree; the second serves as a differential-testing oracle
-for the first.
+for the first, and elimination (_minimal_degree, _nullspace_derivations) is
+the tests' oracle for the walk.
 """
 
 from __future__ import annotations

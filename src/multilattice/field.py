@@ -355,6 +355,8 @@ class FieldSpec:
                     return QuadElem(_parse_fraction(obj.get("a", "0")),
                                     _parse_fraction(obj.get("b", "0")), self.d)
                 return QuadElem(_parse_fraction(obj), Fraction(0), self.d)
+            if isinstance(obj, bool) or not isinstance(obj, (int, str)):
+                raise TypeError("a residue is an integer or its decimal string")
             return ModInt(int(obj), self.p)
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise ParseError(f"bad scalar {obj!r}: {exc}") from exc

@@ -7,10 +7,10 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from multilattice import cli, dermod
+from multilattice import cli, dermod, theorems
 from multilattice.cache import ResultCache
 from multilattice.cli import load_arrangement, main
-from multilattice.errors import InternalInconsistency, ParseError
+from multilattice.errors import HypothesisViolated, InternalInconsistency, ParseError
 from multilattice.explorer import ScanResult
 
 
@@ -112,17 +112,42 @@ def test_verify_criteria(runner, scan_file):
     assert result.output.count("PASS") >= 3
 
 
-def test_verify_all_skips_a_criterion_whose_window_breaks_its_hypotheses(runner, tmp_path):
-    # on B2 [0,4]^4 the inner window of the center criterion leaves an
-    # uncovered balanced component of size > 1
-    path = tmp_path / "b2_4.json"
-    runner.invoke(main, ["scan", "--coxeter", "B2", "--box", "4,4,4,4", "-o", str(path)])
-    result = runner.invoke(main, ["verify", "--scan", str(path), "all"])
+def test_verify_all_skips_a_criterion_whose_window_breaks_its_hypotheses(runner, scan_file,
+                                                                         monkeypatch):
+    # a center criterion whose hypotheses fail on every inner window is
+    # skipped, with the reason, once the window has shrunk to the origin
+    windows = []
+
+    def never_applies(A, candidate, box, **kwargs):
+        windows.append(box)
+        raise HypothesisViolated("uncovered balanced region has a component larger than one")
+
+    monkeypatch.setattr(theorems, "certify_centers", never_applies)
+    result = runner.invoke(main, ["verify", "--scan", scan_file, "all"])
     assert result.exit_code == 0, result.output
     checks = [line for line in result.output.splitlines() if not line.startswith(" ")]
     assert len(checks) == 9, result.output
     assert "criterion-centers: SKIPPED" in checks
     assert "component larger than one" in result.output
+    assert windows[-1] == (0, 0, 0, 0) and len(windows) == len(set(windows))
+
+
+def test_center_criterion_widens_its_margin_on_even_windows(runner, tmp_path):
+    # on B2 [0,4]^4 the box shrunk by the largest center gap (2) leaves an
+    # uncovered balanced component of size > 1; margin 3 satisfies the hypotheses
+    path = tmp_path / "b2_4.json"
+    runner.invoke(main, ["scan", "--coxeter", "B2", "--box", "4,4,4,4", "-o", str(path)])
+    result = runner.invoke(main, ["verify", "--scan", str(path), "all"])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    at = lines.index("criterion-centers: PASS")
+    assert '"margin": 3' in lines[at + 1]
+
+
+def test_center_criterion_reports_no_margin_when_the_gap_suffices(runner, scan_file):
+    result = runner.invoke(main, ["verify", "--scan", scan_file, "criteria"])
+    assert "criterion-centers: PASS" in result.output
+    assert "margin" not in result.output
 
 
 def test_verify_detects_corrupted_scan(runner, scan_file, tmp_path):
@@ -278,6 +303,22 @@ def test_exit_code_three_on_solver_inconsistency(monkeypatch):
     assert exc.value.code == 3
 
 
+def test_exit_code_four_on_unwritable_output(tmp_path):
+    proc = _run_ml("scan", "--coxeter", "B2", "--box", "1,1,1,1",
+                   "-o", str(tmp_path / "missing" / "x.json"))
+    assert proc.returncode == 4, proc.stderr
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_exit_code_four_on_unwritable_cache_dir(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    proc = _run_ml("exponents", "--coxeter", "B2", "--cache-dir", str(blocker / "cache"),
+                   "1,1,1,1")
+    assert proc.returncode == 4, proc.stderr
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def _arrangement_file(**changes):
     obj = {"field": {"type": "rational"}, "forms": [["1", "0"], ["0", "1"]]}
     obj.update(changes)
@@ -299,6 +340,8 @@ MALFORMED_INPUTS = {
     "names-string": (None, _arrangement_file(names="xy")),
     "field-d-float": (None, _arrangement_file(field={"type": "quadratic", "d": 3.7})),
     "field-p-float": (None, _arrangement_file(field={"type": "prime", "p": 101.5})),
+    "form-float-prime": (None, _arrangement_file(field={"type": "prime", "p": 101},
+                                                 forms=[[1.5, 0], [0, 1]])),
 }
 
 

@@ -11,6 +11,8 @@ Oracles:
 * The one-rank lower exponent must be the least degree where the division
   construction has a derivation, and the closed-form constraint rows must
   equal the ones built from polynomial powers and a matrix inverse.
+* Elimination (one rank, the nullspace at d1 and at d2) is the oracle of
+  the lattice walk: the same exponents, theta_min and full_basis partner.
 """
 
 import itertools
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multilattice import dermod, lattice
+from multilattice.coxeter import coxeter_arrangement
 from multilattice.dermod import (
     _alpha_basis_rows,
     delta,
@@ -203,10 +206,79 @@ def test_cone_closed_form_on_random_arrangements():
 
 
 def test_wrong_lower_exponent_raises(B2, monkeypatch):
-    # (1,1,1,1) has exponents (1, 3): nothing lives in degree 0
+    # (1,1,1,1) has exponents (1, 3): a walk rooted at 0, on a fresh memo,
+    # must raise when one rank disagrees with it
+    monkeypatch.setattr(dermod, "_WALKS", {})
     monkeypatch.setattr(dermod, "_minimal_degree", lambda A, mu: 0)
     with pytest.raises(InternalInconsistency):
         exponents(B2, (1, 1, 1, 1))
+
+
+def test_vanishing_residual_pair_raises(B2, monkeypatch):
+    # a basis whose generators both lie one step up contradicts Saito's criterion
+    monkeypatch.setattr(dermod, "_WALKS", {})
+    monkeypatch.setattr(dermod, "_residual_row", lambda A, h, m, d: [0] * (2 * d + 2))
+    with pytest.raises(InternalInconsistency, match="both generators"):
+        exponents(B2, (1, 0, 0, 0))
+
+
+# -- the lattice walk, against elimination --------------------------------------
+
+
+def eliminated(A, mu):
+    """(d1, d2, theta_min) from one rank and the nullspace at d1."""
+    d1 = dermod._minimal_degree(A, mu)
+    return d1, sum(mu) - d1, dermod._nullspace_derivations(A, mu, d1)[0]
+
+
+def walked(A, points):
+    return {mu: (r.d1, r.d2, r.theta_min) for mu in points for r in [exponents(A, mu)]}
+
+
+def walk_cases():
+    pairs = [(1, 0), (0, 1), (1, 1), (1, -1)]
+    cases = [("B2", coxeter_arrangement("B2"), (5,) * 4),
+             ("G2", coxeter_arrangement("G2"), (2,) * 6),
+             ("B2-prime7", Arrangement.make(FieldSpec.prime(7), pairs), (4,) * 4)]
+    rng = random.Random("walk")
+    for fs in FIELDS:
+        for i in range(4):
+            A = random_arrangement_over(rng, fs, rng.randint(2, 5))
+            cases.append((f"{fs.kind}{i}", A, (2,) * len(A)))
+    return cases
+
+
+@pytest.mark.parametrize("name,A,box", walk_cases(), ids=[c[0] for c in walk_cases()])
+def test_walk_matches_elimination(monkeypatch, name, A, box):
+    monkeypatch.setattr(dermod, "_WALKS", {})
+    points = list(lattice.box_points(box))
+    got = walked(A, points)
+    for mu in points:
+        assert got[mu] == eliminated(A, mu), mu
+
+
+def test_walk_is_path_independent(B2, G2, monkeypatch):
+    for A, box in ((B2, (4,) * 4), (G2, (2,) * 6)):
+        points = list(lattice.box_points(box))
+        monkeypatch.setattr(dermod, "_WALKS", {})
+        in_order = walked(A, points)
+        random.Random(3).shuffle(points)
+        monkeypatch.setattr(dermod, "_WALKS", {})
+        assert walked(A, points) == in_order
+
+
+def nullspace_partner(A, mu):
+    """full_basis's partner as the first degree-d2 nullspace vector that is
+    independent of theta_min."""
+    d1, d2, t1 = eliminated(A, mu)
+    return next(c for c in dermod._nullspace_derivations(A, mu, d2)
+                if not saito_determinant(t1, c).is_zero)
+
+
+def test_full_basis_matches_nullspace_partner(B2, G2):
+    for A, box in ((B2, (3,) * 4), (G2, (1,) * 6)):
+        for mu in lattice.box_points(box):
+            assert full_basis(A, mu) == (eliminated(A, mu)[2], nullspace_partner(A, mu)), mu
 
 
 # -- exponent invariants ------------------------------------------------------

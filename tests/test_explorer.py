@@ -1,10 +1,14 @@
 """Scan, component decomposition, sections, emission, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from multilattice import cache as cache_module
 from multilattice import explorer, lattice
+from multilattice.coxeter import coxeter_arrangement
 from multilattice.cache import ResultCache
 from multilattice.errors import NotUnimodal, ParseError, PointNotInComponent
 from multilattice.explorer import (
@@ -64,6 +68,38 @@ def test_from_json_rejects_unknown_schema(b2_scan):
 def test_scan_determinism_across_workers(B2):
     texts = {scan(B2, (2, 2, 2, 2), jobs=j).to_json() for j in (1, 3)}
     assert len(texts) == 1
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+
+@pytest.mark.parametrize("ctype,box", [("B2", (5,) * 4), ("G2", (2,) * 6)])
+def test_scan_bytes_match_the_reference(tmp_path, ctype, box):
+    # perfbench/reference.json pins these bytes: every worker count, with a
+    # fresh cache, must reproduce them and write the same cache file
+    want = json.loads(REFERENCE.read_text())["scan_sha256"][f"{ctype} {','.join(map(str, box))}"]
+    A = coxeter_arrangement(ctype)
+    files = []
+    for jobs in (1, 2):
+        cache = ResultCache(tmp_path / f"jobs{jobs}")
+        text = scan(A, box, jobs=jobs, cache=cache).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == want, jobs
+        files.append(cache.path.read_bytes())
+    assert files[0] == files[1]
+
+
+def test_scan_writes_its_cache_lines_in_one_open(B2, tmp_path, monkeypatch):
+    opened = []
+
+    def recording_open(path, *args, **kwargs):
+        opened.append(Path(path).name)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cache_module, "open", recording_open, raising=False)
+    cache = ResultCache(tmp_path)
+    scan(B2, (2, 2, 2, 2), cache=cache)
+    assert opened == ["exponents.jsonl"]
+    assert len(cache.path.read_text().splitlines()) == 3 ** 4
 
 
 def test_components_partition_support(b2_scan):
