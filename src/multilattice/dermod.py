@@ -191,7 +191,9 @@ def _minimal_degree(A: Arrangement, mu: Multiplicity) -> int:
 
 _MAX_STATES = 1 << 16  # a walk drops its memo past this many bases
 _MAX_WALKS = 64  # the memo drops every walk past this many arrangements
-_WALKS: Dict[Arrangement, "_Walk"] = {}
+# walks by id() of their arrangement: hashing an Arrangement hashes all its
+# coefficients, and a walk keeps its arrangement, so the id stays unique
+_WALKS: Dict[int, "_Walk"] = {}
 
 _State = Tuple[List, int, List, int]
 
@@ -365,11 +367,11 @@ class _Walk:
 
 
 def _walk(A: Arrangement) -> _Walk:
-    w = _WALKS.get(A)
+    w = _WALKS.get(id(A))
     if w is None:
         if len(_WALKS) >= _MAX_WALKS:
             _WALKS.clear()
-        w = _WALKS[A] = _Walk(A)
+        w = _WALKS[id(A)] = _Walk(A)
     return w
 
 

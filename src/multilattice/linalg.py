@@ -119,8 +119,14 @@ def _primitive_int(vec: List[int]) -> List[int]:
     return vec if g <= 1 else [c // g for c in vec]
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _ratio_int(v: int, lead: int) -> Fraction:
+    # results repeat small coefficients, and a Fraction is immutable
+    return Fraction(v, lead)
+
+
 _RATIONAL_DOMAIN = Domain(_clear_rational, 0, Fraction, _echelon_int, _convolve_int,
-                          _power_divides_int, _dot_int, _primitive_int, Fraction)
+                          _power_divides_int, _dot_int, _primitive_int, _ratio_int)
 
 
 def _clear_quadratic(row) -> Tuple[List[Tuple[int, int]], int]:
@@ -222,6 +228,7 @@ def _primitive_quad(vec: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     return vec if g <= 1 else [(a // g, b // g) for a, b in vec]
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def _ratio_quad(d: int, v, lead) -> QuadElem:
     # v / lead = v * conj(lead) / norm(lead); the norm is nonzero since d is no square
     return _quad_back(d, _qmul(v, (lead[0], -lead[1]), d), lead[0] ** 2 - d * lead[1] ** 2)
