@@ -140,6 +140,8 @@ def graded_dimension(A: Arrangement, mu: Sequence[int], d: int, method: str = "b
 
 
 def _nullspace_derivations(A: Arrangement, mu: Sequence[int], d: int) -> List[Derivation]:
+    """The nullspace basis of D_d as canonical derivations: the tests'
+    elimination oracle for the walk."""
     rows = _constraint_rows_basis(A, mu, d)
     basis = nullspace(rows, A.field, 2 * (d + 1))
     out = []
@@ -245,8 +247,6 @@ class _Walk:
         return ([one, zero], 0, [zero, one], 0)  # dx, dy
 
     def _residual(self, t: List, d: int, h: int, m: int):
-        if m > d:
-            return self.dom.zero  # alpha**m divides the degree-d theta(alpha): it is 0
         key = (h, m, d)
         row = self.rows.get(key)
         if row is None:
@@ -308,10 +308,11 @@ class _Walk:
                 self.states.clear()
                 self.rows.clear()
             self.states[nu] = state
-        if rooted and chain and state[1] != _minimal_degree(self.A, mu):
-            raise InternalInconsistency(
-                f"the walk gives d1={state[1]} but one rank gives"
-                f" {_minimal_degree(self.A, mu)} for mu={mu}")
+        if rooted and chain:
+            d1 = _minimal_degree(self.A, mu)
+            if state[1] != d1:
+                raise InternalInconsistency(
+                    f"the walk gives d1={state[1]} but one rank gives {d1} for mu={mu}")
         return state
 
     def minimal(self, state: _State) -> Tuple[List, List]:

@@ -132,22 +132,17 @@ def test_verify_all_skips_a_criterion_whose_window_breaks_its_hypotheses(runner,
     assert windows[-1] == (0, 0, 0, 0) and len(windows) == len(set(windows))
 
 
-def test_center_criterion_widens_its_margin_on_even_windows(runner, tmp_path):
+@pytest.mark.parametrize("box,margin", [("3,3,3,3", None), ("4,4,4,4", 3)])
+def test_center_criterion_widens_its_margin_only_when_needed(runner, tmp_path, box, margin):
     # on B2 [0,4]^4 the box shrunk by the largest center gap (2) leaves an
     # uncovered balanced component of size > 1; margin 3 satisfies the hypotheses
-    path = tmp_path / "b2_4.json"
-    runner.invoke(main, ["scan", "--coxeter", "B2", "--box", "4,4,4,4", "-o", str(path)])
-    result = runner.invoke(main, ["verify", "--scan", str(path), "all"])
+    path = tmp_path / "b2.json"
+    runner.invoke(main, ["scan", "--coxeter", "B2", "--box", box, "-o", str(path)])
+    result = runner.invoke(main, ["verify", "--scan", str(path), "criteria"])
     assert result.exit_code == 0, result.output
     lines = result.output.splitlines()
-    at = lines.index("criterion-centers: PASS")
-    assert '"margin": 3' in lines[at + 1]
-
-
-def test_center_criterion_reports_no_margin_when_the_gap_suffices(runner, scan_file):
-    result = runner.invoke(main, ["verify", "--scan", scan_file, "criteria"])
-    assert "criterion-centers: PASS" in result.output
-    assert "margin" not in result.output
+    details = json.loads(lines[lines.index("criterion-centers: PASS") + 1].split(": ", 1)[1])
+    assert details.get("margin") == margin
 
 
 def test_verify_detects_corrupted_scan(runner, scan_file, tmp_path):
