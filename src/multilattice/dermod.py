@@ -54,30 +54,26 @@ from .poly import (
 Multiplicity = Tuple[int, ...]
 
 
-def _alpha_row(fs: FieldSpec, lf: LinearForm, i: int, d: int) -> Tuple[Scalar, ...]:
-    """Constraint row [a*r | b*r] for alpha = a*x + b*y in degree d.
-
-    r maps the coefficients of x**j * y**(d-j) to the coordinate of
-    alpha**i * beta**(d-i).  For alpha = x + b*y and beta = y, expanding
-    x = alpha - b*beta gives r[j] = C(j, i) * (-b)**(j-i); for alpha = y
-    and beta = x, r is the unit vector at j = d - i.
-    """
-    zero = fs.zero()
-    r = [zero] * (d + 1)
-    if lf.a:
-        neg_b, power = -lf.b, fs.one()
-        for j in range(i, d + 1):
-            r[j] = power * comb(j, i)
-            power = power * neg_b
-    elif i <= d:
-        r[d - i] = fs.one()
-    return tuple(lf.a * v for v in r) + tuple(lf.b * v for v in r)
-
-
 @functools.lru_cache(maxsize=4096)
 def _alpha_basis_rows(fs: FieldSpec, lf: LinearForm, d: int) -> Tuple[Tuple[Scalar, ...], ...]:
-    """The constraint rows i = 0..d of alpha in degree d (see _alpha_row)."""
-    return tuple(_alpha_row(fs, lf, i, d) for i in range(d + 1))
+    """Constraint rows [a*r_i | b*r_i], i = 0..d, for alpha = a*x + b*y.
+
+    r_i maps the coefficients of x**j * y**(d-j) to the coordinate of
+    alpha**i * beta**(d-i).  For alpha = x + b*y and beta = y, expanding
+    x = alpha - b*beta gives r_i[j] = C(j, i) * (-b)**(j-i); for alpha = y
+    and beta = x, r_i is the unit vector at j = d - i.
+    """
+    zero, one = fs.zero(), fs.one()
+    if lf.a:
+        neg_b = -lf.b
+        powers = [one]
+        for _ in range(d):
+            powers.append(powers[-1] * neg_b)
+        coords = [[powers[j - i] * comb(j, i) if j >= i else zero for j in range(d + 1)]
+                  for i in range(d + 1)]
+    else:
+        coords = [[one if j == d - i else zero for j in range(d + 1)] for i in range(d + 1)]
+    return tuple(tuple(lf.a * v for v in r) + tuple(lf.b * v for v in r) for r in coords)
 
 
 def _constraint_rows_basis(A: Arrangement, mu: Sequence[int], d: int) -> List[Tuple[Scalar, ...]]:
@@ -201,10 +197,31 @@ _State = Tuple[List, int, List, int]
 
 
 def _residual_row(A: Arrangement, h: int, m: int, d: int) -> List:
-    """Images of row m of the degree-d constraint rows of line h, up to one
-    nonzero factor: its dot product with [P | Q] is the coordinate of
-    theta(alpha_H) on alpha_H**m * beta**(d-m)."""
-    return domain_of(A.field.one()).clear(_alpha_row(A.field, A.forms[h], m, d))[0]
+    """Row m of _alpha_basis_rows(A.field, A.forms[h], d) on integer images,
+    up to a nonzero factor: its dot product with [P | Q] is a multiple of
+    the coordinate of theta(alpha_h) on alpha_h**m * beta**(d-m).
+
+    With q*alpha_h = s*x + r*y cleared, s**(d-m) * C(j, m) * (-b)**(j-m) is
+    C(j, m) * (-r)**(j-m) * s**(d-j).
+    """
+    fs, lf = A.field, A.forms[h]
+    dom = domain_of(fs.one())
+    zero = dom.zero
+    (s, r, neg_r, one), _ = dom.clear((lf.a, lf.b, -lf.b, fs.one()))
+    w = [zero] * (d + 1)
+    if s == zero:  # alpha = y, beta = x: the unit vector at j = d - m
+        if m <= d:
+            w[d - m] = one
+        return [zero] * (d + 1) + w
+    binoms = dom.clear(tuple(fs.from_int(comb(j, m)) for j in range(m, d + 1)))[0]
+    s_pows = [one]
+    for _ in range(m, d):
+        s_pows.append(dom.mul(s_pows[-1], s))
+    r_pow = one
+    for j in range(m, d + 1):
+        w[j] = dom.mul(dom.mul(binoms[j - m], r_pow), s_pows[d - j])
+        r_pow = dom.mul(r_pow, neg_r)
+    return dom.primitive([dom.mul(s, v) for v in w] + [dom.mul(r, v) for v in w])
 
 
 def _shift(t: List, d: int, lo: int, hi: int, zero) -> List:

@@ -4,10 +4,10 @@ Each field has one Domain: it clears elements to integer images (ints over
 Q, integer pairs (a, b) for a + b*sqrt(d) over Q(sqrt d), residues over
 F_p), builds elements back, and runs every exact kernel on the images:
 fraction-free (Bareiss) or unit-pivot mod-p elimination, convolution,
-synthetic division, and the dot products, content removal and division by a
-lead coefficient that the lattice walk in dermod runs on.  Rank is the
-elimination's pivot count; a nullspace basis is back-substituted from the
-same echelon form.
+synthetic division, and the products, dot products, content removal and
+division by a lead coefficient that the lattice walk in dermod runs on.
+Rank is the elimination's pivot count; a nullspace basis is
+back-substituted from the same echelon form.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ class Domain(NamedTuple):
     echelon: Callable  # (mat, ncols) -> (echelon rows, pivot columns); mat is consumed
     convolve: Callable  # (out, f, g, sign) adds sign * f * g into out
     power_divides: Callable  # (f, s, r, m) -> whether (s*t + r)**m divides f(t)
+    mul: Callable  # (u, v) -> the image of u * v
     dot: Callable  # (u, v) -> the image of sum(u[i] * v[i])
     primitive: Callable  # vec -> vec over its integer content (residues reduced over F_p)
     ratio: Callable  # (v, lead) -> the field element v / lead (lead nonzero)
@@ -126,7 +127,8 @@ def _ratio_int(v: int, lead: int) -> Fraction:
 
 
 _RATIONAL_DOMAIN = Domain(_clear_rational, 0, Fraction, _echelon_int, _convolve_int,
-                          _power_divides_int, _dot_int, _primitive_int, _ratio_int)
+                          _power_divides_int, operator.mul, _dot_int, _primitive_int,
+                          _ratio_int)
 
 
 def _clear_quadratic(row) -> Tuple[List[Tuple[int, int]], int]:
@@ -244,7 +246,8 @@ def _quad_back(d: int, v, den: int = 1) -> QuadElem:
 def _quadratic_domain(d: int) -> Domain:
     return Domain(_clear_quadratic, (0, 0), functools.partial(_quad_back, d),
                   functools.partial(_echelon_quad, d), functools.partial(_convolve_quad, d),
-                  functools.partial(_power_divides_quad, d), functools.partial(_dot_quad, d),
+                  functools.partial(_power_divides_quad, d), functools.partial(_qmul, d=d),
+                  functools.partial(_dot_quad, d),
                   _primitive_quad, functools.partial(_ratio_quad, d))
 
 
@@ -298,6 +301,10 @@ def _power_divides_modp(p: int, f: List[int], s: int, r: int, m: int) -> bool:
     return True
 
 
+def _mul_modp(p: int, u: int, v: int) -> int:
+    return u * v % p
+
+
 def _dot_modp(p: int, u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(operator.mul, u, v)) % p
 
@@ -323,7 +330,8 @@ def _modp_back(p: int, v: int, den: int = 1) -> ModInt:
 def _prime_domain(p: int) -> Domain:
     return Domain(_clear_modp, 0, functools.partial(_modp_back, p),
                   functools.partial(_echelon_modp, p), functools.partial(_convolve_modp, p),
-                  functools.partial(_power_divides_modp, p), functools.partial(_dot_modp, p),
+                  functools.partial(_power_divides_modp, p), functools.partial(_mul_modp, p),
+                  functools.partial(_dot_modp, p),
                   functools.partial(_primitive_modp, p), functools.partial(_ratio_modp, p))
 
 

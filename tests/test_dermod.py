@@ -37,7 +37,7 @@ from multilattice.dermod import (
 )
 from multilattice.errors import BadReduction, InternalInconsistency, LengthMismatch, ProportionalForms
 from multilattice.field import FieldSpec, QuadElem, is_prime
-from multilattice.linalg import invert_matrix
+from multilattice.linalg import domain_of, invert_matrix
 from multilattice.poly import (
     Arrangement,
     Derivation,
@@ -169,6 +169,29 @@ def test_closed_form_rows_match_inverted_basis_change(fs):
     for lf in forms:
         for d in range(7):
             assert _alpha_basis_rows(fs, lf, d) == rows_by_inversion(fs, lf, d), (lf, d)
+
+
+@pytest.mark.parametrize("fs", FIELDS, ids=lambda fs: fs.kind)
+def test_residual_rows_are_the_closed_form_rows_on_images(fs):
+    # up to one nonzero factor, including alpha = y and rows past the degree
+    rng = random.Random(fs.kind)
+    forms = {(lf.a, lf.b): lf for lf in (LinearForm.make(fs, 0, 1), LinearForm.make(fs, 1, 0))}
+    while len(forms) < 8:
+        lf = random_form(rng, fs)
+        forms[(lf.a, lf.b)] = lf
+    A = Arrangement(fs, tuple(forms.values()))
+    dom = domain_of(fs.one())
+    for h in range(len(A)):
+        for d in range(6):
+            for m in range(d + 2):
+                rows = _alpha_basis_rows(fs, A.forms[h], d)
+                want = rows[m] if m <= d else (fs.zero(),) * (2 * d + 2)
+                got = dermod._residual_row(A, h, m, d)
+                lead_w = next((c for c in want if c), None)
+                lead_g = next((c for c in got if c != dom.zero), None)
+                assert (lead_w is None) == (lead_g is None), (h, m, d)
+                if lead_w is not None:
+                    assert [c / lead_w for c in want] == [dom.ratio(c, lead_g) for c in got]
 
 
 def assert_cone_closed_form(A, mu, cache=None):
