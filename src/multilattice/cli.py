@@ -19,7 +19,8 @@ from . import coxeter as cox
 from . import explorer, lattice, theorems
 from .cache import ResultCache
 from .dermod import exponents, full_basis
-from .errors import HypothesisViolated, InternalInconsistency, MultilatticeError, ParseError
+from .errors import (HypothesisViolated, InternalInconsistency, MultilatticeError, ParseError,
+                     UncoveredWindow)
 from .explorer import ScanResult
 from .poly import Arrangement
 from .theorems import ThetaOracle
@@ -249,8 +250,9 @@ def _certify_centers(result: ScanResult, oracle: ThetaOracle, center_pts) -> the
 
     Balls near the scan boundary are truncated, so the coverage hypothesis
     is only testable on an inner window.  The margin starts at the largest
-    center gap and grows by one while the window breaks the criterion's
-    hypotheses, until the window shrinks to the origin.
+    center gap and grows by one while the window leaves a balanced region
+    uncovered, until the window shrinks to the origin.  The other hypotheses
+    do not depend on the window, so their failure skips the criterion at once.
     """
     cmap = theorems.CandidateMap({mu: oracle(mu) for mu in center_pts})
     gap = margin = max(center_pts.values())
@@ -260,7 +262,7 @@ def _certify_centers(result: ScanResult, oracle: ThetaOracle, center_pts) -> the
             verdict = theorems.certify_centers(result.arrangement, cmap, inner,
                                                trusted_scan=result, oracle=oracle)
         except HypothesisViolated as exc:
-            if any(inner):
+            if isinstance(exc, UncoveredWindow) and any(inner):
                 margin += 1
                 continue
             return theorems.Verdict("criterion-centers", "skipped",

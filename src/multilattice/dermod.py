@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import InternalInconsistency, LengthMismatch
+from .errors import InternalInconsistency, LengthMismatch, PreconditionViolated
 from .field import FieldSpec, Scalar, invert
 from .linalg import domain_of, nullspace, rank
 from .poly import (
@@ -399,6 +399,9 @@ def exponents(A: Arrangement, mu: Sequence[int], cache=None) -> ExponentResult:
     mu = tuple(mu)
     if len(mu) != len(A):
         raise LengthMismatch("multiplicity length does not match arrangement")
+    if not all(isinstance(m, int) and m >= 0 for m in mu):
+        # the walk steps down to 0 one coordinate at a time
+        raise PreconditionViolated(f"multiplicity entries must be non-negative integers: {mu}")
     if cache is not None:
         hit = cache.get(A, mu)
         if hit is not None:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import lattice
 from .dermod import delta as solve_delta
 from .dermod import exponents, in_module, verify_saito
-from .errors import HypothesisViolated, PreconditionViolated
+from .errors import HypothesisViolated, PreconditionViolated, UncoveredWindow
 from .explorer import Component, ScanResult, components as scan_components
 from .lattice import Box, Multiplicity
 from .poly import (
@@ -476,7 +476,7 @@ def certify_centers(A: Arrangement, candidate: CandidateMap, box: Box,
     leftovers = lattice.connected_components(balanced - covered, box)
     big = [sorted(c)[0] for c in leftovers if len(c) > 1]
     if big:
-        raise HypothesisViolated(
+        raise UncoveredWindow(
             f"uncovered balanced region has a component larger than one, near {big[0]}")
     condition = True
     cond_witness = None

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from multilattice import cli, dermod, theorems
 from multilattice.cache import ResultCache
 from multilattice.cli import load_arrangement, main
-from multilattice.errors import HypothesisViolated, InternalInconsistency, ParseError
+from multilattice.errors import HypothesisViolated, InternalInconsistency, ParseError, UncoveredWindow
 from multilattice.explorer import ScanResult
 
 
@@ -114,13 +114,13 @@ def test_verify_criteria(runner, scan_file):
 
 def test_verify_all_skips_a_criterion_whose_window_breaks_its_hypotheses(runner, scan_file,
                                                                          monkeypatch):
-    # a center criterion whose hypotheses fail on every inner window is
-    # skipped, with the reason, once the window has shrunk to the origin
+    # a center criterion whose coverage hypothesis fails on every inner
+    # window is skipped, with the reason, once the window has shrunk to the origin
     windows = []
 
     def never_applies(A, candidate, box, **kwargs):
         windows.append(box)
-        raise HypothesisViolated("uncovered balanced region has a component larger than one")
+        raise UncoveredWindow("uncovered balanced region has a component larger than one")
 
     monkeypatch.setattr(theorems, "certify_centers", never_applies)
     result = runner.invoke(main, ["verify", "--scan", scan_file, "all"])
@@ -130,6 +130,23 @@ def test_verify_all_skips_a_criterion_whose_window_breaks_its_hypotheses(runner,
     assert "criterion-centers: SKIPPED" in checks
     assert "component larger than one" in result.output
     assert windows[-1] == (0, 0, 0, 0) and len(windows) == len(set(windows))
+
+
+def test_center_criterion_skips_a_window_independent_failure_at_once(runner, scan_file,
+                                                                      monkeypatch):
+    # overlapping balls stay overlapping on every window: one call, no widening
+    windows = []
+
+    def overlapping(A, candidate, box, **kwargs):
+        windows.append(box)
+        raise HypothesisViolated("candidate balls at a and b overlap")
+
+    monkeypatch.setattr(theorems, "certify_centers", overlapping)
+    result = runner.invoke(main, ["verify", "--scan", scan_file, "all"])
+    assert result.exit_code == 0, result.output
+    assert "criterion-centers: SKIPPED" in result.output
+    assert "overlap" in result.output
+    assert len(windows) == 1
 
 
 @pytest.mark.parametrize("box,margin", [("3,3,3,3", None), ("4,4,4,4", 3)])

@@ -35,7 +35,8 @@ from multilattice.dermod import (
     min_derivation,
     verify_saito,
 )
-from multilattice.errors import BadReduction, InternalInconsistency, LengthMismatch, ProportionalForms
+from multilattice.errors import (BadReduction, InternalInconsistency, LengthMismatch,
+                                 PreconditionViolated, ProportionalForms)
 from multilattice.field import FieldSpec, QuadElem, is_prime
 from multilattice.linalg import domain_of, invert_matrix
 from multilattice.poly import (
@@ -344,6 +345,16 @@ def test_exponents_length_mismatch():
     A = Arrangement.make(FS, [(1, 0), (0, 1)])
     with pytest.raises(LengthMismatch):
         exponents(A, (1, 2, 3))
+
+
+@pytest.mark.parametrize("mu", [(-1, 0, 0, 0), (2, 1, -3, 1), (1.0, 0, 0, 0), (0.5, 1, 1, 1)])
+def test_exponents_rejects_entries_the_walk_cannot_reach(B2, mu):
+    # the walk steps each coordinate down to 0; a negative or fractional
+    # entry never gets there
+    with pytest.raises(PreconditionViolated):
+        exponents(B2, mu)
+    with pytest.raises(PreconditionViolated):
+        full_basis(B2, mu)
 
 
 def test_delta_monotone_steps(B2, session_cache):

@@ -19,6 +19,7 @@ from multilattice.errors import (
     HypothesisViolated,
     NoCenterPairFound,
     PreconditionViolated,
+    UncoveredWindow,
 )
 from multilattice.explorer import PointResult, ScanResult, centers, components, scan
 from multilattice.poly import HomogPoly
@@ -301,13 +302,14 @@ def test_certify_centers_negative_controls(B2, b2_center_setup, b2_oracle):
     # radius-2 ball around (1,1,1,1))
     overlapping = CandidateMap({**cand.assignment,
                                 (2, 1, 1, 1): b2_oracle((2, 1, 1, 1))})
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(HypothesisViolated) as exc:
         certify_centers(B2, overlapping, inner, trusted_scan=big, oracle=oracle)
+    assert not isinstance(exc.value, UncoveredWindow)  # no window mends an overlap
     # control 2: dropping a center leaves an uncovered hole larger than one
     victim = next(mu for mu, t in cand.assignment.items()
                   if big.delta(mu) == 2 and lattice.in_box(mu, inner))
     pruned = CandidateMap({mu: t for mu, t in cand.assignment.items() if mu != victim})
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(UncoveredWindow):
         certify_centers(B2, pruned, inner, trusted_scan=big, oracle=oracle)
     # control 3: tampered ground truth -> Fail
     tampered = corrupt(big, victim, 0)
