@@ -182,7 +182,7 @@ _CHECKS = ("covering", "ball", "singletons", "transport", "independence",
 @click.option("--scan", "scan_path", required=True, type=click.Path())
 @_cache_opt
 @click.option("--seed", default=0, show_default=True)
-@click.option("--max-pairs", default=50, show_default=True,
+@click.option("--max-pairs", type=click.IntRange(min=0), default=50, show_default=True,
               help="Sample size per check; 0 means exhaustive.")
 @click.argument("what", type=click.Choice(_CHECKS))
 def cmd_verify(scan_path, cache_dir, seed, max_pairs, what):

@@ -47,8 +47,8 @@ from .poly import (
     Derivation,
     HomogPoly,
     LinearForm,
-    defining_polynomial,
-    saito_determinant,
+    defining_images,
+    determinant_images,
 )
 
 Multiplicity = Tuple[int, ...]
@@ -255,7 +255,7 @@ class _Walk:
         self.A = A
         self.dom = domain_of(A.field.one())
         # cleared alpha_h as a coefficient list [y, x]
-        self.forms = [self.dom.clear((lf.b, lf.a))[0] for lf in A.forms]
+        self.forms = [lf.images[0] for lf in A.forms]
         self.rows: Dict[Tuple[int, int, int], List] = {}
         self.states: Dict[Multiplicity, _State] = {}
 
@@ -465,7 +465,7 @@ def in_module(A: Arrangement, mu: Sequence[int], theta: Derivation) -> bool:
             if any(theta.Q.coeffs[max(len(theta.Q.coeffs) - m, 0):]):
                 return False
             continue
-        (s, r), _ = dom.clear((lf.a, lf.b))
+        (r, s), _ = lf.images  # the images of b and a
         f = [dom.zero] * (theta.degree + 1)
         dom.convolve(f, [s], P, 1)
         dom.convolve(f, [r], Q, 1)
@@ -479,7 +479,9 @@ def verify_saito(A: Arrangement, mu: Sequence[int], t1: Derivation, t2: Derivati
 
     Checks, in order: membership of both derivations, the degree-sum
     identity, and that the determinant is a nonzero scalar multiple of
-    the defining polynomial.
+    the defining polynomial.  Both polynomials stay integer images,
+    compared by cross-multiplying against the defining polynomial's first
+    nonzero coefficient; the scalar is the one field element built.
     """
     mu = tuple(mu)
     for label, t in (("theta1", t1), ("theta2", t2)):
@@ -490,12 +492,13 @@ def verify_saito(A: Arrangement, mu: Sequence[int], t1: Derivation, t2: Derivati
     if t1.degree + t2.degree != sum(mu):
         return SaitoVerdict(
             False, f"degree: {t1.degree}+{t2.degree} != |mu|={sum(mu)}")
-    det = saito_determinant(t1, t2)
-    if det.is_zero:
+    dom, det, den = determinant_images(t1, t2)
+    zero = dom.zero
+    if det.count(zero) == len(det):
         return SaitoVerdict(False, "dependent: determinant is zero")
-    q = defining_polynomial(A, mu)
-    lead_idx = next(i for i, c in enumerate(q.coeffs) if c)
-    c = det.coeffs[lead_idx] * invert(q.coeffs[lead_idx])
-    if det != q.scale(c):
+    q, qden = defining_images(A, mu)
+    lead = next(i for i, c in enumerate(q) if c != zero)
+    a, b = q[lead], det[lead]
+    if any(dom.mul(u, a) != dom.mul(v, b) for u, v in zip(det, q)):
         return SaitoVerdict(False, "determinant is not a scalar multiple of the defining polynomial")
-    return SaitoVerdict(True, None, c)
+    return SaitoVerdict(True, None, dom.back(b, den) * invert(dom.back(a, qden)))

@@ -4,10 +4,11 @@ Coefficient convention: a homogeneous polynomial of degree d is stored as
 the tuple (c_0, ..., c_d) meaning sum(c_i * x**i * y**(d - i)).  The zero
 polynomial is the empty tuple and carries no degree.
 
-The verification kernels (Saito determinants, defining polynomials and the
-divisions behind module membership) run on the integer images of the
-coefficients, through the field's linalg.Domain; the HomogPoly arithmetic
-stays for everything else and as their test oracle.
+The verification kernels (the dependence and proportionality predicates,
+Saito determinants, defining polynomials and the divisions behind module
+membership) run on the integer images of the coefficients, through the
+field's linalg.Domain; the HomogPoly arithmetic stays for everything else
+and as their test oracle.
 """
 
 from __future__ import annotations
@@ -53,6 +54,15 @@ class LinearForm:
     def perp(self) -> Tuple[Scalar, Scalar]:
         """A direction annihilated by the form: alpha(b, -a) = 0."""
         return (self.b, -self.a)
+
+    @_functools.cached_property
+    def images(self):
+        """([b, a], den): the form's coefficients from the y-power end as
+        integer images over den, so den*alpha = a*x + b*y on them.
+
+        Computed once per object.
+        """
+        return domain_of(self.a).clear((self.b, self.a))
 
 
 @dataclass(frozen=True)
@@ -302,6 +312,17 @@ class Derivation:
         vals, den = dom.clear(self.P.coeffs + self.Q.coeffs)
         return dom, vals[:n], vals[n:], den
 
+    @_functools.cached_property
+    def values(self):
+        """(dom, P, Q): the images of cleared evaluated at (EVAL_POINT, 1).
+
+        None for the zero derivation.  Computed once per object.
+        """
+        if self.is_zero:
+            return None
+        dom, P, Q, _ = self.cleared
+        return dom, dom.evaluate(P, EVAL_POINT), dom.evaluate(Q, EVAL_POINT)
+
     @classmethod
     def euler(cls, fs: FieldSpec) -> "Derivation":
         one, z = fs.one(), fs.zero()
@@ -368,23 +389,95 @@ def apply_derivation(theta: Derivation, lf: LinearForm) -> HomogPoly:
     return out
 
 
-def saito_determinant(t1: Derivation, t2: Derivation) -> HomogPoly:
-    """P1*Q2 - P2*Q1; nonzero iff {t1, t2} is independent over the ring.
-
-    The products are convolutions of integer images over den1*den2, and
-    field elements are built only for a nonzero result.
-    """
-    if t1.is_zero or t2.is_zero:
-        return HomogPoly.zero()
+def determinant_images(t1: Derivation, t2: Derivation):
+    """(dom, images, den) of P1*Q2 - P2*Q1 for nonzero t1 and t2: the
+    convolution of their integer images, over den1*den2."""
     dom, p1, q1, den1 = t1.cleared
     _, p2, q2, den2 = t2.cleared
     out = [dom.zero] * (t1.degree + t2.degree + 1)
     dom.convolve(out, p1, q2, 1)
     dom.convolve(out, p2, q1, -1)
+    return dom, out, den1 * den2
+
+
+def saito_determinant(t1: Derivation, t2: Derivation) -> HomogPoly:
+    """P1*Q2 - P2*Q1; nonzero iff {t1, t2} is independent over the ring.
+
+    Field elements are built only for a nonzero result.  The verifiers
+    decide dependence with the predicate dependent instead; this stays as
+    its oracle.
+    """
+    if t1.is_zero or t2.is_zero:
+        return HomogPoly.zero()
+    dom, out, den = determinant_images(t1, t2)
     if out.count(dom.zero) == len(out):
         return HomogPoly.zero()
-    den = den1 * den2
     return HomogPoly(tuple(dom.back(v, den) for v in out))
+
+
+# The x-coordinate t of the point (t, 1) at which Derivation.values
+# evaluates.  Any integer keeps dependent exact, since a zero value falls
+# back to the full determinant.  The determinants of module members are
+# multiples of the defining polynomial and vanish on every line of the
+# arrangement, so t is off the lines of the rank-2 Coxeter arrangements
+# over Q and Q(sqrt 3): on their scans only dependent pairs fall back.
+EVAL_POINT = 2
+
+
+def dependent(t1: Derivation, t2: Derivation) -> bool:
+    """True iff det(t1, t2) = P1*Q2 - P2*Q1 is zero, i.e. {t1, t2} is
+    dependent over the ring; a zero derivation counts as dependent.
+
+    The determinant's value at (EVAL_POINT, 1) is two products of cached
+    values, and a nonzero value proves independence.  A zero value means
+    only that x - t*y divides the determinant, so then the full
+    convolution of the images decides.
+    """
+    if t1.is_zero or t2.is_zero:
+        return True
+    dom, p1, q1 = t1.values
+    _, p2, q2 = t2.values
+    if dom.mul(p1, q2) != dom.mul(p2, q1):
+        return False
+    dom, out, _ = determinant_images(t1, t2)
+    return out.count(dom.zero) == len(out)
+
+
+def proportional(t1: Derivation, t2: Derivation, forms: Sequence[LinearForm] = ()) -> bool:
+    """True iff t1 is a scalar multiple of g*t2, g the product of the
+    linear forms; a zero derivation counts, as in proportional_derivations.
+
+    g*t2 is formed on the integer images, and both flattened image vectors
+    are cross-multiplied against t1's first nonzero entry.
+    """
+    if t1.is_zero or t2.is_zero:
+        return True
+    if t1.degree != t2.degree + len(forms):
+        return False
+    dom, p1, q1, _ = t1.cleared
+    _, p2, q2, _ = t2.cleared
+    if forms:
+        g, _ = product_images(forms)
+        p2, q2 = (_times(dom, f, g) for f in (p2, q2))
+    zero = dom.zero
+    n = t1.degree + 1
+    u = (p1 or [zero] * n) + (q1 or [zero] * n)
+    v = (p2 or [zero] * n) + (q2 or [zero] * n)
+    k = next(i for i, c in enumerate(u) if c != zero)
+    uk, vk = u[k], v[k]
+    if vk == zero:
+        return False
+    mul = dom.mul
+    return all(mul(a, vk) == mul(b, uk) for a, b in zip(u, v))
+
+
+def _times(dom, f: list, g: list) -> list:
+    """Images of f*g; [] for a zero f."""
+    if not f:
+        return f
+    out = [dom.zero] * (len(f) + len(g) - 1)
+    dom.convolve(out, f, g, 1)
+    return out
 
 
 def proportional_derivations(t1: Derivation, t2: Derivation) -> bool:
@@ -396,32 +489,44 @@ def proportional_derivations(t1: Derivation, t2: Derivation) -> bool:
     f1, f2 = t1._flat(), t2._flat()
     lead = None
     for a, b in zip(f1, f2):
-        av = a if a is not None else None
-        bv = b if b is not None else None
-        an = bool(av) if av is not None else False
-        bn = bool(bv) if bv is not None else False
+        an = bool(a) if a is not None else False
+        bn = bool(b) if b is not None else False
         if an != bn:
             return False
         if an and lead is None:
-            lead = av * invert(bv)
-        elif an and av != lead * bv:
+            lead = a * invert(b)
+        elif an and a != lead * b:
             return False
     return True
 
 
-def defining_polynomial(A: Arrangement, mu: Sequence[int]) -> HomogPoly:
-    """Product of alpha_H ** mu_H over the arrangement; degree |mu|."""
+def product_images(forms: Sequence[LinearForm]):
+    """(images, den) of the product of the linear forms (at least one),
+    as a coefficient list from the y-power end."""
+    dom = domain_of(forms[0].a)
+    out, den = forms[0].images
+    out = list(out)  # the form's images are cached on it
+    for lf in forms[1:]:
+        form, q = lf.images
+        prod = [dom.zero] * (len(out) + 1)
+        dom.convolve(prod, out, form, 1)
+        out, den = prod, den * q
+    return out, den
+
+
+def defining_images(A: Arrangement, mu: Sequence[int]):
+    """(images, den) of the defining polynomial, the product of
+    alpha_H ** mu_H over the arrangement; degree |mu|."""
     if len(mu) != len(A):
         raise FieldMismatch("multiplicity length does not match arrangement")
-    dom = domain_of(A.field.one())
-    out, den = dom.clear((A.field.one(),))
-    for lf, m in zip(A.forms, mu):
-        if not m:
-            continue
-        form, q = dom.clear((lf.b, lf.a))  # q*alpha = form[0]*y + form[1]*x
-        den *= q ** m
-        for _ in range(m):
-            prod = [dom.zero] * (len(out) + 1)
-            dom.convolve(prod, out, form, 1)
-            out = prod
-    return HomogPoly(tuple(dom.back(v, den) for v in out))
+    forms = [lf for lf, m in zip(A.forms, mu) for _ in range(m)]
+    if not forms:
+        return domain_of(A.field.one()).clear((A.field.one(),))
+    return product_images(forms)
+
+
+def defining_polynomial(A: Arrangement, mu: Sequence[int]) -> HomogPoly:
+    """Product of alpha_H ** mu_H over the arrangement; degree |mu|."""
+    out, den = defining_images(A, mu)
+    back = domain_of(A.field.one()).back
+    return HomogPoly(tuple(back(v, den) for v in out))

@@ -19,13 +19,7 @@ from .dermod import exponents, in_module, verify_saito
 from .errors import HypothesisViolated, PreconditionViolated, UncoveredWindow
 from .explorer import Component, ScanResult, components as scan_components
 from .lattice import Box, Multiplicity
-from .poly import (
-    Arrangement,
-    Derivation,
-    HomogPoly,
-    proportional_derivations,
-    saito_determinant,
-)
+from .poly import Arrangement, Derivation, HomogPoly, LinearForm, dependent, proportional
 
 
 @dataclass
@@ -182,11 +176,8 @@ def check_basis_step_and_path(scan: ScanResult, oracle: ThetaOracle,
         for mu, nu, h in sorted(pairs):
             step_checked += 1
             t_mu, t_nu = oracle(mu), oracle(nu)
-            if scan.table[mu].delta > scan.table[nu].delta:
-                expect = t_mu.mul_poly(HomogPoly.from_linear_form(A.forms[h]))
-            else:
-                expect = t_mu
-            if not proportional_derivations(t_nu, expect):
+            descent = scan.table[mu].delta > scan.table[nu].delta
+            if not proportional(t_nu, t_mu, (A.forms[h],) if descent else ()):
                 witnesses.append({"kind": "step", "mu": mu, "nu": nu, "form": h})
         # saturated chains between comparable pairs
         comparable = [(mu, nu) for mu, nu in combinations(members, 2)
@@ -205,17 +196,24 @@ def check_basis_step_and_path(scan: ScanResult, oracle: ThetaOracle,
                     continue
                 chains.append(found)
             path_checked += 1
+            t_mu, t_nu = oracle(mu), oracle(nu)
             for idx, chain in enumerate(chains):
-                dvals = [scan.table[p].delta for p in chain]
-                factor = lattice.downalpha(A, chain, dvals)
-                expect = oracle(mu).mul_poly(factor)
-                if not proportional_derivations(oracle(nu), expect):
+                forms = _descent_forms(A, chain, [scan.table[p].delta for p in chain])
+                if not proportional(t_nu, t_mu, forms):
                     kind = "path" if idx == 0 else "path-alt-chain"
                     witnesses.append({"kind": kind, "mu": mu, "nu": nu})
                     break
     return _finish("basis-step-and-path", witnesses,
                    {"steps": step_checked, "paths": path_checked,
                     "paths_skipped": paths_skipped, "seed": seed})
+
+
+def _descent_forms(A: Arrangement, chain: Sequence[Multiplicity],
+                   delta_vals: Sequence[int]) -> List[LinearForm]:
+    """The step forms over the steps where delta decreases: the factors
+    whose product is lattice.downalpha."""
+    steps = lattice.chain_steps(chain)
+    return [A.forms[h] for idx, h in enumerate(steps) if delta_vals[idx] > delta_vals[idx + 1]]
 
 
 def _support_chain(mu: Multiplicity, nu: Multiplicity, support) -> Optional[List[Multiplicity]]:
@@ -284,7 +282,7 @@ def check_independency(scan: ScanResult, oracle: ThetaOracle,
             pairs = sorted(rng.sample(pairs, max_pairs))
         for a, b in pairs:
             cross += 1
-            if saito_determinant(oracle(a), oracle(b)).is_zero:
+            if dependent(oracle(a), oracle(b)):
                 witnesses.append({"kind": "cross-dependent", "mu": a, "nu": b})
     for comp in comps:
         pairs = list(combinations(comp.sorted_members(), 2))
@@ -292,7 +290,7 @@ def check_independency(scan: ScanResult, oracle: ThetaOracle,
             pairs = sorted(rng.sample(pairs, max_pairs))
         for a, b in pairs:
             same += 1
-            if not saito_determinant(oracle(a), oracle(b)).is_zero:
+            if not dependent(oracle(a), oracle(b)):
                 witnesses.append({"kind": "same-independent", "mu": a, "nu": b})
     return _finish("independence-pattern", witnesses,
                    {"cross_pairs": cross, "same_pairs": same, "seed": seed})
@@ -328,7 +326,7 @@ def construct_basis_between(A: Arrangement, mu: Multiplicity, nu: Multiplicity,
     if d_mu + d_nu != lattice.distance(mu, nu):
         raise PreconditionViolated(
             f"gap sum {d_mu}+{d_nu} != distance {lattice.distance(mu, nu)}")
-    if saito_determinant(theta_mu, theta_nu).is_zero:
+    if dependent(theta_mu, theta_nu):
         raise PreconditionViolated("endpoint generators are dependent")
     meet, join = lattice.meet_join(mu, nu)
     if not (lattice.leq(meet, kappa) and lattice.leq(kappa, join)):
@@ -433,8 +431,7 @@ def certify_support(A: Arrangement, candidate: CandidateMap, box: Box,
     for c1, c2 in pairs_at_distance_two(ncomps, box):
         for a in sorted(ncomps[c1]):
             for b in sorted(ncomps[c2]):
-                if saito_determinant(candidate.assignment[a],
-                                     candidate.assignment[b]).is_zero:
+                if dependent(candidate.assignment[a], candidate.assignment[b]):
                     condition = False
                     cond_witness = {"mu": a, "nu": b}
     details = {"condition_holds": condition,
@@ -483,7 +480,7 @@ def certify_centers(A: Arrangement, candidate: CandidateMap, box: Box,
     for a, b in combinations(N, 2):
         if candidate.delta_prime(a) + candidate.delta_prime(b) != lattice.distance(a, b):
             continue
-        if saito_determinant(candidate.assignment[a], candidate.assignment[b]).is_zero:
+        if dependent(candidate.assignment[a], candidate.assignment[b]):
             condition = False
             cond_witness = {"mu": a, "nu": b}
     details = {"condition_holds": condition}
@@ -499,7 +496,7 @@ def certify_centers(A: Arrangement, candidate: CandidateMap, box: Box,
     truth = set(N) == set(true_centers)
     if truth and oracle is not None:
         for mu in N:
-            if not proportional_derivations(candidate.assignment[mu], oracle(mu)):
+            if not proportional(candidate.assignment[mu], oracle(mu)):
                 truth = False
                 break
     details["matches_true_centers"] = truth
@@ -529,7 +526,7 @@ def reconstruct_components(A: Arrangement, box: Box, oracle: ThetaOracle,
 
     for i, j in pairs_at_distance_two([(mu,) for mu in N], box):
         a, b = N[i], N[j]
-        if saito_determinant(oracle(a), oracle(b)).is_zero:
+        if dependent(oracle(a), oracle(b)):
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)

@@ -337,11 +337,14 @@ def _arrangement_file(**changes):
     return obj
 
 
+SCAN = "<a valid B2 [0,1]^4 scan file>"
+
 MALFORMED_INPUTS = {
     "mu-letter": (["exponents", "--coxeter", "B2", "1,a,1,1"], None),
     "mu-negative": (["exponents", "--coxeter", "B2", "1,-1,1,1"], None),
     "box-negative": (["scan", "--coxeter", "B2", "--box", "1,-1,1,1"], None),
     "jobs-zero": (["scan", "--coxeter", "B2", "--box", "1,1,1,1", "--jobs", "0"], None),
+    "max-pairs-negative": (["verify", "--scan", SCAN, "--max-pairs", "-3", "independence"], None),
     "offsets-letter": (["coxeter", "B2", "--near-constant", "1", "--offsets", "a,0,0,0"], None),
     "near-constant-a1a1": (["coxeter", "A1A1", "--near-constant", "1"], None),
     "zero-form": (None, _arrangement_file(forms=[["1", "0"], ["0", "0"]])),
@@ -364,6 +367,11 @@ def test_exit_code_two_on_malformed_input(tmp_path, args, arrangement):
         path = tmp_path / "arr.json"
         path.write_text(json.dumps(arrangement))
         args = ["exponents", "-a", str(path), "1,1"]
+    if SCAN in args:
+        # a readable scan, so that only the bad option can be the error
+        scan = tmp_path / "scan.json"
+        assert _run_ml("scan", "--coxeter", "B2", "--box", "1,1,1,1", "-o", str(scan)).returncode == 0
+        args = [str(scan) if a == SCAN else a for a in args]
     proc = _run_ml(*args)
     assert proc.returncode == 2, proc.stderr
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr

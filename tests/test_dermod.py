@@ -463,6 +463,84 @@ def test_verify_saito_rejections(B2):
     assert "zero" in verify_saito(B2, mu, Derivation.zero(), t2).reason
 
 
+def fraction_verify_saito(A, mu, t1, t2):
+    """verify_saito in HomogPoly arithmetic, the oracle of the image path:
+    (accepted, reason, scalar)."""
+    for label, t in (("theta1", t1), ("theta2", t2)):
+        if t.is_zero:
+            return False, f"membership: {label} is zero", None
+        if not dermod.in_module(A, mu, t):
+            return False, f"membership: {label} not in the module", None
+    if t1.degree + t2.degree != sum(mu):
+        return False, f"degree: {t1.degree}+{t2.degree} != |mu|={sum(mu)}", None
+    det = saito_determinant(t1, t2)
+    if det.is_zero:
+        return False, "dependent: determinant is zero", None
+    q = defining_polynomial(A, mu)
+    lead = next(i for i, c in enumerate(q.coeffs) if c)
+    c = det.coeffs[lead] / q.coeffs[lead]
+    if det != q.scale(c):
+        return False, "determinant is not a scalar multiple of the defining polynomial", None
+    return True, None, c
+
+
+# fractional forms (1, 3/2) and (1, -5/3), and G2's sqrt(3)/3, clear over den > 1
+SAITO_CASES = [
+    (FieldSpec.rational(), [(1, 0), (0, 1), (1, 1), (1, -1)]),
+    (FieldSpec.rational(), [(1, 0), (0, 1), (2, 3), (3, -5)]),
+    (FieldSpec.quadratic(3), [(f.a, f.b) for f in coxeter_arrangement("G2").forms]),
+    (FieldSpec.prime(3), [(1, 0), (0, 1), (1, 1), (1, -1)]),
+    (FieldSpec.prime(101), [(1, 0), (0, 1), (1, 1), (2, 3)]),
+]
+SAITO_IDS = ["B2", "rational-fractions", "G2", "B2-prime3", "prime101"]
+
+
+def _small_poly(fs, rng, d):
+    while True:
+        f = HomogPoly.make([fs.from_int(rng.randint(-4, 4)) for _ in range(d + 1)])
+        if not f.is_zero:
+            return f
+
+
+@pytest.mark.parametrize("fs,pairs", SAITO_CASES, ids=SAITO_IDS)
+def test_verify_saito_matches_the_fraction_path(fs, pairs, monkeypatch):
+    A = Arrangement.make(fs, pairs)
+    rng = random.Random(5)
+    x = HomogPoly.from_linear_form(LinearForm.make(fs, 1, 0))
+    cases = []
+    for _ in range(4):
+        mu = tuple(rng.randint(0, 3) for _ in A.forms)
+        t1, t2 = full_basis(A, mu)
+        g = _small_poly(fs, rng, sum(mu) - 2 * t1.degree)
+        cases += [
+            (mu, t1, t2), (mu, t2, t1), (mu, t1.scale(fs.from_int(2)), t2 + t1.mul_poly(g)),
+            (mu, t1, t1.mul_poly(g)),  # dependent
+            (mu, t1, t2.mul_poly(x)),  # wrong degree
+            (mu, Derivation.zero(), t2), (mu, t1, Derivation.zero()),
+            (mu, Derivation(HomogPoly.one(fs), HomogPoly.zero()), t2),  # non-member
+            (mu, t1, Derivation(HomogPoly.zero(), x)),
+        ]
+    reasons = set()
+    for mu, t1, t2 in cases:
+        got = verify_saito(A, mu, t1, t2)
+        assert (got.accepted, got.reason, got.scalar) == fraction_verify_saito(A, mu, t1, t2)
+        assert got.scalar is None or type(got.scalar) is type(fs.one())
+        reasons.add(got.reason and got.reason.split(":")[0])
+    # wrong determinants: skip membership so that any independent pair of
+    # the right degree reaches the comparison with the defining polynomial
+    monkeypatch.setattr(dermod, "in_module", lambda *args: True)
+    for _ in range(30):
+        mu = tuple(rng.randint(0, 3) for _ in A.forms)
+        d1 = rng.randint(0, sum(mu))
+        t1 = Derivation(_small_poly(fs, rng, d1), _small_poly(fs, rng, d1))
+        t2 = Derivation(_small_poly(fs, rng, sum(mu) - d1), HomogPoly.zero())
+        got = verify_saito(A, mu, t1, t2)
+        assert (got.accepted, got.reason, got.scalar) == fraction_verify_saito(A, mu, t1, t2)
+        reasons.add(got.reason and got.reason.split(":")[0])
+    assert reasons == {None, "membership", "degree", "dependent",
+                       "determinant is not a scalar multiple of the defining polynomial"}
+
+
 def test_saito_determinant_matches_defining_polynomial(B2):
     from multilattice.poly import defining_polynomial
     mu = (2, 1, 1, 2)

@@ -21,6 +21,9 @@ from multilattice.poly import (
     defining_polynomial,
     divide_by_linear_form,
     linear_form_multiplicity,
+    EVAL_POINT,
+    dependent,
+    proportional,
     proportional_derivations,
     saito_determinant,
 )
@@ -209,7 +212,10 @@ FIELD_IDS = ["rational", "quadratic", "prime", "prime7"]
 def rand_scalar(fs, rng):
     if rng.random() < 0.3:
         return fs.zero()
-    a = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    den = rng.randint(1, 6)
+    if fs.kind == "prime" and den % fs.p == 0:
+        den = 1
+    a = Fraction(rng.randint(-9, 9), den)
     if fs.kind == "quadratic":
         return QuadElem(a, Fraction(rng.randint(-9, 9), rng.randint(1, 6)), fs.d)
     return fs.coerce(a)
@@ -262,3 +268,121 @@ def test_defining_polynomial_matches_power_product(fs, pairs):
         for lf, m in zip(A.forms, mu):
             want = want * HomogPoly.from_linear_form(lf).pow(m, fs)
         assert defining_polynomial(A, mu) == want
+
+
+# -- dependence and proportionality predicates against the HomogPoly oracles --
+
+PREDICATE_FIELDS = [FieldSpec.rational(), FieldSpec.quadratic(3), FieldSpec.prime(3),
+                    FieldSpec.prime(101)]
+PREDICATE_IDS = ["rational", "quadratic", "prime3", "prime101"]
+
+
+def small_poly(fs, rng, d):
+    """Random nonzero homogeneous polynomial of degree d."""
+    while True:
+        f = HomogPoly.make([rand_scalar(fs, rng) for _ in range(d + 1)])
+        if not f.is_zero:
+            return f
+
+
+def small_derivation(fs, rng, d):
+    """Random nonzero degree-d derivation; P or Q may be zero."""
+    while True:
+        theta = rand_derivation(fs, rng, d)
+        if not theta.is_zero:
+            return theta
+
+
+def evaluation_vanishes(t1, t2):
+    """Whether the determinant's value at (EVAL_POINT, 1) is zero."""
+    dom, p1, q1 = t1.values
+    _, p2, q2 = t2.values
+    return dom.mul(p1, q2) == dom.mul(p2, q1)
+
+
+@pytest.mark.parametrize("fs", PREDICATE_FIELDS, ids=PREDICATE_IDS)
+def test_derivation_values_evaluate_the_field_polynomials(fs):
+    rng = random.Random(11)
+    t = fs.from_int(EVAL_POINT)
+    for _ in range(40):
+        theta = small_derivation(fs, rng, rng.randint(0, 5))
+        dom, P, Q = theta.values
+        den = theta.cleared[3]
+        for f, v in ((theta.P, P), (theta.Q, Q)):
+            want = fs.zero()
+            for c in reversed(f.coeffs):
+                want = want * t + c
+            assert dom.back(v, den) == want
+    assert Derivation.zero().values is None
+
+
+@pytest.mark.parametrize("fs", PREDICATE_FIELDS, ids=PREDICATE_IDS)
+def test_dependent_matches_saito_determinant(fs):
+    rng = random.Random(fs.kind + str(fs.p))
+    root = HomogPoly.from_linear_form(LinearForm.make(fs, 1, -EVAL_POINT))
+    seen = {"random": 0, "multiples": 0, "root-independent": 0, "root-dependent": 0}
+    for _ in range(150):
+        d1, d2 = rng.randint(0, 4), rng.randint(0, 4)  # degrees may differ
+        theta = small_derivation(fs, rng, d1)
+        kind = rng.choice(("random", "multiples", "root-left", "root-mixed"))
+        if kind == "random":
+            pair = (theta, small_derivation(fs, rng, d2))
+        elif kind == "multiples":
+            # f*theta and g*theta: the determinant vanishes identically
+            pair = (theta.mul_poly(small_poly(fs, rng, d2)),
+                    theta.mul_poly(small_poly(fs, rng, rng.randint(0, 3))))
+        elif kind == "root-left":
+            # det((x - t*y)*theta, theta2) = (x - t*y) * det(theta, theta2)
+            pair = (theta.mul_poly(root), small_derivation(fs, rng, d2))
+        else:
+            # theta2 = g*theta + (x - t*y)*theta': det = (x - t*y) * det(theta, theta')
+            e = rng.randint(0, 2)
+            g = small_poly(fs, rng, e)
+            other = small_derivation(fs, rng, d1 + e - 1) if d1 + e else Derivation.zero()
+            pair = (theta, theta.mul_poly(g) + other.mul_poly(root))
+        want = saito_determinant(*pair).is_zero
+        assert dependent(*pair) is want
+        assert dependent(*reversed(pair)) is want
+        if kind.startswith("root"):
+            # the certificate is silent, so the exact fallback decided
+            assert evaluation_vanishes(*pair)
+            seen["root-dependent" if want else "root-independent"] += 1
+        else:
+            seen[kind] += 1
+            assert want or kind == "random"
+    assert all(seen.values()), seen
+    zero = Derivation.zero()
+    theta = small_derivation(fs, rng, 2)
+    assert dependent(zero, theta) and dependent(theta, zero) and dependent(zero, zero)
+    assert saito_determinant(zero, theta).is_zero
+
+
+@pytest.mark.parametrize("fs", PREDICATE_FIELDS, ids=PREDICATE_IDS)
+def test_proportional_matches_proportional_derivations(fs):
+    rng = random.Random(fs.kind + str(fs.p))
+    lines = [LinearForm.make(fs, 1, 0), LinearForm.make(fs, 0, 1), LinearForm.make(fs, 1, 1),
+             LinearForm.make(fs, 1, -EVAL_POINT)]
+    verdicts = set()
+    for _ in range(150):
+        d = rng.randint(0, 4)
+        t2 = small_derivation(fs, rng, d)
+        forms = [rng.choice(lines) for _ in range(rng.randint(0, 3))]
+        g = HomogPoly.one(fs)
+        for lf in forms:
+            g = g * HomogPoly.from_linear_form(lf)
+        expect = t2.mul_poly(g)
+        kind = rng.randrange(4)
+        if kind == 0:
+            t1 = expect.scale(small_poly(fs, rng, 0).coeffs[0])
+        elif kind == 1:
+            t1 = expect + small_derivation(fs, rng, expect.degree)
+        elif kind == 2:
+            t1 = small_derivation(fs, rng, rng.randint(0, 6))  # any degree
+        else:
+            t1 = Derivation.zero()
+        want = proportional_derivations(t1, expect)
+        assert proportional(t1, t2, forms) is want
+        verdicts.add(want)
+        if not forms:
+            assert proportional(t2, t1) is proportional_derivations(t2, t1)
+    assert verdicts == {True, False}

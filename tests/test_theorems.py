@@ -7,12 +7,14 @@ candidate inputs and assert the checks notice.
 
 import copy
 import json
+import random
 from itertools import combinations
 
 import pytest
 
 from multilattice import lattice
-from multilattice.cli import _check_saito_everywhere
+from multilattice import theorems
+from multilattice.cli import _check_saito_everywhere, _run_criteria
 from multilattice.coxeter import coxeter_arrangement
 from multilattice.dermod import exponents
 from multilattice.errors import (
@@ -22,7 +24,7 @@ from multilattice.errors import (
     UncoveredWindow,
 )
 from multilattice.explorer import PointResult, ScanResult, centers, components, scan
-from multilattice.poly import HomogPoly
+from multilattice.poly import Derivation, HomogPoly, proportional_derivations, saito_determinant
 from multilattice.theorems import (
     CandidateMap,
     ThetaOracle,
@@ -331,3 +333,80 @@ def test_reconstruct_components_skipped_without_scan(B2, b2_scan, b2_oracle):
     partition, v = reconstruct_components(B2, (1, 1, 1, 1), b2_oracle)
     assert v.status == "skipped"
     assert partition
+
+
+def _verdicts(scan_result, session_cache, perturbed=None):
+    oracle = ThetaOracle(scan_result.arrangement, cache=session_cache)
+    if perturbed is not None:
+        # a wrong generator of the right degree: theta + y**d * dx
+        theta = oracle(perturbed)
+        one, zero = scan_result.arrangement.field.one(), scan_result.arrangement.field.zero()
+        y_power = HomogPoly.make([one] + [zero] * theta.degree)
+        oracle._memo[perturbed] = theta + Derivation(y_power, HomogPoly.zero())
+    comps = components(scan_result)
+    out = [check_independency(scan_result, oracle, comps, seed=3, max_pairs=50),
+           check_basis_step_and_path(scan_result, oracle, comps, seed=3, max_pairs=50)]
+    out += _run_criteria(scan_result, oracle)
+    return [json.loads(v.to_json()) for v in out]
+
+
+# (type, box, corruption, expected failures): the honest scans pass every
+# check.  A gap lowered to 0 splits a component (cross-dependent
+# witnesses); a gap raised by 2 turns ascent steps into descents (transport
+# witnesses of the wrong degree); a wrong generator of the right degree is
+# independent of its component, transports nothing and splits its
+# reconstructed class.  The oracle run over
+# Q(sqrt 3) takes seconds, so G2 runs honest data only.
+VERDICT_CASES = [
+    ("B2", (4, 4, 4, 4), None, set()),
+    ("B2", (4, 4, 4, 4), ("gap", (0, 0, 0, 2), 0), {"independence-pattern"}),
+    ("B2", (4, 4, 4, 4), ("gap", (1, 1, 1, 2), 3), {"basis-step-and-path"}),
+    ("B2", (4, 4, 4, 4), ("generator", (1, 1, 1, 2)),
+     {"independence-pattern", "basis-step-and-path", "criterion-reconstruct"}),
+    ("G2", (2, 2, 2, 2, 2, 2), None, set()),
+]
+
+
+@pytest.mark.parametrize("ctype,box,corruption,failed", VERDICT_CASES)
+def test_verdicts_match_the_determinant_oracles(ctype, box, corruption, failed, session_cache,
+                                                monkeypatch):
+    """The image predicates give the verdicts, witnesses included, that
+    saito_determinant and proportional_derivations give."""
+    A = coxeter_arrangement(ctype)
+    scan_result = scan(A, box, cache=session_cache)
+    perturbed = None
+    if corruption and corruption[0] == "gap":
+        scan_result = corrupt(scan_result, *corruption[1:])
+    elif corruption:
+        perturbed = corruption[1]
+    fast = _verdicts(scan_result, session_cache, perturbed)
+
+    def oracle_proportional(t1, t2, forms=()):
+        g = HomogPoly.one(A.field)
+        for lf in forms:
+            g = g * HomogPoly.from_linear_form(lf)
+        return proportional_derivations(t1, t2.mul_poly(g))
+
+    monkeypatch.setattr(theorems, "dependent", lambda t1, t2: saito_determinant(t1, t2).is_zero)
+    monkeypatch.setattr(theorems, "proportional", oracle_proportional)
+    assert _verdicts(scan_result, session_cache, perturbed) == fast
+    # G2 [0,2]^6 has no certified center, so its center criterion does not run
+    assert [v["check"] for v in fast] == [
+        "independence-pattern", "basis-step-and-path", "criterion-support",
+        *(["criterion-centers"] if ctype == "B2" else []), "criterion-reconstruct"]
+    assert {v["check"] for v in fast if v["status"] == "fail"} == failed
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_descent_forms_multiply_to_downalpha(B2, b2_scan, seed):
+    rng = random.Random(seed)
+    points = sorted(b2_scan.table)
+    for _ in range(20):
+        mu, nu = sorted(rng.sample(points, 2))
+        nu = tuple(max(a, b) for a, b in zip(mu, nu))
+        chain = lattice.saturated_chain(mu, nu)
+        dvals = [b2_scan.table[p].delta for p in chain]
+        g = HomogPoly.one(B2.field)
+        for lf in theorems._descent_forms(B2, chain, dvals):
+            g = g * HomogPoly.from_linear_form(lf)
+        assert g == lattice.downalpha(B2, chain, dvals)
