@@ -23,13 +23,17 @@ are provided:
 
 * ``basis``: read the coordinates of theta(alpha_H) on the basis
   {alpha**i * beta**(d-i)}, for a fixed complementary form beta, off a
-  closed form and kill the low alpha-coordinates;
+  closed form and kill the low alpha-coordinates.  Production builds these
+  rows on integer images (_residual_rows, the rows the walk takes its
+  residuals with); _alpha_basis_rows and _constraint_rows_basis build the
+  same rows in field arithmetic and are only the tests' oracle;
 * ``division``: run the exact synthetic division of theta(alpha_H) by
-  alpha_H symbolically and kill the remainders.
+  alpha_H symbolically and kill the remainders, then clear the field rows.
 
-They must always agree; the second serves as a differential-testing oracle
-for the first, and elimination (_minimal_degree, _nullspace_derivations) is
-the tests' oracle for the walk.
+Both ranks run on the images of the field's linalg.Domain.  The two
+constructions must always agree; the second serves as a differential-testing
+oracle for the first, and elimination (_minimal_degree,
+_nullspace_derivations) is the tests' oracle for the walk.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistency, LengthMismatch, PreconditionViolated
 from .field import FieldSpec, Scalar, invert
@@ -119,20 +123,69 @@ def _constraint_rows_division(A: Arrangement, mu: Sequence[int], d: int) -> List
     return rows
 
 
+def _residual_rows(A: Arrangement, h: int, d: int, ms: Iterable[int]) -> List[List]:
+    """Rows m in ms of _alpha_basis_rows(A.field, A.forms[h], d) on integer
+    images, each up to a nonzero factor: its dot product with [P | Q] is a
+    multiple of the coordinate of theta(alpha_h) on alpha_h**m * beta**(d-m).
+    A row past the degree (m > d) is zero.
+
+    With q*alpha_h = s*x + r*y cleared, s**(d-m) * C(j, m) * (-b)**(j-m) is
+    w[j] = C(j, m) * (-r)**(j-m) * s**(d-j), and the row is [s*w | r*w]:
+    C(j, m) * (-1)**(j-m) times r**a * s**(d-m+1-a) for a = j-m and j-m+1.
+
+    A walk step takes its residuals with one row (m = mu_h); the rank check
+    stacks the rows m < min(mu_h, d+1) of every form.
+    """
+    dom = domain_of(A.field.one())
+    zero, mul, scale = dom.zero, dom.mul, dom.scale
+    (r, s), _ = A.forms[h].images
+    one = dom.clear((A.field.one(),))[0][0]
+    ms = list(ms)
+    r_pows, s_pows = [one], [one]
+    for _ in range(d + 1 - min(ms + [d + 1])):
+        r_pows.append(mul(r_pows[-1], r))
+        s_pows.append(mul(s_pows[-1], s))
+    rows = []
+    for m in ms:
+        row = [zero] * (2 * d + 2)
+        if m <= d and s == zero:  # alpha = y, beta = x: w is the unit vector at j = d - m
+            row[2 * d + 1 - m] = one
+        elif m <= d:
+            n = d + 1 - m
+            pw = [mul(r_pows[a], s_pows[n - a]) for a in range(n + 1)]
+            for j in range(m, d + 1):
+                c = (-1) ** (j - m) * comb(j, m)
+                row[j] = scale(pw[j - m], c)
+                row[d + 1 + j] = scale(pw[j - m + 1], c)
+            row = dom.primitive(row)
+        rows.append(row)
+    return rows
+
+
+def _constraint_rows_images(A: Arrangement, mu: Sequence[int], d: int) -> List[List]:
+    """The rows of _constraint_rows_basis on integer images, each up to a
+    nonzero factor: the rank check's rows."""
+    rows: List[List] = []
+    for h, m in enumerate(mu):
+        rows.extend(_residual_rows(A, h, d, range(min(m, d + 1))))
+    return rows
+
+
 def graded_dimension(A: Arrangement, mu: Sequence[int], d: int, method: str = "basis") -> int:
     """Dimension of the degree-d piece of the derivation module."""
     if len(mu) != len(A):
         raise LengthMismatch("multiplicity length does not match arrangement")
     if d < 0:
         return 0
+    dom = domain_of(A.field.one())
     if method == "basis":
-        rows = _constraint_rows_basis(A, mu, d)
+        rows = _constraint_rows_images(A, mu, d)
     elif method == "division":
-        rows = _constraint_rows_division(A, mu, d)
+        rows = [dom.clear(r)[0] for r in _constraint_rows_division(A, mu, d)]
     else:
         raise ValueError(f"unknown method {method!r}")
     ncols = 2 * (d + 1)
-    return ncols - rank(rows, A.field, ncols)
+    return ncols - rank(rows, dom, ncols)
 
 
 def _nullspace_derivations(A: Arrangement, mu: Sequence[int], d: int) -> List[Derivation]:
@@ -196,34 +249,6 @@ _WALKS: Dict[int, "_Walk"] = {}
 _State = Tuple[List, int, List, int]
 
 
-def _residual_row(A: Arrangement, h: int, m: int, d: int) -> List:
-    """Row m of _alpha_basis_rows(A.field, A.forms[h], d) on integer images,
-    up to a nonzero factor: its dot product with [P | Q] is a multiple of
-    the coordinate of theta(alpha_h) on alpha_h**m * beta**(d-m).
-
-    With q*alpha_h = s*x + r*y cleared, s**(d-m) * C(j, m) * (-b)**(j-m) is
-    C(j, m) * (-r)**(j-m) * s**(d-j).
-    """
-    fs, lf = A.field, A.forms[h]
-    dom = domain_of(fs.one())
-    zero = dom.zero
-    (s, r, neg_r, one), _ = dom.clear((lf.a, lf.b, -lf.b, fs.one()))
-    w = [zero] * (d + 1)
-    if s == zero:  # alpha = y, beta = x: the unit vector at j = d - m
-        if m <= d:
-            w[d - m] = one
-        return [zero] * (d + 1) + w
-    binoms = dom.clear(tuple(fs.from_int(comb(j, m)) for j in range(m, d + 1)))[0]
-    s_pows = [one]
-    for _ in range(m, d):
-        s_pows.append(dom.mul(s_pows[-1], s))
-    r_pow = one
-    for j in range(m, d + 1):
-        w[j] = dom.mul(dom.mul(binoms[j - m], r_pow), s_pows[d - j])
-        r_pow = dom.mul(r_pow, neg_r)
-    return dom.primitive([dom.mul(s, v) for v in w] + [dom.mul(r, v) for v in w])
-
-
 def _shift(t: List, d: int, lo: int, hi: int, zero) -> List:
     """x**lo * y**hi * t for t of degree d."""
     n = d + 1
@@ -267,7 +292,7 @@ class _Walk:
         key = (h, m, d)
         row = self.rows.get(key)
         if row is None:
-            row = self.rows[key] = _residual_row(self.A, h, m, d)
+            row = self.rows[key] = _residual_rows(self.A, h, d, (m,))[0]
         return self.dom.dot(row, t)
 
     def _times_alpha(self, t: List, d: int, h: int) -> List:

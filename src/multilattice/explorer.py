@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -142,6 +141,9 @@ def scan(A: Arrangement, box: Box, jobs: int = 1, cache=None) -> ScanResult:
         _init_worker(A)
         fresh = [_solve_point(mu) for mu in pending]
     else:
+        # imported here, since only a pool needs multiprocessing: importing
+        # it costs every ml process about 25 ms and 2.5 MB
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(A,)) as pool:
             chunk = max(1, len(pending) // (4 * workers))

@@ -4,11 +4,12 @@ Each field has one Domain: it clears elements to integer images (ints over
 Q, integer pairs (a, b) for a + b*sqrt(d) over Q(sqrt d), residues over
 F_p), builds elements back, and runs every exact kernel on the images:
 fraction-free (Bareiss) or unit-pivot mod-p elimination, convolution,
-synthetic division, evaluation, and the products, dot products, content
-removal and division by a lead coefficient that the lattice walk in dermod
-runs on.
-Rank is the elimination's pivot count; a nullspace basis is
-back-substituted from the same echelon form.
+synthetic division, evaluation, and the products, integer multiples, dot
+products, content removal and division by a lead coefficient that the
+lattice walk and the rank check in dermod run on.
+rank is the elimination's pivot count on rows of images.  nullspace, the
+tests' elimination oracle, takes field rows, clears them and
+back-substitutes from the same echelon form.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ class Domain(NamedTuple):
     convolve: Callable  # (out, f, g, sign) adds sign * f * g into out
     power_divides: Callable  # (f, s, r, m) -> whether (s*t + r)**m divides f(t)
     mul: Callable  # (u, v) -> the image of u * v
+    scale: Callable  # (u, n) -> the image of n * u, for an integer n
     dot: Callable  # (u, v) -> the image of sum(u[i] * v[i])
     primitive: Callable  # vec -> vec over its integer content (residues reduced over F_p)
     ratio: Callable  # (v, lead) -> the field element v / lead (lead nonzero)
@@ -138,8 +140,8 @@ def _ratio_int(v: int, lead: int) -> Fraction:
 
 
 _RATIONAL_DOMAIN = Domain(_clear_rational, 0, Fraction, _echelon_int, _convolve_int,
-                          _power_divides_int, operator.mul, _dot_int, _primitive_int,
-                          _ratio_int, _evaluate_int)
+                          _power_divides_int, operator.mul, operator.mul, _dot_int,
+                          _primitive_int, _ratio_int, _evaluate_int)
 
 
 def _clear_quadratic(row) -> Tuple[List[Tuple[int, int]], int]:
@@ -151,6 +153,10 @@ def _clear_quadratic(row) -> Tuple[List[Tuple[int, int]], int]:
 def _qmul(u: Tuple[int, int], v: Tuple[int, int], d: int) -> Tuple[int, int]:
     """Product of integer pairs read as u[0] + u[1]*sqrt(d)."""
     return (u[0] * v[0] + d * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def _qscale(u: Tuple[int, int], n: int) -> Tuple[int, int]:
+    return (u[0] * n, u[1] * n)
 
 
 def _qdivexact(u: tuple, v: tuple, d: int) -> tuple:
@@ -267,7 +273,7 @@ def _quadratic_domain(d: int) -> Domain:
     return Domain(_clear_quadratic, (0, 0), functools.partial(_quad_back, d),
                   functools.partial(_echelon_quad, d), functools.partial(_convolve_quad, d),
                   functools.partial(_power_divides_quad, d), functools.partial(_qmul, d=d),
-                  functools.partial(_dot_quad, d),
+                  _qscale, functools.partial(_dot_quad, d),
                   _primitive_quad, functools.partial(_ratio_quad, d), _evaluate_quad)
 
 
@@ -355,7 +361,7 @@ def _prime_domain(p: int) -> Domain:
     return Domain(_clear_modp, 0, functools.partial(_modp_back, p),
                   functools.partial(_echelon_modp, p), functools.partial(_convolve_modp, p),
                   functools.partial(_power_divides_modp, p), functools.partial(_mul_modp, p),
-                  functools.partial(_dot_modp, p),
+                  functools.partial(_mul_modp, p), functools.partial(_dot_modp, p),
                   functools.partial(_primitive_modp, p), functools.partial(_ratio_modp, p),
                   functools.partial(_evaluate_modp, p))
 
@@ -369,13 +375,13 @@ def domain_of(x: Scalar) -> Domain:
     return _RATIONAL_DOMAIN
 
 
-def _echelon(rows: Sequence[Sequence[Scalar]], dom: Domain, ncols: int):
-    return dom.echelon([dom.clear(r)[0] for r in rows if any(r)], ncols)
+def rank(rows: Sequence[Sequence], dom: Domain, ncols: int) -> int:
+    """Rank of a list of rows of integer images, exactly, over dom's field.
 
-
-def rank(rows: Sequence[Sequence[Scalar]], fs: FieldSpec, ncols: int) -> int:
-    """Rank of the row list, exactly, over the given field."""
-    return len(_echelon(rows, domain_of(fs.one()), ncols)[1])
+    The rows are copied, not consumed.
+    """
+    zero = dom.zero
+    return len(dom.echelon([list(r) for r in rows if r.count(zero) < len(r)], ncols)[1])
 
 
 def nullspace(rows: Sequence[Sequence[Scalar]], fs: FieldSpec, ncols: int) -> List[List[Scalar]]:
@@ -383,7 +389,7 @@ def nullspace(rows: Sequence[Sequence[Scalar]], fs: FieldSpec, ncols: int) -> Li
     zero, one = fs.zero(), fs.one()
     dom = domain_of(one)
     back = dom.back
-    ech, pivcols = _echelon(rows, dom, ncols)
+    ech, pivcols = dom.echelon([dom.clear(r)[0] for r in rows if any(r)], ncols)
     pivset = set(pivcols)
     basis = []
     for free in range(ncols):

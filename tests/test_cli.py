@@ -261,6 +261,16 @@ def _run_ml(*args):
                           capture_output=True, text=True)
 
 
+def test_cli_import_leaves_out_the_process_pool():
+    # only scan --jobs >= 2 starts a pool; every other ml process skips its imports
+    code = ("import sys, multilattice.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_exit_code_zero_on_success():
     proc = _run_ml("exponents", "--coxeter", "B2", "1,1,1,1")
     assert proc.returncode == 0

@@ -38,7 +38,7 @@ from multilattice.dermod import (
 from multilattice.errors import (BadReduction, InternalInconsistency, LengthMismatch,
                                  PreconditionViolated, ProportionalForms)
 from multilattice.field import FieldSpec, QuadElem, is_prime
-from multilattice.linalg import domain_of, invert_matrix
+from multilattice.linalg import domain_of, invert_matrix, rank
 from multilattice.poly import (
     Arrangement,
     Derivation,
@@ -184,15 +184,84 @@ def test_residual_rows_are_the_closed_form_rows_on_images(fs):
     dom = domain_of(fs.one())
     for h in range(len(A)):
         for d in range(6):
+            batch = dermod._residual_rows(A, h, d, range(d + 2))  # the rank check's rows
             for m in range(d + 2):
                 rows = _alpha_basis_rows(fs, A.forms[h], d)
                 want = rows[m] if m <= d else (fs.zero(),) * (2 * d + 2)
-                got = dermod._residual_row(A, h, m, d)
+                got = dermod._residual_rows(A, h, d, (m,))[0]  # the walk's row
+                assert batch[m] == got, (h, m, d)
                 lead_w = next((c for c in want if c), None)
                 lead_g = next((c for c in got if c != dom.zero), None)
                 assert (lead_w is None) == (lead_g is None), (h, m, d)
                 if lead_w is not None:
                     assert [c / lead_w for c in want] == [dom.ratio(c, lead_g) for c in got]
+
+
+ORACLE_FIELDS = [FieldSpec.rational(), FieldSpec.quadratic(2), FieldSpec.quadratic(3),
+                 FieldSpec.prime(3), FieldSpec.prime(101)]
+
+
+def field_name(fs):
+    return {"rational": "Q", "quadratic": f"Q(sqrt{fs.d})", "prime": f"F{fs.p}"}[fs.kind]
+
+
+def oracle_arrangement(rng, fs):
+    """A random arrangement of 1-4 lines, with alpha = y in about half of them."""
+    lines = {}
+    if rng.random() < 0.5:
+        lines[(fs.zero(), fs.one())] = LinearForm.make(fs, 0, 1)
+    size = rng.randint(max(1, len(lines)), 4)  # F_3 has exactly 4 lines
+    while len(lines) < size:
+        if fs.kind == "prime":
+            a, b = fs.from_int(rng.randrange(fs.p)), fs.from_int(rng.randrange(fs.p))
+        else:
+            a, b = rng.choice([fs.zero(), random_scalar(rng, fs)]), random_scalar(rng, fs)
+        if a or b:
+            lf = LinearForm.make(fs, a, b)
+            lines[(lf.a, lf.b)] = lf
+    return Arrangement(fs, tuple(lines.values()))
+
+
+def field_rows_dimension(A, mu, d):
+    """dim D_d from the field rows of _constraint_rows_basis, cleared."""
+    dom, ncols = domain_of(A.field.one()), 2 * (d + 1)
+    rows = [dom.clear(r)[0] for r in dermod._constraint_rows_basis(A, mu, d)]
+    return ncols - rank(rows, dom, ncols)
+
+
+@pytest.mark.parametrize("fs", ORACLE_FIELDS, ids=field_name)
+def test_image_rows_rank_matches_field_rows_and_division(fs):
+    rng = random.Random(f"image rows {field_name(fs)}")
+    seen = set()
+    for _ in range(60):
+        A = oracle_arrangement(rng, fs)
+        mu = tuple(rng.choice([0, 0, 1, 2, 3, 5, 8]) for _ in A.forms)
+        d = rng.randint(0, sum(mu) // 2 + 2)
+        got = graded_dimension(A, mu, d)
+        assert got == field_rows_dimension(A, mu, d), (A, mu, d)
+        assert got == graded_dimension(A, mu, d, "division"), (A, mu, d)
+        seen.update({"alpha = y"} if any(not lf.a for lf in A.forms) else ())
+        seen.update({"zero entry"} if 0 in mu else ())
+        seen.update({"mu_h > d + 1"} if max(mu) > d + 1 else ())
+    assert seen == {"alpha = y", "zero entry", "mu_h > d + 1"}
+
+
+def test_dropped_image_row_fails_the_rooted_walk(B2, G2, monkeypatch):
+    # the rank check's rows one short per form: at every point of these
+    # boxes that raises dim D_{d*}, and a walk rooted at 0 must notice
+    def one_row_short(A, mu, d):
+        return [row for h, m in enumerate(mu)
+                for row in dermod._residual_rows(A, h, d, range(min(m, d + 1) - 1))]
+
+    points = [(A, mu) for A, box in ((B2, (3,) * 4), (G2, (1,) * 6))
+              for mu in lattice.box_points(box) if any(mu)]
+    full = [graded_dimension(A, mu, (sum(mu) - 1) // 2) for A, mu in points]
+    monkeypatch.setattr(dermod, "_constraint_rows_images", one_row_short)
+    for (A, mu), dim in zip(points, full):
+        assert graded_dimension(A, mu, (sum(mu) - 1) // 2) > dim, mu
+        monkeypatch.setattr(dermod, "_WALKS", {})
+        with pytest.raises(InternalInconsistency, match="one rank gives"):
+            exponents(A, mu)
 
 
 def assert_cone_closed_form(A, mu, cache=None):
@@ -241,7 +310,7 @@ def test_wrong_lower_exponent_raises(B2, monkeypatch):
 def test_vanishing_residual_pair_raises(B2, monkeypatch):
     # a basis whose generators both lie one step up contradicts Saito's criterion
     monkeypatch.setattr(dermod, "_WALKS", {})
-    monkeypatch.setattr(dermod, "_residual_row", lambda A, h, m, d: [0] * (2 * d + 2))
+    monkeypatch.setattr(dermod, "_residual_rows", lambda A, h, d, ms: [[0] * (2 * d + 2)])
     with pytest.raises(InternalInconsistency, match="both generators"):
         exponents(B2, (1, 0, 0, 0))
 

@@ -1,5 +1,6 @@
 """Scan, component decomposition, sections, emission, determinism."""
 
+import concurrent.futures
 import hashlib
 import json
 from pathlib import Path
@@ -222,7 +223,8 @@ class RecordingPool:
 
 
 def test_scan_bounds_worker_count(B2, monkeypatch):
-    monkeypatch.setattr(explorer, "ProcessPoolExecutor", RecordingPool)
+    # scan imports the pool class from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(explorer, "_usable_cpus", lambda: 3)
     want = scan(B2, (1, 1, 1, 1)).to_json()

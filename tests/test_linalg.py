@@ -1,4 +1,7 @@
-"""Exact linear algebra: fraction-free rank against a plain Gaussian oracle."""
+"""Exact linear algebra: fraction-free rank against a plain Gaussian oracle.
+
+rank runs on integer images; the tests clear their field rows with the
+field's Domain first (image_rank)."""
 
 from fractions import Fraction
 
@@ -7,11 +10,17 @@ from hypothesis import given, settings, strategies as st
 
 from multilattice.errors import InternalInconsistency
 from multilattice.field import FieldSpec, QuadElem
-from multilattice.linalg import invert_matrix, nullspace, rank
+from multilattice.linalg import domain_of, invert_matrix, nullspace, rank
 
 RAT = FieldSpec.rational()
 QUAD = FieldSpec.quadratic(3)
 PRIME = FieldSpec.prime(10007)
+
+
+def image_rank(rows, fs, ncols):
+    """rank of field rows, on their integer images."""
+    dom = domain_of(fs.one())
+    return rank([dom.clear(r)[0] for r in rows], dom, ncols)
 
 
 def oracle_rank(rows, ncols):
@@ -39,7 +48,7 @@ small_fraction = st.fractions(min_value=-30, max_value=30, max_denominator=6)
 @given(st.integers(1, 5), st.integers(1, 6), st.data())
 def test_rank_matches_oracle_rational(nrows, ncols, data):
     rows = [[data.draw(small_fraction) for _ in range(ncols)] for _ in range(nrows)]
-    assert rank(rows, RAT, ncols) == oracle_rank(rows, ncols)
+    assert image_rank(rows, RAT, ncols) == oracle_rank(rows, ncols)
 
 
 @settings(max_examples=100)
@@ -49,15 +58,15 @@ def test_rank_quadratic_consistent_with_rational_embedding(nrows, ncols, data):
     rows_q = [[QuadElem(data.draw(small_fraction), Fraction(0), 3)
                for _ in range(ncols)] for _ in range(nrows)]
     rows_r = [[c.a for c in r] for r in rows_q]
-    assert rank(rows_q, QUAD, ncols) == oracle_rank(rows_r, ncols)
+    assert image_rank(rows_q, QUAD, ncols) == oracle_rank(rows_r, ncols)
 
 
 def test_rank_quadratic_uses_the_radical():
     s3 = QUAD.sqrt_element()
     one = QUAD.one()
     # (1, sqrt3) and (sqrt3, 3) are proportional; (1, 1) is not
-    assert rank([[one, s3], [s3, QUAD.from_int(3)]], QUAD, 2) == 1
-    assert rank([[one, s3], [one, one]], QUAD, 2) == 2
+    assert image_rank([[one, s3], [s3, QUAD.from_int(3)]], QUAD, 2) == 1
+    assert image_rank([[one, s3], [one, one]], QUAD, 2) == 2
 
 
 @settings(max_examples=100)
@@ -69,7 +78,7 @@ def test_rank_modp_matches_rational_generic(nrows, ncols, data):
     rows = [[Fraction(data.draw(st.integers(-20, 20))) for _ in range(ncols)]
             for _ in range(nrows)]
     rp = [[PRIME.coerce(x) for x in r] for r in rows]
-    assert rank(rp, PRIME, ncols) == oracle_rank(rows, ncols)
+    assert image_rank(rp, PRIME, ncols) == oracle_rank(rows, ncols)
 
 
 @settings(max_examples=150)
@@ -77,7 +86,7 @@ def test_rank_modp_matches_rational_generic(nrows, ncols, data):
 def test_nullspace_dimension_and_membership(nrows, ncols, data):
     rows = [[data.draw(small_fraction) for _ in range(ncols)] for _ in range(nrows)]
     basis = nullspace(rows, RAT, ncols)
-    assert len(basis) == ncols - rank(rows, RAT, ncols)
+    assert len(basis) == ncols - image_rank(rows, RAT, ncols)
     for v in basis:
         for r in rows:
             assert sum(a * b for a, b in zip(r, v)) == 0
@@ -91,7 +100,7 @@ def test_nullspace_quadratic_membership(nrows, ncols, data):
     rows = [[QuadElem(data.draw(small_fraction), data.draw(small_fraction), 3)
              for _ in range(ncols)] for _ in range(nrows)]
     basis = nullspace(rows, QUAD, ncols)
-    assert len(basis) == ncols - rank(rows, QUAD, ncols)
+    assert len(basis) == ncols - image_rank(rows, QUAD, ncols)
     zero = QUAD.zero()
     for v in basis:
         for r in rows:
@@ -128,8 +137,25 @@ def test_invert_matrix_roundtrip(n, data):
 
 
 def test_rank_empty_and_zero_rows():
-    assert rank([], RAT, 3) == 0
-    assert rank([[Fraction(0)] * 3], RAT, 3) == 0
+    assert image_rank([], RAT, 3) == 0
+    assert image_rank([[Fraction(0)] * 3], RAT, 3) == 0
+    assert rank([[(0, 0)] * 2, [(0, 0), (1, 0)]], domain_of(QUAD.one()), 2) == 1
+
+
+def test_rank_leaves_its_rows_alone():
+    dom = domain_of(RAT.one())
+    rows = [[2, 4], [1, 3]]
+    assert rank(rows, dom, 2) == 2
+    assert rows == [[2, 4], [1, 3]]
+
+
+@pytest.mark.parametrize("fs", [RAT, QUAD, PRIME], ids=lambda fs: fs.kind)
+def test_scale_is_the_integer_multiple(fs):
+    dom = domain_of(fs.one())
+    for x in (fs.from_int(5), fs.one() / fs.from_int(3), fs.zero()):
+        (u,), den = dom.clear((x,))
+        for n in (-7, 0, 1, 12):
+            assert dom.back(dom.scale(u, n), den) == fs.from_int(n) * x
 
 
 def oracle_nullspace(rows, fs, ncols):
@@ -168,4 +194,4 @@ def test_nullspace_prime_matches_gauss_jordan(nrows, ncols, data):
             for _ in range(nrows)]
     want = oracle_nullspace(rows, fs, ncols)
     assert nullspace(rows, fs, ncols) == want
-    assert rank(rows, fs, ncols) == ncols - len(want)
+    assert image_rank(rows, fs, ncols) == ncols - len(want)
