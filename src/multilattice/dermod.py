@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistency, LengthMismatch, PreconditionViolated
 from .field import FieldSpec, Scalar, invert
@@ -123,7 +123,7 @@ def _constraint_rows_division(A: Arrangement, mu: Sequence[int], d: int) -> List
     return rows
 
 
-def _residual_rows(A: Arrangement, h: int, d: int, ms: Iterable[int]) -> List[List]:
+def _residual_rows(A: Arrangement, h: int, d: int, ms: Sequence[int]) -> List[List]:
     """Rows m in ms of _alpha_basis_rows(A.field, A.forms[h], d) on integer
     images, each up to a nonzero factor: its dot product with [P | Q] is a
     multiple of the coordinate of theta(alpha_h) on alpha_h**m * beta**(d-m).
@@ -140,9 +140,8 @@ def _residual_rows(A: Arrangement, h: int, d: int, ms: Iterable[int]) -> List[Li
     zero, mul, scale = dom.zero, dom.mul, dom.scale
     (r, s), _ = A.forms[h].images
     one = dom.clear((A.field.one(),))[0][0]
-    ms = list(ms)
     r_pows, s_pows = [one], [one]
-    for _ in range(d + 1 - min(ms + [d + 1])):
+    for _ in range(d + 1 - min(ms, default=d + 1)):
         r_pows.append(mul(r_pows[-1], r))
         s_pows.append(mul(s_pows[-1], s))
     rows = []
