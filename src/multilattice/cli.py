@@ -114,7 +114,7 @@ def cmd_basis(arrangement, coxeter_type, cache_dir, mu):
 @_cache_opt
 @click.option("--box", required=True, help="Inclusive upper bounds, comma-separated.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Worker processes.")
+              help="Most worker processes; small boxes are walked in-process.")
 @click.option("--output", "-o", type=click.Path(), default=None,
               help="Write the scan JSON here (default: stdout).")
 def cmd_scan(arrangement, coxeter_type, cache_dir, box, jobs, output):

@@ -109,6 +109,25 @@ def _solve_point(mu: Multiplicity) -> Tuple[Multiplicity, ExponentResult]:
     return (mu, exponents(_WORKER_ARRANGEMENT, mu))
 
 
+def _solve_run(run: Sequence[Multiplicity]) -> List[Tuple[Multiplicity, ExponentResult]]:
+    return [_solve_point(mu) for mu in run]
+
+
+# A pool worker pays for its fork, its imports and the pickling of its
+# results, and a walk in box order costs one order-basis step per point, so
+# a worker needs this many pending points to win; fewer are walked
+# in-process.  Measured crossover: ROADMAP item 3.
+_MIN_POINTS_PER_WORKER = 2048
+
+
+def _runs(pending: Sequence[Multiplicity], workers: int) -> List[Sequence[Multiplicity]]:
+    """pending cut into `workers` contiguous runs of near-equal length, in
+    order, so each worker roots one walk and steps through the rest."""
+    size, extra = divmod(len(pending), workers)
+    cuts = [i * size + min(i, extra) for i in range(workers + 1)]
+    return [pending[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -119,10 +138,12 @@ def _usable_cpus() -> int:
 def scan(A: Arrangement, box: Box, jobs: int = 1, cache=None) -> ScanResult:
     """Tabulate exponents over the box, solving every point exactly.
 
-    Points missing from the cache are solved once each, by at most
-    min(jobs, usable CPUs, pending points) worker processes, and their
-    results are stored in the cache.  The output table is deterministic and
-    independent of the job count.
+    Points missing from the cache are solved once each and stored in the
+    cache.  jobs is an upper bound: the scan starts
+    min(jobs, usable CPUs, pending points // _MIN_POINTS_PER_WORKER)
+    worker processes, each walking one contiguous run of the box, and walks
+    in-process when that is at most one.  The output table and the cache
+    lines are deterministic and independent of the job count.
     """
     if len(box) != len(A):
         raise ValueError("box length must match the arrangement")
@@ -136,18 +157,18 @@ def scan(A: Arrangement, box: Box, jobs: int = 1, cache=None) -> ScanResult:
             hits.append((mu, hit))
         else:
             pending.append(mu)
-    workers = min(jobs, _usable_cpus(), len(pending))
+    workers = min(jobs, _usable_cpus(), len(pending) // _MIN_POINTS_PER_WORKER)
     if workers <= 1:
         _init_worker(A)
-        fresh = [_solve_point(mu) for mu in pending]
+        fresh = _solve_run(pending)
     else:
         # imported here, since only a pool needs multiprocessing: importing
         # it costs every ml process about 25 ms and 2.5 MB
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(A,)) as pool:
-            chunk = max(1, len(pending) // (4 * workers))
-            fresh = list(pool.map(_solve_point, pending, chunksize=chunk))
+            fresh = [item for run in pool.map(_solve_run, _runs(pending, workers))
+                     for item in run]
     solved = dict(hits + fresh)
     table = {mu: PointResult(solved[mu].d1, solved[mu].d2, solved[mu].delta)
              for mu in points}

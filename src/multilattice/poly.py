@@ -125,13 +125,13 @@ class Arrangement:
             raise ParseError(f"malformed arrangement: {exc}") from exc
 
     def canonical_hash(self) -> str:
-        return _arrangement_hash(self)
+        return self._canonical_hash
 
-
-@_functools.lru_cache(maxsize=256)
-def _arrangement_hash(A: "Arrangement") -> str:
-    payload = json.dumps(A.to_json(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    @_functools.cached_property
+    def _canonical_hash(self) -> str:
+        """Computed once per object: the cache keys every lookup with it."""
+        payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,7 @@ class HomogPoly:
                 mono.append(vars[1] if d - i == 1 else f"{vars[1]}^{d - i}")
             cs = fs.format_scalar(c)
             if isinstance(cs, dict):
-                cs = f"({cs['a']}+{cs['b']}*sqrt({fs.d}))"
+                cs = _format_quadratic(cs["a"], cs["b"], fs.d)
             if mono and cs == "1":
                 terms.append("*".join(mono))
             elif mono and cs == "-1":
@@ -231,6 +231,16 @@ class HomogPoly:
             else:
                 terms.append(cs)
         return " + ".join(terms).replace("+ -", "- ")
+
+
+def _format_quadratic(a: str, b: str, d: int) -> str:
+    """a + b*sqrt(d) without its zero parts: a, b*sqrt(d) or (a+b*sqrt(d))."""
+    if b == "0":
+        return a
+    root = {"1": "", "-1": "-"}.get(b, b + "*") + f"sqrt({d})"
+    if a == "0":
+        return root
+    return f"({a}{'' if root.startswith('-') else '+'}{root})"
 
 
 def divide_by_linear_form(f: HomogPoly, lf: LinearForm) -> HomogPoly:

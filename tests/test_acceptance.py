@@ -255,6 +255,7 @@ def test_criterion_09_fixed_points(b2):
     assert min_derivation(boolean, (2, 3)).canonical() == Derivation(x2, HomogPoly.zero())
 
 
-def test_criterion_10_determinism_across_workers(b2):
+def test_criterion_10_determinism_across_workers(b2, real_pool):
     texts = {scan(b2, (3, 3, 3, 3), jobs=j).to_json() for j in (1, 4, 8)}
     assert len(texts) == 1
+    assert len(real_pool) == 2 and min(real_pool) >= 2

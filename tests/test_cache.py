@@ -24,6 +24,19 @@ def test_put_get_roundtrip_in_memory(B2):
     assert len(c) == 1
 
 
+def test_memory_only_put_many_writes_no_lines(B2, monkeypatch):
+    from multilattice import cache as cache_module
+
+    def refuse(*args):
+        raise AssertionError("a memory-only cache serialised a generator")
+
+    monkeypatch.setattr(cache_module, "serialize_derivation", refuse)
+    c = ResultCache(use_env=False)
+    items = [(mu, exponents(B2, mu)) for mu in [(1, 1, 1, 1), (2, 1, 0, 1)]]
+    c.put_many(B2, items)
+    assert [c.get(B2, mu) for mu, _ in items] == [res for _, res in items]
+
+
 def test_put_is_idempotent(B2):
     c = ResultCache(use_env=False)
     mu = (1, 1, 1, 1)

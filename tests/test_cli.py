@@ -54,13 +54,24 @@ def test_basis_command(runner):
     assert "saito: accepted" in result.output
 
 
-def test_scan_to_stdout_and_determinism(runner):
+def test_scan_to_stdout_and_determinism(runner, real_pool):
     args = ["scan", "--coxeter", "B2", "--box", "2,2,2,2"]
     first = runner.invoke(main, args)
     second = runner.invoke(main, args + ["--jobs", "2"])
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output
     assert json.loads(first.output)["schema"] == 1
+    assert real_pool == [2]
+
+
+def test_quadratic_coefficients_print_without_zero_parts(runner):
+    result = runner.invoke(main, ["exponents", "--coxeter", "G2", "2,1,2,1,2,1"])
+    assert result.exit_code == 0
+    assert result.output == (
+        "exponents: (4, 5)\n"
+        "delta: 1\n"
+        "theta_min: (x^4 - 2/3*sqrt(3)*x^3*y - x^2*y^2)*dx"
+        " + (x^3*y - 2/3*sqrt(3)*x^2*y^2 - x*y^3)*dy\n")
 
 
 def test_components_command(runner, scan_file, tmp_path):

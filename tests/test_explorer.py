@@ -3,6 +3,8 @@
 import concurrent.futures
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,8 @@ from multilattice import explorer, lattice
 from multilattice.coxeter import coxeter_arrangement
 from multilattice.cache import ResultCache
 from multilattice.errors import NotUnimodal, ParseError, PointNotInComponent
+from multilattice.field import FieldSpec
+from multilattice.poly import Arrangement
 from multilattice.explorer import (
     ScanResult,
     centers,
@@ -66,16 +70,17 @@ def test_from_json_rejects_unknown_schema(b2_scan):
         ScanResult.from_json(json.dumps(obj))
 
 
-def test_scan_determinism_across_workers(B2):
+def test_scan_determinism_across_workers(B2, real_pool):
     texts = {scan(B2, (2, 2, 2, 2), jobs=j).to_json() for j in (1, 3)}
     assert len(texts) == 1
+    assert len(real_pool) == 1 and real_pool[0] >= 2
 
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 @pytest.mark.parametrize("ctype,box", [("B2", (5,) * 4), ("G2", (2,) * 6)])
-def test_scan_bytes_match_the_reference(tmp_path, ctype, box):
+def test_scan_bytes_match_the_reference(tmp_path, real_pool, ctype, box):
     # perfbench/reference.json pins these bytes: every worker count, with a
     # fresh cache, must reproduce them and write the same cache file
     want = json.loads(REFERENCE.read_text())["scan_sha256"][f"{ctype} {','.join(map(str, box))}"]
@@ -87,6 +92,7 @@ def test_scan_bytes_match_the_reference(tmp_path, ctype, box):
         assert hashlib.sha256(text.encode()).hexdigest() == want, jobs
         files.append(cache.path.read_bytes())
     assert files[0] == files[1]
+    assert real_pool == [2]
 
 
 def test_scan_writes_its_cache_lines_in_one_open(B2, tmp_path, monkeypatch):
@@ -225,6 +231,7 @@ class RecordingPool:
 def test_scan_bounds_worker_count(B2, monkeypatch):
     # scan imports the pool class from concurrent.futures when it starts one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(explorer, "_MIN_POINTS_PER_WORKER", 1)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(explorer, "_usable_cpus", lambda: 3)
     want = scan(B2, (1, 1, 1, 1)).to_json()
@@ -233,6 +240,55 @@ def test_scan_bounds_worker_count(B2, monkeypatch):
     scan(B2, (1, 0, 0, 0), jobs=5000)  # two pending points
     scan(B2, (0, 0, 0, 0), jobs=5000)  # one point: solved in-process
     assert RecordingPool.sizes == [3, 2]
+
+
+def test_scan_below_the_break_even_starts_no_pool(B2, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(explorer, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(explorer, "_MIN_POINTS_PER_WORKER", 10)
+    scan(B2, (1, 1, 1, 1), jobs=2)  # 16 points: one worker's worth
+    scan(B2, (1, 1, 2, 1), jobs=2)  # 24 points: two workers
+    scan(B2, (1, 1, 2, 2), jobs=5000)  # 36 points: three workers
+    assert RecordingPool.sizes == [2, 3]
+
+
+@pytest.mark.parametrize("n,workers", [(1, 1), (7, 2), (8, 2), (9, 4), (1296, 2), (4096, 3), (5, 5)])
+def test_runs_are_contiguous_and_cover_the_pending_points(n, workers):
+    pending = list(lattice.box_points((n - 1,)))
+    runs = explorer._runs(pending, workers)
+    assert 1 <= len(runs) <= workers
+    assert [mu for run in runs for mu in run] == pending  # in order, each once
+    assert all(runs) and max(map(len, runs)) - min(map(len, runs)) <= 1
+
+
+def test_small_scan_leaves_out_the_process_pool(tmp_path):
+    # B2 [0,5]^4 is below the break-even, so --jobs 2 walks it in-process
+    code = ("import sys\n"
+            "from multilattice import cli\n"
+            "sys.argv = ['ml', 'scan', '--coxeter', 'B2', '--box', '5,5,5,5', '--jobs', '2',"
+            " '-o', sys.argv[1]]\n"
+            "try:\n    cli.run()\nexcept SystemExit as exc:\n    assert not exc.code, exc.code\n"
+            "print('concurrent.futures.process' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "s.json")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    assert len(ScanResult.from_json((tmp_path / "s.json").read_text()).table) == 6 ** 4
+
+
+def test_pooled_cache_file_equals_the_serial_one(tmp_path, real_pool):
+    fs = FieldSpec.prime(101)
+    arrangements = [coxeter_arrangement("G2"),
+                    Arrangement.make(fs, [(1, 0), (0, 1), (1, 1), (1, 7), (1, 50)])]
+    for i, A in enumerate(arrangements):
+        files = []
+        for jobs in (1, 2):
+            cache = ResultCache(tmp_path / f"{i}-{jobs}")
+            scan(A, (2,) * len(A), jobs=jobs, cache=cache)
+            files.append(cache.path.read_bytes())
+        assert files[0] == files[1]
+    assert real_pool == [2, 2]
 
 
 def test_usable_cpus_is_positive():

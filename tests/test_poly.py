@@ -133,6 +133,18 @@ def test_format_readable():
     assert HomogPoly.zero().format(FS) == "0"
 
 
+def test_format_drops_zero_quadratic_parts():
+    fs = FieldSpec.quadratic(3)
+    s3, n = fs.sqrt_element(), fs.from_int
+    f = HomogPoly.make([n(2) + s3, -s3, fs.coerce(Fraction(-2, 3)) * s3, n(-1), n(1)])
+    assert f.format(fs) == "x^4 - x^3*y - 2/3*sqrt(3)*x^2*y^2 - sqrt(3)*x*y^3 + (2+sqrt(3))*y^4"
+    g = HomogPoly.make([n(1) - n(2) * s3, s3, n(0), fs.coerce(Fraction(1, 2))])
+    assert g.format(fs) == "1/2*x^3 + sqrt(3)*x*y^2 + (1-2*sqrt(3))*y^3"
+    # cache lines keep both parts
+    assert fs.format_scalar(n(1)) == {"a": "1", "b": "0"}
+    assert fs.format_scalar(s3) == {"a": "0", "b": "1"}
+
+
 # -- arrangements -------------------------------------------------------------
 
 
@@ -147,6 +159,15 @@ def test_arrangement_hash_is_representation_invariant():
     a3 = Arrangement.make(FS, [(1, 0), (1, -1)])
     assert a1.canonical_hash() == a2.canonical_hash()
     assert a1.canonical_hash() != a3.canonical_hash()
+
+
+def test_arrangement_hash_is_computed_once_per_object(monkeypatch):
+    A = Arrangement.make(FS, [(1, 0), (1, 1), (1, 5)])
+    calls = []
+    real = Arrangement.to_json
+    monkeypatch.setattr(Arrangement, "to_json", lambda self: calls.append(self) or real(self))
+    assert A.canonical_hash() == A.canonical_hash()
+    assert calls == [A]
 
 
 def test_defining_polynomial(boolean):
