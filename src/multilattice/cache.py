@@ -122,26 +122,29 @@ class ResultCache:
         one write."""
         self._ensure_loaded()
         arr = A.canonical_hash()
-        new = []
+        field = A.field.to_json()
+        lines = []
         for mu, result in items:
             key = (arr, tuple(mu))
-            if key not in self._mem:
-                self._mem[key] = result
-                new.append((mu, result))
-        if self.path is None or not new:
+            if key in self._mem:
+                continue
+            self._mem[key] = result
+            if self.path is None:
+                continue  # a memory-only cache writes no lines
+            entry = {
+                "schema": SCHEMA_VERSION,
+                "arr": arr,
+                "mu": list(mu),
+                "field": field,
+                "d1": result.d1,
+                "d2": result.d2,
+                "delta": result.delta,
+                "non_unique": result.non_unique,
+                "theta": serialize_derivation(A.field, result.theta_min),
+            }
+            lines.append(json.dumps(entry, sort_keys=True) + "\n")
+        if not lines:
             return
-        field = A.field.to_json()
-        lines = [json.dumps({
-            "schema": SCHEMA_VERSION,
-            "arr": arr,
-            "mu": list(mu),
-            "field": field,
-            "d1": result.d1,
-            "d2": result.d2,
-            "delta": result.delta,
-            "non_unique": result.non_unique,
-            "theta": serialize_derivation(A.field, result.theta_min),
-        }, sort_keys=True) + "\n" for mu, result in new]
         self.directory.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a") as fh:
             fh.write("".join(lines))
