@@ -109,23 +109,12 @@ def _solve_point(mu: Multiplicity) -> Tuple[Multiplicity, ExponentResult]:
     return (mu, exponents(_WORKER_ARRANGEMENT, mu))
 
 
-def _solve_run(run: Sequence[Multiplicity]) -> List[Tuple[Multiplicity, ExponentResult]]:
-    return [_solve_point(mu) for mu in run]
-
-
 # A pool worker pays for its fork, its imports and the pickling of its
 # results, and a walk in box order costs one order-basis step per point, so
 # a worker needs this many pending points to win; fewer are walked
-# in-process.  Measured crossover: ROADMAP item 3.
+# in-process.  Measured crossover, with two workers on a 2-CPU host only:
+# ROADMAP item 3.
 _MIN_POINTS_PER_WORKER = 2048
-
-
-def _runs(pending: Sequence[Multiplicity], workers: int) -> List[Sequence[Multiplicity]]:
-    """pending cut into `workers` contiguous runs of near-equal length, in
-    order, so each worker roots one walk and steps through the rest."""
-    size, extra = divmod(len(pending), workers)
-    cuts = [i * size + min(i, extra) for i in range(workers + 1)]
-    return [pending[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _usable_cpus() -> int:
@@ -160,15 +149,17 @@ def scan(A: Arrangement, box: Box, jobs: int = 1, cache=None) -> ScanResult:
     workers = min(jobs, _usable_cpus(), len(pending) // _MIN_POINTS_PER_WORKER)
     if workers <= 1:
         _init_worker(A)
-        fresh = _solve_run(pending)
+        fresh = [_solve_point(mu) for mu in pending]
     else:
         # imported here, since only a pool needs multiprocessing: importing
         # it costs every ml process about 25 ms and 2.5 MB
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(A,)) as pool:
-            fresh = [item for run in pool.map(_solve_run, _runs(pending, workers))
-                     for item in run]
+            # one contiguous chunk per worker: each roots one walk and steps
+            # through the rest of its chunk
+            chunk = -(-len(pending) // workers)
+            fresh = list(pool.map(_solve_point, pending, chunksize=chunk))
     solved = dict(hits + fresh)
     table = {mu: PointResult(solved[mu].d1, solved[mu].d2, solved[mu].delta)
              for mu in points}

@@ -210,9 +210,11 @@ def test_scan_with_cache_solves_each_pending_point_once(B2, monkeypatch):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the number
+    of tasks map cuts its input into, and runs in-process."""
 
     sizes = []
+    tasks = []
 
     def __init__(self, max_workers, initializer, initargs):
         self.sizes.append(max_workers)
@@ -225,6 +227,7 @@ class RecordingPool:
         return False
 
     def map(self, fn, items, chunksize=1):
+        self.tasks.append(-(-len(items) // chunksize))
         return map(fn, items)
 
 
@@ -233,6 +236,7 @@ def test_scan_bounds_worker_count(B2, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(explorer, "_MIN_POINTS_PER_WORKER", 1)
     monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "tasks", [])
     monkeypatch.setattr(explorer, "_usable_cpus", lambda: 3)
     want = scan(B2, (1, 1, 1, 1)).to_json()
     assert scan(B2, (1, 1, 1, 1), jobs=5000).to_json() == want
@@ -245,21 +249,14 @@ def test_scan_bounds_worker_count(B2, monkeypatch):
 def test_scan_below_the_break_even_starts_no_pool(B2, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "tasks", [])
     monkeypatch.setattr(explorer, "_usable_cpus", lambda: 64)
     monkeypatch.setattr(explorer, "_MIN_POINTS_PER_WORKER", 10)
     scan(B2, (1, 1, 1, 1), jobs=2)  # 16 points: one worker's worth
     scan(B2, (1, 1, 2, 1), jobs=2)  # 24 points: two workers
     scan(B2, (1, 1, 2, 2), jobs=5000)  # 36 points: three workers
     assert RecordingPool.sizes == [2, 3]
-
-
-@pytest.mark.parametrize("n,workers", [(1, 1), (7, 2), (8, 2), (9, 4), (1296, 2), (4096, 3), (5, 5)])
-def test_runs_are_contiguous_and_cover_the_pending_points(n, workers):
-    pending = list(lattice.box_points((n - 1,)))
-    runs = explorer._runs(pending, workers)
-    assert 1 <= len(runs) <= workers
-    assert [mu for run in runs for mu in run] == pending  # in order, each once
-    assert all(runs) and max(map(len, runs)) - min(map(len, runs)) <= 1
+    assert RecordingPool.tasks == [2, 3]  # one contiguous run per worker
 
 
 def test_small_scan_leaves_out_the_process_pool(tmp_path):
