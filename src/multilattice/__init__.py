@@ -7,81 +7,53 @@ structural facts the gap obeys (unit covering steps, ball-shaped
 components with unique centers, generator transport along chains,
 independence across components, and the certification criteria built on
 them), with special support for the rank-2 Coxeter arrangements.
+
+The public names load lazily (PEP 562): ``import multilattice`` imports no
+submodule, and a name's module is imported when the name is first used, so
+a command line that solves one point never loads the scan and
+verification layers.
 """
 
-from .cache import ResultCache
-from .coxeter import (
-    GroupElement,
-    act,
-    check_delta_invariance,
-    coxeter_arrangement,
-    group_closure,
-    near_constant_exponents,
-    standard_generators,
-    symmetric_peak_certificate,
-)
-from .dermod import (
-    ExponentResult,
-    SaitoVerdict,
-    delta,
-    exponents,
-    full_basis,
-    graded_dimension,
-    in_module,
-    min_derivation,
-    verify_saito,
-)
-from .errors import MultilatticeError
-from .explorer import Component, PointResult, ScanResult, centers, components, scan
-from .field import FieldSpec, ModInt, QuadElem
-from .lattice import (
-    ball,
-    box_points,
-    distance,
-    is_balanced,
-    meet_join,
-    parse_multiplicity,
-    saturated_chain,
-)
-from .poly import (
-    Arrangement,
-    Derivation,
-    HomogPoly,
-    LinearForm,
-    defining_polynomial,
-    saito_determinant,
-)
-from .theorems import (
-    CandidateMap,
-    ThetaOracle,
-    Verdict,
-    basis_for,
-    certify_centers,
-    certify_support,
-    check_ball_structure,
-    check_basis_step_and_path,
-    check_covering_steps,
-    check_independency,
-    check_singleton_gaps,
-    construct_basis_between,
-    reconstruct_components,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Arrangement", "CandidateMap", "Component", "Derivation", "ExponentResult",
-    "FieldSpec", "GroupElement", "HomogPoly", "LinearForm", "ModInt",
-    "MultilatticeError", "PointResult", "QuadElem", "ResultCache",
-    "SaitoVerdict", "ScanResult", "ThetaOracle", "Verdict", "act", "ball",
-    "basis_for", "box_points", "centers", "certify_centers", "certify_support",
-    "check_ball_structure", "check_basis_step_and_path",
-    "check_covering_steps", "check_delta_invariance", "check_independency",
-    "check_singleton_gaps", "components", "construct_basis_between",
-    "coxeter_arrangement", "defining_polynomial", "delta", "distance",
-    "exponents", "full_basis", "graded_dimension", "group_closure",
-    "in_module", "is_balanced", "meet_join", "min_derivation",
-    "near_constant_exponents", "parse_multiplicity", "reconstruct_components",
-    "saito_determinant", "saturated_chain", "scan", "standard_generators",
-    "symmetric_peak_certificate", "verify_saito",
-]
+# public name -> the submodule defining it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "cache": ("ResultCache",),
+        "coxeter": ("GroupElement", "act", "check_delta_invariance", "coxeter_arrangement",
+                    "group_closure", "near_constant_exponents", "standard_generators",
+                    "symmetric_peak_certificate"),
+        "dermod": ("ExponentResult", "SaitoVerdict", "delta", "exponents", "full_basis",
+                   "graded_dimension", "in_module", "min_derivation", "verify_saito"),
+        "errors": ("MultilatticeError",),
+        "explorer": ("Component", "PointResult", "ScanResult", "centers", "components", "scan"),
+        "field": ("FieldSpec", "ModInt", "QuadElem"),
+        "lattice": ("ball", "box_points", "distance", "is_balanced", "meet_join",
+                    "parse_multiplicity", "saturated_chain"),
+        "poly": ("Arrangement", "Derivation", "HomogPoly", "LinearForm", "defining_polynomial",
+                 "saito_determinant"),
+        "theorems": ("CandidateMap", "ThetaOracle", "Verdict", "basis_for", "certify_centers",
+                     "certify_support", "check_ball_structure", "check_basis_step_and_path",
+                     "check_covering_steps", "check_independency", "check_singleton_gaps",
+                     "construct_basis_between", "reconstruct_components"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -123,13 +123,14 @@ class ResultCache:
         self._ensure_loaded()
         arr = A.canonical_hash()
         field = A.field.to_json()
+        path = self.path
         lines = []
         for mu, result in items:
             key = (arr, tuple(mu))
             if key in self._mem:
                 continue
             self._mem[key] = result
-            if self.path is None:
+            if path is None:
                 continue  # a memory-only cache writes no lines
             entry = {
                 "schema": SCHEMA_VERSION,
@@ -146,7 +147,7 @@ class ResultCache:
         if not lines:
             return
         self.directory.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as fh:
+        with open(path, "a") as fh:
             fh.write("".join(lines))
 
     def clear(self) -> None:

@@ -5,25 +5,26 @@ fails, 2 on usage errors (malformed input, bad options), 3 when the solver
 contradicts freeness (InternalInconsistency, a solver bug), 4 when the
 operating system refuses a file operation (OSError, e.g. an output path in a
 missing directory or a cache directory that cannot be created).
+
+Start-up is most of the cost of one solve, so each command imports the
+layers it runs (``explorer``, ``theorems``, ``cache``) when it runs.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import re
 import sys
 from typing import List, Optional
 
-import click
-
 from . import coxeter as cox
-from . import explorer, lattice, theorems
-from .cache import ResultCache
+from . import lattice
 from .dermod import exponents, full_basis
 from .errors import (HypothesisViolated, InternalInconsistency, MultilatticeError, ParseError,
                      UncoveredWindow)
-from .explorer import ScanResult
 from .poly import Arrangement
-from .theorems import ThetaOracle
 
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
@@ -46,101 +47,75 @@ def load_arrangement(path: str) -> Arrangement:
         raise ParseError(f"cannot read arrangement file {path}: {exc}") from exc
 
 
-def _resolve_arrangement(arrangement: Optional[str], coxeter_type: Optional[str]) -> Arrangement:
-    if (arrangement is None) == (coxeter_type is None):
-        raise click.UsageError("give exactly one of --arrangement/--coxeter")
-    if arrangement is not None:
-        return load_arrangement(arrangement)
-    return cox.coxeter_arrangement(coxeter_type)
+def _arrangement(args) -> Arrangement:
+    if args.arrangement is not None:
+        return load_arrangement(args.arrangement)
+    return cox.coxeter_arrangement(args.coxeter)
 
 
 def _parse_mu(ctx_a: Arrangement, text: str):
     return lattice.parse_multiplicity(text, len(ctx_a))
 
 
-def _cache(cache_dir: Optional[str]) -> ResultCache:
+def _cache(cache_dir: Optional[str]):
+    """The result cache in --cache-dir, else in $ML_CACHE_DIR, else in memory."""
+    from .cache import ResultCache
     return ResultCache(cache_dir)
 
 
-_arr_opt = click.option("--arrangement", "-a", type=click.Path(), default=None,
-                        help="Arrangement JSON file.")
-_cox_opt = click.option("--coxeter", "coxeter_type",
-                        type=click.Choice(cox.COXETER_TYPES, case_sensitive=False),
-                        default=None, help="Built-in Coxeter arrangement.")
-_cache_opt = click.option("--cache-dir", default=None,
-                          help="Result cache directory (default: $ML_CACHE_DIR).")
+def _disk_cache(cache_dir: Optional[str]):
+    """The result cache of a command that solves once: None unless a
+    directory is named, as a memory-only cache would never be read."""
+    if cache_dir is None:
+        cache_dir = os.environ.get("ML_CACHE_DIR")
+    return _cache(cache_dir) if cache_dir else None
 
 
-@click.group()
-def main():
-    """Exact exponents and lattice structure of rank-2 multiarrangements."""
-
-
-@main.command("exponents")
-@_arr_opt
-@_cox_opt
-@_cache_opt
-@click.argument("mu")
-def cmd_exponents(arrangement, coxeter_type, cache_dir, mu):
+def cmd_exponents(args):
     """Exponents, gap and minimal generator at MU (comma-separated)."""
-    A = _resolve_arrangement(arrangement, coxeter_type)
-    m = _parse_mu(A, mu)
-    res = exponents(A, m, cache=_cache(cache_dir))
-    click.echo(f"exponents: ({res.d1}, {res.d2})")
-    click.echo(f"delta: {res.delta}")
+    A = _arrangement(args)
+    m = _parse_mu(A, args.mu)
+    res = exponents(A, m, cache=_disk_cache(args.cache_dir))
+    print(f"exponents: ({res.d1}, {res.d2})")
+    print(f"delta: {res.delta}")
     tag = " (one of several; gap is 0)" if res.non_unique else ""
-    click.echo(f"theta_min: {res.theta_min.format(A.field)}{tag}")
+    print(f"theta_min: {res.theta_min.format(A.field)}{tag}")
 
 
-@main.command("basis")
-@_arr_opt
-@_cox_opt
-@_cache_opt
-@click.argument("mu")
-def cmd_basis(arrangement, coxeter_type, cache_dir, mu):
+def cmd_basis(args):
     """Saito-verified homogeneous basis of the module at MU."""
-    A = _resolve_arrangement(arrangement, coxeter_type)
-    m = _parse_mu(A, mu)
+    A = _arrangement(args)
+    m = _parse_mu(A, args.mu)
     # full_basis verifies the pair and raises InternalInconsistency on a rejection
-    t1, t2 = full_basis(A, m, cache=_cache(cache_dir))
-    click.echo(f"theta1 (deg {t1.degree}): {t1.format(A.field)}")
-    click.echo(f"theta2 (deg {t2.degree}): {t2.format(A.field)}")
-    click.echo("saito: accepted")
+    t1, t2 = full_basis(A, m, cache=_disk_cache(args.cache_dir))
+    print(f"theta1 (deg {t1.degree}): {t1.format(A.field)}")
+    print(f"theta2 (deg {t2.degree}): {t2.format(A.field)}")
+    print("saito: accepted")
 
 
-@main.command("scan")
-@_arr_opt
-@_cox_opt
-@_cache_opt
-@click.option("--box", required=True, help="Inclusive upper bounds, comma-separated.")
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Most worker processes; small boxes are walked in-process.")
-@click.option("--output", "-o", type=click.Path(), default=None,
-              help="Write the scan JSON here (default: stdout).")
-def cmd_scan(arrangement, coxeter_type, cache_dir, box, jobs, output):
+def cmd_scan(args):
     """Tabulate (d1, d2, delta) over a box of the multiplicity lattice."""
-    A = _resolve_arrangement(arrangement, coxeter_type)
-    b = _parse_mu(A, box)
-    result = explorer.scan(A, b, jobs=jobs, cache=_cache(cache_dir))
+    from . import explorer
+
+    A = _arrangement(args)
+    b = _parse_mu(A, args.box)
+    result = explorer.scan(A, b, jobs=args.jobs, cache=_cache(args.cache_dir))
     text = result.to_json()
-    if output:
-        with open(output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
         t = result.timing
-        click.echo(f"scanned {t['points']} points in {t['seconds']:.1f}s -> {output}",
-                   err=True)
+        print(f"scanned {t['points']} points in {t['seconds']:.1f}s -> {args.output}",
+              file=sys.stderr)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
-@main.command("components")
-@click.option("--scan", "scan_path", required=True, type=click.Path(),
-              help="Scan JSON produced by the scan command.")
-@click.option("--dot", type=click.Path(), default=None, help="Write a DOT rendering here.")
-@click.option("--csv", type=click.Path(), default=None, help="Write a CSV table here.")
-def cmd_components(scan_path, dot, csv):
+def cmd_components(args):
     """Decompose the scanned support into components and classify them."""
-    result = _load_scan(scan_path)
+    from . import explorer
+
+    result = _load_scan(args.scan_path)
     comps = explorer.components(result)
     for idx, comp in enumerate(comps):
         desc = f"component {idx}: {len(comp.members)} points, {comp.kind}"
@@ -151,22 +126,23 @@ def cmd_components(scan_path, dot, csv):
             desc += f", dominant line index {comp.cone_h}"
         if comp.notes:
             desc += f" [{'; '.join(comp.notes)}]"
-        click.echo(desc)
+        print(desc)
     for entry in explorer.centers(result, comps):
         if entry.error:
-            click.echo(f"center ERROR: {entry.error}")
+            print(f"center ERROR: {entry.error}")
         else:
-            click.echo(f"center {lattice.format_multiplicity(entry.center)}"
-                       f" delta {entry.delta}")
-    if dot:
-        with open(dot, "w") as fh:
+            print(f"center {lattice.format_multiplicity(entry.center)} delta {entry.delta}")
+    if args.dot:
+        with open(args.dot, "w") as fh:
             fh.write(explorer.to_dot(result, comps))
-    if csv:
-        with open(csv, "w") as fh:
+    if args.csv:
+        with open(args.csv, "w") as fh:
             fh.write(explorer.to_csv(result, comps))
 
 
-def _load_scan(path: str) -> ScanResult:
+def _load_scan(path: str):
+    from .explorer import ScanResult
+
     try:
         with open(path) as fh:
             return ScanResult.from_json(fh.read())
@@ -178,26 +154,22 @@ _CHECKS = ("covering", "ball", "singletons", "transport", "independence",
            "saito", "criteria", "all")
 
 
-@main.command("verify")
-@click.option("--scan", "scan_path", required=True, type=click.Path())
-@_cache_opt
-@click.option("--seed", default=0, show_default=True)
-@click.option("--max-pairs", type=click.IntRange(min=0), default=50, show_default=True,
-              help="Sample size per check; 0 means exhaustive.")
-@click.argument("what", type=click.Choice(_CHECKS))
-def cmd_verify(scan_path, cache_dir, seed, max_pairs, what):
+def cmd_verify(args):
     """Run structure verifications against scan data.
 
     Any Fail verdict exits with status 1 and prints witnesses; the
     verified statements are theorems, so failures indicate solver bugs
     (or a corrupted scan), never acceptable noise.
     """
-    result = _load_scan(scan_path)
-    cache = _cache(cache_dir)
-    oracle = ThetaOracle(result.arrangement, cache=cache)
+    from . import explorer, theorems
+
+    what, seed = args.what, args.seed
+    result = _load_scan(args.scan_path)
+    cache = _cache(args.cache_dir)
+    oracle = theorems.ThetaOracle(result.arrangement, cache=cache)
     comps = explorer.components(result)
-    mp = max_pairs if max_pairs > 0 else None
-    verdicts: List[theorems.Verdict] = []
+    mp = args.max_pairs if args.max_pairs > 0 else None
+    verdicts = []
     if what in ("covering", "all"):
         verdicts.append(theorems.check_covering_steps(result))
     if what in ("ball", "all"):
@@ -216,36 +188,40 @@ def cmd_verify(scan_path, cache_dir, seed, max_pairs, what):
         verdicts.extend(_run_criteria(result, oracle))
     failed = False
     for v in verdicts:
-        click.echo(f"{v.name}: {v.status.upper()}")
+        print(f"{v.name}: {v.status.upper()}")
         if v.status == "fail":
             failed = True
             for w in v.witnesses[:10]:
-                click.echo(f"  witness: {w}")
+                print(f"  witness: {w}")
         if v.details:
-            click.echo(f"  details: {json.dumps(v.details, sort_keys=True, default=str)}")
-    sys.exit(EXIT_VERIFY_FAIL if failed else 0)
+            print(f"  details: {json.dumps(v.details, sort_keys=True, default=str)}")
+    return EXIT_VERIFY_FAIL if failed else 0
 
 
-def _check_saito_everywhere(result: ScanResult, cache) -> theorems.Verdict:
+def _check_saito_everywhere(result, cache):
     """Construct and verify a full basis at every point of the scan.
 
     full_basis runs verify_saito on the pair it returns and raises
     InternalInconsistency (exit 3) on a rejection, so every returned pair passed.
     """
+    from .theorems import Verdict
+
     for mu in sorted(result.table):
         full_basis(result.arrangement, mu, cache=cache)
-    return theorems.Verdict("saito-everywhere", "pass", [], {"checked": len(result.table)})
+    return Verdict("saito-everywhere", "pass", [], {"checked": len(result.table)})
 
 
-def _certify(name: str, criterion, *args, **kwargs) -> theorems.Verdict:
+def _certify(name: str, criterion, *args, **kwargs):
     """Run a criterion; a window that breaks its hypotheses is skipped, with the reason."""
+    from .theorems import Verdict
+
     try:
         return criterion(*args, **kwargs)
     except HypothesisViolated as exc:
-        return theorems.Verdict(name, "skipped", details={"reason": str(exc)})
+        return Verdict(name, "skipped", details={"reason": str(exc)})
 
 
-def _certify_centers(result: ScanResult, oracle: ThetaOracle, center_pts) -> theorems.Verdict:
+def _certify_centers(result, oracle, center_pts):
     """The center criterion on the box shrunk by a margin.
 
     Balls near the scan boundary are truncated, so the coverage hypothesis
@@ -254,6 +230,8 @@ def _certify_centers(result: ScanResult, oracle: ThetaOracle, center_pts) -> the
     uncovered, until the window shrinks to the origin.  The other hypotheses
     do not depend on the window, so their failure skips the criterion at once.
     """
+    from . import theorems
+
     cmap = theorems.CandidateMap({mu: oracle(mu) for mu in center_pts})
     gap = margin = max(center_pts.values())
     while True:
@@ -272,7 +250,9 @@ def _certify_centers(result: ScanResult, oracle: ThetaOracle, center_pts) -> the
         return verdict
 
 
-def _run_criteria(result: ScanResult, oracle: ThetaOracle) -> List[theorems.Verdict]:
+def _run_criteria(result, oracle) -> list:
+    from . import explorer, theorems
+
     A = result.arrangement
     box = result.box
     support = [mu for mu in result.support() if lattice.is_balanced(mu)]
@@ -287,136 +267,206 @@ def _run_criteria(result: ScanResult, oracle: ThetaOracle) -> List[theorems.Verd
     return out
 
 
-@main.command("basis-between")
-@_arr_opt
-@_cox_opt
-@_cache_opt
-@click.option("--mu", required=True, help="First ball center.")
-@click.option("--nu", required=True, help="Second ball center.")
-@click.option("--kappa", required=True, help="Target multiplicity.")
-def cmd_basis_between(arrangement, coxeter_type, cache_dir, mu, nu, kappa):
+def _print_basis(A: Arrangement, basis, verdict) -> int:
+    t1, t2 = basis
+    print(f"theta1 (deg {t1.degree}): {t1.format(A.field)}")
+    print(f"theta2 (deg {t2.degree}): {t2.format(A.field)}")
+    print(f"saito: {'accepted' if verdict.accepted else 'REJECTED: ' + str(verdict.reason)}")
+    return 0 if verdict.accepted else EXIT_VERIFY_FAIL
+
+
+def cmd_basis_between(args):
     """Basis at KAPPA built from the generators of two ball centers."""
-    A = _resolve_arrangement(arrangement, coxeter_type)
-    cache = _cache(cache_dir)
-    m, n, k = (_parse_mu(A, s) for s in (mu, nu, kappa))
+    from . import theorems
+
+    A = _arrangement(args)
+    cache = _cache(args.cache_dir)
+    m, n, k = (_parse_mu(A, s) for s in (args.mu, args.nu, args.kappa))
     t_mu = exponents(A, m, cache=cache).theta_min
     t_nu = exponents(A, n, cache=cache).theta_min
-    (t1, t2), verdict = theorems.construct_basis_between(A, m, n, k, t_mu, t_nu,
-                                                         cache=cache)
-    click.echo(f"theta1 (deg {t1.degree}): {t1.format(A.field)}")
-    click.echo(f"theta2 (deg {t2.degree}): {t2.format(A.field)}")
-    click.echo(f"saito: {'accepted' if verdict.accepted else 'REJECTED: ' + str(verdict.reason)}")
-    if not verdict.accepted:
-        sys.exit(EXIT_VERIFY_FAIL)
+    basis, verdict = theorems.construct_basis_between(A, m, n, k, t_mu, t_nu, cache=cache)
+    return _print_basis(A, basis, verdict)
 
 
-@main.command("basis-for")
-@click.option("--scan", "scan_path", required=True, type=click.Path(),
-              help="Scan JSON whose certified centers to use.")
-@_cache_opt
-@click.option("--kappa", required=True, help="Balanced target multiplicity.")
-def cmd_basis_for(scan_path, cache_dir, kappa):
+def cmd_basis_for(args):
     """Basis at a balanced KAPPA from the certified centers of a scan."""
-    result = _load_scan(scan_path)
+    from . import explorer, theorems
+
+    result = _load_scan(args.scan_path)
     A = result.arrangement
-    k = _parse_mu(A, kappa)
+    k = _parse_mu(A, args.kappa)
     index = [(e.center, e.delta) for e in explorer.centers(result) if e.center]
-    (t1, t2), verdict = theorems.basis_for(A, k, index, cache=_cache(cache_dir))
-    click.echo(f"theta1 (deg {t1.degree}): {t1.format(A.field)}")
-    click.echo(f"theta2 (deg {t2.degree}): {t2.format(A.field)}")
-    click.echo(f"saito: {'accepted' if verdict.accepted else 'REJECTED: ' + str(verdict.reason)}")
-    if not verdict.accepted:
-        sys.exit(EXIT_VERIFY_FAIL)
+    basis, verdict = theorems.basis_for(A, k, index, cache=_cache(args.cache_dir))
+    return _print_basis(A, basis, verdict)
 
 
-@main.command("coxeter")
-@click.argument("ctype", type=click.Choice(cox.COXETER_TYPES, case_sensitive=False))
-@_cache_opt
-@click.option("--check-invariance", "inv_box", default=None,
-              help="Verify gap invariance under the group over this box.")
-@click.option("--near-constant", "nc_k", type=int, default=None,
-              help="Compare near-constant exponent formulas at level k.")
-@click.option("--offsets", default=None, help="Offsets for --near-constant.")
-def cmd_coxeter(ctype, cache_dir, inv_box, nc_k, offsets):
+def cmd_coxeter(args):
     """Inspect a built-in Coxeter arrangement and its symmetry facts."""
+    ctype, offsets = args.ctype, args.offsets
     A = cox.coxeter_arrangement(ctype)
-    cache = _cache(cache_dir)
-    click.echo(f"type: {ctype.upper()}")
-    click.echo(f"field: {json.dumps(A.field.to_json(), sort_keys=True)}")
+    cache = _cache(args.cache_dir)
+    print(f"type: {ctype.upper()}")
+    print(f"field: {json.dumps(A.field.to_json(), sort_keys=True)}")
     for i in range(len(A)):
-        click.echo(f"  line {i}: {A.name_of(i)}")
+        print(f"  line {i}: {A.name_of(i)}")
     gens = cox.standard_generators(A, ctype)
     group = cox.group_closure(A, gens)
-    click.echo(f"group order: {len(group)}")
+    print(f"group order: {len(group)}")
     failed = False
-    if inv_box:
-        b = _parse_mu(A, inv_box)
+    if args.inv_box:
+        b = _parse_mu(A, args.inv_box)
         verdict = cox.check_delta_invariance(A, gens, b, cache=cache)
-        click.echo(f"{verdict.name}: {verdict.status.upper()}"
-                   f" ({verdict.details.get('checked', 0)} orbit steps)")
+        print(f"{verdict.name}: {verdict.status.upper()}"
+              f" ({verdict.details.get('checked', 0)} orbit steps)")
         failed |= verdict.status == "fail"
-    if nc_k is not None:
+    if args.nc_k is not None:
         try:
             offs = [int(v) for v in offsets.split(",")] if offsets else [0] * len(A)
         except ValueError as exc:
             raise ParseError(f"offsets must be comma-separated integers: {offsets}") from exc
-        res = cox.near_constant_exponents(ctype, nc_k, offs, A=A, cache=cache)
-        click.echo(f"nu: {lattice.format_multiplicity(res.nu)}")
-        click.echo(f"predicted (distance law): {res.predicted}")
-        click.echo(f"printed closed form:      {res.printed_formula}"
-                   f" ({'same' if res.formulas_agree else 'DIFFERS; solver arbitrates'})")
-        click.echo(f"computed: {res.computed} -> {res.verdict}")
+        res = cox.near_constant_exponents(ctype, args.nc_k, offs, A=A, cache=cache)
+        print(f"nu: {lattice.format_multiplicity(res.nu)}")
+        print(f"predicted (distance law): {res.predicted}")
+        print(f"printed closed form:      {res.printed_formula}"
+              f" ({'same' if res.formulas_agree else 'DIFFERS; solver arbitrates'})")
+        print(f"computed: {res.computed} -> {res.verdict}")
         failed |= res.verdict != "match"
-    sys.exit(EXIT_VERIFY_FAIL if failed else 0)
+    return EXIT_VERIFY_FAIL if failed else 0
 
 
-@main.group("cache")
-def cmd_cache():
-    """Inspect or clear the persistent result cache."""
-
-
-@cmd_cache.command("inspect")
-@_cache_opt
-def cmd_cache_inspect(cache_dir):
-    cache = _cache(cache_dir)
+def cmd_cache_inspect(args):
+    """Show the cache file and its number of entries."""
+    cache = _cache(args.cache_dir)
     if cache.path is None:
-        click.echo("no cache directory configured (set ML_CACHE_DIR or --cache-dir)")
+        print("no cache directory configured (set ML_CACHE_DIR or --cache-dir)")
         return
-    click.echo(f"path: {cache.path}")
-    click.echo(f"entries: {len(cache)}")
+    print(f"path: {cache.path}")
+    print(f"entries: {len(cache)}")
 
 
-@cmd_cache.command("clear")
-@_cache_opt
-def cmd_cache_clear(cache_dir):
-    cache = _cache(cache_dir)
+def cmd_cache_clear(args):
+    """Delete the cache file."""
+    cache = _cache(args.cache_dir)
     if cache.path is None:
-        click.echo("no cache directory configured (set ML_CACHE_DIR or --cache-dir)")
+        print("no cache directory configured (set ML_CACHE_DIR or --cache-dir)")
         return
     n = len(cache)
     cache.clear()
-    click.echo(f"cleared {n} entries from {cache.path}")
+    print(f"cleared {n} entries from {cache.path}")
 
 
-def run():  # console-script entry point with domain-error handling
+# -- argument parsing ----------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes a dash-led value such as "-1,0,0,1" as a
+    value: argparse's own rule only does so for a plain negative number."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
+def _parser() -> argparse.ArgumentParser:
+    top = _Parser(prog="ml", description=(
+        "Exact exponents and lattice structure of rank-2 multiarrangements."))
+    commands = top.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(group, name, run, source=False, cache=True):
+        doc = run.__doc__
+        p = group.add_parser(name, help=doc.split("\n", 1)[0], description=doc)
+        p.set_defaults(run=run)
+        if source:
+            one = p.add_mutually_exclusive_group(required=True)
+            one.add_argument("--arrangement", "-a", help="Arrangement JSON file.")
+            one.add_argument("--coxeter", type=str.upper, choices=cox.COXETER_TYPES,
+                             help="Built-in Coxeter arrangement.")
+        if cache:
+            p.add_argument("--cache-dir", help="Result cache directory (default: $ML_CACHE_DIR).")
+        return p
+
+    for name, run in (("exponents", cmd_exponents), ("basis", cmd_basis)):
+        command(commands, name, run, source=True).add_argument("mu", metavar="MU")
+
+    p = command(commands, "scan", cmd_scan, source=True)
+    p.add_argument("--box", required=True, help="Inclusive upper bounds, comma-separated.")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                   help="Most worker processes; small boxes are walked in-process."
+                        " (default: %(default)s)")
+    p.add_argument("--output", "-o", help="Write the scan JSON here (default: stdout).")
+
+    p = command(commands, "components", cmd_components, cache=False)
+    p.add_argument("--scan", dest="scan_path", required=True,
+                   help="Scan JSON produced by the scan command.")
+    p.add_argument("--dot", help="Write a DOT rendering here.")
+    p.add_argument("--csv", help="Write a CSV table here.")
+
+    p = command(commands, "verify", cmd_verify)
+    p.add_argument("--scan", dest="scan_path", required=True)
+    p.add_argument("--seed", type=int, default=0,
+                   help="Seed of the sampled pairs. (default: %(default)s)")
+    p.add_argument("--max-pairs", type=_int_at_least(0), default=50,
+                   help="Sample size per check; 0 means exhaustive. (default: %(default)s)")
+    p.add_argument("what", choices=_CHECKS)
+
+    p = command(commands, "basis-between", cmd_basis_between, source=True)
+    p.add_argument("--mu", required=True, help="First ball center.")
+    p.add_argument("--nu", required=True, help="Second ball center.")
+    p.add_argument("--kappa", required=True, help="Target multiplicity.")
+
+    p = command(commands, "basis-for", cmd_basis_for)
+    p.add_argument("--scan", dest="scan_path", required=True,
+                   help="Scan JSON whose certified centers to use.")
+    p.add_argument("--kappa", required=True, help="Balanced target multiplicity.")
+
+    p = command(commands, "coxeter", cmd_coxeter)
+    p.add_argument("ctype", metavar="CTYPE", type=str.upper, choices=cox.COXETER_TYPES)
+    p.add_argument("--check-invariance", dest="inv_box",
+                   help="Verify gap invariance under the group over this box.")
+    p.add_argument("--near-constant", dest="nc_k", type=int,
+                   help="Compare near-constant exponent formulas at level k.")
+    p.add_argument("--offsets", help="Offsets for --near-constant.")
+
+    doc = "Inspect or clear the persistent result cache."
+    actions = commands.add_parser("cache", help=doc, description=doc).add_subparsers(
+        metavar="ACTION", required=True)
+    command(actions, "inspect", cmd_cache_inspect)
+    command(actions, "clear", cmd_cache_clear)
+    return top
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Run the command line ``argv`` (default: the process arguments);
+    returns the exit status.  Usage errors exit 2 from the parser."""
+    args = _parser().parse_args(argv)
+    return args.run(args) or 0
+
+
+def run(argv: Optional[List[str]] = None):  # console-script entry point
+    """main() with every domain error mapped to its exit code and message."""
     try:
-        main(standalone_mode=False)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        sys.exit(EXIT_USAGE)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
-    except click.Abort:
-        sys.exit(EXIT_USAGE)
+        status = main(argv)
     except InternalInconsistency as exc:
-        click.echo(f"internal error: {exc}", err=True)
-        sys.exit(EXIT_INTERNAL)
+        print(f"internal error: {exc}", file=sys.stderr)
+        status = EXIT_INTERNAL
     except MultilatticeError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+        print(f"error: {exc}", file=sys.stderr)
+        status = EXIT_USAGE
     except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_OS)
+        print(f"error: {exc}", file=sys.stderr)
+        status = EXIT_OS
+    sys.exit(status)
 
 
 if __name__ == "__main__":

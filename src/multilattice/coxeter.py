@@ -24,7 +24,6 @@ from .errors import (
 from .field import FieldSpec, QuadElem, invert
 from .lattice import Multiplicity
 from .poly import Arrangement, LinearForm
-from .theorems import Verdict
 
 COXETER_TYPES = ("A1A1", "A2", "B2", "G2")
 
@@ -166,6 +165,8 @@ def moves_every_line(A: Arrangement, group: Sequence[GroupElement]) -> bool:
 def check_delta_invariance(A: Arrangement, generators: Sequence[GroupElement],
                            box: lattice.Box, cache=None) -> Verdict:
     """The gap is constant along group orbits."""
+    from .theorems import Verdict
+
     witnesses = []
     checked = 0
     deltas = {}
@@ -201,6 +202,8 @@ def symmetric_peak_certificate(A: Arrangement, group: Sequence[GroupElement],
     the two disagree (details record which was used).  The emitted
     certificate is cross-verified against a local scan.
     """
+    from .theorems import Verdict
+
     mu, nu, kappa = tuple(mu), tuple(nu), tuple(kappa)
     if not moves_every_line(A, group):
         raise HypothesisViolated("some line is fixed by the whole group")

@@ -14,7 +14,6 @@ and as their test oracle.
 from __future__ import annotations
 
 import functools as _functools
-import hashlib
 import json
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence, Tuple
@@ -130,6 +129,8 @@ class Arrangement:
     @_functools.cached_property
     def _canonical_hash(self) -> str:
         """Computed once per object: the cache keys every lookup with it."""
+        import hashlib  # here, so that a solve without a cache never imports it
+
         payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

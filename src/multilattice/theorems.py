@@ -7,10 +7,12 @@ signals a solver defect and must surface with witnesses.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import lattice
@@ -242,23 +244,41 @@ def _chain_high_first(mu: Multiplicity, nu: Multiplicity) -> List[Multiplicity]:
     return chain
 
 
+@functools.lru_cache(maxsize=None)
+def _offsets_within_two(n: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    """The nonzero offsets of L1 norm at most 2 in n coordinates, each with its norm."""
+    def offset(*steps):
+        off = [0] * n
+        for i, v in steps:
+            off[i] += v
+        return tuple(off)
+
+    out = []
+    for i in range(n):
+        for s in (1, -1):
+            out += [(offset((i, s)), 1), (offset((i, 2 * s)), 2)]
+            out += [(offset((i, s), (j, t)), 2) for j in range(i + 1, n) for t in (1, -1)]
+    return tuple(out)
+
+
 def pairs_at_distance_two(groups: Sequence[Sequence[Multiplicity]], box: Box) -> List[Tuple[int, int]]:
     """Index pairs i < j, in combinations order, of the disjoint point groups
     whose least distance is exactly 2.
 
-    Each member is looked up against the radius-2 ball around it instead of
-    against every point of every other group.
+    Each member is looked up against its neighbours at distance 1 and 2, from
+    one offset table per dimension, instead of against every point of every
+    other group.
     """
     owner = {mu: i for i, g in enumerate(groups) for mu in g}
+    offsets = _offsets_within_two(len(box))
     least: Dict[Tuple[int, int], int] = {}
     for i, g in enumerate(groups):
         for a in g:
-            for b in lattice.ball(a, 3, box):
+            for off, dist in offsets:
+                b = tuple(map(add, a, off))
                 j = owner.get(b, -1)
-                if j > i:
-                    dist = lattice.distance(a, b)
-                    if dist < least.get((i, j), 3):
-                        least[(i, j)] = dist
+                if j > i and dist < least.get((i, j), 3) and lattice.in_box(b, box):
+                    least[(i, j)] = dist
     return sorted(pair for pair, dist in least.items() if dist == 2)
 
 
@@ -456,20 +476,21 @@ def certify_centers(A: Arrangement, candidate: CandidateMap, box: Box,
     """Center-identification criterion from the gap-distance identity."""
     name = "criterion-centers"
     N = candidate.points()
+    gap = {mu: candidate.delta_prime(mu) for mu in N}
     for mu in N:
-        if candidate.delta_prime(mu) <= 0:
+        if gap[mu] <= 0:
             raise HypothesisViolated(f"candidate gap at {mu} is not positive")
     bad = _check_membership(A, candidate)
     if bad is not None:
         return Verdict(name, "skipped",
                        details={"reason": f"candidate at {bad} is not a module member"})
     for a, b in combinations(N, 2):
-        if lattice.distance(a, b) < candidate.delta_prime(a) + candidate.delta_prime(b) - 1:
+        if lattice.distance(a, b) < gap[a] + gap[b] - 1:
             raise HypothesisViolated(f"candidate balls at {a} and {b} overlap")
     balanced = set(_balanced_window(box))
     covered = set()
     for mu in N:
-        covered.update(lattice.ball(mu, candidate.delta_prime(mu), box))
+        covered.update(lattice.ball(mu, gap[mu], box))
     leftovers = lattice.connected_components(balanced - covered, box)
     big = [sorted(c)[0] for c in leftovers if len(c) > 1]
     if big:
@@ -478,7 +499,7 @@ def certify_centers(A: Arrangement, candidate: CandidateMap, box: Box,
     condition = True
     cond_witness = None
     for a, b in combinations(N, 2):
-        if candidate.delta_prime(a) + candidate.delta_prime(b) != lattice.distance(a, b):
+        if gap[a] + gap[b] != lattice.distance(a, b):
             continue
         if dependent(candidate.assignment[a], candidate.assignment[b]):
             condition = False

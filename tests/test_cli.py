@@ -1,71 +1,84 @@
 """End-to-end command-line tests: every subcommand plus the exit-code contract."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 
 from multilattice import cli, dermod, theorems
 from multilattice.cache import ResultCache
-from multilattice.cli import load_arrangement, main
+from multilattice.cli import load_arrangement
 from multilattice.errors import HypothesisViolated, InternalInconsistency, ParseError, UncoveredWindow
 from multilattice.explorer import ScanResult
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
+class Result(NamedTuple):
+    exit_code: int
+    output: str  # stdout and stderr, interleaved as written
+
+
+def invoke(args):
+    """Run ``ml args`` in this process through the console entry point."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            cli.run(args)
+        except SystemExit as exc:
+            code = exc.code
+    return Result(code, out.getvalue())
 
 
 @pytest.fixture(scope="module")
 def scan_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("scan") / "b2.json"
-    result = CliRunner().invoke(
-        main, ["scan", "--coxeter", "B2", "--box", "3,3,3,3", "-o", str(path)])
+    result = invoke(["scan", "--coxeter", "B2", "--box", "3,3,3,3", "-o", str(path)])
     assert result.exit_code == 0, result.output
     return str(path)
 
 
-def test_exponents_command(runner):
-    result = runner.invoke(main, ["exponents", "--coxeter", "B2", "1,1,1,1"])
+def test_exponents_command():
+    result = invoke(["exponents", "--coxeter", "B2", "1,1,1,1"])
     assert result.exit_code == 0
     assert "exponents: (1, 3)" in result.output
     assert "delta: 2" in result.output
 
 
-def test_exponents_gap_zero_notes_non_uniqueness(runner):
-    result = runner.invoke(main, ["exponents", "--coxeter", "B2", "1,1,1,3"])
+def test_exponents_gap_zero_notes_non_uniqueness():
+    result = invoke(["exponents", "--coxeter", "B2", "1,1,1,3"])
     assert result.exit_code == 0
     assert "delta: 0" in result.output
     assert "one of several" in result.output
 
 
-def test_exponents_quadratic_field(runner):
-    result = runner.invoke(main, ["exponents", "--coxeter", "G2", "1,1,1,1,1,1"])
+def test_exponents_quadratic_field():
+    result = invoke(["exponents", "--coxeter", "G2", "1,1,1,1,1,1"])
     assert result.exit_code == 0
     assert "exponents: (1, 5)" in result.output
 
 
-def test_basis_command(runner):
-    result = runner.invoke(main, ["basis", "--coxeter", "B2", "2,1,2,1"])
+def test_basis_command():
+    result = invoke(["basis", "--coxeter", "B2", "2,1,2,1"])
     assert result.exit_code == 0
     assert "saito: accepted" in result.output
 
 
-def test_scan_to_stdout_and_determinism(runner, real_pool):
+def test_scan_to_stdout_and_determinism(real_pool):
     args = ["scan", "--coxeter", "B2", "--box", "2,2,2,2"]
-    first = runner.invoke(main, args)
-    second = runner.invoke(main, args + ["--jobs", "2"])
+    first = invoke(args)
+    second = invoke(args + ["--jobs", "2"])
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output
     assert json.loads(first.output)["schema"] == 1
     assert real_pool == [2]
 
 
-def test_quadratic_coefficients_print_without_zero_parts(runner):
-    result = runner.invoke(main, ["exponents", "--coxeter", "G2", "2,1,2,1,2,1"])
+def test_quadratic_coefficients_print_without_zero_parts():
+    result = invoke(["exponents", "--coxeter", "G2", "2,1,2,1,2,1"])
     assert result.exit_code == 0
     assert result.output == (
         "exponents: (4, 5)\n"
@@ -74,10 +87,10 @@ def test_quadratic_coefficients_print_without_zero_parts(runner):
         " + (x^3*y - 2/3*sqrt(3)*x^2*y^2 - x*y^3)*dy\n")
 
 
-def test_components_command(runner, scan_file, tmp_path):
+def test_components_command(scan_file, tmp_path):
     dot, csv = tmp_path / "g.dot", tmp_path / "t.csv"
-    result = runner.invoke(main, ["components", "--scan", scan_file,
-                                  "--dot", str(dot), "--csv", str(csv)])
+    result = invoke(["components", "--scan", scan_file,
+                     "--dot", str(dot), "--csv", str(csv)])
     assert result.exit_code == 0
     assert "center 1,1,1,1 delta 2" in result.output
     assert dot.read_text().startswith("graph support {")
@@ -85,8 +98,8 @@ def test_components_command(runner, scan_file, tmp_path):
 
 
 @pytest.mark.parametrize("what", ["covering", "ball", "singletons", "saito"])
-def test_verify_passes(runner, scan_file, what):
-    result = runner.invoke(main, ["verify", "--scan", scan_file, what])
+def test_verify_passes(scan_file, what):
+    result = invoke(["verify", "--scan", scan_file, what])
     assert result.exit_code == 0, result.output
     assert "PASS" in result.output
 
@@ -104,7 +117,7 @@ def count_verify_saito(monkeypatch):
     return calls
 
 
-def test_saito_everywhere_verifies_each_basis_once(runner, scan_file, monkeypatch):
+def test_saito_everywhere_verifies_each_basis_once(scan_file, monkeypatch):
     calls = count_verify_saito(monkeypatch)
     with open(scan_file) as fh:
         result = ScanResult.from_json(fh.read())
@@ -112,18 +125,18 @@ def test_saito_everywhere_verifies_each_basis_once(runner, scan_file, monkeypatc
     assert verdict.status == "pass"
     assert len(calls) == verdict.details["checked"] == len(result.table)
     calls.clear()
-    out = runner.invoke(main, ["basis", "--coxeter", "B2", "2,1,2,1"])
+    out = invoke(["basis", "--coxeter", "B2", "2,1,2,1"])
     assert out.exit_code == 0 and "saito: accepted" in out.output
     assert calls == [(2, 1, 2, 1)]
 
 
-def test_verify_criteria(runner, scan_file):
-    result = runner.invoke(main, ["verify", "--scan", scan_file, "criteria"])
+def test_verify_criteria(scan_file):
+    result = invoke(["verify", "--scan", scan_file, "criteria"])
     assert result.exit_code == 0, result.output
     assert result.output.count("PASS") >= 3
 
 
-def test_verify_all_skips_a_criterion_whose_window_breaks_its_hypotheses(runner, scan_file,
+def test_verify_all_skips_a_criterion_whose_window_breaks_its_hypotheses(scan_file,
                                                                          monkeypatch):
     # a center criterion whose coverage hypothesis fails on every inner
     # window is skipped, with the reason, once the window has shrunk to the origin
@@ -134,7 +147,7 @@ def test_verify_all_skips_a_criterion_whose_window_breaks_its_hypotheses(runner,
         raise UncoveredWindow("uncovered balanced region has a component larger than one")
 
     monkeypatch.setattr(theorems, "certify_centers", never_applies)
-    result = runner.invoke(main, ["verify", "--scan", scan_file, "all"])
+    result = invoke(["verify", "--scan", scan_file, "all"])
     assert result.exit_code == 0, result.output
     checks = [line for line in result.output.splitlines() if not line.startswith(" ")]
     assert len(checks) == 9, result.output
@@ -143,7 +156,7 @@ def test_verify_all_skips_a_criterion_whose_window_breaks_its_hypotheses(runner,
     assert windows[-1] == (0, 0, 0, 0) and len(windows) == len(set(windows))
 
 
-def test_center_criterion_skips_a_window_independent_failure_at_once(runner, scan_file,
+def test_center_criterion_skips_a_window_independent_failure_at_once(scan_file,
                                                                       monkeypatch):
     # overlapping balls stay overlapping on every window: one call, no widening
     windows = []
@@ -153,7 +166,7 @@ def test_center_criterion_skips_a_window_independent_failure_at_once(runner, sca
         raise HypothesisViolated("candidate balls at a and b overlap")
 
     monkeypatch.setattr(theorems, "certify_centers", overlapping)
-    result = runner.invoke(main, ["verify", "--scan", scan_file, "all"])
+    result = invoke(["verify", "--scan", scan_file, "all"])
     assert result.exit_code == 0, result.output
     assert "criterion-centers: SKIPPED" in result.output
     assert "overlap" in result.output
@@ -161,68 +174,68 @@ def test_center_criterion_skips_a_window_independent_failure_at_once(runner, sca
 
 
 @pytest.mark.parametrize("box,margin", [("3,3,3,3", None), ("4,4,4,4", 3)])
-def test_center_criterion_widens_its_margin_only_when_needed(runner, tmp_path, box, margin):
+def test_center_criterion_widens_its_margin_only_when_needed(tmp_path, box, margin):
     # on B2 [0,4]^4 the box shrunk by the largest center gap (2) leaves an
     # uncovered balanced component of size > 1; margin 3 satisfies the hypotheses
     path = tmp_path / "b2.json"
-    runner.invoke(main, ["scan", "--coxeter", "B2", "--box", box, "-o", str(path)])
-    result = runner.invoke(main, ["verify", "--scan", str(path), "criteria"])
+    invoke(["scan", "--coxeter", "B2", "--box", box, "-o", str(path)])
+    result = invoke(["verify", "--scan", str(path), "criteria"])
     assert result.exit_code == 0, result.output
     lines = result.output.splitlines()
     details = json.loads(lines[lines.index("criterion-centers: PASS") + 1].split(": ", 1)[1])
     assert details.get("margin") == margin
 
 
-def test_verify_detects_corrupted_scan(runner, scan_file, tmp_path):
+def test_verify_detects_corrupted_scan(scan_file, tmp_path):
     obj = json.loads(open(scan_file).read())
     for row in obj["points"]:
         if row["mu"] == [1, 1, 1, 1]:
             row["d1"], row["d2"], row["delta"] = 0, 4, 4
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj) + "\n")
-    result = runner.invoke(main, ["verify", "--scan", str(bad), "covering"])
+    result = invoke(["verify", "--scan", str(bad), "covering"])
     assert result.exit_code == 1
     assert "FAIL" in result.output and "witness" in result.output
 
 
-def test_basis_between_command(runner):
-    result = runner.invoke(main, ["basis-between", "--coxeter", "B2",
-                                  "--mu", "1,1,1,1", "--nu", "2,2,1,2",
-                                  "--kappa", "1,2,1,1"])
+def test_basis_between_command():
+    result = invoke(["basis-between", "--coxeter", "B2",
+                     "--mu", "1,1,1,1", "--nu", "2,2,1,2",
+                     "--kappa", "1,2,1,1"])
     assert result.exit_code == 0
     assert "saito: accepted" in result.output
 
 
-def test_basis_for_command(runner, scan_file):
-    result = runner.invoke(main, ["basis-for", "--scan", scan_file,
-                                  "--kappa", "1,2,1,2"])
+def test_basis_for_command(scan_file):
+    result = invoke(["basis-for", "--scan", scan_file,
+                     "--kappa", "1,2,1,2"])
     assert result.exit_code == 0, result.output
     assert "saito: accepted" in result.output
 
 
-def test_coxeter_report(runner):
-    result = runner.invoke(main, ["coxeter", "B2", "--check-invariance", "2,2,2,2",
-                                  "--near-constant", "1"])
+def test_coxeter_report():
+    result = invoke(["coxeter", "B2", "--check-invariance", "2,2,2,2",
+                     "--near-constant", "1"])
     assert result.exit_code == 0, result.output
     assert "group order: 4" in result.output
     assert "-> match" in result.output
 
 
-def test_coxeter_a2_group(runner):
-    result = runner.invoke(main, ["coxeter", "A2", "--check-invariance", "2,2,2"])
+def test_coxeter_a2_group():
+    result = invoke(["coxeter", "A2", "--check-invariance", "2,2,2"])
     assert result.exit_code == 0, result.output
     assert "group order: 6" in result.output
     assert "gap-invariance: PASS" in result.output
 
 
-def test_coxeter_near_constant_offsets(runner):
-    result = runner.invoke(main, ["coxeter", "G2", "--near-constant", "0",
-                                  "--offsets", "1,0,0,0,0,0"])
+def test_coxeter_near_constant_offsets():
+    result = invoke(["coxeter", "G2", "--near-constant", "0",
+                     "--offsets", "1,0,0,0,0,0"])
     assert result.exit_code == 0, result.output
     assert "-> match" in result.output
 
 
-def test_arrangement_file_loading(runner, tmp_path):
+def test_arrangement_file_loading(tmp_path):
     path = tmp_path / "arr.json"
     path.write_text(json.dumps({
         "field": {"type": "rational"},
@@ -231,7 +244,7 @@ def test_arrangement_file_loading(runner, tmp_path):
     }))
     A = load_arrangement(str(path))
     assert len(A) == 3 and A.name_of(2) == "x+y"
-    result = runner.invoke(main, ["exponents", "-a", str(path), "1,1,1"])
+    result = invoke(["exponents", "-a", str(path), "1,1,1"])
     assert result.exit_code == 0
     assert "exponents: (1, 2)" in result.output
 
@@ -245,23 +258,52 @@ def test_load_arrangement_errors(tmp_path):
         load_arrangement(str(bad))
 
 
-def test_cache_subcommands(runner, tmp_path):
-    result = runner.invoke(main, ["exponents", "--coxeter", "B2",
-                                  "--cache-dir", str(tmp_path), "1,1,1,1"])
+def test_cache_subcommands(tmp_path):
+    result = invoke(["exponents", "--coxeter", "B2",
+                     "--cache-dir", str(tmp_path), "1,1,1,1"])
     assert result.exit_code == 0
-    result = runner.invoke(main, ["cache", "inspect", "--cache-dir", str(tmp_path)])
+    result = invoke(["cache", "inspect", "--cache-dir", str(tmp_path)])
     assert result.exit_code == 0
     assert "entries: 1" in result.output
-    result = runner.invoke(main, ["cache", "clear", "--cache-dir", str(tmp_path)])
+    result = invoke(["cache", "clear", "--cache-dir", str(tmp_path)])
     assert result.exit_code == 0
     assert "cleared 1 entries" in result.output
 
 
-def test_cache_inspect_without_directory(runner, monkeypatch):
+def test_cache_inspect_without_directory(monkeypatch):
     monkeypatch.delenv("ML_CACHE_DIR", raising=False)
-    result = runner.invoke(main, ["cache", "inspect"])
+    result = invoke(["cache", "inspect"])
     assert result.exit_code == 0
     assert "no cache directory configured" in result.output
+
+
+def test_near_constant_takes_dash_led_offsets():
+    # "-1,0,0,1" is the value of --offsets, not an unknown option
+    result = invoke(["coxeter", "B2", "--near-constant", "1", "--offsets", "-1,0,0,1"])
+    assert result == (0, "type: B2\n"
+                         'field: {"type": "rational"}\n'
+                         "  line 0: x\n  line 1: y\n  line 2: x+y\n  line 3: x-y\n"
+                         "group order: 4\n"
+                         "nu: 2,3,3,4\n"
+                         "predicted (distance law): (6, 6)\n"
+                         "printed closed form:      (7, 7) (DIFFERS; solver arbitrates)\n"
+                         "computed: (6, 6) -> match\n")
+
+
+def test_coxeter_types_are_case_insensitive():
+    result = invoke(["exponents", "--coxeter", "b2", "2,3,1,1"])
+    assert result == (0, "exponents: (3, 4)\ndelta: 1\ntheta_min: (x^3)*dx + (y^3)*dy\n")
+    result = invoke(["coxeter", "g2"])
+    assert result.exit_code == 0 and result.output.startswith("type: G2\n")
+
+
+@pytest.mark.parametrize("command", ["", "exponents", "basis", "scan", "components", "verify",
+                                     "basis-between", "basis-for", "coxeter", "cache",
+                                     "cache inspect", "cache clear"])
+def test_help_exits_zero(command):
+    result = invoke([*command.split(), "--help"])
+    assert result.exit_code == 0
+    assert result.output.startswith(f"usage: ml {command}".rstrip())
 
 
 # -- exit-code contract through the installed entry point ---------------------
@@ -280,6 +322,53 @@ def test_cli_import_leaves_out_the_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _modules_after(*args, env=None):
+    """The package's optional layers (and click, hashlib) that ``ml args`` imports."""
+    watched = ("click", "hashlib", "multilattice.cache", "multilattice.explorer",
+               "multilattice.theorems")
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "from multilattice import cli\n"
+            "try:\n"
+            "    cli.run(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            f"print(sorted(m for m in {watched!r} if m in set(sys.modules) - before))\n")
+    if env is None:
+        env = {k: v for k, v in os.environ.items() if k != "ML_CACHE_DIR"}
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_a_cold_solve_imports_only_the_layers_it_runs(scan_file, tmp_path):
+    assert _modules_after("exponents", "--coxeter", "B2", "1,1,1,1") == "[]"
+    assert _modules_after("basis", "--coxeter", "G2", "1,1,1,1,1,1") == "[]"
+    assert "multilattice.theorems" not in _modules_after("components", "--scan", scan_file)
+    # $ML_CACHE_DIR names a directory, so the solve loads and writes the cache
+    env = dict(os.environ, ML_CACHE_DIR=str(tmp_path))
+    assert "multilattice.cache" in _modules_after("exponents", "--coxeter", "B2", "1,1,1,1",
+                                                  env=env)
+    assert (tmp_path / "exponents.jsonl").read_text().count("\n") == 1
+
+
+def test_every_public_name_resolves():
+    code = ("import multilattice\n"
+            "ns = {}\n"
+            "exec('from multilattice import *', ns)\n"
+            "missing = [n for n in multilattice.__all__ if n not in ns]\n"
+            "assert not missing, missing\n"
+            "assert set(multilattice.__all__) <= set(dir(multilattice))\n"
+            "try:\n"
+            "    multilattice.no_such_name\n"
+            "except AttributeError:\n"
+            "    print(len(multilattice.__all__))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "54"
 
 
 def test_exit_code_zero_on_success():
@@ -365,6 +454,10 @@ MALFORMED_INPUTS = {
     "mu-negative": (["exponents", "--coxeter", "B2", "1,-1,1,1"], None),
     "box-negative": (["scan", "--coxeter", "B2", "--box", "1,-1,1,1"], None),
     "jobs-zero": (["scan", "--coxeter", "B2", "--box", "1,1,1,1", "--jobs", "0"], None),
+    "jobs-letter": (["scan", "--coxeter", "B2", "--box", "1,1,1,1", "--jobs", "x"], None),
+    "unknown-command": (["frobnicate", "1,1,1,1"], None),
+    "missing-mu": (["exponents", "--coxeter", "B2"], None),
+    "coxeter-choice": (["exponents", "--coxeter", "Z9", "1,1,1,1"], None),
     "max-pairs-negative": (["verify", "--scan", SCAN, "--max-pairs", "-3", "independence"], None),
     "offsets-letter": (["coxeter", "B2", "--near-constant", "1", "--offsets", "a,0,0,0"], None),
     "near-constant-a1a1": (["coxeter", "A1A1", "--near-constant", "1"], None),

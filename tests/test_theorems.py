@@ -152,6 +152,21 @@ def all_pairs_at_distance_two(groups):
             if min(lattice.distance(a, b) for a in groups[i] for b in groups[j]) == 2]
 
 
+def pairs_at_distance_two_by_balls(groups, box):
+    """The earlier implementation: each member against its radius-3 ball."""
+    owner = {mu: i for i, g in enumerate(groups) for mu in g}
+    least = {}
+    for i, g in enumerate(groups):
+        for a in g:
+            for b in lattice.ball(a, 3, box):
+                j = owner.get(b, -1)
+                if j > i:
+                    dist = lattice.distance(a, b)
+                    if dist < least.get((i, j), 3):
+                        least[(i, j)] = dist
+    return sorted(pair for pair, dist in least.items() if dist == 2)
+
+
 @pytest.mark.parametrize("ctype,box", [("B2", (3, 3, 3, 3)), ("G2", (2, 2, 1, 1, 2, 1))])
 def test_pairs_at_distance_two_match_all_pairs(ctype, box, session_cache):
     s = scan(coxeter_arrangement(ctype), box, cache=session_cache)
@@ -165,6 +180,16 @@ def test_pairs_at_distance_two_match_all_pairs(ctype, box, session_cache):
     assert pairs_at_distance_two(pieces, box) == all_pairs_at_distance_two(pieces)
     odd = [(mu,) for mu in lattice.box_points(box) if lattice.is_balanced(mu) and sum(mu) % 2]
     assert pairs_at_distance_two(odd, box) == all_pairs_at_distance_two(odd)
+
+
+@pytest.mark.parametrize("ctype,box", [("B2", (4, 4, 4, 4)), ("G2", (2, 1, 2, 1, 2, 1))])
+def test_pairs_at_distance_two_match_the_ball_search(ctype, box, session_cache):
+    s = scan(coxeter_arrangement(ctype), box, cache=session_cache)
+    odd = [(mu,) for mu in lattice.box_points(box) if lattice.is_balanced(mu) and sum(mu) % 2]
+    # every point its own group, including the box's faces and corners
+    points = [(mu,) for mu in lattice.box_points(box)]
+    for groups in ([c.members for c in components(s)], odd, points):
+        assert pairs_at_distance_two(groups, box) == pairs_at_distance_two_by_balls(groups, box)
 
 
 # -- oracle preconditions -----------------------------------------------------
