@@ -17,7 +17,7 @@ import json
 import os
 import re
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from . import coxeter as cox
 from . import lattice
@@ -25,6 +25,12 @@ from .dermod import exponents, full_basis
 from .errors import (HypothesisViolated, InternalInconsistency, MultilatticeError, ParseError,
                      UncoveredWindow)
 from .poly import Arrangement
+
+if TYPE_CHECKING:  # the commands import these layers when they run
+    from . import theorems
+    from .cache import ResultCache
+    from .explorer import ScanResult
+    from .theorems import ThetaOracle
 
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
@@ -57,13 +63,13 @@ def _parse_mu(ctx_a: Arrangement, text: str):
     return lattice.parse_multiplicity(text, len(ctx_a))
 
 
-def _cache(cache_dir: Optional[str]):
+def _cache(cache_dir: Optional[str]) -> ResultCache:
     """The result cache in --cache-dir, else in $ML_CACHE_DIR, else in memory."""
     from .cache import ResultCache
     return ResultCache(cache_dir)
 
 
-def _disk_cache(cache_dir: Optional[str]):
+def _disk_cache(cache_dir: Optional[str]) -> Optional[ResultCache]:
     """The result cache of a command that solves once: None unless a
     directory is named, as a memory-only cache would never be read."""
     if cache_dir is None:
@@ -140,7 +146,7 @@ def cmd_components(args):
             fh.write(explorer.to_csv(result, comps))
 
 
-def _load_scan(path: str):
+def _load_scan(path: str) -> ScanResult:
     from .explorer import ScanResult
 
     try:
@@ -169,7 +175,7 @@ def cmd_verify(args):
     oracle = theorems.ThetaOracle(result.arrangement, cache=cache)
     comps = explorer.components(result)
     mp = args.max_pairs if args.max_pairs > 0 else None
-    verdicts = []
+    verdicts: List[theorems.Verdict] = []
     if what in ("covering", "all"):
         verdicts.append(theorems.check_covering_steps(result))
     if what in ("ball", "all"):
@@ -198,7 +204,7 @@ def cmd_verify(args):
     return EXIT_VERIFY_FAIL if failed else 0
 
 
-def _check_saito_everywhere(result, cache):
+def _check_saito_everywhere(result: ScanResult, cache) -> theorems.Verdict:
     """Construct and verify a full basis at every point of the scan.
 
     full_basis runs verify_saito on the pair it returns and raises
@@ -211,7 +217,7 @@ def _check_saito_everywhere(result, cache):
     return Verdict("saito-everywhere", "pass", [], {"checked": len(result.table)})
 
 
-def _certify(name: str, criterion, *args, **kwargs):
+def _certify(name: str, criterion, *args, **kwargs) -> theorems.Verdict:
     """Run a criterion; a window that breaks its hypotheses is skipped, with the reason."""
     from .theorems import Verdict
 
@@ -221,7 +227,7 @@ def _certify(name: str, criterion, *args, **kwargs):
         return Verdict(name, "skipped", details={"reason": str(exc)})
 
 
-def _certify_centers(result, oracle, center_pts):
+def _certify_centers(result: ScanResult, oracle: ThetaOracle, center_pts) -> theorems.Verdict:
     """The center criterion on the box shrunk by a margin.
 
     Balls near the scan boundary are truncated, so the coverage hypothesis
@@ -250,7 +256,7 @@ def _certify_centers(result, oracle, center_pts):
         return verdict
 
 
-def _run_criteria(result, oracle) -> list:
+def _run_criteria(result: ScanResult, oracle: ThetaOracle) -> List[theorems.Verdict]:
     from . import explorer, theorems
 
     A = result.arrangement

@@ -246,19 +246,10 @@ def _chain_high_first(mu: Multiplicity, nu: Multiplicity) -> List[Multiplicity]:
 
 @functools.lru_cache(maxsize=None)
 def _offsets_within_two(n: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
-    """The nonzero offsets of L1 norm at most 2 in n coordinates, each with its norm."""
-    def offset(*steps):
-        off = [0] * n
-        for i, v in steps:
-            off[i] += v
-        return tuple(off)
-
-    out = []
-    for i in range(n):
-        for s in (1, -1):
-            out += [(offset((i, s)), 1), (offset((i, 2 * s)), 2)]
-            out += [(offset((i, s), (j, t)), 2) for j in range(i + 1, n) for t in (1, -1)]
-    return tuple(out)
+    """The nonzero offsets of L1 norm at most 2 in n coordinates, each with
+    its norm: the radius-3 ball around (2, ..., 2), moved to the origin."""
+    moved = (tuple(v - 2 for v in p) for p in lattice.ball((2,) * n, 3, (4,) * n))
+    return tuple((off, sum(map(abs, off))) for off in moved if any(off))
 
 
 def pairs_at_distance_two(groups: Sequence[Sequence[Multiplicity]], box: Box) -> List[Tuple[int, int]]:
