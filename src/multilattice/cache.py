@@ -1,14 +1,16 @@
-"""Append-only JSON-lines result cache for exponent computations.
+"""Append-only JSON-lines store of exponent computations, kept in a
+--cache-dir directory so that they outlive the process.
 
-Entries are keyed by (schema version, canonical arrangement hash,
-multiplicity) and are fully re-derivable, so a last-write-wins policy is
-safe: concurrent writers can only ever append identical values.
+Within one process the lattice walk (dermod) already keeps every result it
+returns, so this module only adds the file.  Entries are keyed by (schema
+version, canonical arrangement hash, multiplicity) and are fully
+re-derivable, so a last-write-wins policy is safe: concurrent writers can
+only ever append identical values.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -17,7 +19,6 @@ from .field import FieldSpec
 from .poly import Arrangement, Derivation, HomogPoly
 
 SCHEMA_VERSION = 1
-ENV_CACHE_DIR = "ML_CACHE_DIR"
 
 
 def serialize_derivation(fs: FieldSpec, theta: Derivation) -> dict:
@@ -47,6 +48,8 @@ def _parse_entry(obj: dict) -> Tuple[Tuple[str, Tuple[int, ...]], ExponentResult
         raise TypeError("wrong-typed field")
     if d1 + d2 != sum(mu) or delta != d2 - d1:
         raise ValueError(f"exponents ({d1}, {d2}, delta {delta}) do not fit |mu|={sum(mu)}")
+    if non_unique != (d1 == d2):
+        raise ValueError(f"non_unique={non_unique} but the gap is {delta}")
     theta = parse_derivation(fs, obj["theta"])
     if theta.is_zero or theta.degree != d1:
         raise ValueError(f"theta is zero or not of degree d1={d1}")
@@ -54,35 +57,31 @@ def _parse_entry(obj: dict) -> Tuple[Tuple[str, Tuple[int, ...]], ExponentResult
 
 
 class ResultCache:
-    """In-memory exponent cache with optional JSONL persistence.
+    """The exponents.jsonl store in a directory, read once into memory.
 
-    The directory comes from the ML_CACHE_DIR environment variable (or an
-    explicit path); with neither, the cache is memory-only.  A line read
-    from disk is served only after its generator passes the membership
-    test on its first lookup; ``rejected`` counts the lines skipped at load
-    and the entries dropped by that test (exponents then re-solves them).
+    It is the store that outlives a process; the walk's own memo serves
+    repeated points within one.  A line read from disk is served only after
+    its generator passes the membership test on its first lookup;
+    ``rejected`` counts the lines skipped at load and the entries dropped
+    by that test (exponents then re-solves them).
     """
 
-    def __init__(self, directory: Optional[str] = None, use_env: bool = True):
-        if directory is None and use_env:
-            directory = os.environ.get(ENV_CACHE_DIR)
-        self.directory = Path(directory) if directory else None
+    def __init__(self, directory):
+        self.directory = Path(directory)
         self._mem: Dict[Tuple[str, Tuple[int, ...]], ExponentResult] = {}
         self._unchecked = set()  # keys read from disk, not yet looked up
         self._loaded = False
         self.rejected = 0
 
     @property
-    def path(self) -> Optional[Path]:
-        if self.directory is None:
-            return None
+    def path(self) -> Path:
         return self.directory / "exponents.jsonl"
 
     def _ensure_loaded(self) -> None:
         if self._loaded:
             return
         self._loaded = True
-        if self.path is None or not self.path.exists():
+        if not self.path.exists():
             return
         with open(self.path) as fh:
             for line in fh:
@@ -123,15 +122,12 @@ class ResultCache:
         self._ensure_loaded()
         arr = A.canonical_hash()
         field = A.field.to_json()
-        path = self.path
         lines = []
         for mu, result in items:
             key = (arr, tuple(mu))
             if key in self._mem:
                 continue
             self._mem[key] = result
-            if path is None:
-                continue  # a memory-only cache writes no lines
             entry = {
                 "schema": SCHEMA_VERSION,
                 "arr": arr,
@@ -147,14 +143,14 @@ class ResultCache:
         if not lines:
             return
         self.directory.mkdir(parents=True, exist_ok=True)
-        with open(path, "a") as fh:
+        with open(self.path, "a") as fh:
             fh.write("".join(lines))
 
     def clear(self) -> None:
         self._mem.clear()
         self._unchecked.clear()
         self._loaded = True
-        if self.path is not None and self.path.exists():
+        if self.path.exists():
             self.path.unlink()
 
     def __len__(self) -> int:

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from typing import TYPE_CHECKING, List, Optional
 
 from . import coxeter as cox
-from . import lattice
+from . import dermod, lattice
 from .dermod import exponents, full_basis
 from .errors import (HypothesisViolated, InternalInconsistency, MultilatticeError, ParseError,
                      UncoveredWindow)
@@ -63,25 +62,20 @@ def _parse_mu(ctx_a: Arrangement, text: str):
     return lattice.parse_multiplicity(text, len(ctx_a))
 
 
-def _cache(cache_dir: Optional[str]) -> ResultCache:
-    """The result cache in --cache-dir, else in $ML_CACHE_DIR, else in memory."""
+def _cache(cache_dir: Optional[str]) -> Optional[ResultCache]:
+    """The result cache in --cache-dir; None when no directory is named, as
+    the walk already keeps every result within the process."""
+    if not cache_dir:
+        return None
     from .cache import ResultCache
     return ResultCache(cache_dir)
-
-
-def _disk_cache(cache_dir: Optional[str]) -> Optional[ResultCache]:
-    """The result cache of a command that solves once: None unless a
-    directory is named, as a memory-only cache would never be read."""
-    if cache_dir is None:
-        cache_dir = os.environ.get("ML_CACHE_DIR")
-    return _cache(cache_dir) if cache_dir else None
 
 
 def cmd_exponents(args):
     """Exponents, gap and minimal generator at MU (comma-separated)."""
     A = _arrangement(args)
     m = _parse_mu(A, args.mu)
-    res = exponents(A, m, cache=_disk_cache(args.cache_dir))
+    res = exponents(A, m, cache=_cache(args.cache_dir))
     print(f"exponents: ({res.d1}, {res.d2})")
     print(f"delta: {res.delta}")
     tag = " (one of several; gap is 0)" if res.non_unique else ""
@@ -93,7 +87,7 @@ def cmd_basis(args):
     A = _arrangement(args)
     m = _parse_mu(A, args.mu)
     # full_basis verifies the pair and raises InternalInconsistency on a rejection
-    t1, t2 = full_basis(A, m, cache=_disk_cache(args.cache_dir))
+    t1, t2 = full_basis(A, m, cache=_cache(args.cache_dir))
     print(f"theta1 (deg {t1.degree}): {t1.format(A.field)}")
     print(f"theta2 (deg {t2.degree}): {t2.format(A.field)}")
     print("saito: accepted")
@@ -343,9 +337,8 @@ def cmd_coxeter(args):
 def cmd_cache_inspect(args):
     """Show the cache file and its number of entries."""
     cache = _cache(args.cache_dir)
-    if cache.path is None:
-        print("no cache directory configured (set ML_CACHE_DIR or --cache-dir)")
-        return
+    if cache is None:
+        raise ParseError("no cache directory given (use --cache-dir)")
     print(f"path: {cache.path}")
     print(f"entries: {len(cache)}")
 
@@ -353,9 +346,8 @@ def cmd_cache_inspect(args):
 def cmd_cache_clear(args):
     """Delete the cache file."""
     cache = _cache(args.cache_dir)
-    if cache.path is None:
-        print("no cache directory configured (set ML_CACHE_DIR or --cache-dir)")
-        return
+    if cache is None:
+        raise ParseError("no cache directory given (use --cache-dir)")
     n = len(cache)
     cache.clear()
     print(f"cleared {n} entries from {cache.path}")
@@ -399,7 +391,7 @@ def _parser() -> argparse.ArgumentParser:
             one.add_argument("--coxeter", type=str.upper, choices=cox.COXETER_TYPES,
                              help="Built-in Coxeter arrangement.")
         if cache:
-            p.add_argument("--cache-dir", help="Result cache directory (default: $ML_CACHE_DIR).")
+            p.add_argument("--cache-dir", help="Result cache directory.")
         return p
 
     for name, run in (("exponents", cmd_exponents), ("basis", cmd_basis)):
@@ -472,6 +464,9 @@ def run(argv: Optional[List[str]] = None):  # console-script entry point
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         status = EXIT_OS
+    # the walk's memo outlives main(): freeing it here costs less than the
+    # interpreter's exit, whose garbage collections visit every live object
+    dermod._WALKS.clear()
     sys.exit(status)
 
 

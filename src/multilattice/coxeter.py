@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 from . import lattice
@@ -169,20 +168,14 @@ def check_delta_invariance(A: Arrangement, generators: Sequence[GroupElement],
 
     witnesses = []
     checked = 0
-    deltas = {}
-
-    def dl(mu):
-        if mu not in deltas:
-            deltas[mu] = exponents(A, mu, cache=cache).delta
-        return deltas[mu]
-
     for mu in lattice.box_points(box):
+        d_mu = exponents(A, mu, cache=cache).delta
         for g in generators:
             nu = act(g, mu)
             checked += 1
-            if dl(mu) != dl(nu):
-                witnesses.append({"mu": mu, "image": nu,
-                                  "delta_mu": dl(mu), "delta_image": dl(nu)})
+            d_nu = exponents(A, nu, cache=cache).delta
+            if d_mu != d_nu:
+                witnesses.append({"mu": mu, "image": nu, "delta_mu": d_mu, "delta_image": d_nu})
     status = "fail" if witnesses else "pass"
     return Verdict("gap-invariance", status, witnesses, {"checked": checked})
 
@@ -303,11 +296,3 @@ def near_constant_exponents(ctype: str, k: int, offsets: Sequence[int],
         formulas_agree=(predicted == printed),
         verdict="match" if computed == predicted else "mismatch",
     )
-
-
-def enumerate_offsets(n: int, max_weight: int, signed: bool = False):
-    """All offset vectors with L1 weight at most max_weight."""
-    rng = range(-max_weight, max_weight + 1) if signed else range(max_weight + 1)
-    for combo in product(rng, repeat=n):
-        if sum(abs(v) for v in combo) <= max_weight:
-            yield combo

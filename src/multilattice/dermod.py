@@ -9,7 +9,8 @@ satisfy d1 + d2 = |mu|.  exponents and full_basis walk the multiplicity
 lattice: from the basis {dx, dy} at 0, one order-basis step per covering
 pair mu -> mu + e_H turns a basis at mu into one at mu + e_H (see _Walk),
 on the integer images of the field's linalg.Domain.  Each process memoises
-the bases it has walked, so a scan in box order costs one step per point.
+the bases it has walked and the results it has returned (its only memo of
+exponents), so a scan in box order costs one step per point.
 The reported generators are fixed by the module, not by the path: theta_min
 and the full_basis partner are the nullspace vectors that elimination would
 pick (see _Walk.minimal and _Walk.partner).
@@ -272,7 +273,8 @@ class _Walk:
     D(mu + e_h), their degrees sum to |mu| + 1 and their Saito determinant
     gains the factor alpha_h, so by Saito's criterion they are a basis.
     Ziegler's freeness theorem makes a basis exist at every mu, so a step
-    where both residuals vanish is a solver bug.
+    where both residuals vanish is a solver bug.  results keeps what
+    exponents returned at each mu.
     """
 
     def __init__(self, A: Arrangement):
@@ -282,6 +284,7 @@ class _Walk:
         self.forms = [lf.images[0] for lf in A.forms]
         self.rows: Dict[Tuple[int, int, int], List] = {}
         self.states: Dict[Multiplicity, _State] = {}
+        self.results: Dict[Multiplicity, ExponentResult] = {}
 
     def _root(self) -> _State:
         one, zero = self.dom.clear((self.A.field.one(),))[0][0], self.dom.zero
@@ -348,6 +351,7 @@ class _Walk:
             if len(self.states) >= _MAX_STATES:
                 self.states.clear()
                 self.rows.clear()
+                self.results.clear()
             self.states[nu] = state
         if rooted and chain:
             d1 = _minimal_degree(self.A, mu)
@@ -419,7 +423,8 @@ def _walk(A: Arrangement) -> _Walk:
 
 def exponents(A: Arrangement, mu: Sequence[int], cache=None) -> ExponentResult:
     """Exponents of the multiarrangement and a minimal-degree generator,
-    from a basis walked up the multiplicity lattice."""
+    from a basis walked up the multiplicity lattice.  A cache answers
+    before the walk's memo and holds the result afterwards."""
     mu = tuple(mu)
     if len(mu) != len(A):
         raise LengthMismatch("multiplicity length does not match arrangement")
@@ -431,14 +436,16 @@ def exponents(A: Arrangement, mu: Sequence[int], cache=None) -> ExponentResult:
         if hit is not None:
             return hit
     walk = _walk(A)
-    state = walk.basis(mu)
-    d1, d2 = state[1], state[3]
-    total = sum(mu)
-    if mu and total > 0 and d1 > total - max(mu):
-        raise InternalInconsistency(
-            f"d1={d1} exceeds the constructive bound |mu|-max(mu) for mu={mu}")
-    theta = walk.derivation(walk.minimal(state)[0], d1)
-    result = ExponentResult(d1, d2, d2 - d1, theta, non_unique=(d1 == d2))
+    result = walk.results.get(mu)
+    if result is None:
+        state = walk.basis(mu)
+        d1, d2 = state[1], state[3]
+        total = sum(mu)
+        if mu and total > 0 and d1 > total - max(mu):
+            raise InternalInconsistency(
+                f"d1={d1} exceeds the constructive bound |mu|-max(mu) for mu={mu}")
+        theta = walk.derivation(walk.minimal(state)[0], d1)
+        result = walk.results[mu] = ExponentResult(d1, d2, d2 - d1, theta, non_unique=(d1 == d2))
     if cache is not None:
         cache.put(A, mu, result)
     return result

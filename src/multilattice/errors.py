@@ -37,16 +37,8 @@ class InternalInconsistency(MultilatticeError, RuntimeError):
     """The solver produced something that contradicts freeness; a bug."""
 
 
-class PointNotInComponent(MultilatticeError, ValueError):
-    pass
-
-
 class NotArrangementPreserving(MultilatticeError, ValueError):
     pass
-
-
-class NotUnimodal(MultilatticeError, RuntimeError):
-    """Theorem-violation report: a section's gap profile is not unimodal."""
 
 
 class HypothesisViolated(MultilatticeError, ValueError):

@@ -13,11 +13,11 @@ import json
 import os
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import lattice
 from .dermod import ExponentResult, exponents
-from .errors import NotUnimodal, ParseError, PointNotInComponent
+from .errors import ParseError
 from .lattice import Box, Multiplicity
 from .poly import Arrangement
 
@@ -58,7 +58,9 @@ class ScanResult:
 
     @classmethod
     def from_json(cls, text: str) -> "ScanResult":
-        """Parse scan JSON; anything malformed raises ParseError.
+        """Parse scan JSON; anything malformed raises ParseError, as does a
+        row whose exponents break d1 + d2 = |mu|, delta = d2 - d1 or
+        0 <= d1 <= d2.
 
         Older versions flagged cone rows as estimates; the flag is ignored,
         since those rows hold the exact closed form (|mu| - mu_H, mu_H).
@@ -79,7 +81,10 @@ class ScanResult:
             table = {}
             for row in points:
                 d1, d2, dlt = _int_tuple([row["d1"], row["d2"], row["delta"]])
-                table[_int_tuple(row["mu"])] = PointResult(d1, d2, dlt)
+                mu = _int_tuple(row["mu"])
+                if d1 + d2 != sum(mu) or dlt != d2 - d1 or not 0 <= d1 <= d2:
+                    raise ValueError(f"exponents ({d1}, {d2}, delta {dlt}) do not fit mu={mu}")
+                table[mu] = PointResult(d1, d2, dlt)
             box = _int_tuple(obj["box"])
         except KeyError as exc:
             raise ParseError(f"scan file lacks the key {exc}") from exc
@@ -253,31 +258,6 @@ def centers(scan_result: ScanResult, comps: Optional[List[Component]] = None) ->
         else:
             out.append(CenterEntry(comp, comp.center, comp.radius))
     return out
-
-
-def section(comp: Component, mu: Multiplicity, h: int) -> List[Multiplicity]:
-    """Members of the component agreeing with mu off h, ordered by mu_h."""
-    if mu not in comp.members:
-        raise PointNotInComponent(f"{mu} is not in the component")
-    rest = mu[:h] + mu[h + 1:]
-    picked = [nu for nu in comp.members if nu[:h] + nu[h + 1:] == rest]
-    return sorted(picked, key=lambda nu: nu[h])
-
-
-def peak_element(section_points: Sequence[Multiplicity], delta_vals: Sequence[int]) -> Multiplicity:
-    """The unique maximizer along a section; the gap must be unimodal there."""
-    if not section_points or len(section_points) != len(delta_vals):
-        raise NotUnimodal("section and gap values must align and be nonempty")
-    m = max(delta_vals)
-    peaks = [i for i, v in enumerate(delta_vals) if v == m]
-    if len(peaks) != 1:
-        raise NotUnimodal(f"maximizer not unique: {delta_vals}")
-    k = peaks[0]
-    rising = list(delta_vals[: k + 1])
-    falling = list(delta_vals[k:])
-    if rising != sorted(rising) or falling != sorted(falling, reverse=True):
-        raise NotUnimodal(f"gap values not unimodal: {delta_vals}")
-    return section_points[k]
 
 
 # -- emission ----------------------------------------------------------------

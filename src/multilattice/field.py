@@ -125,9 +125,6 @@ class QuadElem:
     def norm(self) -> Fraction:
         return self.a * self.a - self.d * self.b * self.b
 
-    def conjugate(self) -> "QuadElem":
-        return QuadElem(self.a, -self.b, self.d)
-
     def inverse(self) -> "QuadElem":
         n = self.norm()
         if n == 0:

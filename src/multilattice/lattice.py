@@ -11,7 +11,6 @@ from itertools import product
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import LengthMismatch, NotComparable, ParseError
-from .poly import Arrangement, HomogPoly
 
 Multiplicity = Tuple[int, ...]
 Box = Tuple[int, ...]
@@ -95,12 +94,6 @@ def cone_index(mu: Multiplicity) -> Optional[int]:
     return None
 
 
-def classify_point(mu: Multiplicity) -> Tuple[str, Optional[int]]:
-    """("cone", H) if one hyperplane dominates, else ("balanced", None)."""
-    h = cone_index(mu)
-    return ("balanced", None) if h is None else ("cone", h)
-
-
 def is_balanced(mu: Multiplicity) -> bool:
     return cone_index(mu) is None
 
@@ -151,18 +144,6 @@ def chain_steps(chain: Sequence[Multiplicity]) -> List[int]:
     return steps
 
 
-def downalpha(A: Arrangement, chain: Sequence[Multiplicity], delta_vals: Sequence[int]) -> HomogPoly:
-    """Product of the step forms over the steps where delta decreases."""
-    if len(delta_vals) != len(chain):
-        raise LengthMismatch("one delta value per chain element required")
-    steps = chain_steps(chain)
-    out = HomogPoly.one(A.field)
-    for idx, h in enumerate(steps):
-        if delta_vals[idx] > delta_vals[idx + 1]:
-            out = out * HomogPoly.from_linear_form(A.forms[h])
-    return out
-
-
 def parse_multiplicity(text: str, n: int) -> Multiplicity:
     """Comma-separated naturals in arrangement order; bad text raises ParseError."""
     parts = [p.strip() for p in text.split(",")]
@@ -184,7 +165,7 @@ def format_multiplicity(mu: Multiplicity) -> str:
 # re-exported for callers that only need the window machinery
 __all__ = [
     "Multiplicity", "Box", "distance", "leq", "meet_join", "in_box",
-    "box_points", "covering_neighbors", "connected_components", "cone_index", "classify_point",
-    "is_balanced", "ball", "saturated_chain", "chain_steps", "downalpha",
+    "box_points", "covering_neighbors", "connected_components", "cone_index",
+    "is_balanced", "ball", "saturated_chain", "chain_steps",
     "parse_multiplicity", "format_multiplicity",
 ]

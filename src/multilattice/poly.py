@@ -50,10 +50,6 @@ class LinearForm:
         # both normalized, so proportional means equal
         return self.a == other.a and self.b == other.b
 
-    def perp(self) -> Tuple[Scalar, Scalar]:
-        """A direction annihilated by the form: alpha(b, -a) = 0."""
-        return (self.b, -self.a)
-
     @_functools.cached_property
     def images(self):
         """([b, a], den): the form's coefficients from the y-power end as
@@ -334,11 +330,6 @@ class Derivation:
         dom, P, Q, _ = self.cleared
         return dom, dom.evaluate(P, EVAL_POINT), dom.evaluate(Q, EVAL_POINT)
 
-    @classmethod
-    def euler(cls, fs: FieldSpec) -> "Derivation":
-        one, z = fs.one(), fs.zero()
-        return cls(HomogPoly((z, one)), HomogPoly((one, z)))
-
     def __add__(self, other: "Derivation") -> "Derivation":
         return Derivation(self.P + other.P, self.Q + other.Q)
 
@@ -456,7 +447,7 @@ def dependent(t1: Derivation, t2: Derivation) -> bool:
 
 def proportional(t1: Derivation, t2: Derivation, forms: Sequence[LinearForm] = ()) -> bool:
     """True iff t1 is a scalar multiple of g*t2, g the product of the
-    linear forms; a zero derivation counts, as in proportional_derivations.
+    linear forms; a zero derivation counts.
 
     g*t2 is formed on the integer images, and both flattened image vectors
     are cross-multiplied against t1's first nonzero entry.
@@ -489,26 +480,6 @@ def _times(dom, f: list, g: list) -> list:
     out = [dom.zero] * (len(f) + len(g) - 1)
     dom.convolve(out, f, g, 1)
     return out
-
-
-def proportional_derivations(t1: Derivation, t2: Derivation) -> bool:
-    """True if one is a scalar multiple of the other (zero counts)."""
-    if t1.is_zero or t2.is_zero:
-        return True
-    if t1.degree != t2.degree:
-        return False
-    f1, f2 = t1._flat(), t2._flat()
-    lead = None
-    for a, b in zip(f1, f2):
-        an = bool(a) if a is not None else False
-        bn = bool(b) if b is not None else False
-        if an != bn:
-            return False
-        if an and lead is None:
-            lead = a * invert(b)
-        elif an and a != lead * b:
-            return False
-    return True
 
 
 def product_images(forms: Sequence[LinearForm]):

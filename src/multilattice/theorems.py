@@ -213,7 +213,7 @@ def check_basis_step_and_path(scan: ScanResult, oracle: ThetaOracle,
 def _descent_forms(A: Arrangement, chain: Sequence[Multiplicity],
                    delta_vals: Sequence[int]) -> List[LinearForm]:
     """The step forms over the steps where delta decreases: the factors
-    whose product is lattice.downalpha."""
+    of the chain's transport polynomial."""
     steps = lattice.chain_steps(chain)
     return [A.forms[h] for idx, h in enumerate(steps) if delta_vals[idx] > delta_vals[idx + 1]]
 

@@ -1,6 +1,6 @@
 import pytest
 
-from multilattice import Arrangement, FieldSpec, ResultCache
+from multilattice import Arrangement, FieldSpec
 from multilattice.coxeter import coxeter_arrangement
 
 
@@ -17,12 +17,6 @@ def G2():
 @pytest.fixture(scope="session")
 def boolean():
     return Arrangement.make(FieldSpec.rational(), [(1, 0), (0, 1)], names=["x", "y"])
-
-
-@pytest.fixture(scope="session")
-def session_cache():
-    """Memory-only cache shared across a test session to amortize solves."""
-    return ResultCache(use_env=False)
 
 
 @pytest.fixture

@@ -10,12 +10,10 @@ import time
 
 import pytest
 
-from multilattice import lattice
-from multilattice.cache import ResultCache
+from multilattice import dermod, lattice
 from multilattice.coxeter import (
     CENTER_GAP,
     coxeter_arrangement,
-    enumerate_offsets,
     near_constant_exponents,
 )
 from multilattice.dermod import (
@@ -34,7 +32,6 @@ from multilattice.poly import (
     Derivation,
     HomogPoly,
     LinearForm,
-    proportional_derivations,
 )
 from multilattice.theorems import (
     CandidateMap,
@@ -49,6 +46,7 @@ from multilattice.theorems import (
     construct_basis_between,
     reconstruct_components,
 )
+from helpers import enumerate_offsets, euler, proportional_derivations
 
 # pinned tolerances (seconds); all numeric comparisons are exact
 SINGLE_SOLVE_BUDGET = 5.0
@@ -56,11 +54,6 @@ NEAR_CONSTANT_BUDGET = 600.0
 SCAN_INVARIANTS_BUDGET = 900.0
 
 FS = FieldSpec.rational()
-
-
-@pytest.fixture(scope="module")
-def acc_cache():
-    return ResultCache(use_env=False)
 
 
 @pytest.fixture(scope="module")
@@ -74,21 +67,23 @@ def g2():
 
 
 @pytest.fixture(scope="module")
-def b2_window(b2, acc_cache):
+def b2_window(b2):
     """The B2 acceptance window: the full box [0,5]^4."""
-    return scan(b2, (5, 5, 5, 5), cache=acc_cache)
+    return scan(b2, (5, 5, 5, 5))
 
 
 @pytest.fixture(scope="module")
-def b2_oracle(b2, acc_cache):
-    return ThetaOracle(b2, cache=acc_cache)
+def b2_oracle(b2):
+    return ThetaOracle(b2)
 
 
 def _timed_exponents(A, mu):
-    # a private cache so every solve is timed cold
-    t0 = time.monotonic()
-    res = exponents(A, mu, cache=ResultCache(use_env=False))
-    elapsed = time.monotonic() - t0
+    # a fresh walk memo so every solve is timed cold
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dermod, "_WALKS", {})
+        t0 = time.monotonic()
+        res = exponents(A, mu)
+        elapsed = time.monotonic() - t0
     assert elapsed < SINGLE_SOLVE_BUDGET, (mu, elapsed)
     return res
 
@@ -107,20 +102,20 @@ def test_criterion_01_coxeter_constant_exponents(b2, g2):
         assert res.as_pair() == (6 * k + 1, 6 * k + 5)
 
 
-def test_criterion_02_near_constant_formulas(b2, g2, acc_cache):
+def test_criterion_02_near_constant_formulas(b2, g2):
     t0 = time.monotonic()
     for ctype, A, n, want_cases in (("B2", b2, 4, 35), ("G2", g2, 6, 462)):
         offsets = list(enumerate_offsets(n, n - 1))
         assert len(offsets) == want_cases
         for k in (0, 1):
             for off in offsets:
-                r = near_constant_exponents(ctype, k, off, A=A, cache=acc_cache)
+                r = near_constant_exponents(ctype, k, off, A=A)
                 assert r.verdict == "match", (ctype, k, off, r)
                 assert r.computed == tuple(sorted(r.printed_formula)), (ctype, k, off, r)
     assert time.monotonic() - t0 < NEAR_CONSTANT_BUDGET
 
 
-def test_criterion_03_distance_window(b2, g2, acc_cache):
+def test_criterion_03_distance_window(b2, g2):
     for ctype, A, n in (("B2", b2, 4), ("G2", g2, 6)):
         gap_c = CENTER_GAP[ctype]
         for k in (0, 1):
@@ -130,7 +125,7 @@ def test_criterion_03_distance_window(b2, g2, acc_cache):
                 if any(v < 0 for v in nu):
                     continue
                 want = abs(gap_c - sum(abs(i) for i in off))
-                assert delta(A, nu, cache=acc_cache) == want, (ctype, k, off)
+                assert delta(A, nu) == want, (ctype, k, off)
 
 
 def test_criterion_04_scan_invariants(b2_window):
@@ -154,23 +149,22 @@ def test_criterion_04_scan_invariants(b2_window):
     assert time.monotonic() - t0 < SCAN_INVARIANTS_BUDGET
 
 
-def test_criterion_05_saito_verification(b2, b2_window, acc_cache):
+def test_criterion_05_saito_verification(b2, b2_window):
     bad = []
     for mu in sorted(b2_window.table):
-        t1, t2 = full_basis(b2, mu, cache=acc_cache)
+        t1, t2 = full_basis(b2, mu)
         if not verify_saito(b2, mu, t1, t2).accepted:
             bad.append(("full_basis", mu))
     mu, nu = (1, 1, 1, 1), (2, 2, 1, 2)
-    t_mu = exponents(b2, mu, cache=acc_cache).theta_min
-    t_nu = exponents(b2, nu, cache=acc_cache).theta_min
+    t_mu = exponents(b2, mu).theta_min
+    t_nu = exponents(b2, nu).theta_min
     for kappa in [(1, 1, 1, 1), (2, 2, 1, 2), (1, 2, 1, 1), (2, 1, 1, 2)]:
-        _, verdict = construct_basis_between(b2, mu, nu, kappa, t_mu, t_nu,
-                                             cache=acc_cache)
+        _, verdict = construct_basis_between(b2, mu, nu, kappa, t_mu, t_nu)
         if not verdict.accepted:
             bad.append(("construct_basis_between", kappa))
     index = [(e.center, e.delta) for e in centers(b2_window) if e.center]
     for kappa in [(2, 2, 2, 2), (1, 2, 1, 2), (3, 2, 3, 2)]:
-        _, verdict = basis_for(b2, kappa, index, cache=acc_cache)
+        _, verdict = basis_for(b2, kappa, index)
         if not verdict.accepted:
             bad.append(("basis_for", kappa))
     assert not bad, bad
@@ -244,12 +238,12 @@ def test_criterion_08_oracle_equivalence_1000_cases():
 
 
 def test_criterion_09_fixed_points(b2):
-    euler = Derivation.euler(FS)
-    assert proportional_derivations(min_derivation(b2, (1, 1, 1, 1)), euler)
+    e = euler(FS)
+    assert proportional_derivations(min_derivation(b2, (1, 1, 1, 1)), e)
     cube = HomogPoly.make([FS.zero()] * 3 + [FS.one()])           # x^3
     cube_y = HomogPoly.make([FS.one()] + [FS.zero()] * 3)         # y^3
     second = Derivation(cube, cube_y)                             # x^3 dx + y^3 dy
-    assert verify_saito(b2, (1, 1, 1, 1), euler, second).accepted
+    assert verify_saito(b2, (1, 1, 1, 1), e, second).accepted
     boolean = Arrangement.make(FS, [(1, 0), (0, 1)])
     x2 = HomogPoly.make([FS.zero(), FS.zero(), FS.one()])
     assert min_derivation(boolean, (2, 3)).canonical() == Derivation(x2, HomogPoly.zero())

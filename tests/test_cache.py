@@ -1,21 +1,15 @@
-"""Persistent result cache: persistence, env configuration, robustness."""
+"""Persistent result cache: persistence and robustness."""
 
 import json
 
 import pytest
 
-from multilattice.cache import ENV_CACHE_DIR, SCHEMA_VERSION, ResultCache
+from multilattice.cache import SCHEMA_VERSION, ResultCache
 from multilattice.dermod import exponents
 
 
-def test_memory_only_by_default():
-    c = ResultCache(use_env=False)
-    assert c.path is None
-    assert len(c) == 0
-
-
-def test_put_get_roundtrip_in_memory(B2):
-    c = ResultCache(use_env=False)
+def test_put_get_roundtrip_in_memory(B2, tmp_path):
+    c = ResultCache(tmp_path)
     mu = (1, 1, 1, 1)
     res = exponents(B2, mu)
     c.put(B2, mu, res)
@@ -24,26 +18,14 @@ def test_put_get_roundtrip_in_memory(B2):
     assert len(c) == 1
 
 
-def test_memory_only_put_many_writes_no_lines(B2, monkeypatch):
-    from multilattice import cache as cache_module
-
-    def refuse(*args):
-        raise AssertionError("a memory-only cache serialised a generator")
-
-    monkeypatch.setattr(cache_module, "serialize_derivation", refuse)
-    c = ResultCache(use_env=False)
-    items = [(mu, exponents(B2, mu)) for mu in [(1, 1, 1, 1), (2, 1, 0, 1)]]
-    c.put_many(B2, items)
-    assert [c.get(B2, mu) for mu, _ in items] == [res for _, res in items]
-
-
-def test_put_is_idempotent(B2):
-    c = ResultCache(use_env=False)
+def test_put_is_idempotent(B2, tmp_path):
+    c = ResultCache(tmp_path)
     mu = (1, 1, 1, 1)
     res = exponents(B2, mu)
     c.put(B2, mu, res)
     c.put(B2, mu, res)
     assert len(c) == 1
+    assert len(c.path.read_text().splitlines()) == 1
 
 
 def test_jsonl_persistence_roundtrip(B2, G2, tmp_path):
@@ -57,14 +39,6 @@ def test_jsonl_persistence_roundtrip(B2, G2, tmp_path):
     assert len(reloaded) == 3
     for A, mu in [(B2, (1, 1, 1, 1)), (G2, (1, 1, 1, 1, 1, 1))]:
         assert reloaded.get(A, mu) == exponents(A, mu)
-
-
-def test_env_variable_configures_directory(B2, tmp_path, monkeypatch):
-    monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path))
-    c = ResultCache()
-    assert c.path == tmp_path / "exponents.jsonl"
-    c.put(B2, (1, 1, 1, 1), exponents(B2, (1, 1, 1, 1)))
-    assert c.path.exists()
 
 
 def test_torn_write_and_foreign_schema_are_skipped(B2, tmp_path):
@@ -111,6 +85,7 @@ def test_malformed_and_inconsistent_lines_are_skipped(B2, tmp_path):
         variant(theta={"P": ["1"]}),
         variant(d1=0, d2=3, delta=3),                         # d1 + d2 != |mu|
         variant(delta=0),                                     # delta != d2 - d1
+        variant(non_unique=True),                             # flagged, but d1 != d2
         variant(theta={"P": ["0", "0"], "Q": ["0", "0"]}),    # zero theta
         variant(theta={"P": ["0", "0", "1"], "Q": ["0", "0", "0"]}),  # degree 2 != d1
         "[1, 2]",
@@ -119,6 +94,7 @@ def test_malformed_and_inconsistent_lines_are_skipped(B2, tmp_path):
     c.directory.mkdir(parents=True, exist_ok=True)
     c.path.write_text("\n".join(bad_lines) + "\n")
     assert len(c) == 0
+    assert c.rejected == len(bad_lines) - 1  # "[1, 2]" is not a cache entry at all
     assert c.get(B2, (1, 1, 1, 1)) is None
     assert exponents(B2, (1, 1, 1, 1), cache=c) == exponents(B2, (1, 1, 1, 1))
     assert len(ResultCache(str(tmp_path))) == 1  # the fresh solve was appended
@@ -143,3 +119,4 @@ def test_cached_generator_outside_the_module_is_resolved_again(B2, tmp_path):
     assert len(c.path.read_text().splitlines()) == 2  # the fresh solve was appended
     reloaded = ResultCache(str(tmp_path))
     assert reloaded.get(B2, mu) == want and reloaded.rejected == 0
+

@@ -3,7 +3,6 @@
 import contextlib
 import io
 import json
-import os
 import subprocess
 import sys
 from typing import NamedTuple
@@ -11,7 +10,6 @@ from typing import NamedTuple
 import pytest
 
 from multilattice import cli, dermod, theorems
-from multilattice.cache import ResultCache
 from multilattice.cli import load_arrangement
 from multilattice.errors import HypothesisViolated, InternalInconsistency, ParseError, UncoveredWindow
 from multilattice.explorer import ScanResult
@@ -121,7 +119,7 @@ def test_saito_everywhere_verifies_each_basis_once(scan_file, monkeypatch):
     calls = count_verify_saito(monkeypatch)
     with open(scan_file) as fh:
         result = ScanResult.from_json(fh.read())
-    verdict = cli._check_saito_everywhere(result, ResultCache(use_env=False))
+    verdict = cli._check_saito_everywhere(result, None)
     assert verdict.status == "pass"
     assert len(calls) == verdict.details["checked"] == len(result.table)
     calls.clear()
@@ -270,11 +268,11 @@ def test_cache_subcommands(tmp_path):
     assert "cleared 1 entries" in result.output
 
 
-def test_cache_inspect_without_directory(monkeypatch):
-    monkeypatch.delenv("ML_CACHE_DIR", raising=False)
-    result = invoke(["cache", "inspect"])
-    assert result.exit_code == 0
-    assert "no cache directory configured" in result.output
+def test_cache_inspect_without_directory():
+    for action in ("inspect", "clear"):
+        result = invoke(["cache", action])
+        assert result.exit_code == 2
+        assert "no cache directory given" in result.output
 
 
 def test_near_constant_takes_dash_led_offsets():
@@ -324,7 +322,7 @@ def test_cli_import_leaves_out_the_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
-def _modules_after(*args, env=None):
+def _modules_after(*args):
     """The package's optional layers (and click, hashlib) that ``ml args`` imports."""
     watched = ("click", "hashlib", "multilattice.cache", "multilattice.explorer",
                "multilattice.theorems")
@@ -336,10 +334,7 @@ def _modules_after(*args, env=None):
             "except SystemExit as exc:\n"
             "    assert exc.code == 0, exc.code\n"
             f"print(sorted(m for m in {watched!r} if m in set(sys.modules) - before))\n")
-    if env is None:
-        env = {k: v for k, v in os.environ.items() if k != "ML_CACHE_DIR"}
-    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          env=env)
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
 
@@ -348,10 +343,9 @@ def test_a_cold_solve_imports_only_the_layers_it_runs(scan_file, tmp_path):
     assert _modules_after("exponents", "--coxeter", "B2", "1,1,1,1") == "[]"
     assert _modules_after("basis", "--coxeter", "G2", "1,1,1,1,1,1") == "[]"
     assert "multilattice.theorems" not in _modules_after("components", "--scan", scan_file)
-    # $ML_CACHE_DIR names a directory, so the solve loads and writes the cache
-    env = dict(os.environ, ML_CACHE_DIR=str(tmp_path))
-    assert "multilattice.cache" in _modules_after("exponents", "--coxeter", "B2", "1,1,1,1",
-                                                  env=env)
+    # --cache-dir names a directory, so the solve loads and writes the cache
+    assert "multilattice.cache" in _modules_after("exponents", "--coxeter", "B2",
+                                                  "--cache-dir", str(tmp_path), "1,1,1,1")
     assert (tmp_path / "exponents.jsonl").read_text().count("\n") == 1
 
 

@@ -7,7 +7,6 @@ from multilattice.coxeter import (
     act,
     check_delta_invariance,
     coxeter_arrangement,
-    enumerate_offsets,
     group_closure,
     moves_every_line,
     near_constant_exponents,
@@ -22,6 +21,7 @@ from multilattice.errors import (
     OffsetTooLarge,
 )
 from multilattice.field import FieldSpec
+from helpers import enumerate_offsets
 
 
 def test_arrangement_shapes():
@@ -74,72 +74,72 @@ def test_act_is_a_group_action(B2):
         assert act(g, act(g, mu)) == mu
 
 
-def test_delta_invariance(B2, G2, session_cache):
+def test_delta_invariance(B2, G2):
     v = check_delta_invariance(B2, standard_generators(B2, "B2"),
-                               (2, 2, 2, 2), cache=session_cache)
+                               (2, 2, 2, 2))
     assert v.passed
     v = check_delta_invariance(G2, standard_generators(G2, "G2"),
-                               (1, 1, 1, 1, 1, 1), cache=session_cache)
+                               (1, 1, 1, 1, 1, 1))
     assert v.passed
 
 
-def test_delta_invariant_under_full_group(G2, session_cache):
+def test_delta_invariant_under_full_group(G2):
     group = group_closure(G2, standard_generators(G2, "G2"))
     mu = (2, 0, 1, 1, 0, 2)
-    vals = {delta(G2, act(g, mu), cache=session_cache) for g in group}
+    vals = {delta(G2, act(g, mu)) for g in group}
     assert len(vals) == 1
 
 
 # -- symmetric-peak certificate -----------------------------------------------
 
 
-def test_peak_certificate_b2(B2, session_cache):
+def test_peak_certificate_b2(B2):
     group = group_closure(B2, standard_generators(B2, "B2"))
     v = symmetric_peak_certificate(B2, group, (1, 1, 1, 1), (2, 2, 2, 2),
-                                   (0, 0, 0, 0), cache=session_cache)
+                                   (0, 0, 0, 0))
     assert v.passed
     assert v.details["center"] == (1, 1, 1, 1) and v.details["radius"] == 2
 
 
-def test_peak_certificate_hypothesis_failures(B2, session_cache):
+def test_peak_certificate_hypothesis_failures(B2):
     group = group_closure(B2, standard_generators(B2, "B2"))
     with pytest.raises(HypothesisViolated):  # mu not invariant
         symmetric_peak_certificate(B2, group, (1, 2, 1, 1), (2, 2, 2, 2),
-                                   (0, 0, 0, 0), cache=session_cache)
+                                   (0, 0, 0, 0))
     with pytest.raises(HypothesisViolated):  # nu misses a cover of mu
         symmetric_peak_certificate(B2, group, (1, 1, 1, 1), (2, 2, 2, 0),
-                                   (0, 0, 0, 0), cache=session_cache)
+                                   (0, 0, 0, 0))
     with pytest.raises(HypothesisViolated):  # kappa above a co-cover
         symmetric_peak_certificate(B2, group, (1, 1, 1, 1), (2, 2, 2, 2),
-                                   (1, 1, 1, 0), cache=session_cache)
+                                   (1, 1, 1, 0))
     with pytest.raises(HypothesisViolated):  # mu outside the support
         symmetric_peak_certificate(B2, group, (2, 2, 2, 2), (3, 3, 3, 3),
-                                   (1, 1, 1, 1), cache=session_cache)
+                                   (1, 1, 1, 1))
     # fixing a line: a sub-group generated by one reflection fixes its mirror
     sub = [standard_generators(B2, "B2")[0]]
     with pytest.raises(HypothesisViolated):
         symmetric_peak_certificate(B2, sub, (1, 1, 1, 1), (2, 2, 2, 2),
-                                   (0, 0, 0, 0), cache=session_cache)
+                                   (0, 0, 0, 0))
 
 
-def test_peak_certificate_printed_variant_rejects(B2, session_cache):
+def test_peak_certificate_printed_variant_rejects(B2):
     # the alternative second hypothesis measures the gap drop from kappa
     # instead of from mu; on this example it genuinely fails even though
     # the symmetric default certifies the peak
     group = group_closure(B2, standard_generators(B2, "B2"))
     with pytest.raises(HypothesisViolated):
         symmetric_peak_certificate(B2, group, (1, 1, 1, 1), (2, 2, 2, 2),
-                                   (0, 0, 0, 0), cache=session_cache,
+                                   (0, 0, 0, 0),
                                    printed_second_hypothesis=True)
 
 
 # -- near-constant exponent formulas ------------------------------------------
 
 
-def test_near_constant_center_values(session_cache):
-    r = near_constant_exponents("B2", 1, (0, 0, 0, 0), cache=session_cache)
+def test_near_constant_center_values():
+    r = near_constant_exponents("B2", 1, (0, 0, 0, 0))
     assert r.computed == (5, 7) and r.verdict == "match"
-    r = near_constant_exponents("G2", 0, (0, 0, 0, 0, 0, 0), cache=session_cache)
+    r = near_constant_exponents("G2", 0, (0, 0, 0, 0, 0, 0))
     assert r.computed == (1, 5) and r.verdict == "match"
 
 
@@ -154,10 +154,10 @@ def test_near_constant_offset_weight_limits():
         near_constant_exponents("A2", 1, (0, 0, 0))
 
 
-def test_near_constant_signed_offsets(B2, session_cache):
+def test_near_constant_signed_offsets(B2):
     # mixed signs: the distance law and the printed closed form disagree,
     # and the solver sides with the distance law
-    r = near_constant_exponents("B2", 1, (1, -1, -1, 0), A=B2, cache=session_cache)
+    r = near_constant_exponents("B2", 1, (1, -1, -1, 0), A=B2)
     assert r.verdict == "match"
     assert r.predicted == r.computed
 

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multilattice import dermod, lattice
+from multilattice.cache import ResultCache
 from multilattice.coxeter import coxeter_arrangement
 from multilattice.dermod import (
     _alpha_basis_rows,
@@ -47,9 +48,9 @@ from multilattice.poly import (
     apply_derivation,
     defining_polynomial,
     linear_form_multiplicity,
-    proportional_derivations,
     saito_determinant,
 )
+from helpers import euler, proportional_derivations
 from modular import Projection
 
 FS = FieldSpec.rational()
@@ -264,11 +265,11 @@ def test_dropped_image_row_fails_the_rooted_walk(B2, G2, monkeypatch):
             exponents(A, mu)
 
 
-def assert_cone_closed_form(A, mu, cache=None):
+def assert_cone_closed_form(A, mu):
     """Exponents (|mu| - mu_H, mu_H) and generator f*(b dx - a dy), where
     alpha_H = a x + b y dominates and f is the product of the other lines."""
     h = lattice.cone_index(mu)
-    res = exponents(A, mu, cache=cache)
+    res = exponents(A, mu)
     assert res.as_pair() == (sum(mu) - mu[h], mu[h]) and not res.non_unique, (A, mu)
     f = defining_polynomial(A, mu[:h] + (0,) + mu[h + 1:])
     lf = A.forms[h]
@@ -276,12 +277,12 @@ def assert_cone_closed_form(A, mu, cache=None):
 
 
 @pytest.mark.parametrize("name,box,count", [("B2", (5,) * 4, 280), ("G2", (2,) * 6, 42)])
-def test_cone_points_have_closed_form_exponents(request, session_cache, name, box, count):
+def test_cone_points_have_closed_form_exponents(request, name, box, count):
     A = request.getfixturevalue(name)
     cones = [mu for mu in lattice.box_points(box) if lattice.cone_index(mu) is not None]
     assert len(cones) == count
     for mu in cones:
-        assert_cone_closed_form(A, mu, cache=session_cache)
+        assert_cone_closed_form(A, mu)
 
 
 def test_cone_closed_form_on_random_arrangements():
@@ -426,13 +427,13 @@ def test_exponents_rejects_entries_the_walk_cannot_reach(B2, mu):
         full_basis(B2, mu)
 
 
-def test_delta_monotone_steps(B2, session_cache):
+def test_delta_monotone_steps(B2):
     # covering steps change delta by exactly one (spot check off the scan path)
     base = (2, 1, 2, 1)
-    d0 = delta(B2, base, cache=session_cache)
+    d0 = delta(B2, base)
     for i in range(4):
         up = base[:i] + (base[i] + 1,) + base[i + 1:]
-        assert abs(delta(B2, up, cache=session_cache) - d0) == 1
+        assert abs(delta(B2, up) - d0) == 1
 
 
 # -- membership and Saito verification ---------------------------------------
@@ -522,7 +523,7 @@ def test_verify_saito_rejections(B2):
     # dependent pair
     assert not verify_saito(B2, mu, t1, t1).accepted
     # degree-sum violation
-    e = Derivation.euler(B2.field)
+    e = euler(B2.field)
     assert "degree" in verify_saito(B2, mu, e, e.mul_poly(
         HomogPoly.make([FS.zero(), FS.one()]))).reason
     # non-member
@@ -644,12 +645,12 @@ def random_good_prime(rng, bits):
             return p
 
 
-def modular_consistency(A, mus, rng, bits=40, cache=None):
+def modular_consistency(A, mus, rng, bits=40):
     """Compare exponents over random good primes with characteristic 0."""
     matches = 0
     mismatches = []
     for mu in mus:
-        expected = exponents(A, mu, cache=cache).as_pair()
+        expected = exponents(A, mu).as_pair()
         for _ in range(20):
             p = random_good_prime(rng, bits)
             try:
@@ -673,17 +674,32 @@ def test_project_arrangement_bad_reduction():
         project_arrangement(A, 7)  # the two forms collide mod 7
 
 
-def test_modular_consistency_b2_g2(B2, G2, session_cache):
+def test_modular_consistency_b2_g2(B2, G2):
     rng = random.Random(0)
-    report = modular_consistency(B2, [(1, 1, 1, 1), (2, 1, 2, 1)], rng,
-                                 cache=session_cache)
+    report = modular_consistency(B2, [(1, 1, 1, 1), (2, 1, 2, 1)], rng)
     assert report["matches"] == report["total"], report["mismatches"]
-    report = modular_consistency(G2, [(1, 1, 1, 1, 1, 1)], rng, cache=session_cache)
+    report = modular_consistency(G2, [(1, 1, 1, 1, 1, 1)], rng)
     assert report["matches"] == report["total"], report["mismatches"]
 
 
-def test_cache_hit_returns_same_result(B2, session_cache):
+def test_cache_hit_returns_same_result(B2, tmp_path):
     mu = (1, 2, 1, 0)
-    first = exponents(B2, mu, cache=session_cache)
-    again = exponents(B2, mu, cache=session_cache)
-    assert first == again
+    cache = ResultCache(tmp_path)
+    first = exponents(B2, mu, cache=cache)
+    assert cache.get(B2, mu) is first
+    assert exponents(B2, mu, cache=cache) is first
+
+
+def test_the_walk_keeps_the_results_it_returns(B2, tmp_path, monkeypatch):
+    monkeypatch.setattr(dermod, "_WALKS", {})
+    mu = (2, 1, 3, 1)
+    first = exponents(B2, mu)
+    assert dermod._walk(B2).results == {mu: first}
+    assert exponents(B2, mu) is first
+    # a result the walk kept still lands in a cache given later
+    assert exponents(B2, mu, cache=ResultCache(tmp_path)) is first
+    assert ResultCache(tmp_path).get(B2, mu) == first
+    # the results go with the bases when the walk drops its memo
+    monkeypatch.setattr(dermod, "_MAX_STATES", 1)
+    exponents(B2, (0, 0, 0, 2))
+    assert mu not in dermod._walk(B2).results

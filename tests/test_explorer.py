@@ -13,24 +13,23 @@ from multilattice import cache as cache_module
 from multilattice import explorer, lattice
 from multilattice.coxeter import coxeter_arrangement
 from multilattice.cache import ResultCache
-from multilattice.errors import NotUnimodal, ParseError, PointNotInComponent
+from multilattice.errors import MultilatticeError, ParseError
 from multilattice.field import FieldSpec
 from multilattice.poly import Arrangement
 from multilattice.explorer import (
+    Component,
     ScanResult,
     centers,
     components,
-    peak_element,
     scan,
-    section,
     to_csv,
     to_dot,
 )
 
 
 @pytest.fixture(scope="module")
-def b2_scan(B2, session_cache):
-    return scan(B2, (3, 3, 3, 3), cache=session_cache)
+def b2_scan(B2):
+    return scan(B2, (3, 3, 3, 3))
 
 
 def test_scan_covers_box(b2_scan):
@@ -82,17 +81,18 @@ REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.js
 @pytest.mark.parametrize("ctype,box", [("B2", (5,) * 4), ("G2", (2,) * 6)])
 def test_scan_bytes_match_the_reference(tmp_path, real_pool, ctype, box):
     # perfbench/reference.json pins these bytes: every worker count, with a
-    # fresh cache, must reproduce them and write the same cache file
+    # fresh cache or none, must reproduce them, and write the same cache file
     want = json.loads(REFERENCE.read_text())["scan_sha256"][f"{ctype} {','.join(map(str, box))}"]
     A = coxeter_arrangement(ctype)
     files = []
     for jobs in (1, 2):
         cache = ResultCache(tmp_path / f"jobs{jobs}")
-        text = scan(A, box, jobs=jobs, cache=cache).to_json()
-        assert hashlib.sha256(text.encode()).hexdigest() == want, jobs
+        for given in (cache, None):
+            text = scan(A, box, jobs=jobs, cache=given).to_json()
+            assert hashlib.sha256(text.encode()).hexdigest() == want, (jobs, given)
         files.append(cache.path.read_bytes())
     assert files[0] == files[1]
-    assert real_pool == [2]
+    assert real_pool == [2, 2]
 
 
 def test_scan_writes_its_cache_lines_in_one_open(B2, tmp_path, monkeypatch):
@@ -147,6 +147,39 @@ def test_centers_unique(b2_scan):
         assert entry.delta == b2_scan.delta(entry.center)
 
 
+class PointNotInComponent(MultilatticeError, ValueError):
+    pass
+
+
+class NotUnimodal(MultilatticeError, RuntimeError):
+    """Theorem-violation report: a section's gap profile is not unimodal."""
+
+
+def section(comp: Component, mu, h: int):
+    """Members of the component agreeing with mu off h, ordered by mu_h."""
+    if mu not in comp.members:
+        raise PointNotInComponent(f"{mu} is not in the component")
+    rest = mu[:h] + mu[h + 1:]
+    picked = [nu for nu in comp.members if nu[:h] + nu[h + 1:] == rest]
+    return sorted(picked, key=lambda nu: nu[h])
+
+
+def peak_element(section_points, delta_vals):
+    """The unique maximizer along a section; the gap must be unimodal there."""
+    if not section_points or len(section_points) != len(delta_vals):
+        raise NotUnimodal("section and gap values must align and be nonempty")
+    m = max(delta_vals)
+    peaks = [i for i, v in enumerate(delta_vals) if v == m]
+    if len(peaks) != 1:
+        raise NotUnimodal(f"maximizer not unique: {delta_vals}")
+    k = peaks[0]
+    rising = list(delta_vals[: k + 1])
+    falling = list(delta_vals[k:])
+    if rising != sorted(rising) or falling != sorted(falling, reverse=True):
+        raise NotUnimodal(f"gap values not unimodal: {delta_vals}")
+    return section_points[k]
+
+
 def test_section_and_peak(b2_scan):
     comps = components(b2_scan)
     home = next(c for c in comps if (1, 1, 1, 1) in c.members)
@@ -188,7 +221,7 @@ def test_scan_box_length_mismatch(B2):
         scan(B2, (3, 3))
 
 
-def test_scan_with_cache_solves_each_pending_point_once(B2, monkeypatch):
+def test_scan_with_cache_solves_each_pending_point_once(B2, tmp_path, monkeypatch):
     calls = []
     real = explorer.exponents
 
@@ -197,7 +230,7 @@ def test_scan_with_cache_solves_each_pending_point_once(B2, monkeypatch):
         return real(A, mu, cache=cache)
 
     monkeypatch.setattr(explorer, "exponents", counting)
-    cache = ResultCache(use_env=False)
+    cache = ResultCache(tmp_path)
     box = (2, 2, 2, 2)
     first = scan(B2, box, jobs=1, cache=cache)
     assert sorted(calls) == sorted(lattice.box_points(box))
@@ -310,6 +343,12 @@ MALFORMED_SCANS = {
     "box-too-long": lambda obj: obj.__setitem__("box", [1, 1, 0]),
     "form-short": lambda obj: obj["arrangement"].__setitem__("forms", [["1"]]),
     "field-no-d": lambda obj: obj["arrangement"]["field"].__setitem__("type", "quadratic"),
+    # the last row is mu = (1, 1), with exponents (1, 1)
+    "exponents-off-sum": lambda obj: obj["points"][-1].update(d1=100, d2=-50, delta=7),
+    "d1-not-sum": lambda obj: obj["points"][-1].update(d1=2),
+    "delta-not-gap": lambda obj: obj["points"][-1].update(delta=2),
+    "d1-above-d2": lambda obj: obj["points"][-1].update(d1=2, d2=0, delta=-2),
+    "d1-negative": lambda obj: obj["points"][-1].update(d1=-1, d2=3, delta=4),
 }
 
 

