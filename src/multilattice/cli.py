@@ -7,7 +7,9 @@ operating system refuses a file operation (OSError, e.g. an output path in a
 missing directory or a cache directory that cannot be created).
 
 Start-up is most of the cost of one solve, so each command imports the
-layers it runs (``explorer``, ``theorems``, ``cache``) when it runs.
+layers it runs (``explorer``, ``theorems``, ``cache``) when it runs, and
+``_parser`` builds the argument parser of the named command only.  The walk's
+memo is freed at exit by ``dermod``, for library callers too.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 from typing import TYPE_CHECKING, List, Optional
 
 from . import coxeter as cox
-from . import dermod, lattice
+from . import lattice
 from .dermod import exponents, full_basis
 from .errors import (HypothesisViolated, InternalInconsistency, MultilatticeError, ParseError,
                      UncoveredWindow)
@@ -376,14 +378,28 @@ def _int_at_least(low: int):
     return parse
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(argv: List[str]) -> argparse.ArgumentParser:
+    """The parser of the command line ``argv``.
+
+    Every command is registered, so that ``ml --help`` and an unknown
+    command list them all, but only the command that ``argv`` names gets a
+    parser with its arguments: no other one is parsed.  That command is the
+    first word of ``argv`` without a leading dash, since ``ml`` itself takes
+    no option but ``--help``; a dash-led first positional is no command.
+    """
+    named = f"ml {next((a for a in argv if not a.startswith('-')), '')}"
     top = _Parser(prog="ml", description=(
         "Exact exponents and lattice structure of rank-2 multiarrangements."))
-    commands = top.add_subparsers(metavar="COMMAND", required=True)
+    # argparse makes each command's parser with parser_class(prog="ml NAME", ...)
+    commands = top.add_subparsers(
+        metavar="COMMAND", required=True,
+        parser_class=lambda **kwargs: _Parser(**kwargs) if kwargs["prog"] == named else None)
 
     def command(group, name, run, source=False, cache=True):
         doc = run.__doc__
         p = group.add_parser(name, help=doc.split("\n", 1)[0], description=doc)
+        if p is None:
+            return None
         p.set_defaults(run=run)
         if source:
             one = p.add_mutually_exclusive_group(required=True)
@@ -395,59 +411,70 @@ def _parser() -> argparse.ArgumentParser:
         return p
 
     for name, run in (("exponents", cmd_exponents), ("basis", cmd_basis)):
-        command(commands, name, run, source=True).add_argument("mu", metavar="MU")
+        p = command(commands, name, run, source=True)
+        if p:
+            p.add_argument("mu", metavar="MU")
 
     p = command(commands, "scan", cmd_scan, source=True)
-    p.add_argument("--box", required=True, help="Inclusive upper bounds, comma-separated.")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                   help="Most worker processes; small boxes are walked in-process."
-                        " (default: %(default)s)")
-    p.add_argument("--output", "-o", help="Write the scan JSON here (default: stdout).")
+    if p:
+        p.add_argument("--box", required=True, help="Inclusive upper bounds, comma-separated.")
+        p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                       help="Most worker processes; small boxes are walked in-process."
+                            " (default: %(default)s)")
+        p.add_argument("--output", "-o", help="Write the scan JSON here (default: stdout).")
 
     p = command(commands, "components", cmd_components, cache=False)
-    p.add_argument("--scan", dest="scan_path", required=True,
-                   help="Scan JSON produced by the scan command.")
-    p.add_argument("--dot", help="Write a DOT rendering here.")
-    p.add_argument("--csv", help="Write a CSV table here.")
+    if p:
+        p.add_argument("--scan", dest="scan_path", required=True,
+                       help="Scan JSON produced by the scan command.")
+        p.add_argument("--dot", help="Write a DOT rendering here.")
+        p.add_argument("--csv", help="Write a CSV table here.")
 
     p = command(commands, "verify", cmd_verify)
-    p.add_argument("--scan", dest="scan_path", required=True)
-    p.add_argument("--seed", type=int, default=0,
-                   help="Seed of the sampled pairs. (default: %(default)s)")
-    p.add_argument("--max-pairs", type=_int_at_least(0), default=50,
-                   help="Sample size per check; 0 means exhaustive. (default: %(default)s)")
-    p.add_argument("what", choices=_CHECKS)
+    if p:
+        p.add_argument("--scan", dest="scan_path", required=True)
+        p.add_argument("--seed", type=int, default=0,
+                       help="Seed of the sampled pairs. (default: %(default)s)")
+        p.add_argument("--max-pairs", type=_int_at_least(0), default=50,
+                       help="Sample size per check; 0 means exhaustive. (default: %(default)s)")
+        p.add_argument("what", choices=_CHECKS)
 
     p = command(commands, "basis-between", cmd_basis_between, source=True)
-    p.add_argument("--mu", required=True, help="First ball center.")
-    p.add_argument("--nu", required=True, help="Second ball center.")
-    p.add_argument("--kappa", required=True, help="Target multiplicity.")
+    if p:
+        p.add_argument("--mu", required=True, help="First ball center.")
+        p.add_argument("--nu", required=True, help="Second ball center.")
+        p.add_argument("--kappa", required=True, help="Target multiplicity.")
 
     p = command(commands, "basis-for", cmd_basis_for)
-    p.add_argument("--scan", dest="scan_path", required=True,
-                   help="Scan JSON whose certified centers to use.")
-    p.add_argument("--kappa", required=True, help="Balanced target multiplicity.")
+    if p:
+        p.add_argument("--scan", dest="scan_path", required=True,
+                       help="Scan JSON whose certified centers to use.")
+        p.add_argument("--kappa", required=True, help="Balanced target multiplicity.")
 
     p = command(commands, "coxeter", cmd_coxeter)
-    p.add_argument("ctype", metavar="CTYPE", type=str.upper, choices=cox.COXETER_TYPES)
-    p.add_argument("--check-invariance", dest="inv_box",
-                   help="Verify gap invariance under the group over this box.")
-    p.add_argument("--near-constant", dest="nc_k", type=int,
-                   help="Compare near-constant exponent formulas at level k.")
-    p.add_argument("--offsets", help="Offsets for --near-constant.")
+    if p:
+        p.add_argument("ctype", metavar="CTYPE", type=str.upper, choices=cox.COXETER_TYPES)
+        p.add_argument("--check-invariance", dest="inv_box",
+                       help="Verify gap invariance under the group over this box.")
+        p.add_argument("--near-constant", dest="nc_k", type=int,
+                       help="Compare near-constant exponent formulas at level k.")
+        p.add_argument("--offsets", help="Offsets for --near-constant.")
 
     doc = "Inspect or clear the persistent result cache."
-    actions = commands.add_parser("cache", help=doc, description=doc).add_subparsers(
-        metavar="ACTION", required=True)
-    command(actions, "inspect", cmd_cache_inspect)
-    command(actions, "clear", cmd_cache_clear)
+    p = commands.add_parser("cache", help=doc, description=doc)
+    if p:
+        actions = p.add_subparsers(metavar="ACTION", required=True)
+        command(actions, "inspect", cmd_cache_inspect)
+        command(actions, "clear", cmd_cache_clear)
     return top
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Run the command line ``argv`` (default: the process arguments);
     returns the exit status.  Usage errors exit 2 from the parser."""
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parser(argv).parse_args(argv)
     return args.run(args) or 0
 
 
@@ -464,9 +491,6 @@ def run(argv: Optional[List[str]] = None):  # console-script entry point
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         status = EXIT_OS
-    # the walk's memo outlives main(): freeing it here costs less than the
-    # interpreter's exit, whose garbage collections visit every live object
-    dermod._WALKS.clear()
     sys.exit(status)
 
 

@@ -8,7 +8,6 @@ near-constant exponent formulas around odd constant multiplicities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -23,6 +22,7 @@ from .errors import (
 from .field import FieldSpec, QuadElem, invert
 from .lattice import Multiplicity
 from .poly import Arrangement, LinearForm
+from .record import Frozen, set_field
 
 COXETER_TYPES = ("A1A1", "A2", "B2", "G2")
 
@@ -55,8 +55,7 @@ def coxeter_arrangement(ctype: str, fs: Optional[FieldSpec] = None) -> Arrangeme
     return Arrangement.make(fs, pairs, names=names)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Frozen):
     """An invertible 2x2 matrix mapping the arrangement's lines to lines.
 
     The induced permutation (entry i holds the index of the image line of
@@ -64,8 +63,11 @@ class GroupElement:
     not carried to another line of the arrangement.
     """
 
-    matrix: Tuple[Tuple[object, ...], ...]
-    perm: Tuple[int, ...]
+    __slots__ = _fields = ("matrix", "perm")
+
+    def __init__(self, matrix: Tuple[Tuple[object, ...], ...], perm: Tuple[int, ...]):
+        set_field(self, "matrix", matrix)
+        set_field(self, "perm", perm)
 
     @classmethod
     def make(cls, A: Arrangement, matrix: Sequence[Sequence]) -> "GroupElement":
@@ -244,14 +246,19 @@ def symmetric_peak_certificate(A: Arrangement, group: Sequence[GroupElement],
     })
 
 
-@dataclass(frozen=True)
-class NearConstantResult:
-    nu: Multiplicity
-    predicted: Tuple[int, int]
-    printed_formula: Tuple[int, int]
-    computed: Tuple[int, int]
-    formulas_agree: bool
-    verdict: str  # "match" | "mismatch"
+class NearConstantResult(Frozen):
+    __slots__ = _fields = ("nu", "predicted", "printed_formula", "computed", "formulas_agree",
+                           "verdict")
+
+    def __init__(self, nu: Multiplicity, predicted: Tuple[int, int],
+                 printed_formula: Tuple[int, int], computed: Tuple[int, int],
+                 formulas_agree: bool, verdict: str):
+        set_field(self, "nu", nu)
+        set_field(self, "predicted", predicted)
+        set_field(self, "printed_formula", printed_formula)
+        set_field(self, "computed", computed)
+        set_field(self, "formulas_agree", formulas_agree)
+        set_field(self, "verdict", verdict)  # "match" | "mismatch"
 
 
 CENTER_GAP = {"B2": 2, "G2": 4}

@@ -39,8 +39,8 @@ _nullspace_derivations) is the tests' oracle for the walk.
 
 from __future__ import annotations
 
+import atexit
 import functools
-from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -55,6 +55,7 @@ from .poly import (
     defining_images,
     determinant_images,
 )
+from .record import Frozen, set_field
 
 Multiplicity = Tuple[int, ...]
 
@@ -201,8 +202,7 @@ def _nullspace_derivations(A: Arrangement, mu: Sequence[int], d: int) -> List[De
     return out
 
 
-@dataclass(frozen=True)
-class ExponentResult:
+class ExponentResult(Frozen):
     """Exponents (d1 <= d2), their gap, and the minimal-degree generator.
 
     theta_min is canonical and unique up to scalar only when delta > 0;
@@ -210,11 +210,14 @@ class ExponentResult:
     the non_unique flag.
     """
 
-    d1: int
-    d2: int
-    delta: int
-    theta_min: Derivation
-    non_unique: bool
+    __slots__ = _fields = ("d1", "d2", "delta", "theta_min", "non_unique")
+
+    def __init__(self, d1: int, d2: int, delta: int, theta_min: Derivation, non_unique: bool):
+        set_field(self, "d1", d1)
+        set_field(self, "d2", d2)
+        set_field(self, "delta", delta)
+        set_field(self, "theta_min", theta_min)
+        set_field(self, "non_unique", non_unique)
 
     def as_pair(self) -> Tuple[int, int]:
         return (self.d1, self.d2)
@@ -245,6 +248,14 @@ _MAX_WALKS = 64  # the memo drops every walk past this many arrangements
 # walks by id() of their arrangement: hashing an Arrangement hashes all its
 # coefficients, and a walk keeps its arrangement, so the id stays unique
 _WALKS: Dict[int, "_Walk"] = {}
+
+
+@atexit.register
+def _free_walks() -> None:
+    # freeing the memo costs less than the interpreter's exit, whose garbage
+    # collections visit every live object; the global is looked up here, at
+    # exit, since tests replace it
+    _WALKS.clear()
 
 _State = Tuple[List, int, List, int]
 
@@ -472,11 +483,14 @@ def full_basis(A: Arrangement, mu: Sequence[int], cache=None) -> Tuple[Derivatio
     return (t1, t2)
 
 
-@dataclass(frozen=True)
-class SaitoVerdict:
-    accepted: bool
-    reason: Optional[str] = None
-    scalar: Optional[Scalar] = None
+class SaitoVerdict(Frozen):
+    __slots__ = _fields = ("accepted", "reason", "scalar")
+
+    def __init__(self, accepted: bool, reason: Optional[str] = None,
+                 scalar: Optional[Scalar] = None):
+        set_field(self, "accepted", accepted)
+        set_field(self, "reason", reason)
+        set_field(self, "scalar", scalar)
 
 
 def in_module(A: Arrangement, mu: Sequence[int], theta: Derivation) -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
 from . import lattice
@@ -20,23 +19,29 @@ from .dermod import ExponentResult, exponents
 from .errors import ParseError
 from .lattice import Box, Multiplicity
 from .poly import Arrangement
+from .record import Frozen, Record, set_field
 
 SCAN_SCHEMA = 1
 
 
-@dataclass(frozen=True)
-class PointResult:
-    d1: int
-    d2: int
-    delta: int
+class PointResult(Frozen):
+    __slots__ = _fields = ("d1", "d2", "delta")
+
+    def __init__(self, d1: int, d2: int, delta: int):
+        set_field(self, "d1", d1)
+        set_field(self, "d2", d2)
+        set_field(self, "delta", delta)
 
 
-@dataclass
-class ScanResult:
-    arrangement: Arrangement
-    box: Box
-    table: Dict[Multiplicity, PointResult]
-    timing: dict = dc_field(default_factory=dict)  # in-memory only, never serialized
+class ScanResult(Record):
+    __slots__ = _fields = ("arrangement", "box", "table", "timing")
+
+    def __init__(self, arrangement: Arrangement, box: Box, table: Dict[Multiplicity, PointResult],
+                 timing: Optional[dict] = None):
+        self.arrangement = arrangement
+        self.box = box
+        self.table = table
+        self.timing = {} if timing is None else timing  # in-memory only, never serialized
 
     def delta(self, mu: Multiplicity) -> int:
         return self.table[mu].delta
@@ -60,7 +65,8 @@ class ScanResult:
     def from_json(cls, text: str) -> "ScanResult":
         """Parse scan JSON; anything malformed raises ParseError, as does a
         row whose exponents break d1 + d2 = |mu|, delta = d2 - d1 or
-        0 <= d1 <= d2.
+        0 <= d1 <= d2, and an arrangement_hash that is not the parsed
+        arrangement's canonical_hash.
 
         Older versions flagged cone rows as estimates; the flag is ignored,
         since those rows hold the exact closed form (|mu| - mu_H, mu_H).
@@ -75,6 +81,8 @@ class ScanResult:
             raise ParseError(f"unsupported scan schema {obj.get('schema')!r}")
         try:
             A = Arrangement.from_json(obj["arrangement"])
+            if obj["arrangement_hash"] != A.canonical_hash():
+                raise ValueError("arrangement_hash does not match the arrangement")
             points = obj["points"]
             if not isinstance(points, list):
                 raise TypeError(f"points must be a list, got {type(points).__name__}")
@@ -176,17 +184,22 @@ def scan(A: Arrangement, box: Box, jobs: int = 1, cache=None) -> ScanResult:
     return result
 
 
-@dataclass
-class Component:
+class Component(Record):
     """A connected component of the support within the scan window."""
 
-    members: frozenset
-    kind: str  # "ball" | "cone" | "undetermined"
-    center: Optional[Multiplicity] = None
-    radius: Optional[int] = None
-    cone_h: Optional[int] = None
-    maximizers: Tuple[Multiplicity, ...] = ()
-    notes: Tuple[str, ...] = ()
+    __slots__ = _fields = ("members", "kind", "center", "radius", "cone_h", "maximizers",
+                           "notes")
+
+    def __init__(self, members: frozenset, kind: str, center: Optional[Multiplicity] = None,
+                 radius: Optional[int] = None, cone_h: Optional[int] = None,
+                 maximizers: Tuple[Multiplicity, ...] = (), notes: Tuple[str, ...] = ()):
+        self.members = members
+        self.kind = kind  # "ball" | "cone" | "undetermined"
+        self.center = center
+        self.radius = radius
+        self.cone_h = cone_h
+        self.maximizers = maximizers
+        self.notes = notes
 
     def sorted_members(self) -> List[Multiplicity]:
         return sorted(self.members)
@@ -232,12 +245,15 @@ def _classify_component(scan_result: ScanResult, members: frozenset) -> Componen
                      maximizers=maximizers, notes=tuple(notes))
 
 
-@dataclass(frozen=True)
-class CenterEntry:
-    component: Component
-    center: Optional[Multiplicity]
-    delta: Optional[int]
-    error: Optional[str] = None
+class CenterEntry(Frozen):
+    __slots__ = _fields = ("component", "center", "delta", "error")
+
+    def __init__(self, component: Component, center: Optional[Multiplicity],
+                 delta: Optional[int], error: Optional[str] = None):
+        set_field(self, "component", component)
+        set_field(self, "center", center)
+        set_field(self, "delta", delta)
+        set_field(self, "error", error)
 
 
 def centers(scan_result: ScanResult, comps: Optional[List[Component]] = None) -> List[CenterEntry]:

@@ -18,11 +18,11 @@ path.  ``float()`` conversions exist purely for sanity tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .errors import BadReduction, DivisionByZero, FieldMismatch, ParseError
+from .record import Frozen, set_field
 
 Scalar = Union[Fraction, "QuadElem", "ModInt"]
 
@@ -63,17 +63,15 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class QuadElem:
+class QuadElem(Frozen):
     """``a + b*sqrt(d)`` with rational a, b; always in canonical form."""
 
-    a: Fraction
-    b: Fraction
-    d: int
+    __slots__ = _fields = ("a", "b", "d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, a: Fraction, b: Fraction, d: int):
+        set_field(self, "a", Fraction(a))
+        set_field(self, "b", Fraction(b))
+        set_field(self, "d", d)
 
     def _check(self, other: "QuadElem") -> None:
         if self.d != other.d:
@@ -166,15 +164,14 @@ class QuadElem:
         return f"({self.a} + {self.b}*sqrt({self.d}))"
 
 
-@dataclass(frozen=True)
-class ModInt:
+class ModInt(Frozen):
     """Residue in [0, p), an element of the prime field F_p."""
 
-    v: int
-    p: int
+    __slots__ = _fields = ("v", "p")
 
-    def __post_init__(self):
-        object.__setattr__(self, "v", self.v % self.p)
+    def __init__(self, v: int, p: int):
+        set_field(self, "v", v % p)
+        set_field(self, "p", p)
 
     def _coerce(self, other):
         if isinstance(other, ModInt):
@@ -250,8 +247,7 @@ class ModInt:
         return f"{self.v} (mod {self.p})"
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Frozen):
     """Which coefficient domain an arrangement lives over.
 
     kind is one of "rational", "quadratic" (with squarefree d > 1) or
@@ -259,21 +255,22 @@ class FieldSpec:
     prime field are those of the arrangement over F_p.
     """
 
-    kind: str
-    d: int = 0
-    p: int = 0
+    __slots__ = _fields = ("kind", "d", "p")
 
-    def __post_init__(self):
-        if self.kind == "rational":
+    def __init__(self, kind: str, d: int = 0, p: int = 0):
+        if kind == "rational":
             pass
-        elif self.kind == "quadratic":
-            if self.d <= 1 or not is_squarefree(self.d):
-                raise FieldMismatch(f"quadratic d must be squarefree and > 1, got {self.d}")
-        elif self.kind == "prime":
-            if self.p <= 2 or not is_prime(self.p):
-                raise FieldMismatch(f"p must be an odd prime, got {self.p}")
+        elif kind == "quadratic":
+            if d <= 1 or not is_squarefree(d):
+                raise FieldMismatch(f"quadratic d must be squarefree and > 1, got {d}")
+        elif kind == "prime":
+            if p <= 2 or not is_prime(p):
+                raise FieldMismatch(f"p must be an odd prime, got {p}")
         else:
-            raise FieldMismatch(f"unknown field kind {self.kind!r}")
+            raise FieldMismatch(f"unknown field kind {kind!r}")
+        set_field(self, "kind", kind)
+        set_field(self, "d", d)
+        set_field(self, "p", p)
 
     @classmethod
     def rational(cls) -> "FieldSpec":

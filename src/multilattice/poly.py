@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools as _functools
 import json
-from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
@@ -27,14 +26,17 @@ from .errors import (
 )
 from .field import FieldSpec, Scalar, invert
 from .linalg import domain_of
+from .record import Frozen, set_field
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(Frozen):
     """alpha = a*x + b*y, normalized so the first nonzero of (a, b) is 1."""
 
-    a: Scalar
-    b: Scalar
+    _fields = ("a", "b")  # no __slots__: images is a cached_property
+
+    def __init__(self, a: Scalar, b: Scalar):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
 
     @classmethod
     def make(cls, fs: FieldSpec, a, b) -> "LinearForm":
@@ -60,23 +62,24 @@ class LinearForm:
         return domain_of(self.a).clear((self.b, self.a))
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(Frozen):
     """An ordered set of pairwise distinct lines through the origin."""
 
-    field: FieldSpec
-    forms: Tuple[LinearForm, ...]
-    names: Optional[Tuple[str, ...]] = None
+    _fields = ("field", "forms", "names")  # no __slots__: _canonical_hash is cached
 
-    def __post_init__(self):
-        if len(self.forms) < 1:
+    def __init__(self, field: FieldSpec, forms: Tuple[LinearForm, ...],
+                 names: Optional[Tuple[str, ...]] = None):
+        if len(forms) < 1:
             raise ValueError("arrangement needs at least one form")
-        for i in range(len(self.forms)):
-            for j in range(i + 1, len(self.forms)):
-                if self.forms[i].proportional(self.forms[j]):
+        for i in range(len(forms)):
+            for j in range(i + 1, len(forms)):
+                if forms[i].proportional(forms[j]):
                     raise ProportionalForms(f"forms {i} and {j} define the same line")
-        if self.names is not None and len(self.names) != len(self.forms):
+        if names is not None and len(names) != len(forms):
             raise ValueError("names must match forms")
+        set_field(self, "field", field)
+        set_field(self, "forms", forms)
+        set_field(self, "names", names)
 
     @classmethod
     def make(cls, fs: FieldSpec, coeff_pairs: Sequence[Tuple], names=None) -> "Arrangement":
@@ -131,11 +134,13 @@ class Arrangement:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class HomogPoly:
+class HomogPoly(Frozen):
     """Dense homogeneous polynomial; () is the canonical zero."""
 
-    coeffs: Tuple[Scalar, ...] = ()
+    __slots__ = _fields = ("coeffs",)
+
+    def __init__(self, coeffs: Tuple[Scalar, ...] = ()):
+        set_field(self, "coeffs", coeffs)
 
     @property
     def is_zero(self) -> bool:
@@ -280,16 +285,16 @@ def linear_form_multiplicity(f: HomogPoly, lf: LinearForm) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Frozen):
     """theta = P*dx + Q*dy with P, Q homogeneous of a common degree."""
 
-    P: HomogPoly = dc_field(default_factory=HomogPoly.zero)
-    Q: HomogPoly = dc_field(default_factory=HomogPoly.zero)
+    _fields = ("P", "Q")  # no __slots__: cleared and values are cached
 
-    def __post_init__(self):
-        if not self.P.is_zero and not self.Q.is_zero and self.P.degree != self.Q.degree:
+    def __init__(self, P: HomogPoly = HomogPoly(), Q: HomogPoly = HomogPoly()):
+        if P.coeffs and Q.coeffs and len(P.coeffs) != len(Q.coeffs):
             raise ValueError("P and Q must have the same degree")
+        set_field(self, "P", P)
+        set_field(self, "Q", Q)
 
     @property
     def is_zero(self) -> bool:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import json
 import random
-from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -22,14 +21,18 @@ from .errors import HypothesisViolated, PreconditionViolated, UncoveredWindow
 from .explorer import Component, ScanResult, components as scan_components
 from .lattice import Box, Multiplicity
 from .poly import Arrangement, Derivation, HomogPoly, LinearForm, dependent, proportional
+from .record import Frozen, Record, set_field
 
 
-@dataclass
-class Verdict:
-    name: str
-    status: str  # "pass" | "fail" | "skipped"
-    witnesses: List[dict] = dc_field(default_factory=list)
-    details: dict = dc_field(default_factory=dict)
+class Verdict(Record):
+    __slots__ = _fields = ("name", "status", "witnesses", "details")
+
+    def __init__(self, name: str, status: str, witnesses: Optional[List[dict]] = None,
+                 details: Optional[dict] = None):
+        self.name = name
+        self.status = status  # "pass" | "fail" | "skipped"
+        self.witnesses = [] if witnesses is None else witnesses
+        self.details = {} if details is None else details
 
     @property
     def passed(self) -> bool:
@@ -385,11 +388,13 @@ def basis_for(A: Arrangement, kappa: Multiplicity,
 # -- certification criteria --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CandidateMap:
+class CandidateMap(Frozen):
     """A proposed assignment of low-degree module members to lattice points."""
 
-    assignment: Dict[Multiplicity, Derivation]
+    __slots__ = _fields = ("assignment",)
+
+    def __init__(self, assignment: Dict[Multiplicity, Derivation]):
+        set_field(self, "assignment", assignment)
 
     def points(self) -> List[Multiplicity]:
         return sorted(self.assignment)

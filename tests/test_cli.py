@@ -323,9 +323,10 @@ def test_cli_import_leaves_out_the_process_pool():
 
 
 def _modules_after(*args):
-    """The package's optional layers (and click, hashlib) that ``ml args`` imports."""
-    watched = ("click", "hashlib", "multilattice.cache", "multilattice.explorer",
-               "multilattice.theorems")
+    """The package's optional layers (and click, hashlib, dataclasses, inspect)
+    that ``ml args`` imports."""
+    watched = ("click", "dataclasses", "hashlib", "inspect", "multilattice.cache",
+               "multilattice.explorer", "multilattice.theorems")
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "from multilattice import cli\n"
@@ -347,6 +348,18 @@ def test_a_cold_solve_imports_only_the_layers_it_runs(scan_file, tmp_path):
     assert "multilattice.cache" in _modules_after("exponents", "--coxeter", "B2",
                                                   "--cache-dir", str(tmp_path), "1,1,1,1")
     assert (tmp_path / "exponents.jsonl").read_text().count("\n") == 1
+
+
+def test_no_command_imports_dataclasses_or_inspect(scan_file, tmp_path):
+    # inspect (with ast, dis and tokenize) was a tenth of a cold solve
+    out = tmp_path / "s.json"
+    for args in (("exponents", "--coxeter", "G2", "1,1,1,1,1,1"),
+                 ("basis", "--coxeter", "B2", "2,1,1,1"),
+                 ("scan", "--coxeter", "B2", "--box", "1,1,1,1", "-o", str(out)),
+                 ("components", "--scan", scan_file),
+                 ("verify", "--scan", scan_file, "all")):
+        loaded = _modules_after(*args)
+        assert "'dataclasses'" not in loaded and "'inspect'" not in loaded, (args, loaded)
 
 
 def test_every_public_name_resolves():
@@ -387,6 +400,18 @@ def test_exit_code_one_on_verification_failure(tmp_path):
     bad.write_text(json.dumps(obj) + "\n")
     proc = _run_ml("verify", "--scan", str(bad), "covering")
     assert proc.returncode == 1
+
+
+def test_exit_code_two_on_a_scan_file_whose_arrangement_was_edited(scan_file, tmp_path):
+    obj = json.loads(open(scan_file).read())
+    obj["arrangement"]["forms"][1] = ["1", "2"]  # still four distinct lines
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(obj) + "\n")
+    for args in (("components",), ("verify", "covering")):
+        proc = _run_ml(args[0], "--scan", str(bad), *args[1:])
+        assert proc.returncode == 2, proc.stderr
+        assert "arrangement_hash does not match" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("text", ["not json", '{"schema":1}'])

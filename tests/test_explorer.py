@@ -349,6 +349,9 @@ MALFORMED_SCANS = {
     "delta-not-gap": lambda obj: obj["points"][-1].update(delta=2),
     "d1-above-d2": lambda obj: obj["points"][-1].update(d1=2, d2=0, delta=-2),
     "d1-negative": lambda obj: obj["points"][-1].update(d1=-1, d2=3, delta=4),
+    "no-hash": lambda obj: obj.pop("arrangement_hash"),
+    # a valid arrangement, but not the one the rows were scanned on
+    "form-edited": lambda obj: obj["arrangement"]["forms"].__setitem__(1, ["1", "1"]),
 }
 
 
