@@ -109,7 +109,7 @@ def test_record_class_semantics(name):
 
 def test_pickled_derivation_keeps_its_cached_images():
     theta = _theta()
-    dom, p, q = theta.values
+    _, p, q = theta.values
     _, cp, cq, den = theta.cleared
     back = pickle.loads(pickle.dumps(theta))
     assert {"cleared", "values"} <= set(vars(back))
