@@ -34,7 +34,7 @@ _BOOLEAN = ("Arrangement(field=FieldSpec(kind='rational', d=0, p=0), "
 _BALL = ("Component(members=frozenset({(1, 1)}), kind='ball', center=(1, 1), radius=1, "
          "cone_h=None, maximizers=((1, 1),), notes=())")
 
-# name -> (builder, frozen, hashable, the repr the generated classes printed)
+# name -> (constructor call, frozen, hashable, the repr the generated classes printed)
 RECORDS = {
     "QuadElem": (lambda: QuadElem(F(1, 2), F(-3), 5), True, True, "(1/2 + -3*sqrt(5))"),
     "ModInt": (lambda: ModInt(12, 7), True, True, "5 (mod 7)"),
