@@ -27,7 +27,7 @@ _EXPORTS = {
                     "group_closure", "near_constant_exponents", "standard_generators",
                     "symmetric_peak_certificate"),
         "dermod": ("ExponentResult", "SaitoVerdict", "delta", "exponents", "full_basis",
-                   "graded_dimension", "in_module", "min_derivation", "verify_saito"),
+                   "in_module", "min_derivation", "verify_saito"),
         "errors": ("MultilatticeError",),
         "explorer": ("Component", "PointResult", "ScanResult", "centers", "components", "scan"),
         "field": ("FieldSpec", "ModInt", "QuadElem"),

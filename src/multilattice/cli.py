@@ -4,10 +4,13 @@ Exit codes: 0 on success (all verifications pass), 1 when a verification
 fails, 2 on usage errors (malformed input, bad options), 3 when the solver
 contradicts freeness (InternalInconsistency, a solver bug), 4 when the
 operating system refuses a file operation (OSError, e.g. an output path in a
-missing directory or a cache directory that cannot be created).
+missing directory or a cache directory that cannot be created).  A reader
+that closes standard output early (``ml ... | head -1``) also gets 4, with
+no message.
 
 Start-up is most of the cost of one solve, so each command imports the
-layers it runs (``explorer``, ``theorems``, ``cache``) when it runs, and
+layers it runs (``explorer``, ``theorems``, ``cache``, ``coxeter``) when it
+runs, and
 ``_parser`` builds the argument parser of the named command only.  The walk's
 memo is freed at exit by ``dermod``, for library callers too.
 """
@@ -16,11 +19,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import TYPE_CHECKING, List, Optional
 
-from . import coxeter as cox
 from . import lattice
 from .dermod import exponents, full_basis
 from .errors import (HypothesisViolated, InternalInconsistency, MultilatticeError, ParseError,
@@ -57,7 +60,9 @@ def load_arrangement(path: str) -> Arrangement:
 def _arrangement(args) -> Arrangement:
     if args.arrangement is not None:
         return load_arrangement(args.arrangement)
-    return cox.coxeter_arrangement(args.coxeter)
+    from .coxeter import coxeter_arrangement
+
+    return coxeter_arrangement(args.coxeter)
 
 
 def _parse_mu(ctx_a: Arrangement, text: str):
@@ -304,6 +309,8 @@ def cmd_basis_for(args):
 
 def cmd_coxeter(args):
     """Inspect a built-in Coxeter arrangement and its symmetry facts."""
+    from . import coxeter as cox
+
     ctype, offsets = args.ctype, args.offsets
     A = cox.coxeter_arrangement(ctype)
     cache = _cache(args.cache_dir)
@@ -402,9 +409,11 @@ def _parser(argv: List[str]) -> argparse.ArgumentParser:
             return None
         p.set_defaults(run=run)
         if source:
+            from .coxeter import COXETER_TYPES
+
             one = p.add_mutually_exclusive_group(required=True)
             one.add_argument("--arrangement", "-a", help="Arrangement JSON file.")
-            one.add_argument("--coxeter", type=str.upper, choices=cox.COXETER_TYPES,
+            one.add_argument("--coxeter", type=str.upper, choices=COXETER_TYPES,
                              help="Built-in Coxeter arrangement.")
         if cache:
             p.add_argument("--cache-dir", help="Result cache directory.")
@@ -453,7 +462,9 @@ def _parser(argv: List[str]) -> argparse.ArgumentParser:
 
     p = command(commands, "coxeter", cmd_coxeter)
     if p:
-        p.add_argument("ctype", metavar="CTYPE", type=str.upper, choices=cox.COXETER_TYPES)
+        from .coxeter import COXETER_TYPES
+
+        p.add_argument("ctype", metavar="CTYPE", type=str.upper, choices=COXETER_TYPES)
         p.add_argument("--check-invariance", dest="inv_box",
                        help="Verify gap invariance under the group over this box.")
         p.add_argument("--near-constant", dest="nc_k", type=int,
@@ -482,6 +493,12 @@ def run(argv: Optional[List[str]] = None):  # console-script entry point
     """main() with every domain error mapped to its exit code and message."""
     try:
         status = main(argv)
+        sys.stdout.flush()  # a closed reader raises here, not at exit
+    except BrokenPipeError:
+        # the reader of stdout is gone: say nothing, and point stdout at
+        # devnull so that the flush at exit finds no broken pipe either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_OS
     except InternalInconsistency as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         status = EXIT_INTERNAL

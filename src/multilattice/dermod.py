@@ -10,7 +10,9 @@ lattice: from the basis {dx, dy} at 0, one order-basis step per covering
 pair mu -> mu + e_H turns a basis at mu into one at mu + e_H (see _Walk),
 on the integer images of the field's linalg.Domain.  Each process memoises
 the bases it has walked and the results it has returned (its only memo of
-exponents), so a scan in box order costs one step per point.
+exponents), so a scan in box order costs one step per point.  A walk that
+starts at 0 certifies the basis it reaches with Saito's criterion (see
+_Walk.certify), which proves both exponents.
 The reported generators are fixed by the module, not by the path: theta_min
 and the full_basis partner are the nullspace vectors that elimination would
 pick (see _Walk.minimal and _Walk.partner).
@@ -18,9 +20,10 @@ pick (see _Walk.minimal and _Walk.partner).
 Each requirement alpha_H**mu_H | theta(alpha_H) is also linear in the
 2*(d+1) coefficients of P and Q, so the graded piece D_d is the nullspace
 of a stacked constraint system.  Freeness gives dim D_d = max(0, d-d1+1) +
-max(0, d-d2+1), so one rank below d2 fixes d1: a walk rooted at 0 checks
-its lower exponent against it.  Two independent constraint constructions
-are provided:
+max(0, d-d2+1), so one rank below d2 fixes d1 (_minimal_degree).  That
+elimination is only the tests' oracle for the walk; it stays in this module
+because the benchmark's tracer (perfbench/tracer.py) binds its functions.
+Two independent constraint constructions are provided:
 
 * ``basis``: read the coordinates of theta(alpha_H) on the basis
   {alpha**i * beta**(d-i)}, for a fixed complementary form beta, off a
@@ -33,8 +36,7 @@ are provided:
 
 Both ranks run on the images of the field's linalg.Domain.  The two
 constructions must always agree; the second serves as a differential-testing
-oracle for the first, and elimination (_minimal_degree,
-_nullspace_derivations) is the tests' oracle for the walk.
+oracle for the first.
 """
 
 from __future__ import annotations
@@ -48,11 +50,13 @@ from .errors import InternalInconsistency, LengthMismatch, PreconditionViolated
 from .field import FieldSpec, Scalar, invert
 from .linalg import domain_of, nullspace, rank
 from .poly import (
+    EVAL_POINT,
     Arrangement,
     Derivation,
     HomogPoly,
     LinearForm,
     defining_images,
+    dependent_images,
     determinant_images,
 )
 from .record import Frozen, set_field
@@ -135,8 +139,8 @@ def _residual_rows(A: Arrangement, h: int, d: int, ms: Sequence[int]) -> List[Li
     w[j] = C(j, m) * (-r)**(j-m) * s**(d-j), and the row is [s*w | r*w]:
     C(j, m) * (-1)**(j-m) times r**a * s**(d-m+1-a) for a = j-m and j-m+1.
 
-    A walk step takes its residuals with one row (m = mu_h); the rank check
-    stacks the rows m < min(mu_h, d+1) of every form.
+    A walk step takes its residuals with one row (m = mu_h); the rank
+    oracle stacks the rows m < min(mu_h, d+1) of every form.
     """
     dom = domain_of(A.field.one())
     zero, mul, scale = dom.zero, dom.mul, dom.scale
@@ -165,7 +169,7 @@ def _residual_rows(A: Arrangement, h: int, d: int, ms: Sequence[int]) -> List[Li
 
 def _constraint_rows_images(A: Arrangement, mu: Sequence[int], d: int) -> List[List]:
     """The rows of _constraint_rows_basis on integer images, each up to a
-    nonzero factor: the rank check's rows."""
+    nonzero factor: the rank oracle's rows."""
     rows: List[List] = []
     for h, m in enumerate(mu):
         rows.extend(_residual_rows(A, h, d, range(min(m, d + 1))))
@@ -173,7 +177,12 @@ def _constraint_rows_images(A: Arrangement, mu: Sequence[int], d: int) -> List[L
 
 
 def graded_dimension(A: Arrangement, mu: Sequence[int], d: int, method: str = "basis") -> int:
-    """Dimension of the degree-d piece of the derivation module."""
+    """Dimension of the degree-d piece of the derivation module, by one rank.
+
+    The tests' oracle for the walk; no production path calls it.  It stays
+    here, and importable from this module, because perfbench/tracer.py
+    binds it.
+    """
     if len(mu) != len(A):
         raise LengthMismatch("multiplicity length does not match arrangement")
     if d < 0:
@@ -227,7 +236,8 @@ def _minimal_degree(A: Arrangement, mu: Multiplicity) -> int:
     """The lower exponent d1, from the rank at one degree.
 
     For |mu| >= 1 take d* = (|mu| - 1) // 2.  Then d* < d2 and d1 <= d* + 1,
-    so freeness gives dim D_{d*} = d* + 1 - d1.
+    so freeness gives dim D_{d*} = d* + 1 - d1.  The tests' oracle for the
+    walk, kept here for perfbench/tracer.py as graded_dimension is.
     """
     total = sum(mu)
     if total == 0:
@@ -346,7 +356,9 @@ class _Walk:
         the chain mu, mu - e_h, ... (h the last nonzero coordinate), which
         ends at 0 and runs back through box order.
 
-        A walk that starts at 0 checks its lower exponent against one rank.
+        A walk that starts at 0 certifies the basis it reaches (certify).
+        One that starts at a memoised basis does not, so a scan in box
+        order pays one step per point and no certificate.
         """
         chain = []
         nu = mu
@@ -365,11 +377,34 @@ class _Walk:
                 self.results.clear()
             self.states[nu] = state
         if rooted and chain:
-            d1 = _minimal_degree(self.A, mu)
-            if state[1] != d1:
-                raise InternalInconsistency(
-                    f"the walk gives d1={state[1]} but one rank gives {d1} for mu={mu}")
+            self.certify(mu, state)
         return state
+
+    def certify(self, mu: Multiplicity, state: _State) -> None:
+        """Saito's criterion on the images of a state: raise
+        InternalInconsistency unless it is a basis of D(A, mu).
+
+        t1 and t2 must lie in the module, their degrees must sum to |mu|
+        and det(t1, t2) must be nonzero; then Q(A, mu) divides the
+        determinant and the degrees force equality up to a scalar, which
+        proves both exponents.
+        """
+        t1, d1, t2, d2 = state
+        if d1 + d2 != sum(mu):
+            raise InternalInconsistency(
+                f"degree: the walk gives {d1}+{d2} != |mu|={sum(mu)} for mu={mu}")
+        dom = self.dom
+        # the shapes of Derivation.cleared and Derivation.values
+        cleared = [(dom, t[:d + 1], t[d + 1:], 1) for t, d in ((t1, d1), (t2, d2))]
+        for label, (_, P, Q, _) in zip(("theta1", "theta2"), cleared):
+            if not _in_module_images(self.A, mu, dom, P, Q):
+                raise InternalInconsistency(
+                    f"membership: the walk's {label} is not in the module at mu={mu}")
+        values = [(dom, dom.evaluate(P, EVAL_POINT), dom.evaluate(Q, EVAL_POINT))
+                  for _, P, Q, _ in cleared]
+        if dependent_images(*cleared, *values):
+            raise InternalInconsistency(
+                f"dependent: the walk's generators have a zero determinant at mu={mu}")
 
     def minimal(self, state: _State) -> Tuple[List, List]:
         """(theta_min, another generator of degree d2) as images.
@@ -502,19 +537,26 @@ def in_module(A: Arrangement, mu: Sequence[int], theta: Derivation) -> bool:
     if theta.is_zero:
         return True
     dom, P, Q, _ = theta.cleared
+    return _in_module_images(A, mu, dom, P, Q)
+
+
+def _in_module_images(A: Arrangement, mu: Sequence[int], dom, P: List, Q: List) -> bool:
+    """in_module on the images P and Q of a nonzero derivation's parts (a
+    zero part as [] or as zeros)."""
+    zero = dom.zero
     for lf, m in zip(A.forms, mu):
         if m <= 0:
             continue
         if not lf.a:
             # alpha = y and theta(alpha) = Q: its top m coefficients must vanish
-            if any(theta.Q.coeffs[max(len(theta.Q.coeffs) - m, 0):]):
+            if any(v != zero for v in Q[max(len(Q) - m, 0):]):
                 return False
             continue
         (r, s), _ = lf.images  # the images of b and a
-        f = [dom.zero] * (theta.degree + 1)
+        f = [zero] * max(len(P), len(Q))
         dom.convolve(f, [s], P, 1)
         dom.convolve(f, [r], Q, 1)
-        if f.count(dom.zero) < len(f) and not dom.power_divides(f, s, r, m):
+        if f.count(zero) < len(f) and not dom.power_divides(f, s, r, m):
             return False
     return True
 

@@ -6,10 +6,11 @@ F_p), builds elements back, and runs every exact kernel on the images:
 fraction-free (Bareiss) or unit-pivot mod-p elimination, convolution,
 synthetic division, evaluation, and the products, integer multiples, dot
 products, content removal and division by a lead coefficient that the
-lattice walk and the rank check in dermod run on.
-rank is the elimination's pivot count on rows of images.  nullspace, the
-tests' elimination oracle, takes field rows, clears them and
-back-substitutes from the same echelon form.
+lattice walk in dermod and its Saito certificate run on.
+rank is the elimination's pivot count on rows of images; nullspace takes
+field rows, clears them and back-substitutes from the same echelon form.
+Both are the tests' elimination oracle: no production path eliminates, and
+they stay here because perfbench/tracer.py binds them.
 """
 
 from __future__ import annotations
@@ -378,7 +379,8 @@ def domain_of(x: Scalar) -> Domain:
 def rank(rows: Sequence[Sequence], dom: Domain, ncols: int) -> int:
     """Rank of a list of rows of integer images, exactly, over dom's field.
 
-    The rows are copied, not consumed.
+    The rows are copied, not consumed.  The tests' oracle (see the module
+    docstring).
     """
     zero = dom.zero
     return len(dom.echelon([list(r) for r in rows if r.count(zero) < len(r)], ncols)[1])

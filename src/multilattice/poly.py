@@ -396,15 +396,21 @@ def apply_derivation(theta: Derivation, lf: LinearForm) -> HomogPoly:
     return out
 
 
+def _determinant(dom, p1: list, q1: list, p2: list, q2: list) -> list:
+    """Images of P1*Q2 - P2*Q1 from the images of two nonzero derivations
+    (a zero part as [] or as zeros)."""
+    out = [dom.zero] * (len(p1 or q1) + len(p2 or q2) - 1)
+    dom.convolve(out, p1, q2, 1)
+    dom.convolve(out, p2, q1, -1)
+    return out
+
+
 def determinant_images(t1: Derivation, t2: Derivation):
     """(dom, images, den) of P1*Q2 - P2*Q1 for nonzero t1 and t2: the
     convolution of their integer images, over den1*den2."""
     dom, p1, q1, den1 = t1.cleared
     _, p2, q2, den2 = t2.cleared
-    out = [dom.zero] * (t1.degree + t2.degree + 1)
-    dom.convolve(out, p1, q2, 1)
-    dom.convolve(out, p2, q1, -1)
-    return dom, out, den1 * den2
+    return dom, _determinant(dom, p1, q1, p2, q2), den1 * den2
 
 
 def saito_determinant(t1: Derivation, t2: Derivation) -> HomogPoly:
@@ -442,11 +448,19 @@ def dependent(t1: Derivation, t2: Derivation) -> bool:
     """
     if t1.is_zero or t2.is_zero:
         return True
-    dom, p1, q1 = t1.values
-    _, p2, q2 = t2.values
-    if dom.mul(p1, q2) != dom.mul(p2, q1):
+    return dependent_images(t1.cleared, t2.cleared, t1.values, t2.values)
+
+
+def dependent_images(c1: Tuple, c2: Tuple, v1: Tuple, v2: Tuple) -> bool:
+    """dependent on integer images: c_i = (dom, P_i, Q_i, den_i) are the
+    images of a nonzero derivation as in Derivation.cleared (a zero part as
+    [] or as zeros), and v_i = (dom, P_i(t), Q_i(t)) their values at
+    (EVAL_POINT, 1) as in Derivation.values."""
+    dom, a1, b1 = v1
+    _, a2, b2 = v2
+    if dom.mul(a1, b2) != dom.mul(a2, b1):
         return False
-    dom, out, _ = determinant_images(t1, t2)
+    out = _determinant(dom, c1[1], c1[2], c2[1], c2[2])
     return out.count(dom.zero) == len(out)
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from typing import NamedTuple
@@ -326,7 +327,7 @@ def _modules_after(*args):
     """The package's optional layers (and click, hashlib, dataclasses, inspect)
     that ``ml args`` imports."""
     watched = ("click", "dataclasses", "hashlib", "inspect", "multilattice.cache",
-               "multilattice.explorer", "multilattice.theorems")
+               "multilattice.coxeter", "multilattice.explorer", "multilattice.theorems")
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "from multilattice import cli\n"
@@ -341,13 +342,19 @@ def _modules_after(*args):
 
 
 def test_a_cold_solve_imports_only_the_layers_it_runs(scan_file, tmp_path):
-    assert _modules_after("exponents", "--coxeter", "B2", "1,1,1,1") == "[]"
-    assert _modules_after("basis", "--coxeter", "G2", "1,1,1,1,1,1") == "[]"
+    assert _modules_after("exponents", "--coxeter", "B2", "1,1,1,1") == "['multilattice.coxeter']"
+    assert _modules_after("basis", "--coxeter", "G2", "1,1,1,1,1,1") == "['multilattice.coxeter']"
     assert "multilattice.theorems" not in _modules_after("components", "--scan", scan_file)
     # --cache-dir names a directory, so the solve loads and writes the cache
     assert "multilattice.cache" in _modules_after("exponents", "--coxeter", "B2",
                                                   "--cache-dir", str(tmp_path), "1,1,1,1")
     assert (tmp_path / "exponents.jsonl").read_text().count("\n") == 1
+
+
+def test_scan_file_commands_do_not_import_coxeter(scan_file):
+    # a scan file carries its arrangement, so only --coxeter and ml coxeter need it
+    for args in (("components", "--scan", scan_file), ("verify", "--scan", scan_file, "all")):
+        assert "multilattice.coxeter" not in _modules_after(*args), args
 
 
 def test_no_command_imports_dataclasses_or_inspect(scan_file, tmp_path):
@@ -372,7 +379,7 @@ def test_every_public_name_resolves():
             "      hasattr(multilattice, 'no_such_name'))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "54 [] [] False"
+    assert proc.stdout.strip() == "53 [] [] False"
 
 
 def test_exit_code_zero_on_success():
@@ -446,6 +453,21 @@ def test_exit_code_four_on_unwritable_output(tmp_path):
                    "-o", str(tmp_path / "missing" / "x.json"))
     assert proc.returncode == 4, proc.stderr
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_exit_code_four_and_no_message_when_the_reader_closes_early():
+    # the read end is closed before ml writes, as by `ml ... | head -1` on a
+    # long output: every write to stdout fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "multilattice.cli", "exponents",
+                               "--coxeter", "B2", "3,3,3,3"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4
+    assert proc.stderr == ""  # neither "error:" nor "Exception ignored" at exit
 
 
 def test_exit_code_four_on_unwritable_cache_dir(tmp_path):

@@ -13,6 +13,9 @@ Oracles:
   equal the ones built from polynomial powers and a matrix inverse.
 * Elimination (one rank, the nullspace at d1 and at d2) is the oracle of
   the lattice walk: the same exponents, theta_min and full_basis partner.
+* Saito's criterion certifies every walk rooted at 0: it passes on the
+  walk's windows over every field, and each corrupted step fails it for
+  its own reason.
 """
 
 import itertools
@@ -247,9 +250,9 @@ def test_image_rows_rank_matches_field_rows_and_division(fs):
     assert seen == {"alpha = y", "zero entry", "mu_h > d + 1"}
 
 
-def test_dropped_image_row_fails_the_rooted_walk(B2, G2, monkeypatch):
-    # the rank check's rows one short per form: at every point of these
-    # boxes that raises dim D_{d*}, and a walk rooted at 0 must notice
+def test_dropped_image_row_raises_the_oracle_dimension(B2, G2, monkeypatch):
+    # the rank oracle's rows one short per form: at every point of these
+    # boxes that raises dim D_{d*}, so each row counts
     def one_row_short(A, mu, d):
         return [row for h, m in enumerate(mu)
                 for row in dermod._residual_rows(A, h, d, range(min(m, d + 1) - 1))]
@@ -260,9 +263,6 @@ def test_dropped_image_row_fails_the_rooted_walk(B2, G2, monkeypatch):
     monkeypatch.setattr(dermod, "_constraint_rows_images", one_row_short)
     for (A, mu), dim in zip(points, full):
         assert graded_dimension(A, mu, (sum(mu) - 1) // 2) > dim, mu
-        monkeypatch.setattr(dermod, "_WALKS", {})
-        with pytest.raises(InternalInconsistency, match="one rank gives"):
-            exponents(A, mu)
 
 
 def assert_cone_closed_form(A, mu):
@@ -299,13 +299,97 @@ def test_cone_closed_form_on_random_arrangements():
     assert slopes == {"y", "fraction", "integer"}
 
 
+def times_beta(walk, t, d, h):
+    """beta * t for the complementary form beta of line h: x when alpha_h = y,
+    y otherwise."""
+    lo, hi = (1, 0) if walk.forms[h][1] == walk.dom.zero else (0, 1)
+    return dermod._shift(t, d, lo, hi, walk.dom.zero)
+
+
+def pivot_times_beta(walk, step, state, h, m):
+    walk._times_alpha = lambda t, d, h: times_beta(walk, t, d, h)
+    try:
+        return step(walk, state, h, m)
+    finally:
+        del walk._times_alpha
+
+
+def partner_is_shifted_t1(walk, step, state, h, m):
+    t1, d1, _, d2 = step(walk, state, h, m)
+    return (t1, d1, dermod._shift(t1, d1, d2 - d1, 0, walk.dom.zero), d2)
+
+
+def partner_times_beta(walk, step, state, h, m):
+    t1, d1, t2, d2 = step(walk, state, h, m)
+    return (t1, d1, times_beta(walk, t2, d2, h), d2 + 1)
+
+
+def lower_times_x(walk, step, state, h, m):
+    t1, d1, t2, d2 = step(walk, state, h, m)
+    return (dermod._shift(t1, d1, 1, 0, walk.dom.zero), d1 + 1, t2, d2)
+
+
+def corrupt_last_step(monkeypatch, corruption, total):
+    """Patch _Walk.step so that the total-th call, the last step of a walk
+    rooted at 0 to a point of weight total, returns a corrupted state.
+    Returns the list of the calls made."""
+    step, calls = dermod._Walk.step, []
+
+    def patched(walk, state, h, m):
+        calls.append(h)
+        if len(calls) == total:
+            return corruption(walk, step, state, h, m)
+        return step(walk, state, h, m)
+
+    monkeypatch.setattr(dermod._Walk, "step", patched)
+    return calls
+
+
 def test_wrong_lower_exponent_raises(B2, monkeypatch):
     # (1,1,1,1) has exponents (1, 3): a walk rooted at 0, on a fresh memo,
-    # must raise when one rank disagrees with it
+    # must raise when its last step returns x*t1, of degree 2, in the module
+    # and independent of t2
     monkeypatch.setattr(dermod, "_WALKS", {})
-    monkeypatch.setattr(dermod, "_minimal_degree", lambda A, mu: 0)
-    with pytest.raises(InternalInconsistency):
+    corrupt_last_step(monkeypatch, lower_times_x, 4)
+    with pytest.raises(InternalInconsistency, match="degree: the walk gives 2\\+3"):
         exponents(B2, (1, 1, 1, 1))
+
+
+@pytest.mark.parametrize("corruption,reason", [
+    (pivot_times_beta, "membership"),
+    (partner_is_shifted_t1, "dependent"),
+    (partner_times_beta, "degree"),
+], ids=["pivot-times-beta", "partner-x^k-t1", "partner-times-beta"])
+def test_certificate_catches_a_corrupted_last_step(B2, G2, monkeypatch, corruption, reason):
+    # each corruption breaks exactly one condition of Saito's criterion, at
+    # every point of both boxes
+    for A, box in ((B2, (3,) * 4), (G2, (1,) * 6)):
+        for mu in lattice.box_points(box):
+            if not any(mu):
+                continue
+            monkeypatch.setattr(dermod, "_WALKS", {})
+            calls = corrupt_last_step(monkeypatch, corruption, sum(mu))
+            with pytest.raises(InternalInconsistency, match=f"^{reason}: ") as exc:
+                exponents(A, mu)
+            assert len(calls) == sum(mu) and str(mu) in str(exc.value), mu
+
+
+def test_no_production_path_ranks(B2, G2, tmp_path, monkeypatch):
+    # the rank is the tests' oracle only: solves, bases, scans and every
+    # verification run without it, each walk rooted at 0 certified instead
+    from multilattice import cli, explorer, linalg
+
+    def no_rank(*args):
+        raise AssertionError("a production path called rank")
+
+    monkeypatch.setattr(linalg, "rank", no_rank)
+    monkeypatch.setattr(dermod, "rank", no_rank)
+    monkeypatch.setattr(dermod, "_WALKS", {})
+    assert exponents(B2, (9, 9, 9, 9)).as_pair() == (17, 19)
+    assert [t.degree for t in full_basis(G2, (2, 1, 1, 1, 1, 1))] == [2, 5]
+    path = tmp_path / "scan.json"
+    path.write_text(explorer.scan(B2, (2, 2, 2, 2)).to_json())
+    assert cli.main(["verify", "--scan", str(path), "all"]) == 0
 
 
 def test_vanishing_residual_pair_raises(B2, monkeypatch):
@@ -349,6 +433,25 @@ def test_walk_matches_elimination(monkeypatch, name, A, box):
     got = walked(A, points)
     for mu in points:
         assert got[mu] == eliminated(A, mu), mu
+
+
+def certificate_cases():
+    """The windows of test_walk_matches_elimination, and random ones over
+    Q(sqrt 2) and F_3."""
+    rng = random.Random("certificate")
+    extra = [(f"{field_name(fs)}-{i}", A, (2,) * len(A))
+             for fs in (FieldSpec.quadratic(2), FieldSpec.prime(3))
+             for i in range(4) for A in [oracle_arrangement(rng, fs)]]
+    return walk_cases() + extra
+
+
+@pytest.mark.parametrize("name,A,box", certificate_cases(),
+                         ids=[c[0] for c in certificate_cases()])
+def test_certificate_passes_on_the_walk_windows(monkeypatch, name, A, box):
+    monkeypatch.setattr(dermod, "_WALKS", {})
+    walk = dermod._walk(A)
+    for mu in lattice.box_points(box):
+        walk.certify(mu, walk.basis(mu))
 
 
 def test_walk_is_path_independent(B2, G2, monkeypatch):
