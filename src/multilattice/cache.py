@@ -1,18 +1,18 @@
 """Append-only JSON-lines store of exponent computations, kept in a
 --cache-dir directory so that they outlive the process.
 
-Within one process the lattice walk (dermod) already keeps every result it
-returns, so this module only adds the file.  Entries are keyed by (schema
-version, canonical arrangement hash, multiplicity) and are fully
-re-derivable, so a last-write-wins policy is safe: concurrent writers can
-only ever append identical values.
+The solver reads and records it after the walk's memo (dermod.attach_store);
+a put only queues its line, and write() appends the queue.  Entries are
+keyed by (schema version, canonical arrangement hash, multiplicity) and
+are fully re-derivable, so a last-write-wins policy is safe: concurrent
+writers can only ever append identical values.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .dermod import ExponentResult, in_module
 from .field import FieldSpec
@@ -70,6 +70,7 @@ class ResultCache:
         self.directory = Path(directory)
         self._mem: Dict[Tuple[str, Tuple[int, ...]], ExponentResult] = {}
         self._unchecked = set()  # keys read from disk, not yet looked up
+        self._queue: List[Tuple[Arrangement, Tuple[int, ...], ExponentResult]] = []
         self._loaded = False
         self.rejected = 0
 
@@ -114,25 +115,26 @@ class ResultCache:
         return self._mem.get(key)
 
     def put(self, A: Arrangement, mu: Tuple[int, ...], result: ExponentResult) -> None:
-        self.put_many(A, [(mu, result)])
-
-    def put_many(self, A: Arrangement, items) -> None:
-        """Store (mu, result) pairs, appending the new ones to the file in
-        one write."""
+        """Keep a solved result and queue its line, unless the store holds
+        an equal one (a held entry that differs was rejected where solved)."""
         self._ensure_loaded()
-        arr = A.canonical_hash()
-        field = A.field.to_json()
+        key = (A.canonical_hash(), tuple(mu))
+        if self._mem.get(key) == result:
+            return
+        self._mem[key] = result
+        self._queue.append((A, key[1], result))
+
+    def write(self) -> None:
+        """Append the queued lines to the file in one write."""
+        if not self._queue:
+            return
         lines = []
-        for mu, result in items:
-            key = (arr, tuple(mu))
-            if key in self._mem:
-                continue
-            self._mem[key] = result
+        for A, mu, result in self._queue:
             entry = {
                 "schema": SCHEMA_VERSION,
-                "arr": arr,
+                "arr": A.canonical_hash(),
                 "mu": list(mu),
-                "field": field,
+                "field": A.field.to_json(),
                 "d1": result.d1,
                 "d2": result.d2,
                 "delta": result.delta,
@@ -140,15 +142,15 @@ class ResultCache:
                 "theta": serialize_derivation(A.field, result.theta_min),
             }
             lines.append(json.dumps(entry, sort_keys=True) + "\n")
-        if not lines:
-            return
         self.directory.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a") as fh:
             fh.write("".join(lines))
+        self._queue.clear()
 
     def clear(self) -> None:
         self._mem.clear()
         self._unchecked.clear()
+        self._queue.clear()
         self._loaded = True
         if self.path.exists():
             self.path.unlink()

@@ -12,7 +12,9 @@ Start-up is most of the cost of one solve, so each command imports the
 layers it runs (``explorer``, ``theorems``, ``cache``, ``coxeter``) when it
 runs, and
 ``_parser`` builds the argument parser of the named command only.  The walk's
-memo is freed at exit by ``dermod``, for library callers too.
+memo is freed at exit by ``dermod``, for library callers too.  ``main``
+attaches the ``--cache-dir`` store to the solver (``dermod.attach_store``)
+for the whole command, and appends what it queued in one write at the end.
 """
 
 from __future__ import annotations
@@ -25,14 +27,13 @@ import sys
 from typing import TYPE_CHECKING, List, Optional
 
 from . import lattice
-from .dermod import exponents, full_basis
+from .dermod import attach_store, exponents, full_basis
 from .errors import (HypothesisViolated, InternalInconsistency, MultilatticeError, ParseError,
                      UncoveredWindow)
 from .poly import Arrangement
 
 if TYPE_CHECKING:  # the commands import these layers when they run
     from . import theorems
-    from .cache import ResultCache
     from .explorer import ScanResult
     from .theorems import ThetaOracle
 
@@ -69,20 +70,11 @@ def _parse_mu(ctx_a: Arrangement, text: str):
     return lattice.parse_multiplicity(text, len(ctx_a))
 
 
-def _cache(cache_dir: Optional[str]) -> Optional[ResultCache]:
-    """The result cache in --cache-dir; None when no directory is named, as
-    the walk already keeps every result within the process."""
-    if not cache_dir:
-        return None
-    from .cache import ResultCache
-    return ResultCache(cache_dir)
-
-
 def cmd_exponents(args):
     """Exponents, gap and minimal generator at MU (comma-separated)."""
     A = _arrangement(args)
     m = _parse_mu(A, args.mu)
-    res = exponents(A, m, cache=_cache(args.cache_dir))
+    res = exponents(A, m)
     print(f"exponents: ({res.d1}, {res.d2})")
     print(f"delta: {res.delta}")
     tag = " (one of several; gap is 0)" if res.non_unique else ""
@@ -94,7 +86,7 @@ def cmd_basis(args):
     A = _arrangement(args)
     m = _parse_mu(A, args.mu)
     # full_basis verifies the pair and raises InternalInconsistency on a rejection
-    t1, t2 = full_basis(A, m, cache=_cache(args.cache_dir))
+    t1, t2 = full_basis(A, m)
     print(f"theta1 (deg {t1.degree}): {t1.format(A.field)}")
     print(f"theta2 (deg {t2.degree}): {t2.format(A.field)}")
     print("saito: accepted")
@@ -106,7 +98,7 @@ def cmd_scan(args):
 
     A = _arrangement(args)
     b = _parse_mu(A, args.box)
-    result = explorer.scan(A, b, jobs=args.jobs, cache=_cache(args.cache_dir))
+    result = explorer.scan(A, b, jobs=args.jobs)
     text = result.to_json()
     if args.output:
         with open(args.output, "w") as fh:
@@ -172,8 +164,7 @@ def cmd_verify(args):
 
     what, seed = args.what, args.seed
     result = _load_scan(args.scan_path)
-    cache = _cache(args.cache_dir)
-    oracle = theorems.ThetaOracle(result.arrangement, cache=cache)
+    oracle = theorems.ThetaOracle(result.arrangement)
     comps = explorer.components(result)
     mp = args.max_pairs if args.max_pairs > 0 else None
     verdicts: List[theorems.Verdict] = []
@@ -190,7 +181,7 @@ def cmd_verify(args):
         verdicts.append(theorems.check_independency(
             result, oracle, comps, seed=seed, max_pairs=mp))
     if what in ("saito", "all"):
-        verdicts.append(_check_saito_everywhere(result, cache))
+        verdicts.append(_check_saito_everywhere(result))
     if what in ("criteria", "all"):
         verdicts.extend(_run_criteria(result, oracle))
     failed = False
@@ -205,7 +196,7 @@ def cmd_verify(args):
     return EXIT_VERIFY_FAIL if failed else 0
 
 
-def _check_saito_everywhere(result: ScanResult, cache) -> theorems.Verdict:
+def _check_saito_everywhere(result: ScanResult) -> theorems.Verdict:
     """Construct and verify a full basis at every point of the scan.
 
     full_basis runs verify_saito on the pair it returns and raises
@@ -214,7 +205,7 @@ def _check_saito_everywhere(result: ScanResult, cache) -> theorems.Verdict:
     from .theorems import Verdict
 
     for mu in sorted(result.table):
-        full_basis(result.arrangement, mu, cache=cache)
+        full_basis(result.arrangement, mu)
     return Verdict("saito-everywhere", "pass", [], {"checked": len(result.table)})
 
 
@@ -287,11 +278,10 @@ def cmd_basis_between(args):
     from . import theorems
 
     A = _arrangement(args)
-    cache = _cache(args.cache_dir)
     m, n, k = (_parse_mu(A, s) for s in (args.mu, args.nu, args.kappa))
-    t_mu = exponents(A, m, cache=cache).theta_min
-    t_nu = exponents(A, n, cache=cache).theta_min
-    basis, verdict = theorems.construct_basis_between(A, m, n, k, t_mu, t_nu, cache=cache)
+    t_mu = exponents(A, m).theta_min
+    t_nu = exponents(A, n).theta_min
+    basis, verdict = theorems.construct_basis_between(A, m, n, k, t_mu, t_nu)
     return _print_basis(A, basis, verdict)
 
 
@@ -303,7 +293,7 @@ def cmd_basis_for(args):
     A = result.arrangement
     k = _parse_mu(A, args.kappa)
     index = [(e.center, e.delta) for e in explorer.centers(result) if e.center]
-    basis, verdict = theorems.basis_for(A, k, index, cache=_cache(args.cache_dir))
+    basis, verdict = theorems.basis_for(A, k, index)
     return _print_basis(A, basis, verdict)
 
 
@@ -313,7 +303,6 @@ def cmd_coxeter(args):
 
     ctype, offsets = args.ctype, args.offsets
     A = cox.coxeter_arrangement(ctype)
-    cache = _cache(args.cache_dir)
     print(f"type: {ctype.upper()}")
     print(f"field: {json.dumps(A.field.to_json(), sort_keys=True)}")
     for i in range(len(A)):
@@ -324,7 +313,7 @@ def cmd_coxeter(args):
     failed = False
     if args.inv_box:
         b = _parse_mu(A, args.inv_box)
-        verdict = cox.check_delta_invariance(A, gens, b, cache=cache)
+        verdict = cox.check_delta_invariance(A, gens, b)
         print(f"{verdict.name}: {verdict.status.upper()}"
               f" ({verdict.details.get('checked', 0)} orbit steps)")
         failed |= verdict.status == "fail"
@@ -333,7 +322,7 @@ def cmd_coxeter(args):
             offs = [int(v) for v in offsets.split(",")] if offsets else [0] * len(A)
         except ValueError as exc:
             raise ParseError(f"offsets must be comma-separated integers: {offsets}") from exc
-        res = cox.near_constant_exponents(ctype, args.nc_k, offs, A=A, cache=cache)
+        res = cox.near_constant_exponents(ctype, args.nc_k, offs, A=A)
         print(f"nu: {lattice.format_multiplicity(res.nu)}")
         print(f"predicted (distance law): {res.predicted}")
         print(f"printed closed form:      {res.printed_formula}"
@@ -345,7 +334,7 @@ def cmd_coxeter(args):
 
 def cmd_cache_inspect(args):
     """Show the cache file and its number of entries."""
-    cache = _cache(args.cache_dir)
+    cache = args.store
     if cache is None:
         raise ParseError("no cache directory given (use --cache-dir)")
     print(f"path: {cache.path}")
@@ -354,7 +343,7 @@ def cmd_cache_inspect(args):
 
 def cmd_cache_clear(args):
     """Delete the cache file."""
-    cache = _cache(args.cache_dir)
+    cache = args.store
     if cache is None:
         raise ParseError("no cache directory given (use --cache-dir)")
     n = len(cache)
@@ -486,7 +475,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _parser(argv).parse_args(argv)
-    return args.run(args) or 0
+    store = args.store = None  # the walk already keeps every result within the process
+    if getattr(args, "cache_dir", None):
+        from .cache import ResultCache
+        store = args.store = ResultCache(args.cache_dir)
+        store._ensure_loaded()  # read once, here, so that pool workers inherit it
+    attach_store(store)
+    try:
+        return args.run(args) or 0
+    finally:
+        attach_store(None)
+        if store is not None:
+            store.write()
 
 
 def run(argv: Optional[List[str]] = None):  # console-script entry point

@@ -164,18 +164,18 @@ def moves_every_line(A: Arrangement, group: Sequence[GroupElement]) -> bool:
 
 
 def check_delta_invariance(A: Arrangement, generators: Sequence[GroupElement],
-                           box: lattice.Box, cache=None) -> Verdict:
+                           box: lattice.Box) -> Verdict:
     """The gap is constant along group orbits."""
     from .theorems import Verdict
 
     witnesses = []
     checked = 0
     for mu in lattice.box_points(box):
-        d_mu = exponents(A, mu, cache=cache).delta
+        d_mu = exponents(A, mu).delta
         for g in generators:
             nu = act(g, mu)
             checked += 1
-            d_nu = exponents(A, nu, cache=cache).delta
+            d_nu = exponents(A, nu).delta
             if d_mu != d_nu:
                 witnesses.append({"mu": mu, "image": nu, "delta_mu": d_mu, "delta_image": d_nu})
     status = "fail" if witnesses else "pass"
@@ -184,7 +184,7 @@ def check_delta_invariance(A: Arrangement, generators: Sequence[GroupElement],
 
 def symmetric_peak_certificate(A: Arrangement, group: Sequence[GroupElement],
                                mu: Multiplicity, nu: Multiplicity,
-                               kappa: Multiplicity, cache=None,
+                               kappa: Multiplicity,
                                printed_second_hypothesis: bool = False) -> Verdict:
     """Certify that an invariant point is a finite-component center.
 
@@ -215,11 +215,11 @@ def symmetric_peak_certificate(A: Arrangement, group: Sequence[GroupElement],
             cocover = mu[:i] + (mu[i] - 1,) + mu[i + 1:]
             if not lattice.leq(kappa, cocover):
                 raise HypothesisViolated(f"kappa must sit below the co-cover of mu at index {i}")
-    d_mu = exponents(A, mu, cache=cache).delta
+    d_mu = exponents(A, mu).delta
     if d_mu == 0:
         raise HypothesisViolated("mu has gap 0, so it is outside the support")
-    d_nu = exponents(A, nu, cache=cache).delta
-    d_kappa = exponents(A, kappa, cache=cache).delta
+    d_nu = exponents(A, nu).delta
+    d_kappa = exponents(A, kappa).delta
     if not d_mu - d_nu > lattice.distance(mu, nu) - 4:
         raise HypothesisViolated("gap drop towards nu is too small")
     if printed_second_hypothesis:
@@ -237,7 +237,7 @@ def symmetric_peak_certificate(A: Arrangement, group: Sequence[GroupElement],
     for p in lattice.ball(mu, d_mu + 1, box):
         dist = lattice.distance(mu, p)
         want = max(d_mu - dist, 0)
-        got = exponents(A, p, cache=cache).delta
+        got = exponents(A, p).delta
         if got != want:
             witnesses.append({"point": p, "delta": got, "want": want})
     status = "fail" if witnesses else "pass"
@@ -265,7 +265,7 @@ CENTER_GAP = {"B2": 2, "G2": 4}
 
 
 def near_constant_exponents(ctype: str, k: int, offsets: Sequence[int],
-                            A: Optional[Arrangement] = None, cache=None) -> NearConstantResult:
+                            A: Optional[Arrangement] = None) -> NearConstantResult:
     """Exponents near the odd constant multiplicity, predicted vs computed.
 
     The prediction comes from the gap-distance law around the center
@@ -294,7 +294,7 @@ def near_constant_exponents(ctype: str, k: int, offsets: Sequence[int],
     gap_pred = abs(gap_c - s)
     predicted = ((total - gap_pred) // 2, (total + gap_pred) // 2)
     printed = (n * k + 1 + s, n * k + n - 1)
-    computed = exponents(A, nu, cache=cache).as_pair()
+    computed = exponents(A, nu).as_pair()
     return NearConstantResult(
         nu=nu,
         predicted=predicted,

@@ -12,7 +12,8 @@ on the integer images of the field's linalg.Domain.  Each process memoises
 the bases it has walked and the results it has returned (its only memo of
 exponents), so a scan in box order costs one step per point.  A walk that
 starts at 0 certifies the basis it reaches with Saito's criterion (see
-_Walk.certify), which proves both exponents.
+_Walk.certify), which proves both exponents, before its bases enter the
+memo.  exponents asks the memo, then an attached store (attach_store).
 The reported generators are fixed by the module, not by the path: theta_min
 and the full_basis partner are the nullspace vectors that elimination would
 pick (see _Walk.minimal and _Walk.partner).
@@ -356,9 +357,9 @@ class _Walk:
         the chain mu, mu - e_h, ... (h the last nonzero coordinate), which
         ends at 0 and runs back through box order.
 
-        A walk that starts at 0 certifies the basis it reaches (certify).
-        One that starts at a memoised basis does not, so a scan in box
-        order pays one step per point and no certificate.
+        A walk that starts at 0 memoises its chain only after certify
+        accepts the basis it reaches.  One that starts at a memoised basis
+        does not certify, so a scan in box order pays one step per point.
         """
         chain = []
         nu = mu
@@ -368,16 +369,18 @@ class _Walk:
             nu = nu[:h] + (nu[h] - 1,) + nu[h + 1:]
         rooted = not any(nu)
         state = self.states.get(nu) or self._root()
+        walked = []
         for h in reversed(chain):
             state = self.step(state, h, nu[h])
             nu = nu[:h] + (nu[h] + 1,) + nu[h + 1:]
-            if len(self.states) >= _MAX_STATES:
-                self.states.clear()
-                self.rows.clear()
-                self.results.clear()
-            self.states[nu] = state
+            walked.append((nu, state))
         if rooted and chain:
             self.certify(mu, state)
+        if len(self.states) + len(walked) > _MAX_STATES:
+            self.states.clear()
+            self.rows.clear()
+            self.results.clear()
+        self.states.update(walked)
         return state
 
     def certify(self, mu: Multiplicity, state: _State) -> None:
@@ -467,22 +470,30 @@ def _walk(A: Arrangement) -> _Walk:
     return w
 
 
-def exponents(A: Arrangement, mu: Sequence[int], cache=None) -> ExponentResult:
-    """Exponents of the multiarrangement and a minimal-degree generator,
-    from a basis walked up the multiplicity lattice.  A cache answers
-    before the walk's memo and holds the result afterwards."""
+_STORE = None  # the --cache-dir store of this process (a cache.ResultCache)
+
+
+def attach_store(store) -> None:
+    """Serve and record exponents through store from now on (None detaches
+    it); its queued lines reach its file through its write()."""
+    global _STORE
+    _STORE = store
+
+
+def exponents(A: Arrangement, mu: Sequence[int]) -> ExponentResult:
+    """Exponents of the multiarrangement and a minimal-degree generator:
+    the walk's memo, else the attached store, else a basis walked up the
+    multiplicity lattice."""
     mu = tuple(mu)
     if len(mu) != len(A):
         raise LengthMismatch("multiplicity length does not match arrangement")
     if not all(isinstance(m, int) and m >= 0 for m in mu):
         # the walk steps down to 0 one coordinate at a time
         raise PreconditionViolated(f"multiplicity entries must be non-negative integers: {mu}")
-    if cache is not None:
-        hit = cache.get(A, mu)
-        if hit is not None:
-            return hit
     walk = _walk(A)
     result = walk.results.get(mu)
+    if result is None and _STORE is not None:
+        result = _STORE.get(A, mu)
     if result is None:
         state = walk.basis(mu)
         d1, d2 = state[1], state[3]
@@ -491,23 +502,30 @@ def exponents(A: Arrangement, mu: Sequence[int], cache=None) -> ExponentResult:
             raise InternalInconsistency(
                 f"d1={d1} exceeds the constructive bound |mu|-max(mu) for mu={mu}")
         theta = walk.derivation(walk.minimal(state)[0], d1)
-        result = walk.results[mu] = ExponentResult(d1, d2, d2 - d1, theta, non_unique=(d1 == d2))
-    if cache is not None:
-        cache.put(A, mu, result)
+        result = ExponentResult(d1, d2, d2 - d1, theta, non_unique=(d1 == d2))
+    return record(A, mu, result)
+
+
+def record(A: Arrangement, mu: Multiplicity, result: ExponentResult) -> ExponentResult:
+    """Keep result, which exponents returned or a pool worker computed, in
+    the walk's memo and the attached store; return it."""
+    _walk(A).results[mu] = result
+    if _STORE is not None:
+        _STORE.put(A, mu, result)
     return result
 
 
-def delta(A: Arrangement, mu: Sequence[int], cache=None) -> int:
-    return exponents(A, mu, cache=cache).delta
+def delta(A: Arrangement, mu: Sequence[int]) -> int:
+    return exponents(A, mu).delta
 
 
-def min_derivation(A: Arrangement, mu: Sequence[int], cache=None) -> Derivation:
-    return exponents(A, mu, cache=cache).theta_min
+def min_derivation(A: Arrangement, mu: Sequence[int]) -> Derivation:
+    return exponents(A, mu).theta_min
 
 
-def full_basis(A: Arrangement, mu: Sequence[int], cache=None) -> Tuple[Derivation, Derivation]:
+def full_basis(A: Arrangement, mu: Sequence[int]) -> Tuple[Derivation, Derivation]:
     """A Saito-verified homogeneous basis with degrees (d1, d2)."""
-    t1 = exponents(A, mu, cache=cache).theta_min
+    t1 = exponents(A, mu).theta_min
     walk = _walk(A)
     state = walk.basis(tuple(mu))
     t2 = walk.derivation(walk.partner(state), state[3])

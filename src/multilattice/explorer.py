@@ -15,7 +15,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from . import lattice
-from .dermod import ExponentResult, exponents
+from .dermod import ExponentResult, exponents, record
 from .errors import ParseError
 from .lattice import Box, Multiplicity
 from .poly import Arrangement
@@ -124,7 +124,7 @@ def _solve_point(mu: Multiplicity) -> Tuple[Multiplicity, ExponentResult]:
 
 # A pool worker pays for its fork, its imports and the pickling of its
 # results, and a walk in box order costs one order-basis step per point, so
-# a worker needs this many pending points to win; fewer are walked
+# a worker needs this many points to win; fewer are walked
 # in-process.  Measured crossover, with two workers on a 2-CPU host only:
 # ROADMAP item 3.
 _MIN_POINTS_PER_WORKER = 2048
@@ -137,32 +137,23 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def scan(A: Arrangement, box: Box, jobs: int = 1, cache=None) -> ScanResult:
+def scan(A: Arrangement, box: Box, jobs: int = 1) -> ScanResult:
     """Tabulate exponents over the box, solving every point exactly.
 
-    Points missing from the cache are solved once each and stored in the
-    cache.  jobs is an upper bound: the scan starts
-    min(jobs, usable CPUs, pending points // _MIN_POINTS_PER_WORKER)
-    worker processes, each walking one contiguous run of the box, and walks
-    in-process when that is at most one.  The output table and the cache
-    lines are deterministic and independent of the job count.
+    jobs is an upper bound: the scan starts
+    min(jobs, usable CPUs, points // _MIN_POINTS_PER_WORKER) worker
+    processes, each walking one contiguous run of the box, and walks
+    in-process when that is at most one.  Pooled results are recorded in box
+    order, so the table and the store's lines do not depend on jobs.
     """
     if len(box) != len(A):
         raise ValueError("box length must match the arrangement")
     start = time.monotonic()
     points = list(lattice.box_points(box))
-    hits: List[Tuple[Multiplicity, ExponentResult]] = []
-    pending = []
-    for mu in points:
-        hit = cache.get(A, mu) if cache is not None else None
-        if hit is not None:
-            hits.append((mu, hit))
-        else:
-            pending.append(mu)
-    workers = min(jobs, _usable_cpus(), len(pending) // _MIN_POINTS_PER_WORKER)
+    workers = min(jobs, _usable_cpus(), len(points) // _MIN_POINTS_PER_WORKER)
     if workers <= 1:
         _init_worker(A)
-        fresh = [_solve_point(mu) for mu in pending]
+        solved = [_solve_point(mu) for mu in points]
     else:
         # imported here, since only a pool needs multiprocessing: importing
         # it costs every ml process about 25 ms and 2.5 MB
@@ -171,16 +162,13 @@ def scan(A: Arrangement, box: Box, jobs: int = 1, cache=None) -> ScanResult:
                                  initargs=(A,)) as pool:
             # one contiguous chunk per worker: each roots one walk and steps
             # through the rest of its chunk
-            chunk = -(-len(pending) // workers)
-            fresh = list(pool.map(_solve_point, pending, chunksize=chunk))
-    solved = dict(hits + fresh)
-    table = {mu: PointResult(solved[mu].d1, solved[mu].d2, solved[mu].delta)
-             for mu in points}
-    if cache is not None:
-        cache.put_many(A, fresh)
+            chunk = -(-len(points) // workers)
+            solved = list(pool.map(_solve_point, points, chunksize=chunk))
+        for mu, res in solved:
+            record(A, mu, res)
+    table = {mu: PointResult(res.d1, res.d2, res.delta) for mu, res in solved}
     result = ScanResult(A, box, table)
-    result.timing = {"seconds": time.monotonic() - start, "jobs": jobs,
-                     "points": len(table), "solved": len(hits) + len(fresh)}
+    result.timing = {"seconds": time.monotonic() - start, "jobs": jobs, "points": len(table)}
     return result
 
 

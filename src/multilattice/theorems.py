@@ -55,23 +55,14 @@ def _finish(name: str, witnesses: List[dict], details: dict) -> Verdict:
 class ThetaOracle:
     """Minimal-degree generators, memoized, for points with a positive gap."""
 
-    def __init__(self, A: Arrangement, cache=None):
+    def __init__(self, A: Arrangement):
         self.A = A
-        self.cache = cache
         self._memo: Dict[Multiplicity, Derivation] = {}
-        self._delta: Dict[Multiplicity, int] = {}
-
-    def delta(self, mu: Multiplicity) -> int:
-        mu = tuple(mu)
-        if mu not in self._delta:
-            self._delta[mu] = solve_delta(self.A, mu, cache=self.cache)
-        return self._delta[mu]
 
     def __call__(self, mu: Multiplicity) -> Derivation:
         mu = tuple(mu)
         if mu not in self._memo:
-            res = exponents(self.A, mu, cache=self.cache)
-            self._delta[mu] = res.delta
+            res = exponents(self.A, mu)
             if res.non_unique:
                 raise PreconditionViolated(
                     f"theta is only defined up to scalar on the support; gap is 0 at {mu}")
@@ -324,7 +315,7 @@ def multiplier_form(A: Arrangement, base: Multiplicity, kappa: Multiplicity) -> 
 
 def construct_basis_between(A: Arrangement, mu: Multiplicity, nu: Multiplicity,
                             kappa: Multiplicity, theta_mu: Derivation,
-                            theta_nu: Derivation, cache=None):
+                            theta_nu: Derivation):
     """Basis of the module at kappa from generators at two ball centers.
 
     Returns ((theta1, theta2), verdict).  Raises PreconditionViolated if
@@ -333,8 +324,8 @@ def construct_basis_between(A: Arrangement, mu: Multiplicity, nu: Multiplicity,
     structure violation, never repaired here.
     """
     mu, nu, kappa = tuple(mu), tuple(nu), tuple(kappa)
-    d_mu = solve_delta(A, mu, cache=cache)
-    d_nu = solve_delta(A, nu, cache=cache)
+    d_mu = solve_delta(A, mu)
+    d_nu = solve_delta(A, nu)
     if d_mu == 0 or d_nu == 0:
         raise PreconditionViolated("both endpoints must have a positive gap")
     if d_mu + d_nu != lattice.distance(mu, nu):
@@ -354,7 +345,7 @@ def construct_basis_between(A: Arrangement, mu: Multiplicity, nu: Multiplicity,
 
 
 def basis_for(A: Arrangement, kappa: Multiplicity,
-              centers_index: Sequence[Tuple[Multiplicity, int]], cache=None):
+              centers_index: Sequence[Tuple[Multiplicity, int]]):
     """Saito-verified basis at a balanced point, from known ball centers.
 
     centers_index holds (center, gap) pairs covering the relevant window.
@@ -376,9 +367,9 @@ def basis_for(A: Arrangement, kappa: Multiplicity,
             meet, join = lattice.meet_join(m1, m2)
             if not (lattice.leq(meet, kappa) and lattice.leq(kappa, join)):
                 continue
-            t1 = exponents(A, m1, cache=cache).theta_min
-            t2 = exponents(A, m2, cache=cache).theta_min
-            pair, verdict = construct_basis_between(A, m1, m2, kappa, t1, t2, cache=cache)
+            t1 = exponents(A, m1).theta_min
+            t2 = exponents(A, m2).theta_min
+            pair, verdict = construct_basis_between(A, m1, m2, kappa, t1, t2)
             if verdict.accepted:
                 return pair, verdict
     raise NoCenterPairFound(

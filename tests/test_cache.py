@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from multilattice import dermod
 from multilattice.cache import SCHEMA_VERSION, ResultCache
 from multilattice.dermod import exponents
 
@@ -23,7 +24,9 @@ def test_put_is_idempotent(B2, tmp_path):
     mu = (1, 1, 1, 1)
     res = exponents(B2, mu)
     c.put(B2, mu, res)
+    c.write()
     c.put(B2, mu, res)
+    c.write()
     assert len(c) == 1
     assert len(c.path.read_text().splitlines()) == 1
 
@@ -33,6 +36,8 @@ def test_jsonl_persistence_roundtrip(B2, G2, tmp_path):
     for A, mu in [(B2, (1, 1, 1, 1)), (B2, (2, 1, 0, 3)),
                   (G2, (1, 1, 1, 1, 1, 1))]:
         c.put(A, mu, exponents(A, mu))
+    assert not c.path.exists()  # a put only queues its line
+    c.write()
     assert c.path.exists()
     # a fresh cache instance reloads everything, including the generator
     reloaded = ResultCache(str(tmp_path))
@@ -44,6 +49,7 @@ def test_jsonl_persistence_roundtrip(B2, G2, tmp_path):
 def test_torn_write_and_foreign_schema_are_skipped(B2, tmp_path):
     c = ResultCache(str(tmp_path))
     c.put(B2, (1, 1, 1, 1), exponents(B2, (1, 1, 1, 1)))
+    c.write()
     with open(c.path, "a") as fh:
         fh.write('{"schema": 1, "arr": "tru')  # torn write
         fh.write("\n")
@@ -56,6 +62,7 @@ def test_torn_write_and_foreign_schema_are_skipped(B2, tmp_path):
 def test_clear_removes_file_and_entries(B2, tmp_path):
     c = ResultCache(str(tmp_path))
     c.put(B2, (1, 1, 1, 1), exponents(B2, (1, 1, 1, 1)))
+    c.write()
     assert c.path.exists()
     c.clear()
     assert len(c) == 0
@@ -70,7 +77,9 @@ def test_distinct_arrangements_do_not_collide(B2, G2, tmp_path):
 
 def test_malformed_and_inconsistent_lines_are_skipped(B2, tmp_path):
     src = ResultCache(str(tmp_path / "src"))
-    src.put(B2, (1, 1, 1, 1), exponents(B2, (1, 1, 1, 1)))  # exponents (1, 3)
+    want = exponents(B2, (1, 1, 1, 1))  # exponents (1, 3)
+    src.put(B2, (1, 1, 1, 1), want)
+    src.write()
     good = json.loads(src.path.read_text())
 
     def variant(**changes):
@@ -96,7 +105,9 @@ def test_malformed_and_inconsistent_lines_are_skipped(B2, tmp_path):
     assert len(c) == 0
     assert c.rejected == len(bad_lines) - 1  # "[1, 2]" is not a cache entry at all
     assert c.get(B2, (1, 1, 1, 1)) is None
-    assert exponents(B2, (1, 1, 1, 1), cache=c) == exponents(B2, (1, 1, 1, 1))
+    dermod.attach_store(c)
+    assert exponents(B2, (1, 1, 1, 1)) == want
+    c.write()
     assert len(ResultCache(str(tmp_path))) == 1  # the fresh solve was appended
 
 
@@ -105,6 +116,7 @@ def test_cached_generator_outside_the_module_is_resolved_again(B2, tmp_path):
     want = exponents(B2, mu)
     src = ResultCache(str(tmp_path / "src"))
     src.put(B2, mu, want)
+    src.write()
     line = json.loads(src.path.read_text())
     assert line["d1"] == 3
     # well-formed and of degree d1, but x^3 + x^2*y + x*y^2 + y^3 dx is not in the module
@@ -115,7 +127,9 @@ def test_cached_generator_outside_the_module_is_resolved_again(B2, tmp_path):
     assert len(c) == 1 and c.rejected == 0
     assert c.get(B2, mu) is None
     assert c.rejected == 1 and len(c) == 0
-    assert exponents(B2, mu, cache=c) == want
+    dermod.attach_store(c)
+    assert exponents(B2, mu) == want
+    c.write()
     assert len(c.path.read_text().splitlines()) == 2  # the fresh solve was appended
     reloaded = ResultCache(str(tmp_path))
     assert reloaded.get(B2, mu) == want and reloaded.rejected == 0

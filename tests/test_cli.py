@@ -120,7 +120,7 @@ def test_saito_everywhere_verifies_each_basis_once(scan_file, monkeypatch):
     calls = count_verify_saito(monkeypatch)
     with open(scan_file) as fh:
         result = ScanResult.from_json(fh.read())
-    verdict = cli._check_saito_everywhere(result, None)
+    verdict = cli._check_saito_everywhere(result)
     assert verdict.status == "pass"
     assert len(calls) == verdict.details["checked"] == len(result.table)
     calls.clear()
@@ -274,6 +274,48 @@ def test_cache_inspect_without_directory():
         result = invoke(["cache", action])
         assert result.exit_code == 2
         assert "no cache directory given" in result.output
+
+
+def test_a_failing_command_still_writes_its_store_lines(tmp_path, monkeypatch):
+    real = cli.exponents
+
+    def solve_then_fail(A, mu):
+        real(A, mu)
+        raise InternalInconsistency("after the solve")
+
+    monkeypatch.setattr(cli, "exponents", solve_then_fail)
+    result = invoke(["exponents", "--coxeter", "B2", "--cache-dir", str(tmp_path), "1,1,1,1"])
+    assert result.exit_code == 3
+    assert (tmp_path / "exponents.jsonl").read_text().count("\n") == 1
+    assert dermod._STORE is None
+
+
+B2_SCAN = "<the B2 [0,3]^4 scan file>"
+
+STORE_READERS = {
+    "exponents": ["exponents", "--coxeter", "B2", "2,1,2,1"],
+    "basis": ["basis", "--coxeter", "B2", "2,1,2,1"],
+    "verify": ["verify", "--scan", B2_SCAN, "--seed", "7", "all"],
+    "basis-for": ["basis-for", "--scan", B2_SCAN, "--kappa", "1,2,1,2"],
+    "basis-between": ["basis-between", "--coxeter", "B2", "--mu", "1,1,1,1", "--nu", "2,2,1,2",
+                      "--kappa", "1,2,1,1"],
+    "coxeter": ["coxeter", "B2", "--check-invariance", "2,2,2,2", "--near-constant", "1"],
+}
+
+
+@pytest.mark.parametrize("args", STORE_READERS.values(), ids=STORE_READERS.keys())
+def test_a_cold_or_warm_store_changes_no_output(scan_file, tmp_path, args):
+    # each run parses its own arrangement, so it starts on an empty walk
+    # memo: the warm run's results come from the store that the cold run wrote
+    args = [scan_file if a == B2_SCAN else a for a in args]
+    store = ["--cache-dir", str(tmp_path)]
+    plain = invoke(args)
+    cold = invoke(args + store)
+    written = (tmp_path / "exponents.jsonl").read_text()
+    warm = invoke(args + store)
+    assert plain.exit_code == 0, plain.output
+    assert plain == cold == warm
+    assert written and (tmp_path / "exponents.jsonl").read_text() == written
 
 
 def test_near_constant_takes_dash_led_offsets():

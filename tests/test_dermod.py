@@ -374,6 +374,27 @@ def test_certificate_catches_a_corrupted_last_step(B2, G2, monkeypatch, corrupti
             assert len(calls) == sum(mu) and str(mu) in str(exc.value), mu
 
 
+def test_a_rejected_basis_is_not_memoised(B2, monkeypatch):
+    # the step to (1,1,1,1), up line 3 from (1,1,1,0) of weight 3, returns
+    # x^k*t1 as partner on every walk: the certificate must reject the basis
+    # each time, and (1,1,1,2) must not be walked from it
+    monkeypatch.setattr(dermod, "_WALKS", {})
+    step = dermod._Walk.step
+
+    def patched(walk, state, h, m):
+        if (h, m, state[1] + state[3]) == (3, 0, 3):
+            return partner_is_shifted_t1(walk, step, state, h, m)
+        return step(walk, state, h, m)
+
+    monkeypatch.setattr(dermod._Walk, "step", patched)
+    for _ in range(2):
+        with pytest.raises(InternalInconsistency, match="^dependent: "):
+            exponents(B2, (1, 1, 1, 1))
+    with pytest.raises(InternalInconsistency):
+        exponents(B2, (1, 1, 1, 2))
+    assert not dermod._walk(B2).states
+
+
 def test_no_production_path_ranks(B2, G2, tmp_path, monkeypatch):
     # the rank is the tests' oracle only: solves, bases, scans and every
     # verification run without it, each walk rooted at 0 certified instead
@@ -785,12 +806,15 @@ def test_modular_consistency_b2_g2(B2, G2):
     assert report["matches"] == report["total"], report["mismatches"]
 
 
-def test_cache_hit_returns_same_result(B2, tmp_path):
+def test_cache_hit_returns_same_result(B2, tmp_path, monkeypatch):
     mu = (1, 2, 1, 0)
     cache = ResultCache(tmp_path)
-    first = exponents(B2, mu, cache=cache)
+    dermod.attach_store(cache)
+    first = exponents(B2, mu)
     assert cache.get(B2, mu) is first
-    assert exponents(B2, mu, cache=cache) is first
+    assert exponents(B2, mu) is first
+    monkeypatch.setattr(dermod, "_WALKS", {})  # only the store can answer now
+    assert exponents(B2, mu) is first
 
 
 def test_the_walk_keeps_the_results_it_returns(B2, tmp_path, monkeypatch):
@@ -799,8 +823,11 @@ def test_the_walk_keeps_the_results_it_returns(B2, tmp_path, monkeypatch):
     first = exponents(B2, mu)
     assert dermod._walk(B2).results == {mu: first}
     assert exponents(B2, mu) is first
-    # a result the walk kept still lands in a cache given later
-    assert exponents(B2, mu, cache=ResultCache(tmp_path)) is first
+    # a result the walk kept still lands in a store attached later
+    store = ResultCache(tmp_path)
+    dermod.attach_store(store)
+    assert exponents(B2, mu) is first
+    store.write()
     assert ResultCache(tmp_path).get(B2, mu) == first
     # the results go with the bases when the walk drops its memo
     monkeypatch.setattr(dermod, "_MAX_STATES", 1)

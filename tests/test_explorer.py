@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from multilattice import cache as cache_module
-from multilattice import explorer, lattice
+from multilattice import dermod, explorer, lattice
 from multilattice.coxeter import coxeter_arrangement
 from multilattice.cache import ResultCache
+from multilattice.dermod import exponents
 from multilattice.errors import MultilatticeError, ParseError
 from multilattice.field import FieldSpec
 from multilattice.poly import Arrangement
@@ -81,15 +82,18 @@ REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.js
 @pytest.mark.parametrize("ctype,box", [("B2", (5,) * 4), ("G2", (2,) * 6)])
 def test_scan_bytes_match_the_reference(tmp_path, real_pool, ctype, box):
     # perfbench/reference.json pins these bytes: every worker count, with a
-    # fresh cache or none, must reproduce them, and write the same cache file
+    # fresh store attached or none, must reproduce them, and write the same
+    # store file
     want = json.loads(REFERENCE.read_text())["scan_sha256"][f"{ctype} {','.join(map(str, box))}"]
     A = coxeter_arrangement(ctype)
     files = []
     for jobs in (1, 2):
         cache = ResultCache(tmp_path / f"jobs{jobs}")
         for given in (cache, None):
-            text = scan(A, box, jobs=jobs, cache=given).to_json()
+            dermod.attach_store(given)
+            text = scan(A, box, jobs=jobs).to_json()
             assert hashlib.sha256(text.encode()).hexdigest() == want, (jobs, given)
+        cache.write()
         files.append(cache.path.read_bytes())
     assert files[0] == files[1]
     assert real_pool == [2, 2]
@@ -104,7 +108,10 @@ def test_scan_writes_its_cache_lines_in_one_open(B2, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cache_module, "open", recording_open, raising=False)
     cache = ResultCache(tmp_path)
-    scan(B2, (2, 2, 2, 2), cache=cache)
+    dermod.attach_store(cache)
+    scan(B2, (2, 2, 2, 2))
+    assert opened == []  # no file is open while a pool may fork
+    cache.write()
     assert opened == ["exponents.jsonl"]
     assert len(cache.path.read_text().splitlines()) == 3 ** 4
 
@@ -223,22 +230,28 @@ def test_scan_box_length_mismatch(B2):
 
 def test_scan_with_cache_solves_each_pending_point_once(B2, tmp_path, monkeypatch):
     calls = []
-    real = explorer.exponents
+    real = dermod._Walk.basis
 
-    def counting(A, mu, cache=None):
+    def counting(walk, mu):
         calls.append(tuple(mu))
-        return real(A, mu, cache=cache)
+        return real(walk, mu)
 
-    monkeypatch.setattr(explorer, "exponents", counting)
+    monkeypatch.setattr(dermod._Walk, "basis", counting)
+    monkeypatch.setattr(dermod, "_WALKS", {})
     cache = ResultCache(tmp_path)
+    dermod.attach_store(cache)
     box = (2, 2, 2, 2)
-    first = scan(B2, box, jobs=1, cache=cache)
+    first = scan(B2, box, jobs=1)
     assert sorted(calls) == sorted(lattice.box_points(box))
     assert len(cache) == 3 ** 4
     for mu, pr in first.table.items():
         assert cache.get(B2, mu).as_pair() == (pr.d1, pr.d2)
+    cache.write()
     calls.clear()
-    assert scan(B2, box, jobs=1, cache=cache).to_json() == first.to_json()
+    # a fresh memo and the store read back from its file: only the store answers
+    monkeypatch.setattr(dermod, "_WALKS", {})
+    dermod.attach_store(ResultCache(tmp_path))
+    assert scan(B2, box, jobs=1).to_json() == first.to_json()
     assert calls == []
 
 
@@ -307,15 +320,35 @@ def test_small_scan_leaves_out_the_process_pool(tmp_path):
     assert len(ScanResult.from_json((tmp_path / "s.json").read_text()).table) == 6 ** 4
 
 
-def test_pooled_cache_file_equals_the_serial_one(tmp_path, real_pool):
+def test_pooled_cache_file_equals_the_serial_one(tmp_path, real_pool, monkeypatch):
+    # each store starts with a well-formed line for (1, ..., 1) whose
+    # generator, all ones in dx, fails the membership test at x: whoever
+    # looks it up, the process or a pool worker, rejects it, and the scan
+    # appends one fresh line for the point in its place
     fs = FieldSpec.prime(101)
     arrangements = [coxeter_arrangement("G2"),
                     Arrangement.make(fs, [(1, 0), (0, 1), (1, 1), (1, 7), (1, 50)])]
     for i, A in enumerate(arrangements):
+        mu = (1,) * len(A)
+        seed = ResultCache(tmp_path / f"{i}-seed")
+        seed.put(A, mu, exponents(A, mu))
+        seed.write()
+        fresh = seed.path.read_text()
+        line = json.loads(fresh)
+        line["theta"] = {"P": ["1"] * (line["d1"] + 1), "Q": []}
+        bad = json.dumps(line) + "\n"
         files = []
         for jobs in (1, 2):
+            monkeypatch.setattr(dermod, "_WALKS", {})  # the store, not the memo, answers
             cache = ResultCache(tmp_path / f"{i}-{jobs}")
-            scan(A, (2,) * len(A), jobs=jobs, cache=cache)
+            cache.directory.mkdir()
+            cache.path.write_text(bad)
+            dermod.attach_store(cache)
+            scan(A, (2,) * len(A), jobs=jobs)
+            cache.write()
+            lines = cache.path.read_text().splitlines(keepends=True)
+            assert lines[0] == bad and lines.count(fresh) == 1
+            assert len(lines) == 1 + 3 ** len(A)
             files.append(cache.path.read_bytes())
         assert files[0] == files[1]
     assert real_pool == [2, 2]

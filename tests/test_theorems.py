@@ -105,7 +105,7 @@ def test_legacy_estimated_cone_rows_read_as_exact(b2_scan, b2_oracle):
     checks = [check_covering_steps,
               lambda s: check_independency(s, b2_oracle, seed=0),
               lambda s: check_basis_step_and_path(s, b2_oracle, seed=0),
-              lambda s: _check_saito_everywhere(s, None)]
+              _check_saito_everywhere]
     for check in checks:
         want, got = check(b2_scan), check(legacy)
         assert (got.status, got.witnesses, got.details) == (want.status, want.witnesses,
@@ -199,7 +199,7 @@ def test_pairs_at_distance_two_match_the_ball_search(ctype, box):
 def test_oracle_rejects_gap_zero(B2, b2_oracle):
     with pytest.raises(PreconditionViolated):
         b2_oracle((1, 1, 1, 3))  # |mu|=6 even with delta 0
-    assert b2_oracle.delta((1, 1, 1, 3)) == 0  # delta itself is fine
+    assert exponents(B2, (1, 1, 1, 3)).delta == 0  # delta itself is fine
 
 
 # -- basis construction -------------------------------------------------------
