@@ -176,7 +176,7 @@ def cmd_verify(args):
         verdicts.append(theorems.check_singleton_gaps(result))
     if what in ("transport", "all"):
         verdicts.append(theorems.check_basis_step_and_path(
-            result, oracle, comps, seed=seed, max_pairs=mp or 50))
+            result, oracle, comps, seed=seed, max_pairs=mp))
     if what in ("independence", "all"):
         verdicts.append(theorems.check_independency(
             result, oracle, comps, seed=seed, max_pairs=mp))

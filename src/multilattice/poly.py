@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools as _functools
 import json
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     ExactDivisionError,
@@ -462,6 +462,44 @@ def dependent_images(c1: Tuple, c2: Tuple, v1: Tuple, v2: Tuple) -> bool:
         return False
     out = _determinant(dom, c1[1], c1[2], c2[1], c2[2])
     return out.count(dom.zero) == len(out)
+
+
+def dependence_classes(thetas: Sequence[Derivation]) -> List[Optional[int]]:
+    """Class ids under dependent: two nonzero derivations share an id iff
+    they are dependent, and a zero derivation, dependent on everything,
+    gets None.  Ids count from 0 in order of first appearance.
+
+    For nonzero derivations det = 0 says that (P1, Q1) and (P2, Q2) are
+    proportional over the fraction field K(x, y), an equivalence relation,
+    so one representative per class settles every pair.  Dependent
+    derivations have proportional values at (EVAL_POINT, 1), so each is
+    bucketed by the field element P(t)/Q(t) (one bucket for Q(t) = 0) and
+    compared, with dependent, only with the representatives of its bucket.
+    A derivation whose values both vanish is a multiple of x - t*y: it is
+    compared with every representative, and every later one with it.
+    """
+    ids: List[Optional[int]] = []
+    buckets: dict = {}  # key -> [(id, representative)]
+    blind: List[Tuple[int, Derivation]] = []  # representatives with both values 0
+    count = 0
+    for theta in thetas:
+        if theta.is_zero:
+            ids.append(None)
+            continue
+        dom, p, q = theta.values
+        if q != dom.zero:
+            reps = buckets.setdefault(dom.ratio(p, q), [])
+        elif p != dom.zero:
+            reps = buckets.setdefault(None, [])
+        else:
+            reps = blind
+        rivals = [rep for group in buckets.values() for rep in group] if reps is blind else reps
+        found = next((i for i, rep in rivals + blind if dependent(theta, rep)), None)
+        if found is None:
+            found, count = count, count + 1
+            reps.append((found, theta))
+        ids.append(found)
+    return ids
 
 
 def proportional(t1: Derivation, t2: Derivation, forms: Sequence[LinearForm] = ()) -> bool:

@@ -3,12 +3,20 @@
 Every check is report-generating and never self-repairing: the verified
 statements are theorems, so any Fail verdict on correct solver output
 signals a solver defect and must surface with witnesses.
+
+The dependence questions (the independence pattern, the support, center
+and reconstruction criteria) are settled by classes: dependence of nonzero
+derivations is proportionality over K(x, y), an equivalence relation, so
+each check sorts the generators it reads into classes once
+(poly.dependence_classes) and answers every pair by comparing class ids.
+The classes live only as long as the check.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 from itertools import combinations
 from operator import add
@@ -20,7 +28,15 @@ from .dermod import exponents, in_module, verify_saito
 from .errors import HypothesisViolated, PreconditionViolated, UncoveredWindow
 from .explorer import Component, ScanResult, components as scan_components
 from .lattice import Box, Multiplicity
-from .poly import Arrangement, Derivation, HomogPoly, LinearForm, dependent, proportional
+from .poly import (
+    Arrangement,
+    Derivation,
+    HomogPoly,
+    LinearForm,
+    dependence_classes,
+    dependent,
+    proportional,
+)
 from .record import Frozen, Record, set_field
 
 
@@ -139,7 +155,7 @@ def check_singleton_gaps(scan: ScanResult) -> Verdict:
 
 def check_basis_step_and_path(scan: ScanResult, oracle: ThetaOracle,
                               comps: Optional[List[Component]] = None,
-                              seed: int = 0, max_pairs: int = 50) -> Verdict:
+                              seed: int = 0, max_pairs: Optional[int] = 50) -> Verdict:
     """Generator transport along covering steps and saturated chains.
 
     On an ascent step the generator is unchanged up to scalar; on a
@@ -148,6 +164,8 @@ def check_basis_step_and_path(scan: ScanResult, oracle: ThetaOracle,
     carries the generator, independently of the chain chosen.  Chains
     leaving the support transport nothing (the generator is not unique at
     gap 0), so pairs admitting no support-contained chain are skipped.
+
+    max_pairs=None (or 0) means exhaustive over the window.
     """
     if comps is None:
         comps = scan_components(scan)
@@ -167,7 +185,7 @@ def check_basis_step_and_path(scan: ScanResult, oracle: ThetaOracle,
             for nu, h, dirn in lattice.covering_neighbors(mu, scan.box):
                 if dirn == +1 and nu in mem:
                     pairs.append((mu, nu, h))
-        if len(pairs) > max_pairs:
+        if max_pairs and len(pairs) > max_pairs:
             pairs = rng.sample(pairs, max_pairs)
         for mu, nu, h in sorted(pairs):
             step_checked += 1
@@ -178,7 +196,7 @@ def check_basis_step_and_path(scan: ScanResult, oracle: ThetaOracle,
         # saturated chains between comparable pairs
         comparable = [(mu, nu) for mu, nu in combinations(members, 2)
                       if lattice.leq(mu, nu)]
-        if len(comparable) > max_pairs:
+        if max_pairs and len(comparable) > max_pairs:
             comparable = rng.sample(comparable, max_pairs)
         for mu, nu in sorted(comparable):
             # candidate chains that never leave the support
@@ -267,36 +285,67 @@ def pairs_at_distance_two(groups: Sequence[Sequence[Multiplicity]], box: Box) ->
     return sorted(pair for pair, dist in least.items() if dist == 2)
 
 
+def _classes(points, theta) -> Dict[Multiplicity, Optional[int]]:
+    """The dependence class (poly.dependence_classes) of each point's generator."""
+    points = sorted(points)
+    return dict(zip(points, dependence_classes([theta(mu) for mu in points])))
+
+
+def _dependent_in(cls: Dict[Multiplicity, Optional[int]], a: Multiplicity,
+                  b: Multiplicity) -> bool:
+    """dependent(theta_a, theta_b), read off the classes of _classes."""
+    return cls[a] is None or cls[b] is None or cls[a] == cls[b]
+
+
+def _meet(ids1: set, ids2: set) -> bool:
+    """Whether a generator of class in ids1 depends on one in ids2
+    (both nonempty; None is a zero generator)."""
+    return None in ids1 or None in ids2 or not ids1.isdisjoint(ids2)
+
+
 def check_independency(scan: ScanResult, oracle: ThetaOracle,
                        comps: Optional[List[Component]] = None,
                        seed: int = 0, max_pairs: Optional[int] = None) -> Verdict:
     """Generators across components at distance 2 are independent;
     generators within one component are dependent.
 
-    max_pairs=None means exhaustive over the window.
+    max_pairs=None (or 0) means exhaustive over the window; otherwise each
+    component pair, and each component, contributes a seeded sample of at
+    most max_pairs point pairs.  The classes decide at once whether any pair
+    fails: a component must hold one class, and components at distance 2
+    must share none.  Only then does the seeded pairwise walk run, on class
+    lookups, to list the failing pairs of the sample as witnesses.
     """
     if comps is None:
         comps = scan_components(scan)
-    rng = random.Random(seed)
+    near = pairs_at_distance_two([c.members for c in comps], scan.box)
+    cls = _classes((mu for c in comps for mu in c.members), oracle)
+    ids = [{cls[mu] for mu in c.members} for c in comps]
+
+    def sampled(n: int) -> int:
+        return min(n, max_pairs) if max_pairs else n
+
+    cross = sum(sampled(len(comps[i].members) * len(comps[j].members)) for i, j in near)
+    same = sum(sampled(math.comb(len(c.members), 2)) for c in comps)
     witnesses = []
-    cross = same = 0
-    for i, j in pairs_at_distance_two([c.members for c in comps], scan.box):
-        c1, c2 = comps[i], comps[j]
-        pairs = [(a, b) for a in c1.sorted_members() for b in c2.sorted_members()]
-        if max_pairs and len(pairs) > max_pairs:
-            pairs = sorted(rng.sample(pairs, max_pairs))
-        for a, b in pairs:
-            cross += 1
-            if dependent(oracle(a), oracle(b)):
-                witnesses.append({"kind": "cross-dependent", "mu": a, "nu": b})
-    for comp in comps:
-        pairs = list(combinations(comp.sorted_members(), 2))
-        if max_pairs and len(pairs) > max_pairs:
-            pairs = sorted(rng.sample(pairs, max_pairs))
-        for a, b in pairs:
-            same += 1
-            if not dependent(oracle(a), oracle(b)):
-                witnesses.append({"kind": "same-independent", "mu": a, "nu": b})
+    if (any(_meet(ids[i], ids[j]) for i, j in near)
+            or any(len(v - {None}) > 1 for v in ids)):
+        rng = random.Random(seed)
+
+        def sample(pairs):
+            if max_pairs and len(pairs) > max_pairs:
+                return sorted(rng.sample(pairs, max_pairs))
+            return pairs
+
+        for i, j in near:
+            for a, b in sample([(a, b) for a in comps[i].sorted_members()
+                                for b in comps[j].sorted_members()]):
+                if _dependent_in(cls, a, b):
+                    witnesses.append({"kind": "cross-dependent", "mu": a, "nu": b})
+        for comp in comps:
+            for a, b in sample(list(combinations(comp.sorted_members(), 2))):
+                if not _dependent_in(cls, a, b):
+                    witnesses.append({"kind": "same-independent", "mu": a, "nu": b})
     return _finish("independence-pattern", witnesses,
                    {"cross_pairs": cross, "same_pairs": same, "seed": seed})
 
@@ -433,14 +482,18 @@ def certify_support(A: Arrangement, candidate: CandidateMap, box: Box,
         raise HypothesisViolated(
             f"complement has a connected component larger than one, near {big[0]}")
     ncomps = lattice.connected_components(N, box)
-    condition = True
+    near = pairs_at_distance_two(ncomps, box)
+    cls = _classes({mu for pair in near for i in pair for mu in ncomps[i]},
+                   candidate.assignment.__getitem__)
+    condition = not any(_meet({cls[mu] for mu in ncomps[i]}, {cls[mu] for mu in ncomps[j]})
+                        for i, j in near)
     cond_witness = None
-    for c1, c2 in pairs_at_distance_two(ncomps, box):
-        for a in sorted(ncomps[c1]):
-            for b in sorted(ncomps[c2]):
-                if dependent(candidate.assignment[a], candidate.assignment[b]):
-                    condition = False
-                    cond_witness = {"mu": a, "nu": b}
+    if not condition:  # the witness is the last dependent pair in this order
+        for c1, c2 in near:
+            for a in sorted(ncomps[c1]):
+                for b in sorted(ncomps[c2]):
+                    if _dependent_in(cls, a, b):
+                        cond_witness = {"mu": a, "nu": b}
     details = {"condition_holds": condition,
                "ambient_graph": "candidate-induced components, lattice distances"}
     if cond_witness:
@@ -471,9 +524,13 @@ def certify_centers(A: Arrangement, candidate: CandidateMap, box: Box,
     if bad is not None:
         return Verdict(name, "skipped",
                        details={"reason": f"candidate at {bad} is not a module member"})
+    touching = []  # the pairs whose balls touch: gap sum equal to the distance
     for a, b in combinations(N, 2):
-        if lattice.distance(a, b) < gap[a] + gap[b] - 1:
+        dist, reach = lattice.distance(a, b), gap[a] + gap[b]
+        if dist < reach - 1:
             raise HypothesisViolated(f"candidate balls at {a} and {b} overlap")
+        if dist == reach:
+            touching.append((a, b))
     balanced = set(_balanced_window(box))
     covered = set()
     for mu in N:
@@ -483,14 +540,10 @@ def certify_centers(A: Arrangement, candidate: CandidateMap, box: Box,
     if big:
         raise UncoveredWindow(
             f"uncovered balanced region has a component larger than one, near {big[0]}")
-    condition = True
-    cond_witness = None
-    for a, b in combinations(N, 2):
-        if gap[a] + gap[b] != lattice.distance(a, b):
-            continue
-        if dependent(candidate.assignment[a], candidate.assignment[b]):
-            condition = False
-            cond_witness = {"mu": a, "nu": b}
+    cls = _classes({mu for pair in touching for mu in pair}, candidate.assignment.__getitem__)
+    bad_pairs = [(a, b) for a, b in touching if _dependent_in(cls, a, b)]
+    condition = not bad_pairs
+    cond_witness = {"mu": bad_pairs[-1][0], "nu": bad_pairs[-1][1]} if bad_pairs else None
     details = {"condition_holds": condition}
     if cond_witness:
         details["condition_witness"] = cond_witness
@@ -532,9 +585,11 @@ def reconstruct_components(A: Arrangement, box: Box, oracle: ThetaOracle,
             x = parent[x]
         return x
 
-    for i, j in pairs_at_distance_two([(mu,) for mu in N], box):
+    near = pairs_at_distance_two([(mu,) for mu in N], box)
+    cls = _classes({N[k] for pair in near for k in pair}, oracle)
+    for i, j in near:
         a, b = N[i], N[j]
-        if dependent(oracle(a), oracle(b)):
+        if _dependent_in(cls, a, b):
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)

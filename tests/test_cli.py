@@ -103,6 +103,21 @@ def test_verify_passes(scan_file, what):
     assert "PASS" in result.output
 
 
+def test_max_pairs_zero_makes_transport_exhaustive(scan_file):
+    """--max-pairs 0 reaches the transport check as max_pairs=None: every
+    comparable pair of a component is a path, where the default samples 50."""
+    with open(scan_file) as fh:
+        scan = ScanResult.from_json(fh.read())
+    oracle = theorems.ThetaOracle(scan.arrangement)
+    every = theorems.check_basis_step_and_path(scan, oracle, max_pairs=None).details
+    sampled = theorems.check_basis_step_and_path(scan, oracle).details
+    assert every["paths"] > sampled["paths"]
+    for args, want in ((["--max-pairs", "0"], every), ([], sampled)):
+        result = invoke(["verify", "--scan", scan_file, *args, "transport"])
+        assert result.exit_code == 0, result.output
+        assert f"  details: {json.dumps(want, sort_keys=True)}" in result.output.splitlines()
+
+
 def count_verify_saito(monkeypatch):
     calls = []
     real = dermod.verify_saito

@@ -20,6 +20,7 @@ from multilattice.field import (
     FieldSpec,
     ModInt,
     QuadElem,
+    _parse_fraction,
     invert,
     is_prime,
     is_squarefree,
@@ -166,6 +167,46 @@ def test_parse_scalar_errors():
         FieldSpec.rational().parse_scalar("not-a-number")
     with pytest.raises(ParseError):
         FieldSpec.rational().parse_scalar("1/0")
+
+
+# the writer's spellings, and spellings only Fraction's own parser decides:
+# signs, spaces, decimals, exponents, underscores, zero or signed
+# denominators, non-ASCII digits and malformed text
+FRACTION_SPELLINGS = [
+    "0", "-0", "7", "-12", "007", "3/4", "-3/6", "10/5", "0/9", "-0/5", "1/07",
+    "1/0", "0/0", "1/00", "-1/0", "1/-2", "-1/-2", "+3", "+3/4", "1/+2", " 2/4 ", "2 /4",
+    "2/ 4", "\t5\n", "1.5", "-.5", "1e3", "3_0", "1_000/3", "1/2_0", "_1", "", " ", "-", "/",
+    "1/", "/2", "1//2", "1/2/3", "--1", "-+1", "nan", "inf", "0x10", "\u0663", "\u0663/\u0664",
+    "\uff13", "1/\u0664", "\u00b2", "\u2074/2", "abc",
+]
+
+
+def _fraction_or_error(text):
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("text", FRACTION_SPELLINGS)
+def test_parse_fraction_accepts_exactly_what_fraction_accepts(text):
+    want = _fraction_or_error(text)
+    if isinstance(want, type):
+        with pytest.raises(want):
+            _parse_fraction(text)
+    else:
+        got = _parse_fraction(text)
+        assert type(got) is Fraction and got == want
+
+
+@given(st.text(alphabet="0123456789-+/._ e\u0663", max_size=8))
+def test_parse_fraction_agrees_with_fraction_on_any_text(text):
+    want = _fraction_or_error(text)
+    try:
+        got = _parse_fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        got = type(exc)
+    assert got == want
 
 
 def test_coerce_rejects_foreign_elements():

@@ -6,6 +6,7 @@ Divisibility facts are cross-checked against the multiplication oracle
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +23,7 @@ from multilattice.poly import (
     divide_by_linear_form,
     linear_form_multiplicity,
     EVAL_POINT,
+    dependence_classes,
     dependent,
     proportional,
     saito_determinant,
@@ -376,6 +378,64 @@ def test_dependent_matches_saito_determinant(fs):
     theta = small_derivation(fs, rng, 2)
     assert dependent(zero, theta) and dependent(theta, zero) and dependent(zero, zero)
     assert saito_determinant(zero, theta).is_zero
+
+
+CLASS_FIELDS = [FieldSpec.rational(), FieldSpec.quadratic(2), FieldSpec.quadratic(3),
+                FieldSpec.prime(3), FieldSpec.prime(101)]
+CLASS_IDS = ["rational", "sqrt2", "sqrt3", "prime3", "prime101"]
+
+
+@pytest.mark.parametrize("fs", CLASS_FIELDS, ids=CLASS_IDS)
+def test_dependence_classes_match_pairwise_dependent(fs):
+    """Two derivations share a class (or one is zero, with class None)
+    exactly when dependent says so, on sets mixing repeats, scalar and
+    polynomial multiples, zero, multiples of x - t*y (both values 0) and
+    independent derivations whose values at (EVAL_POINT, 1) are
+    proportional."""
+    rng = random.Random(f"classes {fs.kind} {fs.d} {fs.p}")
+    root = HomogPoly.from_linear_form(LinearForm.make(fs, 1, -EVAL_POINT))
+    kinds = ("repeat", "scalar", "multiple", "root", "zero", "same-values", "fresh")
+    seen = dict.fromkeys(kinds + ("independent-same-values", "dependent-both-values-0"), 0)
+    for _ in range(25):
+        bases = [small_derivation(fs, rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        thetas = []
+        for _ in range(rng.randint(2, 14)):
+            kind = rng.choice(kinds)
+            base = rng.choice(bases)
+            if kind == "repeat":
+                theta = base
+            elif kind == "scalar":
+                theta = base.scale(small_poly(fs, rng, 0).coeffs[0])
+            elif kind == "multiple":
+                theta = base.mul_poly(small_poly(fs, rng, rng.randint(1, 2)))
+            elif kind == "root":
+                theta = base.mul_poly(root).mul_poly(small_poly(fs, rng, rng.randint(0, 1)))
+            elif kind == "zero":
+                theta = Derivation.zero()
+            elif kind == "same-values":
+                # the values at (EVAL_POINT, 1) are base's; dependent on base
+                # only if the added multiple of x - t*y is
+                theta = base + small_derivation(fs, rng, base.degree - 1).mul_poly(root)
+            else:
+                theta = small_derivation(fs, rng, rng.randint(0, 3))
+            seen[kind] += 1
+            thetas.append(theta)
+        rng.shuffle(thetas)
+        ids = dependence_classes(thetas)
+        assert len(ids) == len(thetas)
+        assert [i is None for i in ids] == [t.is_zero for t in thetas]
+        firsts = list(dict.fromkeys(i for i in ids if i is not None))
+        assert firsts == list(range(len(firsts)))
+        for (t1, i1), (t2, i2) in combinations(zip(thetas, ids), 2):
+            want = dependent(t1, t2)
+            assert (i1 is None or i2 is None or i1 == i2) is want
+            if not (t1.is_zero or t2.is_zero) and evaluation_vanishes(t1, t2):
+                if not want:
+                    seen["independent-same-values"] += 1
+                elif t1.values[1] == t1.values[2] == t1.values[0].zero:
+                    seen["dependent-both-values-0"] += 1
+    assert all(seen.values()), seen
+    assert dependence_classes([]) == []
 
 
 @pytest.mark.parametrize("fs", PREDICATE_FIELDS, ids=PREDICATE_IDS)

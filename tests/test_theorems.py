@@ -90,6 +90,25 @@ def test_independency_exhaustive_pass(b2_scan, b2_oracle):
     assert v.details["cross_pairs"] > 0 and v.details["same_pairs"] > 0
 
 
+@pytest.mark.parametrize("max_pairs", [None, 4, 50])
+def test_independency_counts_the_pairs_it_would_sample(b2_scan, b2_oracle, max_pairs):
+    """cross_pairs and same_pairs are the sizes of the seeded samples, also
+    when no pairwise walk runs because the classes already pass."""
+    comps = components(b2_scan)
+    near = pairs_at_distance_two([c.members for c in comps], b2_scan.box)
+
+    def sample_size(pairs):
+        return min(len(pairs), max_pairs) if max_pairs else len(pairs)
+
+    v = check_independency(b2_scan, b2_oracle, comps, max_pairs=max_pairs)
+    assert v.passed, v.witnesses[:3]
+    assert v.details["cross_pairs"] == sum(
+        sample_size([(a, b) for a in comps[i].members for b in comps[j].members])
+        for i, j in near)
+    assert v.details["same_pairs"] == sum(
+        sample_size(list(combinations(c.members, 2))) for c in comps)
+
+
 # -- negative controls on corrupted scans ------------------------------------
 
 
@@ -341,6 +360,29 @@ def test_certify_centers_negative_controls(B2, b2_center_setup, b2_oracle):
     assert v.status == "fail"
 
 
+def test_criteria_witness_their_last_dependent_pair(B2, b2_scan, b2_oracle, b2_center_setup,
+                                                  monkeypatch):
+    """With every generator in one class, the support and center conditions
+    fail, and each names the last dependent pair of its pairwise order."""
+    monkeypatch.setattr(theorems, "dependence_classes", lambda thetas: [0] * len(thetas))
+    cand = support_candidate(b2_scan, b2_oracle)
+    v = certify_support(B2, cand, b2_scan.box, trusted_scan=b2_scan)
+    ncomps = lattice.connected_components(set(cand.points()), b2_scan.box)
+    pairs = [(a, b) for i, j in pairs_at_distance_two(ncomps, b2_scan.box)
+             for a in sorted(ncomps[i]) for b in sorted(ncomps[j])]
+    assert pairs and v.status == "fail"
+    assert not v.details["condition_holds"]
+    assert v.details["condition_witness"] == {"mu": pairs[-1][0], "nu": pairs[-1][1]}
+    big, oracle, cand, inner = b2_center_setup
+    v = certify_centers(B2, cand, inner, trusted_scan=big, oracle=oracle)
+    gap = {mu: cand.delta_prime(mu) for mu in cand.points()}
+    pairs = [(a, b) for a, b in combinations(cand.points(), 2)
+             if gap[a] + gap[b] == lattice.distance(a, b)]
+    assert pairs and v.status == "fail"
+    assert not v.details["condition_holds"]
+    assert v.details["condition_witness"] == {"mu": pairs[-1][0], "nu": pairs[-1][1]}
+
+
 def test_reconstruct_components_roundtrip(B2, b2_scan, b2_oracle):
     partition, v = reconstruct_components(B2, b2_scan.box, b2_oracle,
                                           trusted_scan=b2_scan)
@@ -389,11 +431,33 @@ VERDICT_CASES = [
 ]
 
 
+def saito_dependent(t1, t2):
+    return saito_determinant(t1, t2).is_zero
+
+
+def saito_classes(thetas):
+    """poly.dependence_classes from pairwise determinants in field
+    arithmetic: each derivation joins the first earlier representative it
+    is dependent on, and a zero derivation gets None."""
+    reps, ids = [], []
+    for theta in thetas:
+        if theta.is_zero:
+            ids.append(None)
+            continue
+        found = next((i for i, rep in enumerate(reps) if saito_dependent(theta, rep)), None)
+        if found is None:
+            found = len(reps)
+            reps.append(theta)
+        ids.append(found)
+    return ids
+
+
 @pytest.mark.parametrize("ctype,box,corruption,failed", VERDICT_CASES)
 def test_verdicts_match_the_determinant_oracles(ctype, box, corruption, failed,
                                                 monkeypatch):
-    """The image predicates give the verdicts, witnesses included, that
-    saito_determinant and proportional_derivations give."""
+    """The image predicates and the dependence classes give the verdicts,
+    witnesses included, that saito_determinant and proportional_derivations
+    give pair by pair."""
     A = coxeter_arrangement(ctype)
     scan_result = scan(A, box)
     perturbed = None
@@ -409,9 +473,17 @@ def test_verdicts_match_the_determinant_oracles(ctype, box, corruption, failed,
             g = g * HomogPoly.from_linear_form(lf)
         return proportional_derivations(t1, t2.mul_poly(g))
 
-    monkeypatch.setattr(theorems, "dependent", lambda t1, t2: saito_determinant(t1, t2).is_zero)
+    classified = []
+
+    def oracle_classes(thetas):
+        classified.append(len(thetas))
+        return saito_classes(thetas)
+
+    monkeypatch.setattr(theorems, "dependent", saito_dependent)
+    monkeypatch.setattr(theorems, "dependence_classes", oracle_classes)
     monkeypatch.setattr(theorems, "proportional", oracle_proportional)
     assert _verdicts(scan_result, perturbed) == fast
+    assert sum(classified) > 0  # the checks read their classes through the patch
     # G2 [0,2]^6 has no certified center, so its center criterion does not run
     assert [v["check"] for v in fast] == [
         "independence-pattern", "basis-step-and-path", "criterion-support",
