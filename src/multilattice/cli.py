@@ -156,17 +156,17 @@ _CHECKS = ("covering", "ball", "singletons", "transport", "independence",
 def cmd_verify(args):
     """Run structure verifications against scan data.
 
-    Any Fail verdict exits with status 1 and prints witnesses; the
-    verified statements are theorems, so failures indicate solver bugs
-    (or a corrupted scan), never acceptable noise.
+    Every check is exhaustive over the scan.  Any Fail verdict exits with
+    status 1 and prints its first 10 witnesses; the verified statements
+    are theorems, so failures indicate solver bugs (or a corrupted scan),
+    never acceptable noise.
     """
     from . import explorer, theorems
 
-    what, seed = args.what, args.seed
+    what = args.what
     result = _load_scan(args.scan_path)
     oracle = theorems.ThetaOracle(result.arrangement)
     comps = explorer.components(result)
-    mp = args.max_pairs if args.max_pairs > 0 else None
     verdicts: List[theorems.Verdict] = []
     if what in ("covering", "all"):
         verdicts.append(theorems.check_covering_steps(result))
@@ -175,11 +175,9 @@ def cmd_verify(args):
     if what in ("singletons", "all"):
         verdicts.append(theorems.check_singleton_gaps(result))
     if what in ("transport", "all"):
-        verdicts.append(theorems.check_basis_step_and_path(
-            result, oracle, comps, seed=seed, max_pairs=mp))
+        verdicts.append(theorems.check_basis_step_and_path(result, oracle, comps))
     if what in ("independence", "all"):
-        verdicts.append(theorems.check_independency(
-            result, oracle, comps, seed=seed, max_pairs=mp))
+        verdicts.append(theorems.check_independency(result, oracle, comps))
     if what in ("saito", "all"):
         verdicts.append(_check_saito_everywhere(result))
     if what in ("criteria", "all"):
@@ -432,9 +430,8 @@ def _parser(argv: List[str]) -> argparse.ArgumentParser:
     if p:
         p.add_argument("--scan", dest="scan_path", required=True)
         p.add_argument("--seed", type=int, default=0,
-                       help="Seed of the sampled pairs. (default: %(default)s)")
-        p.add_argument("--max-pairs", type=_int_at_least(0), default=50,
-                       help="Sample size per check; 0 means exhaustive. (default: %(default)s)")
+                       help="Has no effect: every check is exhaustive."
+                            " Still accepted for older scripts.")
         p.add_argument("what", choices=_CHECKS)
 
     p = command(commands, "basis-between", cmd_basis_between, source=True)

@@ -2,7 +2,9 @@
 
 Every check is report-generating and never self-repairing: the verified
 statements are theorems, so any Fail verdict on correct solver output
-signals a solver defect and must surface with witnesses.
+signals a solver defect and must surface with witnesses.  Every check is
+exhaustive over its window: no pair is sampled, and no chain is searched,
+since transport along covering steps settles transport along chains.
 
 The dependence questions (the independence pattern, the support, center
 and reconstruction criteria) are settled by classes: dependence of nonzero
@@ -17,7 +19,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import random
 from itertools import combinations
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -32,7 +33,6 @@ from .poly import (
     Arrangement,
     Derivation,
     HomogPoly,
-    LinearForm,
     dependence_classes,
     dependent,
     proportional,
@@ -154,106 +154,32 @@ def check_singleton_gaps(scan: ScanResult) -> Verdict:
 
 
 def check_basis_step_and_path(scan: ScanResult, oracle: ThetaOracle,
-                              comps: Optional[List[Component]] = None,
-                              seed: int = 0, max_pairs: Optional[int] = 50) -> Verdict:
-    """Generator transport along covering steps and saturated chains.
+                              comps: Optional[List[Component]] = None) -> Verdict:
+    """Generator transport along every covering step inside a component.
 
     On an ascent step the generator is unchanged up to scalar; on a
-    descent step it picks up the step form.  Along a chain whose every
-    element stays in the support, the product of the descent-step forms
-    carries the generator, independently of the chain chosen.  Chains
-    leaving the support transport nothing (the generator is not unique at
-    gap 0), so pairs admitting no support-contained chain are skipped.
-
-    max_pairs=None (or 0) means exhaustive over the window.
+    descent step it picks up the step form.  That settles the chains too:
+    a saturated chain in the support stays in one component, each of its
+    links is such a step, and theta_{p+1} = c_p * f_p * theta_p with every
+    c_p nonzero gives theta_nu = (prod c)(prod f) * theta_mu, the product
+    of the descent-step forms, whichever chain is taken.
     """
     if comps is None:
         comps = scan_components(scan)
-    rng = random.Random(seed)
     witnesses = []
-    step_checked = 0
-    path_checked = 0
-    paths_skipped = 0
-    support_set = set(scan.support())
+    checked = 0
     A = scan.arrangement
     for comp in comps:
-        members = comp.sorted_members()
-        # covering steps inside the component
-        pairs = []
         mem = comp.members
-        for mu in members:
+        for mu in comp.sorted_members():
             for nu, h, dirn in lattice.covering_neighbors(mu, scan.box):
-                if dirn == +1 and nu in mem:
-                    pairs.append((mu, nu, h))
-        if max_pairs and len(pairs) > max_pairs:
-            pairs = rng.sample(pairs, max_pairs)
-        for mu, nu, h in sorted(pairs):
-            step_checked += 1
-            t_mu, t_nu = oracle(mu), oracle(nu)
-            descent = scan.table[mu].delta > scan.table[nu].delta
-            if not proportional(t_nu, t_mu, (A.forms[h],) if descent else ()):
-                witnesses.append({"kind": "step", "mu": mu, "nu": nu, "form": h})
-        # saturated chains between comparable pairs
-        comparable = [(mu, nu) for mu, nu in combinations(members, 2)
-                      if lattice.leq(mu, nu)]
-        if max_pairs and len(comparable) > max_pairs:
-            comparable = rng.sample(comparable, max_pairs)
-        for mu, nu in sorted(comparable):
-            # candidate chains that never leave the support
-            chains = [ch for ch in (lattice.saturated_chain(mu, nu),
-                                    _chain_high_first(mu, nu))
-                      if all(p in support_set for p in ch)]
-            if not chains:
-                found = _support_chain(mu, nu, support_set)
-                if found is None:
-                    paths_skipped += 1
+                if dirn != +1 or nu not in mem:
                     continue
-                chains.append(found)
-            path_checked += 1
-            t_mu, t_nu = oracle(mu), oracle(nu)
-            for idx, chain in enumerate(chains):
-                forms = _descent_forms(A, chain, [scan.table[p].delta for p in chain])
-                if not proportional(t_nu, t_mu, forms):
-                    kind = "path" if idx == 0 else "path-alt-chain"
-                    witnesses.append({"kind": kind, "mu": mu, "nu": nu})
-                    break
-    return _finish("basis-step-and-path", witnesses,
-                   {"steps": step_checked, "paths": path_checked,
-                    "paths_skipped": paths_skipped, "seed": seed})
-
-
-def _descent_forms(A: Arrangement, chain: Sequence[Multiplicity],
-                   delta_vals: Sequence[int]) -> List[LinearForm]:
-    """The step forms over the steps where delta decreases: the factors
-    of the chain's transport polynomial."""
-    steps = lattice.chain_steps(chain)
-    return [A.forms[h] for idx, h in enumerate(steps) if delta_vals[idx] > delta_vals[idx + 1]]
-
-
-def _support_chain(mu: Multiplicity, nu: Multiplicity, support) -> Optional[List[Multiplicity]]:
-    """A saturated chain from mu to nu staying inside the support, if any."""
-    stack = [[mu]]
-    while stack:
-        chain = stack.pop()
-        cur = chain[-1]
-        if cur == nu:
-            return chain
-        for i in range(len(mu)):
-            if cur[i] < nu[i]:
-                nxt = cur[:i] + (cur[i] + 1,) + cur[i + 1:]
-                if nxt in support:
-                    stack.append(chain + [nxt])
-    return None
-
-
-def _chain_high_first(mu: Multiplicity, nu: Multiplicity) -> List[Multiplicity]:
-    chain = [mu]
-    cur = list(mu)
-    for i in range(len(mu) - 1, -1, -1):
-        while cur[i] < nu[i]:
-            cur[i] += 1
-            chain.append(tuple(cur))
-    return chain
+                checked += 1
+                descent = scan.table[mu].delta > scan.table[nu].delta
+                if not proportional(oracle(nu), oracle(mu), (A.forms[h],) if descent else ()):
+                    witnesses.append({"kind": "step", "mu": mu, "nu": nu, "form": h})
+    return _finish("basis-step-and-path", witnesses, {"steps": checked})
 
 
 @functools.lru_cache(maxsize=None)
@@ -304,50 +230,36 @@ def _meet(ids1: set, ids2: set) -> bool:
 
 
 def check_independency(scan: ScanResult, oracle: ThetaOracle,
-                       comps: Optional[List[Component]] = None,
-                       seed: int = 0, max_pairs: Optional[int] = None) -> Verdict:
+                       comps: Optional[List[Component]] = None) -> Verdict:
     """Generators across components at distance 2 are independent;
     generators within one component are dependent.
 
-    max_pairs=None (or 0) means exhaustive over the window; otherwise each
-    component pair, and each component, contributes a seeded sample of at
-    most max_pairs point pairs.  The classes decide at once whether any pair
+    Every pair is decided.  The classes decide at once whether any pair
     fails: a component must hold one class, and components at distance 2
-    must share none.  Only then does the seeded pairwise walk run, on class
-    lookups, to list the failing pairs of the sample as witnesses.
+    must share none.  Only then does the pairwise walk run, on class
+    lookups, to list every failing pair as a witness.
     """
     if comps is None:
         comps = scan_components(scan)
     near = pairs_at_distance_two([c.members for c in comps], scan.box)
     cls = _classes((mu for c in comps for mu in c.members), oracle)
     ids = [{cls[mu] for mu in c.members} for c in comps]
-
-    def sampled(n: int) -> int:
-        return min(n, max_pairs) if max_pairs else n
-
-    cross = sum(sampled(len(comps[i].members) * len(comps[j].members)) for i, j in near)
-    same = sum(sampled(math.comb(len(c.members), 2)) for c in comps)
+    cross = sum(len(comps[i].members) * len(comps[j].members) for i, j in near)
+    same = sum(math.comb(len(c.members), 2) for c in comps)
     witnesses = []
     if (any(_meet(ids[i], ids[j]) for i, j in near)
             or any(len(v - {None}) > 1 for v in ids)):
-        rng = random.Random(seed)
-
-        def sample(pairs):
-            if max_pairs and len(pairs) > max_pairs:
-                return sorted(rng.sample(pairs, max_pairs))
-            return pairs
-
         for i, j in near:
-            for a, b in sample([(a, b) for a in comps[i].sorted_members()
-                                for b in comps[j].sorted_members()]):
-                if _dependent_in(cls, a, b):
-                    witnesses.append({"kind": "cross-dependent", "mu": a, "nu": b})
+            for a in comps[i].sorted_members():
+                for b in comps[j].sorted_members():
+                    if _dependent_in(cls, a, b):
+                        witnesses.append({"kind": "cross-dependent", "mu": a, "nu": b})
         for comp in comps:
-            for a, b in sample(list(combinations(comp.sorted_members(), 2))):
+            for a, b in combinations(comp.sorted_members(), 2):
                 if not _dependent_in(cls, a, b):
                     witnesses.append({"kind": "same-independent", "mu": a, "nu": b})
     return _finish("independence-pattern", witnesses,
-                   {"cross_pairs": cross, "same_pairs": same, "seed": seed})
+                   {"cross_pairs": cross, "same_pairs": same})
 
 
 # -- basis construction ------------------------------------------------------

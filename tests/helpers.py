@@ -1,13 +1,15 @@
 """Library code that only the tests call: reference predicates and
 enumerations the production paths do not need."""
 
-from itertools import product
-from typing import Sequence
+from itertools import combinations, product
+from typing import List, Optional, Sequence
 
 from multilattice.errors import LengthMismatch
 from multilattice.field import FieldSpec, invert
+from multilattice import lattice
 from multilattice.lattice import Multiplicity, chain_steps
-from multilattice.poly import Arrangement, Derivation, HomogPoly
+from multilattice.poly import Arrangement, Derivation, HomogPoly, LinearForm, proportional
+from multilattice.theorems import ThetaOracle
 
 
 def euler(fs: FieldSpec) -> Derivation:
@@ -37,6 +39,17 @@ def proportional_derivations(t1: Derivation, t2: Derivation) -> bool:
     return True
 
 
+def wrong_generator_oracle(A: Arrangement, mu: Optional[Multiplicity] = None) -> ThetaOracle:
+    """A generator oracle whose generator at mu, if given, is wrong but of
+    the right degree: theta + y**d * dx."""
+    oracle = ThetaOracle(A)
+    if mu is not None:
+        theta = oracle(mu)
+        y_power = HomogPoly.make([A.field.one()] + [A.field.zero()] * theta.degree)
+        oracle._memo[tuple(mu)] = theta + Derivation(y_power, HomogPoly.zero())
+    return oracle
+
+
 def downalpha(A: Arrangement, chain: Sequence[Multiplicity],
               delta_vals: Sequence[int]) -> HomogPoly:
     """Product of the step forms over the steps where delta decreases."""
@@ -55,3 +68,72 @@ def enumerate_offsets(n: int, max_weight: int, signed: bool = False):
     for combo in product(rng, repeat=n):
         if sum(abs(v) for v in combo) <= max_weight:
             yield combo
+
+
+def descent_forms(A: Arrangement, chain: Sequence[Multiplicity],
+                  delta_vals: Sequence[int]) -> List[LinearForm]:
+    """The step forms over the steps where delta decreases: the factors
+    of the chain's transport polynomial."""
+    steps = chain_steps(chain)
+    return [A.forms[h] for idx, h in enumerate(steps) if delta_vals[idx] > delta_vals[idx + 1]]
+
+
+def support_chain(mu: Multiplicity, nu: Multiplicity, support) -> Optional[List[Multiplicity]]:
+    """A saturated chain from mu to nu staying inside the support, if any."""
+    stack = [[mu]]
+    while stack:
+        chain = stack.pop()
+        cur = chain[-1]
+        if cur == nu:
+            return chain
+        for i in range(len(mu)):
+            if cur[i] < nu[i]:
+                nxt = cur[:i] + (cur[i] + 1,) + cur[i + 1:]
+                if nxt in support:
+                    stack.append(chain + [nxt])
+    return None
+
+
+def chain_high_first(mu: Multiplicity, nu: Multiplicity) -> List[Multiplicity]:
+    """The saturated chain from mu to nu that raises the last coordinate first."""
+    chain = [mu]
+    cur = list(mu)
+    for i in range(len(mu) - 1, -1, -1):
+        while cur[i] < nu[i]:
+            cur[i] += 1
+            chain.append(tuple(cur))
+    return chain
+
+
+def path_transport(scan, oracle, comps):
+    """The path form of generator transport, pair by pair: the oracle for
+    theorems.check_basis_step_and_path, which checks covering steps only.
+
+    For every comparable pair mu <= nu of a component, theta_nu must be a
+    scalar times the product of the descent-step forms times theta_mu, along
+    the low-first and high-first chains when they stay in the support, else
+    along any chain found in the support.  Pairs with no such chain are
+    skipped.  Returns (paths checked, failing (mu, nu) pairs).
+    """
+    support = set(scan.support())
+    A = scan.arrangement
+    checked, failing = 0, []
+    for comp in comps:
+        for mu, nu in combinations(comp.sorted_members(), 2):
+            if not lattice.leq(mu, nu):
+                continue
+            chains = [ch for ch in (lattice.saturated_chain(mu, nu), chain_high_first(mu, nu))
+                      if all(p in support for p in ch)]
+            if not chains:
+                found = support_chain(mu, nu, support)
+                if found is None:
+                    continue
+                chains.append(found)
+            checked += 1
+            t_mu, t_nu = oracle(mu), oracle(nu)
+            for chain in chains:
+                forms = descent_forms(A, chain, [scan.table[p].delta for p in chain])
+                if not proportional(t_nu, t_mu, forms):
+                    failing.append((mu, nu))
+                    break
+    return checked, failing

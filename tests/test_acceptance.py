@@ -171,8 +171,7 @@ def test_criterion_05_saito_verification(b2, b2_window):
 
 
 def test_criterion_06_independence_pattern(b2_window, b2_oracle):
-    v = check_independency(b2_window, b2_oracle, components(b2_window),
-                           max_pairs=None)
+    v = check_independency(b2_window, b2_oracle, components(b2_window))
     assert v.passed, v.witnesses[:3]
     assert v.details["cross_pairs"] > 0 and v.details["same_pairs"] > 0
 

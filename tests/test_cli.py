@@ -14,6 +14,7 @@ from multilattice import cli, dermod, theorems
 from multilattice.cli import load_arrangement
 from multilattice.errors import HypothesisViolated, InternalInconsistency, ParseError, UncoveredWindow
 from multilattice.explorer import ScanResult
+from helpers import wrong_generator_oracle
 
 
 class Result(NamedTuple):
@@ -103,19 +104,41 @@ def test_verify_passes(scan_file, what):
     assert "PASS" in result.output
 
 
-def test_max_pairs_zero_makes_transport_exhaustive(scan_file):
-    """--max-pairs 0 reaches the transport check as max_pairs=None: every
-    comparable pair of a component is a path, where the default samples 50."""
-    with open(scan_file) as fh:
-        scan = ScanResult.from_json(fh.read())
-    oracle = theorems.ThetaOracle(scan.arrangement)
-    every = theorems.check_basis_step_and_path(scan, oracle, max_pairs=None).details
-    sampled = theorems.check_basis_step_and_path(scan, oracle).details
-    assert every["paths"] > sampled["paths"]
-    for args, want in ((["--max-pairs", "0"], every), ([], sampled)):
-        result = invoke(["verify", "--scan", scan_file, *args, "transport"])
-        assert result.exit_code == 0, result.output
-        assert f"  details: {json.dumps(want, sort_keys=True)}" in result.output.splitlines()
+@pytest.fixture(scope="module")
+def b2_5_scan_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scan") / "b2-5.json"
+    result = invoke(["scan", "--coxeter", "B2", "--box", "5,5,5,5", "-o", str(path)])
+    assert result.exit_code == 0, result.output
+    return str(path)
+
+
+def test_verify_transport_checks_every_covering_step(b2_5_scan_file):
+    """Transport checks each of the 788 covering steps inside a component
+    of B2 [0,5]^4, and no path."""
+    result = invoke(["verify", "--scan", b2_5_scan_file, "transport"])
+    assert result.exit_code == 0, result.output
+    assert result.output == 'basis-step-and-path: PASS\n  details: {"steps": 788}\n'
+
+
+def test_verify_seed_has_no_effect(scan_file):
+    plain = invoke(["verify", "--scan", scan_file, "all"])
+    seeded = invoke(["verify", "--scan", scan_file, "--seed", "7", "all"])
+    assert plain.exit_code == seeded.exit_code == 0, plain.output
+    assert seeded.output == plain.output
+
+
+def test_verify_reports_a_wrong_generator(b2_5_scan_file, monkeypatch):
+    """A wrong generator at one point of the largest B2 [0,5]^4 component
+    fails independence-pattern, and the first 10 of its failing pairs are
+    printed; no choice of seed or sample can hide them."""
+    monkeypatch.setattr(theorems, "ThetaOracle",
+                        lambda A: wrong_generator_oracle(A, (0, 3, 0, 5)))
+    result = invoke(["verify", "--scan", b2_5_scan_file, "independence"])
+    assert result.exit_code == 1, result.output
+    lines = result.output.splitlines()
+    witnesses = [line for line in lines if line.startswith("  witness: ")]
+    assert lines[0] == "independence-pattern: FAIL"
+    assert len(witnesses) == 10 and all("(0, 3, 0, 5)" in w for w in witnesses)
 
 
 def count_verify_saito(monkeypatch):
@@ -553,6 +576,7 @@ MALFORMED_INPUTS = {
     "unknown-command": (["frobnicate", "1,1,1,1"], None),
     "missing-mu": (["exponents", "--coxeter", "B2"], None),
     "coxeter-choice": (["exponents", "--coxeter", "Z9", "1,1,1,1"], None),
+    # verify has no --max-pairs (every check is exhaustive): an unknown option
     "max-pairs-negative": (["verify", "--scan", SCAN, "--max-pairs", "-3", "independence"], None),
     "offsets-letter": (["coxeter", "B2", "--near-constant", "1", "--offsets", "a,0,0,0"], None),
     "near-constant-a1a1": (["coxeter", "A1A1", "--near-constant", "1"], None),

@@ -24,7 +24,7 @@ from multilattice.errors import (
     UncoveredWindow,
 )
 from multilattice.explorer import PointResult, ScanResult, centers, components, scan
-from multilattice.poly import Derivation, HomogPoly, saito_determinant
+from multilattice.poly import HomogPoly, saito_determinant
 from multilattice.theorems import (
     CandidateMap,
     ThetaOracle,
@@ -41,7 +41,14 @@ from multilattice.theorems import (
     pairs_at_distance_two,
     reconstruct_components,
 )
-from helpers import downalpha, euler, proportional_derivations
+from helpers import (
+    descent_forms,
+    downalpha,
+    euler,
+    path_transport,
+    proportional_derivations,
+    wrong_generator_oracle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -79,37 +86,56 @@ def test_singleton_gaps_pass(b2_scan):
 
 
 def test_basis_transport_pass(b2_scan, b2_oracle):
-    v = check_basis_step_and_path(b2_scan, b2_oracle)
+    """Every covering step inside a component is checked, and nothing else."""
+    comps = components(b2_scan)
+    steps = [(mu, nu) for c in comps for mu in c.members
+             for nu, _h, dirn in lattice.covering_neighbors(mu, b2_scan.box)
+             if dirn == +1 and nu in c.members]
+    v = check_basis_step_and_path(b2_scan, b2_oracle, comps)
     assert v.passed, v.witnesses[:3]
-    assert v.details["steps"] > 0 and v.details["paths"] > 0
+    assert steps and v.details == {"steps": len(steps)}
 
 
 def test_independency_exhaustive_pass(b2_scan, b2_oracle):
-    v = check_independency(b2_scan, b2_oracle, max_pairs=None)
+    v = check_independency(b2_scan, b2_oracle)
     assert v.passed, v.witnesses[:3]
     assert v.details["cross_pairs"] > 0 and v.details["same_pairs"] > 0
 
 
-@pytest.mark.parametrize("max_pairs", [None, 4, 50])
-def test_independency_counts_the_pairs_it_would_sample(b2_scan, b2_oracle, max_pairs):
-    """cross_pairs and same_pairs are the sizes of the seeded samples, also
-    when no pairwise walk runs because the classes already pass."""
+def test_independency_counts_every_pair(b2_scan, b2_oracle):
+    """cross_pairs and same_pairs count every pair, also when no pairwise
+    walk runs because the classes already pass."""
     comps = components(b2_scan)
     near = pairs_at_distance_two([c.members for c in comps], b2_scan.box)
-
-    def sample_size(pairs):
-        return min(len(pairs), max_pairs) if max_pairs else len(pairs)
-
-    v = check_independency(b2_scan, b2_oracle, comps, max_pairs=max_pairs)
+    v = check_independency(b2_scan, b2_oracle, comps)
     assert v.passed, v.witnesses[:3]
-    assert v.details["cross_pairs"] == sum(
-        sample_size([(a, b) for a in comps[i].members for b in comps[j].members])
-        for i, j in near)
-    assert v.details["same_pairs"] == sum(
-        sample_size(list(combinations(c.members, 2))) for c in comps)
+    assert v.details == {
+        "cross_pairs": sum(1 for i, j in near
+                           for _a in comps[i].members for _b in comps[j].members),
+        "same_pairs": sum(1 for c in comps for _pair in combinations(c.members, 2))}
 
 
 # -- negative controls on corrupted scans ------------------------------------
+
+
+def test_independency_lists_every_failing_pair(B2, b2_center_setup):
+    """A wrong generator at one point of the largest component fails the
+    classes, and the witnesses are every failing pair: all of them hold
+    that point, since the honest scan passes."""
+    big = b2_center_setup[0]
+    bad = (0, 3, 0, 5)
+    oracle = wrong_generator_oracle(B2, bad)
+    comps = components(big)
+    near = pairs_at_distance_two([c.members for c in comps], big.box)
+    home = next(i for i, c in enumerate(comps) if bad in c.members)
+    want = {("same-independent", *sorted((bad, b))) for b in comps[home].members
+            if b != bad and not saito_dependent(oracle(bad), oracle(b))}
+    want |= {("cross-dependent", a, b) for i, j in near if home in (i, j)
+             for a in comps[i].members for b in comps[j].members
+             if bad in (a, b) and saito_dependent(oracle(a), oracle(b))}
+    v = check_independency(big, oracle, comps)
+    assert v.status == "fail" and len(comps[home].members) > 50
+    assert sorted((w["kind"], w["mu"], w["nu"]) for w in v.witnesses) == sorted(want)
 
 
 def test_legacy_estimated_cone_rows_read_as_exact(b2_scan, b2_oracle):
@@ -122,8 +148,8 @@ def test_legacy_estimated_cone_rows_read_as_exact(b2_scan, b2_oracle):
     legacy = ScanResult.from_json(json.dumps(obj))
     assert legacy.table == b2_scan.table
     checks = [check_covering_steps,
-              lambda s: check_independency(s, b2_oracle, seed=0),
-              lambda s: check_basis_step_and_path(s, b2_oracle, seed=0),
+              lambda s: check_independency(s, b2_oracle),
+              lambda s: check_basis_step_and_path(s, b2_oracle),
               _check_saito_everywhere]
     for check in checks:
         want, got = check(b2_scan), check(legacy)
@@ -399,19 +425,23 @@ def test_reconstruct_components_skipped_without_scan(B2, b2_scan, b2_oracle):
     assert partition
 
 
-def _verdicts(scan_result, perturbed=None):
-    oracle = ThetaOracle(scan_result.arrangement)
-    if perturbed is not None:
-        # a wrong generator of the right degree: theta + y**d * dx
-        theta = oracle(perturbed)
-        one, zero = scan_result.arrangement.field.one(), scan_result.arrangement.field.zero()
-        y_power = HomogPoly.make([one] + [zero] * theta.degree)
-        oracle._memo[perturbed] = theta + Derivation(y_power, HomogPoly.zero())
+def _verdicts(scan_result, oracle):
     comps = components(scan_result)
-    out = [check_independency(scan_result, oracle, comps, seed=3, max_pairs=50),
-           check_basis_step_and_path(scan_result, oracle, comps, seed=3, max_pairs=50)]
+    out = [check_independency(scan_result, oracle, comps),
+           check_basis_step_and_path(scan_result, oracle, comps)]
     out += _run_criteria(scan_result, oracle)
     return [json.loads(v.to_json()) for v in out]
+
+
+def _case(ctype, box, corruption):
+    """The scan and the generator oracle of a VERDICT_CASES row."""
+    scan_result = scan(coxeter_arrangement(ctype), box)
+    perturbed = None
+    if corruption and corruption[0] == "gap":
+        scan_result = corrupt(scan_result, *corruption[1:])
+    elif corruption:
+        perturbed = corruption[1]
+    return scan_result, wrong_generator_oracle(scan_result.arrangement, perturbed)
 
 
 # (type, box, corruption, expected failures): the honest scans pass every
@@ -458,14 +488,9 @@ def test_verdicts_match_the_determinant_oracles(ctype, box, corruption, failed,
     """The image predicates and the dependence classes give the verdicts,
     witnesses included, that saito_determinant and proportional_derivations
     give pair by pair."""
-    A = coxeter_arrangement(ctype)
-    scan_result = scan(A, box)
-    perturbed = None
-    if corruption and corruption[0] == "gap":
-        scan_result = corrupt(scan_result, *corruption[1:])
-    elif corruption:
-        perturbed = corruption[1]
-    fast = _verdicts(scan_result, perturbed)
+    scan_result, oracle = _case(ctype, box, corruption)
+    A = scan_result.arrangement
+    fast = _verdicts(scan_result, oracle)
 
     def oracle_proportional(t1, t2, forms=()):
         g = HomogPoly.one(A.field)
@@ -482,13 +507,30 @@ def test_verdicts_match_the_determinant_oracles(ctype, box, corruption, failed,
     monkeypatch.setattr(theorems, "dependent", saito_dependent)
     monkeypatch.setattr(theorems, "dependence_classes", oracle_classes)
     monkeypatch.setattr(theorems, "proportional", oracle_proportional)
-    assert _verdicts(scan_result, perturbed) == fast
+    assert _verdicts(scan_result, oracle) == fast
     assert sum(classified) > 0  # the checks read their classes through the patch
     # G2 [0,2]^6 has no certified center, so its center criterion does not run
     assert [v["check"] for v in fast] == [
         "independence-pattern", "basis-step-and-path", "criterion-support",
         *(["criterion-centers"] if ctype == "B2" else []), "criterion-reconstruct"]
     assert {v["check"] for v in fast if v["status"] == "fail"} == failed
+
+
+@pytest.mark.parametrize("ctype,box,corruption,failed", VERDICT_CASES)
+def test_covering_steps_settle_every_path(ctype, box, corruption, failed):
+    """The transport lemma against its oracle: the pairwise path search
+    over every comparable pair of a component passes on honest data, and
+    whenever it finds a failing path, the step check fails too."""
+    scan_result, oracle = _case(ctype, box, corruption)
+    comps = components(scan_result)
+    checked, failing = path_transport(scan_result, oracle, comps)
+    steps = check_basis_step_and_path(scan_result, oracle, comps)
+    assert checked > 0
+    if corruption is None:
+        assert not failing and steps.passed, (failing[:3], steps.witnesses[:3])
+    if failing:
+        assert steps.status == "fail"
+    assert steps.passed == ("basis-step-and-path" not in failed)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -501,6 +543,6 @@ def test_descent_forms_multiply_to_downalpha(B2, b2_scan, seed):
         chain = lattice.saturated_chain(mu, nu)
         dvals = [b2_scan.table[p].delta for p in chain]
         g = HomogPoly.one(B2.field)
-        for lf in theorems._descent_forms(B2, chain, dvals):
+        for lf in descent_forms(B2, chain, dvals):
             g = g * HomogPoly.from_linear_form(lf)
         assert g == downalpha(B2, chain, dvals)
