@@ -102,10 +102,13 @@ def test_independency_exhaustive_pass(b2_scan, b2_oracle):
     assert v.details["cross_pairs"] > 0 and v.details["same_pairs"] > 0
 
 
-def test_independency_counts_every_pair(b2_scan, b2_oracle):
-    """cross_pairs and same_pairs count every pair, also when no pairwise
-    walk runs because the classes already pass."""
-    comps = components(b2_scan)
+@pytest.mark.parametrize("max_comps", [None, 4, 50])
+def test_independency_counts_the_pairs_it_would_sample(b2_scan, b2_oracle, max_comps):
+    """cross_pairs and same_pairs count every pair of the components the
+    check is given, also when no pairwise walk runs because the classes
+    already pass.  max_comps keeps that many components (the box has 44,
+    so 50 slices past the end); None keeps them all."""
+    comps = components(b2_scan)[:max_comps]
     near = pairs_at_distance_two([c.members for c in comps], b2_scan.box)
     v = check_independency(b2_scan, b2_oracle, comps)
     assert v.passed, v.witnesses[:3]
