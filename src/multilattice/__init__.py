@@ -22,7 +22,6 @@ __version__ = "1.0.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "cache": ("ResultCache",),
         "coxeter": ("GroupElement", "act", "check_delta_invariance", "coxeter_arrangement",
                     "group_closure", "near_constant_exponents", "standard_generators",
                     "symmetric_peak_certificate"),

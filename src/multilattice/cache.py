@@ -1,8 +1,12 @@
-"""Append-only JSON-lines store of exponent computations, kept in a
---cache-dir directory so that they outlive the process.
+"""Append-only JSON-lines store of exponent computations in a directory.
 
-The solver reads and records it after the walk's memo (dermod.attach_store);
-a put only queues its line, and write() appends the queue.  Entries are
+Nothing in the package calls it: the walk's memo is the solver's only memo,
+and ``--cache-dir`` has no effect.  The module stays only because the
+benchmark's tracer (perfbench/tracer.py) binds ResultCache.get, put and
+_ensure_loaded by name; it goes when the tracer's targets are brought in
+step with the code (ROADMAP item 1).
+
+A put only queues its line, and write() appends the queue.  Entries are
 keyed by (schema version, canonical arrangement hash, multiplicity) and
 are fully re-derivable, so a last-write-wins policy is safe: concurrent
 writers can only ever append identical values.
@@ -59,8 +63,7 @@ def _parse_entry(obj: dict) -> Tuple[Tuple[str, Tuple[int, ...]], ExponentResult
 class ResultCache:
     """The exponents.jsonl store in a directory, read once into memory.
 
-    It is the store that outlives a process; the walk's own memo serves
-    repeated points within one.  A line read from disk is served only after
+    A line read from disk is served only after
     its generator passes the membership test on its first lookup;
     ``rejected`` counts the lines skipped at load and the entries dropped
     by that test (exponents then re-solves them).
@@ -146,15 +149,3 @@ class ResultCache:
         with open(self.path, "a") as fh:
             fh.write("".join(lines))
         self._queue.clear()
-
-    def clear(self) -> None:
-        self._mem.clear()
-        self._unchecked.clear()
-        self._queue.clear()
-        self._loaded = True
-        if self.path.exists():
-            self.path.unlink()
-
-    def __len__(self) -> int:
-        self._ensure_loaded()
-        return len(self._mem)

@@ -4,17 +4,16 @@ Exit codes: 0 on success (all verifications pass), 1 when a verification
 fails, 2 on usage errors (malformed input, bad options), 3 when the solver
 contradicts freeness (InternalInconsistency, a solver bug), 4 when the
 operating system refuses a file operation (OSError, e.g. an output path in a
-missing directory or a cache directory that cannot be created).  A reader
+missing directory).  A reader
 that closes standard output early (``ml ... | head -1``) also gets 4, with
 no message.
 
 Start-up is most of the cost of one solve, so each command imports the
-layers it runs (``explorer``, ``theorems``, ``cache``, ``coxeter``) when it
-runs, and
+layers it runs (``explorer``, ``theorems``, ``coxeter``) when it runs, and
 ``_parser`` builds the argument parser of the named command only.  The walk's
-memo is freed at exit by ``dermod``, for library callers too.  ``main``
-attaches the ``--cache-dir`` store to the solver (``dermod.attach_store``)
-for the whole command, and appends what it queued in one write at the end.
+memo is freed at exit by ``dermod``, for library callers too; it is the only
+memo, and no command reads or writes a file of results (``--cache-dir`` is
+still accepted, and has no effect).
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import sys
 from typing import TYPE_CHECKING, List, Optional
 
 from . import lattice
-from .dermod import attach_store, exponents, full_basis
+from .dermod import exponents, full_basis
 from .errors import (HypothesisViolated, InternalInconsistency, MultilatticeError, ParseError,
                      UncoveredWindow)
 from .poly import Arrangement
@@ -330,25 +329,6 @@ def cmd_coxeter(args):
     return EXIT_VERIFY_FAIL if failed else 0
 
 
-def cmd_cache_inspect(args):
-    """Show the cache file and its number of entries."""
-    cache = args.store
-    if cache is None:
-        raise ParseError("no cache directory given (use --cache-dir)")
-    print(f"path: {cache.path}")
-    print(f"entries: {len(cache)}")
-
-
-def cmd_cache_clear(args):
-    """Delete the cache file."""
-    cache = args.store
-    if cache is None:
-        raise ParseError("no cache directory given (use --cache-dir)")
-    n = len(cache)
-    cache.clear()
-    print(f"cleared {n} entries from {cache.path}")
-
-
 # -- argument parsing ----------------------------------------------------------
 
 
@@ -389,9 +369,9 @@ def _parser(argv: List[str]) -> argparse.ArgumentParser:
         metavar="COMMAND", required=True,
         parser_class=lambda **kwargs: _Parser(**kwargs) if kwargs["prog"] == named else None)
 
-    def command(group, name, run, source=False, cache=True):
+    def command(name, run, source=False, cache=True):
         doc = run.__doc__
-        p = group.add_parser(name, help=doc.split("\n", 1)[0], description=doc)
+        p = commands.add_parser(name, help=doc.split("\n", 1)[0], description=doc)
         if p is None:
             return None
         p.set_defaults(run=run)
@@ -403,15 +383,16 @@ def _parser(argv: List[str]) -> argparse.ArgumentParser:
             one.add_argument("--coxeter", type=str.upper, choices=COXETER_TYPES,
                              help="Built-in Coxeter arrangement.")
         if cache:
-            p.add_argument("--cache-dir", help="Result cache directory.")
+            p.add_argument("--cache-dir", help="Has no effect: no command keeps results"
+                                               " on disk. Still accepted for older scripts.")
         return p
 
     for name, run in (("exponents", cmd_exponents), ("basis", cmd_basis)):
-        p = command(commands, name, run, source=True)
+        p = command(name, run, source=True)
         if p:
             p.add_argument("mu", metavar="MU")
 
-    p = command(commands, "scan", cmd_scan, source=True)
+    p = command("scan", cmd_scan, source=True)
     if p:
         p.add_argument("--box", required=True, help="Inclusive upper bounds, comma-separated.")
         p.add_argument("--jobs", type=_int_at_least(1), default=1,
@@ -419,14 +400,14 @@ def _parser(argv: List[str]) -> argparse.ArgumentParser:
                             " (default: %(default)s)")
         p.add_argument("--output", "-o", help="Write the scan JSON here (default: stdout).")
 
-    p = command(commands, "components", cmd_components, cache=False)
+    p = command("components", cmd_components, cache=False)
     if p:
         p.add_argument("--scan", dest="scan_path", required=True,
                        help="Scan JSON produced by the scan command.")
         p.add_argument("--dot", help="Write a DOT rendering here.")
         p.add_argument("--csv", help="Write a CSV table here.")
 
-    p = command(commands, "verify", cmd_verify)
+    p = command("verify", cmd_verify)
     if p:
         p.add_argument("--scan", dest="scan_path", required=True)
         p.add_argument("--seed", type=int, default=0,
@@ -434,19 +415,19 @@ def _parser(argv: List[str]) -> argparse.ArgumentParser:
                             " Still accepted for older scripts.")
         p.add_argument("what", choices=_CHECKS)
 
-    p = command(commands, "basis-between", cmd_basis_between, source=True)
+    p = command("basis-between", cmd_basis_between, source=True)
     if p:
         p.add_argument("--mu", required=True, help="First ball center.")
         p.add_argument("--nu", required=True, help="Second ball center.")
         p.add_argument("--kappa", required=True, help="Target multiplicity.")
 
-    p = command(commands, "basis-for", cmd_basis_for)
+    p = command("basis-for", cmd_basis_for)
     if p:
         p.add_argument("--scan", dest="scan_path", required=True,
                        help="Scan JSON whose certified centers to use.")
         p.add_argument("--kappa", required=True, help="Balanced target multiplicity.")
 
-    p = command(commands, "coxeter", cmd_coxeter)
+    p = command("coxeter", cmd_coxeter)
     if p:
         from .coxeter import COXETER_TYPES
 
@@ -456,13 +437,6 @@ def _parser(argv: List[str]) -> argparse.ArgumentParser:
         p.add_argument("--near-constant", dest="nc_k", type=int,
                        help="Compare near-constant exponent formulas at level k.")
         p.add_argument("--offsets", help="Offsets for --near-constant.")
-
-    doc = "Inspect or clear the persistent result cache."
-    p = commands.add_parser("cache", help=doc, description=doc)
-    if p:
-        actions = p.add_subparsers(metavar="ACTION", required=True)
-        command(actions, "inspect", cmd_cache_inspect)
-        command(actions, "clear", cmd_cache_clear)
     return top
 
 
@@ -472,18 +446,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _parser(argv).parse_args(argv)
-    store = args.store = None  # the walk already keeps every result within the process
-    if getattr(args, "cache_dir", None):
-        from .cache import ResultCache
-        store = args.store = ResultCache(args.cache_dir)
-        store._ensure_loaded()  # read once, here, so that pool workers inherit it
-    attach_store(store)
-    try:
-        return args.run(args) or 0
-    finally:
-        attach_store(None)
-        if store is not None:
-            store.write()
+    return args.run(args) or 0
 
 
 def run(argv: Optional[List[str]] = None):  # console-script entry point

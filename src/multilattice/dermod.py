@@ -13,7 +13,9 @@ the bases it has walked and the results it has returned (its only memo of
 exponents), so a scan in box order costs one step per point.  A walk that
 starts at 0 certifies the basis it reaches with Saito's criterion (see
 _Walk.certify), which proves both exponents, before its bases enter the
-memo.  exponents asks the memo, then an attached store (attach_store).
+memo.  exponent_pair reads (d1, d2) off the degrees of the basis, and
+exponents adds theta_min; a scan asks for the pair alone.  No memo outlives
+the process.
 The reported generators are fixed by the module, not by the path: theta_min
 and the full_basis partner are the nullspace vectors that elimination would
 pick (see _Walk.minimal and _Walk.partner).
@@ -470,20 +472,10 @@ def _walk(A: Arrangement) -> _Walk:
     return w
 
 
-_STORE = None  # the --cache-dir store of this process (a cache.ResultCache)
-
-
-def attach_store(store) -> None:
-    """Serve and record exponents through store from now on (None detaches
-    it); its queued lines reach its file through its write()."""
-    global _STORE
-    _STORE = store
-
-
-def exponents(A: Arrangement, mu: Sequence[int]) -> ExponentResult:
-    """Exponents of the multiarrangement and a minimal-degree generator:
-    the walk's memo, else the attached store, else a basis walked up the
-    multiplicity lattice."""
+def exponent_pair(A: Arrangement, mu: Sequence[int]) -> Tuple[int, int]:
+    """The exponents (d1, d2) at mu: the walk's kept result, else the
+    degrees of the basis walked up the multiplicity lattice.  Builds no
+    generator, so a scan pays only the walk's steps."""
     mu = tuple(mu)
     if len(mu) != len(A):
         raise LengthMismatch("multiplicity length does not match arrangement")
@@ -492,26 +484,27 @@ def exponents(A: Arrangement, mu: Sequence[int]) -> ExponentResult:
         raise PreconditionViolated(f"multiplicity entries must be non-negative integers: {mu}")
     walk = _walk(A)
     result = walk.results.get(mu)
-    if result is None and _STORE is not None:
-        result = _STORE.get(A, mu)
+    if result is not None:
+        return (result.d1, result.d2)
+    _, d1, _, d2 = walk.basis(mu)
+    total = sum(mu)
+    if mu and total > 0 and d1 > total - max(mu):
+        raise InternalInconsistency(
+            f"d1={d1} exceeds the constructive bound |mu|-max(mu) for mu={mu}")
+    return (d1, d2)
+
+
+def exponents(A: Arrangement, mu: Sequence[int]) -> ExponentResult:
+    """Exponents of the multiarrangement and a minimal-degree generator,
+    kept in the walk's memo: exponent_pair, and theta_min from the basis
+    it walked to."""
+    d1, d2 = exponent_pair(A, mu)
+    mu, walk = tuple(mu), _walk(A)
+    result = walk.results.get(mu)
     if result is None:
-        state = walk.basis(mu)
-        d1, d2 = state[1], state[3]
-        total = sum(mu)
-        if mu and total > 0 and d1 > total - max(mu):
-            raise InternalInconsistency(
-                f"d1={d1} exceeds the constructive bound |mu|-max(mu) for mu={mu}")
-        theta = walk.derivation(walk.minimal(state)[0], d1)
-        result = ExponentResult(d1, d2, d2 - d1, theta, non_unique=(d1 == d2))
-    return record(A, mu, result)
-
-
-def record(A: Arrangement, mu: Multiplicity, result: ExponentResult) -> ExponentResult:
-    """Keep result, which exponents returned or a pool worker computed, in
-    the walk's memo and the attached store; return it."""
-    _walk(A).results[mu] = result
-    if _STORE is not None:
-        _STORE.put(A, mu, result)
+        theta = walk.derivation(walk.minimal(walk.basis(mu))[0], d1)
+        result = walk.results[mu] = ExponentResult(d1, d2, d2 - d1, theta,
+                                                   non_unique=(d1 == d2))
     return result
 
 

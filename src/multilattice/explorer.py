@@ -15,7 +15,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from . import lattice
-from .dermod import ExponentResult, exponents, record
+from .dermod import exponent_pair
 from .errors import ParseError
 from .lattice import Box, Multiplicity
 from .poly import Arrangement
@@ -65,7 +65,7 @@ class ScanResult(Record):
     def from_json(cls, text: str) -> "ScanResult":
         """Parse scan JSON; anything malformed raises ParseError, as does a
         row whose exponents break d1 + d2 = |mu|, delta = d2 - d1 or
-        0 <= d1 <= d2, and an arrangement_hash that is not the parsed
+        0 <= d1 <= d2, a negative box bound, and an arrangement_hash that is not the parsed
         arrangement's canonical_hash.
 
         Older versions flagged cone rows as estimates; the flag is ignored,
@@ -94,6 +94,8 @@ class ScanResult(Record):
                     raise ValueError(f"exponents ({d1}, {d2}, delta {dlt}) do not fit mu={mu}")
                 table[mu] = PointResult(d1, d2, dlt)
             box = _int_tuple(obj["box"])
+            if any(b < 0 for b in box):
+                raise ValueError(f"box bounds must be non-negative, got {list(box)}")
         except KeyError as exc:
             raise ParseError(f"scan file lacks the key {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -118,15 +120,15 @@ def _init_worker(A: Arrangement) -> None:
     _WORKER_ARRANGEMENT = A
 
 
-def _solve_point(mu: Multiplicity) -> Tuple[Multiplicity, ExponentResult]:
-    return (mu, exponents(_WORKER_ARRANGEMENT, mu))
+def _solve_point(mu: Multiplicity) -> Tuple[Multiplicity, Tuple[int, int]]:
+    return (mu, exponent_pair(_WORKER_ARRANGEMENT, mu))
 
 
 # A pool worker pays for its fork, its imports and the pickling of its
-# results, and a walk in box order costs one order-basis step per point, so
-# a worker needs this many points to win; fewer are walked
+# exponent pairs, and a walk in box order costs one order-basis step per
+# point, so a worker needs this many points to win; fewer are walked
 # in-process.  Measured crossover, with two workers on a 2-CPU host only:
-# ROADMAP item 3.
+# the pool table in CHANGES.md.
 _MIN_POINTS_PER_WORKER = 2048
 
 
@@ -143,8 +145,8 @@ def scan(A: Arrangement, box: Box, jobs: int = 1) -> ScanResult:
     jobs is an upper bound: the scan starts
     min(jobs, usable CPUs, points // _MIN_POINTS_PER_WORKER) worker
     processes, each walking one contiguous run of the box, and walks
-    in-process when that is at most one.  Pooled results are recorded in box
-    order, so the table and the store's lines do not depend on jobs.
+    in-process when that is at most one.  Every point yields its exponent
+    pair only (no generator is built), so the table does not depend on jobs.
     """
     if len(box) != len(A):
         raise ValueError("box length must match the arrangement")
@@ -164,9 +166,7 @@ def scan(A: Arrangement, box: Box, jobs: int = 1) -> ScanResult:
             # through the rest of its chunk
             chunk = -(-len(points) // workers)
             solved = list(pool.map(_solve_point, points, chunksize=chunk))
-        for mu, res in solved:
-            record(A, mu, res)
-    table = {mu: PointResult(res.d1, res.d2, res.delta) for mu, res in solved}
+    table = {mu: PointResult(d1, d2, d2 - d1) for mu, (d1, d2) in solved}
     result = ScanResult(A, box, table)
     result.timing = {"seconds": time.monotonic() - start, "jobs": jobs, "points": len(table)}
     return result

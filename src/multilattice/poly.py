@@ -127,8 +127,8 @@ class Arrangement(Frozen):
 
     @_functools.cached_property
     def _canonical_hash(self) -> str:
-        """Computed once per object: the cache keys every lookup with it."""
-        import hashlib  # here, so that a solve without a cache never imports it
+        """Computed once per object: a scan file carries it, checked on read."""
+        import hashlib  # here, so that a command without a scan file never imports it
 
         payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -1,18 +1,7 @@
 import pytest
 
-from multilattice import Arrangement, FieldSpec, dermod
+from multilattice import Arrangement, FieldSpec
 from multilattice.coxeter import coxeter_arrangement
-
-
-@pytest.fixture(autouse=True)
-def detach_store():
-    """Empty dermod's process-wide store slot after a test that left a
-    store attached, and drop the walk memo that store fed, so that neither
-    reaches a later test."""
-    yield
-    if dermod._STORE is not None:
-        dermod.attach_store(None)
-        dermod._WALKS.clear()
 
 
 @pytest.fixture(scope="session")

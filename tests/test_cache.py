@@ -1,10 +1,11 @@
-"""Persistent result cache: persistence and robustness."""
+"""The exponents.jsonl store: persistence and robustness.
+
+No command uses the store any more; it stays while the benchmark's tracer
+binds its methods, and these tests keep what is left of it honest.
+"""
 
 import json
 
-import pytest
-
-from multilattice import dermod
 from multilattice.cache import SCHEMA_VERSION, ResultCache
 from multilattice.dermod import exponents
 
@@ -16,7 +17,6 @@ def test_put_get_roundtrip_in_memory(B2, tmp_path):
     c.put(B2, mu, res)
     assert c.get(B2, mu) == res
     assert c.get(B2, (0, 0, 0, 0)) is None
-    assert len(c) == 1
 
 
 def test_put_is_idempotent(B2, tmp_path):
@@ -27,7 +27,6 @@ def test_put_is_idempotent(B2, tmp_path):
     c.write()
     c.put(B2, mu, res)
     c.write()
-    assert len(c) == 1
     assert len(c.path.read_text().splitlines()) == 1
 
 
@@ -41,8 +40,7 @@ def test_jsonl_persistence_roundtrip(B2, G2, tmp_path):
     assert c.path.exists()
     # a fresh cache instance reloads everything, including the generator
     reloaded = ResultCache(str(tmp_path))
-    assert len(reloaded) == 3
-    for A, mu in [(B2, (1, 1, 1, 1)), (G2, (1, 1, 1, 1, 1, 1))]:
+    for A, mu in [(B2, (1, 1, 1, 1)), (B2, (2, 1, 0, 3)), (G2, (1, 1, 1, 1, 1, 1))]:
         assert reloaded.get(A, mu) == exponents(A, mu)
 
 
@@ -55,18 +53,8 @@ def test_torn_write_and_foreign_schema_are_skipped(B2, tmp_path):
         fh.write("\n")
         fh.write(json.dumps({"schema": SCHEMA_VERSION + 1}) + "\n")
     reloaded = ResultCache(str(tmp_path))
-    assert len(reloaded) == 1
     assert reloaded.get(B2, (1, 1, 1, 1)) == exponents(B2, (1, 1, 1, 1))
-
-
-def test_clear_removes_file_and_entries(B2, tmp_path):
-    c = ResultCache(str(tmp_path))
-    c.put(B2, (1, 1, 1, 1), exponents(B2, (1, 1, 1, 1)))
-    c.write()
-    assert c.path.exists()
-    c.clear()
-    assert len(c) == 0
-    assert not c.path.exists()
+    assert reloaded.rejected == 1  # the torn line; a foreign schema is not counted
 
 
 def test_distinct_arrangements_do_not_collide(B2, G2, tmp_path):
@@ -102,13 +90,13 @@ def test_malformed_and_inconsistent_lines_are_skipped(B2, tmp_path):
     c = ResultCache(str(tmp_path))
     c.directory.mkdir(parents=True, exist_ok=True)
     c.path.write_text("\n".join(bad_lines) + "\n")
-    assert len(c) == 0
-    assert c.rejected == len(bad_lines) - 1  # "[1, 2]" is not a cache entry at all
     assert c.get(B2, (1, 1, 1, 1)) is None
-    dermod.attach_store(c)
-    assert exponents(B2, (1, 1, 1, 1)) == want
+    assert c.rejected == len(bad_lines) - 1  # "[1, 2]" is not a cache entry at all
+    c.put(B2, (1, 1, 1, 1), want)
     c.write()
-    assert len(ResultCache(str(tmp_path))) == 1  # the fresh solve was appended
+    reloaded = ResultCache(str(tmp_path))
+    assert reloaded.get(B2, (1, 1, 1, 1)) == want  # the fresh line was appended
+    assert reloaded.rejected == len(bad_lines) - 1
 
 
 def test_cached_generator_outside_the_module_is_resolved_again(B2, tmp_path):
@@ -124,11 +112,11 @@ def test_cached_generator_outside_the_module_is_resolved_again(B2, tmp_path):
     c = ResultCache(str(tmp_path))
     c.directory.mkdir(parents=True, exist_ok=True)
     c.path.write_text(json.dumps(line) + "\n")
-    assert len(c) == 1 and c.rejected == 0
+    c._ensure_loaded()
+    assert c.rejected == 0  # well formed: rejected only on its first lookup
     assert c.get(B2, mu) is None
-    assert c.rejected == 1 and len(c) == 0
-    dermod.attach_store(c)
-    assert exponents(B2, mu) == want
+    assert c.rejected == 1
+    c.put(B2, mu, want)
     c.write()
     assert len(c.path.read_text().splitlines()) == 2  # the fresh solve was appended
     reloaded = ResultCache(str(tmp_path))

@@ -295,43 +295,31 @@ def test_load_arrangement_errors(tmp_path):
         load_arrangement(str(bad))
 
 
+OLD_STORE_LINE = '{"schema": 1, "arr": "x", "mu": [1, 1, 1, 1]}\n'
+
+
 def test_cache_subcommands(tmp_path):
-    result = invoke(["exponents", "--coxeter", "B2",
-                     "--cache-dir", str(tmp_path), "1,1,1,1"])
-    assert result.exit_code == 0
-    result = invoke(["cache", "inspect", "--cache-dir", str(tmp_path)])
-    assert result.exit_code == 0
-    assert "entries: 1" in result.output
-    result = invoke(["cache", "clear", "--cache-dir", str(tmp_path)])
-    assert result.exit_code == 0
-    assert "cleared 1 entries" in result.output
+    # ml cache is gone: an unknown command, which leaves the directory alone
+    (tmp_path / "exponents.jsonl").write_text(OLD_STORE_LINE)
+    for action in ("inspect", "clear"):
+        result = invoke(["cache", action, "--cache-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "invalid choice: 'cache'" in result.output
+    assert (tmp_path / "exponents.jsonl").read_text() == OLD_STORE_LINE
 
 
 def test_cache_inspect_without_directory():
     for action in ("inspect", "clear"):
         result = invoke(["cache", action])
         assert result.exit_code == 2
-        assert "no cache directory given" in result.output
-
-
-def test_a_failing_command_still_writes_its_store_lines(tmp_path, monkeypatch):
-    real = cli.exponents
-
-    def solve_then_fail(A, mu):
-        real(A, mu)
-        raise InternalInconsistency("after the solve")
-
-    monkeypatch.setattr(cli, "exponents", solve_then_fail)
-    result = invoke(["exponents", "--coxeter", "B2", "--cache-dir", str(tmp_path), "1,1,1,1"])
-    assert result.exit_code == 3
-    assert (tmp_path / "exponents.jsonl").read_text().count("\n") == 1
-    assert dermod._STORE is None
+        assert "invalid choice: 'cache'" in result.output
 
 
 B2_SCAN = "<the B2 [0,3]^4 scan file>"
 
 STORE_READERS = {
     "exponents": ["exponents", "--coxeter", "B2", "2,1,2,1"],
+    "scan": ["scan", "--coxeter", "B2", "--box", "2,2,2,2", "--jobs", "2"],
     "basis": ["basis", "--coxeter", "B2", "2,1,2,1"],
     "verify": ["verify", "--scan", B2_SCAN, "--seed", "7", "all"],
     "basis-for": ["basis-for", "--scan", B2_SCAN, "--kappa", "1,2,1,2"],
@@ -343,17 +331,19 @@ STORE_READERS = {
 
 @pytest.mark.parametrize("args", STORE_READERS.values(), ids=STORE_READERS.keys())
 def test_a_cold_or_warm_store_changes_no_output(scan_file, tmp_path, args):
-    # each run parses its own arrangement, so it starts on an empty walk
-    # memo: the warm run's results come from the store that the cold run wrote
+    # --cache-dir has no effect: a missing directory stays missing, and the
+    # file an older version left in one is neither read nor written
     args = [scan_file if a == B2_SCAN else a for a in args]
-    store = ["--cache-dir", str(tmp_path)]
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    warm.mkdir()
+    (warm / "exponents.jsonl").write_text(OLD_STORE_LINE)
     plain = invoke(args)
-    cold = invoke(args + store)
-    written = (tmp_path / "exponents.jsonl").read_text()
-    warm = invoke(args + store)
     assert plain.exit_code == 0, plain.output
-    assert plain == cold == warm
-    assert written and (tmp_path / "exponents.jsonl").read_text() == written
+    assert invoke(args + ["--cache-dir", str(cold)]) == plain
+    assert invoke(args + ["--cache-dir", str(warm)]) == plain
+    assert not cold.exists()
+    assert os.listdir(warm) == ["exponents.jsonl"]
+    assert (warm / "exponents.jsonl").read_text() == OLD_STORE_LINE
 
 
 def test_near_constant_takes_dash_led_offsets():
@@ -377,8 +367,7 @@ def test_coxeter_types_are_case_insensitive():
 
 
 @pytest.mark.parametrize("command", ["", "exponents", "basis", "scan", "components", "verify",
-                                     "basis-between", "basis-for", "coxeter", "cache",
-                                     "cache inspect", "cache clear"])
+                                     "basis-between", "basis-for", "coxeter"])
 def test_help_exits_zero(command):
     result = invoke([*command.split(), "--help"])
     assert result.exit_code == 0
@@ -425,10 +414,10 @@ def test_a_cold_solve_imports_only_the_layers_it_runs(scan_file, tmp_path):
     assert _modules_after("exponents", "--coxeter", "B2", "1,1,1,1") == "['multilattice.coxeter']"
     assert _modules_after("basis", "--coxeter", "G2", "1,1,1,1,1,1") == "['multilattice.coxeter']"
     assert "multilattice.theorems" not in _modules_after("components", "--scan", scan_file)
-    # --cache-dir names a directory, so the solve loads and writes the cache
-    assert "multilattice.cache" in _modules_after("exponents", "--coxeter", "B2",
-                                                  "--cache-dir", str(tmp_path), "1,1,1,1")
-    assert (tmp_path / "exponents.jsonl").read_text().count("\n") == 1
+    # --cache-dir has no effect: nothing loads the cache layer or makes the directory
+    assert _modules_after("exponents", "--coxeter", "B2", "--cache-dir", str(tmp_path / "c"),
+                          "1,1,1,1") == "['multilattice.coxeter']"
+    assert not (tmp_path / "c").exists()
 
 
 def test_scan_file_commands_do_not_import_coxeter(scan_file):
@@ -459,7 +448,7 @@ def test_every_public_name_resolves():
             "      hasattr(multilattice, 'no_such_name'))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "53 [] [] False"
+    assert proc.stdout.strip() == "52 [] [] False"
 
 
 def test_exit_code_zero_on_success():
@@ -511,10 +500,11 @@ def test_exit_code_two_on_malformed_scan_file(tmp_path, text):
 
 
 def test_malformed_cache_line_is_skipped(tmp_path):
-    (tmp_path / "exponents.jsonl").write_text('{"schema":1,"arr":"x","mu":[1,1,1,1]}\n')
+    (tmp_path / "exponents.jsonl").write_text(OLD_STORE_LINE)
     proc = _run_ml("exponents", "--coxeter", "B2", "--cache-dir", str(tmp_path), "1,1,1,1")
     assert proc.returncode == 0, proc.stderr
     assert "exponents: (1, 3)" in proc.stdout
+    assert (tmp_path / "exponents.jsonl").read_text() == OLD_STORE_LINE
 
 
 def test_exit_code_three_on_solver_inconsistency(monkeypatch):
@@ -550,15 +540,6 @@ def test_exit_code_four_and_no_message_when_the_reader_closes_early():
     assert proc.stderr == ""  # neither "error:" nor "Exception ignored" at exit
 
 
-def test_exit_code_four_on_unwritable_cache_dir(tmp_path):
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    proc = _run_ml("exponents", "--coxeter", "B2", "--cache-dir", str(blocker / "cache"),
-                   "1,1,1,1")
-    assert proc.returncode == 4, proc.stderr
-    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
-
-
 def _arrangement_file(**changes):
     obj = {"field": {"type": "rational"}, "forms": [["1", "0"], ["0", "1"]]}
     obj.update(changes)
@@ -566,6 +547,7 @@ def _arrangement_file(**changes):
 
 
 SCAN = "<a valid B2 [0,1]^4 scan file>"
+NEGATIVE_BOX_SCAN = "<that scan file with box [-1,0,0,0] and no points>"
 
 MALFORMED_INPUTS = {
     "mu-letter": (["exponents", "--coxeter", "B2", "1,a,1,1"], None),
@@ -578,6 +560,9 @@ MALFORMED_INPUTS = {
     "coxeter-choice": (["exponents", "--coxeter", "Z9", "1,1,1,1"], None),
     # verify has no --max-pairs (every check is exhaustive): an unknown option
     "max-pairs-negative": (["verify", "--scan", SCAN, "--max-pairs", "-3", "independence"], None),
+    # ml scan refuses the box, so a scan file must not carry it either
+    "scan-box-negative": (["components", "--scan", NEGATIVE_BOX_SCAN], None),
+    "verify-box-negative": (["verify", "--scan", NEGATIVE_BOX_SCAN, "all"], None),
     "offsets-letter": (["coxeter", "B2", "--near-constant", "1", "--offsets", "a,0,0,0"], None),
     "near-constant-a1a1": (["coxeter", "A1A1", "--near-constant", "1"], None),
     "zero-form": (None, _arrangement_file(forms=[["1", "0"], ["0", "0"]])),
@@ -600,11 +585,14 @@ def test_exit_code_two_on_malformed_input(tmp_path, args, arrangement):
         path = tmp_path / "arr.json"
         path.write_text(json.dumps(arrangement))
         args = ["exponents", "-a", str(path), "1,1"]
-    if SCAN in args:
-        # a readable scan, so that only the bad option can be the error
+    if SCAN in args or NEGATIVE_BOX_SCAN in args:
+        # a readable scan, so that only the bad option (or box) can be the error
         scan = tmp_path / "scan.json"
         assert _run_ml("scan", "--coxeter", "B2", "--box", "1,1,1,1", "-o", str(scan)).returncode == 0
-        args = [str(scan) if a == SCAN else a for a in args]
+        if NEGATIVE_BOX_SCAN in args:
+            scan.write_text(json.dumps({**json.loads(scan.read_text()), "box": [-1, 0, 0, 0],
+                                        "points": []}))
+        args = [str(scan) if a in (SCAN, NEGATIVE_BOX_SCAN) else a for a in args]
     proc = _run_ml(*args)
     assert proc.returncode == 2, proc.stderr
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr

@@ -27,7 +27,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multilattice import dermod, lattice
-from multilattice.cache import ResultCache
 from multilattice.coxeter import coxeter_arrangement
 from multilattice.dermod import (
     _alpha_basis_rows,
@@ -539,16 +538,18 @@ def test_exponents_length_mismatch():
     A = Arrangement.make(FS, [(1, 0), (0, 1)])
     with pytest.raises(LengthMismatch):
         exponents(A, (1, 2, 3))
+    with pytest.raises(LengthMismatch):
+        dermod.exponent_pair(A, (1, 2, 3))
 
 
 @pytest.mark.parametrize("mu", [(-1, 0, 0, 0), (2, 1, -3, 1), (1.0, 0, 0, 0), (0.5, 1, 1, 1)])
 def test_exponents_rejects_entries_the_walk_cannot_reach(B2, mu):
     # the walk steps each coordinate down to 0; a negative or fractional
     # entry never gets there
-    with pytest.raises(PreconditionViolated):
-        exponents(B2, mu)
-    with pytest.raises(PreconditionViolated):
-        full_basis(B2, mu)
+    exponents(B2, (1, 0, 0, 0))  # a kept result at an equal tuple lets no float through
+    for solve in (exponents, dermod.exponent_pair, full_basis):
+        with pytest.raises(PreconditionViolated):
+            solve(B2, mu)
 
 
 def test_delta_monotone_steps(B2):
@@ -622,8 +623,8 @@ def test_in_module_matches_division_oracle(fs, pairs):
 
 @pytest.mark.parametrize("fs,pairs", MEMBERSHIP_CASES, ids=MEMBERSHIP_IDS)
 def test_result_with_cached_images_pickles(fs, pairs):
-    # scan workers send results back pickled; a membership test caches the
-    # generator's integer images (and their domain) on it
+    # a result pickles after a membership test has cached the generator's
+    # integer images (and their domain) on it
     A = Arrangement.make(fs, pairs)
     mu = (2, 1, 1, 2, 1)[:len(A)]
     res = exponents(A, mu)
@@ -806,30 +807,54 @@ def test_modular_consistency_b2_g2(B2, G2):
     assert report["matches"] == report["total"], report["mismatches"]
 
 
-def test_cache_hit_returns_same_result(B2, tmp_path, monkeypatch):
+def test_cache_hit_returns_same_result(B2, monkeypatch):
+    # the walk's memo is the only cache: a second ask is a lookup, and a
+    # fresh memo solves again to an equal result
+    monkeypatch.setattr(dermod, "_WALKS", {})
     mu = (1, 2, 1, 0)
-    cache = ResultCache(tmp_path)
-    dermod.attach_store(cache)
     first = exponents(B2, mu)
-    assert cache.get(B2, mu) is first
     assert exponents(B2, mu) is first
-    monkeypatch.setattr(dermod, "_WALKS", {})  # only the store can answer now
-    assert exponents(B2, mu) is first
+    assert dermod.exponent_pair(B2, mu) == first.as_pair()
+    monkeypatch.setattr(dermod, "_WALKS", {})
+    again = exponents(B2, mu)
+    assert again == first and again is not first
 
 
-def test_the_walk_keeps_the_results_it_returns(B2, tmp_path, monkeypatch):
+def test_the_walk_keeps_the_results_it_returns(B2, monkeypatch):
     monkeypatch.setattr(dermod, "_WALKS", {})
     mu = (2, 1, 3, 1)
     first = exponents(B2, mu)
     assert dermod._walk(B2).results == {mu: first}
     assert exponents(B2, mu) is first
-    # a result the walk kept still lands in a store attached later
-    store = ResultCache(tmp_path)
-    dermod.attach_store(store)
-    assert exponents(B2, mu) is first
-    store.write()
-    assert ResultCache(tmp_path).get(B2, mu) == first
     # the results go with the bases when the walk drops its memo
     monkeypatch.setattr(dermod, "_MAX_STATES", 1)
     exponents(B2, (0, 0, 0, 2))
     assert mu not in dermod._walk(B2).results
+
+
+def test_exponent_pair_builds_no_generator(B2, G2, monkeypatch):
+    # the pair comes off the degrees of the walked basis: no theta_min is
+    # built and no result is kept, yet it is the pair exponents returns
+    monkeypatch.setattr(dermod, "_WALKS", {})
+
+    def no_generator(*args):
+        raise AssertionError("exponent_pair built a generator")
+
+    points = {B2: [(0, 0, 0, 0), (1, 1, 1, 1), (2, 1, 3, 1), (0, 5, 1, 0)],
+              G2: [(1, 1, 1, 1, 1, 1), (2, 0, 1, 3, 1, 1)]}
+    with monkeypatch.context() as m:
+        m.setattr(dermod._Walk, "derivation", no_generator)
+        pairs = {(A, mu): dermod.exponent_pair(A, mu) for A, mus in points.items() for mu in mus}
+        assert all(not dermod._walk(A).results for A in points)
+    for (A, mu), pair in pairs.items():
+        assert exponents(A, mu).as_pair() == pair
+        assert dermod.exponent_pair(A, list(mu)) == pair  # now from the kept result
+
+
+def test_exponent_pair_checks_the_constructive_bound(B2, monkeypatch):
+    # d1 <= |mu| - max(mu): a walk that reached a larger d1 is a solver bug
+    monkeypatch.setattr(dermod, "_WALKS", {})
+    monkeypatch.setattr(dermod._Walk, "basis", lambda walk, mu: ([], 3, [], 1))
+    for solve in (dermod.exponent_pair, exponents):
+        with pytest.raises(InternalInconsistency, match="constructive bound"):
+            solve(B2, (2, 1, 1, 0))

@@ -9,11 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from multilattice import cache as cache_module
 from multilattice import dermod, explorer, lattice
 from multilattice.coxeter import coxeter_arrangement
-from multilattice.cache import ResultCache
-from multilattice.dermod import exponents
 from multilattice.errors import MultilatticeError, ParseError
 from multilattice.field import FieldSpec
 from multilattice.poly import Arrangement
@@ -76,44 +73,37 @@ def test_scan_determinism_across_workers(B2, real_pool):
     assert len(real_pool) == 1 and real_pool[0] >= 2
 
 
-REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
-
-
-@pytest.mark.parametrize("ctype,box", [("B2", (5,) * 4), ("G2", (2,) * 6)])
-def test_scan_bytes_match_the_reference(tmp_path, real_pool, ctype, box):
-    # perfbench/reference.json pins these bytes: every worker count, with a
-    # fresh store attached or none, must reproduce them, and write the same
-    # store file
-    want = json.loads(REFERENCE.read_text())["scan_sha256"][f"{ctype} {','.join(map(str, box))}"]
-    A = coxeter_arrangement(ctype)
-    files = []
-    for jobs in (1, 2):
-        cache = ResultCache(tmp_path / f"jobs{jobs}")
-        for given in (cache, None):
-            dermod.attach_store(given)
-            text = scan(A, box, jobs=jobs).to_json()
-            assert hashlib.sha256(text.encode()).hexdigest() == want, (jobs, given)
-        cache.write()
-        files.append(cache.path.read_bytes())
-    assert files[0] == files[1]
+def test_pool_workers_return_exponent_pairs(G2, real_pool):
+    # a worker sends back (mu, (d1, d2)) in ints, and the pooled table is
+    # the in-process one over a quadratic and a prime field alike
+    explorer._init_worker(G2)
+    assert explorer._solve_point((1,) * 6) == ((1,) * 6, (1, 5))
+    A = Arrangement.make(FieldSpec.prime(101), [(1, 0), (0, 1), (1, 1), (1, 7), (1, 50)])
+    for arr in (G2, A):
+        box = (2,) * len(arr)
+        assert scan(arr, box, jobs=2).to_json() == scan(arr, box, jobs=1).to_json()
     assert real_pool == [2, 2]
 
 
-def test_scan_writes_its_cache_lines_in_one_open(B2, tmp_path, monkeypatch):
-    opened = []
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
-    def recording_open(path, *args, **kwargs):
-        opened.append(Path(path).name)
-        return open(path, *args, **kwargs)
 
-    monkeypatch.setattr(cache_module, "open", recording_open, raising=False)
-    cache = ResultCache(tmp_path)
-    dermod.attach_store(cache)
-    scan(B2, (2, 2, 2, 2))
-    assert opened == []  # no file is open while a pool may fork
-    cache.write()
-    assert opened == ["exponents.jsonl"]
-    assert len(cache.path.read_text().splitlines()) == 3 ** 4
+def _no_generator(*args):
+    raise AssertionError("a scan built a generator")
+
+
+@pytest.mark.parametrize("ctype,box", [("B2", (5,) * 4), ("G2", (2,) * 6)])
+def test_scan_bytes_match_the_reference(real_pool, monkeypatch, ctype, box):
+    # perfbench/reference.json pins these bytes: every worker count must
+    # reproduce them, on exponent pairs alone (workers fork after the patch)
+    want = json.loads(REFERENCE.read_text())["scan_sha256"][f"{ctype} {','.join(map(str, box))}"]
+    A = coxeter_arrangement(ctype)
+    monkeypatch.setattr(dermod._Walk, "derivation", _no_generator)
+    for jobs in (1, 2):
+        monkeypatch.setattr(dermod, "_WALKS", {})
+        text = scan(A, box, jobs=jobs).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == want, jobs
+    assert real_pool == [2]
 
 
 def test_components_partition_support(b2_scan):
@@ -228,31 +218,25 @@ def test_scan_box_length_mismatch(B2):
         scan(B2, (3, 3))
 
 
-def test_scan_with_cache_solves_each_pending_point_once(B2, tmp_path, monkeypatch):
-    calls = []
-    real = dermod._Walk.basis
+def test_scan_with_cache_solves_each_pending_point_once(B2, monkeypatch):
+    # the walk's memo is the cache: a box-order scan takes one step per
+    # point past the origin, and a second scan of the box takes none
+    steps = []
+    real = dermod._Walk.step
 
-    def counting(walk, mu):
-        calls.append(tuple(mu))
-        return real(walk, mu)
+    def counting(walk, state, h, m):
+        steps.append(h)
+        return real(walk, state, h, m)
 
-    monkeypatch.setattr(dermod._Walk, "basis", counting)
+    monkeypatch.setattr(dermod._Walk, "step", counting)
     monkeypatch.setattr(dermod, "_WALKS", {})
-    cache = ResultCache(tmp_path)
-    dermod.attach_store(cache)
     box = (2, 2, 2, 2)
     first = scan(B2, box, jobs=1)
-    assert sorted(calls) == sorted(lattice.box_points(box))
-    assert len(cache) == 3 ** 4
-    for mu, pr in first.table.items():
-        assert cache.get(B2, mu).as_pair() == (pr.d1, pr.d2)
-    cache.write()
-    calls.clear()
-    # a fresh memo and the store read back from its file: only the store answers
-    monkeypatch.setattr(dermod, "_WALKS", {})
-    dermod.attach_store(ResultCache(tmp_path))
+    assert len(steps) == 3 ** 4 - 1
+    steps.clear()
     assert scan(B2, box, jobs=1).to_json() == first.to_json()
-    assert calls == []
+    assert steps == []
+    assert dermod._walk(B2).results == {}  # a scan keeps no generator
 
 
 class RecordingPool:
@@ -305,6 +289,27 @@ def test_scan_below_the_break_even_starts_no_pool(B2, monkeypatch):
     assert RecordingPool.tasks == [2, 3]  # one contiguous run per worker
 
 
+# sha256 of the B2 [0,3]^4 scan JSON, as written when every scanned point
+# still built its generator
+B2_3_SHA256 = "4b1a4d00a2a5cf9ec75a344c9c83eb447768eb9a62631abfbc48a26668d0a964"
+
+
+def test_scan_reads_pairs_and_builds_no_generator(B2, monkeypatch):
+    # in-process and through the stand-in pool alike, a scan never calls
+    # _Walk.derivation, and its bytes are the ones it wrote when it did
+    monkeypatch.setattr(dermod._Walk, "derivation", _no_generator)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(RecordingPool, "tasks", [])
+    monkeypatch.setattr(explorer, "_usable_cpus", lambda: 2)
+    for pooled in (False, True):
+        monkeypatch.setattr(explorer, "_MIN_POINTS_PER_WORKER", 1 if pooled else 10 ** 6)
+        monkeypatch.setattr(dermod, "_WALKS", {})
+        text = scan(B2, (3, 3, 3, 3), jobs=2).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == B2_3_SHA256, pooled
+    assert RecordingPool.sizes == [2]
+
+
 def test_small_scan_leaves_out_the_process_pool(tmp_path):
     # B2 [0,5]^4 is below the break-even, so --jobs 2 walks it in-process
     code = ("import sys\n"
@@ -318,40 +323,6 @@ def test_small_scan_leaves_out_the_process_pool(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
     assert len(ScanResult.from_json((tmp_path / "s.json").read_text()).table) == 6 ** 4
-
-
-def test_pooled_cache_file_equals_the_serial_one(tmp_path, real_pool, monkeypatch):
-    # each store starts with a well-formed line for (1, ..., 1) whose
-    # generator, all ones in dx, fails the membership test at x: whoever
-    # looks it up, the process or a pool worker, rejects it, and the scan
-    # appends one fresh line for the point in its place
-    fs = FieldSpec.prime(101)
-    arrangements = [coxeter_arrangement("G2"),
-                    Arrangement.make(fs, [(1, 0), (0, 1), (1, 1), (1, 7), (1, 50)])]
-    for i, A in enumerate(arrangements):
-        mu = (1,) * len(A)
-        seed = ResultCache(tmp_path / f"{i}-seed")
-        seed.put(A, mu, exponents(A, mu))
-        seed.write()
-        fresh = seed.path.read_text()
-        line = json.loads(fresh)
-        line["theta"] = {"P": ["1"] * (line["d1"] + 1), "Q": []}
-        bad = json.dumps(line) + "\n"
-        files = []
-        for jobs in (1, 2):
-            monkeypatch.setattr(dermod, "_WALKS", {})  # the store, not the memo, answers
-            cache = ResultCache(tmp_path / f"{i}-{jobs}")
-            cache.directory.mkdir()
-            cache.path.write_text(bad)
-            dermod.attach_store(cache)
-            scan(A, (2,) * len(A), jobs=jobs)
-            cache.write()
-            lines = cache.path.read_text().splitlines(keepends=True)
-            assert lines[0] == bad and lines.count(fresh) == 1
-            assert len(lines) == 1 + 3 ** len(A)
-            files.append(cache.path.read_bytes())
-        assert files[0] == files[1]
-    assert real_pool == [2, 2]
 
 
 def test_usable_cpus_is_positive():
@@ -374,6 +345,7 @@ MALFORMED_SCANS = {
     "row-twice": lambda obj: obj["points"].append(obj["points"][0]),
     "row-outside-box": lambda obj: obj["points"][0].__setitem__("mu", [2, 0]),
     "box-too-long": lambda obj: obj.__setitem__("box", [1, 1, 0]),
+    "box-negative": lambda obj: obj.update(box=[-1, 0], points=[]),
     "form-short": lambda obj: obj["arrangement"].__setitem__("forms", [["1"]]),
     "field-no-d": lambda obj: obj["arrangement"]["field"].__setitem__("type", "quadratic"),
     # the last row is mu = (1, 1), with exponents (1, 1)
