@@ -1,10 +1,11 @@
 """Sweep the exponent gap over a box and dissect its support.
 
 The scan tabulates (d1, d2, delta) over every point of a finite window of
-the multiplicity lattice.  The support (points with delta > 0) restricted
-to the window decomposes into connected components of the Hasse graph;
-components are classified as certified finite balls, cone portions, or
-boundary-undetermined when neither certificate applies.
+the multiplicity lattice from the exponent pairs of the lattice walk
+(dermod.exponent_pair); it builds no generator.  The support (points with
+delta > 0) restricted to the window decomposes into connected components of
+the Hasse graph; components are classified as certified finite balls, cone
+portions, or boundary-undetermined when neither certificate applies.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ class ScanResult(Record):
     def from_json(cls, text: str) -> "ScanResult":
         """Parse scan JSON; anything malformed raises ParseError, as does a
         row whose exponents break d1 + d2 = |mu|, delta = d2 - d1 or
-        0 <= d1 <= d2, a negative box bound, and an arrangement_hash that is not the parsed
-        arrangement's canonical_hash.
+        0 <= d1 <= d2, a negative box bound, and an arrangement_hash that is
+        not the parsed arrangement's canonical_hash.
 
         Older versions flagged cone rows as estimates; the flag is ignored,
         since those rows hold the exact closed form (|mu| - mu_H, mu_H).
@@ -146,7 +147,7 @@ def scan(A: Arrangement, box: Box, jobs: int = 1) -> ScanResult:
     min(jobs, usable CPUs, points // _MIN_POINTS_PER_WORKER) worker
     processes, each walking one contiguous run of the box, and walks
     in-process when that is at most one.  Every point yields its exponent
-    pair only (no generator is built), so the table does not depend on jobs.
+    pair only, and no generator is built; the table does not depend on jobs.
     """
     if len(box) != len(A):
         raise ValueError("box length must match the arrangement")
