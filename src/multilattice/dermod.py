@@ -11,14 +11,15 @@ pair mu -> mu + e_H turns a basis at mu into one at mu + e_H (see _Walk),
 on the integer images of the field's linalg.Domain.  Each process memoises
 the bases it has walked and the results it has returned (its only memo of
 exponents), so a scan in box order costs one step per point.  A walk that
-starts at 0 certifies the basis it reaches with Saito's criterion (see
-_Walk.certify), which proves both exponents, before its bases enter the
-memo.  exponent_pair reads (d1, d2) off the degrees of the basis, and
-exponents adds theta_min; a scan asks for the pair alone.  No memo outlives
-the process.
-The reported generators are fixed by the module, not by the path: theta_min
-and the full_basis partner are the nullspace vectors that elimination would
-pick (see _Walk.minimal and _Walk.partner).
+starts at 0 certifies the basis it reaches before its bases enter the memo,
+with the Saito decision that verify_saito makes too (_saito): both
+generators in the module, degrees summing to |mu|, and a determinant
+nonzero at one point.  That proves both exponents.  exponent_pair reads
+(d1, d2) off the degrees of the basis, and exponents adds theta_min; a scan
+asks for the pair alone.  No memo outlives the process.  The reported
+generators are fixed by the module, not by the path: theta_min and the
+full_basis partner are the nullspace vectors that elimination would pick
+(see _Walk.minimal and _Walk.partner).
 
 Each requirement alpha_H**mu_H | theta(alpha_H) is also linear in the
 2*(d+1) coefficients of P and Q, so the graded piece D_d is the nullspace
@@ -26,7 +27,8 @@ of a stacked constraint system.  Freeness gives dim D_d = max(0, d-d1+1) +
 max(0, d-d2+1), so one rank below d2 fixes d1 (_minimal_degree).  That
 elimination is only the tests' oracle for the walk; it stays in this module
 because the benchmark's tracer (perfbench/tracer.py) binds its functions.
-Two independent constraint constructions are provided:
+Its two constraint constructions, whose ranks run on the images, must
+always agree; the second is the differential oracle of the first:
 
 * ``basis``: read the coordinates of theta(alpha_H) on the basis
   {alpha**i * beta**(d-i)}, for a fixed complementary form beta, off a
@@ -36,10 +38,6 @@ Two independent constraint constructions are provided:
   same rows in field arithmetic and are only the tests' oracle;
 * ``division``: run the exact synthetic division of theta(alpha_H) by
   alpha_H symbolically and kill the remainders, then clear the field rows.
-
-Both ranks run on the images of the field's linalg.Domain.  The two
-constructions must always agree; the second serves as a differential-testing
-oracle for the first.
 """
 
 from __future__ import annotations
@@ -58,9 +56,8 @@ from .poly import (
     Derivation,
     HomogPoly,
     LinearForm,
+    _determinant,
     defining_images,
-    dependent_images,
-    determinant_images,
 )
 from .record import Frozen, set_field
 
@@ -386,30 +383,21 @@ class _Walk:
         return state
 
     def certify(self, mu: Multiplicity, state: _State) -> None:
-        """Saito's criterion on the images of a state: raise
-        InternalInconsistency unless it is a basis of D(A, mu).
-
-        t1 and t2 must lie in the module, their degrees must sum to |mu|
-        and det(t1, t2) must be nonzero; then Q(A, mu) divides the
-        determinant and the degrees force equality up to a scalar, which
-        proves both exponents.
-        """
+        """Saito's criterion (_saito) on the images of a state: raise
+        InternalInconsistency unless it is a basis of D(A, mu), which
+        proves both exponents."""
         t1, d1, t2, d2 = state
-        if d1 + d2 != sum(mu):
-            raise InternalInconsistency(
-                f"degree: the walk gives {d1}+{d2} != |mu|={sum(mu)} for mu={mu}")
         dom = self.dom
         # the shapes of Derivation.cleared and Derivation.values
-        cleared = [(dom, t[:d + 1], t[d + 1:], 1) for t, d in ((t1, d1), (t2, d2))]
-        for label, (_, P, Q, _) in zip(("theta1", "theta2"), cleared):
-            if not _in_module_images(self.A, mu, dom, P, Q):
-                raise InternalInconsistency(
-                    f"membership: the walk's {label} is not in the module at mu={mu}")
-        values = [(dom, dom.evaluate(P, EVAL_POINT), dom.evaluate(Q, EVAL_POINT))
-                  for _, P, Q, _ in cleared]
-        if dependent_images(*cleared, *values):
-            raise InternalInconsistency(
-                f"dependent: the walk's generators have a zero determinant at mu={mu}")
+        gens = [((dom, P, Q, 1), (dom, dom.evaluate(P, EVAL_POINT), dom.evaluate(Q, EVAL_POINT)))
+                for t, d in ((t1, d1), (t2, d2)) for P, Q in [(t[:d + 1], t[d + 1:])]]
+        failed, _ = _saito(self.A, mu, gens)
+        if failed:
+            raise InternalInconsistency({
+                "degree": f"degree: the walk gives {d1}+{d2} != |mu|={sum(mu)} for mu={mu}",
+                "dependent": "dependent: the walk's generators have a zero determinant at "
+                             f"mu={mu}",
+            }.get(failed, f"membership: the walk's {failed} is not in the module at mu={mu}"))
 
     def minimal(self, state: _State) -> Tuple[List, List]:
         """(theta_min, another generator of degree d2) as images.
@@ -545,10 +533,7 @@ def in_module(A: Arrangement, mu: Sequence[int], theta: Derivation) -> bool:
     theta(alpha) = a*P + b*Q is formed on the integer images of the field's
     linalg.Domain and divided exactly.
     """
-    if theta.is_zero:
-        return True
-    dom, P, Q, _ = theta.cleared
-    return _in_module_images(A, mu, dom, P, Q)
+    return theta.is_zero or _in_module_images(A, mu, *theta.cleared[:3])
 
 
 def _in_module_images(A: Arrangement, mu: Sequence[int], dom, P: List, Q: List) -> bool:
@@ -572,31 +557,55 @@ def _in_module_images(A: Arrangement, mu: Sequence[int], dom, P: List, Q: List) 
     return True
 
 
-def verify_saito(A: Arrangement, mu: Sequence[int], t1: Derivation, t2: Derivation) -> SaitoVerdict:
-    """Accept iff {t1, t2} is a basis of the derivation module at mu.
+def _saito(A: Arrangement, mu: Multiplicity,
+           gens: Sequence[Tuple]) -> Tuple[Optional[str], Optional[Scalar]]:
+    """Saito's criterion on integer images: the one decision of
+    _Walk.certify and verify_saito, on two generators, each given as
+    (Derivation.cleared, Derivation.values).  Returns (None, c) for a basis
+    of D(A, mu) with det = c*Q(A, mu); else (check, None) for the first
+    failed check: "theta1" or "theta2" (zero or not in the module),
+    "degree" (degrees not summing to |mu|), then "dependent".
 
-    Checks, in order: membership of both derivations, the degree-sum
-    identity, and that the determinant is a nonzero scalar multiple of
-    the defining polynomial.  Both polynomials stay integer images,
-    compared by cross-multiplying against the defining polynomial's first
-    nonzero coefficient; the scalar is the one field element built.
+    Members whose degrees sum to |mu| have det = c*Q(A, mu), since each
+    alpha_H**mu_H divides det.  So det(t, 1) at t = EVAL_POINT decides,
+    with c = det(t, 1) / Q(t, 1), unless a line with mu_H > 0 passes
+    through (t, 1) and every value is 0: then the full determinant
+    decides, on the defining polynomial's first nonzero coefficient.
     """
+    for label, (cleared, _) in zip(("theta1", "theta2"), gens):
+        if cleared is None or not _in_module_images(A, mu, *cleared[:3]):
+            return label, None
+    ((dom, p1, q1, den1), (_, a1, b1)), ((_, p2, q2, den2), (_, a2, b2)) = gens
+    if len(p1 or q1) + len(p2 or q2) - 2 != sum(mu):
+        return "degree", None
+    (q,), qden = dom.clear((A.field.one(),))  # Q(t, 1) = q / qden
+    for lf, m in zip(A.forms, mu):
+        form, den = lf.images
+        q = functools.reduce(dom.mul, [dom.evaluate(form, EVAL_POINT)] * m, q)
+        qden *= den ** m
+    if q != dom.zero:
+        det = _determinant(dom, [a1], [b1], [a2], [b2])[0]
+    else:
+        coeffs, qden = defining_images(A, mu)
+        lead = next(i for i, c in enumerate(coeffs) if c != dom.zero)
+        det, q = _determinant(dom, p1, q1, p2, q2)[lead], coeffs[lead]
+    if det == dom.zero:
+        return "dependent", None
+    return None, dom.back(det, den1 * den2) * invert(dom.back(q, qden))
+
+
+def verify_saito(A: Arrangement, mu: Sequence[int], t1: Derivation, t2: Derivation) -> SaitoVerdict:
+    """Accept iff {t1, t2} is a basis of the derivation module at mu, as
+    _saito decides on the images and values each derivation caches; an
+    accepted verdict carries the scalar c with det = c*Q(A, mu)."""
     mu = tuple(mu)
-    for label, t in (("theta1", t1), ("theta2", t2)):
-        if t.is_zero:
-            return SaitoVerdict(False, f"membership: {label} is zero")
-        if not in_module(A, mu, t):
-            return SaitoVerdict(False, f"membership: {label} not in the module")
-    if t1.degree + t2.degree != sum(mu):
-        return SaitoVerdict(
-            False, f"degree: {t1.degree}+{t2.degree} != |mu|={sum(mu)}")
-    dom, det, den = determinant_images(t1, t2)
-    zero = dom.zero
-    if det.count(zero) == len(det):
-        return SaitoVerdict(False, "dependent: determinant is zero")
-    q, qden = defining_images(A, mu)
-    lead = next(i for i, c in enumerate(q) if c != zero)
-    a, b = q[lead], det[lead]
-    if any(dom.mul(u, a) != dom.mul(v, b) for u, v in zip(det, q)):
-        return SaitoVerdict(False, "determinant is not a scalar multiple of the defining polynomial")
-    return SaitoVerdict(True, None, dom.back(b, den) * invert(dom.back(a, qden)))
+    if len(mu) != len(A):
+        raise LengthMismatch("multiplicity length does not match arrangement")
+    reason, scalar = _saito(A, mu, [(t.cleared, t.values) for t in (t1, t2)])
+    if reason in ("theta1", "theta2"):
+        zero = (t1 if reason == "theta1" else t2).is_zero
+        reason = f"membership: {reason} {'is zero' if zero else 'not in the module'}"
+    elif reason:
+        reason = {"degree": f"degree: {t1.degree}+{t2.degree} != |mu|={sum(mu)}",
+                  "dependent": "dependent: determinant is zero"}[reason]
+    return SaitoVerdict(reason is None, reason, scalar)

@@ -7,8 +7,10 @@ polynomial is the empty tuple and carries no degree.
 The verification kernels (the dependence and proportionality predicates,
 Saito determinants, defining polynomials and the divisions behind module
 membership) run on the integer images of the coefficients, through the
-field's linalg.Domain; the HomogPoly arithmetic stays for everything else
-and as their test oracle.
+field's linalg.Domain.  Dependence, like dermod's Saito certificate, is
+decided from the values of the images at (EVAL_POINT, 1); the full
+determinant is convolved only when a value vanishes.  The HomogPoly
+arithmetic stays for everything else and as their test oracle.
 """
 
 from __future__ import annotations
@@ -405,35 +407,31 @@ def _determinant(dom, p1: list, q1: list, p2: list, q2: list) -> list:
     return out
 
 
-def determinant_images(t1: Derivation, t2: Derivation):
-    """(dom, images, den) of P1*Q2 - P2*Q1 for nonzero t1 and t2: the
-    convolution of their integer images, over den1*den2."""
-    dom, p1, q1, den1 = t1.cleared
-    _, p2, q2, den2 = t2.cleared
-    return dom, _determinant(dom, p1, q1, p2, q2), den1 * den2
-
-
 def saito_determinant(t1: Derivation, t2: Derivation) -> HomogPoly:
     """P1*Q2 - P2*Q1; nonzero iff {t1, t2} is independent over the ring.
 
-    Field elements are built only for a nonzero result.  The verifiers
-    decide dependence with the predicate dependent instead; this stays as
-    its oracle.
+    The convolution of the integer images, over den1*den2; field elements
+    are built only for a nonzero result.  No production path calls it: the
+    verifiers decide from values at (EVAL_POINT, 1), and it stays as their
+    oracle and public API.
     """
     if t1.is_zero or t2.is_zero:
         return HomogPoly.zero()
-    dom, out, den = determinant_images(t1, t2)
+    (dom, p1, q1, den1), (_, p2, q2, den2) = t1.cleared, t2.cleared
+    out = _determinant(dom, p1, q1, p2, q2)
     if out.count(dom.zero) == len(out):
         return HomogPoly.zero()
-    return HomogPoly(tuple(dom.back(v, den) for v in out))
+    return HomogPoly(tuple(dom.back(v, den1 * den2) for v in out))
 
 
 # The x-coordinate t of the point (t, 1) at which Derivation.values
-# evaluates.  Any integer keeps dependent exact, since a zero value falls
-# back to the full determinant.  The determinants of module members are
-# multiples of the defining polynomial and vanish on every line of the
-# arrangement, so t is off the lines of the rank-2 Coxeter arrangements
-# over Q and Q(sqrt 3): on their scans only dependent pairs fall back.
+# evaluates.  Any integer keeps dependent and the Saito certificate
+# (dermod._saito) exact, since a zero value falls back to the full
+# determinant.  The determinants of module members are multiples of the
+# defining polynomial and vanish on every line of the arrangement, so t is
+# off the lines of the rank-2 Coxeter arrangements over Q and Q(sqrt 3): on
+# their scans only dependent pairs fall back.  The certificate falls back
+# where a line with mu_H > 0 passes through (t, 1), e.g. x - 2*y over Q.
 EVAL_POINT = 2
 
 
@@ -448,19 +446,10 @@ def dependent(t1: Derivation, t2: Derivation) -> bool:
     """
     if t1.is_zero or t2.is_zero:
         return True
-    return dependent_images(t1.cleared, t2.cleared, t1.values, t2.values)
-
-
-def dependent_images(c1: Tuple, c2: Tuple, v1: Tuple, v2: Tuple) -> bool:
-    """dependent on integer images: c_i = (dom, P_i, Q_i, den_i) are the
-    images of a nonzero derivation as in Derivation.cleared (a zero part as
-    [] or as zeros), and v_i = (dom, P_i(t), Q_i(t)) their values at
-    (EVAL_POINT, 1) as in Derivation.values."""
-    dom, a1, b1 = v1
-    _, a2, b2 = v2
+    (dom, a1, b1), (_, a2, b2) = t1.values, t2.values
     if dom.mul(a1, b2) != dom.mul(a2, b1):
         return False
-    out = _determinant(dom, c1[1], c1[2], c2[1], c2[2])
+    out = _determinant(dom, *t1.cleared[1:3], *t2.cleared[1:3])
     return out.count(dom.zero) == len(out)
 
 

@@ -16,6 +16,9 @@ Oracles:
 * Saito's criterion certifies every walk rooted at 0: it passes on the
   walk's windows over every field, and each corrupted step fails it for
   its own reason.
+* The determinant of two members whose degrees sum to |mu| is a scalar
+  times the defining polynomial, the theorem that lets one value decide
+  Saito's criterion; verify_saito agrees with the HomogPoly comparison.
 """
 
 import itertools
@@ -43,6 +46,7 @@ from multilattice.errors import (BadReduction, InternalInconsistency, LengthMism
 from multilattice.field import FieldSpec, QuadElem, is_prime
 from multilattice.linalg import domain_of, invert_matrix, rank
 from multilattice.poly import (
+    EVAL_POINT,
     Arrangement,
     Derivation,
     HomogPoly,
@@ -455,23 +459,74 @@ def test_walk_matches_elimination(monkeypatch, name, A, box):
         assert got[mu] == eliminated(A, mu), mu
 
 
+# fractional forms (1, 3/2) and (1, -5/3), and G2's sqrt(3)/3, clear over
+# den > 1; x - 2*y over Q and x + y over F_3 pass through (EVAL_POINT, 1)
+SAITO_CASES = [
+    (FieldSpec.rational(), [(1, 0), (0, 1), (1, 1), (1, -1)]),
+    (FieldSpec.rational(), [(1, 0), (0, 1), (2, 3), (3, -5)]),
+    (FieldSpec.quadratic(3), [(f.a, f.b) for f in coxeter_arrangement("G2").forms]),
+    (FieldSpec.prime(3), [(1, 0), (0, 1), (1, 1), (1, -1)]),
+    (FieldSpec.prime(101), [(1, 0), (0, 1), (1, 1), (2, 3)]),
+    (FieldSpec.rational(), [(1, 0), (0, 1), (1, 1), (1, -2)]),
+]
+SAITO_IDS = ["B2", "rational-fractions", "G2", "B2-prime3", "prime101", "x-2y"]
+EVAL_POINT_IDS = {"B2-prime3", "x-2y"}
+
+
 def certificate_cases():
-    """The windows of test_walk_matches_elimination, and random ones over
-    Q(sqrt 2) and F_3."""
+    """The windows of test_walk_matches_elimination, random ones over
+    Q(sqrt 2) and F_3, and the two SAITO_CASES with a line through
+    (EVAL_POINT, 1)."""
     rng = random.Random("certificate")
     extra = [(f"{field_name(fs)}-{i}", A, (2,) * len(A))
              for fs in (FieldSpec.quadratic(2), FieldSpec.prime(3))
              for i in range(4) for A in [oracle_arrangement(rng, fs)]]
-    return walk_cases() + extra
+    through = [(name, Arrangement.make(fs, pairs), (2,) * len(pairs))
+               for (fs, pairs), name in zip(SAITO_CASES, SAITO_IDS) if name in EVAL_POINT_IDS]
+    return walk_cases() + extra + through
+
+
+def q_vanishes(A, mu):
+    """Whether the defining polynomial vanishes at (EVAL_POINT, 1), i.e.
+    a line with mu_H > 0 passes through that point: HomogPoly arithmetic."""
+    fs = A.field
+    q = defining_polynomial(A, mu)
+    return not sum((c * fs.from_int(EVAL_POINT ** i) for i, c in enumerate(q.coeffs)), fs.zero())
+
+
+def branches(A):
+    """The values of q_vanishes that saito_points reaches: both when a line
+    of A passes through (EVAL_POINT, 1), else False alone."""
+    return {True, False} if q_vanishes(A, (1,) * len(A)) else {False}
+
+
+def spy_fallback(monkeypatch):
+    """Record each call of the certificate's full-determinant fallback, the
+    one place where it builds the defining polynomial's images."""
+    calls, real = [], dermod.defining_images
+    monkeypatch.setattr(dermod, "defining_images",
+                        lambda A, mu: calls.append(mu) or real(A, mu))
+    return calls
 
 
 @pytest.mark.parametrize("name,A,box", certificate_cases(),
                          ids=[c[0] for c in certificate_cases()])
 def test_certificate_passes_on_the_walk_windows(monkeypatch, name, A, box):
+    # the value at (EVAL_POINT, 1) decides, and the full determinant only
+    # where the defining polynomial vanishes there; a window on a line
+    # through that point takes both branches
     monkeypatch.setattr(dermod, "_WALKS", {})
+    fallbacks = spy_fallback(monkeypatch)
     walk = dermod._walk(A)
+    seen = set()
     for mu in lattice.box_points(box):
-        walk.certify(mu, walk.basis(mu))
+        state = walk.basis(mu)
+        fallbacks.clear()
+        walk.certify(mu, state)
+        assert bool(fallbacks) == q_vanishes(A, mu), mu
+        seen.add(q_vanishes(A, mu))
+    assert seen == branches(A)
+    assert name not in EVAL_POINT_IDS or seen == {True, False}
 
 
 def test_walk_is_path_independent(B2, G2, monkeypatch):
@@ -540,6 +595,9 @@ def test_exponents_length_mismatch():
         exponents(A, (1, 2, 3))
     with pytest.raises(LengthMismatch):
         dermod.exponent_pair(A, (1, 2, 3))
+    t1, t2 = full_basis(A, (1, 2))
+    with pytest.raises(LengthMismatch):
+        verify_saito(A, (1, 2, 0), t1, t2)
 
 
 @pytest.mark.parametrize("mu", [(-1, 0, 0, 0), (2, 1, -3, 1), (1.0, 0, 0, 0), (0.5, 1, 1, 1)])
@@ -679,17 +737,6 @@ def fraction_verify_saito(A, mu, t1, t2):
     return True, None, c
 
 
-# fractional forms (1, 3/2) and (1, -5/3), and G2's sqrt(3)/3, clear over den > 1
-SAITO_CASES = [
-    (FieldSpec.rational(), [(1, 0), (0, 1), (1, 1), (1, -1)]),
-    (FieldSpec.rational(), [(1, 0), (0, 1), (2, 3), (3, -5)]),
-    (FieldSpec.quadratic(3), [(f.a, f.b) for f in coxeter_arrangement("G2").forms]),
-    (FieldSpec.prime(3), [(1, 0), (0, 1), (1, 1), (1, -1)]),
-    (FieldSpec.prime(101), [(1, 0), (0, 1), (1, 1), (2, 3)]),
-]
-SAITO_IDS = ["B2", "rational-fractions", "G2", "B2-prime3", "prime101"]
-
-
 def _small_poly(fs, rng, d):
     while True:
         f = HomogPoly.make([fs.from_int(rng.randint(-4, 4)) for _ in range(d + 1)])
@@ -697,14 +744,23 @@ def _small_poly(fs, rng, d):
             return f
 
 
+def saito_points(A, rng):
+    """Four random points of [0,3]^n, then 1 on every line, and 1 on the
+    first two lines only (x and y, off (EVAL_POINT, 1)): with a line
+    through that point, the certificate takes both branches."""
+    n = len(A)
+    return [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(4)] + [
+        (1,) * n, (1, 1) + (0,) * (n - 2)]
+
+
 @pytest.mark.parametrize("fs,pairs", SAITO_CASES, ids=SAITO_IDS)
-def test_verify_saito_matches_the_fraction_path(fs, pairs, monkeypatch):
+def test_verify_saito_matches_the_fraction_path(fs, pairs):
     A = Arrangement.make(fs, pairs)
     rng = random.Random(5)
     x = HomogPoly.from_linear_form(LinearForm.make(fs, 1, 0))
     cases = []
-    for _ in range(4):
-        mu = tuple(rng.randint(0, 3) for _ in A.forms)
+    mus = saito_points(A, rng)
+    for mu in mus:
         t1, t2 = full_basis(A, mu)
         g = _small_poly(fs, rng, sum(mu) - 2 * t1.degree)
         cases += [
@@ -721,19 +777,50 @@ def test_verify_saito_matches_the_fraction_path(fs, pairs, monkeypatch):
         assert (got.accepted, got.reason, got.scalar) == fraction_verify_saito(A, mu, t1, t2)
         assert got.scalar is None or type(got.scalar) is type(fs.one())
         reasons.add(got.reason and got.reason.split(":")[0])
-    # wrong determinants: skip membership so that any independent pair of
-    # the right degree reaches the comparison with the defining polynomial
-    monkeypatch.setattr(dermod, "in_module", lambda *args: True)
-    for _ in range(30):
-        mu = tuple(rng.randint(0, 3) for _ in A.forms)
-        d1 = rng.randint(0, sum(mu))
-        t1 = Derivation(_small_poly(fs, rng, d1), _small_poly(fs, rng, d1))
-        t2 = Derivation(_small_poly(fs, rng, sum(mu) - d1), HomogPoly.zero())
-        got = verify_saito(A, mu, t1, t2)
-        assert (got.accepted, got.reason, got.scalar) == fraction_verify_saito(A, mu, t1, t2)
-        reasons.add(got.reason and got.reason.split(":")[0])
-    assert reasons == {None, "membership", "degree", "dependent",
-                       "determinant is not a scalar multiple of the defining polynomial"}
+    assert reasons == {None, "membership", "degree", "dependent"}
+    assert {q_vanishes(A, mu) for mu in mus} == branches(A)
+
+
+def random_member(fs, rng, basis, k):
+    """A random element of degree k of the module with the given basis
+    (degrees d1 <= k <= d2): f*theta1 for a nonzero f of degree k - d1,
+    plus a scalar, possibly 0, times theta2 when k = d2."""
+    t1, t2 = basis
+    theta = t1.mul_poly(_small_poly(fs, rng, k - t1.degree))
+    if k == t2.degree:
+        theta = theta + t2.scale(fs.from_int(rng.randint(-2, 2)))
+    return theta
+
+
+@pytest.mark.parametrize("fs,pairs", SAITO_CASES, ids=SAITO_IDS)
+def test_member_determinants_are_multiples_of_the_defining_polynomial(fs, pairs, monkeypatch):
+    # the theorem behind the certificate: for members theta1, theta2 whose
+    # degrees sum to |mu|, det(theta1, theta2) = c*Q(A, mu) for a scalar c,
+    # possibly 0; verify_saito accepts exactly when c != 0, returns c, and
+    # builds the full determinant only where Q vanishes at (EVAL_POINT, 1)
+    A = Arrangement.make(fs, pairs)
+    rng = random.Random(11)
+    fallbacks = spy_fallback(monkeypatch)
+    scalars, seen = set(), set()
+    for mu in saito_points(A, rng):
+        basis = full_basis(A, mu)
+        d1, d2 = (t.degree for t in basis)
+        q = defining_polynomial(A, mu)
+        lead = next(i for i, c in enumerate(q.coeffs) if c)
+        for _ in range(6):
+            k = rng.randint(d1, d2)
+            t1, t2 = random_member(fs, rng, basis, k), random_member(fs, rng, basis, sum(mu) - k)
+            assert in_module(A, mu, t1) and in_module(A, mu, t2)
+            det = saito_determinant(t1, t2)
+            c = det.coeffs[lead] / q.coeffs[lead] if det.coeffs else fs.zero()
+            assert det == q.scale(c), (mu, t1, t2)
+            fallbacks.clear()
+            got = verify_saito(A, mu, t1, t2)
+            assert (got.accepted, got.scalar) == (bool(c), c if c else None), (mu, t1, t2)
+            assert bool(fallbacks) == q_vanishes(A, mu), mu
+            scalars.add(bool(c))
+            seen.add(q_vanishes(A, mu))
+    assert scalars == {True, False} and seen == branches(A)
 
 
 def test_saito_determinant_matches_defining_polynomial(B2):
