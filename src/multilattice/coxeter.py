@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import lattice
-from .dermod import exponents
+from .dermod import delta, exponent_pair
 from .errors import (
     FieldMismatch,
     HypothesisViolated,
@@ -171,11 +171,11 @@ def check_delta_invariance(A: Arrangement, generators: Sequence[GroupElement],
     witnesses = []
     checked = 0
     for mu in lattice.box_points(box):
-        d_mu = exponents(A, mu).delta
+        d_mu = delta(A, mu)
         for g in generators:
             nu = act(g, mu)
             checked += 1
-            d_nu = exponents(A, nu).delta
+            d_nu = delta(A, nu)
             if d_mu != d_nu:
                 witnesses.append({"mu": mu, "image": nu, "delta_mu": d_mu, "delta_image": d_nu})
     status = "fail" if witnesses else "pass"
@@ -215,11 +215,11 @@ def symmetric_peak_certificate(A: Arrangement, group: Sequence[GroupElement],
             cocover = mu[:i] + (mu[i] - 1,) + mu[i + 1:]
             if not lattice.leq(kappa, cocover):
                 raise HypothesisViolated(f"kappa must sit below the co-cover of mu at index {i}")
-    d_mu = exponents(A, mu).delta
+    d_mu = delta(A, mu)
     if d_mu == 0:
         raise HypothesisViolated("mu has gap 0, so it is outside the support")
-    d_nu = exponents(A, nu).delta
-    d_kappa = exponents(A, kappa).delta
+    d_nu = delta(A, nu)
+    d_kappa = delta(A, kappa)
     if not d_mu - d_nu > lattice.distance(mu, nu) - 4:
         raise HypothesisViolated("gap drop towards nu is too small")
     if printed_second_hypothesis:
@@ -237,7 +237,7 @@ def symmetric_peak_certificate(A: Arrangement, group: Sequence[GroupElement],
     for p in lattice.ball(mu, d_mu + 1, box):
         dist = lattice.distance(mu, p)
         want = max(d_mu - dist, 0)
-        got = exponents(A, p).delta
+        got = delta(A, p)
         if got != want:
             witnesses.append({"point": p, "delta": got, "want": want})
     status = "fail" if witnesses else "pass"
@@ -294,7 +294,7 @@ def near_constant_exponents(ctype: str, k: int, offsets: Sequence[int],
     gap_pred = abs(gap_c - s)
     predicted = ((total - gap_pred) // 2, (total + gap_pred) // 2)
     printed = (n * k + 1 + s, n * k + n - 1)
-    computed = exponents(A, nu).as_pair()
+    computed = exponent_pair(A, nu)
     return NearConstantResult(
         nu=nu,
         predicted=predicted,

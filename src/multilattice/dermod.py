@@ -497,7 +497,8 @@ def exponents(A: Arrangement, mu: Sequence[int]) -> ExponentResult:
 
 
 def delta(A: Arrangement, mu: Sequence[int]) -> int:
-    return exponents(A, mu).delta
+    d1, d2 = exponent_pair(A, mu)
+    return d2 - d1
 
 
 def min_derivation(A: Arrangement, mu: Sequence[int]) -> Derivation:

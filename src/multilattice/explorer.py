@@ -11,6 +11,7 @@ portions, or boundary-undetermined when neither certificate applies.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from typing import Dict, List, Optional, Tuple
@@ -101,7 +102,9 @@ class ScanResult(Record):
             raise ParseError(f"scan file lacks the key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ParseError(f"malformed scan file: {exc}") from exc
+        # the counts first: a huge box with few rows must not be enumerated
         if (len(box) != len(A) or len(table) != len(points)
+                or len(points) != math.prod(b + 1 for b in box)
                 or set(table) != set(lattice.box_points(box))):
             raise ParseError("scan rows must list every point of the box once")
         return cls(A, box, table)

@@ -12,6 +12,10 @@ derivations is proportionality over K(x, y), an equivalence relation, so
 each check sorts the generators it reads into classes once
 (poly.dependence_classes) and answers every pair by comparing class ids.
 The classes live only as long as the check.
+
+All four ask pairs_at_distance_two which groups of points lie at distance 2
+(components, candidate components, odd points, the candidate centers' open
+balls), and one walk, _dependent_pairs, lists the dependent pairs across them.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from . import lattice
 from .dermod import delta as solve_delta
 from .dermod import exponents, in_module, verify_saito
 from .errors import HypothesisViolated, PreconditionViolated, UncoveredWindow
-from .explorer import Component, ScanResult, components as scan_components
+from .explorer import Component, ScanResult, centers as scan_centers, components as scan_components
 from .lattice import Box, Multiplicity
 from .poly import (
     Arrangement,
@@ -69,21 +73,17 @@ def _finish(name: str, witnesses: List[dict], details: dict) -> Verdict:
 
 
 class ThetaOracle:
-    """Minimal-degree generators, memoized, for points with a positive gap."""
+    """Minimal-degree generators at points with a positive gap (dermod.exponents)."""
 
     def __init__(self, A: Arrangement):
         self.A = A
-        self._memo: Dict[Multiplicity, Derivation] = {}
 
     def __call__(self, mu: Multiplicity) -> Derivation:
-        mu = tuple(mu)
-        if mu not in self._memo:
-            res = exponents(self.A, mu)
-            if res.non_unique:
-                raise PreconditionViolated(
-                    f"theta is only defined up to scalar on the support; gap is 0 at {mu}")
-            self._memo[mu] = res.theta_min
-        return self._memo[mu]
+        res = exponents(self.A, mu)
+        if res.non_unique:
+            raise PreconditionViolated(
+                f"theta is only defined up to scalar on the support; gap is 0 at {tuple(mu)}")
+        return res.theta_min
 
 
 # -- structure checks --------------------------------------------------------
@@ -229,6 +229,15 @@ def _meet(ids1: set, ids2: set) -> bool:
     return None in ids1 or None in ids2 or not ids1.isdisjoint(ids2)
 
 
+def _dependent_pairs(cls: Dict[Multiplicity, Optional[int]],
+                     groups: Sequence[Sequence[Multiplicity]],
+                     near: Sequence[Tuple[int, int]]) -> List[Tuple[Multiplicity, Multiplicity]]:
+    """The dependent pairs (a, b) with a in groups[i] and b in groups[j], for
+    (i, j) in near order, each group given in sorted order."""
+    return [(a, b) for i, j in near for a in groups[i] for b in groups[j]
+            if _dependent_in(cls, a, b)]
+
+
 def check_independency(scan: ScanResult, oracle: ThetaOracle,
                        comps: Optional[List[Component]] = None) -> Verdict:
     """Generators across components at distance 2 are independent;
@@ -241,7 +250,8 @@ def check_independency(scan: ScanResult, oracle: ThetaOracle,
     """
     if comps is None:
         comps = scan_components(scan)
-    near = pairs_at_distance_two([c.members for c in comps], scan.box)
+    groups = [c.sorted_members() for c in comps]
+    near = pairs_at_distance_two(groups, scan.box)
     cls = _classes((mu for c in comps for mu in c.members), oracle)
     ids = [{cls[mu] for mu in c.members} for c in comps]
     cross = sum(len(comps[i].members) * len(comps[j].members) for i, j in near)
@@ -249,15 +259,10 @@ def check_independency(scan: ScanResult, oracle: ThetaOracle,
     witnesses = []
     if (any(_meet(ids[i], ids[j]) for i, j in near)
             or any(len(v - {None}) > 1 for v in ids)):
-        for i, j in near:
-            for a in comps[i].sorted_members():
-                for b in comps[j].sorted_members():
-                    if _dependent_in(cls, a, b):
-                        witnesses.append({"kind": "cross-dependent", "mu": a, "nu": b})
-        for comp in comps:
-            for a, b in combinations(comp.sorted_members(), 2):
-                if not _dependent_in(cls, a, b):
-                    witnesses.append({"kind": "same-independent", "mu": a, "nu": b})
+        witnesses = [{"kind": "cross-dependent", "mu": a, "nu": b}
+                     for a, b in _dependent_pairs(cls, groups, near)]
+        witnesses += [{"kind": "same-independent", "mu": a, "nu": b} for g in groups
+                      for a, b in combinations(g, 2) if not _dependent_in(cls, a, b)]
     return _finish("independence-pattern", witnesses,
                    {"cross_pairs": cross, "same_pairs": same})
 
@@ -393,23 +398,17 @@ def certify_support(A: Arrangement, candidate: CandidateMap, box: Box,
     if big:
         raise HypothesisViolated(
             f"complement has a connected component larger than one, near {big[0]}")
-    ncomps = lattice.connected_components(N, box)
+    ncomps = [sorted(c) for c in lattice.connected_components(N, box)]
     near = pairs_at_distance_two(ncomps, box)
     cls = _classes({mu for pair in near for i in pair for mu in ncomps[i]},
                    candidate.assignment.__getitem__)
     condition = not any(_meet({cls[mu] for mu in ncomps[i]}, {cls[mu] for mu in ncomps[j]})
                         for i, j in near)
-    cond_witness = None
-    if not condition:  # the witness is the last dependent pair in this order
-        for c1, c2 in near:
-            for a in sorted(ncomps[c1]):
-                for b in sorted(ncomps[c2]):
-                    if _dependent_in(cls, a, b):
-                        cond_witness = {"mu": a, "nu": b}
     details = {"condition_holds": condition,
                "ambient_graph": "candidate-induced components, lattice distances"}
-    if cond_witness:
-        details["condition_witness"] = cond_witness
+    if not condition:  # the witness is the last dependent pair in this order
+        a, b = _dependent_pairs(cls, ncomps, near)[-1]
+        details["condition_witness"] = {"mu": a, "nu": b}
     if trusted_scan is None:
         return Verdict(name, "skipped", details={**details, "reason": "no trusted scan"})
     truth = N == {mu for mu in balanced
@@ -425,7 +424,16 @@ def certify_support(A: Arrangement, candidate: CandidateMap, box: Box,
 def certify_centers(A: Arrangement, candidate: CandidateMap, box: Box,
                     trusted_scan: Optional[ScanResult] = None,
                     oracle: Optional[ThetaOracle] = None) -> Verdict:
-    """Center-identification criterion from the gap-distance identity."""
+    """Center-identification criterion from the gap-distance identity.
+
+    Open balls B(a, g_a) and B(b, g_b) in the orthant share a point iff
+    dist(a, b) <= g_a + g_b - 2; disjoint ones lie dist(a, b) - g_a - g_b + 2
+    apart, on a shortest path from a to b.  So overlap, touching (gap sum
+    equal to the distance) and coverage are read off each candidate's ball,
+    built once in a box that holds every ball whole.  A point that balls
+    i < j share is first claimed by i or an earlier ball, so the least
+    overlapping pair is always claimed.
+    """
     name = "criterion-centers"
     N = candidate.points()
     gap = {mu: candidate.delta_prime(mu) for mu in N}
@@ -436,42 +444,31 @@ def certify_centers(A: Arrangement, candidate: CandidateMap, box: Box,
     if bad is not None:
         return Verdict(name, "skipped",
                        details={"reason": f"candidate at {bad} is not a module member"})
-    touching = []  # the pairs whose balls touch: gap sum equal to the distance
-    for a, b in combinations(N, 2):
-        dist, reach = lattice.distance(a, b), gap[a] + gap[b]
-        if dist < reach - 1:
-            raise HypothesisViolated(f"candidate balls at {a} and {b} overlap")
-        if dist == reach:
-            touching.append((a, b))
-    balanced = set(_balanced_window(box))
-    covered = set()
-    for mu in N:
-        covered.update(lattice.ball(mu, gap[mu], box))
-    leftovers = lattice.connected_components(balanced - covered, box)
+    top = tuple(map(max, zip(box, *([m + gap[mu] - 1 for m in mu] for mu in N))))
+    balls = [lattice.ball(mu, gap[mu], top) for mu in N]
+    owner: Dict[Multiplicity, int] = {}  # each point's first claimant
+    claims = {(owner.setdefault(p, j), j) for j, ball in enumerate(balls) for p in ball}
+    overlaps = sorted((i, j) for i, j in claims if i != j)
+    if overlaps:
+        i, j = overlaps[0]
+        raise HypothesisViolated(f"candidate balls at {N[i]} and {N[j]} overlap")
+    leftovers = lattice.connected_components(set(_balanced_window(box)).difference(owner), box)
     big = [sorted(c)[0] for c in leftovers if len(c) > 1]
     if big:
         raise UncoveredWindow(
             f"uncovered balanced region has a component larger than one, near {big[0]}")
-    cls = _classes({mu for pair in touching for mu in pair}, candidate.assignment.__getitem__)
-    bad_pairs = [(a, b) for a, b in touching if _dependent_in(cls, a, b)]
+    touching = pairs_at_distance_two(balls, top)
+    cls = _classes({N[k] for pair in touching for k in pair}, candidate.assignment.__getitem__)
+    bad_pairs = _dependent_pairs(cls, [(mu,) for mu in N], touching)
     condition = not bad_pairs
-    cond_witness = {"mu": bad_pairs[-1][0], "nu": bad_pairs[-1][1]} if bad_pairs else None
     details = {"condition_holds": condition}
-    if cond_witness:
-        details["condition_witness"] = cond_witness
+    if bad_pairs:
+        details["condition_witness"] = {"mu": bad_pairs[-1][0], "nu": bad_pairs[-1][1]}
     if trusted_scan is None:
         return Verdict(name, "skipped", details={**details, "reason": "no trusted scan"})
-    from .explorer import centers as scan_centers
-    true_centers = {}
-    for entry in scan_centers(trusted_scan):
-        if entry.center is not None:
-            true_centers[entry.center] = entry.delta
-    truth = set(N) == set(true_centers)
+    truth = set(N) == {e.center for e in scan_centers(trusted_scan) if e.center is not None}
     if truth and oracle is not None:
-        for mu in N:
-            if not proportional(candidate.assignment[mu], oracle(mu)):
-                truth = False
-                break
+        truth = all(proportional(candidate.assignment[mu], oracle(mu)) for mu in N)
     details["matches_true_centers"] = truth
     if condition == truth:
         return Verdict(name, "pass", details=details)
@@ -497,14 +494,13 @@ def reconstruct_components(A: Arrangement, box: Box, oracle: ThetaOracle,
             x = parent[x]
         return x
 
-    near = pairs_at_distance_two([(mu,) for mu in N], box)
+    singletons = [(mu,) for mu in N]
+    near = pairs_at_distance_two(singletons, box)
     cls = _classes({N[k] for pair in near for k in pair}, oracle)
-    for i, j in near:
-        a, b = N[i], N[j]
-        if _dependent_in(cls, a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+    for a, b in _dependent_pairs(cls, singletons, near):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
     classes: Dict[Multiplicity, set] = {}
     for mu in N:
         classes.setdefault(find(mu), set()).add(mu)

@@ -4,12 +4,21 @@ enumerations the production paths do not need."""
 from itertools import combinations, product
 from typing import List, Optional, Sequence
 
-from multilattice.errors import LengthMismatch
+from multilattice.dermod import in_module
+from multilattice.errors import HypothesisViolated, LengthMismatch, UncoveredWindow
+from multilattice.explorer import centers
 from multilattice.field import FieldSpec, invert
 from multilattice import lattice
 from multilattice.lattice import Multiplicity, chain_steps
-from multilattice.poly import Arrangement, Derivation, HomogPoly, LinearForm, proportional
-from multilattice.theorems import ThetaOracle
+from multilattice.poly import (
+    Arrangement,
+    Derivation,
+    HomogPoly,
+    LinearForm,
+    dependent,
+    proportional,
+)
+from multilattice.theorems import ThetaOracle, Verdict
 
 
 def euler(fs: FieldSpec) -> Derivation:
@@ -42,12 +51,71 @@ def proportional_derivations(t1: Derivation, t2: Derivation) -> bool:
 def wrong_generator_oracle(A: Arrangement, mu: Optional[Multiplicity] = None) -> ThetaOracle:
     """A generator oracle whose generator at mu, if given, is wrong but of
     the right degree: theta + y**d * dx."""
-    oracle = ThetaOracle(A)
-    if mu is not None:
-        theta = oracle(mu)
-        y_power = HomogPoly.make([A.field.one()] + [A.field.zero()] * theta.degree)
-        oracle._memo[tuple(mu)] = theta + Derivation(y_power, HomogPoly.zero())
-    return oracle
+    if mu is None:
+        return ThetaOracle(A)
+    mu = tuple(mu)
+    theta = ThetaOracle(A)(mu)
+    y_power = HomogPoly.make([A.field.one()] + [A.field.zero()] * theta.degree)
+    wrong = theta + Derivation(y_power, HomogPoly.zero())
+
+    class WrongAt(ThetaOracle):
+        def __call__(self, nu: Multiplicity) -> Derivation:
+            return wrong if tuple(nu) == mu else super().__call__(nu)
+
+    return WrongAt(A)
+
+
+def pairwise_certify_centers(A: Arrangement, candidate, box, trusted_scan=None, oracle=None):
+    """The center criterion pair by pair: the oracle for
+    theorems.certify_centers, which reads overlap, coverage and touching off
+    the candidates' balls instead.
+
+    Two candidate balls overlap iff dist < gap sum - 1, and the first
+    overlapping pair in combinations order is named; they touch iff
+    dist = gap sum, and each touching pair's dependence is decided by
+    poly.dependent.
+    """
+    name = "criterion-centers"
+    N = candidate.points()
+    gap = {mu: candidate.delta_prime(mu) for mu in N}
+    for mu in N:
+        if gap[mu] <= 0:
+            raise HypothesisViolated(f"candidate gap at {mu} is not positive")
+    for mu, theta in candidate.assignment.items():
+        if theta.is_zero or not in_module(A, mu, theta):
+            return Verdict(name, "skipped",
+                           details={"reason": f"candidate at {mu} is not a module member"})
+    touching = []
+    for a, b in combinations(N, 2):
+        dist, reach = lattice.distance(a, b), gap[a] + gap[b]
+        if dist < reach - 1:
+            raise HypothesisViolated(f"candidate balls at {a} and {b} overlap")
+        if dist == reach:
+            touching.append((a, b))
+    balanced = {mu for mu in lattice.box_points(box) if lattice.is_balanced(mu)}
+    covered = set()
+    for mu in N:
+        covered.update(lattice.ball(mu, gap[mu], box))
+    leftovers = lattice.connected_components(balanced - covered, box)
+    big = [sorted(c)[0] for c in leftovers if len(c) > 1]
+    if big:
+        raise UncoveredWindow(
+            f"uncovered balanced region has a component larger than one, near {big[0]}")
+    bad_pairs = [(a, b) for a, b in touching
+                 if dependent(candidate.assignment[a], candidate.assignment[b])]
+    details = {"condition_holds": not bad_pairs}
+    if bad_pairs:
+        details["condition_witness"] = {"mu": bad_pairs[-1][0], "nu": bad_pairs[-1][1]}
+    if trusted_scan is None:
+        return Verdict(name, "skipped", details={**details, "reason": "no trusted scan"})
+    truth = set(N) == {e.center for e in centers(trusted_scan) if e.center is not None}
+    if truth and oracle is not None:
+        truth = all(proportional(candidate.assignment[mu], oracle(mu)) for mu in N)
+    details["matches_true_centers"] = truth
+    if details["condition_holds"] == truth:
+        return Verdict(name, "pass", details=details)
+    return Verdict(name, "fail", witnesses=[{"condition": not bad_pairs, "truth": truth}],
+                   details=details)
 
 
 def downalpha(A: Arrangement, chain: Sequence[Multiplicity],

@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multilattice import dermod, lattice
-from multilattice.coxeter import coxeter_arrangement
+from multilattice.coxeter import check_delta_invariance, coxeter_arrangement, standard_generators
 from multilattice.dermod import (
     _alpha_basis_rows,
     delta,
@@ -921,7 +921,8 @@ def test_the_walk_keeps_the_results_it_returns(B2, monkeypatch):
 
 def test_exponent_pair_builds_no_generator(B2, G2, monkeypatch):
     # the pair comes off the degrees of the walked basis: no theta_min is
-    # built and no result is kept, yet it is the pair exponents returns
+    # built and no result is kept, yet it is the pair exponents returns;
+    # delta and the gap-invariance check read the gap off the pair too
     monkeypatch.setattr(dermod, "_WALKS", {})
 
     def no_generator(*args):
@@ -932,7 +933,11 @@ def test_exponent_pair_builds_no_generator(B2, G2, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(dermod._Walk, "derivation", no_generator)
         pairs = {(A, mu): dermod.exponent_pair(A, mu) for A, mus in points.items() for mu in mus}
+        gaps = {(A, mu): dermod.delta(A, mu) for A, mus in points.items() for mu in mus}
+        invariance = check_delta_invariance(B2, standard_generators(B2, "B2"), (2, 2, 2, 2))
         assert all(not dermod._walk(A).results for A in points)
+    assert invariance.passed
+    assert all(gaps[key] == d2 - d1 for key, (d1, d2) in pairs.items())
     for (A, mu), pair in pairs.items():
         assert exponents(A, mu).as_pair() == pair
         assert dermod.exponent_pair(A, list(mu)) == pair  # now from the kept result

@@ -372,3 +372,16 @@ def test_from_json_rejects_malformed_fields(boolean, mutate):
 def test_from_json_rejects_malformed_text(text):
     with pytest.raises(ParseError):
         ScanResult.from_json(text)
+
+
+def test_from_json_counts_the_rows_before_it_enumerates_the_box(boolean, monkeypatch):
+    # a huge box with few rows is rejected by its point count; enumerating
+    # its points would exhaust memory
+    def no_enumeration(box):
+        raise AssertionError(f"enumerated the points of {box}")
+
+    obj = json.loads(scan(boolean, (1, 1)).to_json())
+    obj.update(box=[10 ** 9, 10 ** 9], points=obj["points"][:1])
+    monkeypatch.setattr(lattice, "box_points", no_enumeration)
+    with pytest.raises(ParseError, match="every point of the box once"):
+        ScanResult.from_json(json.dumps(obj))

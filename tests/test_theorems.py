@@ -45,6 +45,7 @@ from helpers import (
     descent_forms,
     downalpha,
     euler,
+    pairwise_certify_centers,
     path_transport,
     proportional_derivations,
     wrong_generator_oracle,
@@ -410,6 +411,90 @@ def test_criteria_witness_their_last_dependent_pair(B2, b2_scan, b2_oracle, b2_c
     assert pairs and v.status == "fail"
     assert not v.details["condition_holds"]
     assert v.details["condition_witness"] == {"mu": pairs[-1][0], "nu": pairs[-1][1]}
+
+
+def _outcome(check, *args, **kwargs):
+    """A check's verdict as JSON, or the type and message of what it raised."""
+    try:
+        return check(*args, **kwargs).to_json()
+    except HypothesisViolated as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _centers_as_pairwise(A, cand, window, trusted_scan=None, oracle=None):
+    """certify_centers's outcome, asserted equal to the pair-by-pair oracle's."""
+    got = _outcome(certify_centers, A, cand, window, trusted_scan=trusted_scan, oracle=oracle)
+    want = _outcome(pairwise_certify_centers, A, cand, window,
+                    trusted_scan=trusted_scan, oracle=oracle)
+    assert got == want
+    return got
+
+
+@pytest.fixture(scope="module")
+def g2_small_scan(G2):
+    return scan(G2, (2,) * 6)
+
+
+def test_certify_centers_matches_pairwise_on_scan_centers(B2, G2, b2_center_setup,
+                                                          g2_small_scan):
+    big, oracle, cand, inner = b2_center_setup
+    g2_oracle = ThetaOracle(G2)
+    g2_cand = CandidateMap({e.center: g2_oracle(e.center)
+                            for e in centers(g2_small_scan) if e.center})
+    assert not g2_cand.assignment  # G2 [0,2]^6 certifies no ball
+    for A, s, o, c, windows in ((B2, big, oracle, cand, [inner, (3,) * 4, (0,) * 4, big.box]),
+                                (G2, g2_small_scan, g2_oracle, g2_cand, [(0,) * 6, (1,) * 6])):
+        for window in windows:
+            for trusted in (s, None):
+                _centers_as_pairwise(A, c, window, trusted_scan=trusted, oracle=o)
+
+
+def test_certify_centers_empty_map(B2, b2_center_setup):
+    big, oracle, _, _ = b2_center_setup
+    empty = CandidateMap({})
+    kind, message = _centers_as_pairwise(B2, empty, (3, 3, 3, 3), trusted_scan=big, oracle=oracle)
+    assert kind == "UncoveredWindow"
+    v = json.loads(_centers_as_pairwise(B2, empty, (0, 0, 0, 0), trusted_scan=big, oracle=oracle))
+    assert v["status"] == "fail"
+    assert v["details"] == {"condition_holds": True, "matches_true_centers": False}
+
+
+def test_certify_centers_names_the_least_overlapping_pair(B2, b2_center_setup):
+    # balls in sorted order meet the overlap of b and c (at c) before that
+    # of a and d (at d); combinations order names (a, d) first
+    big, oracle, _, _ = b2_center_setup
+    a, b, c, d = (0, 0, 0, 2), (0, 0, 1, 0), (0, 0, 2, 0), (0, 1, 0, 2)
+    cand = CandidateMap({mu: oracle(mu) for mu in (a, b, c, d)})
+    gap = {mu: cand.delta_prime(mu) for mu in cand.points()}
+    overlap = {pair for pair in combinations(cand.points(), 2)
+               if lattice.distance(*pair) < gap[pair[0]] + gap[pair[1]] - 1}
+    assert overlap == {(a, d), (b, c)}
+    assert _centers_as_pairwise(B2, cand, big.box, trusted_scan=big, oracle=oracle) == (
+        "HypothesisViolated", f"candidate balls at {a} and {d} overlap")
+
+
+def test_certify_centers_matches_pairwise_on_random_maps(B2, G2, b2_center_setup, g2_small_scan):
+    """Seeded maps: true centers with some dropped, support points added
+    (overlapping balls or not, inside the window or not), now and then a
+    generator that is not a module member, on random windows."""
+    rng = random.Random(20)
+    big, oracle, _, _ = b2_center_setup
+    seen = set()
+    for A, s, o, runs in ((B2, big, oracle, 24), (G2, g2_small_scan, ThetaOracle(G2), 12)):
+        support = sorted(mu for mu, pr in s.table.items() if pr.delta > 0)
+        true = sorted(e.center for e in centers(s) if e.center)
+        for _ in range(runs):
+            pts = set(rng.sample(true, max(len(true) - rng.randint(0, 2), 0)))
+            pts |= set(rng.sample(support, rng.choice([0, 0, 1, 2, 5])))
+            assignment = {mu: o(mu) for mu in sorted(pts)}
+            if assignment and rng.random() < 0.1:
+                assignment[rng.choice(sorted(pts))] = euler(A.field)
+            window = tuple(max(b - rng.randint(0, 5), 0) for b in s.box)
+            trusted = s if rng.random() < 0.8 else None
+            got = _centers_as_pairwise(A, CandidateMap(assignment), window,
+                                       trusted_scan=trusted, oracle=o)
+            seen.add(got[0] if isinstance(got, tuple) else json.loads(got)["status"])
+    assert seen == {"HypothesisViolated", "UncoveredWindow", "pass", "fail", "skipped"}
 
 
 def test_reconstruct_components_roundtrip(B2, b2_scan, b2_oracle):
