@@ -13,13 +13,14 @@ the bases it has walked and the results it has returned (its only memo of
 exponents), so a scan in box order costs one step per point.  A walk that
 starts at 0 certifies the basis it reaches before its bases enter the memo,
 with the Saito decision that verify_saito makes too (_saito): both
-generators in the module, degrees summing to |mu|, and a determinant
-nonzero at one point.  That proves both exponents.  exponent_pair reads
-(d1, d2) off the degrees of the basis, and exponents adds theta_min; a scan
-asks for the pair alone.  No memo outlives the process.  The reported
-generators are fixed by the module, not by the path: theta_min and the
-full_basis partner are the nullspace vectors that elimination would pick
-(see _Walk.minimal and _Walk.partner).
+generators in the module, degrees summing to |mu|, and a nonzero
+determinant coefficient where the defining polynomial's first nonzero one
+lies.  That proves both exponents.  exponent_pair reads (d1, d2) off the
+degrees of the basis, and exponents adds theta_min; a scan asks for the
+pair alone.  No memo outlives the process.  The reported generators are
+fixed by the module, not by the path: theta_min and the full_basis
+partner are the nullspace vectors that elimination would pick (see
+_Walk.minimal and _Walk.partner).
 
 Each requirement alpha_H**mu_H | theta(alpha_H) is also linear in the
 2*(d+1) coefficients of P and Q, so the graded piece D_d is the nullspace
@@ -50,15 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InternalInconsistency, LengthMismatch, PreconditionViolated
 from .field import FieldSpec, Scalar, invert
 from .linalg import domain_of, nullspace, rank
-from .poly import (
-    EVAL_POINT,
-    Arrangement,
-    Derivation,
-    HomogPoly,
-    LinearForm,
-    _determinant,
-    defining_images,
-)
+from .poly import Arrangement, Derivation, HomogPoly, LinearForm, _determinant
 from .record import Frozen, set_field
 
 Multiplicity = Tuple[int, ...]
@@ -387,10 +380,8 @@ class _Walk:
         InternalInconsistency unless it is a basis of D(A, mu), which
         proves both exponents."""
         t1, d1, t2, d2 = state
-        dom = self.dom
-        # the shapes of Derivation.cleared and Derivation.values
-        gens = [((dom, P, Q, 1), (dom, dom.evaluate(P, EVAL_POINT), dom.evaluate(Q, EVAL_POINT)))
-                for t, d in ((t1, d1), (t2, d2)) for P, Q in [(t[:d + 1], t[d + 1:])]]
+        # the shape of Derivation.cleared
+        gens = [(self.dom, t[:d + 1], t[d + 1:], 1) for t, d in ((t1, d1), (t2, d2))]
         failed, _ = _saito(self.A, mu, gens)
         if failed:
             raise InternalInconsistency({
@@ -562,34 +553,34 @@ def _saito(A: Arrangement, mu: Multiplicity,
            gens: Sequence[Tuple]) -> Tuple[Optional[str], Optional[Scalar]]:
     """Saito's criterion on integer images: the one decision of
     _Walk.certify and verify_saito, on two generators, each given as
-    (Derivation.cleared, Derivation.values).  Returns (None, c) for a basis
-    of D(A, mu) with det = c*Q(A, mu); else (check, None) for the first
-    failed check: "theta1" or "theta2" (zero or not in the module),
-    "degree" (degrees not summing to |mu|), then "dependent".
+    Derivation.cleared.  Returns (None, c) for a basis of D(A, mu) with
+    det = c*Q(A, mu); else (check, None) for the first failed check:
+    "theta1" or "theta2" (zero or not in the module), "degree" (degrees
+    not summing to |mu|), then "dependent".
 
     Members whose degrees sum to |mu| have det = c*Q(A, mu), since each
-    alpha_H**mu_H divides det.  So det(t, 1) at t = EVAL_POINT decides,
-    with c = det(t, 1) / Q(t, 1), unless a line with mu_H > 0 passes
-    through (t, 1) and every value is 0: then the full determinant
-    decides, on the defining polynomial's first nonzero coefficient.
+    alpha_H**mu_H divides det.  With every form normalised, only the line
+    x has b = 0, so Q = x**k * (a product of forms with b != 0), k = mu_x:
+    its first nonzero coefficient is Q_k = the product of b_H**mu_H over
+    H != x.  So det_k, from the first k + 1 images of each part, decides
+    on every field, with c = det_k / Q_k.
     """
-    for label, (cleared, _) in zip(("theta1", "theta2"), gens):
+    for label, cleared in zip(("theta1", "theta2"), gens):
         if cleared is None or not _in_module_images(A, mu, *cleared[:3]):
             return label, None
-    ((dom, p1, q1, den1), (_, a1, b1)), ((_, p2, q2, den2), (_, a2, b2)) = gens
+    (dom, p1, q1, den1), (_, p2, q2, den2) = gens
     if len(p1 or q1) + len(p2 or q2) - 2 != sum(mu):
         return "degree", None
-    (q,), qden = dom.clear((A.field.one(),))  # Q(t, 1) = q / qden
+    (q,), qden = dom.clear((A.field.one(),))  # Q_k = q / qden
+    k = 0
     for lf, m in zip(A.forms, mu):
-        form, den = lf.images
-        q = functools.reduce(dom.mul, [dom.evaluate(form, EVAL_POINT)] * m, q)
-        qden *= den ** m
-    if q != dom.zero:
-        det = _determinant(dom, [a1], [b1], [a2], [b2])[0]
-    else:
-        coeffs, qden = defining_images(A, mu)
-        lead = next(i for i, c in enumerate(coeffs) if c != dom.zero)
-        det, q = _determinant(dom, p1, q1, p2, q2)[lead], coeffs[lead]
+        (r, _), den = lf.images  # r / den = b
+        if r == dom.zero:  # alpha = x
+            k = m
+        else:
+            q = functools.reduce(dom.mul, [r] * m, q)
+            qden *= den ** m
+    det = _determinant(dom, p1[:k + 1], q1[:k + 1], p2[:k + 1], q2[:k + 1])[k]
     if det == dom.zero:
         return "dependent", None
     return None, dom.back(det, den1 * den2) * invert(dom.back(q, qden))
@@ -597,12 +588,12 @@ def _saito(A: Arrangement, mu: Multiplicity,
 
 def verify_saito(A: Arrangement, mu: Sequence[int], t1: Derivation, t2: Derivation) -> SaitoVerdict:
     """Accept iff {t1, t2} is a basis of the derivation module at mu, as
-    _saito decides on the images and values each derivation caches; an
-    accepted verdict carries the scalar c with det = c*Q(A, mu)."""
+    _saito decides on the images each derivation caches; an accepted
+    verdict carries the scalar c with det = c*Q(A, mu)."""
     mu = tuple(mu)
     if len(mu) != len(A):
         raise LengthMismatch("multiplicity length does not match arrangement")
-    reason, scalar = _saito(A, mu, [(t.cleared, t.values) for t in (t1, t2)])
+    reason, scalar = _saito(A, mu, [t1.cleared, t2.cleared])
     if reason in ("theta1", "theta2"):
         zero = (t1 if reason == "theta1" else t2).is_zero
         reason = f"membership: {reason} {'is zero' if zero else 'not in the module'}"

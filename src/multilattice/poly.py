@@ -7,10 +7,11 @@ polynomial is the empty tuple and carries no degree.
 The verification kernels (the dependence and proportionality predicates,
 Saito determinants, defining polynomials and the divisions behind module
 membership) run on the integer images of the coefficients, through the
-field's linalg.Domain.  Dependence, like dermod's Saito certificate, is
-decided from the values of the images at (EVAL_POINT, 1); the full
-determinant is convolved only when a value vanishes.  The HomogPoly
-arithmetic stays for everything else and as their test oracle.
+field's linalg.Domain.  Dependence is decided from the values of the
+images at (EVAL_POINT, 1); the full determinant is convolved only when a
+value vanishes.  dermod's Saito certificate evaluates nothing: it reads
+one determinant coefficient.  The HomogPoly arithmetic stays for
+everything else and as their test oracle.
 """
 
 from __future__ import annotations
@@ -328,7 +329,8 @@ class Derivation(Frozen):
 
     @_functools.cached_property
     def values(self):
-        """(dom, P, Q): the images of cleared evaluated at (EVAL_POINT, 1).
+        """(dom, P, Q): the images of cleared evaluated at (EVAL_POINT, 1),
+        which dependent and dependence_classes read.
 
         None for the zero derivation.  Computed once per object.
         """
@@ -411,9 +413,10 @@ def saito_determinant(t1: Derivation, t2: Derivation) -> HomogPoly:
     """P1*Q2 - P2*Q1; nonzero iff {t1, t2} is independent over the ring.
 
     The convolution of the integer images, over den1*den2; field elements
-    are built only for a nonzero result.  No production path calls it: the
-    verifiers decide from values at (EVAL_POINT, 1), and it stays as their
-    oracle and public API.
+    are built only for a nonzero result.  No production path calls it:
+    dependent decides from values at (EVAL_POINT, 1) and the Saito
+    certificate from one coefficient, and it stays as their oracle and
+    public API.
     """
     if t1.is_zero or t2.is_zero:
         return HomogPoly.zero()
@@ -425,13 +428,12 @@ def saito_determinant(t1: Derivation, t2: Derivation) -> HomogPoly:
 
 
 # The x-coordinate t of the point (t, 1) at which Derivation.values
-# evaluates.  Any integer keeps dependent and the Saito certificate
-# (dermod._saito) exact, since a zero value falls back to the full
-# determinant.  The determinants of module members are multiples of the
-# defining polynomial and vanish on every line of the arrangement, so t is
-# off the lines of the rank-2 Coxeter arrangements over Q and Q(sqrt 3): on
-# their scans only dependent pairs fall back.  The certificate falls back
-# where a line with mu_H > 0 passes through (t, 1), e.g. x - 2*y over Q.
+# evaluates, for dependent and dependence_classes only.  Any integer keeps
+# them exact, since a zero value falls back to the full determinant.  t is
+# off the lines of the rank-2 Coxeter arrangements over Q and Q(sqrt 3), so
+# on their scans only dependent pairs fall back.  Where a line passes
+# through (t, 1), e.g. x - 2*y over Q or x + y over F_3, its multiples have
+# both values 0, and dependence_classes compares them with every class.
 EVAL_POINT = 2
 
 
@@ -542,19 +544,13 @@ def product_images(forms: Sequence[LinearForm]):
     return out, den
 
 
-def defining_images(A: Arrangement, mu: Sequence[int]):
-    """(images, den) of the defining polynomial, the product of
-    alpha_H ** mu_H over the arrangement; degree |mu|."""
+def defining_polynomial(A: Arrangement, mu: Sequence[int]) -> HomogPoly:
+    """Product of alpha_H ** mu_H over the arrangement; degree |mu|."""
     if len(mu) != len(A):
         raise FieldMismatch("multiplicity length does not match arrangement")
     forms = [lf for lf, m in zip(A.forms, mu) for _ in range(m)]
     if not forms:
-        return domain_of(A.field.one()).clear((A.field.one(),))
-    return product_images(forms)
-
-
-def defining_polynomial(A: Arrangement, mu: Sequence[int]) -> HomogPoly:
-    """Product of alpha_H ** mu_H over the arrangement; degree |mu|."""
-    out, den = defining_images(A, mu)
+        return HomogPoly.one(A.field)
+    out, den = product_images(forms)
     back = domain_of(A.field.one()).back
     return HomogPoly(tuple(back(v, den) for v in out))

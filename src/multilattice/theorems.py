@@ -196,7 +196,8 @@ def pairs_at_distance_two(groups: Sequence[Sequence[Multiplicity]], box: Box) ->
 
     Each member is looked up against its neighbours at distance 1 and 2, from
     one offset table per dimension, instead of against every point of every
-    other group.
+    other group.  Every member must lie in the box, which gives only the
+    dimension: a neighbour that a group owns is then in the box too.
     """
     owner = {mu: i for i, g in enumerate(groups) for mu in g}
     offsets = _offsets_within_two(len(box))
@@ -206,7 +207,7 @@ def pairs_at_distance_two(groups: Sequence[Sequence[Multiplicity]], box: Box) ->
             for off, dist in offsets:
                 b = tuple(map(add, a, off))
                 j = owner.get(b, -1)
-                if j > i and dist < least.get((i, j), 3) and lattice.in_box(b, box):
+                if j > i and dist < least.get((i, j), 3):
                     least[(i, j)] = dist
     return sorted(pair for pair, dist in least.items() if dist == 2)
 

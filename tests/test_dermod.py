@@ -17,8 +17,10 @@ Oracles:
   walk's windows over every field, and each corrupted step fails it for
   its own reason.
 * The determinant of two members whose degrees sum to |mu| is a scalar
-  times the defining polynomial, the theorem that lets one value decide
-  Saito's criterion; verify_saito agrees with the HomogPoly comparison.
+  times the defining polynomial, whose first nonzero coefficient sits at
+  the multiplicity of the line x: the theorem that lets one coefficient
+  decide Saito's criterion; verify_saito agrees with the HomogPoly
+  comparison.
 """
 
 import itertools
@@ -46,7 +48,6 @@ from multilattice.errors import (BadReduction, InternalInconsistency, LengthMism
 from multilattice.field import FieldSpec, QuadElem, is_prime
 from multilattice.linalg import domain_of, invert_matrix, rank
 from multilattice.poly import (
-    EVAL_POINT,
     Arrangement,
     Derivation,
     HomogPoly,
@@ -460,7 +461,8 @@ def test_walk_matches_elimination(monkeypatch, name, A, box):
 
 
 # fractional forms (1, 3/2) and (1, -5/3), and G2's sqrt(3)/3, clear over
-# den > 1; x - 2*y over Q and x + y over F_3 pass through (EVAL_POINT, 1)
+# den > 1; x - 2*y over Q and x + y over F_3 pass through (2, 1); the last
+# case has no line x, so the defining polynomial starts at x**0 at every mu
 SAITO_CASES = [
     (FieldSpec.rational(), [(1, 0), (0, 1), (1, 1), (1, -1)]),
     (FieldSpec.rational(), [(1, 0), (0, 1), (2, 3), (3, -5)]),
@@ -468,65 +470,45 @@ SAITO_CASES = [
     (FieldSpec.prime(3), [(1, 0), (0, 1), (1, 1), (1, -1)]),
     (FieldSpec.prime(101), [(1, 0), (0, 1), (1, 1), (2, 3)]),
     (FieldSpec.rational(), [(1, 0), (0, 1), (1, 1), (1, -2)]),
+    (FieldSpec.rational(), [(0, 1), (1, 1), (1, -1), (1, 2)]),
 ]
-SAITO_IDS = ["B2", "rational-fractions", "G2", "B2-prime3", "prime101", "x-2y"]
-EVAL_POINT_IDS = {"B2-prime3", "x-2y"}
+SAITO_IDS = ["B2", "rational-fractions", "G2", "B2-prime3", "prime101", "x-2y", "no-x"]
 
 
 def certificate_cases():
     """The windows of test_walk_matches_elimination, random ones over
-    Q(sqrt 2) and F_3, and the two SAITO_CASES with a line through
-    (EVAL_POINT, 1)."""
+    Q(sqrt 2) and F_3, and the SAITO_CASES with a line through (2, 1) or
+    without the line x."""
     rng = random.Random("certificate")
     extra = [(f"{field_name(fs)}-{i}", A, (2,) * len(A))
              for fs in (FieldSpec.quadratic(2), FieldSpec.prime(3))
              for i in range(4) for A in [oracle_arrangement(rng, fs)]]
-    through = [(name, Arrangement.make(fs, pairs), (2,) * len(pairs))
-               for (fs, pairs), name in zip(SAITO_CASES, SAITO_IDS) if name in EVAL_POINT_IDS]
-    return walk_cases() + extra + through
+    saito = [(name, Arrangement.make(fs, pairs), (2,) * len(pairs))
+             for (fs, pairs), name in zip(SAITO_CASES, SAITO_IDS)
+             if name in ("B2-prime3", "x-2y", "no-x")]
+    return walk_cases() + extra + saito
 
 
-def q_vanishes(A, mu):
-    """Whether the defining polynomial vanishes at (EVAL_POINT, 1), i.e.
-    a line with mu_H > 0 passes through that point: HomogPoly arithmetic."""
-    fs = A.field
-    q = defining_polynomial(A, mu)
-    return not sum((c * fs.from_int(EVAL_POINT ** i) for i, c in enumerate(q.coeffs)), fs.zero())
+def mu_x(A, mu):
+    """The multiplicity of the line x (b = 0) in mu, 0 without that line:
+    the index of the defining polynomial's first nonzero coefficient."""
+    return sum(m for lf, m in zip(A.forms, mu) if not lf.b)
 
 
-def branches(A):
-    """The values of q_vanishes that saito_points reaches: both when a line
-    of A passes through (EVAL_POINT, 1), else False alone."""
-    return {True, False} if q_vanishes(A, (1,) * len(A)) else {False}
-
-
-def spy_fallback(monkeypatch):
-    """Record each call of the certificate's full-determinant fallback, the
-    one place where it builds the defining polynomial's images."""
-    calls, real = [], dermod.defining_images
-    monkeypatch.setattr(dermod, "defining_images",
-                        lambda A, mu: calls.append(mu) or real(A, mu))
-    return calls
+def x_branches(A):
+    """The values of mu_x > 0 that saito_points reaches: both when x is a
+    line of A, else False alone."""
+    return {True, False} if any(not lf.b for lf in A.forms) else {False}
 
 
 @pytest.mark.parametrize("name,A,box", certificate_cases(),
                          ids=[c[0] for c in certificate_cases()])
 def test_certificate_passes_on_the_walk_windows(monkeypatch, name, A, box):
-    # the value at (EVAL_POINT, 1) decides, and the full determinant only
-    # where the defining polynomial vanishes there; a window on a line
-    # through that point takes both branches
+    # one coefficient decides, at mu_x; certify raises on a rejected basis
     monkeypatch.setattr(dermod, "_WALKS", {})
-    fallbacks = spy_fallback(monkeypatch)
     walk = dermod._walk(A)
-    seen = set()
     for mu in lattice.box_points(box):
-        state = walk.basis(mu)
-        fallbacks.clear()
-        walk.certify(mu, state)
-        assert bool(fallbacks) == q_vanishes(A, mu), mu
-        seen.add(q_vanishes(A, mu))
-    assert seen == branches(A)
-    assert name not in EVAL_POINT_IDS or seen == {True, False}
+        walk.certify(mu, walk.basis(mu))
 
 
 def test_walk_is_path_independent(B2, G2, monkeypatch):
@@ -745,12 +727,12 @@ def _small_poly(fs, rng, d):
 
 
 def saito_points(A, rng):
-    """Four random points of [0,3]^n, then 1 on every line, and 1 on the
-    first two lines only (x and y, off (EVAL_POINT, 1)): with a line
-    through that point, the certificate takes both branches."""
+    """Four random points of [0,3]^n, then 1 on every line, and 1 on every
+    line but the first: with the line x first, the defining polynomial
+    starts at x**1 at the one and at x**0 at the other."""
     n = len(A)
     return [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(4)] + [
-        (1,) * n, (1, 1) + (0,) * (n - 2)]
+        (1,) * n, (0,) + (1,) * (n - 1)]
 
 
 @pytest.mark.parametrize("fs,pairs", SAITO_CASES, ids=SAITO_IDS)
@@ -778,7 +760,7 @@ def test_verify_saito_matches_the_fraction_path(fs, pairs):
         assert got.scalar is None or type(got.scalar) is type(fs.one())
         reasons.add(got.reason and got.reason.split(":")[0])
     assert reasons == {None, "membership", "degree", "dependent"}
-    assert {q_vanishes(A, mu) for mu in mus} == branches(A)
+    assert {mu_x(A, mu) > 0 for mu in mus} == x_branches(A)
 
 
 def random_member(fs, rng, basis, k):
@@ -793,20 +775,21 @@ def random_member(fs, rng, basis, k):
 
 
 @pytest.mark.parametrize("fs,pairs", SAITO_CASES, ids=SAITO_IDS)
-def test_member_determinants_are_multiples_of_the_defining_polynomial(fs, pairs, monkeypatch):
+def test_member_determinants_are_multiples_of_the_defining_polynomial(fs, pairs):
     # the theorem behind the certificate: for members theta1, theta2 whose
     # degrees sum to |mu|, det(theta1, theta2) = c*Q(A, mu) for a scalar c,
-    # possibly 0; verify_saito accepts exactly when c != 0, returns c, and
-    # builds the full determinant only where Q vanishes at (EVAL_POINT, 1)
+    # possibly 0, and Q's first nonzero coefficient sits at mu_x;
+    # verify_saito accepts exactly when c != 0 and returns c
     A = Arrangement.make(fs, pairs)
     rng = random.Random(11)
-    fallbacks = spy_fallback(monkeypatch)
     scalars, seen = set(), set()
     for mu in saito_points(A, rng):
         basis = full_basis(A, mu)
         d1, d2 = (t.degree for t in basis)
         q = defining_polynomial(A, mu)
         lead = next(i for i, c in enumerate(q.coeffs) if c)
+        assert lead == mu_x(A, mu), mu
+        seen.add(lead > 0)
         for _ in range(6):
             k = rng.randint(d1, d2)
             t1, t2 = random_member(fs, rng, basis, k), random_member(fs, rng, basis, sum(mu) - k)
@@ -814,13 +797,10 @@ def test_member_determinants_are_multiples_of_the_defining_polynomial(fs, pairs,
             det = saito_determinant(t1, t2)
             c = det.coeffs[lead] / q.coeffs[lead] if det.coeffs else fs.zero()
             assert det == q.scale(c), (mu, t1, t2)
-            fallbacks.clear()
             got = verify_saito(A, mu, t1, t2)
             assert (got.accepted, got.scalar) == (bool(c), c if c else None), (mu, t1, t2)
-            assert bool(fallbacks) == q_vanishes(A, mu), mu
             scalars.add(bool(c))
-            seen.add(q_vanishes(A, mu))
-    assert scalars == {True, False} and seen == branches(A)
+    assert scalars == {True, False} and seen == x_branches(A)
 
 
 def test_saito_determinant_matches_defining_polynomial(B2):
