@@ -28,7 +28,7 @@ _EXPORTS = {
         "dermod": ("ExponentResult", "SaitoVerdict", "delta", "exponents", "full_basis",
                    "in_module", "min_derivation", "verify_saito"),
         "errors": ("MultilatticeError",),
-        "explorer": ("Component", "PointResult", "ScanResult", "centers", "components", "scan"),
+        "explorer": ("Component", "ScanResult", "centers", "components", "scan"),
         "field": ("FieldSpec", "ModInt", "QuadElem"),
         "lattice": ("ball", "box_points", "distance", "is_balanced", "meet_join",
                     "parse_multiplicity", "saturated_chain"),

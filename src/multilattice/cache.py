@@ -57,7 +57,7 @@ def _parse_entry(obj: dict) -> Tuple[Tuple[str, Tuple[int, ...]], ExponentResult
     theta = parse_derivation(fs, obj["theta"])
     if theta.is_zero or theta.degree != d1:
         raise ValueError(f"theta is zero or not of degree d1={d1}")
-    return (arr, tuple(mu)), ExponentResult(d1, d2, delta, theta, non_unique)
+    return (arr, tuple(mu)), ExponentResult(d1, d2, theta)
 
 
 class ResultCache:

@@ -180,7 +180,7 @@ def cmd_verify(args):
     if what in ("saito", "all"):
         verdicts.append(_check_saito_everywhere(result))
     if what in ("criteria", "all"):
-        verdicts.extend(_run_criteria(result, oracle))
+        verdicts.extend(_run_criteria(result, oracle, comps))
     failed = False
     for v in verdicts:
         print(f"{v.name}: {v.status.upper()}")
@@ -245,7 +245,7 @@ def _certify_centers(result: ScanResult, oracle: ThetaOracle, center_pts) -> the
         return verdict
 
 
-def _run_criteria(result: ScanResult, oracle: ThetaOracle) -> List[theorems.Verdict]:
+def _run_criteria(result: ScanResult, oracle: ThetaOracle, comps) -> List[theorems.Verdict]:
     from . import explorer, theorems
 
     A = result.arrangement
@@ -254,7 +254,7 @@ def _run_criteria(result: ScanResult, oracle: ThetaOracle) -> List[theorems.Verd
     candidate = theorems.CandidateMap({mu: oracle(mu) for mu in support})
     out = [_certify("criterion-support", theorems.certify_support, A, candidate, box,
                     trusted_scan=result)]
-    center_pts = {e.center: e.delta for e in explorer.centers(result) if e.center}
+    center_pts = {e.center: e.delta for e in explorer.centers(result, comps) if e.center}
     if center_pts:
         out.append(_certify_centers(result, oracle, center_pts))
     _, verdict = theorems.reconstruct_components(A, box, oracle, trusted_scan=result)

@@ -205,21 +205,26 @@ def _nullspace_derivations(A: Arrangement, mu: Sequence[int], d: int) -> List[De
 
 
 class ExponentResult(Frozen):
-    """Exponents (d1 <= d2), their gap, and the minimal-degree generator.
+    """Exponents (d1 <= d2) and the minimal-degree generator.
 
-    theta_min is canonical and unique up to scalar only when delta > 0;
-    when delta == 0 it is one of several minimal generators and carries
-    the non_unique flag.
+    theta_min is canonical and unique up to scalar only when the gap
+    delta = d2 - d1 is positive; at gap 0 it is one of several (non_unique).
     """
 
-    __slots__ = _fields = ("d1", "d2", "delta", "theta_min", "non_unique")
+    __slots__ = _fields = ("d1", "d2", "theta_min")
 
-    def __init__(self, d1: int, d2: int, delta: int, theta_min: Derivation, non_unique: bool):
+    def __init__(self, d1: int, d2: int, theta_min: Derivation):
         set_field(self, "d1", d1)
         set_field(self, "d2", d2)
-        set_field(self, "delta", delta)
         set_field(self, "theta_min", theta_min)
-        set_field(self, "non_unique", non_unique)
+
+    @property
+    def delta(self) -> int:
+        return self.d2 - self.d1
+
+    @property
+    def non_unique(self) -> bool:
+        return self.d1 == self.d2
 
     def as_pair(self) -> Tuple[int, int]:
         return (self.d1, self.d2)
@@ -482,8 +487,7 @@ def exponents(A: Arrangement, mu: Sequence[int]) -> ExponentResult:
     result = walk.results.get(mu)
     if result is None:
         theta = walk.derivation(walk.minimal(walk.basis(mu))[0], d1)
-        result = walk.results[mu] = ExponentResult(d1, d2, d2 - d1, theta,
-                                                   non_unique=(d1 == d2))
+        result = walk.results[mu] = ExponentResult(d1, d2, theta)
     return result
 
 

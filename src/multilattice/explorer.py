@@ -1,11 +1,14 @@
 """Sweep the exponent gap over a box and dissect its support.
 
-The scan tabulates (d1, d2, delta) over every point of a finite window of
-the multiplicity lattice from the exponent pairs of the lattice walk
-(dermod.exponent_pair); it builds no generator.  The support (points with
-delta > 0) restricted to the window decomposes into connected components of
-the Hasse graph; components are classified as certified finite balls, cone
-portions, or boundary-undetermined when neither certificate applies.
+The scan tabulates the gap delta = d2 - d1, one int per point, over a
+finite window of the multiplicity lattice from the lattice walk
+(dermod.delta); it builds no generator.  Freeness gives d1 + d2 = |mu|, so
+the gap fixes both exponents, (|mu| -+ delta) / 2: the scan file and the
+CSV write them from it, and from_json checks them before it keeps the gap.
+The support (points with delta > 0) restricted to the window decomposes
+into connected components of the Hasse graph; components are classified as
+certified finite balls, cone portions, or boundary-undetermined when
+neither certificate applies.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ import os
 import time
 from typing import Dict, List, Optional, Tuple
 
-from . import lattice
-from .dermod import exponent_pair
+from . import dermod, lattice
 from .errors import ParseError
 from .lattice import Box, Multiplicity
 from .poly import Arrangement
@@ -26,34 +28,31 @@ from .record import Frozen, Record, set_field
 SCAN_SCHEMA = 1
 
 
-class PointResult(Frozen):
-    __slots__ = _fields = ("d1", "d2", "delta")
-
-    def __init__(self, d1: int, d2: int, delta: int):
-        set_field(self, "d1", d1)
-        set_field(self, "d2", d2)
-        set_field(self, "delta", delta)
+def _exponents_of(mu: Multiplicity, gap: int) -> Tuple[int, int]:
+    """(d1, d2) from the gap: freeness gives d1 + d2 = |mu|."""
+    total = sum(mu)
+    return (total - gap) // 2, (total + gap) // 2
 
 
 class ScanResult(Record):
+    """The gap at every point of a box: table maps mu to delta(mu)."""
+
     __slots__ = _fields = ("arrangement", "box", "table", "timing")
 
-    def __init__(self, arrangement: Arrangement, box: Box, table: Dict[Multiplicity, PointResult],
+    def __init__(self, arrangement: Arrangement, box: Box, table: Dict[Multiplicity, int],
                  timing: Optional[dict] = None):
         self.arrangement = arrangement
         self.box = box
         self.table = table
         self.timing = {} if timing is None else timing  # in-memory only, never serialized
 
-    def delta(self, mu: Multiplicity) -> int:
-        return self.table[mu].delta
-
     def support(self) -> List[Multiplicity]:
-        return [mu for mu in sorted(self.table) if self.table[mu].delta > 0]
+        return [mu for mu in sorted(self.table) if self.table[mu] > 0]
 
     def to_json(self) -> str:
-        rows = [{"mu": list(mu), "d1": pr.d1, "d2": pr.d2, "delta": pr.delta}
-                for mu, pr in sorted(self.table.items())]
+        rows = [{"mu": list(mu), "d1": d1, "d2": d2, "delta": gap}
+                for mu, gap in sorted(self.table.items())
+                for d1, d2 in [_exponents_of(mu, gap)]]
         obj = {
             "schema": SCAN_SCHEMA,
             "arrangement": self.arrangement.to_json(),
@@ -94,7 +93,7 @@ class ScanResult(Record):
                 mu = _int_tuple(row["mu"])
                 if d1 + d2 != sum(mu) or dlt != d2 - d1 or not 0 <= d1 <= d2:
                     raise ValueError(f"exponents ({d1}, {d2}, delta {dlt}) do not fit mu={mu}")
-                table[mu] = PointResult(d1, d2, dlt)
+                table[mu] = dlt
             box = _int_tuple(obj["box"])
             if any(b < 0 for b in box):
                 raise ValueError(f"box bounds must be non-negative, got {list(box)}")
@@ -124,15 +123,15 @@ def _init_worker(A: Arrangement) -> None:
     _WORKER_ARRANGEMENT = A
 
 
-def _solve_point(mu: Multiplicity) -> Tuple[Multiplicity, Tuple[int, int]]:
-    return (mu, exponent_pair(_WORKER_ARRANGEMENT, mu))
+def _solve_point(mu: Multiplicity) -> int:
+    return dermod.delta(_WORKER_ARRANGEMENT, mu)
 
 
 # A pool worker pays for its fork, its imports and the pickling of its
-# exponent pairs, and a walk in box order costs one order-basis step per
-# point, so a worker needs this many points to win; fewer are walked
-# in-process.  Measured crossover, with two workers on a 2-CPU host only:
-# the pool table in CHANGES.md.
+# gaps, and a walk in box order costs one order-basis step per point, so a
+# worker needs this many points to win; fewer are walked in-process.
+# Measured crossover, with two workers on a 2-CPU host only: the pool table
+# in CHANGES.md.
 _MIN_POINTS_PER_WORKER = 2048
 
 
@@ -144,13 +143,13 @@ def _usable_cpus() -> int:
 
 
 def scan(A: Arrangement, box: Box, jobs: int = 1) -> ScanResult:
-    """Tabulate exponents over the box, solving every point exactly.
+    """Tabulate the gap over the box, solving every point exactly.
 
     jobs is an upper bound: the scan starts
     min(jobs, usable CPUs, points // _MIN_POINTS_PER_WORKER) worker
     processes, each walking one contiguous run of the box, and walks
-    in-process when that is at most one.  Every point yields its exponent
-    pair only, and no generator is built; the table does not depend on jobs.
+    in-process when that is at most one.  Every point yields its gap only,
+    and no generator is built; the table does not depend on jobs.
     """
     if len(box) != len(A):
         raise ValueError("box length must match the arrangement")
@@ -159,7 +158,7 @@ def scan(A: Arrangement, box: Box, jobs: int = 1) -> ScanResult:
     workers = min(jobs, _usable_cpus(), len(points) // _MIN_POINTS_PER_WORKER)
     if workers <= 1:
         _init_worker(A)
-        solved = [_solve_point(mu) for mu in points]
+        gaps = map(_solve_point, points)
     else:
         # imported here, since only a pool needs multiprocessing: importing
         # it costs every ml process about 25 ms and 2.5 MB
@@ -169,8 +168,8 @@ def scan(A: Arrangement, box: Box, jobs: int = 1) -> ScanResult:
             # one contiguous chunk per worker: each roots one walk and steps
             # through the rest of its chunk
             chunk = -(-len(points) // workers)
-            solved = list(pool.map(_solve_point, points, chunksize=chunk))
-    table = {mu: PointResult(d1, d2, d2 - d1) for mu, (d1, d2) in solved}
+            gaps = list(pool.map(_solve_point, points, chunksize=chunk))
+    table = dict(zip(points, gaps))
     result = ScanResult(A, box, table)
     result.timing = {"seconds": time.monotonic() - start, "jobs": jobs, "points": len(table)}
     return result
@@ -214,10 +213,9 @@ def _classify_component(scan_result: ScanResult, members: frozenset) -> Componen
         if len(cone_hs) > 1:
             notes = (f"multiple cone directions {cone_hs}",)
         return Component(members, "cone", cone_h=cone_hs[0], notes=notes)
-    max_delta = max(table[mu].delta for mu in members)
-    maximizers = tuple(sorted(mu for mu in members if table[mu].delta == max_delta))
+    radius = max(table[mu] for mu in members)  # the largest gap
+    maximizers = tuple(sorted(mu for mu in members if table[mu] == radius))
     center = maximizers[0]
-    radius = max_delta
     notes = []
     if len(maximizers) > 1:
         notes.append("multiple maximizers")
@@ -296,7 +294,7 @@ def to_dot(scan_result: ScanResult, comps: Optional[List[Component]] = None) -> 
     lines = ["graph support {", "  node [style=filled];"]
     nodes = sorted(color_of)
     for mu in nodes:
-        label = lattice.format_multiplicity(mu) + f"\\nd={table[mu].delta}"
+        label = lattice.format_multiplicity(mu) + f"\\nd={table[mu]}"
         shape = "doublecircle" if mu in center_set else "ellipse"
         lines.append(
             f'  "{lattice.format_multiplicity(mu)}" '
@@ -328,10 +326,10 @@ def to_csv(scan_result: ScanResult, comps: Optional[List[Component]] = None) -> 
             comp_id[mu] = idx
             comp_kind[mu] = comp.kind
     lines = ["mu,d1,d2,delta,component,classification"]
-    for mu in sorted(scan_result.table):
-        pr = scan_result.table[mu]
+    for mu, gap in sorted(scan_result.table.items()):
+        d1, d2 = _exponents_of(mu, gap)
         cid = comp_id.get(mu, "")
         kind = comp_kind.get(mu, "")
         lines.append(
-            f"\"{lattice.format_multiplicity(mu)}\",{pr.d1},{pr.d2},{pr.delta},{cid},{kind}")
+            f"\"{lattice.format_multiplicity(mu)}\",{d1},{d2},{gap},{cid},{kind}")
     return "\n".join(lines) + "\n"

@@ -37,11 +37,6 @@ def meet_join(mu: Multiplicity, nu: Multiplicity) -> Tuple[Multiplicity, Multipl
             tuple(max(a, b) for a, b in zip(mu, nu)))
 
 
-def in_box(mu: Multiplicity, box: Box) -> bool:
-    _check_lengths(mu, box)
-    return all(0 <= a <= b for a, b in zip(mu, box))
-
-
 def box_points(box: Box) -> Iterator[Multiplicity]:
     """All lattice points of the box in lexicographic order."""
     return product(*(range(b + 1) for b in box))
@@ -164,7 +159,7 @@ def format_multiplicity(mu: Multiplicity) -> str:
 
 # re-exported for callers that only need the window machinery
 __all__ = [
-    "Multiplicity", "Box", "distance", "leq", "meet_join", "in_box",
+    "Multiplicity", "Box", "distance", "leq", "meet_join",
     "box_points", "covering_neighbors", "connected_components", "cone_index",
     "is_balanced", "ball", "saturated_chain", "chain_steps",
     "parse_multiplicity", "format_multiplicity",

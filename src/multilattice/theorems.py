@@ -92,11 +92,11 @@ class ThetaOracle:
 def check_covering_steps(scan: ScanResult) -> Verdict:
     """Every covering pair in the box changes the gap by exactly one."""
     witnesses = []
-    for mu, pr in scan.table.items():
+    for mu, gap in scan.table.items():
         for nu, _h, dirn in lattice.covering_neighbors(mu, scan.box):
-            if dirn == +1 and abs(pr.delta - scan.table[nu].delta) != 1:
-                witnesses.append({"mu": mu, "nu": nu, "delta_mu": pr.delta,
-                                  "delta_nu": scan.table[nu].delta})
+            if dirn == +1 and abs(gap - scan.table[nu]) != 1:
+                witnesses.append({"mu": mu, "nu": nu, "delta_mu": gap,
+                                  "delta_nu": scan.table[nu]})
     return _finish("covering-steps", witnesses, {})
 
 
@@ -126,18 +126,18 @@ def check_ball_structure(scan: ScanResult, comps: Optional[List[Component]] = No
         c, r = comp.center, comp.radius
         for nu in comp.members:
             want = r - lattice.distance(c, nu)
-            if scan.table[nu].delta != want:
+            if scan.table[nu] != want:
                 witnesses.append({"center": c, "nu": nu,
-                                  "delta": scan.table[nu].delta, "want": want})
+                                  "delta": scan.table[nu], "want": want})
         # shells at distance r and r+1 (strictly outside the component)
         for nu in lattice.ball(c, r + 2, scan.box):
             d = lattice.distance(c, nu)
             if d < r:
                 continue
             want = d - r  # 0 on the sphere, 1 one step further
-            if scan.table[nu].delta != want:
+            if scan.table[nu] != want:
                 witnesses.append({"center": c, "nu": nu, "shell_distance": d,
-                                  "delta": scan.table[nu].delta, "want": want})
+                                  "delta": scan.table[nu], "want": want})
     return _finish("ball-structure", witnesses, {"certified_components": checked})
 
 
@@ -145,10 +145,10 @@ def check_singleton_gaps(scan: ScanResult) -> Verdict:
     """No two adjacent points both have gap zero."""
     witnesses = []
     for mu in scan.table:
-        if scan.table[mu].delta != 0:
+        if scan.table[mu] != 0:
             continue
         for nu, _h, dirn in lattice.covering_neighbors(mu, scan.box):
-            if dirn == +1 and scan.table[nu].delta == 0:
+            if dirn == +1 and scan.table[nu] == 0:
                 witnesses.append({"mu": mu, "nu": nu})
     return _finish("zero-set-singletons", witnesses, {})
 
@@ -176,7 +176,7 @@ def check_basis_step_and_path(scan: ScanResult, oracle: ThetaOracle,
                 if dirn != +1 or nu not in mem:
                     continue
                 checked += 1
-                descent = scan.table[mu].delta > scan.table[nu].delta
+                descent = scan.table[mu] > scan.table[nu]
                 if not proportional(oracle(nu), oracle(mu), (A.forms[h],) if descent else ()):
                     witnesses.append({"kind": "step", "mu": mu, "nu": nu, "form": h})
     return _finish("basis-step-and-path", witnesses, {"steps": checked})
@@ -413,7 +413,7 @@ def certify_support(A: Arrangement, candidate: CandidateMap, box: Box,
     if trusted_scan is None:
         return Verdict(name, "skipped", details={**details, "reason": "no trusted scan"})
     truth = N == {mu for mu in balanced
-                  if mu in trusted_scan.table and trusted_scan.table[mu].delta > 0}
+                  if mu in trusted_scan.table and trusted_scan.table[mu] > 0}
     details["matches_true_support"] = truth
     if condition == truth:
         return Verdict(name, "pass", details=details)

@@ -200,7 +200,7 @@ def path_transport(scan, oracle, comps):
             checked += 1
             t_mu, t_nu = oracle(mu), oracle(nu)
             for chain in chains:
-                forms = descent_forms(A, chain, [scan.table[p].delta for p in chain])
+                forms = descent_forms(A, chain, [scan.table[p] for p in chain])
                 if not proportional(t_nu, t_mu, forms):
                     failing.append((mu, nu))
                     break

@@ -133,14 +133,14 @@ def test_criterion_04_scan_invariants(b2_window):
     s = b2_window
     assert len(s.table) == 1296
     assert check_covering_steps(s).passed
-    for mu, pr in s.table.items():
-        assert pr.delta % 2 == sum(mu) % 2, mu
+    for mu, gap in s.table.items():
+        assert gap % 2 == sum(mu) % 2, mu
     assert check_singleton_gaps(s).passed
-    for mu, pr in s.table.items():
+    for mu, gap in s.table.items():
         h = lattice.cone_index(mu)
         if h is not None:
-            assert pr.delta > 0, mu
-            assert pr.d1 <= sum(mu) - mu[h], mu
+            assert gap > 0, mu
+            assert (sum(mu) - gap) // 2 <= sum(mu) - mu[h], mu  # d1 from d1 + d2 = |mu|
     comps = components(s)
     assert check_ball_structure(s, comps).passed
     for comp in comps:

@@ -448,7 +448,7 @@ def test_every_public_name_resolves():
             "      hasattr(multilattice, 'no_such_name'))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "52 [] [] False"
+    assert proc.stdout.strip() == "51 [] [] False"
 
 
 def test_exit_code_zero_on_success():

@@ -1,8 +1,11 @@
 """Scan, component decomposition, sections, emission, determinism."""
 
 import concurrent.futures
+import csv
 import hashlib
+import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -30,22 +33,23 @@ def b2_scan(B2):
     return scan(B2, (3, 3, 3, 3))
 
 
-def test_scan_covers_box(b2_scan):
+def test_scan_covers_box(B2, b2_scan):
+    # the table holds the gap alone, one int per point
     assert len(b2_scan.table) == 4 ** 4
-    for mu, pr in b2_scan.table.items():
-        assert pr.d1 + pr.d2 == sum(mu)
-        assert pr.delta == pr.d2 - pr.d1 >= 0
+    for mu, gap in b2_scan.table.items():
+        d1, d2 = dermod.exponent_pair(B2, mu)
+        assert type(gap) is int and gap == d2 - d1 >= 0
 
 
 def test_scan_parity(b2_scan):
-    for mu, pr in b2_scan.table.items():
-        assert pr.delta % 2 == sum(mu) % 2
+    for mu, gap in b2_scan.table.items():
+        assert gap % 2 == sum(mu) % 2
 
 
 def test_support_is_sorted_and_positive(b2_scan):
     sup = b2_scan.support()
     assert sup == sorted(sup)
-    assert all(b2_scan.delta(mu) > 0 for mu in sup)
+    assert all(b2_scan.table[mu] > 0 for mu in sup)
 
 
 def test_json_roundtrip_and_schema(b2_scan):
@@ -73,13 +77,16 @@ def test_scan_determinism_across_workers(B2, real_pool):
     assert len(real_pool) == 1 and real_pool[0] >= 2
 
 
-def test_pool_workers_return_exponent_pairs(G2, real_pool):
-    # a worker sends back (mu, (d1, d2)) in ints, and the pooled table is
+def _f101():
+    return Arrangement.make(FieldSpec.prime(101), [(1, 0), (0, 1), (1, 1), (1, 7), (1, 50)])
+
+
+def test_pool_workers_return_gaps(G2, real_pool):
+    # a worker sends back the gap alone, an int, and the pooled table is
     # the in-process one over a quadratic and a prime field alike
     explorer._init_worker(G2)
-    assert explorer._solve_point((1,) * 6) == ((1,) * 6, (1, 5))
-    A = Arrangement.make(FieldSpec.prime(101), [(1, 0), (0, 1), (1, 1), (1, 7), (1, 50)])
-    for arr in (G2, A):
+    assert explorer._solve_point((1,) * 6) == 4  # exponents (1, 5)
+    for arr in (G2, _f101()):
         box = (2,) * len(arr)
         assert scan(arr, box, jobs=2).to_json() == scan(arr, box, jobs=1).to_json()
     assert real_pool == [2, 2]
@@ -125,7 +132,7 @@ def test_component_kinds(b2_scan):
             assert any(lattice.cone_index(mu) == comp.cone_h for mu in comp.members)
         if comp.kind == "ball":
             assert comp.center in comp.members
-            assert comp.radius == b2_scan.delta(comp.center)
+            assert comp.radius == b2_scan.table[comp.center]
             expected = set(lattice.ball(comp.center, comp.radius, b2_scan.box))
             assert comp.members == expected
 
@@ -141,7 +148,7 @@ def test_known_ball_at_ones(b2_scan):
 def test_centers_unique(b2_scan):
     for entry in centers(b2_scan):
         assert entry.error is None
-        assert entry.delta == b2_scan.delta(entry.center)
+        assert entry.delta == b2_scan.table[entry.center]
 
 
 class PointNotInComponent(MultilatticeError, ValueError):
@@ -182,7 +189,7 @@ def test_section_and_peak(b2_scan):
     home = next(c for c in comps if (1, 1, 1, 1) in c.members)
     sec = section(home, (1, 1, 1, 1), 0)
     assert sec == [(0, 1, 1, 1), (1, 1, 1, 1), (2, 1, 1, 1)]
-    deltas = [b2_scan.delta(p) for p in sec]
+    deltas = [b2_scan.table[p] for p in sec]
     assert peak_element(sec, deltas) == (1, 1, 1, 1)
     with pytest.raises(PointNotInComponent):
         section(home, (3, 3, 3, 3), 0)
@@ -207,10 +214,24 @@ def test_dot_export(b2_scan):
 
 
 def test_csv_export(b2_scan):
-    csv = to_csv(b2_scan)
-    lines = csv.strip().split("\n")
+    lines = to_csv(b2_scan).strip().split("\n")
     assert lines[0] == "mu,d1,d2,delta,component,classification"
     assert len(lines) == 1 + 4 ** 4
+
+
+@pytest.mark.parametrize("arrangement,box", [(lambda: coxeter_arrangement("G2"), (2,) * 6),
+                                             (_f101, (3,) * 5)], ids=["G2", "F101"])
+def test_csv_exponents_match_the_walk(arrangement, box):
+    # the CSV derives d1 and d2 from the gap; each row must hold the
+    # walk's exponent pair
+    A = arrangement()
+    header, *rows = csv.reader(io.StringIO(to_csv(scan(A, box))))
+    assert header[:4] == ["mu", "d1", "d2", "delta"]
+    assert len(rows) == math.prod(b + 1 for b in box)
+    for row in rows:
+        mu = lattice.parse_multiplicity(row[0], len(A))
+        d1, d2, gap = map(int, row[1:4])
+        assert (d1, d2) == dermod.exponent_pair(A, mu) and gap == d2 - d1, row
 
 
 def test_scan_box_length_mismatch(B2):

@@ -8,7 +8,7 @@ import pytest
 from multilattice.coxeter import GroupElement, NearConstantResult, coxeter_arrangement
 from multilattice.dermod import ExponentResult, SaitoVerdict, exponents
 from multilattice.errors import ProportionalForms
-from multilattice.explorer import CenterEntry, Component, PointResult, ScanResult
+from multilattice.explorer import CenterEntry, Component, ScanResult
 from multilattice.field import FieldSpec, ModInt, QuadElem
 from multilattice.poly import Arrangement, Derivation, HomogPoly, LinearForm
 from multilattice.theorems import CandidateMap, Verdict
@@ -46,9 +46,8 @@ RECORDS = {
     "HomogPoly": (lambda: HomogPoly((F(1), F(2))), True, True,
                   "HomogPoly(coeffs=(Fraction(1, 1), Fraction(2, 1)))"),
     "Derivation": (_theta, True, True, _THETA),
-    "ExponentResult": (lambda: ExponentResult(1, 1, 0, _theta(), True), True, True,
-                       f"ExponentResult(d1=1, d2=1, delta=0, theta_min={_THETA}, "
-                       "non_unique=True)"),
+    "ExponentResult": (lambda: ExponentResult(1, 1, _theta()), True, True,
+                       f"ExponentResult(d1=1, d2=1, theta_min={_THETA})"),
     "SaitoVerdict": (lambda: SaitoVerdict(True, None, F(2)), True, True,
                      "SaitoVerdict(accepted=True, reason=None, scalar=Fraction(2, 1))"),
     "GroupElement": (lambda: GroupElement(((F(0), F(1)), (F(1), F(0))), (1, 0)), True, True,
@@ -59,11 +58,10 @@ RECORDS = {
         True, True,
         "NearConstantResult(nu=(3, 3, 3, 4), predicted=(6, 7), printed_formula=(6, 7), "
         "computed=(6, 7), formulas_agree=True, verdict='match')"),
-    "PointResult": (lambda: PointResult(1, 3, 2), True, True, "PointResult(d1=1, d2=3, delta=2)"),
-    "ScanResult": (lambda: ScanResult(_boolean(), (0, 0), {(0, 0): PointResult(0, 0, 0)}),
+    "ScanResult": (lambda: ScanResult(_boolean(), (0, 0), {(0, 0): 0}),
                    False, False,
                    f"ScanResult(arrangement={_BOOLEAN}, box=(0, 0), "
-                   "table={(0, 0): PointResult(d1=0, d2=0, delta=0)}, timing={})"),
+                   "table={(0, 0): 0}, timing={})"),
     "Component": (_ball, False, False, _BALL),
     # frozen, but a Component field makes it unhashable, as a CandidateMap's dict does
     "CenterEntry": (lambda: CenterEntry(_ball(), (1, 1), 1), True, False,

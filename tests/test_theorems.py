@@ -23,7 +23,7 @@ from multilattice.errors import (
     PreconditionViolated,
     UncoveredWindow,
 )
-from multilattice.explorer import PointResult, ScanResult, centers, components, scan
+from multilattice.explorer import ScanResult, centers, components, scan
 from multilattice.poly import HomogPoly, saito_determinant
 from multilattice.theorems import (
     CandidateMap,
@@ -64,10 +64,7 @@ def b2_oracle(B2):
 
 def corrupt(scan_result, mu, new_delta):
     bad = copy.copy(scan_result)
-    bad.table = dict(scan_result.table)
-    total = sum(mu)
-    d1 = (total - new_delta) // 2
-    bad.table[mu] = PointResult(d1, total - d1, new_delta)
+    bad.table = {**scan_result.table, mu: new_delta}
     return bad
 
 
@@ -380,7 +377,7 @@ def test_certify_centers_negative_controls(B2, b2_center_setup, b2_oracle):
     assert not isinstance(exc.value, UncoveredWindow)  # no window mends an overlap
     # control 2: dropping a center leaves an uncovered hole larger than one
     victim = next(mu for mu, t in cand.assignment.items()
-                  if big.delta(mu) == 2 and lattice.in_box(mu, inner))
+                  if big.table[mu] == 2 and all(0 <= a <= b for a, b in zip(mu, inner)))
     pruned = CandidateMap({mu: t for mu, t in cand.assignment.items() if mu != victim})
     with pytest.raises(UncoveredWindow):
         certify_centers(B2, pruned, inner, trusted_scan=big, oracle=oracle)
@@ -481,7 +478,7 @@ def test_certify_centers_matches_pairwise_on_random_maps(B2, G2, b2_center_setup
     big, oracle, _, _ = b2_center_setup
     seen = set()
     for A, s, o, runs in ((B2, big, oracle, 24), (G2, g2_small_scan, ThetaOracle(G2), 12)):
-        support = sorted(mu for mu, pr in s.table.items() if pr.delta > 0)
+        support = sorted(mu for mu, gap in s.table.items() if gap > 0)
         true = sorted(e.center for e in centers(s) if e.center)
         for _ in range(runs):
             pts = set(rng.sample(true, max(len(true) - rng.randint(0, 2), 0)))
@@ -517,7 +514,7 @@ def _verdicts(scan_result, oracle):
     comps = components(scan_result)
     out = [check_independency(scan_result, oracle, comps),
            check_basis_step_and_path(scan_result, oracle, comps)]
-    out += _run_criteria(scan_result, oracle)
+    out += _run_criteria(scan_result, oracle, comps)
     return [json.loads(v.to_json()) for v in out]
 
 
@@ -629,7 +626,7 @@ def test_descent_forms_multiply_to_downalpha(B2, b2_scan, seed):
         mu, nu = sorted(rng.sample(points, 2))
         nu = tuple(max(a, b) for a, b in zip(mu, nu))
         chain = lattice.saturated_chain(mu, nu)
-        dvals = [b2_scan.table[p].delta for p in chain]
+        dvals = [b2_scan.table[p] for p in chain]
         g = HomogPoly.one(B2.field)
         for lf in descent_forms(B2, chain, dvals):
             g = g * HomogPoly.from_linear_form(lf)
