@@ -226,9 +226,6 @@ class ExponentResult(Frozen):
     def non_unique(self) -> bool:
         return self.d1 == self.d2
 
-    def as_pair(self) -> Tuple[int, int]:
-        return (self.d1, self.d2)
-
 
 def _minimal_degree(A: Arrangement, mu: Multiplicity) -> int:
     """The lower exponent d1, from the rank at one degree.

@@ -299,15 +299,10 @@ def to_dot(scan_result: ScanResult, comps: Optional[List[Component]] = None) -> 
         lines.append(
             f'  "{lattice.format_multiplicity(mu)}" '
             f'[label="{label}", fillcolor={color_of[mu]}, shape={shape}];')
-    emitted = set()
     for mu in nodes:
         for nu, _h, dirn in lattice.covering_neighbors(mu, box):
             if dirn != +1 or nu not in color_of:
                 continue
-            key = (mu, nu)
-            if key in emitted:
-                continue
-            emitted.add(key)
             lines.append(
                 f'  "{lattice.format_multiplicity(mu)}" -- '
                 f'"{lattice.format_multiplicity(nu)}";')

@@ -18,6 +18,8 @@ path.  ``float()`` conversions exist purely for sanity tests.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -389,6 +391,10 @@ def _format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# the exponent of a spelling such as "1e30", for which Fraction builds 10**e
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def _parse_fraction(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
@@ -397,13 +403,19 @@ def _parse_fraction(s) -> Fraction:
     if isinstance(s, str):
         # _format_fraction's own spellings "n" and "n/d" (ASCII digits, a
         # nonzero d) are read with int, about twice as fast; Fraction
-        # decides everything else, so the accepted inputs do not change
+        # decides everything else but an exponent above the bound below
         num, slash, den = s.partition("/")
         if s.isascii() and num.removeprefix("-").isdigit():
             if not slash:
                 return Fraction(int(num))
             if den.isdigit() and den.strip("0"):
                 return Fraction(int(num), int(den))
+        # a few characters of exponent could ask for a number of any size;
+        # |e| is held to the bound Python puts on the digits of an int
+        exp = _EXPONENT.search(s)
+        limit = sys.get_int_max_str_digits()
+        if exp and limit and abs(int(exp[1])) > limit:
+            raise ParseError(f"exponent above {limit} in {s!r}")
         return Fraction(s.strip())
     raise ParseError(f"bad rational {s!r}")
 

@@ -4,9 +4,9 @@ Each field has one Domain: it clears elements to integer images (ints over
 Q, integer pairs (a, b) for a + b*sqrt(d) over Q(sqrt d), residues over
 F_p), builds elements back, and runs every exact kernel on the images:
 fraction-free (Bareiss) or unit-pivot mod-p elimination, convolution,
-synthetic division, evaluation, and the products, integer multiples, dot
-products, content removal and division by a lead coefficient that the
-lattice walk in dermod and its Saito certificate run on.
+synthetic division, and the products, integer multiples, dot products,
+content removal and division by a lead coefficient that the lattice walk
+in dermod, its Saito certificate and poly's dependence test run on.
 rank is the elimination's pivot count on rows of images; nullspace takes
 field rows, clears them and back-substitutes from the same echelon form.
 Both are the tests' elimination oracle: no production path eliminates, and
@@ -44,7 +44,6 @@ class Domain(NamedTuple):
     dot: Callable  # (u, v) -> the image of sum(u[i] * v[i])
     primitive: Callable  # vec -> vec over its integer content (residues reduced over F_p)
     ratio: Callable  # (v, lead) -> the field element v / lead (lead nonzero)
-    evaluate: Callable  # (f, t) -> the image of f(t, 1), for an integer t
 
 
 def _clear_rational(row) -> Tuple[List[int], int]:
@@ -125,13 +124,6 @@ def _primitive_int(vec: List[int]) -> List[int]:
     return vec if g <= 1 else [c // g for c in vec]
 
 
-def _evaluate_int(f: Sequence[int], t: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = acc * t + c
-    return acc
-
-
 @functools.lru_cache(maxsize=1 << 12)
 def _ratio_int(v: int, lead: int) -> Fraction:
     # walked bases repeat the same few coefficients: 93 % of the calls of a
@@ -142,7 +134,7 @@ def _ratio_int(v: int, lead: int) -> Fraction:
 
 _RATIONAL_DOMAIN = Domain(_clear_rational, 0, Fraction, _echelon_int, _convolve_int,
                           _power_divides_int, operator.mul, operator.mul, _dot_int,
-                          _primitive_int, _ratio_int, _evaluate_int)
+                          _primitive_int, _ratio_int)
 
 
 def _clear_quadratic(row) -> Tuple[List[Tuple[int, int]], int]:
@@ -243,14 +235,6 @@ def _dot_quad(d: int, u, v) -> Tuple[int, int]:
     return (a, b)
 
 
-def _evaluate_quad(f, t: int) -> Tuple[int, int]:
-    a = b = 0
-    for u, v in reversed(f):
-        a = a * t + u
-        b = b * t + v
-    return (a, b)
-
-
 def _primitive_quad(vec: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     g = math.gcd(*(c for pair in vec for c in pair))
     return vec if g <= 1 else [(a // g, b // g) for a, b in vec]
@@ -275,7 +259,7 @@ def _quadratic_domain(d: int) -> Domain:
                   functools.partial(_echelon_quad, d), functools.partial(_convolve_quad, d),
                   functools.partial(_power_divides_quad, d), functools.partial(_qmul, d=d),
                   _qscale, functools.partial(_dot_quad, d),
-                  _primitive_quad, functools.partial(_ratio_quad, d), _evaluate_quad)
+                  _primitive_quad, functools.partial(_ratio_quad, d))
 
 
 def _echelon_modp(p: int, mat: List[List[int]], ncols: int):
@@ -344,10 +328,6 @@ def _ratio_modp(p: int, v: int, lead: int) -> ModInt:
     return ModInt(v * pow(lead, -1, p), p)
 
 
-def _evaluate_modp(p: int, f: Sequence[int], t: int) -> int:
-    return _evaluate_int(f, t) % p
-
-
 def _clear_modp(row) -> Tuple[List[int], int]:
     return [c.v for c in row], 1
 
@@ -363,8 +343,7 @@ def _prime_domain(p: int) -> Domain:
                   functools.partial(_echelon_modp, p), functools.partial(_convolve_modp, p),
                   functools.partial(_power_divides_modp, p), functools.partial(_mul_modp, p),
                   functools.partial(_mul_modp, p), functools.partial(_dot_modp, p),
-                  functools.partial(_primitive_modp, p), functools.partial(_ratio_modp, p),
-                  functools.partial(_evaluate_modp, p))
+                  functools.partial(_primitive_modp, p), functools.partial(_ratio_modp, p))
 
 
 def domain_of(x: Scalar) -> Domain:

@@ -7,11 +7,11 @@ polynomial is the empty tuple and carries no degree.
 The verification kernels (the dependence and proportionality predicates,
 Saito determinants, defining polynomials and the divisions behind module
 membership) run on the integer images of the coefficients, through the
-field's linalg.Domain.  Dependence is decided from the values of the
-images at (EVAL_POINT, 1); the full determinant is convolved only when a
-value vanishes.  dermod's Saito certificate evaluates nothing: it reads
-one determinant coefficient.  The HomogPoly arithmetic stays for
-everything else and as their test oracle.
+field's linalg.Domain.  Nothing is evaluated at a point: dependence
+compares the leading terms of P/Q at x = 0 and at y = 0 (Derivation.ends)
+and convolves the full determinant only where those agree, and dermod's
+Saito certificate reads one determinant coefficient.  The HomogPoly
+arithmetic stays for everything else and as their test oracle.
 """
 
 from __future__ import annotations
@@ -291,7 +291,7 @@ def linear_form_multiplicity(f: HomogPoly, lf: LinearForm) -> int:
 class Derivation(Frozen):
     """theta = P*dx + Q*dy with P, Q homogeneous of a common degree."""
 
-    _fields = ("P", "Q")  # no __slots__: cleared and values are cached
+    _fields = ("P", "Q")  # no __slots__: cleared and ends are cached
 
     def __init__(self, P: HomogPoly = HomogPoly(), Q: HomogPoly = HomogPoly()):
         if P.coeffs and Q.coeffs and len(P.coeffs) != len(Q.coeffs):
@@ -328,16 +328,30 @@ class Derivation(Frozen):
         return dom, vals[:n], vals[n:], den
 
     @_functools.cached_property
-    def values(self):
-        """(dom, P, Q): the images of cleared evaluated at (EVAL_POINT, 1),
-        which dependent and dependence_classes read.
+    def ends(self):
+        """The leading terms of P/Q at x = 0 and at y = 0, read off cleared,
+        which dependent and dependence_classes compare: "dy" when P = 0,
+        "dx" when Q = 0, and otherwise
+        (v_x(P) - v_x(Q), lc_x(P)/lc_x(Q), v_y(P) - v_y(Q), lc_y(P)/lc_y(Q)),
+        where v_x(f) is the power of x dividing f and lc_x(f) the
+        coefficient of f there, likewise at y = 0.
 
         None for the zero derivation.  Computed once per object.
         """
         if self.is_zero:
             return None
         dom, P, Q, _ = self.cleared
-        return dom, dom.evaluate(P, EVAL_POINT), dom.evaluate(Q, EVAL_POINT)
+        if not P:
+            return "dy"
+        if not Q:
+            return "dx"
+        zero = dom.zero
+        top = len(P) - 1
+        px = next(i for i, c in enumerate(P) if c != zero)
+        qx = next(i for i, c in enumerate(Q) if c != zero)
+        py = next(i for i in range(top, -1, -1) if P[i] != zero)
+        qy = next(i for i in range(top, -1, -1) if Q[i] != zero)
+        return px - qx, dom.ratio(P[px], Q[qx]), qy - py, dom.ratio(P[py], Q[qy])
 
     def __add__(self, other: "Derivation") -> "Derivation":
         return Derivation(self.P + other.P, self.Q + other.Q)
@@ -414,9 +428,9 @@ def saito_determinant(t1: Derivation, t2: Derivation) -> HomogPoly:
 
     The convolution of the integer images, over den1*den2; field elements
     are built only for a nonzero result.  No production path calls it:
-    dependent decides from values at (EVAL_POINT, 1) and the Saito
-    certificate from one coefficient, and it stays as their oracle and
-    public API.
+    dependent decides from Derivation.ends and, where those agree, the
+    convolution alone, and the Saito certificate from one coefficient; it
+    stays as their oracle and public API.
     """
     if t1.is_zero or t2.is_zero:
         return HomogPoly.zero()
@@ -427,30 +441,24 @@ def saito_determinant(t1: Derivation, t2: Derivation) -> HomogPoly:
     return HomogPoly(tuple(dom.back(v, den1 * den2) for v in out))
 
 
-# The x-coordinate t of the point (t, 1) at which Derivation.values
-# evaluates, for dependent and dependence_classes only.  Any integer keeps
-# them exact, since a zero value falls back to the full determinant.  t is
-# off the lines of the rank-2 Coxeter arrangements over Q and Q(sqrt 3), so
-# on their scans only dependent pairs fall back.  Where a line passes
-# through (t, 1), e.g. x - 2*y over Q or x + y over F_3, its multiples have
-# both values 0, and dependence_classes compares them with every class.
-EVAL_POINT = 2
-
-
 def dependent(t1: Derivation, t2: Derivation) -> bool:
     """True iff det(t1, t2) = P1*Q2 - P2*Q1 is zero, i.e. {t1, t2} is
     dependent over the ring; a zero derivation counts as dependent.
 
-    The determinant's value at (EVAL_POINT, 1) is two products of cached
-    values, and a nonzero value proves independence.  A zero value means
-    only that x - t*y divides the determinant, so then the full
+    If det = 0 then P1*Q2 = P2*Q1, and valuation and leading coefficient
+    at x = 0 and at y = 0 are multiplicative, so dependent derivations
+    have equal Derivation.ends: different ends prove independence, and two
+    with P = 0, or two with Q = 0, are dependent.  Otherwise the full
     convolution of the images decides.
     """
     if t1.is_zero or t2.is_zero:
         return True
-    (dom, a1, b1), (_, a2, b2) = t1.values, t2.values
-    if dom.mul(a1, b2) != dom.mul(a2, b1):
+    ends = t1.ends
+    if ends != t2.ends:
         return False
+    if isinstance(ends, str):
+        return True
+    dom = t1.cleared[0]
     out = _determinant(dom, *t1.cleared[1:3], *t2.cleared[1:3])
     return out.count(dom.zero) == len(out)
 
@@ -463,29 +471,19 @@ def dependence_classes(thetas: Sequence[Derivation]) -> List[Optional[int]]:
     For nonzero derivations det = 0 says that (P1, Q1) and (P2, Q2) are
     proportional over the fraction field K(x, y), an equivalence relation,
     so one representative per class settles every pair.  Dependent
-    derivations have proportional values at (EVAL_POINT, 1), so each is
-    bucketed by the field element P(t)/Q(t) (one bucket for Q(t) = 0) and
-    compared, with dependent, only with the representatives of its bucket.
-    A derivation whose values both vanish is a multiple of x - t*y: it is
-    compared with every representative, and every later one with it.
+    derivations have equal ends, so each derivation is bucketed by
+    Derivation.ends and compared, with dependent, only with the
+    representatives of its bucket.
     """
     ids: List[Optional[int]] = []
-    buckets: dict = {}  # key -> [(id, representative)]
-    blind: List[Tuple[int, Derivation]] = []  # representatives with both values 0
+    buckets: dict = {}  # ends -> [(id, representative)]
     count = 0
     for theta in thetas:
         if theta.is_zero:
             ids.append(None)
             continue
-        dom, p, q = theta.values
-        if q != dom.zero:
-            reps = buckets.setdefault(dom.ratio(p, q), [])
-        elif p != dom.zero:
-            reps = buckets.setdefault(None, [])
-        else:
-            reps = blind
-        rivals = [rep for group in buckets.values() for rep in group] if reps is blind else reps
-        found = next((i for i, rep in rivals + blind if dependent(theta, rep)), None)
+        reps = buckets.setdefault(theta.ends, [])
+        found = next((i for i, rep in reps if dependent(theta, rep)), None)
         if found is None:
             found, count = count, count + 1
             reps.append((found, theta))

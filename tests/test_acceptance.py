@@ -91,15 +91,15 @@ def _timed_exponents(A, mu):
 def test_criterion_01_coxeter_constant_exponents(b2, g2):
     for k in (0, 1, 2):
         res = _timed_exponents(b2, ((2 * k + 1),) * 4)
-        assert res.as_pair() == (4 * k + 1, 4 * k + 3)
+        assert (res.d1, res.d2) == (4 * k + 1, 4 * k + 3)
         assert res.delta == 2
     for k in (1, 2):
         res = _timed_exponents(b2, ((2 * k),) * 4)
-        assert res.as_pair() == (4 * k, 4 * k)
+        assert (res.d1, res.d2) == (4 * k, 4 * k)
         assert res.delta == 0
     for k in (0, 1):
         res = _timed_exponents(g2, ((2 * k + 1),) * 6)
-        assert res.as_pair() == (6 * k + 1, 6 * k + 5)
+        assert (res.d1, res.d2) == (6 * k + 1, 6 * k + 5)
 
 
 def test_criterion_02_near_constant_formulas(b2, g2):

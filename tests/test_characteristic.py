@@ -26,13 +26,17 @@ from multilattice.field import FieldSpec
 from multilattice.poly import Arrangement
 
 
+def _pair(A, mu):
+    res = exponents(A, mu)
+    return res.d1, res.d2
+
+
 @pytest.mark.parametrize("p,differ", [(3, 181), (5, 65), (7, 5)])
 def test_b2_exponents_mod_p_differ_from_q_at_known_counts(p, differ):
     Q, Fp = coxeter_arrangement("B2"), coxeter_arrangement("B2", FieldSpec.prime(p))
     points = list(lattice.box_points((4,) * 4))
     assert len(points) == 625
-    assert sum(exponents(Fp, mu).as_pair() != exponents(Q, mu).as_pair()
-               for mu in points) == differ
+    assert sum(_pair(Fp, mu) != _pair(Q, mu) for mu in points) == differ
 
 
 def _balanced_gaps_above_one(A, bound):
@@ -87,7 +91,7 @@ def test_a_prime_not_dividing_the_determinant_content_keeps_the_exponents(ctype,
     content = {mu: _determinant_content(Q, mu) for mu in points}
     for p, count in unexplained.items():
         Fp = coxeter_arrangement(ctype, FieldSpec.prime(p))
-        differ = {mu for mu in points if exponents(Fp, mu).as_pair() != exponents(Q, mu).as_pair()}
+        differ = {mu for mu in points if _pair(Fp, mu) != _pair(Q, mu)}
         divides = {mu for mu in points if content[mu] % p == 0}
         assert differ <= divides, (p, sorted(differ - divides)[:5])
         # p | c without a change in the exponents: the bound is not exact

@@ -596,3 +596,14 @@ def test_exit_code_two_on_malformed_input(tmp_path, args, arrangement):
     proc = _run_ml(*args)
     assert proc.returncode == 2, proc.stderr
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_exit_code_two_at_once_on_a_huge_exponent(tmp_path):
+    # Fraction would build 10**30000000 for this coefficient, spinning past the timeout
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(_arrangement_file(forms=[["1", "0"], ["0", "1"],
+                                                        ["1", "1e30000000"]])))
+    proc = subprocess.run([sys.executable, "-m", "multilattice.cli", "exponents", "-a",
+                           str(path), "1,1,1"], capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert "exponent above" in proc.stderr and "Traceback" not in proc.stderr

@@ -5,6 +5,8 @@ float approximation only for sanity (never for correctness); exact
 properties are verified by round-tripping through inverse operations.
 """
 
+import fractions
+import sys
 from fractions import Fraction
 
 import pytest
@@ -171,17 +173,27 @@ def test_parse_scalar_errors():
 
 # the writer's spellings, and spellings only Fraction's own parser decides:
 # signs, spaces, decimals, exponents, underscores, zero or signed
-# denominators, non-ASCII digits and malformed text
+# denominators, non-ASCII digits and malformed text; and exponents around
+# the int digit limit (4 300 by default), above which ParseError refuses them
 FRACTION_SPELLINGS = [
     "0", "-0", "7", "-12", "007", "3/4", "-3/6", "10/5", "0/9", "-0/5", "1/07",
     "1/0", "0/0", "1/00", "-1/0", "1/-2", "-1/-2", "+3", "+3/4", "1/+2", " 2/4 ", "2 /4",
     "2/ 4", "\t5\n", "1.5", "-.5", "1e3", "3_0", "1_000/3", "1/2_0", "_1", "", " ", "-", "/",
     "1/", "/2", "1//2", "1/2/3", "--1", "-+1", "nan", "inf", "0x10", "\u0663", "\u0663/\u0664",
     "\uff13", "1/\u0664", "\u00b2", "\u2074/2", "abc",
+    "1e4300", "-2.5E-4300", "1e4301", "1e-4301", " 1E+30_000_000 ", "1e30000000", "1/2e99999",
+    "1e99999x", "1e\u0663\u0663\u0663\u0663\u0663",
 ]
 
 
 def _fraction_or_error(text):
+    """Fraction(text) or the type of its error, except that a spelling whose
+    exponent (as Fraction's grammar reads it) is above the int digit limit
+    gives ParseError, without building 10**e."""
+    match = fractions._RATIONAL_FORMAT.match(text.strip())
+    limit = sys.get_int_max_str_digits()
+    if match and match["exp"] and limit and abs(int(match["exp"])) > limit:
+        return ParseError
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -205,8 +217,11 @@ def test_parse_fraction_agrees_with_fraction_on_any_text(text):
     try:
         got = _parse_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        got = type(exc)
-    assert got == want
+        # a ParseError is a ValueError; it also refuses a text that ends in a
+        # large exponent but that Fraction would not read
+        assert isinstance(want, type) and issubclass(type(exc), want), (text, exc)
+    else:
+        assert got == want
 
 
 def test_coerce_rejects_foreign_elements():

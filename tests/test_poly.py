@@ -11,6 +11,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from multilattice import poly
 from multilattice.errors import ExactDivisionError, ProportionalForms, ZeroPolynomial
 from multilattice.field import FieldSpec, QuadElem
 from multilattice.poly import (
@@ -22,7 +23,6 @@ from multilattice.poly import (
     defining_polynomial,
     divide_by_linear_form,
     linear_form_multiplicity,
-    EVAL_POINT,
     dependence_classes,
     dependent,
     proportional,
@@ -316,68 +316,54 @@ def small_derivation(fs, rng, d):
             return theta
 
 
-def evaluation_vanishes(t1, t2):
-    """Whether the determinant's value at (EVAL_POINT, 1) is zero."""
-    dom, p1, q1 = t1.values
-    _, p2, q2 = t2.values
-    return dom.mul(p1, q2) == dom.mul(p2, q1)
+def one_part(fs, rng, d, zero_p):
+    """A degree-d derivation with P = 0 (zero_p) or Q = 0, the other part nonzero."""
+    part = small_poly(fs, rng, d)
+    return Derivation(HomogPoly(), part) if zero_p else Derivation(part, HomogPoly())
 
 
-@pytest.mark.parametrize("fs", PREDICATE_FIELDS, ids=PREDICATE_IDS)
-def test_derivation_values_evaluate_the_field_polynomials(fs):
-    rng = random.Random(11)
-    t = fs.from_int(EVAL_POINT)
-    for _ in range(40):
-        theta = small_derivation(fs, rng, rng.randint(0, 5))
-        dom, P, Q = theta.values
-        den = theta.cleared[3]
-        for f, v in ((theta.P, P), (theta.Q, Q)):
-            want = fs.zero()
-            for c in reversed(f.coeffs):
-                want = want * t + c
-            assert dom.back(v, den) == want
-    assert Derivation.zero().values is None
+def field_ends(theta):
+    """Derivation.ends from the field coefficients: the leading terms of
+    P/Q at x = 0 (the lowest x-power) and at y = 0 (the highest)."""
+    P, Q = theta.P.coeffs, theta.Q.coeffs
+    if not P:
+        return "dy"
+    if not Q:
+        return "dx"
+    px, qx = (min(i for i, c in enumerate(f) if c) for f in (P, Q))
+    py, qy = (max(i for i, c in enumerate(f) if c) for f in (P, Q))
+    return px - qx, P[px] / Q[qx], qy - py, P[py] / Q[qy]
 
 
-@pytest.mark.parametrize("fs", PREDICATE_FIELDS, ids=PREDICATE_IDS)
-def test_dependent_matches_saito_determinant(fs):
-    rng = random.Random(fs.kind + str(fs.p))
-    root = HomogPoly.from_linear_form(LinearForm.make(fs, 1, -EVAL_POINT))
-    seen = {"random": 0, "multiples": 0, "root-independent": 0, "root-dependent": 0}
-    for _ in range(150):
-        d1, d2 = rng.randint(0, 4), rng.randint(0, 4)  # degrees may differ
-        theta = small_derivation(fs, rng, d1)
-        kind = rng.choice(("random", "multiples", "root-left", "root-mixed"))
-        if kind == "random":
-            pair = (theta, small_derivation(fs, rng, d2))
-        elif kind == "multiples":
-            # f*theta and g*theta: the determinant vanishes identically
-            pair = (theta.mul_poly(small_poly(fs, rng, d2)),
-                    theta.mul_poly(small_poly(fs, rng, rng.randint(0, 3))))
-        elif kind == "root-left":
-            # det((x - t*y)*theta, theta2) = (x - t*y) * det(theta, theta2)
-            pair = (theta.mul_poly(root), small_derivation(fs, rng, d2))
-        else:
-            # theta2 = g*theta + (x - t*y)*theta': det = (x - t*y) * det(theta, theta')
-            e = rng.randint(0, 2)
-            g = small_poly(fs, rng, e)
-            other = small_derivation(fs, rng, d1 + e - 1) if d1 + e else Derivation.zero()
-            pair = (theta, theta.mul_poly(g) + other.mul_poly(root))
-        want = saito_determinant(*pair).is_zero
-        assert dependent(*pair) is want
-        assert dependent(*reversed(pair)) is want
-        if kind.startswith("root"):
-            # the certificate is silent, so the exact fallback decided
-            assert evaluation_vanishes(*pair)
-            seen["root-dependent" if want else "root-independent"] += 1
-        else:
-            seen[kind] += 1
-            assert want or kind == "random"
-    assert all(seen.values()), seen
-    zero = Derivation.zero()
-    theta = small_derivation(fs, rng, 2)
-    assert dependent(zero, theta) and dependent(theta, zero) and dependent(zero, zero)
-    assert saito_determinant(zero, theta).is_zero
+def same_ends(fs, rng, theta):
+    """A derivation with theta's ends, dependent on theta only by chance.
+
+    g*theta + x**a * y**b * other keeps theta's leading terms of P/Q at
+    x = 0 and at y = 0 when g has nonzero x**0 and y**0 coefficients and
+    a and b exceed the valuations of theta's parts there; its determinant
+    with theta is x**a * y**b * det(theta, other).  Where P = 0 (or Q = 0)
+    any derivation with that part zero has theta's ends.
+    """
+    if theta.P.is_zero or theta.Q.is_zero:
+        return one_part(fs, rng, rng.randint(0, 3), theta.P.is_zero)
+    d = theta.degree
+    a = max(min(i for i, c in enumerate(f.coeffs) if c) for f in (theta.P, theta.Q)) + 1
+    b = d - min(max(i for i, c in enumerate(f.coeffs) if c) for f in (theta.P, theta.Q)) + 1
+    e = max(0, a + b - d) + rng.randint(0, 1)
+    g = small_poly(fs, rng, e)
+    while not (g.coeffs[0] and g.coeffs[e]):
+        g = small_poly(fs, rng, e)
+    monomial = HomogPoly.make([fs.zero()] * a + [fs.one()] + [fs.zero()] * b)
+    return theta.mul_poly(g) + small_derivation(fs, rng, d + e - a - b).mul_poly(monomial)
+
+
+def ends_kind(t1, t2):
+    """How dependent decides a pair of nonzero derivations: by different
+    ends, by two P = 0 ("dy") or two Q = 0 ("dx") parts, or by the full
+    determinant."""
+    if t1.ends != t2.ends:
+        return "ends-differ"
+    return t1.ends if isinstance(t1.ends, str) else "determinant"
 
 
 CLASS_FIELDS = [FieldSpec.rational(), FieldSpec.quadratic(2), FieldSpec.quadratic(3),
@@ -386,16 +372,89 @@ CLASS_IDS = ["rational", "sqrt2", "sqrt3", "prime3", "prime101"]
 
 
 @pytest.mark.parametrize("fs", CLASS_FIELDS, ids=CLASS_IDS)
+def test_derivation_ends_are_the_leading_terms_of_p_over_q(fs):
+    """ends, read off the integer images, equals the leading terms computed
+    from the field coefficients, and scalar and polynomial multiples keep it."""
+    rng = random.Random(f"ends {fs.kind} {fs.d} {fs.p}")
+    seen = set()
+    for _ in range(60):
+        theta = small_derivation(fs, rng, rng.randint(0, 5))
+        multiple = theta.scale(small_poly(fs, rng, 0).coeffs[0])
+        multiple = multiple.mul_poly(small_poly(fs, rng, rng.randint(1, 3)))
+        assert theta.ends == field_ends(theta) == field_ends(multiple) == multiple.ends
+        seen.add(theta.ends if isinstance(theta.ends, str) else "both parts")
+    assert seen == {"dx", "dy", "both parts"}
+    assert Derivation.zero().ends is None
+
+
+@pytest.mark.parametrize("fs", PREDICATE_FIELDS, ids=PREDICATE_IDS)
+def test_dependent_matches_saito_determinant(fs, monkeypatch):
+    """dependent against the determinant oracle on random pairs, multiples,
+    multiples of x - 2*y, derivations with P = 0 or Q = 0, and pairs with
+    equal ends; the full determinant is convolved exactly when the ends
+    agree and neither part vanishes."""
+    rng = random.Random(fs.kind + str(fs.p))
+    root = HomogPoly.from_linear_form(LinearForm.make(fs, 1, -2))
+    convolved = []
+    real = poly._determinant
+    monkeypatch.setattr(poly, "_determinant", lambda *a: convolved.append(a) or real(*a))
+    kinds = ("random", "multiples", "root-left", "root-mixed", "one-part", "same-ends")
+    seen = dict.fromkeys(kinds + ("ends-differ", "dx", "dy", "determinant-dependent",
+                                  "determinant-independent"), 0)
+    for _ in range(200):
+        d1, d2 = rng.randint(0, 4), rng.randint(0, 4)  # degrees may differ
+        theta = small_derivation(fs, rng, d1)
+        kind = rng.choice(kinds)
+        if kind == "random":
+            pair = (theta, small_derivation(fs, rng, d2))
+        elif kind == "multiples":
+            # f*theta and g*theta: the determinant vanishes identically
+            pair = (theta.mul_poly(small_poly(fs, rng, d2)),
+                    theta.mul_poly(small_poly(fs, rng, rng.randint(0, 3))))
+        elif kind == "root-left":
+            # det((x - 2*y)*theta, theta2) = (x - 2*y) * det(theta, theta2)
+            pair = (theta.mul_poly(root), small_derivation(fs, rng, d2))
+        elif kind == "root-mixed":
+            # theta2 = g*theta + (x - 2*y)*theta': det = (x - 2*y) * det(theta, theta')
+            e = rng.randint(0, 2)
+            g = small_poly(fs, rng, e)
+            other = small_derivation(fs, rng, d1 + e - 1) if d1 + e else Derivation.zero()
+            pair = (theta, theta.mul_poly(g) + other.mul_poly(root))
+        elif kind == "one-part":
+            pair = (one_part(fs, rng, d1, rng.random() < 0.5),
+                    one_part(fs, rng, d2, rng.random() < 0.5))
+        else:
+            pair = (theta, same_ends(fs, rng, theta))
+            assert pair[0].ends == pair[1].ends
+        want = saito_determinant(*pair).is_zero
+        how = ends_kind(*pair)
+        for t1, t2 in (pair, pair[::-1]):
+            convolved.clear()
+            assert dependent(t1, t2) is want
+            assert len(convolved) == (how == "determinant")
+        assert want or (how in ("ends-differ", "determinant") and kind != "multiples")
+        if how == "determinant":
+            how += "-dependent" if want else "-independent"
+        seen[kind] += 1
+        seen[how] += 1
+    assert all(seen.values()), seen
+    zero = Derivation.zero()
+    theta = small_derivation(fs, rng, 2)
+    assert dependent(zero, theta) and dependent(theta, zero) and dependent(zero, zero)
+    assert saito_determinant(zero, theta).is_zero
+
+
+@pytest.mark.parametrize("fs", CLASS_FIELDS, ids=CLASS_IDS)
 def test_dependence_classes_match_pairwise_dependent(fs):
     """Two derivations share a class (or one is zero, with class None)
     exactly when dependent says so, on sets mixing repeats, scalar and
-    polynomial multiples, zero, multiples of x - t*y (both values 0) and
-    independent derivations whose values at (EVAL_POINT, 1) are
-    proportional."""
+    polynomial multiples, zero, multiples of x - 2*y, derivations with
+    P = 0 or Q = 0, and independent derivations with equal ends."""
     rng = random.Random(f"classes {fs.kind} {fs.d} {fs.p}")
-    root = HomogPoly.from_linear_form(LinearForm.make(fs, 1, -EVAL_POINT))
-    kinds = ("repeat", "scalar", "multiple", "root", "zero", "same-values", "fresh")
-    seen = dict.fromkeys(kinds + ("independent-same-values", "dependent-both-values-0"), 0)
+    root = HomogPoly.from_linear_form(LinearForm.make(fs, 1, -2))
+    kinds = ("repeat", "scalar", "multiple", "root", "zero", "one-part", "same-ends", "fresh")
+    seen = dict.fromkeys(kinds + ("ends-differ", "dx", "dy", "determinant-dependent",
+                                  "determinant-independent"), 0)
     for _ in range(25):
         bases = [small_derivation(fs, rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
         thetas = []
@@ -412,10 +471,10 @@ def test_dependence_classes_match_pairwise_dependent(fs):
                 theta = base.mul_poly(root).mul_poly(small_poly(fs, rng, rng.randint(0, 1)))
             elif kind == "zero":
                 theta = Derivation.zero()
-            elif kind == "same-values":
-                # the values at (EVAL_POINT, 1) are base's; dependent on base
-                # only if the added multiple of x - t*y is
-                theta = base + small_derivation(fs, rng, base.degree - 1).mul_poly(root)
+            elif kind == "one-part":
+                theta = one_part(fs, rng, rng.randint(0, 3), rng.random() < 0.5)
+            elif kind == "same-ends":
+                theta = same_ends(fs, rng, base)
             else:
                 theta = small_derivation(fs, rng, rng.randint(0, 3))
             seen[kind] += 1
@@ -429,20 +488,48 @@ def test_dependence_classes_match_pairwise_dependent(fs):
         for (t1, i1), (t2, i2) in combinations(zip(thetas, ids), 2):
             want = dependent(t1, t2)
             assert (i1 is None or i2 is None or i1 == i2) is want
-            if not (t1.is_zero or t2.is_zero) and evaluation_vanishes(t1, t2):
-                if not want:
-                    seen["independent-same-values"] += 1
-                elif t1.values[1] == t1.values[2] == t1.values[0].zero:
-                    seen["dependent-both-values-0"] += 1
+            if not (t1.is_zero or t2.is_zero):
+                how = ends_kind(t1, t2)
+                if how == "determinant":
+                    how += "-dependent" if want else "-independent"
+                seen[how] += 1
     assert all(seen.values()), seen
     assert dependence_classes([]) == []
+
+
+@pytest.mark.parametrize("fs,line", [(FieldSpec.rational(), (1, -2)), (FieldSpec.prime(3), (1, 1))],
+                         ids=["x-2y", "prime3-x+y"])
+def test_dependence_classes_convolve_only_pairs_with_equal_ends(fs, line, monkeypatch):
+    """On multiples of a line through (2, 1), which vanish there, every full
+    determinant that dependence_classes convolves is of two derivations with
+    equal leading terms of P/Q at x = 0 and at y = 0 (field_ends)."""
+    rng = random.Random(f"equal ends {fs.kind} {fs.p}")
+    root = HomogPoly.from_linear_form(LinearForm.make(fs, *line))
+    bases = [small_derivation(fs, rng, rng.randint(1, 3)) for _ in range(5)]
+    thetas = [rng.choice(bases).mul_poly(root).mul_poly(small_poly(fs, rng, rng.randint(0, 2)))
+              for _ in range(30)]
+    thetas += [small_derivation(fs, rng, rng.randint(0, 3)).mul_poly(root) for _ in range(10)]
+    ends_of = {(tuple(t.cleared[1]), tuple(t.cleared[2])): field_ends(t) for t in thetas}
+    convolved = []
+    real = poly._determinant
+
+    def spy(dom, p1, q1, p2, q2):
+        convolved.append((ends_of[tuple(p1), tuple(q1)], ends_of[tuple(p2), tuple(q2)]))
+        return real(dom, p1, q1, p2, q2)
+
+    monkeypatch.setattr(poly, "_determinant", spy)
+    ids = dependence_classes(thetas)
+    monkeypatch.undo()
+    assert convolved and all(e1 == e2 for e1, e2 in convolved)
+    for (t1, i1), (t2, i2) in combinations(zip(thetas, ids), 2):
+        assert (i1 == i2) is saito_determinant(t1, t2).is_zero
 
 
 @pytest.mark.parametrize("fs", PREDICATE_FIELDS, ids=PREDICATE_IDS)
 def test_proportional_matches_proportional_derivations(fs):
     rng = random.Random(fs.kind + str(fs.p))
     lines = [LinearForm.make(fs, 1, 0), LinearForm.make(fs, 0, 1), LinearForm.make(fs, 1, 1),
-             LinearForm.make(fs, 1, -EVAL_POINT)]
+             LinearForm.make(fs, 1, -2)]
     verdicts = set()
     for _ in range(150):
         d = rng.randint(0, 4)
