@@ -8,9 +8,16 @@ missing directory).  A reader
 that closes standard output early (``ml ... | head -1``) also gets 4, with
 no message.
 
+Each command parses its input, calls the layer that does the work and
+prints the result.  ``ml verify`` prints the verdicts of
+``theorems.run_checks``, which runs the checks (and the center criterion's
+margin search) and marks a criterion whose hypotheses the scan breaks as
+skipped; the command only turns a failed verdict into exit status 1.
+
 Start-up is most of the cost of one solve, so each command imports the
 layers it runs (``explorer``, ``theorems``, ``coxeter``) when it runs, and
-``_parser`` builds the argument parser of the named command only.  The walk's
+``_parser`` builds the argument parser of the named command only (that of
+``ml verify`` takes its check names from ``theorems``).  The walk's
 memo is freed at exit by ``dermod``, for library callers too; it is the only
 memo, and no command reads or writes a file of results (``--cache-dir`` is
 still accepted, and has no effect).
@@ -27,14 +34,11 @@ from typing import TYPE_CHECKING, List, Optional
 
 from . import lattice
 from .dermod import exponents, full_basis
-from .errors import (HypothesisViolated, InternalInconsistency, MultilatticeError, ParseError,
-                     UncoveredWindow)
+from .errors import InternalInconsistency, MultilatticeError, ParseError
 from .poly import Arrangement
 
 if TYPE_CHECKING:  # the commands import these layers when they run
-    from . import theorems
     from .explorer import ScanResult
-    from .theorems import ThetaOracle
 
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
@@ -148,10 +152,6 @@ def _load_scan(path: str) -> ScanResult:
         raise ParseError(f"cannot read scan file {path}: {exc}") from exc
 
 
-_CHECKS = ("covering", "ball", "singletons", "transport", "independence",
-           "saito", "criteria", "all")
-
-
 def cmd_verify(args):
     """Run structure verifications against scan data.
 
@@ -160,29 +160,10 @@ def cmd_verify(args):
     are theorems, so failures indicate solver bugs (or a corrupted scan),
     never acceptable noise.
     """
-    from . import explorer, theorems
+    from . import theorems
 
-    what = args.what
-    result = _load_scan(args.scan_path)
-    oracle = theorems.ThetaOracle(result.arrangement)
-    comps = explorer.components(result)
-    verdicts: List[theorems.Verdict] = []
-    if what in ("covering", "all"):
-        verdicts.append(theorems.check_covering_steps(result))
-    if what in ("ball", "all"):
-        verdicts.append(theorems.check_ball_structure(result, comps))
-    if what in ("singletons", "all"):
-        verdicts.append(theorems.check_singleton_gaps(result))
-    if what in ("transport", "all"):
-        verdicts.append(theorems.check_basis_step_and_path(result, oracle, comps))
-    if what in ("independence", "all"):
-        verdicts.append(theorems.check_independency(result, oracle, comps))
-    if what in ("saito", "all"):
-        verdicts.append(_check_saito_everywhere(result))
-    if what in ("criteria", "all"):
-        verdicts.extend(_run_criteria(result, oracle, comps))
     failed = False
-    for v in verdicts:
+    for v in theorems.run_checks(_load_scan(args.scan_path), args.what):
         print(f"{v.name}: {v.status.upper()}")
         if v.status == "fail":
             failed = True
@@ -191,75 +172,6 @@ def cmd_verify(args):
         if v.details:
             print(f"  details: {json.dumps(v.details, sort_keys=True, default=str)}")
     return EXIT_VERIFY_FAIL if failed else 0
-
-
-def _check_saito_everywhere(result: ScanResult) -> theorems.Verdict:
-    """Construct and verify a full basis at every point of the scan.
-
-    full_basis runs verify_saito on the pair it returns and raises
-    InternalInconsistency (exit 3) on a rejection, so every returned pair passed.
-    """
-    from .theorems import Verdict
-
-    for mu in sorted(result.table):
-        full_basis(result.arrangement, mu)
-    return Verdict("saito-everywhere", "pass", [], {"checked": len(result.table)})
-
-
-def _certify(name: str, criterion, *args, **kwargs) -> theorems.Verdict:
-    """Run a criterion; a window that breaks its hypotheses is skipped, with the reason."""
-    from .theorems import Verdict
-
-    try:
-        return criterion(*args, **kwargs)
-    except HypothesisViolated as exc:
-        return Verdict(name, "skipped", details={"reason": str(exc)})
-
-
-def _certify_centers(result: ScanResult, oracle: ThetaOracle, center_pts) -> theorems.Verdict:
-    """The center criterion on the box shrunk by a margin.
-
-    Balls near the scan boundary are truncated, so the coverage hypothesis
-    is only testable on an inner window.  The margin starts at the largest
-    center gap and grows by one while the window leaves a balanced region
-    uncovered, until the window shrinks to the origin.  The other hypotheses
-    do not depend on the window, so their failure skips the criterion at once.
-    """
-    from . import theorems
-
-    cmap = theorems.CandidateMap({mu: oracle(mu) for mu in center_pts})
-    gap = margin = max(center_pts.values())
-    while True:
-        inner = tuple(max(b - margin, 0) for b in result.box)
-        try:
-            verdict = theorems.certify_centers(result.arrangement, cmap, inner,
-                                               trusted_scan=result, oracle=oracle)
-        except HypothesisViolated as exc:
-            if isinstance(exc, UncoveredWindow) and any(inner):
-                margin += 1
-                continue
-            return theorems.Verdict("criterion-centers", "skipped",
-                                    details={"reason": str(exc)})
-        if margin != gap:
-            verdict.details["margin"] = margin
-        return verdict
-
-
-def _run_criteria(result: ScanResult, oracle: ThetaOracle, comps) -> List[theorems.Verdict]:
-    from . import explorer, theorems
-
-    A = result.arrangement
-    box = result.box
-    support = [mu for mu in result.support() if lattice.is_balanced(mu)]
-    candidate = theorems.CandidateMap({mu: oracle(mu) for mu in support})
-    out = [_certify("criterion-support", theorems.certify_support, A, candidate, box,
-                    trusted_scan=result)]
-    center_pts = {e.center: e.delta for e in explorer.centers(result, comps) if e.center}
-    if center_pts:
-        out.append(_certify_centers(result, oracle, center_pts))
-    _, verdict = theorems.reconstruct_components(A, box, oracle, trusted_scan=result)
-    out.append(verdict)
-    return out
 
 
 def _print_basis(A: Arrangement, basis, verdict) -> int:
@@ -409,11 +321,13 @@ def _parser(argv: List[str]) -> argparse.ArgumentParser:
 
     p = command("verify", cmd_verify)
     if p:
+        from .theorems import CHECKS
+
         p.add_argument("--scan", dest="scan_path", required=True)
         p.add_argument("--seed", type=int, default=0,
                        help="Has no effect: every check is exhaustive."
                             " Still accepted for older scripts.")
-        p.add_argument("what", choices=_CHECKS)
+        p.add_argument("what", choices=CHECKS)
 
     p = command("basis-between", cmd_basis_between, source=True)
     if p:

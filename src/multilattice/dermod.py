@@ -453,18 +453,25 @@ def _walk(A: Arrangement) -> _Walk:
     return w
 
 
+def _kept(A: Arrangement,
+          mu: Sequence[int]) -> Tuple[Multiplicity, _Walk, Optional[ExponentResult]]:
+    """The one validation of exponent_pair and exponents: mu as a tuple, the
+    walk of A and the result it keeps at mu, if any."""
+    mu = tuple(mu)
+    if len(mu) != len(A):
+        raise LengthMismatch("multiplicity length does not match arrangement")
+    for m in mu:  # checked before the lookup, where 1.0 would find the result kept at 1
+        if not (isinstance(m, int) and m >= 0):  # the walk steps each entry down to 0
+            raise PreconditionViolated(f"multiplicity entries must be non-negative integers: {mu}")
+    walk = _walk(A)
+    return mu, walk, walk.results.get(mu)
+
+
 def exponent_pair(A: Arrangement, mu: Sequence[int]) -> Tuple[int, int]:
     """The exponents (d1, d2) at mu: the walk's kept result, else the
     degrees of the basis walked up the multiplicity lattice.  Builds no
     generator, so a scan pays only the walk's steps."""
-    mu = tuple(mu)
-    if len(mu) != len(A):
-        raise LengthMismatch("multiplicity length does not match arrangement")
-    if not all(isinstance(m, int) and m >= 0 for m in mu):
-        # the walk steps down to 0 one coordinate at a time
-        raise PreconditionViolated(f"multiplicity entries must be non-negative integers: {mu}")
-    walk = _walk(A)
-    result = walk.results.get(mu)
+    mu, walk, result = _kept(A, mu)
     if result is not None:
         return (result.d1, result.d2)
     _, d1, _, d2 = walk.basis(mu)
@@ -477,12 +484,11 @@ def exponent_pair(A: Arrangement, mu: Sequence[int]) -> Tuple[int, int]:
 
 def exponents(A: Arrangement, mu: Sequence[int]) -> ExponentResult:
     """Exponents of the multiarrangement and a minimal-degree generator,
-    kept in the walk's memo: exponent_pair, and theta_min from the basis
-    it walked to."""
-    d1, d2 = exponent_pair(A, mu)
-    mu, walk = tuple(mu), _walk(A)
-    result = walk.results.get(mu)
+    kept in the walk's memo, so that a kept result costs one lookup:
+    exponent_pair, and theta_min from the basis it walked to."""
+    mu, walk, result = _kept(A, mu)
     if result is None:
+        d1, d2 = exponent_pair(A, mu)
         theta = walk.derivation(walk.minimal(walk.basis(mu))[0], d1)
         result = walk.results[mu] = ExponentResult(d1, d2, theta)
     return result

@@ -45,11 +45,6 @@ class HypothesisViolated(MultilatticeError, ValueError):
     """A certification routine was fed inputs failing its stated hypotheses."""
 
 
-class UncoveredWindow(HypothesisViolated):
-    """The candidate balls leave a balanced region of the window uncovered;
-    a smaller window may satisfy the hypotheses."""
-
-
 class ParseError(MultilatticeError, ValueError):
     pass
 

@@ -127,18 +127,6 @@ def saturated_chain(mu: Multiplicity, nu: Multiplicity) -> List[Multiplicity]:
     return chain
 
 
-def chain_steps(chain: Sequence[Multiplicity]) -> List[int]:
-    """The raised coordinate of each covering step; validates the chain."""
-    steps = []
-    for a, b in zip(chain, chain[1:]):
-        _check_lengths(a, b)
-        diff = [j for j in range(len(a)) if a[j] != b[j]]
-        if len(diff) != 1 or b[diff[0]] != a[diff[0]] + 1:
-            raise NotComparable(f"{a} -> {b} is not a covering step")
-        steps.append(diff[0])
-    return steps
-
-
 def parse_multiplicity(text: str, n: int) -> Multiplicity:
     """Comma-separated naturals in arrangement order; bad text raises ParseError."""
     parts = [p.strip() for p in text.split(",")]
@@ -161,6 +149,6 @@ def format_multiplicity(mu: Multiplicity) -> str:
 __all__ = [
     "Multiplicity", "Box", "distance", "leq", "meet_join",
     "box_points", "covering_neighbors", "connected_components", "cone_index",
-    "is_balanced", "ball", "saturated_chain", "chain_steps",
+    "is_balanced", "ball", "saturated_chain",
     "parse_multiplicity", "format_multiplicity",
 ]

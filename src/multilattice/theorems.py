@@ -16,6 +16,8 @@ The classes live only as long as the check.
 All four ask pairs_at_distance_two which groups of points lie at distance 2
 (components, candidate components, odd points, the candidate centers' open
 balls), and one walk, _dependent_pairs, lists the dependent pairs across them.
+
+run_checks is the check sequence of ``ml verify``.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import lattice
 from .dermod import delta as solve_delta
-from .dermod import exponents, in_module, verify_saito
-from .errors import HypothesisViolated, PreconditionViolated, UncoveredWindow
+from .dermod import exponents, full_basis, in_module, verify_saito
+from .errors import HypothesisViolated, PreconditionViolated
 from .explorer import Component, ScanResult, centers as scan_centers, components as scan_components
 from .lattice import Box, Multiplicity
 from .poly import (
@@ -424,7 +426,8 @@ def certify_support(A: Arrangement, candidate: CandidateMap, box: Box,
 
 def certify_centers(A: Arrangement, candidate: CandidateMap, box: Box,
                     trusted_scan: Optional[ScanResult] = None,
-                    oracle: Optional[ThetaOracle] = None) -> Verdict:
+                    oracle: Optional[ThetaOracle] = None,
+                    comps: Optional[List[Component]] = None) -> Verdict:
     """Center-identification criterion from the gap-distance identity.
 
     Open balls B(a, g_a) and B(b, g_b) in the orthant share a point iff
@@ -433,8 +436,19 @@ def certify_centers(A: Arrangement, candidate: CandidateMap, box: Box,
     equal to the distance) and coverage are read off each candidate's ball,
     built once in a box that holds every ball whole.  A point that balls
     i < j share is first claimed by i or an earlier ball, so the least
-    overlapping pair is always claimed.
+    overlapping pair is always claimed.  comps, if given, are the components
+    of trusted_scan.
     """
+    return _certify_centers(A, candidate, [box], trusted_scan, oracle, comps)[0]
+
+
+def _certify_centers(A: Arrangement, candidate: CandidateMap, windows: Sequence[Box],
+                     trusted_scan: Optional[ScanResult], oracle: Optional[ThetaOracle],
+                     comps: Optional[List[Component]]) -> Tuple[Verdict, int]:
+    """certify_centers on the first of the shrinking windows whose balanced
+    points the balls cover, with that window's index.  Only coverage depends
+    on the window, so everything else is computed once; if no window is
+    covered, the last one's coverage raises."""
     name = "criterion-centers"
     N = candidate.points()
     gap = {mu: candidate.delta_prime(mu) for mu in N}
@@ -444,8 +458,8 @@ def certify_centers(A: Arrangement, candidate: CandidateMap, box: Box,
     bad = _check_membership(A, candidate)
     if bad is not None:
         return Verdict(name, "skipped",
-                       details={"reason": f"candidate at {bad} is not a module member"})
-    top = tuple(map(max, zip(box, *([m + gap[mu] - 1 for m in mu] for mu in N))))
+                       details={"reason": f"candidate at {bad} is not a module member"}), 0
+    top = tuple(map(max, zip(windows[0], *([m + gap[mu] - 1 for m in mu] for mu in N))))
     balls = [lattice.ball(mu, gap[mu], top) for mu in N]
     owner: Dict[Multiplicity, int] = {}  # each point's first claimant
     claims = {(owner.setdefault(p, j), j) for j, ball in enumerate(balls) for p in ball}
@@ -453,10 +467,14 @@ def certify_centers(A: Arrangement, candidate: CandidateMap, box: Box,
     if overlaps:
         i, j = overlaps[0]
         raise HypothesisViolated(f"candidate balls at {N[i]} and {N[j]} overlap")
-    leftovers = lattice.connected_components(set(_balanced_window(box)).difference(owner), box)
-    big = [sorted(c)[0] for c in leftovers if len(c) > 1]
-    if big:
-        raise UncoveredWindow(
+    for index, window in enumerate(windows):
+        uncovered = set(_balanced_window(window)).difference(owner)
+        big = [sorted(c)[0] for c in lattice.connected_components(uncovered, window)
+               if len(c) > 1]
+        if not big:
+            break
+    else:
+        raise HypothesisViolated(
             f"uncovered balanced region has a component larger than one, near {big[0]}")
     touching = pairs_at_distance_two(balls, top)
     cls = _classes({N[k] for pair in touching for k in pair}, candidate.assignment.__getitem__)
@@ -466,24 +484,26 @@ def certify_centers(A: Arrangement, candidate: CandidateMap, box: Box,
     if bad_pairs:
         details["condition_witness"] = {"mu": bad_pairs[-1][0], "nu": bad_pairs[-1][1]}
     if trusted_scan is None:
-        return Verdict(name, "skipped", details={**details, "reason": "no trusted scan"})
-    truth = set(N) == {e.center for e in scan_centers(trusted_scan) if e.center is not None}
+        return Verdict(name, "skipped", details={**details, "reason": "no trusted scan"}), index
+    truth = set(N) == {e.center for e in scan_centers(trusted_scan, comps) if e.center is not None}
     if truth and oracle is not None:
         truth = all(proportional(candidate.assignment[mu], oracle(mu)) for mu in N)
     details["matches_true_centers"] = truth
     if condition == truth:
-        return Verdict(name, "pass", details=details)
+        return Verdict(name, "pass", details=details), index
     return Verdict(name, "fail",
                    witnesses=[{"condition": condition, "truth": truth}],
-                   details=details)
+                   details=details), index
 
 
 def reconstruct_components(A: Arrangement, box: Box, oracle: ThetaOracle,
-                           trusted_scan: Optional[ScanResult] = None):
+                           trusted_scan: Optional[ScanResult] = None,
+                           comps: Optional[List[Component]] = None):
     """Rebuild finite-component membership from dependence at distance 2.
 
     Works on the odd-size balanced points of the window, where the gap is
-    forced positive by parity.  Returns (partition, verdict).
+    forced positive by parity.  Returns (partition, verdict).  comps, if
+    given, are the components of trusted_scan.
     """
     name = "criterion-reconstruct"
     N = [mu for mu in _balanced_window(box) if sum(mu) % 2 == 1]
@@ -509,7 +529,8 @@ def reconstruct_components(A: Arrangement, box: Box, oracle: ThetaOracle,
     if trusted_scan is None:
         return partition, Verdict(name, "skipped", details={"reason": "no trusted scan"})
     comp_classes: Dict[int, set] = {}
-    comps = scan_components(trusted_scan)
+    if comps is None:
+        comps = scan_components(trusted_scan)
     comp_of = {mu: i for i, c in enumerate(comps) for mu in c.members}
     witnesses = []
     for mu in N:
@@ -524,3 +545,73 @@ def reconstruct_components(A: Arrangement, box: Box, oracle: ThetaOracle,
                           "reconstructed": [sorted(c)[:4] for c in partition],
                           "true": [sorted(c)[:4] for c in truth]})
     return partition, _finish(name, witnesses, {"points": len(N)})
+
+
+# -- the ml verify run -------------------------------------------------------
+
+CHECKS = ("covering", "ball", "singletons", "transport", "independence", "saito", "criteria",
+          "all")
+
+
+def check_saito_everywhere(scan: ScanResult) -> Verdict:
+    """A Saito-verified basis at every point of the scan: full_basis raises
+    InternalInconsistency unless verify_saito accepts the pair it returns."""
+    for mu in sorted(scan.table):
+        full_basis(scan.arrangement, mu)
+    return Verdict("saito-everywhere", "pass", [], {"checked": len(scan.table)})
+
+
+def run_checks(scan: ScanResult, what: str) -> List[Verdict]:
+    """The verdicts of ``ml verify WHAT``, in the order printed: the check
+    WHAT of CHECKS, or every check for "all".  The components are built
+    once, for every check that reads them."""
+    if what not in CHECKS:
+        raise PreconditionViolated(f"unknown check {what!r}; choose from {', '.join(CHECKS)}")
+    oracle = ThetaOracle(scan.arrangement)
+    comps = scan_components(scan)
+    checks = {"covering": lambda: [check_covering_steps(scan)],
+              "ball": lambda: [check_ball_structure(scan, comps)],
+              "singletons": lambda: [check_singleton_gaps(scan)],
+              "transport": lambda: [check_basis_step_and_path(scan, oracle, comps)],
+              "independence": lambda: [check_independency(scan, oracle, comps)],
+              "saito": lambda: [check_saito_everywhere(scan)],
+              "criteria": lambda: _criteria(scan, oracle, comps)}
+    return [v for name in (checks if what == "all" else [what]) for v in checks[name]()]
+
+
+def _criteria(scan: ScanResult, oracle: ThetaOracle, comps: List[Component]) -> List[Verdict]:
+    """The criteria on the scan's own generators, with the scan as the truth;
+    one whose hypotheses the scan breaks is skipped, with the reason."""
+    A, box = scan.arrangement, scan.box
+    candidate = CandidateMap({mu: oracle(mu) for mu in scan.support() if lattice.is_balanced(mu)})
+    try:
+        out = [certify_support(A, candidate, box, trusted_scan=scan)]
+    except HypothesisViolated as exc:
+        out = [Verdict("criterion-support", "skipped", details={"reason": str(exc)})]
+    gaps = {e.center: e.delta for e in scan_centers(scan, comps) if e.center}
+    if gaps:
+        out.append(_center_criterion(scan, oracle, comps, gaps))
+    return out + [reconstruct_components(A, box, oracle, trusted_scan=scan, comps=comps)[1]]
+
+
+def _center_criterion(scan: ScanResult, oracle: ThetaOracle, comps: List[Component],
+                      gaps: Dict[Multiplicity, int]) -> Verdict:
+    """The center criterion on the scan's centers, of the given gaps, on the
+    box shrunk by a margin: balls near its upper edge are cut off there.
+
+    The margin starts at the largest center gap and grows by one while the
+    window leaves an uncovered balanced component larger than one, down to
+    the origin; it is reported when it grew.
+    """
+    candidate = CandidateMap({mu: oracle(mu) for mu in gaps})
+    gap = max(gaps.values())
+    windows = [tuple(max(b - margin, 0) for b in scan.box)
+               for margin in range(gap, max(gap, *scan.box) + 1)]
+    try:
+        verdict, grown = _certify_centers(scan.arrangement, candidate, windows, scan, oracle,
+                                          comps)
+    except HypothesisViolated as exc:
+        return Verdict("criterion-centers", "skipped", details={"reason": str(exc)})
+    if grown:
+        verdict.details["margin"] = gap + grown
+    return verdict

@@ -5,11 +5,11 @@ from itertools import combinations, product
 from typing import List, Optional, Sequence
 
 from multilattice.dermod import in_module
-from multilattice.errors import HypothesisViolated, LengthMismatch, UncoveredWindow
+from multilattice.errors import HypothesisViolated, LengthMismatch, NotComparable
 from multilattice.explorer import centers
 from multilattice.field import FieldSpec, invert
 from multilattice import lattice
-from multilattice.lattice import Multiplicity, chain_steps
+from multilattice.lattice import Multiplicity
 from multilattice.poly import (
     Arrangement,
     Derivation,
@@ -99,7 +99,7 @@ def pairwise_certify_centers(A: Arrangement, candidate, box, trusted_scan=None, 
     leftovers = lattice.connected_components(balanced - covered, box)
     big = [sorted(c)[0] for c in leftovers if len(c) > 1]
     if big:
-        raise UncoveredWindow(
+        raise HypothesisViolated(
             f"uncovered balanced region has a component larger than one, near {big[0]}")
     bad_pairs = [(a, b) for a, b in touching
                  if dependent(candidate.assignment[a], candidate.assignment[b])]
@@ -116,6 +116,19 @@ def pairwise_certify_centers(A: Arrangement, candidate, box, trusted_scan=None, 
         return Verdict(name, "pass", details=details)
     return Verdict(name, "fail", witnesses=[{"condition": not bad_pairs, "truth": truth}],
                    details=details)
+
+
+def chain_steps(chain: Sequence[Multiplicity]) -> List[int]:
+    """The raised coordinate of each covering step; validates the chain."""
+    steps = []
+    for a, b in zip(chain, chain[1:]):
+        if len(a) != len(b):
+            raise LengthMismatch(f"{a} and {b} differ in length")
+        diff = [j for j in range(len(a)) if a[j] != b[j]]
+        if len(diff) != 1 or b[diff[0]] != a[diff[0]] + 1:
+            raise NotComparable(f"{a} -> {b} is not a covering step")
+        steps.append(diff[0])
+    return steps
 
 
 def downalpha(A: Arrangement, chain: Sequence[Multiplicity],

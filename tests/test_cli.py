@@ -10,9 +10,9 @@ from typing import NamedTuple
 
 import pytest
 
-from multilattice import cli, dermod, theorems
+from multilattice import cli, dermod, explorer, theorems
 from multilattice.cli import load_arrangement
-from multilattice.errors import HypothesisViolated, InternalInconsistency, ParseError, UncoveredWindow
+from multilattice.errors import HypothesisViolated, InternalInconsistency, ParseError
 from multilattice.explorer import ScanResult
 from helpers import wrong_generator_oracle
 
@@ -150,7 +150,7 @@ def count_verify_saito(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(dermod, "verify_saito", counting)
-    monkeypatch.setattr(cli, "verify_saito", counting, raising=False)
+    monkeypatch.setattr(theorems, "verify_saito", counting)
     return calls
 
 
@@ -158,9 +158,13 @@ def test_saito_everywhere_verifies_each_basis_once(scan_file, monkeypatch):
     calls = count_verify_saito(monkeypatch)
     with open(scan_file) as fh:
         result = ScanResult.from_json(fh.read())
-    verdict = cli._check_saito_everywhere(result)
+    verdict = theorems.check_saito_everywhere(result)
     assert verdict.status == "pass"
     assert len(calls) == verdict.details["checked"] == len(result.table)
+    calls.clear()
+    out = invoke(["verify", "--scan", scan_file, "saito"])
+    assert out.exit_code == 0 and "saito-everywhere: PASS" in out.output
+    assert sorted(calls) == sorted(result.table)
     calls.clear()
     out = invoke(["basis", "--coxeter", "B2", "2,1,2,1"])
     assert out.exit_code == 0 and "saito: accepted" in out.output
@@ -173,41 +177,67 @@ def test_verify_criteria(scan_file):
     assert result.output.count("PASS") >= 3
 
 
+@pytest.mark.parametrize("what", ["all", "criteria"])
+def test_verify_builds_the_components_once(b2_5_scan_file, monkeypatch, what):
+    # every check and the truth of the criteria read one list of components
+    builds = []
+    real = explorer.components
+
+    def counting(scan_result):
+        builds.append(scan_result.box)
+        return real(scan_result)
+
+    monkeypatch.setattr(explorer, "components", counting)
+    monkeypatch.setattr(theorems, "scan_components", counting)
+    result = invoke(["verify", "--scan", b2_5_scan_file, what])
+    assert result.exit_code == 0, result.output
+    assert builds == [(5, 5, 5, 5)]
+
+
 def test_verify_all_skips_a_criterion_whose_window_breaks_its_hypotheses(scan_file,
                                                                          monkeypatch):
     # a center criterion whose coverage hypothesis fails on every inner
     # window is skipped, with the reason, once the window has shrunk to the origin
-    windows = []
+    tried = []
 
-    def never_applies(A, candidate, box, **kwargs):
-        windows.append(box)
-        raise UncoveredWindow("uncovered balanced region has a component larger than one")
+    def never_covered(A, candidate, windows, *args):
+        tried.append(list(windows))
+        raise HypothesisViolated("uncovered balanced region has a component larger than one")
 
-    monkeypatch.setattr(theorems, "certify_centers", never_applies)
+    monkeypatch.setattr(theorems, "_certify_centers", never_covered)
     result = invoke(["verify", "--scan", scan_file, "all"])
     assert result.exit_code == 0, result.output
     checks = [line for line in result.output.splitlines() if not line.startswith(" ")]
     assert len(checks) == 9, result.output
     assert "criterion-centers: SKIPPED" in checks
     assert "component larger than one" in result.output
-    assert windows[-1] == (0, 0, 0, 0) and len(windows) == len(set(windows))
+    # B2 [0,3]^4: the largest center gap is 2, so margins 2 and 3
+    assert tried == [[(1, 1, 1, 1), (0, 0, 0, 0)]]
 
 
 def test_center_criterion_skips_a_window_independent_failure_at_once(scan_file,
                                                                       monkeypatch):
-    # overlapping balls stay overlapping on every window: one call, no widening
+    # a candidate ball inside another stays overlapping on every window: the
+    # criterion is skipped before any window's coverage is tested
+    real_centers, real_window = theorems.scan_centers, theorems._balanced_window
     windows = []
 
-    def overlapping(A, candidate, box, **kwargs):
-        windows.append(box)
-        raise HypothesisViolated("candidate balls at a and b overlap")
+    def with_an_inner_ball(scan_result, comps=None):
+        entries = real_centers(scan_result, comps)
+        return entries + [explorer.CenterEntry(entries[0].component, (2, 1, 1, 1), 1)]
 
-    monkeypatch.setattr(theorems, "certify_centers", overlapping)
-    result = invoke(["verify", "--scan", scan_file, "all"])
+    def recording(box):
+        windows.append(box)
+        return real_window(box)
+
+    monkeypatch.setattr(theorems, "scan_centers", with_an_inner_ball)
+    monkeypatch.setattr(theorems, "_balanced_window", recording)
+    result = invoke(["verify", "--scan", scan_file, "criteria"])
     assert result.exit_code == 0, result.output
     assert "criterion-centers: SKIPPED" in result.output
-    assert "overlap" in result.output
-    assert len(windows) == 1
+    assert "candidate balls at (1, 1, 1, 1) and (2, 1, 1, 1) overlap" in result.output
+    # the support and reconstruction criteria read the whole box, and nothing else
+    assert windows == [(3, 3, 3, 3)] * 2
 
 
 @pytest.mark.parametrize("box,margin", [("3,3,3,3", None), ("4,4,4,4", 3)])

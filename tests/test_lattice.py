@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from multilattice import lattice
 from multilattice.errors import LengthMismatch, NotComparable
 from multilattice.poly import HomogPoly
-from helpers import downalpha
+from helpers import chain_steps, downalpha
 
 mults = st.lists(st.integers(0, 6), min_size=1, max_size=5)
 
@@ -91,11 +91,11 @@ def test_ball_is_strict_and_complete(center, radius):
 def test_saturated_chain_and_steps():
     chain = lattice.saturated_chain((0, 1), (2, 2))
     assert chain == [(0, 1), (1, 1), (2, 1), (2, 2)]
-    assert lattice.chain_steps(chain) == [0, 0, 1]
+    assert chain_steps(chain) == [0, 0, 1]
     with pytest.raises(NotComparable):
         lattice.saturated_chain((1, 0), (0, 5))
     with pytest.raises(NotComparable):
-        lattice.chain_steps([(0, 0), (1, 1)])  # not a covering step
+        chain_steps([(0, 0), (1, 1)])  # not a covering step
 
 
 def test_downalpha_collects_descent_forms(B2):

@@ -14,17 +14,16 @@ import pytest
 
 from multilattice import lattice
 from multilattice import theorems
-from multilattice.cli import _check_saito_everywhere, _run_criteria
 from multilattice.coxeter import coxeter_arrangement
 from multilattice.dermod import exponents
 from multilattice.errors import (
     HypothesisViolated,
     NoCenterPairFound,
     PreconditionViolated,
-    UncoveredWindow,
 )
 from multilattice.explorer import ScanResult, centers, components, scan
-from multilattice.poly import HomogPoly, saito_determinant
+from multilattice.field import FieldSpec
+from multilattice.poly import Arrangement, HomogPoly, saito_determinant
 from multilattice.theorems import (
     CandidateMap,
     ThetaOracle,
@@ -40,6 +39,7 @@ from multilattice.theorems import (
     multiplier_form,
     pairs_at_distance_two,
     reconstruct_components,
+    run_checks,
 )
 from helpers import (
     descent_forms,
@@ -151,7 +151,7 @@ def test_legacy_estimated_cone_rows_read_as_exact(b2_scan, b2_oracle):
     checks = [check_covering_steps,
               lambda s: check_independency(s, b2_oracle),
               lambda s: check_basis_step_and_path(s, b2_oracle),
-              _check_saito_everywhere]
+              theorems.check_saito_everywhere]
     for check in checks:
         want, got = check(b2_scan), check(legacy)
         assert (got.status, got.witnesses, got.details) == (want.status, want.witnesses,
@@ -374,12 +374,12 @@ def test_certify_centers_negative_controls(B2, b2_center_setup, b2_oracle):
                                 (2, 1, 1, 1): b2_oracle((2, 1, 1, 1))})
     with pytest.raises(HypothesisViolated) as exc:
         certify_centers(B2, overlapping, inner, trusted_scan=big, oracle=oracle)
-    assert not isinstance(exc.value, UncoveredWindow)  # no window mends an overlap
+    assert "overlap" in str(exc.value)  # no window mends an overlap
     # control 2: dropping a center leaves an uncovered hole larger than one
     victim = next(mu for mu, t in cand.assignment.items()
                   if big.table[mu] == 2 and all(0 <= a <= b for a, b in zip(mu, inner)))
     pruned = CandidateMap({mu: t for mu, t in cand.assignment.items() if mu != victim})
-    with pytest.raises(UncoveredWindow):
+    with pytest.raises(HypothesisViolated, match="uncovered balanced region"):
         certify_centers(B2, pruned, inner, trusted_scan=big, oracle=oracle)
     # control 3: tampered ground truth -> Fail
     tampered = corrupt(big, victim, 0)
@@ -450,7 +450,7 @@ def test_certify_centers_empty_map(B2, b2_center_setup):
     big, oracle, _, _ = b2_center_setup
     empty = CandidateMap({})
     kind, message = _centers_as_pairwise(B2, empty, (3, 3, 3, 3), trusted_scan=big, oracle=oracle)
-    assert kind == "UncoveredWindow"
+    assert kind == "HypothesisViolated" and message.startswith("uncovered balanced region")
     v = json.loads(_centers_as_pairwise(B2, empty, (0, 0, 0, 0), trusted_scan=big, oracle=oracle))
     assert v["status"] == "fail"
     assert v["details"] == {"condition_holds": True, "matches_true_centers": False}
@@ -490,8 +490,41 @@ def test_certify_centers_matches_pairwise_on_random_maps(B2, G2, b2_center_setup
             trusted = s if rng.random() < 0.8 else None
             got = _centers_as_pairwise(A, CandidateMap(assignment), window,
                                        trusted_scan=trusted, oracle=o)
-            seen.add(got[0] if isinstance(got, tuple) else json.loads(got)["status"])
-    assert seen == {"HypothesisViolated", "UncoveredWindow", "pass", "fail", "skipped"}
+            if isinstance(got, tuple):  # coverage apart from the other hypotheses
+                seen.add("uncovered" if got[1].startswith("uncovered") else got[0])
+            else:
+                seen.add(json.loads(got)["status"])
+    assert seen == {"HypothesisViolated", "uncovered", "pass", "fail", "skipped"}
+
+
+@pytest.mark.parametrize("field", ["F3", "B2"])
+def test_center_criterion_does_its_window_independent_work_once(B2, field, monkeypatch):
+    """On [0,4]^4 the margin grows from the largest center gap, 2, to 3.
+    Membership is still tested and each ball built once per center, and the
+    verdict is certify_centers's on the window that margin leaves."""
+    A = B2 if field == "B2" else Arrangement.make(FieldSpec.prime(3),
+                                                  [(1, 0), (0, 1), (1, 1), (1, 2)])
+    s = scan(A, (4,) * 4)
+    oracle = ThetaOracle(A)
+    comps = components(s)
+    gaps = {e.center: e.delta for e in centers(s, comps) if e.center}
+    theorems._offsets_within_two(4)  # its one ball is built before the count
+    members, balls = [], []
+    real_in_module, real_ball = theorems.in_module, lattice.ball
+    monkeypatch.setattr(theorems, "in_module",
+                        lambda A, mu, theta: members.append(mu) or real_in_module(A, mu, theta))
+    monkeypatch.setattr(lattice, "ball",
+                        lambda mu, radius, box: balls.append(mu) or real_ball(mu, radius, box))
+    v = theorems._center_criterion(s, oracle, comps, gaps)
+    assert max(gaps.values()) == 2
+    assert v.passed and v.details["margin"] == 3
+    assert sorted(members) == sorted(balls) == sorted(gaps)
+    monkeypatch.undo()
+    cand = CandidateMap({mu: oracle(mu) for mu in gaps})
+    fixed = certify_centers(A, cand, (1,) * 4, trusted_scan=s, oracle=oracle)
+    assert {**fixed.details, "margin": 3} == v.details
+    with pytest.raises(HypothesisViolated, match="uncovered balanced region"):
+        certify_centers(A, cand, (2,) * 4, trusted_scan=s, oracle=oracle, comps=comps)
 
 
 def test_reconstruct_components_roundtrip(B2, b2_scan, b2_oracle):
@@ -510,12 +543,18 @@ def test_reconstruct_components_skipped_without_scan(B2, b2_scan, b2_oracle):
     assert partition
 
 
-def _verdicts(scan_result, oracle):
-    comps = components(scan_result)
-    out = [check_independency(scan_result, oracle, comps),
-           check_basis_step_and_path(scan_result, oracle, comps)]
-    out += _run_criteria(scan_result, oracle, comps)
+def _verdicts(scan_result, oracle, monkeypatch):
+    """The verdicts of ml verify's independence, transport and criteria
+    checks, with the generators of oracle."""
+    monkeypatch.setattr(theorems, "ThetaOracle", lambda A: oracle)
+    out = [v for what in ("independence", "transport", "criteria")
+           for v in run_checks(scan_result, what)]
     return [json.loads(v.to_json()) for v in out]
+
+
+def test_run_checks_refuses_an_unknown_check(b2_scan):
+    with pytest.raises(PreconditionViolated, match="unknown check 'bogus'"):
+        run_checks(b2_scan, "bogus")
 
 
 def _case(ctype, box, corruption):
@@ -575,7 +614,7 @@ def test_verdicts_match_the_determinant_oracles(ctype, box, corruption, failed,
     give pair by pair."""
     scan_result, oracle = _case(ctype, box, corruption)
     A = scan_result.arrangement
-    fast = _verdicts(scan_result, oracle)
+    fast = _verdicts(scan_result, oracle, monkeypatch)
 
     def oracle_proportional(t1, t2, forms=()):
         g = HomogPoly.one(A.field)
@@ -592,7 +631,7 @@ def test_verdicts_match_the_determinant_oracles(ctype, box, corruption, failed,
     monkeypatch.setattr(theorems, "dependent", saito_dependent)
     monkeypatch.setattr(theorems, "dependence_classes", oracle_classes)
     monkeypatch.setattr(theorems, "proportional", oracle_proportional)
-    assert _verdicts(scan_result, oracle) == fast
+    assert _verdicts(scan_result, oracle, monkeypatch) == fast
     assert sum(classified) > 0  # the checks read their classes through the patch
     # G2 [0,2]^6 has no certified center, so its center criterion does not run
     assert [v["check"] for v in fast] == [
