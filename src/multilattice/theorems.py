@@ -426,8 +426,7 @@ def certify_support(A: Arrangement, candidate: CandidateMap, box: Box,
 
 def certify_centers(A: Arrangement, candidate: CandidateMap, box: Box,
                     trusted_scan: Optional[ScanResult] = None,
-                    oracle: Optional[ThetaOracle] = None,
-                    comps: Optional[List[Component]] = None) -> Verdict:
+                    oracle: Optional[ThetaOracle] = None) -> Verdict:
     """Center-identification criterion from the gap-distance identity.
 
     Open balls B(a, g_a) and B(b, g_b) in the orthant share a point iff
@@ -436,19 +435,19 @@ def certify_centers(A: Arrangement, candidate: CandidateMap, box: Box,
     equal to the distance) and coverage are read off each candidate's ball,
     built once in a box that holds every ball whole.  A point that balls
     i < j share is first claimed by i or an earlier ball, so the least
-    overlapping pair is always claimed.  comps, if given, are the components
-    of trusted_scan.
+    overlapping pair is always claimed.
     """
-    return _certify_centers(A, candidate, [box], trusted_scan, oracle, comps)[0]
+    return _certify_centers(A, candidate, [box], trusted_scan, oracle)[0]
 
 
 def _certify_centers(A: Arrangement, candidate: CandidateMap, windows: Sequence[Box],
                      trusted_scan: Optional[ScanResult], oracle: Optional[ThetaOracle],
-                     comps: Optional[List[Component]]) -> Tuple[Verdict, int]:
+                     comps: Optional[List[Component]] = None) -> Tuple[Verdict, int]:
     """certify_centers on the first of the shrinking windows whose balanced
     points the balls cover, with that window's index.  Only coverage depends
     on the window, so everything else is computed once; if no window is
-    covered, the last one's coverage raises."""
+    covered, the last one's coverage raises.  comps, if given, are the
+    components of trusted_scan."""
     name = "criterion-centers"
     N = candidate.points()
     gap = {mu: candidate.delta_prime(mu) for mu in N}
@@ -549,16 +548,26 @@ def reconstruct_components(A: Arrangement, box: Box, oracle: ThetaOracle,
 
 # -- the ml verify run -------------------------------------------------------
 
-CHECKS = ("covering", "ball", "singletons", "transport", "independence", "saito", "criteria",
-          "all")
-
-
 def check_saito_everywhere(scan: ScanResult) -> Verdict:
     """A Saito-verified basis at every point of the scan: full_basis raises
     InternalInconsistency unless verify_saito accepts the pair it returns."""
     for mu in sorted(scan.table):
         full_basis(scan.arrangement, mu)
     return Verdict("saito-everywhere", "pass", [], {"checked": len(scan.table)})
+
+
+# The checks of ml verify in the order printed, each run on the scan, its
+# oracle and its components.
+_CHECKS = (("covering", lambda scan, oracle, comps: [check_covering_steps(scan)]),
+           ("ball", lambda scan, oracle, comps: [check_ball_structure(scan, comps)]),
+           ("singletons", lambda scan, oracle, comps: [check_singleton_gaps(scan)]),
+           ("transport",
+            lambda scan, oracle, comps: [check_basis_step_and_path(scan, oracle, comps)]),
+           ("independence",
+            lambda scan, oracle, comps: [check_independency(scan, oracle, comps)]),
+           ("saito", lambda scan, oracle, comps: [check_saito_everywhere(scan)]),
+           ("criteria", lambda scan, oracle, comps: _criteria(scan, oracle, comps)))
+CHECKS = tuple(name for name, _ in _CHECKS) + ("all",)
 
 
 def run_checks(scan: ScanResult, what: str) -> List[Verdict]:
@@ -569,14 +578,8 @@ def run_checks(scan: ScanResult, what: str) -> List[Verdict]:
         raise PreconditionViolated(f"unknown check {what!r}; choose from {', '.join(CHECKS)}")
     oracle = ThetaOracle(scan.arrangement)
     comps = scan_components(scan)
-    checks = {"covering": lambda: [check_covering_steps(scan)],
-              "ball": lambda: [check_ball_structure(scan, comps)],
-              "singletons": lambda: [check_singleton_gaps(scan)],
-              "transport": lambda: [check_basis_step_and_path(scan, oracle, comps)],
-              "independence": lambda: [check_independency(scan, oracle, comps)],
-              "saito": lambda: [check_saito_everywhere(scan)],
-              "criteria": lambda: _criteria(scan, oracle, comps)}
-    return [v for name in (checks if what == "all" else [what]) for v in checks[name]()]
+    return [v for name, check in _CHECKS if what in (name, "all")
+            for v in check(scan, oracle, comps)]
 
 
 def _criteria(scan: ScanResult, oracle: ThetaOracle, comps: List[Component]) -> List[Verdict]:

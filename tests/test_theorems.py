@@ -524,7 +524,7 @@ def test_center_criterion_does_its_window_independent_work_once(B2, field, monke
     fixed = certify_centers(A, cand, (1,) * 4, trusted_scan=s, oracle=oracle)
     assert {**fixed.details, "margin": 3} == v.details
     with pytest.raises(HypothesisViolated, match="uncovered balanced region"):
-        certify_centers(A, cand, (2,) * 4, trusted_scan=s, oracle=oracle, comps=comps)
+        certify_centers(A, cand, (2,) * 4, trusted_scan=s, oracle=oracle)
 
 
 def test_reconstruct_components_roundtrip(B2, b2_scan, b2_oracle):
