@@ -15,12 +15,12 @@ margin search) and marks a criterion whose hypotheses the scan breaks as
 skipped; the command only turns a failed verdict into exit status 1.
 
 Start-up is most of the cost of one solve, so each command imports the
-layers it runs (``explorer``, ``theorems``, ``coxeter``) when it runs, and
-``_parser`` builds the argument parser of the named command only (that of
-``ml verify`` takes its check names from ``theorems``).  The walk's
-memo is freed at exit by ``dermod``, for library callers too; it is the only
-memo, and no command reads or writes a file of results (``--cache-dir`` is
-still accepted, and has no effect).
+layers it runs (``dermod``, ``explorer``, ``theorems``, ``coxeter``) when
+it runs, and ``_parser`` builds the argument parser of the named command
+only (that of ``ml verify`` takes its check names from ``theorems``).
+The walk's memo is freed at exit by ``dermod``, for library callers too;
+it is the only memo, and no command reads or writes a file of results
+(``--cache-dir`` is still accepted, and has no effect).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import sys
 from typing import TYPE_CHECKING, List, Optional
 
 from . import lattice
-from .dermod import exponents, full_basis
 from .errors import InternalInconsistency, MultilatticeError, ParseError
 from .poly import Arrangement
 
@@ -57,7 +56,9 @@ def load_arrangement(path: str) -> Arrangement:
     try:
         with open(path) as fh:
             return Arrangement.from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, ParseError) as exc:
+    # ValueError: malformed JSON (ParseError too) or an integer past the
+    # interpreter's digit limit; RecursionError: nesting too deep to parse
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read arrangement file {path}: {exc}") from exc
 
 
@@ -75,6 +76,8 @@ def _parse_mu(ctx_a: Arrangement, text: str):
 
 def cmd_exponents(args):
     """Exponents, gap and minimal generator at MU (comma-separated)."""
+    from .dermod import exponents
+
     A = _arrangement(args)
     m = _parse_mu(A, args.mu)
     res = exponents(A, m)
@@ -86,6 +89,8 @@ def cmd_exponents(args):
 
 def cmd_basis(args):
     """Saito-verified homogeneous basis of the module at MU."""
+    from .dermod import full_basis
+
     A = _arrangement(args)
     m = _parse_mu(A, args.mu)
     # full_basis verifies the pair and raises InternalInconsistency on a rejection
@@ -185,6 +190,7 @@ def _print_basis(A: Arrangement, basis, verdict) -> int:
 def cmd_basis_between(args):
     """Basis at KAPPA built from the generators of two ball centers."""
     from . import theorems
+    from .dermod import exponents
 
     A = _arrangement(args)
     m, n, k = (_parse_mu(A, s) for s in (args.mu, args.nu, args.kappa))

@@ -49,7 +49,7 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistency, LengthMismatch, PreconditionViolated
-from .field import FieldSpec, Scalar, invert
+from .field import FieldSpec, Scalar
 from .linalg import domain_of, nullspace, rank
 from .poly import Arrangement, Derivation, HomogPoly, LinearForm, _determinant
 from .record import Frozen, set_field
@@ -135,10 +135,10 @@ def _residual_rows(A: Arrangement, h: int, d: int, ms: Sequence[int]) -> List[Li
     A walk step takes its residuals with one row (m = mu_h); the rank
     oracle stacks the rows m < min(mu_h, d+1) of every form.
     """
-    dom = domain_of(A.field.one())
+    dom = domain_of(A.forms[h].a)
     zero, mul, scale = dom.zero, dom.mul, dom.scale
     (r, s), _ = A.forms[h].images
-    one = dom.clear((A.field.one(),))[0][0]
+    one = dom.one
     r_pows, s_pows = [one], [one]
     for _ in range(d + 1 - min(ms, default=d + 1)):
         r_pows.append(mul(r_pows[-1], r))
@@ -295,7 +295,7 @@ class _Walk:
 
     def __init__(self, A: Arrangement):
         self.A = A
-        self.dom = domain_of(A.field.one())
+        self.dom = domain_of(A.forms[0].a)
         # cleared alpha_h as a coefficient list [y, x]
         self.forms = [lf.images[0] for lf in A.forms]
         self.rows: Dict[Tuple[int, int, int], List] = {}
@@ -303,7 +303,7 @@ class _Walk:
         self.results: Dict[Multiplicity, ExponentResult] = {}
 
     def _root(self) -> _State:
-        one, zero = self.dom.clear((self.A.field.one(),))[0][0], self.dom.zero
+        one, zero = self.dom.one, self.dom.zero
         return ([one, zero], 0, [zero, one], 0)  # dx, dy
 
     def _residual(self, t: List, d: int, h: int, m: int):
@@ -435,13 +435,8 @@ class _Walk:
         return w
 
     def derivation(self, t: List, d: int) -> Derivation:
-        """canonical() of the derivation with images t, built on the images:
-        each coefficient over the first nonzero one in _flat order."""
-        zero, n = self.dom.zero, d + 1
-        lead = next(v for v in (*reversed(t[:n]), *reversed(t[n:])) if v != zero)
-        ratio = self.dom.ratio
-        return Derivation(HomogPoly.make(tuple(ratio(v, lead) for v in t[:n])),
-                          HomogPoly.make(tuple(ratio(v, lead) for v in t[n:])))
+        """canonical() of the derivation with images t, on the images."""
+        return Derivation.of_images(self.dom, t[:d + 1], t[d + 1:], 1).canonical()
 
 
 def _walk(A: Arrangement) -> _Walk:
@@ -509,10 +504,9 @@ def full_basis(A: Arrangement, mu: Sequence[int]) -> Tuple[Derivation, Derivatio
     walk = _walk(A)
     state = walk.basis(tuple(mu))
     t2 = walk.derivation(walk.partner(state), state[3])
-    verdict = verify_saito(A, mu, t1, t2)
-    if not verdict.accepted:
-        raise InternalInconsistency(
-            f"independent partner failed Saito verification: {verdict.reason}")
+    failed, _ = _saito(A, tuple(mu), [t1.cleared, t2.cleared])
+    if failed:
+        raise InternalInconsistency(f"independent partner failed Saito verification: {failed}")
     return (t1, t2)
 
 
@@ -557,11 +551,12 @@ def _in_module_images(A: Arrangement, mu: Sequence[int], dom, P: List, Q: List) 
 
 
 def _saito(A: Arrangement, mu: Multiplicity,
-           gens: Sequence[Tuple]) -> Tuple[Optional[str], Optional[Scalar]]:
+           gens: Sequence[Tuple]) -> Tuple[Optional[str], Optional[Tuple]]:
     """Saito's criterion on integer images: the one decision of
-    _Walk.certify and verify_saito, on two generators, each given as
-    Derivation.cleared.  Returns (None, c) for a basis of D(A, mu) with
-    det = c*Q(A, mu); else (check, None) for the first failed check:
+    _Walk.certify, full_basis and verify_saito, on two generators, each
+    given as Derivation.cleared.  Returns (None, c) for a basis of D(A, mu)
+    with det = c*Q(A, mu), c as the ([image], den) of dom.over; else
+    (check, None) for the first failed check:
     "theta1" or "theta2" (zero or not in the module), "degree" (degrees
     not summing to |mu|), then "dependent".
 
@@ -578,7 +573,7 @@ def _saito(A: Arrangement, mu: Multiplicity,
     (dom, p1, q1, den1), (_, p2, q2, den2) = gens
     if len(p1 or q1) + len(p2 or q2) - 2 != sum(mu):
         return "degree", None
-    (q,), qden = dom.clear((A.field.one(),))  # Q_k = q / qden
+    q, qden = dom.one, 1  # Q_k = q / qden
     k = 0
     for lf, m in zip(A.forms, mu):
         (r, _), den = lf.images  # r / den = b
@@ -590,7 +585,7 @@ def _saito(A: Arrangement, mu: Multiplicity,
     det = _determinant(dom, p1[:k + 1], q1[:k + 1], p2[:k + 1], q2[:k + 1])[k]
     if det == dom.zero:
         return "dependent", None
-    return None, dom.back(det, den1 * den2) * invert(dom.back(q, qden))
+    return None, dom.over([dom.scale(det, qden)], dom.scale(q, den1 * den2))
 
 
 def verify_saito(A: Arrangement, mu: Sequence[int], t1: Derivation, t2: Derivation) -> SaitoVerdict:
@@ -600,7 +595,8 @@ def verify_saito(A: Arrangement, mu: Sequence[int], t1: Derivation, t2: Derivati
     mu = tuple(mu)
     if len(mu) != len(A):
         raise LengthMismatch("multiplicity length does not match arrangement")
-    reason, scalar = _saito(A, mu, [t1.cleared, t2.cleared])
+    reason, c = _saito(A, mu, [t1.cleared, t2.cleared])
+    scalar = c and t1.cleared[0].back(c[0][0], c[1])
     if reason in ("theta1", "theta2"):
         zero = (t1 if reason == "theta1" else t2).is_zero
         reason = f"membership: {reason} {'is zero' if zero else 'not in the module'}"

@@ -19,7 +19,7 @@ import os
 import time
 from typing import Dict, List, Optional, Tuple
 
-from . import dermod, lattice
+from . import lattice
 from .errors import ParseError
 from .lattice import Box, Multiplicity
 from .poly import Arrangement
@@ -74,7 +74,9 @@ class ScanResult(Record):
         """
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # ValueError: malformed JSON or an integer past the interpreter's
+        # digit limit; RecursionError: nesting too deep to parse
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"scan file is not JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ParseError("scan file must hold a JSON object")
@@ -119,12 +121,14 @@ _WORKER_ARRANGEMENT: Optional[Arrangement] = None
 
 
 def _init_worker(A: Arrangement) -> None:
-    global _WORKER_ARRANGEMENT
+    global _WORKER_ARRANGEMENT, _delta
+    from .dermod import delta as _delta  # here, since a command that reads a scan never solves
+
     _WORKER_ARRANGEMENT = A
 
 
 def _solve_point(mu: Multiplicity) -> int:
-    return dermod.delta(_WORKER_ARRANGEMENT, mu)
+    return _delta(_WORKER_ARRANGEMENT, mu)
 
 
 # A pool worker pays for its fork, its imports and the pickling of its

@@ -6,7 +6,7 @@ F_p), builds elements back, and runs every exact kernel on the images:
 fraction-free (Bareiss) or unit-pivot mod-p elimination, convolution,
 synthetic division, and the products, integer multiples, dot products,
 content removal and division by a lead coefficient that the lattice walk
-in dermod, its Saito certificate and poly's dependence test run on.
+in dermod, its Saito certificate and poly's derivations run on.
 rank is the elimination's pivot count on rows of images; nullspace takes
 field rows, clears them and back-substitutes from the same echelon form.
 Both are the tests' elimination oracle: no production path eliminates, and
@@ -35,6 +35,7 @@ class Domain(NamedTuple):
 
     clear: Callable  # row -> (images, den) with row[i] == images[i] / den
     zero: object  # the image of 0
+    one: object  # the image of 1
     back: Callable  # (image[, den]) -> the field element image / den
     echelon: Callable  # (mat, ncols) -> (echelon rows, pivot columns); mat is consumed
     convolve: Callable  # (out, f, g, sign) adds sign * f * g into out
@@ -43,7 +44,12 @@ class Domain(NamedTuple):
     scale: Callable  # (u, n) -> the image of n * u, for an integer n
     dot: Callable  # (u, v) -> the image of sum(u[i] * v[i])
     primitive: Callable  # vec -> vec over its integer content (residues reduced over F_p)
-    ratio: Callable  # (v, lead) -> the field element v / lead (lead nonzero)
+    over: Callable  # (vec, v) -> clear of the elements vec[i] / v, for images (v nonzero)
+
+    def __reduce__(self):
+        # by its field, so that an unpickled domain is domain_of's own and
+        # the derivations over it compare equal
+        return domain_of, (self.back(self.zero),)
 
 
 def _clear_rational(row) -> Tuple[List[int], int]:
@@ -124,17 +130,15 @@ def _primitive_int(vec: List[int]) -> List[int]:
     return vec if g <= 1 else [c // g for c in vec]
 
 
-@functools.lru_cache(maxsize=1 << 12)
-def _ratio_int(v: int, lead: int) -> Fraction:
-    # walked bases repeat the same few coefficients: 93 % of the calls of a
-    # B2 [0,5]^4 + G2 [0,2]^6 scan hit, and the shared immutable results
-    # keep the table smaller; the bound caps the memory of large keys
-    return Fraction(v, lead)
+def _over_int(vec: List[int], v: int) -> Tuple[List[int], int]:
+    # clear gives the images and the den > 0 that share no factor
+    g = math.gcd(*vec, v) if v > 0 else -math.gcd(*vec, v)
+    return [c // g for c in vec], v // g
 
 
-_RATIONAL_DOMAIN = Domain(_clear_rational, 0, Fraction, _echelon_int, _convolve_int,
+_RATIONAL_DOMAIN = Domain(_clear_rational, 0, 1, Fraction, _echelon_int, _convolve_int,
                           _power_divides_int, operator.mul, operator.mul, _dot_int,
-                          _primitive_int, _ratio_int)
+                          _primitive_int, _over_int)
 
 
 def _clear_quadratic(row) -> Tuple[List[Tuple[int, int]], int]:
@@ -240,11 +244,13 @@ def _primitive_quad(vec: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     return vec if g <= 1 else [(a // g, b // g) for a, b in vec]
 
 
-@functools.lru_cache(maxsize=1 << 12)
-def _ratio_quad(d: int, v, lead) -> QuadElem:
-    # cached for the reason _ratio_int is
-    # v / lead = v * conj(lead) / norm(lead); the norm is nonzero since d is no square
-    return _quad_back(d, _qmul(v, (lead[0], -lead[1]), d), lead[0] ** 2 - d * lead[1] ** 2)
+def _over_quad(d: int, vec, v) -> Tuple[List[Tuple[int, int]], int]:
+    # vec[i] / v = vec[i] * conj(v) / norm(v), and the norm is nonzero since
+    # d is no square; then as _over_int, on both parts of every image
+    n = v[0] * v[0] - d * v[1] * v[1]
+    vec = [_qmul(c, (v[0], -v[1]), d) for c in vec]
+    g = math.gcd(*(c for pair in vec for c in pair), n) * (1 if n > 0 else -1)
+    return [(a // g, b // g) for a, b in vec], n // g
 
 
 def _quad_back(d: int, v, den: int = 1) -> QuadElem:
@@ -255,11 +261,11 @@ def _quad_back(d: int, v, den: int = 1) -> QuadElem:
 
 @functools.lru_cache(maxsize=None)
 def _quadratic_domain(d: int) -> Domain:
-    return Domain(_clear_quadratic, (0, 0), functools.partial(_quad_back, d),
+    return Domain(_clear_quadratic, (0, 0), (1, 0), functools.partial(_quad_back, d),
                   functools.partial(_echelon_quad, d), functools.partial(_convolve_quad, d),
                   functools.partial(_power_divides_quad, d), functools.partial(_qmul, d=d),
                   _qscale, functools.partial(_dot_quad, d),
-                  _primitive_quad, functools.partial(_ratio_quad, d))
+                  _primitive_quad, functools.partial(_over_quad, d))
 
 
 def _echelon_modp(p: int, mat: List[List[int]], ncols: int):
@@ -324,8 +330,9 @@ def _primitive_modp(p: int, vec: List[int]) -> List[int]:
     return [c % p for c in vec]
 
 
-def _ratio_modp(p: int, v: int, lead: int) -> ModInt:
-    return ModInt(v * pow(lead, -1, p), p)
+def _over_modp(p: int, vec: List[int], v: int) -> Tuple[List[int], int]:
+    inv = pow(v, -1, p)
+    return [c * inv % p for c in vec], 1
 
 
 def _clear_modp(row) -> Tuple[List[int], int]:
@@ -339,11 +346,11 @@ def _modp_back(p: int, v: int, den: int = 1) -> ModInt:
 
 @functools.lru_cache(maxsize=None)
 def _prime_domain(p: int) -> Domain:
-    return Domain(_clear_modp, 0, functools.partial(_modp_back, p),
+    return Domain(_clear_modp, 0, 1, functools.partial(_modp_back, p),
                   functools.partial(_echelon_modp, p), functools.partial(_convolve_modp, p),
                   functools.partial(_power_divides_modp, p), functools.partial(_mul_modp, p),
                   functools.partial(_mul_modp, p), functools.partial(_dot_modp, p),
-                  functools.partial(_primitive_modp, p), functools.partial(_ratio_modp, p))
+                  functools.partial(_primitive_modp, p), functools.partial(_over_modp, p))
 
 
 def domain_of(x: Scalar) -> Domain:

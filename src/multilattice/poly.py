@@ -4,14 +4,17 @@ Coefficient convention: a homogeneous polynomial of degree d is stored as
 the tuple (c_0, ..., c_d) meaning sum(c_i * x**i * y**(d - i)).  The zero
 polynomial is the empty tuple and carries no degree.
 
-The verification kernels (the dependence and proportionality predicates,
-Saito determinants, defining polynomials and the divisions behind module
-membership) run on the integer images of the coefficients, through the
-field's linalg.Domain.  Nothing is evaluated at a point: dependence
-compares the leading terms of P/Q at x = 0 and at y = 0 (Derivation.ends)
-and convolves the full determinant only where those agree, and dermod's
-Saito certificate reads one determinant coefficient.  The HomogPoly
-arithmetic stays for everything else and as their test oracle.
+A Derivation is the integer images of its coefficients, through the
+field's linalg.Domain (Derivation.cleared), and the verification kernels
+run on them: the dependence and proportionality predicates, the product
+with linear forms of the basis construction, Saito determinants, defining
+polynomials and the divisions behind module membership.  Field elements
+are built only where something reads P or Q: to print a derivation, and in
+the HomogPoly arithmetic, which the tests keep as their oracle.  Nothing
+is evaluated at a point: dependence compares the leading terms of P/Q at
+x = 0 and at y = 0 (Derivation.ends) and convolves the full determinant
+only where those agree, and dermod's Saito certificate reads one
+determinant coefficient.
 """
 
 from __future__ import annotations
@@ -204,12 +207,6 @@ class HomogPoly(Frozen):
                 out[i + j] = t if out[i + j] is None else out[i + j] + t
         return HomogPoly.make(tuple(out))
 
-    def pow(self, n: int, fs: FieldSpec) -> "HomogPoly":
-        result = HomogPoly.one(fs)
-        for _ in range(n):
-            result = result * self
-        return result
-
     def format(self, fs: FieldSpec, vars=("x", "y")) -> str:
         if self.is_zero:
             return "0"
@@ -289,43 +286,74 @@ def linear_form_multiplicity(f: HomogPoly, lf: LinearForm) -> int:
 
 
 class Derivation(Frozen):
-    """theta = P*dx + Q*dy with P, Q homogeneous of a common degree."""
+    """theta = P*dx + Q*dy with P, Q homogeneous of a common degree.
 
-    _fields = ("P", "Q")  # no __slots__: cleared and ends are cached
+    A derivation is its integer images: cleared = (dom, P, Q, den) holds P
+    and Q as the images that dom.clear gives for their coefficients, over
+    one common denominator, a zero part as [], with their linalg.Domain
+    (None for the zero derivation).  Equality, hash and pickling use it,
+    every kernel reads it, and the lattice walk hands its generators over
+    in it (of_images).  The field coefficients are built from it on each
+    read of P or Q, which format, the field arithmetic (+, -, scale and
+    mul_poly) and repr do.
+    """
+
+    _fields = ("P", "Q")  # what repr prints; no __slots__: cleared and ends live in __dict__
 
     def __init__(self, P: HomogPoly = HomogPoly(), Q: HomogPoly = HomogPoly()):
         if P.coeffs and Q.coeffs and len(P.coeffs) != len(Q.coeffs):
             raise ValueError("P and Q must have the same degree")
-        set_field(self, "P", P)
-        set_field(self, "Q", Q)
+        coeffs = P.coeffs + Q.coeffs
+        dom = domain_of(coeffs[0] if coeffs else 0)
+        images, den = dom.clear(coeffs)
+        n = len(P.coeffs)
+        set_field(self, "cleared", _cleared(dom, images[:n], images[n:], den))
+
+    @classmethod
+    def of_images(cls, dom, P: list, Q: list, den) -> "Derivation":
+        """The derivation with the coefficients P[i] / den and Q[i] / den,
+        given as the images that dom.clear gives for them (a zero part as []
+        or as zeros); it equals Derivation built from those coefficients."""
+        theta = cls.__new__(cls)
+        set_field(theta, "cleared", _cleared(dom, P, Q, den))
+        return theta
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.cleared == other.cleared
+        return NotImplemented
+
+    def __hash__(self):
+        c = self.cleared
+        return hash(c and (tuple(c[1]), tuple(c[2]), c[3]))
+
+    def __reduce__(self):
+        # rebuilt as zero, then given its value and its cached ends
+        return Derivation, (), self.__dict__
+
+    P = property(lambda self: self._part(1))
+    Q = property(lambda self: self._part(2))
+
+    def _part(self, i: int) -> HomogPoly:
+        """P (i = 1) or Q (i = 2) in field coefficients, built from the images."""
+        if self.cleared is None:
+            return HomogPoly()
+        dom, den = self.cleared[0], self.cleared[3]
+        return HomogPoly(tuple(dom.back(v, den) for v in self.cleared[i]))
 
     @property
     def is_zero(self) -> bool:
-        return self.P.is_zero and self.Q.is_zero
+        return self.cleared is None
 
     @property
     def degree(self) -> Optional[int]:
-        if not self.P.is_zero:
-            return self.P.degree
-        return self.Q.degree
+        if self.cleared is None:
+            return None
+        return len(self.cleared[1] or self.cleared[2]) - 1
 
     @classmethod
     def zero(cls) -> "Derivation":
         return cls()
-
-    @_functools.cached_property
-    def cleared(self):
-        """(dom, P, Q, den): P and Q as integer images over one common
-        denominator (a zero part as []), with their linalg.Domain.
-
-        None for the zero derivation.  Computed once per object.
-        """
-        if self.is_zero:
-            return None
-        dom = domain_of((self.P.coeffs or self.Q.coeffs)[0])
-        n = len(self.P.coeffs)
-        vals, den = dom.clear(self.P.coeffs + self.Q.coeffs)
-        return dom, vals[:n], vals[n:], den
 
     @_functools.cached_property
     def ends(self):
@@ -334,7 +362,8 @@ class Derivation(Frozen):
         "dx" when Q = 0, and otherwise
         (v_x(P) - v_x(Q), lc_x(P)/lc_x(Q), v_y(P) - v_y(Q), lc_y(P)/lc_y(Q)),
         where v_x(f) is the power of x dividing f and lc_x(f) the
-        coefficient of f there, likewise at y = 0.
+        coefficient of f there, likewise at y = 0, and each quotient is the
+        (image, den) that dom.over gives for it.
 
         None for the zero derivation.  Computed once per object.
         """
@@ -351,7 +380,7 @@ class Derivation(Frozen):
         qx = next(i for i, c in enumerate(Q) if c != zero)
         py = next(i for i in range(top, -1, -1) if P[i] != zero)
         qy = next(i for i in range(top, -1, -1) if Q[i] != zero)
-        return px - qx, dom.ratio(P[px], Q[qx]), qy - py, dom.ratio(P[py], Q[qy])
+        return px - qx, _quotient(dom, P[px], Q[qx]), qy - py, _quotient(dom, P[py], Q[qy])
 
     def __add__(self, other: "Derivation") -> "Derivation":
         return Derivation(self.P + other.P, self.Q + other.Q)
@@ -368,40 +397,47 @@ class Derivation(Frozen):
     def mul_poly(self, g: HomogPoly) -> "Derivation":
         return Derivation(g * self.P, g * self.Q)
 
-    def _flat(self):
-        # P then Q, each listed from the highest x-power down
-        d = self.degree
-        if d is None:
-            return ()
-        z = None
-        pc = self.P.coeffs if not self.P.is_zero else None
-        qc = self.Q.coeffs if not self.Q.is_zero else None
-        out = []
-        for cs in (pc, qc):
-            if cs is None:
-                out.extend([z] * (d + 1))
-            else:
-                out.extend(reversed(cs))
-        return tuple(out)
+    def times(self, forms: Sequence[LinearForm]) -> "Derivation":
+        """theta times the product of the linear forms, on the images."""
+        if self.is_zero or not forms:
+            return self
+        dom, P, Q, den = self.cleared
+        g, gden = product_images(forms)
+        return _divided(dom, _times(dom, P, g), _times(dom, Q, g), dom.scale(dom.one, den * gden))
 
     def canonical(self) -> "Derivation":
-        """Scale so the first nonzero flattened coefficient is 1."""
+        """The multiple whose first nonzero coefficient is 1, in the order
+        P then Q, each from the highest x-power down; on the images."""
         if self.is_zero:
             return self
-        for c in self._flat():
-            if c is not None and c:
-                return self.scale(invert(c))
-        return self  # pragma: no cover
+        dom, P, Q, _ = self.cleared
+        zero = dom.zero
+        return _divided(dom, P, Q, next(v for v in (*reversed(P), *reversed(Q)) if v != zero))
 
     def format(self, fs: FieldSpec) -> str:
         if self.is_zero:
             return "0"
-        parts = []
-        if not self.P.is_zero:
-            parts.append(f"({self.P.format(fs)})*dx")
-        if not self.Q.is_zero:
-            parts.append(f"({self.Q.format(fs)})*dy")
-        return " + ".join(parts)
+        return " + ".join(f"({f.format(fs)})*{v}" for f, v in ((self.P, "dx"), (self.Q, "dy"))
+                          if not f.is_zero)
+
+
+def _cleared(dom, P: list, Q: list, den):
+    """Derivation.cleared of the images: a zero part as [], None if both are."""
+    zero = dom.zero
+    P, Q = ([] if f.count(zero) == len(f) else f for f in (P, Q))
+    return (dom, P, Q, den) if P or Q else None
+
+
+def _divided(dom, P: list, Q: list, v) -> Derivation:
+    """The derivation with the images P and Q over the nonzero image v."""
+    images, den = dom.over(P + Q, v)
+    return Derivation.of_images(dom, images[:len(P)], images[len(P):], den)
+
+
+def _quotient(dom, v, w):
+    """v / w of two images (w nonzero) as the hashable (image, den) of dom.over."""
+    (u,), den = dom.over([v], w)
+    return u, den
 
 
 def apply_derivation(theta: Derivation, lf: LinearForm) -> HomogPoly:
@@ -495,28 +531,12 @@ def proportional(t1: Derivation, t2: Derivation, forms: Sequence[LinearForm] = (
     """True iff t1 is a scalar multiple of g*t2, g the product of the
     linear forms; a zero derivation counts.
 
-    g*t2 is formed on the integer images, and both flattened image vectors
-    are cross-multiplied against t1's first nonzero entry.
+    Nonzero multiples of one derivation share one canonical form, so the
+    canonical forms of t1 and g*t2, formed on the images, are compared.
     """
     if t1.is_zero or t2.is_zero:
         return True
-    if t1.degree != t2.degree + len(forms):
-        return False
-    dom, p1, q1, _ = t1.cleared
-    _, p2, q2, _ = t2.cleared
-    if forms:
-        g, _ = product_images(forms)
-        p2, q2 = (_times(dom, f, g) for f in (p2, q2))
-    zero = dom.zero
-    n = t1.degree + 1
-    u = (p1 or [zero] * n) + (q1 or [zero] * n)
-    v = (p2 or [zero] * n) + (q2 or [zero] * n)
-    k = next(i for i, c in enumerate(u) if c != zero)
-    uk, vk = u[k], v[k]
-    if vk == zero:
-        return False
-    mul = dom.mul
-    return all(mul(a, vk) == mul(b, uk) for a, b in zip(u, v))
+    return t1.canonical() == t2.times(forms).canonical()
 
 
 def _times(dom, f: list, g: list) -> list:

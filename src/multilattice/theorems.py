@@ -35,14 +35,7 @@ from .dermod import exponents, full_basis, in_module, verify_saito
 from .errors import HypothesisViolated, PreconditionViolated
 from .explorer import Component, ScanResult, centers as scan_centers, components as scan_components
 from .lattice import Box, Multiplicity
-from .poly import (
-    Arrangement,
-    Derivation,
-    HomogPoly,
-    dependence_classes,
-    dependent,
-    proportional,
-)
+from .poly import Arrangement, Derivation, dependence_classes, dependent, proportional
 from .record import Frozen, Record, set_field
 
 
@@ -273,15 +266,6 @@ def check_independency(scan: ScanResult, oracle: ThetaOracle,
 # -- basis construction ------------------------------------------------------
 
 
-def multiplier_form(A: Arrangement, base: Multiplicity, kappa: Multiplicity) -> HomogPoly:
-    """Product of alpha_H ** max(kappa_H - base_H, 0)."""
-    out = HomogPoly.one(A.field)
-    for lf, b, k in zip(A.forms, base, kappa):
-        if k > b:
-            out = out * HomogPoly.from_linear_form(lf).pow(k - b, A.field)
-    return out
-
-
 def construct_basis_between(A: Arrangement, mu: Multiplicity, nu: Multiplicity,
                             kappa: Multiplicity, theta_mu: Derivation,
                             theta_nu: Derivation):
@@ -305,10 +289,9 @@ def construct_basis_between(A: Arrangement, mu: Multiplicity, nu: Multiplicity,
     meet, join = lattice.meet_join(mu, nu)
     if not (lattice.leq(meet, kappa) and lattice.leq(kappa, join)):
         raise PreconditionViolated("kappa outside the meet-join interval")
-    m1 = multiplier_form(A, mu, kappa)
-    m2 = multiplier_form(A, nu, kappa)
-    t1 = theta_mu.mul_poly(m1)
-    t2 = theta_nu.mul_poly(m2)
+    # each generator times the product of alpha_H ** max(kappa_H - base_H, 0)
+    t1, t2 = (theta.times([lf for lf, b, k in zip(A.forms, base, kappa) for _ in range(k - b)])
+              for theta, base in ((theta_mu, mu), (theta_nu, nu)))
     verdict = verify_saito(A, kappa, t1, t2)
     return (t1, t2), verdict
 

@@ -1,6 +1,7 @@
 """Library code that only the tests call: reference predicates and
 enumerations the production paths do not need."""
 
+import pickle
 from itertools import combinations, product
 from typing import List, Optional, Sequence
 
@@ -8,6 +9,7 @@ from multilattice.dermod import in_module
 from multilattice.errors import HypothesisViolated, LengthMismatch, NotComparable
 from multilattice.explorer import centers
 from multilattice.field import FieldSpec, invert
+from multilattice.linalg import domain_of
 from multilattice import lattice
 from multilattice.lattice import Multiplicity
 from multilattice.poly import (
@@ -27,6 +29,67 @@ def euler(fs: FieldSpec) -> Derivation:
     return Derivation(HomogPoly((z, one)), HomogPoly((one, z)))
 
 
+def power(f: HomogPoly, n: int, fs: FieldSpec) -> HomogPoly:
+    """f ** n in field arithmetic."""
+    out = HomogPoly.one(fs)
+    for _ in range(n):
+        out = out * f
+    return out
+
+
+def multiplier_form(A: Arrangement, base: Multiplicity, kappa: Multiplicity) -> HomogPoly:
+    """Product of alpha_H ** max(kappa_H - base_H, 0) in field arithmetic:
+    the oracle for the multiplier of theorems.construct_basis_between."""
+    out = HomogPoly.one(A.field)
+    for lf, b, k in zip(A.forms, base, kappa):
+        if k > b:
+            out = out * power(HomogPoly.from_linear_form(lf), k - b, A.field)
+    return out
+
+
+def flat(theta: Derivation) -> tuple:
+    """The field coefficients of P then Q, each from the highest x-power
+    down, a zero part as Nones."""
+    d = theta.degree
+    if d is None:
+        return ()
+    out = []
+    for f in (theta.P, theta.Q):
+        out.extend(reversed(f.coeffs) if f.coeffs else [None] * (d + 1))
+    return tuple(out)
+
+
+def field_canonical(theta: Derivation) -> Derivation:
+    """theta scaled so that the first nonzero coefficient of flat is 1, in
+    field arithmetic: the oracle for Derivation.canonical."""
+    lead = next((c for c in flat(theta) if c is not None and c), None)
+    return theta if lead is None else theta.scale(invert(lead))
+
+
+def field_derivation(fs: FieldSpec, images: Sequence, d: int) -> Derivation:
+    """The canonical derivation of the walk's images [P | Q] of degree d,
+    built from field coefficients: each image over the first nonzero one in
+    flat order.  The oracle for dermod._Walk.derivation."""
+    back = domain_of(fs.one()).back
+    coeffs = [back(v) for v in images]
+    lead = next(c for c in (*reversed(coeffs[:d + 1]), *reversed(coeffs[d + 1:])) if c)
+    return Derivation(HomogPoly.make(tuple(c / lead for c in coeffs[:d + 1])),
+                      HomogPoly.make(tuple(c / lead for c in coeffs[d + 1:])))
+
+
+def assert_same_derivation(fs: FieldSpec, field: Derivation, images: Derivation) -> None:
+    """field, built from field coefficients, and images, built on integer
+    images, are one derivation: equal, hashed alike, still so after
+    pickling, and with the same P, Q and printed form."""
+    assert field == images and hash(field) == hash(images)
+    for theta in (field, images):
+        back = pickle.loads(pickle.dumps(theta))
+        assert back == field and hash(back) == hash(field)
+    assert field.P == images.P and field.Q == images.Q
+    assert field.format(fs) == images.format(fs)
+    assert all(type(c) is type(fs.one()) for c in images.P.coeffs + images.Q.coeffs)
+
+
 def proportional_derivations(t1: Derivation, t2: Derivation) -> bool:
     """True if one is a scalar multiple of the other (zero counts), in
     field arithmetic: the oracle for poly.proportional."""
@@ -34,7 +97,7 @@ def proportional_derivations(t1: Derivation, t2: Derivation) -> bool:
         return True
     if t1.degree != t2.degree:
         return False
-    f1, f2 = t1._flat(), t2._flat()
+    f1, f2 = flat(t1), flat(t2)
     lead = None
     for a, b in zip(f1, f2):
         an = bool(a) if a is not None else False

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from typing import NamedTuple
@@ -141,21 +142,23 @@ def test_verify_reports_a_wrong_generator(b2_5_scan_file, monkeypatch):
     assert len(witnesses) == 10 and all("(0, 3, 0, 5)" in w for w in witnesses)
 
 
-def count_verify_saito(monkeypatch):
+def count_full_basis_saito(monkeypatch):
+    """The mu of every Saito decision (dermod._saito) that full_basis makes;
+    the walk's own certificates are not counted."""
     calls = []
-    real = dermod.verify_saito
+    real = dermod._saito
 
-    def counting(*args):
-        calls.append(tuple(args[1]))
-        return real(*args)
+    def counting(A, mu, gens):
+        if sys._getframe(1).f_code.co_name == "full_basis":
+            calls.append(tuple(mu))
+        return real(A, mu, gens)
 
-    monkeypatch.setattr(dermod, "verify_saito", counting)
-    monkeypatch.setattr(theorems, "verify_saito", counting)
+    monkeypatch.setattr(dermod, "_saito", counting)
     return calls
 
 
 def test_saito_everywhere_verifies_each_basis_once(scan_file, monkeypatch):
-    calls = count_verify_saito(monkeypatch)
+    calls = count_full_basis_saito(monkeypatch)
     with open(scan_file) as fh:
         result = ScanResult.from_json(fh.read())
     verdict = theorems.check_saito_everywhere(result)
@@ -426,7 +429,8 @@ def _modules_after(*args):
     """The package's optional layers (and click, hashlib, dataclasses, inspect)
     that ``ml args`` imports."""
     watched = ("click", "dataclasses", "hashlib", "inspect", "multilattice.cache",
-               "multilattice.coxeter", "multilattice.explorer", "multilattice.theorems")
+               "multilattice.coxeter", "multilattice.dermod", "multilattice.explorer",
+               "multilattice.theorems")
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "from multilattice import cli\n"
@@ -441,12 +445,15 @@ def _modules_after(*args):
 
 
 def test_a_cold_solve_imports_only_the_layers_it_runs(scan_file, tmp_path):
-    assert _modules_after("exponents", "--coxeter", "B2", "1,1,1,1") == "['multilattice.coxeter']"
-    assert _modules_after("basis", "--coxeter", "G2", "1,1,1,1,1,1") == "['multilattice.coxeter']"
-    assert "multilattice.theorems" not in _modules_after("components", "--scan", scan_file)
+    solver = "['multilattice.coxeter', 'multilattice.dermod']"
+    assert _modules_after("exponents", "--coxeter", "B2", "1,1,1,1") == solver
+    assert _modules_after("basis", "--coxeter", "G2", "1,1,1,1,1,1") == solver
+    # components reads a scan file and never solves
+    loaded = _modules_after("components", "--scan", scan_file)
+    assert "multilattice.dermod" not in loaded and "multilattice.theorems" not in loaded
     # --cache-dir has no effect: nothing loads the cache layer or makes the directory
     assert _modules_after("exponents", "--coxeter", "B2", "--cache-dir", str(tmp_path / "c"),
-                          "1,1,1,1") == "['multilattice.coxeter']"
+                          "1,1,1,1") == solver
     assert not (tmp_path / "c").exists()
 
 
@@ -541,7 +548,7 @@ def test_exit_code_three_on_solver_inconsistency(monkeypatch):
     def broken(*args, **kwargs):
         raise InternalInconsistency("degree-0 piece has dimension 0")
 
-    monkeypatch.setattr(cli, "exponents", broken)
+    monkeypatch.setattr(dermod, "exponents", broken)  # cmd_exponents imports it when it runs
     monkeypatch.setattr(sys, "argv", ["ml", "exponents", "--coxeter", "B2", "1,1,1,1"])
     with pytest.raises(SystemExit) as exc:
         cli.run()
@@ -626,6 +633,32 @@ def test_exit_code_two_on_malformed_input(tmp_path, args, arrangement):
     proc = _run_ml(*args)
     assert proc.returncode == 2, proc.stderr
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _json_fault(text: str, key: str, fault: str) -> str:
+    """text made unreadable to the json module without a JSONDecodeError:
+    nested past the recursion limit, or with the first integer value of key
+    past the interpreter's limit of 4300 digits."""
+    if fault == "deep-nesting":
+        return "[" * 100_000 + "]" * 100_000
+    text, count = re.subn(f'("{key}": ?)\\d+', "\\g<1>1" + "0" * 5000, text, count=1)
+    assert count == 1
+    return text
+
+
+@pytest.mark.parametrize("fault", ["deep-nesting", "long-integer"])
+def test_exit_code_two_on_json_the_parser_cannot_hold(scan_file, tmp_path, fault):
+    bad_scan = tmp_path / "scan.json"
+    bad_scan.write_text(_json_fault(open(scan_file).read(), "delta", fault))
+    bad_arr = tmp_path / "arr.json"
+    bad_arr.write_text(_json_fault(json.dumps(_arrangement_file(
+        field={"type": "prime", "p": 3}, forms=[["1", "0"], ["0", "1"]])), "p", fault))
+    for args in (("verify", "--scan", bad_scan, "all"), ("components", "--scan", bad_scan),
+                 ("basis-for", "--scan", bad_scan, "--kappa", "1,2,1,2"),
+                 ("exponents", "-a", bad_arr, "1,1")):
+        proc = _run_ml(*map(str, args))
+        assert proc.returncode == 2, (args, proc.stderr[-300:])
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_exit_code_two_at_once_on_a_huge_exponent(tmp_path):

@@ -57,7 +57,7 @@ from multilattice.poly import (
     linear_form_multiplicity,
     saito_determinant,
 )
-from helpers import euler, proportional_derivations
+from helpers import assert_same_derivation, euler, field_derivation, power, proportional_derivations
 from modular import Projection
 
 FS = FieldSpec.rational()
@@ -165,7 +165,7 @@ def rows_by_inversion(fs, lf, d):
     """Constraint rows from powers of alpha and beta and a matrix inverse."""
     beta = LinearForm.make(fs, 0, 1) if lf.a else LinearForm.make(fs, 1, 0)
     ap, bp = HomogPoly.from_linear_form(lf), HomogPoly.from_linear_form(beta)
-    cols = [(ap.pow(i, fs) * bp.pow(d - i, fs)).coeffs for i in range(d + 1)]
+    cols = [(power(ap, i, fs) * power(bp, d - i, fs)).coeffs for i in range(d + 1)]
     inv = invert_matrix([[cols[i][j] for i in range(d + 1)] for j in range(d + 1)], fs)
     return tuple(tuple(lf.a * v for v in r) + tuple(lf.b * v for v in r) for r in inv)
 
@@ -202,7 +202,7 @@ def test_residual_rows_are_the_closed_form_rows_on_images(fs):
                 lead_g = next((c for c in got if c != dom.zero), None)
                 assert (lead_w is None) == (lead_g is None), (h, m, d)
                 if lead_w is not None:
-                    assert [c / lead_w for c in want] == [dom.ratio(c, lead_g) for c in got]
+                    assert dom.clear([c / lead_w for c in want]) == dom.over(got, lead_g)
 
 
 ORACLE_FIELDS = [FieldSpec.rational(), FieldSpec.quadratic(2), FieldSpec.quadratic(3),
@@ -661,6 +661,19 @@ def test_in_module_matches_division_oracle(fs, pairs):
                 outcomes.add(got)
         assert in_module(A, mu, t1) and in_module(A, mu, t2)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("fs,pairs", MEMBERSHIP_CASES, ids=MEMBERSHIP_IDS)
+def test_walk_generators_are_the_field_oracle_derivations(fs, pairs):
+    """The walk hands out each generator as integer images; it is the
+    derivation that field_derivation builds from field coefficients, at
+    every point of a box, for theta_min and the full_basis partner."""
+    A = Arrangement.make(fs, pairs)
+    walk = dermod._walk(A)
+    for mu in lattice.box_points((2,) * len(A)):
+        state = walk.basis(mu)
+        for t, d in ((walk.minimal(state)[0], state[1]), (walk.partner(state), state[3])):
+            assert_same_derivation(fs, field_derivation(fs, t, d), walk.derivation(t, d))
 
 
 @pytest.mark.parametrize("fs,pairs", MEMBERSHIP_CASES, ids=MEMBERSHIP_IDS)

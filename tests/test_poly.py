@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 from multilattice import poly
 from multilattice.errors import ExactDivisionError, ProportionalForms, ZeroPolynomial
 from multilattice.field import FieldSpec, QuadElem
+from multilattice.linalg import domain_of
 from multilattice.poly import (
     Arrangement,
     Derivation,
@@ -28,7 +29,8 @@ from multilattice.poly import (
     proportional,
     saito_determinant,
 )
-from helpers import euler, proportional_derivations
+from helpers import (assert_same_derivation, euler, field_canonical, power,
+                     proportional_derivations)
 
 FS = FieldSpec.rational()
 
@@ -99,7 +101,7 @@ def test_linear_form_multiplicity_oracle(c, t, m):
     lf = mk_form(t)
     if g.is_zero:
         return
-    f = g * HomogPoly.from_linear_form(lf).pow(m, FS)
+    f = g * power(HomogPoly.from_linear_form(lf), m, FS)
     # f has multiplicity exactly m + mult(g)
     assert linear_form_multiplicity(f, lf) == m + linear_form_multiplicity(g, lf)
 
@@ -223,6 +225,7 @@ def test_canonical_leading_one():
     # first nonzero flattened coefficient (highest x power of P) becomes 1
     assert c.P.coeffs[1] == 1
     assert proportional_derivations(t, c)
+    assert c == field_canonical(t) and c.format(FS) == field_canonical(t).format(FS)
 
 
 # -- cleared-integer kernels against the HomogPoly arithmetic -----------------
@@ -289,7 +292,7 @@ def test_defining_polynomial_matches_power_product(fs, pairs):
     for mu in [(0,) * len(A)] + [tuple(rng.randint(0, 4) for _ in A.forms) for _ in range(20)]:
         want = HomogPoly.one(fs)
         for lf, m in zip(A.forms, mu):
-            want = want * HomogPoly.from_linear_form(lf).pow(m, fs)
+            want = want * power(HomogPoly.from_linear_form(lf), m, fs)
         assert defining_polynomial(A, mu) == want
 
 
@@ -324,7 +327,8 @@ def one_part(fs, rng, d, zero_p):
 
 def field_ends(theta):
     """Derivation.ends from the field coefficients: the leading terms of
-    P/Q at x = 0 (the lowest x-power) and at y = 0 (the highest)."""
+    P/Q at x = 0 (the lowest x-power) and at y = 0 (the highest), each
+    quotient as the (image, den) that its field's clear gives."""
     P, Q = theta.P.coeffs, theta.Q.coeffs
     if not P:
         return "dy"
@@ -332,7 +336,12 @@ def field_ends(theta):
         return "dx"
     px, qx = (min(i for i, c in enumerate(f) if c) for f in (P, Q))
     py, qy = (max(i for i, c in enumerate(f) if c) for f in (P, Q))
-    return px - qx, P[px] / Q[qx], qy - py, P[py] / Q[qy]
+
+    def cleared(r):
+        (image,), den = domain_of(r).clear([r])
+        return image, den
+
+    return px - qx, cleared(P[px] / Q[qx]), qy - py, cleared(P[py] / Q[qy])
 
 
 def same_ends(fs, rng, theta):
@@ -385,6 +394,36 @@ def test_derivation_ends_are_the_leading_terms_of_p_over_q(fs):
         seen.add(theta.ends if isinstance(theta.ends, str) else "both parts")
     assert seen == {"dx", "dy", "both parts"}
     assert Derivation.zero().ends is None
+
+
+@pytest.mark.parametrize("fs", CLASS_FIELDS, ids=CLASS_IDS)
+def test_a_derivation_is_its_images(fs):
+    """A derivation built from field coefficients reads them back unchanged
+    and is the one built from its images (Derivation.of_images); so are its
+    scalar and polynomial multiples.  The image kernels match their field
+    oracles: times against mul_poly by the product of the forms, and
+    canonical against field_canonical."""
+    rng = random.Random(f"images {fs.kind} {fs.d} {fs.p}")
+    lines = [LinearForm.make(fs, 1, 0), LinearForm.make(fs, 0, 1), LinearForm.make(fs, 1, 1),
+             LinearForm.make(fs, 1, -2), LinearForm.make(fs, 3, 2)]
+    for _ in range(60):
+        d = rng.randint(0, 4)
+        P, Q = (rng.choice([HomogPoly.zero(), small_poly(fs, rng, d)]) for _ in "PQ")
+        theta = Derivation(P, Q)
+        assert theta.P == P and theta.Q == Q and theta.is_zero == (P.is_zero and Q.is_zero)
+        if theta.is_zero:
+            assert theta == Derivation.zero() and theta.cleared is None
+            continue
+        multiple = theta.scale(small_poly(fs, rng, 0).coeffs[0])
+        multiple = multiple.mul_poly(small_poly(fs, rng, rng.randint(0, 3)))
+        forms = [rng.choice(lines) for _ in range(rng.randint(0, 3))]
+        g = HomogPoly.one(fs)
+        for lf in forms:
+            g = g * HomogPoly.from_linear_form(lf)
+        for t in (theta, multiple):
+            assert_same_derivation(fs, t, Derivation.of_images(*t.cleared))
+        assert_same_derivation(fs, theta.mul_poly(g), theta.times(forms))
+        assert_same_derivation(fs, field_canonical(multiple), multiple.canonical())
 
 
 @pytest.mark.parametrize("fs", PREDICATE_FIELDS, ids=PREDICATE_IDS)

@@ -8,11 +8,12 @@ candidate inputs and assert the checks notice.
 import copy
 import json
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from multilattice import lattice
+from multilattice import dermod, lattice, poly
 from multilattice import theorems
 from multilattice.coxeter import coxeter_arrangement
 from multilattice.dermod import exponents
@@ -22,8 +23,8 @@ from multilattice.errors import (
     PreconditionViolated,
 )
 from multilattice.explorer import ScanResult, centers, components, scan
-from multilattice.field import FieldSpec
-from multilattice.poly import Arrangement, HomogPoly, saito_determinant
+from multilattice.field import FieldSpec, ModInt
+from multilattice.poly import Arrangement, Derivation, HomogPoly, saito_determinant
 from multilattice.theorems import (
     CandidateMap,
     ThetaOracle,
@@ -36,7 +37,6 @@ from multilattice.theorems import (
     certify_support,
     construct_basis_between,
     basis_for,
-    multiplier_form,
     pairs_at_distance_two,
     reconstruct_components,
     run_checks,
@@ -45,8 +45,10 @@ from helpers import (
     descent_forms,
     downalpha,
     euler,
+    multiplier_form,
     pairwise_certify_centers,
     path_transport,
+    power,
     proportional_derivations,
     wrong_generator_oracle,
 )
@@ -252,10 +254,19 @@ def test_oracle_rejects_gap_zero(B2, b2_oracle):
 
 
 def test_multiplier_form(B2):
+    # construct_basis_between multiplies on the images by what the field
+    # oracle multiplier_form gives
     f = multiplier_form(B2, (1, 1, 1, 1), (2, 1, 3, 0))
     want = (HomogPoly.from_linear_form(B2.forms[0])
-            * HomogPoly.from_linear_form(B2.forms[2]).pow(2, B2.field))
+            * power(HomogPoly.from_linear_form(B2.forms[2]), 2, B2.field))
     assert f == want
+    mu, nu = (1, 1, 1, 1), (2, 2, 1, 2)
+    t_mu, t_nu = exponents(B2, mu).theta_min, exponents(B2, nu).theta_min
+    for kappa in [(1, 1, 1, 1), (2, 2, 1, 2), (1, 2, 1, 1), (2, 1, 1, 2)]:
+        (t1, t2), _ = construct_basis_between(B2, mu, nu, kappa, t_mu, t_nu)
+        for got, theta, base in ((t1, t_mu, mu), (t2, t_nu, nu)):
+            want = theta.mul_poly(multiplier_form(B2, base, kappa))
+            assert got == want and got.format(B2.field) == want.format(B2.field)
 
 
 def test_construct_basis_between_accepts(B2):
@@ -670,3 +681,38 @@ def test_descent_forms_multiply_to_downalpha(B2, b2_scan, seed):
         for lf in descent_forms(B2, chain, dvals):
             g = g * HomogPoly.from_linear_form(lf)
         assert g == downalpha(B2, chain, dvals)
+
+
+@pytest.mark.parametrize("pairs,box", [
+    (None, (5, 5, 5, 5)),  # B2 over Q
+    ([(1, 0), (0, 1), (1, 1), (1, 2)], (4, 4, 4, 4)),  # the four lines of F_3
+], ids=["B2", "F3"])
+def test_saito_everywhere_builds_no_field_element(pairs, box, monkeypatch):
+    """saito-everywhere walks, certifies and checks every basis on integer
+    images: no domain builds an element back (Domain.back), no derivation's
+    P or Q is read, and no Fraction or ModInt is made."""
+    A = coxeter_arrangement("B2") if pairs is None else Arrangement.make(FieldSpec.prime(3), pairs)
+    # read back as ml verify does, so that a fresh arrangement gets a fresh walk
+    scan_result = ScanResult.from_json(scan(A, box).to_json())
+    built = []
+    domains = {}
+    real_domain_of = dermod.domain_of
+
+    def spied_domain_of(x):
+        dom = real_domain_of(x)
+        if dom not in domains:
+            domains[dom] = dom._replace(back=lambda *a: built.append("back") or dom.back(*a))
+        return domains[dom]
+
+    for module in (dermod, poly):
+        monkeypatch.setattr(module, "domain_of", spied_domain_of)
+    for part in "PQ":
+        monkeypatch.setattr(Derivation, part, property(lambda self, part=part: built.append(part)))
+    real_new, real_init = Fraction.__new__, ModInt.__init__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *a, **k: built.append("Fraction") or real_new(cls, *a, **k))
+    monkeypatch.setattr(ModInt, "__init__",
+                        lambda self, *a: built.append("ModInt") or real_init(self, *a))
+    verdicts = theorems.run_checks(scan_result, "saito")
+    assert [(v.name, v.status) for v in verdicts] == [("saito-everywhere", "pass")]
+    assert built == [] and domains and not hasattr(domains.popitem()[1], "ratio")
