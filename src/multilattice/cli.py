@@ -11,8 +11,9 @@ no message.
 Each command parses its input, calls the layer that does the work and
 prints the result.  ``ml verify`` prints the verdicts of
 ``theorems.run_checks``, which runs the checks (and the center criterion's
-margin search) and marks a criterion whose hypotheses the scan breaks as
-skipped; the command only turns a failed verdict into exit status 1.
+margin search), marks a criterion whose hypotheses the scan breaks as
+skipped and fails a check that the solver's gap at a support point refutes;
+the command only turns a failed verdict into exit status 1.
 
 Start-up is most of the cost of one solve, so each command imports the
 layers it runs (``dermod``, ``explorer``, ``theorems``, ``coxeter``) when
@@ -20,7 +21,7 @@ it runs, and ``_parser`` builds the argument parser of the named command
 only (that of ``ml verify`` takes its check names from ``theorems``).
 The walk's memo is freed at exit by ``dermod``, for library callers too;
 it is the only memo, and no command reads or writes a file of results
-(``--cache-dir`` is still accepted, and has no effect).
+(``scan`` and ``verify`` still accept ``--cache-dir``, which has no effect).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import json
 import os
 import re
 import sys
+import time
 from typing import TYPE_CHECKING, List, Optional
 
 from . import lattice
@@ -106,13 +108,14 @@ def cmd_scan(args):
 
     A = _arrangement(args)
     b = _parse_mu(A, args.box)
+    start = time.monotonic()
     result = explorer.scan(A, b, jobs=args.jobs)
+    seconds = time.monotonic() - start
     text = result.to_json()
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
-        t = result.timing
-        print(f"scanned {t['points']} points in {t['seconds']:.1f}s -> {args.output}",
+        print(f"scanned {len(result.table)} points in {seconds:.1f}s -> {args.output}",
               file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -123,8 +126,7 @@ def cmd_components(args):
     from . import explorer
 
     result = _load_scan(args.scan_path)
-    comps = explorer.components(result)
-    for idx, comp in enumerate(comps):
+    for idx, comp in enumerate(explorer.components(result)):
         desc = f"component {idx}: {len(comp.members)} points, {comp.kind}"
         if comp.kind == "ball":
             desc += (f", center {lattice.format_multiplicity(comp.center)}"
@@ -134,17 +136,14 @@ def cmd_components(args):
         if comp.notes:
             desc += f" [{'; '.join(comp.notes)}]"
         print(desc)
-    for entry in explorer.centers(result, comps):
-        if entry.error:
-            print(f"center ERROR: {entry.error}")
-        else:
-            print(f"center {lattice.format_multiplicity(entry.center)} delta {entry.delta}")
+    for ball in explorer.centers(result):
+        print(f"center {lattice.format_multiplicity(ball.center)} delta {ball.radius}")
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(explorer.to_dot(result, comps))
+            fh.write(explorer.to_dot(result))
     if args.csv:
         with open(args.csv, "w") as fh:
-            fh.write(explorer.to_csv(result, comps))
+            fh.write(explorer.to_csv(result))
 
 
 def _load_scan(path: str) -> ScanResult:
@@ -207,7 +206,7 @@ def cmd_basis_for(args):
     result = _load_scan(args.scan_path)
     A = result.arrangement
     k = _parse_mu(A, args.kappa)
-    index = [(e.center, e.delta) for e in explorer.centers(result) if e.center]
+    index = [(ball.center, ball.radius) for ball in explorer.centers(result)]
     basis, verdict = theorems.basis_for(A, k, index)
     return _print_basis(A, basis, verdict)
 
@@ -287,7 +286,7 @@ def _parser(argv: List[str]) -> argparse.ArgumentParser:
         metavar="COMMAND", required=True,
         parser_class=lambda **kwargs: _Parser(**kwargs) if kwargs["prog"] == named else None)
 
-    def command(name, run, source=False, cache=True):
+    def command(name, run, source=False, cache=False):
         doc = run.__doc__
         p = commands.add_parser(name, help=doc.split("\n", 1)[0], description=doc)
         if p is None:
@@ -310,7 +309,7 @@ def _parser(argv: List[str]) -> argparse.ArgumentParser:
         if p:
             p.add_argument("mu", metavar="MU")
 
-    p = command("scan", cmd_scan, source=True)
+    p = command("scan", cmd_scan, source=True, cache=True)
     if p:
         p.add_argument("--box", required=True, help="Inclusive upper bounds, comma-separated.")
         p.add_argument("--jobs", type=_int_at_least(1), default=1,
@@ -318,14 +317,14 @@ def _parser(argv: List[str]) -> argparse.ArgumentParser:
                             " (default: %(default)s)")
         p.add_argument("--output", "-o", help="Write the scan JSON here (default: stdout).")
 
-    p = command("components", cmd_components, cache=False)
+    p = command("components", cmd_components)
     if p:
         p.add_argument("--scan", dest="scan_path", required=True,
                        help="Scan JSON produced by the scan command.")
         p.add_argument("--dot", help="Write a DOT rendering here.")
         p.add_argument("--csv", help="Write a CSV table here.")
 
-    p = command("verify", cmd_verify)
+    p = command("verify", cmd_verify, cache=True)
     if p:
         from .theorems import CHECKS
 

@@ -57,6 +57,14 @@ class PreconditionViolated(MultilatticeError, ValueError):
     pass
 
 
+class GapZero(PreconditionViolated):
+    """A generator unique up to scalar was asked for where the gap is 0."""
+
+    def __init__(self, mu):
+        super().__init__(f"theta is only defined up to scalar on the support; gap is 0 at {mu}")
+        self.mu = mu
+
+
 class NoCenterPairFound(MultilatticeError, LookupError):
     pass
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
 from typing import Dict, List, Optional, Tuple
 
 from . import lattice
@@ -34,17 +33,21 @@ def _exponents_of(mu: Multiplicity, gap: int) -> Tuple[int, int]:
     return (total - gap) // 2, (total + gap) // 2
 
 
-class ScanResult(Record):
-    """The gap at every point of a box: table maps mu to delta(mu)."""
+class ScanResult(Frozen):
+    """The gap at every point of a box: table maps mu to delta(mu).
 
-    __slots__ = _fields = ("arrangement", "box", "table", "timing")
+    Immutable; components() builds its support's components on first use and
+    keeps them here.
+    """
 
-    def __init__(self, arrangement: Arrangement, box: Box, table: Dict[Multiplicity, int],
-                 timing: Optional[dict] = None):
-        self.arrangement = arrangement
-        self.box = box
-        self.table = table
-        self.timing = {} if timing is None else timing  # in-memory only, never serialized
+    __slots__ = ("arrangement", "box", "table", "_components")
+    _fields = ("arrangement", "box", "table")
+
+    def __init__(self, arrangement: Arrangement, box: Box, table: Dict[Multiplicity, int]):
+        set_field(self, "arrangement", arrangement)
+        set_field(self, "box", box)
+        set_field(self, "table", table)
+        set_field(self, "_components", None)
 
     def support(self) -> List[Multiplicity]:
         return [mu for mu in sorted(self.table) if self.table[mu] > 0]
@@ -157,7 +160,6 @@ def scan(A: Arrangement, box: Box, jobs: int = 1) -> ScanResult:
     """
     if len(box) != len(A):
         raise ValueError("box length must match the arrangement")
-    start = time.monotonic()
     points = list(lattice.box_points(box))
     workers = min(jobs, _usable_cpus(), len(points) // _MIN_POINTS_PER_WORKER)
     if workers <= 1:
@@ -173,10 +175,7 @@ def scan(A: Arrangement, box: Box, jobs: int = 1) -> ScanResult:
             # through the rest of its chunk
             chunk = -(-len(points) // workers)
             gaps = list(pool.map(_solve_point, points, chunksize=chunk))
-    table = dict(zip(points, gaps))
-    result = ScanResult(A, box, table)
-    result.timing = {"seconds": time.monotonic() - start, "jobs": jobs, "points": len(table)}
-    return result
+    return ScanResult(A, box, dict(zip(points, gaps)))
 
 
 class Component(Record):
@@ -200,14 +199,21 @@ class Component(Record):
         return sorted(self.members)
 
 
-def components(scan_result: ScanResult) -> List[Component]:
-    """Partition the in-window support into Hasse-connected components."""
-    return [_classify_component(scan_result, members)
-            for members in lattice.connected_components(scan_result.support(),
-                                                         scan_result.box)]
+def components(scan_result: ScanResult) -> Tuple[Component, ...]:
+    """Partition the in-window support into Hasse-connected components,
+    built on the scan's first call and kept on it for every later one."""
+    comps = scan_result._components
+    if comps is None:
+        comps = tuple(_classify_component(scan_result, members)
+                      for members in lattice.connected_components(scan_result.support(),
+                                                                  scan_result.box))
+        set_field(scan_result, "_components", comps)
+    return comps
 
 
 def _classify_component(scan_result: ScanResult, members: frozenset) -> Component:
+    """A component is a certified ball only around a unique gap maximizer
+    whose ball of that radius, wholly inside the box, is the component."""
     table = scan_result.table
     box = scan_result.box
     cone_hs = sorted({h for mu in members
@@ -230,44 +236,17 @@ def _classify_component(scan_result: ScanResult, members: frozenset) -> Componen
         notes.append("ball certificate margin exceeds the box")
         return Component(members, "undetermined", maximizers=maximizers,
                          notes=tuple(notes))
-    expected = frozenset(lattice.ball(center, radius, box))
-    if members != expected:
+    if len(maximizers) > 1 or members != frozenset(lattice.ball(center, radius, box)):
         notes.append("ball_mismatch")  # structure violation; must surface in checks
         return Component(members, "undetermined", center=center, radius=radius,
                          maximizers=maximizers, notes=tuple(notes))
-    return Component(members, "ball", center=center, radius=radius,
-                     maximizers=maximizers, notes=tuple(notes))
+    return Component(members, "ball", center=center, radius=radius, maximizers=maximizers)
 
 
-class CenterEntry(Frozen):
-    __slots__ = _fields = ("component", "center", "delta", "error")
-
-    def __init__(self, component: Component, center: Optional[Multiplicity],
-                 delta: Optional[int], error: Optional[str] = None):
-        set_field(self, "component", component)
-        set_field(self, "center", center)
-        set_field(self, "delta", delta)
-        set_field(self, "error", error)
-
-
-def centers(scan_result: ScanResult, comps: Optional[List[Component]] = None) -> List[CenterEntry]:
-    """Unique gap maximizer per certified finite component.
-
-    A certified component with two maximizers contradicts the ball
-    structure; it is reported as an error entry, never repaired.
-    """
-    if comps is None:
-        comps = components(scan_result)
-    out = []
-    for comp in comps:
-        if comp.kind != "ball":
-            continue
-        if len(comp.maximizers) != 1:
-            out.append(CenterEntry(comp, None, None,
-                                   error=f"non-unique maximizers {comp.maximizers}"))
-        else:
-            out.append(CenterEntry(comp, comp.center, comp.radius))
-    return out
+def centers(scan_result: ScanResult) -> List[Component]:
+    """The certified balls: each has its unique gap maximizer as center and
+    that gap as radius."""
+    return [comp for comp in components(scan_result) if comp.kind == "ball"]
 
 
 # -- emission ----------------------------------------------------------------
@@ -278,23 +257,16 @@ _DOT_PALETTE = [
 ]
 
 
-def to_dot(scan_result: ScanResult, comps: Optional[List[Component]] = None) -> str:
+def to_dot(scan_result: ScanResult) -> str:
     """DOT rendering of the in-window support Hasse subgraph.
 
     Components are colored; certified centers are drawn as double circles.
     """
-    if comps is None:
-        comps = components(scan_result)
     box = scan_result.box
     table = scan_result.table
-    color_of = {}
-    center_set = set()
-    for idx, comp in enumerate(comps):
-        color = _DOT_PALETTE[idx % len(_DOT_PALETTE)]
-        for mu in comp.members:
-            color_of[mu] = color
-        if comp.kind == "ball" and comp.center is not None:
-            center_set.add(comp.center)
+    color_of = {mu: _DOT_PALETTE[idx % len(_DOT_PALETTE)]
+                for idx, comp in enumerate(components(scan_result)) for mu in comp.members}
+    center_set = {comp.center for comp in centers(scan_result)}
     lines = ["graph support {", "  node [style=filled];"]
     nodes = sorted(color_of)
     for mu in nodes:
@@ -314,13 +286,11 @@ def to_dot(scan_result: ScanResult, comps: Optional[List[Component]] = None) -> 
     return "\n".join(lines) + "\n"
 
 
-def to_csv(scan_result: ScanResult, comps: Optional[List[Component]] = None) -> str:
+def to_csv(scan_result: ScanResult) -> str:
     """CSV table: mu, d1, d2, delta, component id, classification."""
-    if comps is None:
-        comps = components(scan_result)
     comp_id = {}
     comp_kind = {}
-    for idx, comp in enumerate(comps):
+    for idx, comp in enumerate(components(scan_result)):
         for mu in comp.members:
             comp_id[mu] = idx
             comp_kind[mu] = comp.kind

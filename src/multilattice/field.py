@@ -396,7 +396,7 @@ _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def _parse_fraction(s) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):  # JSON true is no number
         return Fraction(s)
     if isinstance(s, Fraction):
         return s

@@ -32,8 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import lattice
 from .dermod import delta as solve_delta
 from .dermod import exponents, full_basis, in_module, verify_saito
-from .errors import HypothesisViolated, PreconditionViolated
-from .explorer import Component, ScanResult, centers as scan_centers, components as scan_components
+from .errors import GapZero, HypothesisViolated, PreconditionViolated
+from .explorer import ScanResult, centers as scan_centers, components as scan_components
 from .lattice import Box, Multiplicity
 from .poly import Arrangement, Derivation, dependence_classes, dependent, proportional
 from .record import Frozen, Record, set_field
@@ -68,7 +68,8 @@ def _finish(name: str, witnesses: List[dict], details: dict) -> Verdict:
 
 
 class ThetaOracle:
-    """Minimal-degree generators at points with a positive gap (dermod.exponents)."""
+    """Minimal-degree generators at points with a positive gap (dermod.exponents);
+    GapZero at a point whose gap is 0."""
 
     def __init__(self, A: Arrangement):
         self.A = A
@@ -76,8 +77,7 @@ class ThetaOracle:
     def __call__(self, mu: Multiplicity) -> Derivation:
         res = exponents(self.A, mu)
         if res.non_unique:
-            raise PreconditionViolated(
-                f"theta is only defined up to scalar on the support; gap is 0 at {tuple(mu)}")
+            raise GapZero(tuple(mu))
         return res.theta_min
 
 
@@ -95,29 +95,20 @@ def check_covering_steps(scan: ScanResult) -> Verdict:
     return _finish("covering-steps", witnesses, {})
 
 
-def check_ball_structure(scan: ScanResult, comps: Optional[List[Component]] = None) -> Verdict:
+def check_ball_structure(scan: ScanResult) -> Verdict:
     """Certified finite components are strict balls with a unique center.
 
-    Inside a component the gap decreases linearly with the distance from
-    the center; the sphere at the certificate radius has gap 0 and the
-    next shell has gap 1.
+    A component whose gap maximizers are not one center of a ball that is
+    the component (explorer marks it ball_mismatch) is a witness.  Inside
+    a certified ball the gap decreases linearly with the distance from the
+    center; the sphere at the certificate radius has gap 0 and the next
+    shell has gap 1.
     """
-    if comps is None:
-        comps = scan_components(scan)
-    witnesses = []
-    checked = 0
-    for comp in comps:
-        if comp.kind == "undetermined" and "ball_mismatch" in comp.notes:
-            witnesses.append({"component": comp.sorted_members()[:8],
-                              "reason": "members do not form the certified ball"})
-            continue
-        if comp.kind != "ball":
-            continue
-        checked += 1
-        if len(comp.maximizers) != 1:
-            witnesses.append({"component": comp.sorted_members()[:8],
-                              "reason": f"non-unique center {comp.maximizers}"})
-            continue
+    witnesses = [{"component": comp.sorted_members()[:8], "maximizers": comp.maximizers,
+                  "reason": "members do not form the certified ball"}
+                 for comp in scan_components(scan) if "ball_mismatch" in comp.notes]
+    balls = scan_centers(scan)
+    for comp in balls:
         c, r = comp.center, comp.radius
         for nu in comp.members:
             want = r - lattice.distance(c, nu)
@@ -133,7 +124,7 @@ def check_ball_structure(scan: ScanResult, comps: Optional[List[Component]] = No
             if scan.table[nu] != want:
                 witnesses.append({"center": c, "nu": nu, "shell_distance": d,
                                   "delta": scan.table[nu], "want": want})
-    return _finish("ball-structure", witnesses, {"certified_components": checked})
+    return _finish("ball-structure", witnesses, {"certified_components": len(balls)})
 
 
 def check_singleton_gaps(scan: ScanResult) -> Verdict:
@@ -148,8 +139,7 @@ def check_singleton_gaps(scan: ScanResult) -> Verdict:
     return _finish("zero-set-singletons", witnesses, {})
 
 
-def check_basis_step_and_path(scan: ScanResult, oracle: ThetaOracle,
-                              comps: Optional[List[Component]] = None) -> Verdict:
+def check_basis_step_and_path(scan: ScanResult, oracle: ThetaOracle) -> Verdict:
     """Generator transport along every covering step inside a component.
 
     On an ascent step the generator is unchanged up to scalar; on a
@@ -159,12 +149,10 @@ def check_basis_step_and_path(scan: ScanResult, oracle: ThetaOracle,
     c_p nonzero gives theta_nu = (prod c)(prod f) * theta_mu, the product
     of the descent-step forms, whichever chain is taken.
     """
-    if comps is None:
-        comps = scan_components(scan)
     witnesses = []
     checked = 0
     A = scan.arrangement
-    for comp in comps:
+    for comp in scan_components(scan):
         mem = comp.members
         for mu in comp.sorted_members():
             for nu, h, dirn in lattice.covering_neighbors(mu, scan.box):
@@ -234,8 +222,7 @@ def _dependent_pairs(cls: Dict[Multiplicity, Optional[int]],
             if _dependent_in(cls, a, b)]
 
 
-def check_independency(scan: ScanResult, oracle: ThetaOracle,
-                       comps: Optional[List[Component]] = None) -> Verdict:
+def check_independency(scan: ScanResult, oracle: ThetaOracle) -> Verdict:
     """Generators across components at distance 2 are independent;
     generators within one component are dependent.
 
@@ -244,8 +231,7 @@ def check_independency(scan: ScanResult, oracle: ThetaOracle,
     must share none.  Only then does the pairwise walk run, on class
     lookups, to list every failing pair as a witness.
     """
-    if comps is None:
-        comps = scan_components(scan)
+    comps = scan_components(scan)
     groups = [c.sorted_members() for c in comps]
     near = pairs_at_distance_two(groups, scan.box)
     cls = _classes((mu for c in comps for mu in c.members), oracle)
@@ -424,13 +410,12 @@ def certify_centers(A: Arrangement, candidate: CandidateMap, box: Box,
 
 
 def _certify_centers(A: Arrangement, candidate: CandidateMap, windows: Sequence[Box],
-                     trusted_scan: Optional[ScanResult], oracle: Optional[ThetaOracle],
-                     comps: Optional[List[Component]] = None) -> Tuple[Verdict, int]:
+                     trusted_scan: Optional[ScanResult],
+                     oracle: Optional[ThetaOracle]) -> Tuple[Verdict, int]:
     """certify_centers on the first of the shrinking windows whose balanced
     points the balls cover, with that window's index.  Only coverage depends
     on the window, so everything else is computed once; if no window is
-    covered, the last one's coverage raises.  comps, if given, are the
-    components of trusted_scan."""
+    covered, the last one's coverage raises."""
     name = "criterion-centers"
     N = candidate.points()
     gap = {mu: candidate.delta_prime(mu) for mu in N}
@@ -467,7 +452,7 @@ def _certify_centers(A: Arrangement, candidate: CandidateMap, windows: Sequence[
         details["condition_witness"] = {"mu": bad_pairs[-1][0], "nu": bad_pairs[-1][1]}
     if trusted_scan is None:
         return Verdict(name, "skipped", details={**details, "reason": "no trusted scan"}), index
-    truth = set(N) == {e.center for e in scan_centers(trusted_scan, comps) if e.center is not None}
+    truth = set(N) == {ball.center for ball in scan_centers(trusted_scan)}
     if truth and oracle is not None:
         truth = all(proportional(candidate.assignment[mu], oracle(mu)) for mu in N)
     details["matches_true_centers"] = truth
@@ -479,13 +464,11 @@ def _certify_centers(A: Arrangement, candidate: CandidateMap, windows: Sequence[
 
 
 def reconstruct_components(A: Arrangement, box: Box, oracle: ThetaOracle,
-                           trusted_scan: Optional[ScanResult] = None,
-                           comps: Optional[List[Component]] = None):
+                           trusted_scan: Optional[ScanResult] = None):
     """Rebuild finite-component membership from dependence at distance 2.
 
     Works on the odd-size balanced points of the window, where the gap is
-    forced positive by parity.  Returns (partition, verdict).  comps, if
-    given, are the components of trusted_scan.
+    forced positive by parity.  Returns (partition, verdict).
     """
     name = "criterion-reconstruct"
     N = [mu for mu in _balanced_window(box) if sum(mu) % 2 == 1]
@@ -511,9 +494,7 @@ def reconstruct_components(A: Arrangement, box: Box, oracle: ThetaOracle,
     if trusted_scan is None:
         return partition, Verdict(name, "skipped", details={"reason": "no trusted scan"})
     comp_classes: Dict[int, set] = {}
-    if comps is None:
-        comps = scan_components(trusted_scan)
-    comp_of = {mu: i for i, c in enumerate(comps) for mu in c.members}
+    comp_of = {mu: i for i, c in enumerate(scan_components(trusted_scan)) for mu in c.members}
     witnesses = []
     for mu in N:
         if mu not in comp_of:
@@ -532,72 +513,84 @@ def reconstruct_components(A: Arrangement, box: Box, oracle: ThetaOracle,
 # -- the ml verify run -------------------------------------------------------
 
 def check_saito_everywhere(scan: ScanResult) -> Verdict:
-    """A Saito-verified basis at every point of the scan: full_basis raises
-    InternalInconsistency unless verify_saito accepts the pair it returns."""
-    for mu in sorted(scan.table):
-        full_basis(scan.arrangement, mu)
-    return Verdict("saito-everywhere", "pass", [], {"checked": len(scan.table)})
+    """A Saito-verified basis at every point of the scan (full_basis raises
+    InternalInconsistency unless verify_saito accepts the pair it returns),
+    whose degrees d1 <= d2 differ by the scan's gap: both sum to |mu|."""
+    witnesses = []
+    for mu, gap in sorted(scan.table.items()):
+        t1, t2 = full_basis(scan.arrangement, mu)
+        if t2.degree - t1.degree != gap:
+            witnesses.append({"mu": mu, "delta": gap, "degrees": (t1.degree, t2.degree)})
+    return _finish("saito-everywhere", witnesses, {"checked": len(scan.table)})
 
 
-# The checks of ml verify in the order printed, each run on the scan, its
-# oracle and its components.
-_CHECKS = (("covering", lambda scan, oracle, comps: [check_covering_steps(scan)]),
-           ("ball", lambda scan, oracle, comps: [check_ball_structure(scan, comps)]),
-           ("singletons", lambda scan, oracle, comps: [check_singleton_gaps(scan)]),
-           ("transport",
-            lambda scan, oracle, comps: [check_basis_step_and_path(scan, oracle, comps)]),
-           ("independence",
-            lambda scan, oracle, comps: [check_independency(scan, oracle, comps)]),
-           ("saito", lambda scan, oracle, comps: [check_saito_everywhere(scan)]),
-           ("criteria", lambda scan, oracle, comps: _criteria(scan, oracle, comps)))
-CHECKS = tuple(name for name, _ in _CHECKS) + ("all",)
-
-
-def run_checks(scan: ScanResult, what: str) -> List[Verdict]:
-    """The verdicts of ``ml verify WHAT``, in the order printed: the check
-    WHAT of CHECKS, or every check for "all".  The components are built
-    once, for every check that reads them."""
-    if what not in CHECKS:
-        raise PreconditionViolated(f"unknown check {what!r}; choose from {', '.join(CHECKS)}")
-    oracle = ThetaOracle(scan.arrangement)
-    comps = scan_components(scan)
-    return [v for name, check in _CHECKS if what in (name, "all")
-            for v in check(scan, oracle, comps)]
-
-
-def _criteria(scan: ScanResult, oracle: ThetaOracle, comps: List[Component]) -> List[Verdict]:
-    """The criteria on the scan's own generators, with the scan as the truth;
-    one whose hypotheses the scan breaks is skipped, with the reason."""
-    A, box = scan.arrangement, scan.box
+def _support_criterion(scan: ScanResult, oracle: ThetaOracle) -> Verdict:
+    """The support criterion on the scan's own generators, the scan as truth."""
     candidate = CandidateMap({mu: oracle(mu) for mu in scan.support() if lattice.is_balanced(mu)})
-    try:
-        out = [certify_support(A, candidate, box, trusted_scan=scan)]
-    except HypothesisViolated as exc:
-        out = [Verdict("criterion-support", "skipped", details={"reason": str(exc)})]
-    gaps = {e.center: e.delta for e in scan_centers(scan, comps) if e.center}
-    if gaps:
-        out.append(_center_criterion(scan, oracle, comps, gaps))
-    return out + [reconstruct_components(A, box, oracle, trusted_scan=scan, comps=comps)[1]]
+    return certify_support(scan.arrangement, candidate, scan.box, trusted_scan=scan)
 
 
-def _center_criterion(scan: ScanResult, oracle: ThetaOracle, comps: List[Component],
-                      gaps: Dict[Multiplicity, int]) -> Verdict:
-    """The center criterion on the scan's centers, of the given gaps, on the
-    box shrunk by a margin: balls near its upper edge are cut off there.
+def _center_criterion(scan: ScanResult, oracle: ThetaOracle) -> Optional[Verdict]:
+    """The center criterion on the scan's centers, the scan as truth, on the
+    box shrunk by a margin: balls near its upper edge are cut off there;
+    None if the scan has no center.
 
     The margin starts at the largest center gap and grows by one while the
     window leaves an uncovered balanced component larger than one, down to
     the origin; it is reported when it grew.
     """
-    candidate = CandidateMap({mu: oracle(mu) for mu in gaps})
-    gap = max(gaps.values())
+    balls = scan_centers(scan)
+    if not balls:
+        return None
+    candidate = CandidateMap({ball.center: oracle(ball.center) for ball in balls})
+    gap = max(ball.radius for ball in balls)
     windows = [tuple(max(b - margin, 0) for b in scan.box)
                for margin in range(gap, max(gap, *scan.box) + 1)]
-    try:
-        verdict, grown = _certify_centers(scan.arrangement, candidate, windows, scan, oracle,
-                                          comps)
-    except HypothesisViolated as exc:
-        return Verdict("criterion-centers", "skipped", details={"reason": str(exc)})
+    verdict, grown = _certify_centers(scan.arrangement, candidate, windows, scan, oracle)
     if grown:
         verdict.details["margin"] = gap + grown
     return verdict
+
+
+# The checks of ml verify in the order printed: the name that selects each,
+# the name of its verdict, and the check, run on the scan and its oracle.
+_CHECKS = (
+    ("covering", "covering-steps", lambda scan, oracle: check_covering_steps(scan)),
+    ("ball", "ball-structure", lambda scan, oracle: check_ball_structure(scan)),
+    ("singletons", "zero-set-singletons", lambda scan, oracle: check_singleton_gaps(scan)),
+    ("transport", "basis-step-and-path", check_basis_step_and_path),
+    ("independence", "independence-pattern", check_independency),
+    ("saito", "saito-everywhere", lambda scan, oracle: check_saito_everywhere(scan)),
+    ("criteria", "criterion-support", _support_criterion),
+    ("criteria", "criterion-centers", _center_criterion),
+    ("criteria", "criterion-reconstruct", lambda scan, oracle: reconstruct_components(
+        scan.arrangement, scan.box, oracle, trusted_scan=scan)[1]))
+CHECKS = tuple(dict.fromkeys(what for what, _, _ in _CHECKS)) + ("all",)
+
+
+def run_checks(scan: ScanResult, what: str) -> List[Verdict]:
+    """The verdicts of ``ml verify WHAT``, in the order printed: the check
+    WHAT of CHECKS, or every check for "all".
+
+    A criterion whose hypotheses the scan breaks is skipped, with the
+    reason.  A check that asks the oracle for the generator at a point of
+    the scan's support where the solver's gap is 0 fails, with the point,
+    the scan's gap and the solver's as witness.
+    """
+    if what not in CHECKS:
+        raise PreconditionViolated(f"unknown check {what!r}; choose from {', '.join(CHECKS)}")
+    oracle = ThetaOracle(scan.arrangement)
+    out = []
+    for selector, name, check in _CHECKS:
+        if what not in (selector, "all"):
+            continue
+        try:
+            verdict = check(scan, oracle)
+        except HypothesisViolated as exc:
+            verdict = Verdict(name, "skipped", details={"reason": str(exc)})
+        except GapZero as exc:
+            verdict = Verdict(name, "fail", [{"mu": exc.mu, "delta": scan.table[exc.mu],
+                                              "solver_delta": 0}])
+        if verdict is not None:
+            out.append(verdict)
+    return out

@@ -7,7 +7,7 @@ from typing import List, Optional, Sequence
 
 from multilattice.dermod import in_module
 from multilattice.errors import HypothesisViolated, LengthMismatch, NotComparable
-from multilattice.explorer import centers
+from multilattice.explorer import centers, components
 from multilattice.field import FieldSpec, invert
 from multilattice.linalg import domain_of
 from multilattice import lattice
@@ -171,7 +171,7 @@ def pairwise_certify_centers(A: Arrangement, candidate, box, trusted_scan=None, 
         details["condition_witness"] = {"mu": bad_pairs[-1][0], "nu": bad_pairs[-1][1]}
     if trusted_scan is None:
         return Verdict(name, "skipped", details={**details, "reason": "no trusted scan"})
-    truth = set(N) == {e.center for e in centers(trusted_scan) if e.center is not None}
+    truth = set(N) == {ball.center for ball in centers(trusted_scan)}
     if truth and oracle is not None:
         truth = all(proportional(candidate.assignment[mu], oracle(mu)) for mu in N)
     details["matches_true_centers"] = truth
@@ -249,7 +249,7 @@ def chain_high_first(mu: Multiplicity, nu: Multiplicity) -> List[Multiplicity]:
     return chain
 
 
-def path_transport(scan, oracle, comps):
+def path_transport(scan, oracle):
     """The path form of generator transport, pair by pair: the oracle for
     theorems.check_basis_step_and_path, which checks covering steps only.
 
@@ -262,7 +262,7 @@ def path_transport(scan, oracle, comps):
     support = set(scan.support())
     A = scan.arrangement
     checked, failing = 0, []
-    for comp in comps:
+    for comp in components(scan):
         for mu, nu in combinations(comp.sorted_members(), 2):
             if not lattice.leq(mu, nu):
                 continue

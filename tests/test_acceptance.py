@@ -141,9 +141,8 @@ def test_criterion_04_scan_invariants(b2_window):
         if h is not None:
             assert gap > 0, mu
             assert (sum(mu) - gap) // 2 <= sum(mu) - mu[h], mu  # d1 from d1 + d2 = |mu|
-    comps = components(s)
-    assert check_ball_structure(s, comps).passed
-    for comp in comps:
+    assert check_ball_structure(s).passed
+    for comp in components(s):
         if comp.kind == "ball":
             assert comp.center is not None and not comp.notes
     assert time.monotonic() - t0 < SCAN_INVARIANTS_BUDGET
@@ -162,7 +161,7 @@ def test_criterion_05_saito_verification(b2, b2_window):
         _, verdict = construct_basis_between(b2, mu, nu, kappa, t_mu, t_nu)
         if not verdict.accepted:
             bad.append(("construct_basis_between", kappa))
-    index = [(e.center, e.delta) for e in centers(b2_window) if e.center]
+    index = [(ball.center, ball.radius) for ball in centers(b2_window)]
     for kappa in [(2, 2, 2, 2), (1, 2, 1, 2), (3, 2, 3, 2)]:
         _, verdict = basis_for(b2, kappa, index)
         if not verdict.accepted:
@@ -171,7 +170,7 @@ def test_criterion_05_saito_verification(b2, b2_window):
 
 
 def test_criterion_06_independence_pattern(b2_window, b2_oracle):
-    v = check_independency(b2_window, b2_oracle, components(b2_window))
+    v = check_independency(b2_window, b2_oracle)
     assert v.passed, v.witnesses[:3]
     assert v.details["cross_pairs"] > 0 and v.details["same_pairs"] > 0
 
@@ -190,7 +189,7 @@ def test_criterion_07_certification_round_trips(b2, b2_window, b2_oracle):
     with pytest.raises(HypothesisViolated):
         certify_support(b2, pruned, s.box, trusted_scan=s)
 
-    center_pts = {e.center: e.delta for e in centers(s) if e.center}
+    center_pts = {ball.center: ball.radius for ball in centers(s)}
     cmap = CandidateMap({mu: b2_oracle(mu) for mu in center_pts})
     inner = tuple(b - max(center_pts.values()) for b in s.box)
     v = certify_centers(b2, cmap, inner, trusted_scan=s, oracle=b2_oracle)

@@ -142,6 +142,71 @@ def test_verify_reports_a_wrong_generator(b2_5_scan_file, monkeypatch):
     assert len(witnesses) == 10 and all("(0, 3, 0, 5)" in w for w in witnesses)
 
 
+def _edited_scan(path, tmp_path, mu, d1, d2):
+    """A copy of the scan file at path with the row of mu set to (d1, d2)."""
+    obj = json.loads(open(path).read())
+    row = next(row for row in obj["points"] if row["mu"] == list(mu))
+    row.update(d1=d1, d2=d2, delta=d2 - d1)
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(obj))
+    return str(edited)
+
+
+def _check_lines(output):
+    return [line for line in output.splitlines() if not line.startswith(" ")]
+
+
+def test_verify_fails_a_row_the_solver_disagrees_with(b2_5_scan_file, tmp_path):
+    """B2 [0,5]^4 with the row (2,2,2,2) edited from (4, 4, gap 0) to
+    (3, 5, gap 2): a well-formed scan that fails verification.  Saito's
+    basis there has degrees (4, 4), and every check that asks for the
+    generator there fails with the scan's gap and the solver's."""
+    edited = _edited_scan(b2_5_scan_file, tmp_path, (2, 2, 2, 2), 3, 5)
+    saito = invoke(["verify", "--scan", edited, "saito"])
+    assert saito.exit_code == 1, saito.output
+    assert saito.output.splitlines()[:2] == [
+        "saito-everywhere: FAIL",
+        "  witness: {'mu': (2, 2, 2, 2), 'delta': 2, 'degrees': (4, 4)}"]
+    refused = "  witness: {'mu': (2, 2, 2, 2), 'delta': 2, 'solver_delta': 0}"
+    for what, name in (("transport", "basis-step-and-path"),
+                       ("independence", "independence-pattern"),
+                       ("criteria", "criterion-support")):
+        result = invoke(["verify", "--scan", edited, what])
+        assert result.exit_code == 1, result.output
+        assert f"{name}: FAIL\n{refused}\n" in result.output
+    clean = invoke(["verify", "--scan", b2_5_scan_file, "all"])
+    result = invoke(["verify", "--scan", edited, "all"])
+    assert result.exit_code == 1 and "error:" not in result.output, result.output
+    names = [line.split(": ")[0] for line in _check_lines(result.output)]
+    assert names == [line.split(": ")[0] for line in _check_lines(clean.output)]
+    assert "saito-everywhere: FAIL" in result.output
+
+
+def test_a_second_maximizer_certifies_no_ball(tmp_path):
+    """F_3 lines x, y, x + y on [0,6]^3 with the gap at (4,4,3) raised from 1
+    to 3, that of the center (3,3,3): the component is no ball, (3,3,3) is
+    no center of ml components, and one ball-structure witness names both
+    maximizers (test_theorems checks the criteria's centers)."""
+    arr = tmp_path / "f3.json"
+    arr.write_text(json.dumps({"field": {"type": "prime", "p": 3},
+                               "forms": [["1", "0"], ["0", "1"], ["1", "1"]]}))
+    path = tmp_path / "f3-6.json"
+    assert invoke(["scan", "-a", str(arr), "--box", "6,6,6", "-o", str(path)]).exit_code == 0
+    edited = _edited_scan(path, tmp_path, (4, 4, 3), 4, 7)
+    comps = invoke(["components", "--scan", edited])
+    assert comps.exit_code == 0, comps.output
+    home = next(line for line in comps.output.splitlines() if line.startswith("component ")
+                and "maximizers" in line)
+    assert home.endswith(", undetermined [multiple maximizers; ball_mismatch]")
+    assert "center 3,3,3 " not in comps.output and "ERROR" not in comps.output
+    assert "center 1,1,1 delta 1" in comps.output
+    ball = invoke(["verify", "--scan", edited, "ball"])
+    assert ball.exit_code == 1
+    named = [line for line in ball.output.splitlines() if "maximizers" in line]
+    assert len(named) == 1 and "((3, 3, 3), (4, 4, 3))" in named[0]
+    assert "non-unique" not in ball.output
+
+
 def count_full_basis_saito(monkeypatch):
     """The mu of every Saito decision (dermod._saito) that full_basis makes;
     the walk's own certificates are not counted."""
@@ -180,21 +245,39 @@ def test_verify_criteria(scan_file):
     assert result.output.count("PASS") >= 3
 
 
+def count_classifications(monkeypatch):
+    """The members of every component that explorer classifies, in order."""
+    classified = []
+    real = explorer._classify_component
+
+    def counting(scan_result, members):
+        classified.append(members)
+        return real(scan_result, members)
+
+    monkeypatch.setattr(explorer, "_classify_component", counting)
+    return classified
+
+
 @pytest.mark.parametrize("what", ["all", "criteria"])
 def test_verify_builds_the_components_once(b2_5_scan_file, monkeypatch, what):
-    # every check and the truth of the criteria read one list of components
-    builds = []
-    real = explorer.components
-
-    def counting(scan_result):
-        builds.append(scan_result.box)
-        return real(scan_result)
-
-    monkeypatch.setattr(explorer, "components", counting)
-    monkeypatch.setattr(theorems, "scan_components", counting)
+    # every check and the truth of the criteria read the components that
+    # the scan keeps: each is classified once
+    with open(b2_5_scan_file) as fh:
+        comps = explorer.components(ScanResult.from_json(fh.read()))
+    classified = count_classifications(monkeypatch)
     result = invoke(["verify", "--scan", b2_5_scan_file, what])
     assert result.exit_code == 0, result.output
-    assert builds == [(5, 5, 5, 5)]
+    assert classified == [c.members for c in comps]
+
+
+def test_components_command_builds_the_components_once(b2_5_scan_file, tmp_path, monkeypatch):
+    # the listing, the centers, the DOT and the CSV read one build
+    classified = count_classifications(monkeypatch)
+    dot, csv = tmp_path / "s.dot", tmp_path / "s.csv"
+    result = invoke(["components", "--scan", b2_5_scan_file, "--dot", str(dot), "--csv", str(csv)])
+    assert result.exit_code == 0, result.output
+    assert len(classified) == len(set(classified)) == result.output.count("component ") > 0
+    assert dot.exists() and csv.exists()
 
 
 def test_verify_all_skips_a_criterion_whose_window_breaks_its_hypotheses(scan_file,
@@ -225,9 +308,10 @@ def test_center_criterion_skips_a_window_independent_failure_at_once(scan_file,
     real_centers, real_window = theorems.scan_centers, theorems._balanced_window
     windows = []
 
-    def with_an_inner_ball(scan_result, comps=None):
-        entries = real_centers(scan_result, comps)
-        return entries + [explorer.CenterEntry(entries[0].component, (2, 1, 1, 1), 1)]
+    def with_an_inner_ball(scan_result):
+        inner = explorer.Component(frozenset({(2, 1, 1, 1)}), "ball", center=(2, 1, 1, 1),
+                                   radius=1, maximizers=((2, 1, 1, 1),))
+        return real_centers(scan_result) + [inner]
 
     def recording(box):
         windows.append(box)
@@ -364,16 +448,22 @@ STORE_READERS = {
 
 @pytest.mark.parametrize("args", STORE_READERS.values(), ids=STORE_READERS.keys())
 def test_a_cold_or_warm_store_changes_no_output(scan_file, tmp_path, args):
-    # --cache-dir has no effect: a missing directory stays missing, and the
-    # file an older version left in one is neither read nor written
+    # --cache-dir has no effect where it is still accepted, on scan and
+    # verify: a missing directory stays missing, and the file an older
+    # version left in one is neither read nor written.  Every other command
+    # refuses the option, and touches neither directory either.
     args = [scan_file if a == B2_SCAN else a for a in args]
     cold, warm = tmp_path / "cold", tmp_path / "warm"
     warm.mkdir()
     (warm / "exponents.jsonl").write_text(OLD_STORE_LINE)
     plain = invoke(args)
     assert plain.exit_code == 0, plain.output
-    assert invoke(args + ["--cache-dir", str(cold)]) == plain
-    assert invoke(args + ["--cache-dir", str(warm)]) == plain
+    for store in (cold, warm):
+        got = invoke(args + ["--cache-dir", str(store)])
+        if args[0] in ("scan", "verify"):
+            assert got == plain
+        else:
+            assert got.exit_code == 2 and "unrecognized arguments: --cache-dir" in got.output
     assert not cold.exists()
     assert os.listdir(warm) == ["exponents.jsonl"]
     assert (warm / "exponents.jsonl").read_text() == OLD_STORE_LINE
@@ -452,8 +542,9 @@ def test_a_cold_solve_imports_only_the_layers_it_runs(scan_file, tmp_path):
     loaded = _modules_after("components", "--scan", scan_file)
     assert "multilattice.dermod" not in loaded and "multilattice.theorems" not in loaded
     # --cache-dir has no effect: nothing loads the cache layer or makes the directory
-    assert _modules_after("exponents", "--coxeter", "B2", "--cache-dir", str(tmp_path / "c"),
-                          "1,1,1,1") == solver
+    loaded = _modules_after("scan", "--coxeter", "B2", "--box", "1,1,1,1",
+                            "--cache-dir", str(tmp_path / "c"))
+    assert "multilattice.explorer" in loaded and "multilattice.cache" not in loaded
     assert not (tmp_path / "c").exists()
 
 
@@ -538,9 +629,9 @@ def test_exit_code_two_on_malformed_scan_file(tmp_path, text):
 
 def test_malformed_cache_line_is_skipped(tmp_path):
     (tmp_path / "exponents.jsonl").write_text(OLD_STORE_LINE)
-    proc = _run_ml("exponents", "--coxeter", "B2", "--cache-dir", str(tmp_path), "1,1,1,1")
+    proc = _run_ml("scan", "--coxeter", "B2", "--box", "1,1,1,1", "--cache-dir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    assert "exponents: (1, 3)" in proc.stdout
+    assert '{"d1":1,"d2":3,"delta":2,"mu":[1,1,1,1]}' in proc.stdout
     assert (tmp_path / "exponents.jsonl").read_text() == OLD_STORE_LINE
 
 
@@ -612,6 +703,12 @@ MALFORMED_INPUTS = {
     "field-p-float": (None, _arrangement_file(field={"type": "prime", "p": 101.5})),
     "form-float-prime": (None, _arrangement_file(field={"type": "prime", "p": 101},
                                                  forms=[[1.5, 0], [0, 1]])),
+    # JSON true is no coefficient: read as 1, this would be the form x + y
+    "form-bool-rational": (None, _arrangement_file(forms=[["1", "0"], [True, "1"]])),
+    "form-bool-quadratic": (None, _arrangement_file(field={"type": "quadratic", "d": 3},
+                                                    forms=[["1", "0"], [{"a": True}, "1"]])),
+    "cache-dir-exponents": (["exponents", "--coxeter", "B2", "1,1,1,1", "--cache-dir", "d"],
+                            None),
 }
 
 

@@ -57,7 +57,7 @@ def test_json_roundtrip_and_schema(b2_scan):
     assert text.endswith("\n")
     obj = json.loads(text)
     assert obj["schema"] == 1
-    assert "timing" not in text  # timing is in-memory only, for determinism
+    assert "timing" not in text  # ml scan times its call and reports it on stderr only
     back = ScanResult.from_json(text)
     assert back.table == b2_scan.table
     assert back.box == b2_scan.box
@@ -146,9 +146,11 @@ def test_known_ball_at_ones(b2_scan):
 
 
 def test_centers_unique(b2_scan):
-    for entry in centers(b2_scan):
-        assert entry.error is None
-        assert entry.delta == b2_scan.table[entry.center]
+    balls = centers(b2_scan)
+    assert balls == [c for c in components(b2_scan) if c.kind == "ball"]
+    for ball in balls:
+        assert ball.maximizers == (ball.center,)
+        assert ball.radius == b2_scan.table[ball.center]
 
 
 class PointNotInComponent(MultilatticeError, ValueError):
@@ -206,8 +208,7 @@ def test_peak_element_rejects_non_unimodal():
 
 
 def test_dot_export(b2_scan):
-    comps = components(b2_scan)
-    dot = to_dot(b2_scan, comps)
+    dot = to_dot(b2_scan)
     assert dot.startswith("graph support {")
     assert "doublecircle" in dot  # centers are highlighted
     assert '"1,1,1,1"' in dot

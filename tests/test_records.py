@@ -8,7 +8,7 @@ import pytest
 from multilattice.coxeter import GroupElement, NearConstantResult, coxeter_arrangement
 from multilattice.dermod import ExponentResult, SaitoVerdict, exponents
 from multilattice.errors import ProportionalForms
-from multilattice.explorer import CenterEntry, Component, ScanResult
+from multilattice.explorer import Component, ScanResult, components
 from multilattice.field import FieldSpec, ModInt, QuadElem
 from multilattice.poly import Arrangement, Derivation, HomogPoly, LinearForm
 from multilattice.theorems import CandidateMap, Verdict
@@ -58,14 +58,11 @@ RECORDS = {
         True, True,
         "NearConstantResult(nu=(3, 3, 3, 4), predicted=(6, 7), printed_formula=(6, 7), "
         "computed=(6, 7), formulas_agree=True, verdict='match')"),
+    # frozen, but its table makes it unhashable, as a CandidateMap's dict does
     "ScanResult": (lambda: ScanResult(_boolean(), (0, 0), {(0, 0): 0}),
-                   False, False,
-                   f"ScanResult(arrangement={_BOOLEAN}, box=(0, 0), "
-                   "table={(0, 0): 0}, timing={})"),
+                   True, False,
+                   f"ScanResult(arrangement={_BOOLEAN}, box=(0, 0), table={{(0, 0): 0}})"),
     "Component": (_ball, False, False, _BALL),
-    # frozen, but a Component field makes it unhashable, as a CandidateMap's dict does
-    "CenterEntry": (lambda: CenterEntry(_ball(), (1, 1), 1), True, False,
-                    f"CenterEntry(component={_BALL}, center=(1, 1), delta=1, error=None)"),
     "Verdict": (lambda: Verdict("ball-structure", "fail", [{"point": (1, 1)}], {"checked": 2}),
                 False, False,
                 "Verdict(name='ball-structure', status='fail', witnesses=[{'point': (1, 1)}], "
@@ -141,5 +138,15 @@ def test_constructors_keep_their_checks_and_canonical_forms():
         Derivation(HomogPoly((F(1),)), HomogPoly((F(1), F(1))))
     assert Derivation(HomogPoly((F(1),))).Q == HomogPoly() == Derivation().P
     assert FieldSpec("rational") == FieldSpec.rational() and FieldSpec("prime", p=7).d == 0
-    assert ScanResult(_boolean(), (0, 0), {}).timing == {}
+    assert not hasattr(ScanResult(_boolean(), (0, 0), {}), "timing")
     assert Verdict("x", "pass").witnesses == [] and Verdict("x", "pass").details == {}
+
+
+def test_a_scan_keeps_its_components_but_compares_and_pickles_without_them():
+    s = ScanResult(_boolean(), (2, 2), {(1, 1): 2, (0, 0): 0, (2, 2): 0})
+    comps = components(s)
+    assert components(s) is comps and len(comps) == 1
+    fresh = ScanResult(s.arrangement, s.box, s.table)
+    assert fresh == s and repr(fresh) == repr(s)
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s and back._components is None and components(back) == comps

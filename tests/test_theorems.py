@@ -5,7 +5,6 @@ defect.  Negative controls therefore corrupt either the scan data or the
 candidate inputs and assert the checks notice.
 """
 
-import copy
 import json
 import random
 from fractions import Fraction
@@ -32,6 +31,7 @@ from multilattice.theorems import (
     check_basis_step_and_path,
     check_covering_steps,
     check_independency,
+    check_saito_everywhere,
     check_singleton_gaps,
     certify_centers,
     certify_support,
@@ -65,9 +65,9 @@ def b2_oracle(B2):
 
 
 def corrupt(scan_result, mu, new_delta):
-    bad = copy.copy(scan_result)
-    bad.table = {**scan_result.table, mu: new_delta}
-    return bad
+    """A new scan: scan_result with the gap at mu set to new_delta."""
+    return ScanResult(scan_result.arrangement, scan_result.box,
+                      {**scan_result.table, mu: new_delta})
 
 
 # -- positive runs ------------------------------------------------------------
@@ -91,7 +91,7 @@ def test_basis_transport_pass(b2_scan, b2_oracle):
     steps = [(mu, nu) for c in comps for mu in c.members
              for nu, _h, dirn in lattice.covering_neighbors(mu, b2_scan.box)
              if dirn == +1 and nu in c.members]
-    v = check_basis_step_and_path(b2_scan, b2_oracle, comps)
+    v = check_basis_step_and_path(b2_scan, b2_oracle)
     assert v.passed, v.witnesses[:3]
     assert steps and v.details == {"steps": len(steps)}
 
@@ -104,13 +104,17 @@ def test_independency_exhaustive_pass(b2_scan, b2_oracle):
 
 @pytest.mark.parametrize("max_comps", [None, 4, 50])
 def test_independency_counts_the_pairs_it_would_sample(b2_scan, b2_oracle, max_comps):
-    """cross_pairs and same_pairs count every pair of the components the
-    check is given, also when no pairwise walk runs because the classes
-    already pass.  max_comps keeps that many components (the box has 44,
-    so 50 slices past the end); None keeps them all."""
+    """cross_pairs and same_pairs count every pair of the scan's components,
+    also when no pairwise walk runs because the classes already pass.
+    max_comps keeps the gaps of that many components (the box has 44, so 50
+    slices past the end) and sets every other gap to 0; None keeps them all."""
     comps = components(b2_scan)[:max_comps]
+    kept = {mu for c in comps for mu in c.members}
+    part = ScanResult(b2_scan.arrangement, b2_scan.box,
+                      {mu: gap if mu in kept else 0 for mu, gap in b2_scan.table.items()})
+    assert components(part) == comps
     near = pairs_at_distance_two([c.members for c in comps], b2_scan.box)
-    v = check_independency(b2_scan, b2_oracle, comps)
+    v = check_independency(part, b2_oracle)
     assert v.passed, v.witnesses[:3]
     assert v.details == {
         "cross_pairs": sum(1 for i, j in near
@@ -136,7 +140,7 @@ def test_independency_lists_every_failing_pair(B2, b2_center_setup):
     want |= {("cross-dependent", a, b) for i, j in near if home in (i, j)
              for a in comps[i].members for b in comps[j].members
              if bad in (a, b) and saito_dependent(oracle(a), oracle(b))}
-    v = check_independency(big, oracle, comps)
+    v = check_independency(big, oracle)
     assert v.status == "fail" and len(comps[home].members) > 50
     assert sorted((w["kind"], w["mu"], w["nu"]) for w in v.witnesses) == sorted(want)
 
@@ -172,7 +176,7 @@ def test_ball_structure_detects_corruption(b2_scan):
     # inflate the gap of an interior point of the (1,1,1,1)-ball: the point
     # then exceeds the radius its neighbouring centers would allow
     bad = corrupt(b2_scan, (2, 1, 1, 1), 3)
-    v = check_ball_structure(bad, components(bad))
+    v = check_ball_structure(bad)
     assert v.status == "fail"
     assert any(w["nu"] == (2, 1, 1, 1) for w in v.witnesses)
 
@@ -298,7 +302,7 @@ def test_construct_basis_between_preconditions(B2):
 
 def test_basis_for_from_scan_centers(B2):
     big = scan(B2, (5, 5, 5, 5))
-    index = [(e.center, e.delta) for e in centers(big) if e.center]
+    index = [(ball.center, ball.radius) for ball in centers(big)]
     for kappa in [(2, 2, 2, 2), (1, 2, 1, 2), (2, 1, 2, 1)]:
         (t1, t2), verdict = basis_for(B2, kappa, index)
         assert verdict.accepted
@@ -363,7 +367,7 @@ def test_certify_support_negative_controls(B2, b2_scan, b2_oracle):
 def b2_center_setup(B2):
     big = scan(B2, (5, 5, 5, 5))
     oracle = ThetaOracle(B2)
-    pts = {e.center: e.delta for e in centers(big) if e.center}
+    pts = {ball.center: ball.radius for ball in centers(big)}
     cand = CandidateMap({mu: oracle(mu) for mu in pts})
     margin = max(pts.values())
     inner = tuple(b - margin for b in big.box)
@@ -447,8 +451,8 @@ def test_certify_centers_matches_pairwise_on_scan_centers(B2, G2, b2_center_setu
                                                           g2_small_scan):
     big, oracle, cand, inner = b2_center_setup
     g2_oracle = ThetaOracle(G2)
-    g2_cand = CandidateMap({e.center: g2_oracle(e.center)
-                            for e in centers(g2_small_scan) if e.center})
+    g2_cand = CandidateMap({ball.center: g2_oracle(ball.center)
+                            for ball in centers(g2_small_scan)})
     assert not g2_cand.assignment  # G2 [0,2]^6 certifies no ball
     for A, s, o, c, windows in ((B2, big, oracle, cand, [inner, (3,) * 4, (0,) * 4, big.box]),
                                 (G2, g2_small_scan, g2_oracle, g2_cand, [(0,) * 6, (1,) * 6])):
@@ -490,7 +494,7 @@ def test_certify_centers_matches_pairwise_on_random_maps(B2, G2, b2_center_setup
     seen = set()
     for A, s, o, runs in ((B2, big, oracle, 24), (G2, g2_small_scan, ThetaOracle(G2), 12)):
         support = sorted(mu for mu, gap in s.table.items() if gap > 0)
-        true = sorted(e.center for e in centers(s) if e.center)
+        true = sorted(ball.center for ball in centers(s))
         for _ in range(runs):
             pts = set(rng.sample(true, max(len(true) - rng.randint(0, 2), 0)))
             pts |= set(rng.sample(support, rng.choice([0, 0, 1, 2, 5])))
@@ -517,8 +521,7 @@ def test_center_criterion_does_its_window_independent_work_once(B2, field, monke
                                                   [(1, 0), (0, 1), (1, 1), (1, 2)])
     s = scan(A, (4,) * 4)
     oracle = ThetaOracle(A)
-    comps = components(s)
-    gaps = {e.center: e.delta for e in centers(s, comps) if e.center}
+    gaps = {ball.center: ball.radius for ball in centers(s)}
     theorems._offsets_within_two(4)  # its one ball is built before the count
     members, balls = [], []
     real_in_module, real_ball = theorems.in_module, lattice.ball
@@ -526,7 +529,7 @@ def test_center_criterion_does_its_window_independent_work_once(B2, field, monke
                         lambda A, mu, theta: members.append(mu) or real_in_module(A, mu, theta))
     monkeypatch.setattr(lattice, "ball",
                         lambda mu, radius, box: balls.append(mu) or real_ball(mu, radius, box))
-    v = theorems._center_criterion(s, oracle, comps, gaps)
+    v = theorems._center_criterion(s, oracle)
     assert max(gaps.values()) == 2
     assert v.passed and v.details["margin"] == 3
     assert sorted(members) == sorted(balls) == sorted(gaps)
@@ -566,6 +569,52 @@ def _verdicts(scan_result, oracle, monkeypatch):
 def test_run_checks_refuses_an_unknown_check(b2_scan):
     with pytest.raises(PreconditionViolated, match="unknown check 'bogus'"):
         run_checks(b2_scan, "bogus")
+
+
+def test_saito_everywhere_lists_the_rows_its_bases_refute(B2):
+    """B2 [0,4]^4 with the 11 rows that the x - 2y arrangement's scan gives
+    differently: each is a witness, with the scan's gap and Saito's degrees."""
+    box = (4,) * 4
+    b2 = scan(B2, box)
+    other = scan(Arrangement.make(FieldSpec.rational(), [(1, 0), (0, 1), (1, 1), (1, -2)]), box)
+    rows = {mu: gap for mu, gap in other.table.items() if gap != b2.table[mu]}
+    assert len(rows) == 11
+    v = check_saito_everywhere(ScanResult(B2, box, {**b2.table, **rows}))
+    assert v.status == "fail" and v.details == {"checked": len(b2.table)}
+    total = {mu: sum(mu) for mu in rows}
+    assert v.witnesses == [
+        {"mu": mu, "delta": gap,
+         "degrees": ((total[mu] - b2.table[mu]) // 2, (total[mu] + b2.table[mu]) // 2)}
+        for mu, gap in sorted(rows.items())]
+
+
+def test_a_second_maximizer_is_no_center(monkeypatch):
+    """F_3 lines x, y, x + y on [0,6]^3 with the gap at (4,4,3) raised to
+    that of the center (3,3,3): the component is no ball, and neither the
+    centers nor the center criterion's candidates hold (3,3,3)."""
+    A = Arrangement.make(FieldSpec.prime(3), [(1, 0), (0, 1), (1, 1)])
+    honest = scan(A, (6,) * 3)
+    assert check_ball_structure(honest).passed
+    assert (3, 3, 3) in {ball.center for ball in centers(honest)}
+    bad = corrupt(honest, (4, 4, 3), 3)
+    home = next(c for c in components(bad) if (3, 3, 3) in c.members)
+    assert home.kind == "undetermined"
+    assert home.maximizers == ((3, 3, 3), (4, 4, 3))
+    assert home.notes == ("multiple maximizers", "ball_mismatch")
+    balls = centers(bad)
+    assert (3, 3, 3) not in {ball.center for ball in balls}
+    v = check_ball_structure(bad)
+    assert v.status == "fail" and v.details == {"certified_components": len(balls)}
+    assert [w for w in v.witnesses if "maximizers" in w] == [
+        {"component": home.sorted_members()[:8], "maximizers": home.maximizers,
+         "reason": "members do not form the certified ball"}]
+    candidates = []
+    real = theorems._certify_centers
+    monkeypatch.setattr(theorems, "_certify_centers",
+                        lambda A, cand, *rest: candidates.append(cand.points())
+                        or real(A, cand, *rest))
+    assert [v.status for v in run_checks(bad, "criteria")] == ["pass"] * 3
+    assert candidates == [sorted(ball.center for ball in balls)]
 
 
 def _case(ctype, box, corruption):
@@ -657,9 +706,8 @@ def test_covering_steps_settle_every_path(ctype, box, corruption, failed):
     over every comparable pair of a component passes on honest data, and
     whenever it finds a failing path, the step check fails too."""
     scan_result, oracle = _case(ctype, box, corruption)
-    comps = components(scan_result)
-    checked, failing = path_transport(scan_result, oracle, comps)
-    steps = check_basis_step_and_path(scan_result, oracle, comps)
+    checked, failing = path_transport(scan_result, oracle)
+    steps = check_basis_step_and_path(scan_result, oracle)
     assert checked > 0
     if corruption is None:
         assert not failing and steps.passed, (failing[:3], steps.witnesses[:3])
