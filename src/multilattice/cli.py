@@ -51,7 +51,8 @@ def load_arrangement(path: str) -> Arrangement:
     """Read an arrangement from its JSON file form.
 
     The format matches Arrangement.to_json: an object with "field"
-    ({"type": "rational"} | {"type": "quadratic", "d": n}), "forms"
+    ({"type": "rational"} | {"type": "quadratic", "d": n} |
+    {"type": "prime", "p": n}), "forms"
     (a list of [a, b] coefficient pairs in the field's textual scalar
     form) and optional "names".
     """
@@ -258,6 +259,17 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
+class _CommandParser(_Parser):
+    """The named command's parser.  It reports an argument it does not
+    take with its own usage, where argparse would leave it to ml's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _int_at_least(low: int):
     def parse(text: str) -> int:
         value = int(text)
@@ -277,6 +289,8 @@ def _parser(argv: List[str]) -> argparse.ArgumentParser:
     parser with its arguments: no other one is parsed.  That command is the
     first word of ``argv`` without a leading dash, since ``ml`` itself takes
     no option but ``--help``; a dash-led first positional is no command.
+    An argument the named command does not take is reported with that
+    command's usage (_CommandParser).
     """
     named = f"ml {next((a for a in argv if not a.startswith('-')), '')}"
     top = _Parser(prog="ml", description=(
@@ -284,7 +298,7 @@ def _parser(argv: List[str]) -> argparse.ArgumentParser:
     # argparse makes each command's parser with parser_class(prog="ml NAME", ...)
     commands = top.add_subparsers(
         metavar="COMMAND", required=True,
-        parser_class=lambda **kwargs: _Parser(**kwargs) if kwargs["prog"] == named else None)
+        parser_class=lambda **kwargs: _CommandParser(**kwargs) if kwargs["prog"] == named else None)
 
     def command(name, run, source=False, cache=False):
         doc = run.__doc__

@@ -29,11 +29,21 @@ from .record import Frozen, set_field
 Scalar = Union[Fraction, "QuadElem", "ModInt"]
 
 
+# Miller-Rabin with the prime bases up to 41 is proven correct below psi_13
+# (Sorenson and Webster, Math. Comp. 86, 2017); psi_13 itself passes them all
+PRIME_BOUND = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# is_squarefree divides by every i up to sqrt(n): a few ms below this bound
+SQUAREFREE_BOUND = 10**9
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (valid far beyond 64-bit inputs)."""
+    """Deterministic Miller-Rabin, for n below PRIME_BOUND (about 3.3e24)."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"primality is decided below {PRIME_BOUND} only, got {n}")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -41,7 +51,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -55,6 +65,7 @@ def is_prime(n: int) -> bool:
 
 
 def is_squarefree(n: int) -> bool:
+    """Whether no square above 1 divides n, by trial division up to sqrt(n)."""
     if n < 1:
         return False
     i = 2
@@ -252,9 +263,10 @@ class ModInt(Frozen):
 class FieldSpec(Frozen):
     """Which coefficient domain an arrangement lives over.
 
-    kind is one of "rational", "quadratic" (with squarefree d > 1) or
-    "prime" (with an odd prime p).  Every domain is exact; results over a
-    prime field are those of the arrangement over F_p.
+    kind is one of "rational", "quadratic" (with squarefree 1 < d <
+    SQUAREFREE_BOUND) or "prime" (with an odd prime p < PRIME_BOUND); the
+    bounds keep the checks of d and p fast and proven.  Every domain is
+    exact; results over a prime field are those of the arrangement over F_p.
     """
 
     __slots__ = _fields = ("kind", "d", "p")
@@ -263,11 +275,12 @@ class FieldSpec(Frozen):
         if kind == "rational":
             pass
         elif kind == "quadratic":
-            if d <= 1 or not is_squarefree(d):
-                raise FieldMismatch(f"quadratic d must be squarefree and > 1, got {d}")
+            if not 1 < d < SQUAREFREE_BOUND or not is_squarefree(d):
+                raise FieldMismatch(f"quadratic d must be squarefree, > 1 and below"
+                                    f" {SQUAREFREE_BOUND}, got {d}")
         elif kind == "prime":
-            if p <= 2 or not is_prime(p):
-                raise FieldMismatch(f"p must be an odd prime, got {p}")
+            if not 2 < p < PRIME_BOUND or not is_prime(p):
+                raise FieldMismatch(f"p must be an odd prime below {PRIME_BOUND}, got {p}")
         else:
             raise FieldMismatch(f"unknown field kind {kind!r}")
         set_field(self, "kind", kind)

@@ -3,13 +3,14 @@
 Each field has one Domain: it clears elements to integer images (ints over
 Q, integer pairs (a, b) for a + b*sqrt(d) over Q(sqrt d), residues over
 F_p), builds elements back, and runs every exact kernel on the images:
-fraction-free (Bareiss) or unit-pivot mod-p elimination, convolution,
-synthetic division, and the products, integer multiples, dot products,
-content removal and division by a lead coefficient that the lattice walk
-in dermod, its Saito certificate and poly's derivations run on.
-rank is the elimination's pivot count on rows of images; nullspace takes
-field rows, clears them and back-substitutes from the same echelon form.
-Both are the tests' elimination oracle: no production path eliminates, and
+convolution, synthetic division, and the products, integer multiples, dot
+products, content removal and division by a lead coefficient that the
+lattice walk in dermod, its Saito certificate and poly's derivations run on.
+Elimination is written once, on three of those kernels (over, convolve,
+primitive), for every field: rank is its pivot count on rows of images;
+nullspace takes field rows, clears them and back-substitutes from its
+echelon rows; invert_matrix reads the inverse off a nullspace.  All three
+are the tests' elimination oracle: no production path eliminates, and
 they stay here because perfbench/tracer.py binds them.
 """
 
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from .errors import InternalInconsistency
-from .field import FieldSpec, ModInt, QuadElem, Scalar, invert
+from .field import FieldSpec, ModInt, QuadElem, Scalar
 
 
 class Domain(NamedTuple):
@@ -31,13 +32,14 @@ class Domain(NamedTuple):
     Coefficient lists of polynomials run from the y-power end as in
     HomogPoly.  Members are module-level functions or partials of them, so
     a Derivation that caches its images still pickles to pool workers.
+    No member eliminates: _echelon does, for every field, on over, convolve
+    and primitive.
     """
 
     clear: Callable  # row -> (images, den) with row[i] == images[i] / den
     zero: object  # the image of 0
     one: object  # the image of 1
     back: Callable  # (image[, den]) -> the field element image / den
-    echelon: Callable  # (mat, ncols) -> (echelon rows, pivot columns); mat is consumed
     convolve: Callable  # (out, f, g, sign) adds sign * f * g into out
     power_divides: Callable  # (f, s, r, m) -> whether (s*t + r)**m divides f(t)
     mul: Callable  # (u, v) -> the image of u * v
@@ -55,38 +57,6 @@ class Domain(NamedTuple):
 def _clear_rational(row) -> Tuple[List[int], int]:
     den = math.lcm(*(c.denominator for c in row))
     return [c.numerator * (den // c.denominator) for c in row], den
-
-
-def _echelon_int(mat: List[List[int]], ncols: int):
-    """Bareiss forward elimination; returns (echelon rows, pivot columns)."""
-    prev = 1
-    r = 0
-    nrows = len(mat)
-    pivcols = []
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pr = mat[r]
-        for i in range(r + 1, nrows):
-            ri = mat[i]
-            if ri[c]:
-                f = ri[c]
-                for k in range(c + 1, ncols):
-                    ri[k] = (pr[c] * ri[k] - f * pr[k]) // prev
-                ri[c] = 0
-            else:
-                for k in range(c + 1, ncols):
-                    ri[k] = pr[c] * ri[k] // prev
-        prev = pr[c]
-        pivcols.append(c)
-        r += 1
-    return mat[:r], pivcols
 
 
 def _convolve_int(out: List[int], f: Sequence[int], g: Sequence[int], sign: int) -> None:
@@ -136,9 +106,8 @@ def _over_int(vec: List[int], v: int) -> Tuple[List[int], int]:
     return [c // g for c in vec], v // g
 
 
-_RATIONAL_DOMAIN = Domain(_clear_rational, 0, 1, Fraction, _echelon_int, _convolve_int,
-                          _power_divides_int, operator.mul, operator.mul, _dot_int,
-                          _primitive_int, _over_int)
+_RATIONAL_DOMAIN = Domain(_clear_rational, 0, 1, Fraction, _convolve_int, _power_divides_int,
+                          operator.mul, operator.mul, _dot_int, _primitive_int, _over_int)
 
 
 def _clear_quadratic(row) -> Tuple[List[Tuple[int, int]], int]:
@@ -154,48 +123,6 @@ def _qmul(u: Tuple[int, int], v: Tuple[int, int], d: int) -> Tuple[int, int]:
 
 def _qscale(u: Tuple[int, int], n: int) -> Tuple[int, int]:
     return (u[0] * n, u[1] * n)
-
-
-def _qdivexact(u: tuple, v: tuple, d: int) -> tuple:
-    n = v[0] * v[0] - d * v[1] * v[1]
-    a = u[0] * v[0] - d * u[1] * v[1]
-    b = u[1] * v[0] - u[0] * v[1]
-    if a % n or b % n:
-        raise InternalInconsistency("fraction-free elimination lost exactness")
-    return (a // n, b // n)
-
-
-def _echelon_quad(d: int, mat: List[List[tuple]], ncols: int):
-    prev = (1, 0)
-    r = 0
-    nrows = len(mat)
-    pivcols = []
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if mat[i][c] != (0, 0):
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pr = mat[r]
-        for i in range(r + 1, nrows):
-            ri = mat[i]
-            f = ri[c]
-            if f != (0, 0):
-                for k in range(c + 1, ncols):
-                    t1 = _qmul(pr[c], ri[k], d)
-                    t2 = _qmul(f, pr[k], d)
-                    ri[k] = _qdivexact((t1[0] - t2[0], t1[1] - t2[1]), prev, d)
-                ri[c] = (0, 0)
-            else:
-                for k in range(c + 1, ncols):
-                    ri[k] = _qdivexact(_qmul(pr[c], ri[k], d), prev, d)
-        prev = pr[c]
-        pivcols.append(c)
-        r += 1
-    return mat[:r], pivcols
 
 
 def _convolve_quad(d: int, out, f, g, sign: int) -> None:
@@ -262,36 +189,9 @@ def _quad_back(d: int, v, den: int = 1) -> QuadElem:
 @functools.lru_cache(maxsize=None)
 def _quadratic_domain(d: int) -> Domain:
     return Domain(_clear_quadratic, (0, 0), (1, 0), functools.partial(_quad_back, d),
-                  functools.partial(_echelon_quad, d), functools.partial(_convolve_quad, d),
-                  functools.partial(_power_divides_quad, d), functools.partial(_qmul, d=d),
-                  _qscale, functools.partial(_dot_quad, d),
+                  functools.partial(_convolve_quad, d), functools.partial(_power_divides_quad, d),
+                  functools.partial(_qmul, d=d), _qscale, functools.partial(_dot_quad, d),
                   _primitive_quad, functools.partial(_over_quad, d))
-
-
-def _echelon_modp(p: int, mat: List[List[int]], ncols: int):
-    """Forward elimination with unit pivots mod p; returns (echelon rows, pivot columns)."""
-    r = 0
-    nrows = len(mat)
-    pivcols = []
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if mat[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        pr = [v * inv % p for v in mat[r]]
-        mat[r] = pr
-        for i in range(r + 1, nrows):
-            f = mat[i][c] % p
-            if f:
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], pr)]
-        pivcols.append(c)
-        r += 1
-    return mat[:r], pivcols
 
 
 def _convolve_modp(p: int, out: List[int], f, g, sign: int) -> None:
@@ -347,9 +247,9 @@ def _modp_back(p: int, v: int, den: int = 1) -> ModInt:
 @functools.lru_cache(maxsize=None)
 def _prime_domain(p: int) -> Domain:
     return Domain(_clear_modp, 0, 1, functools.partial(_modp_back, p),
-                  functools.partial(_echelon_modp, p), functools.partial(_convolve_modp, p),
-                  functools.partial(_power_divides_modp, p), functools.partial(_mul_modp, p),
-                  functools.partial(_mul_modp, p), functools.partial(_dot_modp, p),
+                  functools.partial(_convolve_modp, p), functools.partial(_power_divides_modp, p),
+                  functools.partial(_mul_modp, p), functools.partial(_mul_modp, p),
+                  functools.partial(_dot_modp, p),
                   functools.partial(_primitive_modp, p), functools.partial(_over_modp, p))
 
 
@@ -362,60 +262,86 @@ def domain_of(x: Scalar) -> Domain:
     return _RATIONAL_DOMAIN
 
 
+def _echelon(dom: Domain, mat: Sequence[Sequence], ncols: int):
+    """Forward elimination on rows of images; returns (echelon rows, pivot columns).
+
+    The pivot row is divided by its pivot (over), so the pivot is rational,
+    and each row below becomes pr[c]*row - row[c]*pr over its content
+    (convolve, primitive), the combination the lattice walk takes.  Rows are
+    reduced (primitive) before any pivot is read, so an unreduced residue
+    is no pivot over F_p; the rows of mat are left as they are.
+    """
+    zero, one, over, convolve, primitive = dom.zero, dom.one, dom.over, dom.convolve, dom.primitive
+    mat = [r for r in map(primitive, mat) if r.count(zero) < len(r)]
+    pivcols = []
+    for c in range(ncols):
+        r = len(pivcols)
+        for piv in range(r, len(mat)):
+            if mat[piv][c] != zero:
+                break
+        else:
+            continue
+        pr = over(mat[piv], mat[piv][c])[0]
+        mat[piv], mat[r] = mat[r], pr
+        lead, tail = pr[c], pr[c:]
+        for i in range(r + 1, len(mat)):
+            row = mat[i]
+            if row[c] != zero:
+                # the rows below are zero left of c
+                out = row[c:]
+                if lead != one:  # it is 1 over F_p
+                    out = [zero] * (ncols - c)
+                    convolve(out, [lead], row[c:], 1)
+                convolve(out, [row[c]], tail, -1)
+                mat[i] = [zero] * c + primitive(out)
+        pivcols.append(c)
+    return mat[:len(pivcols)], pivcols
+
+
 def rank(rows: Sequence[Sequence], dom: Domain, ncols: int) -> int:
     """Rank of a list of rows of integer images, exactly, over dom's field.
 
-    The rows are copied, not consumed.  The tests' oracle (see the module
+    The rows are left as they are.  The tests' oracle (see the module
     docstring).
     """
-    zero = dom.zero
-    return len(dom.echelon([list(r) for r in rows if r.count(zero) < len(r)], ncols)[1])
+    return len(_echelon(dom, rows, ncols)[1])
 
 
 def nullspace(rows: Sequence[Sequence[Scalar]], fs: FieldSpec, ncols: int) -> List[List[Scalar]]:
-    """Deterministic nullspace basis (free variables in column order)."""
-    zero, one = fs.zero(), fs.one()
-    dom = domain_of(one)
-    back = dom.back
-    ech, pivcols = dom.echelon([dom.clear(r)[0] for r in rows if any(r)], ncols)
-    pivset = set(pivcols)
+    """Deterministic nullspace basis (free variables in column order).
+
+    Back-substitution runs on images too: each vector is kept as images
+    over a common denominator den, and solving for a pivot multiplies both
+    by the pivot (rational, see _echelon).
+    """
+    dom = domain_of(fs.one())
+    zero, one, mul, back = dom.zero, dom.one, dom.mul, dom.back
+    ech, pivcols = _echelon(dom, [dom.clear(r)[0] for r in rows], ncols)
     basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        v = [zero] * ncols
+    for free in sorted(set(range(ncols)).difference(pivcols)):
+        v, den = [zero] * ncols, one
         v[free] = one
-        for i in range(len(pivcols) - 1, -1, -1):
-            pc = pivcols[i]
-            row = ech[i]
-            s = zero
-            for j in range(pc + 1, ncols):
-                if v[j] and row[j]:
-                    s = s + back(row[j]) * v[j]
-            if s:
-                v[pc] = -s / back(row[pc])
-        basis.append(v)
+        for pc, row in zip(reversed(pivcols), reversed(ech)):
+            s = dom.dot(row[pc + 1:], v[pc + 1:])
+            if s != zero:
+                v, den = [mul(x, row[pc]) for x in v], mul(den, row[pc])
+                v[pc] = dom.scale(s, -1)
+        images, den = dom.over(v, den)
+        basis.append([back(x, den) for x in images])
     return basis
 
 
 def invert_matrix(rows: Sequence[Sequence[Scalar]], fs: FieldSpec) -> List[List[Scalar]]:
-    """Inverse of a square matrix via Gauss-Jordan; raises if singular."""
+    """Inverse of a square matrix A, read off the nullspace of [A | -I]; raises if singular.
+
+    Every kernel vector (x, y) has A*x = y.  A is invertible exactly when
+    its n columns all pivot, that is when the free coordinates are y: then
+    the basis vector with y = e_j has x = A^-1 * e_j.
+    """
     n = len(rows)
     zero, one = fs.zero(), fs.one()
-    aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            raise InternalInconsistency("singular basis-change matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = invert(aug[c][c])
-        aug[c] = [v * inv for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    basis = nullspace([list(r) + [-e for e in unit] for r, unit in zip(rows, eye)], fs, 2 * n)
+    if [v[n:] for v in basis] != eye:
+        raise InternalInconsistency("singular basis-change matrix")
+    return [list(col) for col in zip(*(v[:n] for v in basis))]

@@ -732,6 +732,42 @@ def test_exit_code_two_on_malformed_input(tmp_path, args, arrangement):
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+# psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to every prime
+# base up to 37, psi_13 to every one up to 41; trial division up to the
+# square root of the 31-digit d would not end
+BAD_FIELDS = {
+    "composite-p": ({"type": "prime", "p": 318665857834031151167461}, "odd prime below"),
+    "p-at-the-bound": ({"type": "prime", "p": 3317044064679887385961981}, "odd prime below"),
+    "huge-d": ({"type": "quadratic", "d": 10**30 + 57}, "squarefree, > 1 and below"),
+}
+
+
+@pytest.mark.parametrize("field,message", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
+def test_exit_code_two_at_once_on_a_field_past_its_bound(scan_file, tmp_path, field, message):
+    arr = tmp_path / "arr.json"
+    arr.write_text(json.dumps(_arrangement_file(
+        field=field, forms=[["1", "0"], ["0", "1"], ["1", "1"], ["1", "2"]])))
+    obj = json.loads(open(scan_file).read())
+    obj["arrangement"]["field"] = field
+    scan = tmp_path / "scan.json"
+    scan.write_text(json.dumps(obj))
+    for args in (["exponents", "-a", str(arr), "2,1,3,1"], ["verify", "--scan", str(scan), "all"]):
+        result = invoke(args)
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+
+
+@pytest.mark.parametrize("args", [["exponents", "--coxeter", "B2", "1,1,1,1", "--bogus"],
+                                  ["verify", "--scan", SCAN, "all", "extra"]],
+                         ids=["exponents-option", "verify-positional"])
+def test_an_unknown_argument_is_reported_with_its_commands_usage(scan_file, args):
+    args = [scan_file if a == SCAN else a for a in args]
+    result = invoke(args)
+    assert result.exit_code == 2
+    assert result.output.startswith(f"usage: ml {args[0]} ")
+    assert f"ml {args[0]}: error: unrecognized arguments: {args[-1]}\n" in result.output
+
+
 def _json_fault(text: str, key: str, fault: str) -> str:
     """text made unreadable to the json module without a JSONDecodeError:
     nested past the recursion limit, or with the first integer value of key

@@ -19,6 +19,8 @@ from multilattice.errors import (
     ParseError,
 )
 from multilattice.field import (
+    PRIME_BOUND,
+    SQUAREFREE_BOUND,
     FieldSpec,
     ModInt,
     QuadElem,
@@ -48,6 +50,32 @@ def test_is_prime_small_table():
 def test_is_prime_large():
     assert is_prime(2**61 - 1)
     assert not is_prime(2**61 + 1)
+
+
+# the least strong pseudoprimes to every prime base up to 37 and up to 41
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_refutes_the_pseudoprime_to_the_bases_below_41():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_prime(PSI_12)
+    # PSI_13 passes every base is_prime tries, so it decides nothing from there on
+    assert PRIME_BOUND == PSI_13
+    with pytest.raises(ValueError):
+        is_prime(PSI_13)
+
+
+def test_fieldspec_refuses_p_and_d_past_their_bounds():
+    for p in (PSI_12, PSI_13, PSI_13 + 2):
+        with pytest.raises(FieldMismatch, match="odd prime below"):
+            FieldSpec.prime(p)
+    # d from the bound on is refused before any trial division, which would
+    # not end for the last one
+    assert FieldSpec.quadratic(999999937).d == 999999937 < SQUAREFREE_BOUND
+    for d in (SQUAREFREE_BOUND, SQUAREFREE_BOUND + 1, 10**30 + 57):
+        with pytest.raises(FieldMismatch, match="squarefree, > 1 and below"):
+            FieldSpec.quadratic(d)
 
 
 def test_is_squarefree():

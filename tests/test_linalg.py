@@ -1,4 +1,4 @@
-"""Exact linear algebra: fraction-free rank against a plain Gaussian oracle.
+"""Exact linear algebra: the one elimination against plain Gaussian oracles.
 
 rank runs on integer images; the tests clear their field rows with the
 field's Domain first (image_rank)."""
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from multilattice.errors import InternalInconsistency
 from multilattice.field import FieldSpec, QuadElem
-from multilattice.linalg import domain_of, invert_matrix, nullspace, rank
+from multilattice.linalg import _echelon, domain_of, invert_matrix, nullspace, rank
 
 RAT = FieldSpec.rational()
 QUAD = FieldSpec.quadratic(3)
@@ -168,7 +168,7 @@ def oracle_nullspace(rows, fs, ncols):
             continue
         r = len(pivots)
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][c].inverse()
+        inv = fs.one() / mat[r][c]
         mat[r] = [v * inv for v in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
@@ -185,13 +185,49 @@ def oracle_nullspace(rows, fs, ncols):
     return basis
 
 
+F7 = FieldSpec.prime(7)
+# small entries, so that dependent rows and zero pivots are common
+SMALL_ENTRIES = {
+    "rational": (RAT, st.sampled_from([Fraction(a, b) for a in range(-2, 3) for b in (1, 2)])),
+    "quadratic": (QUAD, st.sampled_from([QuadElem(Fraction(a), Fraction(b), 3)
+                                         for a in range(-1, 2) for b in range(-1, 2)])),
+    "prime": (F7, st.sampled_from([F7.from_int(a) for a in range(7)])),
+}
+
+
+@pytest.mark.parametrize("fs,entries", SMALL_ENTRIES.values(), ids=SMALL_ENTRIES.keys())
 @settings(max_examples=150)
 @given(st.integers(1, 5), st.integers(1, 6), st.data())
-def test_nullspace_prime_matches_gauss_jordan(nrows, ncols, data):
-    # a small prime makes dependent rows and zero pivots common
-    fs = FieldSpec.prime(7)
-    rows = [[fs.from_int(data.draw(st.integers(0, 6))) for _ in range(ncols)]
-            for _ in range(nrows)]
+def test_nullspace_matches_gauss_jordan(fs, entries, nrows, ncols, data):
+    rows = [[data.draw(entries) for _ in range(ncols)] for _ in range(nrows)]
     want = oracle_nullspace(rows, fs, ncols)
     assert nullspace(rows, fs, ncols) == want
     assert image_rank(rows, fs, ncols) == ncols - len(want)
+
+
+@pytest.mark.parametrize("fs,entries", [SMALL_ENTRIES["quadratic"], SMALL_ENTRIES["prime"]],
+                         ids=["quadratic", "prime"])
+@settings(max_examples=60)
+@given(st.integers(1, 4), st.data())
+def test_invert_matrix_over_quadratic_and_prime_fields(fs, entries, n, data):
+    rows = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
+    if oracle_nullspace(rows, fs, n):
+        with pytest.raises(InternalInconsistency):
+            invert_matrix(rows, fs)
+        return
+    inv = invert_matrix(rows, fs)
+    for i in range(n):
+        for j in range(n):
+            acc = fs.zero()
+            for k in range(n):
+                acc = acc + rows[i][k] * inv[k][j]
+            assert acc == (fs.one() if i == j else fs.zero())
+
+
+def test_an_unreduced_residue_is_no_pivot():
+    # 7 and 14 are the residue 0 of F_7: the one pivot is in column 1
+    dom = domain_of(F7.one())
+    rows = [[7, 1], [14, 3]]
+    assert _echelon(dom, rows, 2)[1] == [1]
+    assert rank(rows, dom, 2) == 1
+    assert rows == [[7, 1], [14, 3]]
