@@ -2,7 +2,11 @@
 
 A derivation theta = P*dx + Q*dy of degree d belongs to the module of an
 arrangement with multiplicity mu iff for every hyperplane H the polynomial
-theta(alpha_H) is divisible by alpha_H**mu_H.
+theta(alpha_H) is divisible by alpha_H**mu_H: iff its valuation v_H, the
+largest power of alpha_H dividing theta(alpha_H), is at least mu_H.  Each
+derivation computes its valuations once (Derivation.valuations), and the
+walk hands out one theta_min object per distinct value, so a generator
+shared by many points is divided once.
 
 Every 2-multiarrangement is free (Ziegler 1989): its exponents d1 <= d2
 satisfy d1 + d2 = |mu|.  exponents and full_basis walk the multiplicity
@@ -290,7 +294,9 @@ class _Walk:
     gains the factor alpha_h, so by Saito's criterion they are a basis.
     Ziegler's freeness theorem makes a basis exist at every mu, so a step
     where both residuals vanish is a solver bug.  results keeps what
-    exponents returned at each mu.
+    exponents returned at each mu, and thetas one theta_min object per
+    distinct value, so that value-equal generators share the valuations
+    that membership reads off them.
     """
 
     def __init__(self, A: Arrangement):
@@ -301,6 +307,7 @@ class _Walk:
         self.rows: Dict[Tuple[int, int, int], List] = {}
         self.states: Dict[Multiplicity, _State] = {}
         self.results: Dict[Multiplicity, ExponentResult] = {}
+        self.thetas: Dict[Derivation, Derivation] = {}
 
     def _root(self) -> _State:
         one, zero = self.dom.one, self.dom.zero
@@ -374,6 +381,7 @@ class _Walk:
             self.states.clear()
             self.rows.clear()
             self.results.clear()
+            self.thetas.clear()
         self.states.update(walked)
         return state
 
@@ -382,8 +390,8 @@ class _Walk:
         InternalInconsistency unless it is a basis of D(A, mu), which
         proves both exponents."""
         t1, d1, t2, d2 = state
-        # the shape of Derivation.cleared
-        gens = [(self.dom, t[:d + 1], t[d + 1:], 1) for t, d in ((t1, d1), (t2, d2))]
+        gens = [Derivation.of_images(self.dom, t[:d + 1], t[d + 1:], 1)
+                for t, d in ((t1, d1), (t2, d2))]
         failed, _ = _saito(self.A, mu, gens)
         if failed:
             raise InternalInconsistency({
@@ -480,11 +488,13 @@ def exponent_pair(A: Arrangement, mu: Sequence[int]) -> Tuple[int, int]:
 def exponents(A: Arrangement, mu: Sequence[int]) -> ExponentResult:
     """Exponents of the multiarrangement and a minimal-degree generator,
     kept in the walk's memo, so that a kept result costs one lookup:
-    exponent_pair, and theta_min from the basis it walked to."""
+    exponent_pair, and theta_min from the basis it walked to, one object
+    per distinct value (the walk's thetas)."""
     mu, walk, result = _kept(A, mu)
     if result is None:
         d1, d2 = exponent_pair(A, mu)
         theta = walk.derivation(walk.minimal(walk.basis(mu))[0], d1)
+        theta = walk.thetas.setdefault(theta, theta)
         result = walk.results[mu] = ExponentResult(d1, d2, theta)
     return result
 
@@ -499,12 +509,16 @@ def min_derivation(A: Arrangement, mu: Sequence[int]) -> Derivation:
 
 
 def full_basis(A: Arrangement, mu: Sequence[int]) -> Tuple[Derivation, Derivation]:
-    """A Saito-verified homogeneous basis with degrees (d1, d2)."""
+    """A Saito-verified homogeneous basis with degrees (d1, d2).
+
+    A partner equal to a theta_min of the walk is handed out as that object,
+    with the valuations it keeps; the walk keeps no partner of its own."""
     t1 = exponents(A, mu).theta_min
     walk = _walk(A)
     state = walk.basis(tuple(mu))
     t2 = walk.derivation(walk.partner(state), state[3])
-    failed, _ = _saito(A, tuple(mu), [t1.cleared, t2.cleared])
+    t2 = walk.thetas.get(t2, t2)
+    failed, _ = _saito(A, tuple(mu), [t1, t2])
     if failed:
         raise InternalInconsistency(f"independent partner failed Saito verification: {failed}")
     return (t1, t2)
@@ -521,42 +535,25 @@ class SaitoVerdict(Frozen):
 
 
 def in_module(A: Arrangement, mu: Sequence[int], theta: Derivation) -> bool:
-    """Membership test: alpha_H**mu_H divides theta(alpha_H) for every H.
-
-    theta(alpha) = a*P + b*Q is formed on the integer images of the field's
-    linalg.Domain and divided exactly.
-    """
-    return theta.is_zero or _in_module_images(A, mu, *theta.cleared[:3])
+    """Membership test: alpha_H**mu_H divides theta(alpha_H) for every H,
+    read off the valuations that theta keeps for A (Derivation.valuations)."""
+    return theta.is_zero or _member(A, mu, theta)
 
 
-def _in_module_images(A: Arrangement, mu: Sequence[int], dom, P: List, Q: List) -> bool:
-    """in_module on the images P and Q of a nonzero derivation's parts (a
-    zero part as [] or as zeros)."""
-    zero = dom.zero
-    for lf, m in zip(A.forms, mu):
-        if m <= 0:
-            continue
-        if not lf.a:
-            # alpha = y and theta(alpha) = Q: its top m coefficients must vanish
-            if any(v != zero for v in Q[max(len(Q) - m, 0):]):
-                return False
-            continue
-        (r, s), _ = lf.images  # the images of b and a
-        f = [zero] * max(len(P), len(Q))
-        dom.convolve(f, [s], P, 1)
-        dom.convolve(f, [r], Q, 1)
-        if f.count(zero) < len(f) and not dom.power_divides(f, s, r, m):
-            return False
-    return True
+def _member(A: Arrangement, mu: Sequence[int], theta: Derivation) -> bool:
+    """in_module for a nonzero theta: v_H >= mu_H on every line, where
+    theta(alpha_H) = 0 (v_H None) counts as infinite."""
+    return all(v is None or v >= m for v, m in zip(theta.valuations(A), mu))
 
 
 def _saito(A: Arrangement, mu: Multiplicity,
-           gens: Sequence[Tuple]) -> Tuple[Optional[str], Optional[Tuple]]:
+           gens: Sequence[Derivation]) -> Tuple[Optional[str], Optional[Tuple]]:
     """Saito's criterion on integer images: the one decision of
-    _Walk.certify, full_basis and verify_saito, on two generators, each
-    given as Derivation.cleared.  Returns (None, c) for a basis of D(A, mu)
-    with det = c*Q(A, mu), c as the ([image], den) of dom.over; else
-    (check, None) for the first failed check:
+    _Walk.certify, full_basis and verify_saito, on two Derivations, whose
+    membership reads the valuations each keeps (Derivation.valuations).
+    Returns (None, c) for a basis of D(A, mu) with det = c*Q(A, mu), c as
+    the ([image], den) of dom.over; else (check, None) for the first failed
+    check:
     "theta1" or "theta2" (zero or not in the module), "degree" (degrees
     not summing to |mu|), then "dependent".
 
@@ -567,10 +564,10 @@ def _saito(A: Arrangement, mu: Multiplicity,
     H != x.  So det_k, from the first k + 1 images of each part, decides
     on every field, with c = det_k / Q_k.
     """
-    for label, cleared in zip(("theta1", "theta2"), gens):
-        if cleared is None or not _in_module_images(A, mu, *cleared[:3]):
+    for label, theta in zip(("theta1", "theta2"), gens):
+        if theta.is_zero or not _member(A, mu, theta):
             return label, None
-    (dom, p1, q1, den1), (_, p2, q2, den2) = gens
+    (dom, p1, q1, den1), (_, p2, q2, den2) = (theta.cleared for theta in gens)
     if len(p1 or q1) + len(p2 or q2) - 2 != sum(mu):
         return "degree", None
     q, qden = dom.one, 1  # Q_k = q / qden
@@ -590,12 +587,12 @@ def _saito(A: Arrangement, mu: Multiplicity,
 
 def verify_saito(A: Arrangement, mu: Sequence[int], t1: Derivation, t2: Derivation) -> SaitoVerdict:
     """Accept iff {t1, t2} is a basis of the derivation module at mu, as
-    _saito decides on the images each derivation caches; an accepted
-    verdict carries the scalar c with det = c*Q(A, mu)."""
+    _saito decides on the images and valuations each derivation keeps; an
+    accepted verdict carries the scalar c with det = c*Q(A, mu)."""
     mu = tuple(mu)
     if len(mu) != len(A):
         raise LengthMismatch("multiplicity length does not match arrangement")
-    reason, c = _saito(A, mu, [t1.cleared, t2.cleared])
+    reason, c = _saito(A, mu, [t1, t2])
     scalar = c and t1.cleared[0].back(c[0][0], c[1])
     if reason in ("theta1", "theta2"):
         zero = (t1 if reason == "theta1" else t2).is_zero

@@ -19,7 +19,7 @@ import os
 from typing import Dict, List, Optional, Tuple
 
 from . import lattice
-from .errors import ParseError
+from .errors import ParseError, PreconditionViolated
 from .lattice import Box, Multiplicity
 from .poly import Arrangement
 from .record import Frozen, Record, set_field
@@ -149,6 +149,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# The most points a scan takes: twice the 2**20 of a B2 [0,31]^4 box.  A
+# scan holds every point and its gap in memory, so a larger box is refused
+# before any point is made.
+MAX_SCAN_POINTS = 1 << 21
+
+
 def scan(A: Arrangement, box: Box, jobs: int = 1) -> ScanResult:
     """Tabulate the gap over the box, solving every point exactly.
 
@@ -156,10 +162,15 @@ def scan(A: Arrangement, box: Box, jobs: int = 1) -> ScanResult:
     min(jobs, usable CPUs, points // _MIN_POINTS_PER_WORKER) worker
     processes, each walking one contiguous run of the box, and walks
     in-process when that is at most one.  Every point yields its gap only,
-    and no generator is built; the table does not depend on jobs.
+    and no generator is built; the table does not depend on jobs.  A box of
+    more than MAX_SCAN_POINTS points raises PreconditionViolated.
     """
     if len(box) != len(A):
         raise ValueError("box length must match the arrangement")
+    size = math.prod(b + 1 for b in box)
+    if size > MAX_SCAN_POINTS:
+        raise PreconditionViolated(
+            f"the box has {size} points; a scan takes at most {MAX_SCAN_POINTS}")
     points = list(lattice.box_points(box))
     workers = min(jobs, _usable_cpus(), len(points) // _MIN_POINTS_PER_WORKER)
     if workers <= 1:

@@ -3,9 +3,11 @@
 Each field has one Domain: it clears elements to integer images (ints over
 Q, integer pairs (a, b) for a + b*sqrt(d) over Q(sqrt d), residues over
 F_p), builds elements back, and runs every exact kernel on the images:
-convolution, synthetic division, and the products, integer multiples, dot
-products, content removal and division by a lead coefficient that the
-lattice walk in dermod, its Saito certificate and poly's derivations run on.
+convolution, the valuation along a line (the power of a linear form that
+divides a polynomial, by exact synthetic division), and the products,
+integer multiples, dot products, content removal and division by a lead
+coefficient that the lattice walk in dermod, its Saito certificate and
+poly's derivations run on.
 Elimination is written once, on three of those kernels (over, convolve,
 primitive), for every field: rank is its pivot count on rows of images;
 nullspace takes field rows, clears them and back-substitutes from its
@@ -41,7 +43,7 @@ class Domain(NamedTuple):
     one: object  # the image of 1
     back: Callable  # (image[, den]) -> the field element image / den
     convolve: Callable  # (out, f, g, sign) adds sign * f * g into out
-    power_divides: Callable  # (f, s, r, m) -> whether (s*t + r)**m divides f(t)
+    valuation: Callable  # (f, s, r) -> the largest m with (s*t + r)**m dividing f(t), f nonzero
     mul: Callable  # (u, v) -> the image of u * v
     scale: Callable  # (u, n) -> the image of n * u, for an integer n
     dot: Callable  # (u, v) -> the image of sum(u[i] * v[i])
@@ -67,28 +69,32 @@ def _convolve_int(out: List[int], f: Sequence[int], g: Sequence[int], sign: int)
             out[i:i + n] = [o + a * b for o, b in zip(out[i:i + n], g)]
 
 
-def _power_divides_int(f: List[int], s: int, r: int, m: int) -> bool:
-    """Exact synthetic division by s*t + r (gcd(s, r) = 1, f nonzero).
+def _leading_zeros(f, zero) -> int:
+    """The valuation along the line x (r = 0): the power of t dividing f."""
+    return next(i for i, c in enumerate(f) if c != zero)
 
-    By Gauss's lemma a primitive divisor leaves an integer quotient, so
-    the first inexact step already proves that it does not divide.
+
+def _valuation_int(f: List[int], s: int, r: int) -> int:
+    """The largest m with (s*t + r)**m dividing f(t), for f and s nonzero,
+    by exact synthetic division until a remainder is nonzero.
+
+    With u = s*t the divisor is the monic u + r, and f becomes
+    s**n * f(u/s), whose coefficients f[i] * s**(n-i) are ints.  A monic
+    divisor leaves integer quotients, so each division is one pass on ints,
+    from the top coefficient, and its remainder decides.
     """
-    for _ in range(m):
-        n = len(f) - 1
-        if n == 0:
-            return False
-        quot = [0] * n
-        acc = f[n]
-        for i in range(n, 0, -1):
-            g, rem = divmod(acc, s)
-            if rem:
-                return False
-            quot[i - 1] = g
-            acc = f[i - 1] - r * g
-        if acc:
-            return False
-        f = quot
-    return True
+    if not r:
+        return _leading_zeros(f, 0)
+    g = f[::-1]
+    if s != 1:
+        g = [c * s ** k for k, c in enumerate(g)]
+    m = 0
+    while True:
+        acc = 0
+        g = [acc := c - r * acc for c in g]  # the quotient, then the remainder
+        if g.pop():
+            return m
+        m += 1
 
 
 def _dot_int(u: Sequence[int], v: Sequence[int]) -> int:
@@ -106,7 +112,7 @@ def _over_int(vec: List[int], v: int) -> Tuple[List[int], int]:
     return [c // g for c in vec], v // g
 
 
-_RATIONAL_DOMAIN = Domain(_clear_rational, 0, 1, Fraction, _convolve_int, _power_divides_int,
+_RATIONAL_DOMAIN = Domain(_clear_rational, 0, 1, Fraction, _convolve_int, _valuation_int,
                           operator.mul, operator.mul, _dot_int, _primitive_int, _over_int)
 
 
@@ -135,26 +141,26 @@ def _convolve_quad(d: int, out, f, g, sign: int) -> None:
                 out[i + j] = (o[0] + u, o[1] + v)
 
 
-def _power_divides_quad(d: int, f, s, r, m: int) -> bool:
-    """Synthetic division by t + r/q (s = (q, 0), f nonzero), the
-    denominator carried as a power of q: h[j] = q**(n-1-j) * quotient[j]."""
+def _valuation_quad(d: int, f, s, r) -> int:
+    """The valuation of _valuation_int for s = (q, 0), q a nonzero int:
+    with u = q*t the divisor is the monic u + r, and q**n * f(u/q) has the
+    integer pairs f[i] * q**(n-i), so each division is exact on them."""
+    if r == (0, 0):
+        return _leading_zeros(f, (0, 0))
     q = s[0]
-    for _ in range(m):
-        n = len(f) - 1
-        if n == 0:
-            return False
-        h = [None] * n
-        acc = f[n]
-        scale = 1
-        for i in range(n, 0, -1):
-            h[i - 1] = acc
-            scale *= q
-            u, v = _qmul(r, acc, d)
-            acc = (f[i - 1][0] * scale - u, f[i - 1][1] * scale - v)
-        if acc != (0, 0):
-            return False
-        f = [(a * q ** j, b * q ** j) for j, (a, b) in enumerate(h)]  # q**(n-1) * quotient
-    return True
+    g = f[::-1]
+    if q != 1:
+        g = [(a * q ** k, b * q ** k) for k, (a, b) in enumerate(g)]
+    r0, r1, dr1 = r[0], r[1], d * r[1]
+    m = 0
+    while True:
+        acc = (0, 0)
+        # c - r*acc, the quotient and then the remainder
+        g = [acc := (a - r0 * acc[0] - dr1 * acc[1], b - r0 * acc[1] - r1 * acc[0])
+             for a, b in g]
+        if g.pop() != (0, 0):
+            return m
+        m += 1
 
 
 def _dot_quad(d: int, u, v) -> Tuple[int, int]:
@@ -189,7 +195,7 @@ def _quad_back(d: int, v, den: int = 1) -> QuadElem:
 @functools.lru_cache(maxsize=None)
 def _quadratic_domain(d: int) -> Domain:
     return Domain(_clear_quadratic, (0, 0), (1, 0), functools.partial(_quad_back, d),
-                  functools.partial(_convolve_quad, d), functools.partial(_power_divides_quad, d),
+                  functools.partial(_convolve_quad, d), functools.partial(_valuation_quad, d),
                   functools.partial(_qmul, d=d), _qscale, functools.partial(_dot_quad, d),
                   _primitive_quad, functools.partial(_over_quad, d))
 
@@ -199,23 +205,20 @@ def _convolve_modp(p: int, out: List[int], f, g, sign: int) -> None:
     out[:] = [o % p for o in out]
 
 
-def _power_divides_modp(p: int, f: List[int], s: int, r: int, m: int) -> bool:
-    """Synthetic division by s*t + r mod p (s a unit, f nonzero)."""
-    inv = pow(s, -1, p)
-    for _ in range(m):
-        n = len(f) - 1
-        if n == 0:
-            return False
-        quot = [0] * n
-        acc = f[n]
-        for i in range(n, 0, -1):
-            g = acc * inv % p
-            quot[i - 1] = g
-            acc = (f[i - 1] - r * g) % p
-        if acc:
-            return False
-        f = quot
-    return True
+def _valuation_modp(p: int, f: List[int], s: int, r: int) -> int:
+    """The valuation of _valuation_int mod p (s a unit, f reduced and
+    nonzero): synthetic division by the monic t + r/s."""
+    if not r:
+        return _leading_zeros(f, 0)
+    r = r * pow(s, -1, p) % p
+    g = f[::-1]
+    m = 0
+    while True:
+        acc = 0
+        g = [acc := (c - r * acc) % p for c in g]  # the quotient, then the remainder
+        if g.pop():
+            return m
+        m += 1
 
 
 def _mul_modp(p: int, u: int, v: int) -> int:
@@ -247,7 +250,7 @@ def _modp_back(p: int, v: int, den: int = 1) -> ModInt:
 @functools.lru_cache(maxsize=None)
 def _prime_domain(p: int) -> Domain:
     return Domain(_clear_modp, 0, 1, functools.partial(_modp_back, p),
-                  functools.partial(_convolve_modp, p), functools.partial(_power_divides_modp, p),
+                  functools.partial(_convolve_modp, p), functools.partial(_valuation_modp, p),
                   functools.partial(_mul_modp, p), functools.partial(_mul_modp, p),
                   functools.partial(_dot_modp, p),
                   functools.partial(_primitive_modp, p), functools.partial(_over_modp, p))

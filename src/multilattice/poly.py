@@ -8,9 +8,10 @@ A Derivation is the integer images of its coefficients, through the
 field's linalg.Domain (Derivation.cleared), and the verification kernels
 run on them: the dependence and proportionality predicates, the product
 with linear forms of the basis construction, Saito determinants, defining
-polynomials and the divisions behind module membership.  Field elements
-are built only where something reads P or Q: to print a derivation, and in
-the HomogPoly arithmetic, which the tests keep as their oracle.  Nothing
+polynomials and the valuations along each line behind module membership
+(Derivation.valuations).  Field elements are built only where something
+reads P or Q: to print a derivation, and in the HomogPoly arithmetic,
+which the tests keep as their oracle.  Nothing
 is evaluated at a point: dependence compares the leading terms of P/Q at
 x = 0 and at y = 0 (Derivation.ends) and convolves the full determinant
 only where those agree, and dermod's Saito certificate reads one
@@ -296,9 +297,14 @@ class Derivation(Frozen):
     in it (of_images).  The field coefficients are built from it on each
     read of P or Q, which format, the field arithmetic (+, -, scale and
     mul_poly) and repr do.
+
+    valuations(A) keeps its answer for one arrangement in one slot,
+    (A, valuations), which another arrangement overwrites; the slot is no
+    part of the value, so ==, hash and pickling leave it out.
     """
 
     _fields = ("P", "Q")  # what repr prints; no __slots__: cleared and ends live in __dict__
+    _valuations = None  # the slot of valuations, set on the instance
 
     def __init__(self, P: HomogPoly = HomogPoly(), Q: HomogPoly = HomogPoly()):
         if P.coeffs and Q.coeffs and len(P.coeffs) != len(Q.coeffs):
@@ -328,8 +334,9 @@ class Derivation(Frozen):
         return hash(c and (tuple(c[1]), tuple(c[2]), c[3]))
 
     def __reduce__(self):
-        # rebuilt as zero, then given its value and its cached ends
-        return Derivation, (), self.__dict__
+        # rebuilt as zero, then given its value and its cached ends, not the
+        # valuations, which hold an arrangement
+        return Derivation, (), {k: v for k, v in self.__dict__.items() if k != "_valuations"}
 
     P = property(lambda self: self._part(1))
     Q = property(lambda self: self._part(2))
@@ -381,6 +388,41 @@ class Derivation(Frozen):
         py = next(i for i in range(top, -1, -1) if P[i] != zero)
         qy = next(i for i in range(top, -1, -1) if Q[i] != zero)
         return px - qx, _quotient(dom, P[px], Q[qx]), qy - py, _quotient(dom, P[py], Q[qy])
+
+    def valuations(self, A: Arrangement) -> Tuple[Optional[int], ...]:
+        """For each line H of A, v_H: the largest m with alpha_H**m dividing
+        theta(alpha_H), None where theta(alpha_H) = 0 (all None for the zero
+        derivation).  So theta is in D(A, mu) iff v_H >= mu_H wherever v_H
+        is not None.
+
+        Read off the images: the line y (alpha = y, theta(alpha) = Q) by
+        Q's vanishing top coefficients, every other line by the field's
+        Domain.valuation of s*P + r*Q, r and s the images of alpha's b and
+        a.  Kept for A, checked by identity, until another arrangement asks.
+        """
+        slot = self._valuations
+        if slot is not None and slot[0] is A:
+            return slot[1]
+        if self.cleared is None:
+            vals = (None,) * len(A)
+        else:
+            dom, P, Q, _ = self.cleared
+            zero, convolve, valuation = dom.zero, dom.convolve, dom.valuation
+            out = []
+            for lf in A.forms:
+                (r, s), _ = lf.images
+                if s == zero:  # alpha = y: y**m divides Q iff its top m coefficients vanish
+                    out.append(next((i for i, c in enumerate(reversed(Q)) if c != zero), None))
+                    continue
+                f = P  # alpha = x (r = 0): theta(alpha) = s*P, as divisible as P
+                if r != zero:
+                    f = [zero] * len(P or Q)
+                    convolve(f, [s], P, 1)
+                    convolve(f, [r], Q, 1)
+                out.append(valuation(f, s, r) if f.count(zero) < len(f) else None)
+            vals = tuple(out)
+        set_field(self, "_valuations", (A, vals))
+        return vals
 
     def __add__(self, other: "Derivation") -> "Derivation":
         return Derivation(self.P + other.P, self.Q + other.Q)
@@ -534,7 +576,7 @@ def proportional(t1: Derivation, t2: Derivation, forms: Sequence[LinearForm] = (
     Nonzero multiples of one derivation share one canonical form, so the
     canonical forms of t1 and g*t2, formed on the images, are compared.
     """
-    if t1.is_zero or t2.is_zero:
+    if t1.is_zero or t2.is_zero or (t1 is t2 and not forms):
         return True
     return t1.canonical() == t2.times(forms).canonical()
 

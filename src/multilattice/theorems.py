@@ -26,7 +26,7 @@ import functools
 import json
 import math
 from itertools import combinations
-from operator import add
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import lattice
@@ -179,17 +179,23 @@ def pairs_at_distance_two(groups: Sequence[Sequence[Multiplicity]], box: Box) ->
 
     Each member is looked up against its neighbours at distance 1 and 2, from
     one offset table per dimension, instead of against every point of every
-    other group.  Every member must lie in the box, which gives only the
-    dimension: a neighbour that a group owns is then in the box too.
+    other group.  Points are flat ints, with the strides of the box padded
+    by 2 on each side: an offset is one int added, and no offset of a member
+    wraps round to another point.  Every member must lie in the box.
     """
-    owner = {mu: i for i, g in enumerate(groups) for mu in g}
-    offsets = _offsets_within_two(len(box))
+    strides, size = [], 1
+    for b in reversed(box):
+        strides.append(size)
+        size *= b + 5
+    strides.reverse()
+    deltas = [(sum(map(mul, off, strides)), dist) for off, dist in _offsets_within_two(len(box))]
+    flat = [[sum(map(mul, mu, strides)) for mu in g] for g in groups]
+    owner = {k: i for i, ks in enumerate(flat) for k in ks}
     least: Dict[Tuple[int, int], int] = {}
-    for i, g in enumerate(groups):
-        for a in g:
-            for off, dist in offsets:
-                b = tuple(map(add, a, off))
-                j = owner.get(b, -1)
+    for i, ks in enumerate(flat):
+        for k in ks:
+            for delta, dist in deltas:
+                j = owner.get(k + delta, -1)
                 if j > i and dist < least.get((i, j), 3):
                     least[(i, j)] = dist
     return sorted(pair for pair, dist in least.items() if dist == 2)

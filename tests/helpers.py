@@ -3,6 +3,7 @@ enumerations the production paths do not need."""
 
 import pickle
 from itertools import combinations, product
+from operator import add
 from typing import List, Optional, Sequence
 
 from multilattice.dermod import in_module
@@ -179,6 +180,24 @@ def pairwise_certify_centers(A: Arrangement, candidate, box, trusted_scan=None, 
         return Verdict(name, "pass", details=details)
     return Verdict(name, "fail", witnesses=[{"condition": not bad_pairs, "truth": truth}],
                    details=details)
+
+
+def pairs_at_distance_two_by_tuples(groups: Sequence[Sequence[Multiplicity]],
+                                    box: lattice.Box) -> List[tuple]:
+    """theorems.pairs_at_distance_two on point tuples: each member plus each
+    nonzero offset of L1 norm at most 2, looked up in a map from point to
+    group.  The oracle for the flat-index version."""
+    owner = {mu: i for i, g in enumerate(groups) for mu in g}
+    offsets = [(off, sum(map(abs, off))) for off in enumerate_offsets(len(box), 2, signed=True)
+               if any(off)]
+    least = {}
+    for i, g in enumerate(groups):
+        for a in g:
+            for off, dist in offsets:
+                j = owner.get(tuple(map(add, a, off)), -1)
+                if j > i and dist < least.get((i, j), 3):
+                    least[(i, j)] = dist
+    return sorted(pair for pair, dist in least.items() if dist == 2)
 
 
 def chain_steps(chain: Sequence[Multiplicity]) -> List[int]:

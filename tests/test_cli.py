@@ -757,6 +757,20 @@ def test_exit_code_two_at_once_on_a_field_past_its_bound(scan_file, tmp_path, fi
         assert message in result.output
 
 
+def test_a_huge_scan_box_exits_two_before_enumerating(tmp_path, monkeypatch):
+    # a box of 10**24 points would exhaust memory as a list of points
+    def no_enumeration(box):
+        raise AssertionError(f"enumerated the points of {box}")
+
+    monkeypatch.setattr(explorer.lattice, "box_points", no_enumeration)
+    out = tmp_path / "scan.json"
+    result = invoke(["scan", "--coxeter", "B2", "--box", "1000000,1000000,1000000,1000000",
+                     "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"a scan takes at most {explorer.MAX_SCAN_POINTS}" in result.output
+    assert "Traceback" not in result.output and not out.exists()
+
+
 @pytest.mark.parametrize("args", [["exponents", "--coxeter", "B2", "1,1,1,1", "--bogus"],
                                   ["verify", "--scan", SCAN, "all", "extra"]],
                          ids=["exponents-option", "verify-positional"])

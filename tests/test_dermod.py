@@ -663,6 +663,109 @@ def test_in_module_matches_division_oracle(fs, pairs):
     assert outcomes == {True, False}
 
 
+def valuations_oracle(A, theta):
+    """Derivation.valuations by repeated division in field arithmetic."""
+    out = []
+    for lf in A.forms:
+        f = apply_derivation(theta, lf)
+        out.append(None if f.is_zero else linear_form_multiplicity(f, lf))
+    return tuple(out)
+
+
+def valuation_probes(A, rng):
+    """Derivations with high, low and infinite valuations: random ones,
+    products with powers of the forms, theta(x) = 0 (Q*dy), theta(y) = 0
+    (P*dx) and theta(alpha) = 0 for alpha = a*x + b*y (g*(b*dx - a*dy))."""
+    fs = A.field
+
+    def poly(d):
+        return HomogPoly.make([fs.from_int(rng.randint(-2, 2)) for _ in range(d + 1)])
+
+    out = [Derivation.zero()]
+    for _ in range(6):
+        d = rng.randint(0, 3)
+        g = HomogPoly.one(fs)
+        for lf in A.forms:
+            g = g * power(HomogPoly.from_linear_form(lf), rng.randint(0, 2), fs)
+        lf = rng.choice(A.forms)
+        out += [Derivation(poly(d), poly(d)).mul_poly(g), Derivation(HomogPoly(), poly(d)),
+                Derivation(poly(d), HomogPoly()),
+                Derivation(HomogPoly.make([lf.b]), HomogPoly.make([-lf.a])).mul_poly(g)]
+    return out
+
+
+@pytest.mark.parametrize("fs,pairs", MEMBERSHIP_CASES, ids=MEMBERSHIP_IDS)
+def test_valuations_match_the_division_oracle(fs, pairs):
+    """One valuation per line, None where theta(alpha) = 0, on the lines x
+    and y, forms that clear to a divisor that is not monic (2x + 3y) and
+    derivations that some forms kill; membership reads them, cached or not."""
+    A = Arrangement.make(fs, pairs)
+    rng = random.Random(len(pairs))
+    seen = set()
+    for theta in valuation_probes(A, rng):
+        want = valuations_oracle(A, theta)
+        assert theta.valuations(A) == want
+        assert theta.valuations(A) is theta.valuations(A)  # kept in its slot
+        seen.update(want)
+        mu = tuple(rng.randint(0, 3) for _ in pairs)
+        for nu in [mu] + [tuple(v if v is None else v + k for v in want) for k in (0, 1)]:
+            nu = tuple(0 if v is None else v for v in nu)
+            uncached = Derivation.of_images(*theta.cleared) if theta.cleared else theta
+            assert in_module(A, nu, theta) == in_module(A, nu, uncached) == \
+                in_module_oracle(A, nu, theta)
+    assert None in seen and {0, 1, 2} <= seen
+
+
+def test_valuations_are_kept_per_arrangement(B2):
+    # one derivation asked by two arrangements gets each one's own answer,
+    # and each arrangement in turn overwrites the one slot
+    other = Arrangement.make(FS, [(1, 0), (0, 1), (1, 2), (1, -3)])
+    theta = exponents(B2, (2, 1, 2, 1)).theta_min
+    ours = theta.valuations(B2)
+    theirs = theta.valuations(other)
+    assert ours == valuations_oracle(B2, theta) and theirs == valuations_oracle(other, theta)
+    assert ours != theirs
+    assert in_module(B2, (2, 1, 2, 1), theta) and not in_module(other, (2, 1, 2, 1), theta)
+    assert theta.valuations(B2) == ours and in_module(B2, (2, 1, 2, 1), theta)
+    # an equal arrangement that is another object recomputes, to the same answer
+    twin = Arrangement.make(FS, [(lf.a, lf.b) for lf in B2.forms])
+    assert theta.valuations(twin) == ours and theta._valuations[0] is twin
+
+
+def test_valuations_stay_out_of_the_value(B2):
+    # the slot is no part of equality, hash or pickling
+    theta = exponents(B2, (1, 2, 1, 2)).theta_min
+    fresh = Derivation.of_images(*theta.cleared)
+    theta.valuations(B2)
+    assert theta._valuations is not None and fresh._valuations is None
+    assert theta == fresh and hash(theta) == hash(fresh)
+    back = pickle.loads(pickle.dumps(theta))
+    assert "_valuations" not in vars(back) and back._valuations is None
+    assert "_valuations" in vars(theta)
+    assert back == theta and hash(back) == hash(theta)
+    assert back.valuations(B2) == theta.valuations(B2)
+
+
+def test_value_equal_theta_min_are_one_object(B2):
+    """exponents hands out one theta_min per distinct value, and full_basis
+    a partner equal to one as that object, so valuations are shared."""
+    points = list(lattice.box_points((5, 5, 5, 5)))
+    thetas = [exponents(B2, mu).theta_min for mu in points]
+    by_value = {}
+    for theta in thetas:
+        by_value.setdefault(theta, set()).add(id(theta))
+    assert all(len(ids) == 1 for ids in by_value.values())
+    assert len(by_value) < len(points)  # value-equal theta_min at two points exist
+    shared = 0
+    for mu in points:
+        t1, t2 = full_basis(B2, mu)
+        assert t1 is exponents(B2, mu).theta_min
+        if t2 in by_value:
+            assert id(t2) in by_value[t2]
+            shared += 1
+    assert shared
+
+
 @pytest.mark.parametrize("fs,pairs", MEMBERSHIP_CASES, ids=MEMBERSHIP_IDS)
 def test_walk_generators_are_the_field_oracle_derivations(fs, pairs):
     """The walk hands out each generator as integer images; it is the

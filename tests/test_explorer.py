@@ -14,7 +14,7 @@ import pytest
 
 from multilattice import dermod, explorer, lattice
 from multilattice.coxeter import coxeter_arrangement
-from multilattice.errors import MultilatticeError, ParseError
+from multilattice.errors import MultilatticeError, ParseError, PreconditionViolated
 from multilattice.field import FieldSpec
 from multilattice.poly import Arrangement
 from multilattice.explorer import (
@@ -240,6 +240,23 @@ def test_scan_box_length_mismatch(B2):
         scan(B2, (3, 3))
 
 
+def no_enumeration(box):
+    raise AssertionError(f"enumerated the points of {box}")
+
+
+def test_scan_refuses_a_box_past_its_bound_before_enumerating(B2, monkeypatch):
+    # B2 [0,31]^4 is within the bound; a box of one point more than the
+    # bound, or of 10**24 points, is refused before any point is made, and
+    # a box of the bound's size is enumerated
+    assert 32 ** 4 <= explorer.MAX_SCAN_POINTS < 10 ** 24
+    monkeypatch.setattr(lattice, "box_points", no_enumeration)
+    for box in [(10 ** 6,) * 4, (explorer.MAX_SCAN_POINTS, 0, 0, 0)]:
+        with pytest.raises(PreconditionViolated, match="a scan takes at most"):
+            scan(B2, box)
+    with pytest.raises(AssertionError, match="enumerated"):
+        scan(B2, (explorer.MAX_SCAN_POINTS - 1, 0, 0, 0))
+
+
 def test_scan_with_cache_solves_each_pending_point_once(B2, monkeypatch):
     # the walk's memo is the cache: a box-order scan takes one step per
     # point past the origin, and a second scan of the box takes none
@@ -399,9 +416,6 @@ def test_from_json_rejects_malformed_text(text):
 def test_from_json_counts_the_rows_before_it_enumerates_the_box(boolean, monkeypatch):
     # a huge box with few rows is rejected by its point count; enumerating
     # its points would exhaust memory
-    def no_enumeration(box):
-        raise AssertionError(f"enumerated the points of {box}")
-
     obj = json.loads(scan(boolean, (1, 1)).to_json())
     obj.update(box=[10 ** 9, 10 ** 9], points=obj["points"][:1])
     monkeypatch.setattr(lattice, "box_points", no_enumeration)

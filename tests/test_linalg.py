@@ -3,6 +3,7 @@
 rank runs on integer images; the tests clear their field rows with the
 field's Domain first (image_rank)."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from multilattice.errors import InternalInconsistency
 from multilattice.field import FieldSpec, QuadElem
 from multilattice.linalg import _echelon, domain_of, invert_matrix, nullspace, rank
+from multilattice.poly import HomogPoly, LinearForm, linear_form_multiplicity
 
 RAT = FieldSpec.rational()
 QUAD = FieldSpec.quadratic(3)
@@ -231,3 +233,60 @@ def test_an_unreduced_residue_is_no_pivot():
     assert _echelon(dom, rows, 2)[1] == [1]
     assert rank(rows, dom, 2) == 1
     assert rows == [[7, 1], [14, 3]]
+
+
+F5 = FieldSpec.prime(5)
+SQRT2 = FieldSpec.quadratic(2)
+# forms a*x + b*y with a != 0, the lines the valuation kernel divides by
+# (Derivation.valuations reads the line y off its images); x is the line
+# r = 0, 2x + 3y clears to (r, s) = (3, 2) and 2x + (1+sqrt 2)y to
+# ((1, 1), (2, 0)), so that the divisor is not monic
+VALUATION_FORMS = {
+    "Q": (RAT, [(1, 0), (1, 1), (1, -2), (2, 3)]),
+    "Q(sqrt2)": (SQRT2, [(1, 0), (1, 1), (2, QuadElem(Fraction(1), Fraction(1), 2))]),
+    "Q(sqrt3)": (QUAD, [(1, 0), (3, QuadElem(Fraction(1), Fraction(1), 3)),
+                        (1, QuadElem(Fraction(0), Fraction(1, 2), 3))]),
+    "F5": (F5, [(1, 0), (1, 1), (2, 3)]),
+    "F7": (F7, [(1, 0), (1, 4), (2, 3)]),
+}
+
+
+def random_scalar(fs, rng):
+    num, den = rng.randint(-3, 3), rng.randint(1, 3)
+    if fs.kind == "quadratic":
+        return QuadElem(Fraction(num, den), Fraction(rng.randint(-2, 2), den), fs.d)
+    return fs.from_int(num) / fs.from_int(den)
+
+
+def test_forms_clear_to_a_divisor_that_is_not_monic():
+    assert LinearForm.make(RAT, 2, 3).images == ([3, 2], 2)
+    assert LinearForm.make(SQRT2, 2, QuadElem(Fraction(1), Fraction(1), 2)).images[0] == \
+        [(1, 1), (2, 0)]
+
+
+@pytest.mark.parametrize("fs,pairs", VALUATION_FORMS.values(), ids=VALUATION_FORMS.keys())
+def test_valuation_matches_the_fraction_oracle(fs, pairs):
+    """Domain.valuation of the images of f against linear_form_multiplicity,
+    repeated division in field arithmetic, on products of powers of the
+    forms with random cofactors; also with s and r times a unit, which
+    leaves the line and so the valuation as they are."""
+    rng = random.Random(fs.kind + str(len(pairs)))
+    dom = domain_of(fs.one())
+    forms = [LinearForm.make(fs, a, b) for a, b in pairs]
+    seen = set()
+    for _ in range(60):
+        f = HomogPoly.make([random_scalar(fs, rng) for _ in range(rng.randint(1, 4))])
+        if f.is_zero:
+            continue
+        for lf in forms:
+            for _ in range(rng.randint(0, 4)):
+                f = f * HomogPoly.from_linear_form(lf)
+        images, _ = dom.clear(f.coeffs)
+        for lf in forms:
+            (r, s), _ = lf.images
+            want = linear_form_multiplicity(f, lf)
+            assert dom.valuation(images, s, r) == want, (f, lf)
+            c = 3 if fs.kind != "prime" else 2  # a unit of every field here
+            assert dom.valuation(images, dom.scale(s, c), dom.scale(r, c)) == want
+            seen.add(want)
+    assert {0, 1, 4} <= seen

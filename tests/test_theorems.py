@@ -46,6 +46,7 @@ from helpers import (
     downalpha,
     euler,
     multiplier_form,
+    pairs_at_distance_two_by_tuples,
     pairwise_certify_centers,
     path_transport,
     power,
@@ -243,6 +244,26 @@ def test_pairs_at_distance_two_match_the_ball_search(ctype, box):
     points = [(mu,) for mu in lattice.box_points(box)]
     for groups in ([c.members for c in components(s)], odd, points):
         assert pairs_at_distance_two(groups, box) == pairs_at_distance_two_by_balls(groups, box)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_pairs_at_distance_two_match_the_tuple_oracle(n):
+    """Flat indices give the pairs, in the order, of the tuple lookups, on
+    seeded random disjoint groups that hold points of the box's faces."""
+    rng = random.Random(n)
+    for _ in range(75):
+        box = tuple(rng.randint(0, 4 if n < 6 else 2) for _ in range(n))
+        points = list(lattice.box_points(box))
+        faces = [mu for mu in points if any(v in (0, b) for v, b in zip(mu, box))]
+        chosen = set(rng.sample(points, rng.randint(1, len(points))))
+        chosen.update(rng.sample(faces, min(len(faces), 3)))
+        chosen = sorted(chosen)
+        rng.shuffle(chosen)
+        groups = [[] for _ in range(rng.randint(1, len(chosen)))]
+        for mu in chosen:
+            rng.choice(groups).append(mu)
+        groups = [sorted(g) for g in groups if g]
+        assert pairs_at_distance_two(groups, box) == pairs_at_distance_two_by_tuples(groups, box)
 
 
 # -- oracle preconditions -----------------------------------------------------
