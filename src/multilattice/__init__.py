@@ -31,7 +31,7 @@ _EXPORTS = {
         "explorer": ("Component", "ScanResult", "centers", "components", "scan"),
         "field": ("FieldSpec", "ModInt", "QuadElem"),
         "lattice": ("ball", "box_points", "distance", "is_balanced", "meet_join",
-                    "parse_multiplicity", "saturated_chain"),
+                    "parse_multiplicity"),
         "poly": ("Arrangement", "Derivation", "HomogPoly", "LinearForm", "defining_polynomial",
                  "saito_determinant"),
         "theorems": ("CandidateMap", "ThetaOracle", "Verdict", "basis_for", "certify_centers",

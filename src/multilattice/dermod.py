@@ -30,19 +30,20 @@ Each requirement alpha_H**mu_H | theta(alpha_H) is also linear in the
 2*(d+1) coefficients of P and Q, so the graded piece D_d is the nullspace
 of a stacked constraint system.  Freeness gives dim D_d = max(0, d-d1+1) +
 max(0, d-d2+1), so one rank below d2 fixes d1 (_minimal_degree).  That
-elimination is only the tests' oracle for the walk; it stays in this module
-because the benchmark's tracer (perfbench/tracer.py) binds its functions.
-Its two constraint constructions, whose ranks run on the images, must
-always agree; the second is the differential oracle of the first:
+elimination is only the tests' oracle for the walk: graded_dimension
+(with _constraint_rows_images, the rows it ranks), _minimal_degree,
+_constraint_rows_basis, _alpha_basis_rows and _nullspace_derivations stay
+in this module because the benchmark's tracer (perfbench/tracer.py) binds
+them, and nothing else that only tests call does.  Its rows read the coordinates of theta(alpha_H) on the basis
+{alpha**i * beta**(d-i)}, for a fixed complementary form beta, off a
+closed form and kill the low alpha-coordinates.  Production builds these
+rows on integer images (_residual_rows, the rows the walk takes its
+residuals with); _alpha_basis_rows and _constraint_rows_basis build the
+same rows in field arithmetic.  The tests' differential oracle of these
+rows, the exact synthetic division of theta(alpha_H) by alpha_H run
+symbolically, lives in tests/helpers.py.
 
-* ``basis``: read the coordinates of theta(alpha_H) on the basis
-  {alpha**i * beta**(d-i)}, for a fixed complementary form beta, off a
-  closed form and kill the low alpha-coordinates.  Production builds these
-  rows on integer images (_residual_rows, the rows the walk takes its
-  residuals with); _alpha_basis_rows and _constraint_rows_basis build the
-  same rows in field arithmetic and are only the tests' oracle;
-* ``division``: run the exact synthetic division of theta(alpha_H) by
-  alpha_H symbolically and kill the remainders, then clear the field rows.
+A solve refuses |mu| > MAX_MULTIPLICITY_SUM before its walk steps.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InternalInconsistency, LengthMismatch, PreconditionViolated
 from .field import FieldSpec, Scalar
 from .linalg import domain_of, nullspace, rank
-from .poly import Arrangement, Derivation, HomogPoly, LinearForm, _determinant
+from .poly import (Arrangement, Derivation, HomogPoly, LinearForm, defining_polynomial,
+                   saito_determinant)
 from .record import Frozen, set_field
 
 Multiplicity = Tuple[int, ...]
@@ -88,41 +90,6 @@ def _constraint_rows_basis(A: Arrangement, mu: Sequence[int], d: int) -> List[Tu
     for lf, m in zip(A.forms, mu):
         if m > 0:
             rows.extend(_alpha_basis_rows(A.field, lf, d)[:m])
-    return rows
-
-
-def _constraint_rows_division(A: Arrangement, mu: Sequence[int], d: int) -> List[List[Scalar]]:
-    fs = A.field
-    zero, one = fs.zero(), fs.one()
-    ncols = 2 * (d + 1)
-    rows: List[List[Scalar]] = []
-    for hi, (lf, m) in enumerate(zip(A.forms, mu)):
-        m = min(m, d + 1)
-        if m <= 0:
-            continue
-        a, b = lf.a, lf.b
-        # coefficient j of theta(alpha) as a functional of the unknowns
-        funcs: List[List[Scalar]] = []
-        for j in range(d + 1):
-            row = [zero] * ncols
-            row[j] = a
-            row[d + 1 + j] = b
-            funcs.append(row)
-        for _ in range(m):
-            deg = len(funcs) - 1
-            if not lf.a:
-                # alpha = y: remainder is the x^deg coefficient
-                rows.append(funcs[deg])
-                funcs = funcs[:deg]
-            else:
-                r = -lf.b
-                acc = funcs[deg]
-                quot: List[Optional[List[Scalar]]] = [None] * deg
-                for j in range(deg - 1, -1, -1):
-                    quot[j] = acc
-                    acc = [fj + r * aj for fj, aj in zip(funcs[j], acc)]
-                rows.append(acc)
-                funcs = quot
     return rows
 
 
@@ -173,8 +140,9 @@ def _constraint_rows_images(A: Arrangement, mu: Sequence[int], d: int) -> List[L
     return rows
 
 
-def graded_dimension(A: Arrangement, mu: Sequence[int], d: int, method: str = "basis") -> int:
-    """Dimension of the degree-d piece of the derivation module, by one rank.
+def graded_dimension(A: Arrangement, mu: Sequence[int], d: int) -> int:
+    """Dimension of the degree-d piece of the derivation module, by one rank
+    of the image rows.
 
     The tests' oracle for the walk; no production path calls it.  It stays
     here, and importable from this module, because perfbench/tracer.py
@@ -184,15 +152,8 @@ def graded_dimension(A: Arrangement, mu: Sequence[int], d: int, method: str = "b
         raise LengthMismatch("multiplicity length does not match arrangement")
     if d < 0:
         return 0
-    dom = domain_of(A.field.one())
-    if method == "basis":
-        rows = _constraint_rows_images(A, mu, d)
-    elif method == "division":
-        rows = [dom.clear(r)[0] for r in _constraint_rows_division(A, mu, d)]
-    else:
-        raise ValueError(f"unknown method {method!r}")
     ncols = 2 * (d + 1)
-    return ncols - rank(rows, dom, ncols)
+    return ncols - rank(_constraint_rows_images(A, mu, d), domain_of(A.field.one()), ncols)
 
 
 def _nullspace_derivations(A: Arrangement, mu: Sequence[int], d: int) -> List[Derivation]:
@@ -392,7 +353,7 @@ class _Walk:
         t1, d1, t2, d2 = state
         gens = [Derivation.of_images(self.dom, t[:d + 1], t[d + 1:], 1)
                 for t, d in ((t1, d1), (t2, d2))]
-        failed, _ = _saito(self.A, mu, gens)
+        failed = _saito(self.A, mu, gens)
         if failed:
             raise InternalInconsistency({
                 "degree": f"degree: the walk gives {d1}+{d2} != |mu|={sum(mu)} for mu={mu}",
@@ -456,16 +417,28 @@ def _walk(A: Arrangement) -> _Walk:
     return w
 
 
+# The largest |mu| a solve takes.  A walk takes |mu| steps on generators of
+# degree up to |mu|, with growing coefficients: fresh ml exponents processes
+# on a 2-CPU x86-64 host (Python 3.11) took 1.5 s and 71 MB for B2 at
+# |mu| = 1 001, 9.9 s and 316 MB at 2 001; G2 took 6.0 s and 161 MB at
+# |mu| = 750 and 24.8 s and 361 MB at 1 001.
+MAX_MULTIPLICITY_SUM = 1000
+
+
 def _kept(A: Arrangement,
           mu: Sequence[int]) -> Tuple[Multiplicity, _Walk, Optional[ExponentResult]]:
     """The one validation of exponent_pair and exponents: mu as a tuple, the
-    walk of A and the result it keeps at mu, if any."""
+    walk of A and the result it keeps at mu, if any.  A mu with
+    |mu| > MAX_MULTIPLICITY_SUM raises PreconditionViolated."""
     mu = tuple(mu)
     if len(mu) != len(A):
         raise LengthMismatch("multiplicity length does not match arrangement")
     for m in mu:  # checked before the lookup, where 1.0 would find the result kept at 1
         if not (isinstance(m, int) and m >= 0):  # the walk steps each entry down to 0
             raise PreconditionViolated(f"multiplicity entries must be non-negative integers: {mu}")
+    if sum(mu) > MAX_MULTIPLICITY_SUM:
+        raise PreconditionViolated(
+            f"|mu| = {sum(mu)}; a solve takes at most {MAX_MULTIPLICITY_SUM}")
     walk = _walk(A)
     return mu, walk, walk.results.get(mu)
 
@@ -518,7 +491,7 @@ def full_basis(A: Arrangement, mu: Sequence[int]) -> Tuple[Derivation, Derivatio
     state = walk.basis(tuple(mu))
     t2 = walk.derivation(walk.partner(state), state[3])
     t2 = walk.thetas.get(t2, t2)
-    failed, _ = _saito(A, tuple(mu), [t1, t2])
+    failed = _saito(A, tuple(mu), [t1, t2])
     if failed:
         raise InternalInconsistency(f"independent partner failed Saito verification: {failed}")
     return (t1, t2)
@@ -546,43 +519,42 @@ def _member(A: Arrangement, mu: Sequence[int], theta: Derivation) -> bool:
     return all(v is None or v >= m for v, m in zip(theta.valuations(A), mu))
 
 
-def _saito(A: Arrangement, mu: Multiplicity,
-           gens: Sequence[Derivation]) -> Tuple[Optional[str], Optional[Tuple]]:
+def _saito(A: Arrangement, mu: Multiplicity, gens: Sequence[Derivation]) -> Optional[str]:
     """Saito's criterion on integer images: the one decision of
     _Walk.certify, full_basis and verify_saito, on two Derivations, whose
     membership reads the valuations each keeps (Derivation.valuations).
-    Returns (None, c) for a basis of D(A, mu) with det = c*Q(A, mu), c as
-    the ([image], den) of dom.over; else (check, None) for the first failed
-    check:
+    Returns None for a basis of D(A, mu); else the first failed check:
     "theta1" or "theta2" (zero or not in the module), "degree" (degrees
     not summing to |mu|), then "dependent".
 
     Members whose degrees sum to |mu| have det = c*Q(A, mu), since each
     alpha_H**mu_H divides det.  With every form normalised, only the line
     x has b = 0, so Q = x**k * (a product of forms with b != 0), k = mu_x:
-    its first nonzero coefficient is Q_k = the product of b_H**mu_H over
-    H != x.  So det_k, from the first k + 1 images of each part, decides
-    on every field, with c = det_k / Q_k.
+    its first nonzero coefficient is Q_k.  So det_k, one coefficient from
+    the first k + 1 images of each part (_determinant_coefficient), decides
+    on every field.
     """
     for label, theta in zip(("theta1", "theta2"), gens):
         if theta.is_zero or not _member(A, mu, theta):
-            return label, None
-    (dom, p1, q1, den1), (_, p2, q2, den2) = (theta.cleared for theta in gens)
+            return label
+    (dom, p1, q1, _), (_, p2, q2, _) = (theta.cleared for theta in gens)
     if len(p1 or q1) + len(p2 or q2) - 2 != sum(mu):
-        return "degree", None
-    q, qden = dom.one, 1  # Q_k = q / qden
-    k = 0
-    for lf, m in zip(A.forms, mu):
-        (r, _), den = lf.images  # r / den = b
-        if r == dom.zero:  # alpha = x
-            k = m
-        else:
-            q = functools.reduce(dom.mul, [r] * m, q)
-            qden *= den ** m
-    det = _determinant(dom, p1[:k + 1], q1[:k + 1], p2[:k + 1], q2[:k + 1])[k]
-    if det == dom.zero:
-        return "dependent", None
-    return None, dom.over([dom.scale(det, qden)], dom.scale(q, den1 * den2))
+        return "degree"
+    k = next((m for lf, m in zip(A.forms, mu) if not lf.b), 0)  # mu at the line x
+    if _determinant_coefficient(dom, p1, q1, p2, q2, k) == dom.zero:
+        return "dependent"
+    return None
+
+
+def _determinant_coefficient(dom, p1: list, q1: list, p2: list, q2: list, k: int):
+    """The image of coefficient k of P1*Q2 - P2*Q1 (poly._determinant),
+    from the first k + 1 images of each part (a zero part as [] or as
+    zeros): one dot product of P1, P2 with Q2, -Q1, each Q reversed."""
+    def head(f: list) -> list:  # f's first k + 1 images, zeros past its end
+        return f[:k + 1] + [dom.zero] * (k + 1 - len(f))
+
+    q1, q2 = head(q1), head(q2)
+    return dom.dot(head(p1) + head(p2), q2[::-1] + [dom.scale(v, -1) for v in reversed(q1)])
 
 
 def verify_saito(A: Arrangement, mu: Sequence[int], t1: Derivation, t2: Derivation) -> SaitoVerdict:
@@ -592,8 +564,12 @@ def verify_saito(A: Arrangement, mu: Sequence[int], t1: Derivation, t2: Derivati
     mu = tuple(mu)
     if len(mu) != len(A):
         raise LengthMismatch("multiplicity length does not match arrangement")
-    reason, c = _saito(A, mu, [t1, t2])
-    scalar = c and t1.cleared[0].back(c[0][0], c[1])
+    reason = _saito(A, mu, [t1, t2])
+    scalar = None
+    if reason is None:  # det = c*Q(A, mu): c is their quotient at Q's first nonzero coefficient
+        Q = defining_polynomial(A, mu).coeffs
+        k = next(i for i, c in enumerate(Q) if c)
+        scalar = saito_determinant(t1, t2).coeffs[k] / Q[k]
     if reason in ("theta1", "theta2"):
         zero = (t1 if reason == "theta1" else t2).is_zero
         reason = f"membership: {reason} {'is zero' if zero else 'not in the module'}"

@@ -163,7 +163,8 @@ def scan(A: Arrangement, box: Box, jobs: int = 1) -> ScanResult:
     processes, each walking one contiguous run of the box, and walks
     in-process when that is at most one.  Every point yields its gap only,
     and no generator is built; the table does not depend on jobs.  A box of
-    more than MAX_SCAN_POINTS points raises PreconditionViolated.
+    more than MAX_SCAN_POINTS points, or whose top corner has |mu| past
+    dermod.MAX_MULTIPLICITY_SUM, raises PreconditionViolated.
     """
     if len(box) != len(A):
         raise ValueError("box length must match the arrangement")
@@ -171,6 +172,11 @@ def scan(A: Arrangement, box: Box, jobs: int = 1) -> ScanResult:
     if size > MAX_SCAN_POINTS:
         raise PreconditionViolated(
             f"the box has {size} points; a scan takes at most {MAX_SCAN_POINTS}")
+    from .dermod import MAX_MULTIPLICITY_SUM  # here, since a command that reads a scan never solves
+
+    if sum(box) > MAX_MULTIPLICITY_SUM:
+        raise PreconditionViolated(f"the box's top corner has |mu| = {sum(box)}; "
+                                   f"a solve takes at most {MAX_MULTIPLICITY_SUM}")
     points = list(lattice.box_points(box))
     workers = min(jobs, _usable_cpus(), len(points) // _MIN_POINTS_PER_WORKER)
     if workers <= 1:

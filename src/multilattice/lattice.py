@@ -1,4 +1,4 @@
-"""The multiplicity lattice: order, distance, balls, cones and chains.
+"""The multiplicity lattice: order, distance, components, balls and cones.
 
 Multiplicities are plain tuples of nonnegative ints, indexed in the
 arrangement's hyperplane order.  A box is a tuple of inclusive per-coordinate
@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .errors import LengthMismatch, NotComparable, ParseError
+from .errors import LengthMismatch, ParseError
 
 Multiplicity = Tuple[int, ...]
 Box = Tuple[int, ...]
@@ -113,20 +113,6 @@ def ball(mu: Multiplicity, radius: int, box: Box) -> List[Multiplicity]:
     return out
 
 
-def saturated_chain(mu: Multiplicity, nu: Multiplicity) -> List[Multiplicity]:
-    """The chain from mu up to nu raising the lowest index first."""
-    _check_lengths(mu, nu)
-    if not leq(mu, nu):
-        raise NotComparable(f"{mu} is not below {nu}")
-    chain = [mu]
-    cur = list(mu)
-    for i in range(len(mu)):
-        while cur[i] < nu[i]:
-            cur[i] += 1
-            chain.append(tuple(cur))
-    return chain
-
-
 def parse_multiplicity(text: str, n: int) -> Multiplicity:
     """Comma-separated naturals in arrangement order; bad text raises ParseError."""
     parts = [p.strip() for p in text.split(",")]
@@ -149,6 +135,6 @@ def format_multiplicity(mu: Multiplicity) -> str:
 __all__ = [
     "Multiplicity", "Box", "distance", "leq", "meet_join",
     "box_points", "covering_neighbors", "connected_components", "cone_index",
-    "is_balanced", "ball", "saturated_chain",
+    "is_balanced", "ball",
     "parse_multiplicity", "format_multiplicity",
 ]

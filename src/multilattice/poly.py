@@ -10,12 +10,18 @@ run on them: the dependence and proportionality predicates, the product
 with linear forms of the basis construction, Saito determinants, defining
 polynomials and the valuations along each line behind module membership
 (Derivation.valuations).  Field elements are built only where something
-reads P or Q: to print a derivation, and in the HomogPoly arithmetic,
-which the tests keep as their oracle.  Nothing
+reads P or Q: to print a derivation, in verify_saito's scalar, and in the
+HomogPoly arithmetic, which the tests keep as their oracle.  Nothing
 is evaluated at a point: dependence compares the leading terms of P/Q at
 x = 0 and at y = 0 (Derivation.ends) and convolves the full determinant
 only where those agree, and dermod's Saito certificate reads one
 determinant coefficient.
+
+The field arithmetic of derivations (sum, scalar and polynomial
+multiples) and the linear form as a HomogPoly are the tests' own, in
+tests/helpers.py.  apply_derivation, linear_form_multiplicity and the
+division it repeats are the tests' membership oracle; they stay here
+because the benchmark's tracer (perfbench/tracer.py) binds them.
 """
 
 from __future__ import annotations
@@ -173,10 +179,6 @@ class HomogPoly(Frozen):
     def one(cls, fs: FieldSpec) -> "HomogPoly":
         return cls((fs.one(),))
 
-    @classmethod
-    def from_linear_form(cls, lf: LinearForm) -> "HomogPoly":
-        return cls.make((lf.b, lf.a))  # c_0*y + c_1*x
-
     def __add__(self, other: "HomogPoly") -> "HomogPoly":
         if self.is_zero:
             return other
@@ -295,8 +297,7 @@ class Derivation(Frozen):
     (None for the zero derivation).  Equality, hash and pickling use it,
     every kernel reads it, and the lattice walk hands its generators over
     in it (of_images).  The field coefficients are built from it on each
-    read of P or Q, which format, the field arithmetic (+, -, scale and
-    mul_poly) and repr do.
+    read of P or Q, which format and repr do.
 
     valuations(A) keeps its answer for one arrangement in one slot,
     (A, valuations), which another arrangement overwrites; the slot is no
@@ -424,21 +425,6 @@ class Derivation(Frozen):
         set_field(self, "_valuations", (A, vals))
         return vals
 
-    def __add__(self, other: "Derivation") -> "Derivation":
-        return Derivation(self.P + other.P, self.Q + other.Q)
-
-    def __sub__(self, other: "Derivation") -> "Derivation":
-        return Derivation(self.P - other.P, self.Q - other.Q)
-
-    def __neg__(self) -> "Derivation":
-        return Derivation(-self.P, -self.Q)
-
-    def scale(self, s: Scalar) -> "Derivation":
-        return Derivation(self.P.scale(s), self.Q.scale(s))
-
-    def mul_poly(self, g: HomogPoly) -> "Derivation":
-        return Derivation(g * self.P, g * self.Q)
-
     def times(self, forms: Sequence[LinearForm]) -> "Derivation":
         """theta times the product of the linear forms, on the images."""
         if self.is_zero or not forms:
@@ -505,10 +491,10 @@ def saito_determinant(t1: Derivation, t2: Derivation) -> HomogPoly:
     """P1*Q2 - P2*Q1; nonzero iff {t1, t2} is independent over the ring.
 
     The convolution of the integer images, over den1*den2; field elements
-    are built only for a nonzero result.  No production path calls it:
-    dependent decides from Derivation.ends and, where those agree, the
-    convolution alone, and the Saito certificate from one coefficient; it
-    stays as their oracle and public API.
+    are built only for a nonzero result.  No decision reads it: dependent
+    decides from Derivation.ends and, where those agree, the convolution
+    alone, and the Saito certificate from one coefficient; it is their
+    oracle, public API, and the source of verify_saito's scalar.
     """
     if t1.is_zero or t2.is_zero:
         return HomogPoly.zero()

@@ -9,8 +9,8 @@ from typing import List, Optional, Sequence
 from multilattice.dermod import in_module
 from multilattice.errors import HypothesisViolated, LengthMismatch, NotComparable
 from multilattice.explorer import centers, components
-from multilattice.field import FieldSpec, invert
-from multilattice.linalg import domain_of
+from multilattice.field import FieldSpec, Scalar, invert
+from multilattice.linalg import domain_of, rank
 from multilattice import lattice
 from multilattice.lattice import Multiplicity
 from multilattice.poly import (
@@ -22,6 +22,29 @@ from multilattice.poly import (
     proportional,
 )
 from multilattice.theorems import ThetaOracle, Verdict
+
+
+# -- field arithmetic on derivations and forms, the oracles of the image kernels
+
+
+def plus(t1: Derivation, t2: Derivation) -> Derivation:
+    """t1 + t2 in field arithmetic."""
+    return Derivation(t1.P + t2.P, t1.Q + t2.Q)
+
+
+def scale(theta: Derivation, s: Scalar) -> Derivation:
+    """s * theta in field arithmetic."""
+    return Derivation(theta.P.scale(s), theta.Q.scale(s))
+
+
+def mul_poly(theta: Derivation, g: HomogPoly) -> Derivation:
+    """g * theta in field arithmetic."""
+    return Derivation(g * theta.P, g * theta.Q)
+
+
+def form_poly(lf: LinearForm) -> HomogPoly:
+    """The linear form a*x + b*y as a HomogPoly."""
+    return HomogPoly.make((lf.b, lf.a))  # c_0*y + c_1*x
 
 
 def euler(fs: FieldSpec) -> Derivation:
@@ -44,7 +67,7 @@ def multiplier_form(A: Arrangement, base: Multiplicity, kappa: Multiplicity) -> 
     out = HomogPoly.one(A.field)
     for lf, b, k in zip(A.forms, base, kappa):
         if k > b:
-            out = out * power(HomogPoly.from_linear_form(lf), k - b, A.field)
+            out = out * power(form_poly(lf), k - b, A.field)
     return out
 
 
@@ -64,7 +87,7 @@ def field_canonical(theta: Derivation) -> Derivation:
     """theta scaled so that the first nonzero coefficient of flat is 1, in
     field arithmetic: the oracle for Derivation.canonical."""
     lead = next((c for c in flat(theta) if c is not None and c), None)
-    return theta if lead is None else theta.scale(invert(lead))
+    return theta if lead is None else scale(theta, invert(lead))
 
 
 def field_derivation(fs: FieldSpec, images: Sequence, d: int) -> Derivation:
@@ -120,7 +143,7 @@ def wrong_generator_oracle(A: Arrangement, mu: Optional[Multiplicity] = None) ->
     mu = tuple(mu)
     theta = ThetaOracle(A)(mu)
     y_power = HomogPoly.make([A.field.one()] + [A.field.zero()] * theta.degree)
-    wrong = theta + Derivation(y_power, HomogPoly.zero())
+    wrong = plus(theta, Derivation(y_power, HomogPoly.zero()))
 
     class WrongAt(ThetaOracle):
         def __call__(self, nu: Multiplicity) -> Derivation:
@@ -221,7 +244,7 @@ def downalpha(A: Arrangement, chain: Sequence[Multiplicity],
     out = HomogPoly.one(A.field)
     for idx, h in enumerate(chain_steps(chain)):
         if delta_vals[idx] > delta_vals[idx + 1]:
-            out = out * HomogPoly.from_linear_form(A.forms[h])
+            out = out * form_poly(A.forms[h])
     return out
 
 
@@ -257,6 +280,19 @@ def support_chain(mu: Multiplicity, nu: Multiplicity, support) -> Optional[List[
     return None
 
 
+def saturated_chain(mu: Multiplicity, nu: Multiplicity) -> List[Multiplicity]:
+    """The chain from mu up to nu raising the lowest index first."""
+    if not lattice.leq(mu, nu):
+        raise NotComparable(f"{mu} is not below {nu}")
+    chain = [mu]
+    cur = list(mu)
+    for i in range(len(mu)):
+        while cur[i] < nu[i]:
+            cur[i] += 1
+            chain.append(tuple(cur))
+    return chain
+
+
 def chain_high_first(mu: Multiplicity, nu: Multiplicity) -> List[Multiplicity]:
     """The saturated chain from mu to nu that raises the last coordinate first."""
     chain = [mu]
@@ -285,7 +321,7 @@ def path_transport(scan, oracle):
         for mu, nu in combinations(comp.sorted_members(), 2):
             if not lattice.leq(mu, nu):
                 continue
-            chains = [ch for ch in (lattice.saturated_chain(mu, nu), chain_high_first(mu, nu))
+            chains = [ch for ch in (saturated_chain(mu, nu), chain_high_first(mu, nu))
                       if all(p in support for p in ch)]
             if not chains:
                 found = support_chain(mu, nu, support)
@@ -300,3 +336,49 @@ def path_transport(scan, oracle):
                     failing.append((mu, nu))
                     break
     return checked, failing
+
+
+# -- the division construction: the differential oracle of the rank rows
+
+
+def constraint_rows_division(A: Arrangement, mu: Sequence[int], d: int) -> List[List[Scalar]]:
+    fs = A.field
+    zero, one = fs.zero(), fs.one()
+    ncols = 2 * (d + 1)
+    rows: List[List[Scalar]] = []
+    for hi, (lf, m) in enumerate(zip(A.forms, mu)):
+        m = min(m, d + 1)
+        if m <= 0:
+            continue
+        a, b = lf.a, lf.b
+        # coefficient j of theta(alpha) as a functional of the unknowns
+        funcs: List[List[Scalar]] = []
+        for j in range(d + 1):
+            row = [zero] * ncols
+            row[j] = a
+            row[d + 1 + j] = b
+            funcs.append(row)
+        for _ in range(m):
+            deg = len(funcs) - 1
+            if not lf.a:
+                # alpha = y: remainder is the x^deg coefficient
+                rows.append(funcs[deg])
+                funcs = funcs[:deg]
+            else:
+                r = -lf.b
+                acc = funcs[deg]
+                quot: List[Optional[List[Scalar]]] = [None] * deg
+                for j in range(deg - 1, -1, -1):
+                    quot[j] = acc
+                    acc = [fj + r * aj for fj, aj in zip(funcs[j], acc)]
+                rows.append(acc)
+                funcs = quot
+    return rows
+
+
+def division_dimension(A: Arrangement, mu: Sequence[int], d: int) -> int:
+    """dim D_d from one rank of the cleared division rows: the differential
+    oracle of dermod.graded_dimension, which ranks the basis rows."""
+    dom, ncols = domain_of(A.field.one()), 2 * (d + 1)
+    rows = [dom.clear(r)[0] for r in constraint_rows_division(A, mu, d)]
+    return ncols - rank(rows, dom, ncols)

@@ -46,7 +46,7 @@ from multilattice.theorems import (
     construct_basis_between,
     reconstruct_components,
 )
-from helpers import enumerate_offsets, euler, proportional_derivations
+from helpers import division_dimension, enumerate_offsets, euler, proportional_derivations
 
 # pinned tolerances (seconds); all numeric comparisons are exact
 SINGLE_SOLVE_BUDGET = 5.0
@@ -230,7 +230,7 @@ def test_criterion_08_oracle_equivalence_1000_cases():
         A = Arrangement.make(FS, sorted(forms))
         mu = tuple(rng.randint(0, 4) for _ in range(n))
         d = rng.randint(0, sum(mu) // 2 + 2)
-        if graded_dimension(A, mu, d, "basis") == graded_dimension(A, mu, d, "division"):
+        if graded_dimension(A, mu, d) == division_dimension(A, mu, d):
             agree += 1
     assert agree == 1000
 

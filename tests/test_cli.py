@@ -576,7 +576,7 @@ def test_every_public_name_resolves():
             "      hasattr(multilattice, 'no_such_name'))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "51 [] [] False"
+    assert proc.stdout.strip() == "50 [] [] False"
 
 
 def test_exit_code_zero_on_success():
@@ -769,6 +769,25 @@ def test_a_huge_scan_box_exits_two_before_enumerating(tmp_path, monkeypatch):
     assert result.exit_code == 2, result.output
     assert f"a scan takes at most {explorer.MAX_SCAN_POINTS}" in result.output
     assert "Traceback" not in result.output and not out.exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["coxeter", "B2", "--check-invariance", "1000000,1000000,1000000,1000000"],
+     f"a scan takes at most {explorer.MAX_SCAN_POINTS}"),
+    (["exponents", "--coxeter", "B2", "1000000,1000000,1000000,1000000"],
+     f"a solve takes at most {dermod.MAX_MULTIPLICITY_SUM}"),
+], ids=["invariance-box", "huge-multiplicity"])
+def test_a_request_past_the_bounds_exits_two_before_any_step(args, message, monkeypatch):
+    # the invariance check reads its gaps off one scan, whose bound refuses
+    # a box of 10**24 points; a single solve refuses |mu| past its bound
+    def no_work(*args):
+        raise AssertionError("enumerated a box or stepped a walk")
+
+    monkeypatch.setattr(explorer.lattice, "box_points", no_work)
+    monkeypatch.setattr(dermod._Walk, "step", no_work)
+    result = invoke(args)
+    assert result.exit_code == 2, result.output
+    assert message in result.output and "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("args", [["exponents", "--coxeter", "B2", "1,1,1,1", "--bogus"],

@@ -2,6 +2,7 @@
 
 import pytest
 
+from multilattice import dermod, lattice
 from multilattice.coxeter import (
     GroupElement,
     act,
@@ -81,6 +82,29 @@ def test_delta_invariance(B2, G2):
     v = check_delta_invariance(G2, standard_generators(G2, "G2"),
                                (1, 1, 1, 1, 1, 1))
     assert v.passed
+
+
+@pytest.mark.parametrize("ctype,box", [("B2", (1, 2, 3, 0)), ("G2", (2, 1, 0, 1, 0, 0)),
+                                      ("A2", (3, 0, 1))])
+def test_delta_invariance_matches_the_pointwise_walk(ctype, box, monkeypatch):
+    # the check reads its gaps off one scan of a box that holds every
+    # image; against the point-by-point solves it replaced, with the gap at
+    # the box's top corner raised by one, so that witnesses appear
+    A = coxeter_arrangement(ctype)
+    gens = standard_generators(A, ctype)
+    real = dermod.delta
+    monkeypatch.setattr(dermod, "delta", lambda A, mu: real(A, mu) + (tuple(mu) == box))
+    witnesses, checked = [], 0
+    for mu in lattice.box_points(box):
+        for g in gens:
+            nu = act(g, mu)
+            checked += 1
+            d_mu, d_nu = dermod.delta(A, mu), dermod.delta(A, nu)
+            if d_mu != d_nu:
+                witnesses.append({"mu": mu, "image": nu, "delta_mu": d_mu, "delta_image": d_nu})
+    assert any(act(g, box) != box for g in gens) and witnesses
+    v = check_delta_invariance(A, gens, box)
+    assert (v.status, v.witnesses, v.details) == ("fail", witnesses, {"checked": checked})
 
 
 def test_delta_invariant_under_full_group(G2):

@@ -31,7 +31,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multilattice import dermod, lattice
+from multilattice import dermod, lattice, poly
 from multilattice.coxeter import check_delta_invariance, coxeter_arrangement, standard_generators
 from multilattice.dermod import (
     _alpha_basis_rows,
@@ -57,7 +57,8 @@ from multilattice.poly import (
     linear_form_multiplicity,
     saito_determinant,
 )
-from helpers import assert_same_derivation, euler, field_derivation, power, proportional_derivations
+from helpers import (assert_same_derivation, division_dimension, euler, field_derivation,
+                     form_poly, mul_poly, plus, power, proportional_derivations, scale)
 from modular import Projection
 
 FS = FieldSpec.rational()
@@ -116,7 +117,7 @@ def test_constraint_construction_oracle_equivalence(seed):
     A = random_arrangement(rng, rng.randint(1, 5))
     mu = tuple(rng.randint(0, 4) for _ in range(len(A)))
     d = rng.randint(0, max(1, sum(mu) // 2 + 1))
-    assert graded_dimension(A, mu, d, "basis") == graded_dimension(A, mu, d, "division")
+    assert graded_dimension(A, mu, d) == division_dimension(A, mu, d)
 
 
 # -- one rank and closed-form rows, against their oracles ----------------------
@@ -157,14 +158,14 @@ def test_d1_is_least_degree_of_the_division_oracle(fs):
             for _ in range(total):
                 mu[rng.randrange(len(A))] += 1
             least = next(d for d in itertools.count()
-                         if graded_dimension(A, mu, d, "division") > 0)
+                         if division_dimension(A, mu, d) > 0)
             assert exponents(A, mu).d1 == least, (A, mu)
 
 
 def rows_by_inversion(fs, lf, d):
     """Constraint rows from powers of alpha and beta and a matrix inverse."""
     beta = LinearForm.make(fs, 0, 1) if lf.a else LinearForm.make(fs, 1, 0)
-    ap, bp = HomogPoly.from_linear_form(lf), HomogPoly.from_linear_form(beta)
+    ap, bp = form_poly(lf), form_poly(beta)
     cols = [(power(ap, i, fs) * power(bp, d - i, fs)).coeffs for i in range(d + 1)]
     inv = invert_matrix([[cols[i][j] for i in range(d + 1)] for j in range(d + 1)], fs)
     return tuple(tuple(lf.a * v for v in r) + tuple(lf.b * v for v in r) for r in inv)
@@ -247,7 +248,7 @@ def test_image_rows_rank_matches_field_rows_and_division(fs):
         d = rng.randint(0, sum(mu) // 2 + 2)
         got = graded_dimension(A, mu, d)
         assert got == field_rows_dimension(A, mu, d), (A, mu, d)
-        assert got == graded_dimension(A, mu, d, "division"), (A, mu, d)
+        assert got == division_dimension(A, mu, d), (A, mu, d)
         seen.update({"alpha = y"} if any(not lf.a for lf in A.forms) else ())
         seen.update({"zero entry"} if 0 in mu else ())
         seen.update({"mu_h > d + 1"} if max(mu) > d + 1 else ())
@@ -649,9 +650,9 @@ def test_in_module_matches_division_oracle(fs, pairs):
         # with forms and random perturbations that leave the module
         nus = [mu] + [mu[:i] + (mu[i] + 1,) + mu[i + 1:] for i in range(len(mu))]
         bump = Derivation(HomogPoly.make([fs.zero()] * t1.degree + [fs.one()]), HomogPoly.zero())
-        thetas = [t1, t2, t1 + bump, t2.scale(fs.from_int(3)) + t1.mul_poly(
-            HomogPoly.make([fs.zero()] * (t2.degree - t1.degree) + [fs.one()])),
-                  t1.mul_poly(HomogPoly.from_linear_form(rng.choice(A.forms))),
+        thetas = [t1, t2, plus(t1, bump), plus(scale(t2, fs.from_int(3)), mul_poly(
+            t1, HomogPoly.make([fs.zero()] * (t2.degree - t1.degree) + [fs.one()]))),
+                  mul_poly(t1, form_poly(rng.choice(A.forms))),
                   Derivation(t1.P, HomogPoly.zero()), Derivation(HomogPoly.zero(), t1.Q),
                   Derivation.zero()]
         for nu in nus:
@@ -686,11 +687,11 @@ def valuation_probes(A, rng):
         d = rng.randint(0, 3)
         g = HomogPoly.one(fs)
         for lf in A.forms:
-            g = g * power(HomogPoly.from_linear_form(lf), rng.randint(0, 2), fs)
+            g = g * power(form_poly(lf), rng.randint(0, 2), fs)
         lf = rng.choice(A.forms)
-        out += [Derivation(poly(d), poly(d)).mul_poly(g), Derivation(HomogPoly(), poly(d)),
+        out += [mul_poly(Derivation(poly(d), poly(d)), g), Derivation(HomogPoly(), poly(d)),
                 Derivation(poly(d), HomogPoly()),
-                Derivation(HomogPoly.make([lf.b]), HomogPoly.make([-lf.a])).mul_poly(g)]
+                mul_poly(Derivation(HomogPoly.make([lf.b]), HomogPoly.make([-lf.a])), g)]
     return out
 
 
@@ -807,8 +808,8 @@ def test_verify_saito_rejections(B2):
     assert not verify_saito(B2, mu, t1, t1).accepted
     # degree-sum violation
     e = euler(B2.field)
-    assert "degree" in verify_saito(B2, mu, e, e.mul_poly(
-        HomogPoly.make([FS.zero(), FS.one()]))).reason
+    assert "degree" in verify_saito(B2, mu, e, mul_poly(
+        e, HomogPoly.make([FS.zero(), FS.one()]))).reason
     # non-member
     bad = Derivation(HomogPoly.one(FS), HomogPoly.zero())
     assert "membership" in verify_saito(B2, mu, bad, t2).reason
@@ -857,16 +858,16 @@ def saito_points(A, rng):
 def test_verify_saito_matches_the_fraction_path(fs, pairs):
     A = Arrangement.make(fs, pairs)
     rng = random.Random(5)
-    x = HomogPoly.from_linear_form(LinearForm.make(fs, 1, 0))
+    x = form_poly(LinearForm.make(fs, 1, 0))
     cases = []
     mus = saito_points(A, rng)
     for mu in mus:
         t1, t2 = full_basis(A, mu)
         g = _small_poly(fs, rng, sum(mu) - 2 * t1.degree)
         cases += [
-            (mu, t1, t2), (mu, t2, t1), (mu, t1.scale(fs.from_int(2)), t2 + t1.mul_poly(g)),
-            (mu, t1, t1.mul_poly(g)),  # dependent
-            (mu, t1, t2.mul_poly(x)),  # wrong degree
+            (mu, t1, t2), (mu, t2, t1), (mu, scale(t1, fs.from_int(2)), plus(t2, mul_poly(t1, g))),
+            (mu, t1, mul_poly(t1, g)),  # dependent
+            (mu, t1, mul_poly(t2, x)),  # wrong degree
             (mu, Derivation.zero(), t2), (mu, t1, Derivation.zero()),
             (mu, Derivation(HomogPoly.one(fs), HomogPoly.zero()), t2),  # non-member
             (mu, t1, Derivation(HomogPoly.zero(), x)),
@@ -881,14 +882,61 @@ def test_verify_saito_matches_the_fraction_path(fs, pairs):
     assert {mu_x(A, mu) > 0 for mu in mus} == x_branches(A)
 
 
+def image_part(rng, fs, d):
+    """The images of a random part of degree d: zero as [] or as zeros, or
+    random coefficients."""
+    kind = rng.choice(["zero", "zeros", "random", "random"])
+    if kind == "zero":
+        return []
+    coeffs = [fs.zero() if kind == "zeros" else random_scalar(rng, fs) for _ in range(d + 1)]
+    return domain_of(fs.one()).clear(coeffs)[0]
+
+
+@pytest.mark.parametrize("fs", [FieldSpec.rational(), FieldSpec.quadratic(2), FieldSpec.prime(5)],
+                         ids=field_name)
+def test_determinant_coefficient_matches_the_convolution(fs):
+    # the one coefficient _saito reads, against the full determinant, on
+    # seeded random image pairs of two nonzero derivations
+    rng = random.Random(f"determinant coefficient {field_name(fs)}")
+    dom = domain_of(fs.one())
+    seen = set()
+    for _ in range(400):
+        d1, d2 = rng.randint(0, 5), rng.randint(0, 5)
+        p1, q1, p2, q2 = (image_part(rng, fs, d) for d in (d1, d1, d2, d2))
+        if not (p1 or q1) or not (p2 or q2):
+            continue
+        k = rng.randint(0, d1 + d2)
+        want = poly._determinant(dom, p1, q1, p2, q2)[k]
+        assert dermod._determinant_coefficient(dom, p1, q1, p2, q2, k) == want, (p1, q1, p2, q2, k)
+        seen.update({"zero part"} if [] in (p1, q1, p2, q2) else ())
+        seen.update({"part shorter than k + 1"} if min(d1, d2) < k else ())
+        seen.add("nonzero" if want != dom.zero else "zero")
+    assert seen == {"zero part", "part shorter than k + 1", "nonzero", "zero"}
+
+
+def test_a_multiplicity_past_the_solve_bound_is_refused_before_any_step(B2, boolean,
+                                                                        monkeypatch):
+    bound = dermod.MAX_MULTIPLICITY_SUM
+
+    def no_step(*args):
+        raise AssertionError("the walk stepped")
+
+    monkeypatch.setattr(dermod, "_WALKS", {})
+    monkeypatch.setattr(dermod._Walk, "step", no_step)
+    for solve in (dermod.exponent_pair, exponents, delta, min_derivation, full_basis):
+        with pytest.raises(PreconditionViolated, match=f"a solve takes at most {bound}"):
+            solve(B2, (bound - 2, 1, 1, 1))
+    assert dermod._kept(boolean, (bound - 1, 1))[0] == (bound - 1, 1)  # the bound itself is taken
+
+
 def random_member(fs, rng, basis, k):
     """A random element of degree k of the module with the given basis
     (degrees d1 <= k <= d2): f*theta1 for a nonzero f of degree k - d1,
     plus a scalar, possibly 0, times theta2 when k = d2."""
     t1, t2 = basis
-    theta = t1.mul_poly(_small_poly(fs, rng, k - t1.degree))
+    theta = mul_poly(t1, _small_poly(fs, rng, k - t1.degree))
     if k == t2.degree:
-        theta = theta + t2.scale(fs.from_int(rng.randint(-2, 2)))
+        theta = plus(theta, scale(t2, fs.from_int(rng.randint(-2, 2))))
     return theta
 
 

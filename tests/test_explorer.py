@@ -247,14 +247,27 @@ def no_enumeration(box):
 def test_scan_refuses_a_box_past_its_bound_before_enumerating(B2, monkeypatch):
     # B2 [0,31]^4 is within the bound; a box of one point more than the
     # bound, or of 10**24 points, is refused before any point is made, and
-    # a box of the bound's size is enumerated
-    assert 32 ** 4 <= explorer.MAX_SCAN_POINTS < 10 ** 24
+    # a box of the bound's size is enumerated (B2 [0,127]^3 x [0,0], whose
+    # top corner a solve takes)
+    assert 32 ** 4 <= explorer.MAX_SCAN_POINTS == 128 ** 3 < 10 ** 24
     monkeypatch.setattr(lattice, "box_points", no_enumeration)
     for box in [(10 ** 6,) * 4, (explorer.MAX_SCAN_POINTS, 0, 0, 0)]:
         with pytest.raises(PreconditionViolated, match="a scan takes at most"):
             scan(B2, box)
     with pytest.raises(AssertionError, match="enumerated"):
-        scan(B2, (explorer.MAX_SCAN_POINTS - 1, 0, 0, 0))
+        scan(B2, (127, 127, 127, 0))
+
+
+def test_scan_refuses_a_top_corner_past_the_solve_bound(B2, monkeypatch):
+    # a box within the point bound whose top corner no solve takes is
+    # refused before any point is made; one at the solve bound is enumerated
+    bound = dermod.MAX_MULTIPLICITY_SUM
+    monkeypatch.setattr(lattice, "box_points", no_enumeration)
+    for box in [(bound + 1, 0, 0, 0), (explorer.MAX_SCAN_POINTS - 1, 0, 0, 0)]:
+        with pytest.raises(PreconditionViolated, match="a solve takes at most"):
+            scan(B2, box)
+    with pytest.raises(AssertionError, match="enumerated"):
+        scan(B2, (bound, 0, 0, 0))
 
 
 def test_scan_with_cache_solves_each_pending_point_once(B2, monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from multilattice import lattice
 from multilattice.errors import LengthMismatch, NotComparable
 from multilattice.poly import HomogPoly
-from helpers import chain_steps, downalpha
+from helpers import chain_steps, downalpha, form_poly, saturated_chain
 
 mults = st.lists(st.integers(0, 6), min_size=1, max_size=5)
 
@@ -89,11 +89,11 @@ def test_ball_is_strict_and_complete(center, radius):
 
 
 def test_saturated_chain_and_steps():
-    chain = lattice.saturated_chain((0, 1), (2, 2))
+    chain = saturated_chain((0, 1), (2, 2))
     assert chain == [(0, 1), (1, 1), (2, 1), (2, 2)]
     assert chain_steps(chain) == [0, 0, 1]
     with pytest.raises(NotComparable):
-        lattice.saturated_chain((1, 0), (0, 5))
+        saturated_chain((1, 0), (0, 5))
     with pytest.raises(NotComparable):
         chain_steps([(0, 0), (1, 1)])  # not a covering step
 
@@ -102,7 +102,7 @@ def test_downalpha_collects_descent_forms(B2):
     chain = [(1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1, 1)]
     # deltas drop on the first step only: the factor is the step form x
     factor = downalpha(B2, chain, [2, 1, 2])
-    assert factor == HomogPoly.from_linear_form(B2.forms[0])
+    assert factor == form_poly(B2.forms[0])
     # no descents: factor is 1
     assert downalpha(B2, chain, [0, 1, 2]) == HomogPoly.one(B2.field)
     with pytest.raises(LengthMismatch):

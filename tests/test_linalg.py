@@ -13,6 +13,7 @@ from multilattice.errors import InternalInconsistency
 from multilattice.field import FieldSpec, QuadElem
 from multilattice.linalg import _echelon, domain_of, invert_matrix, nullspace, rank
 from multilattice.poly import HomogPoly, LinearForm, linear_form_multiplicity
+from helpers import form_poly
 
 RAT = FieldSpec.rational()
 QUAD = FieldSpec.quadratic(3)
@@ -280,7 +281,7 @@ def test_valuation_matches_the_fraction_oracle(fs, pairs):
             continue
         for lf in forms:
             for _ in range(rng.randint(0, 4)):
-                f = f * HomogPoly.from_linear_form(lf)
+                f = f * form_poly(lf)
         images, _ = dom.clear(f.coeffs)
         for lf in forms:
             (r, s), _ = lf.images

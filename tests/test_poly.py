@@ -29,8 +29,8 @@ from multilattice.poly import (
     proportional,
     saito_determinant,
 )
-from helpers import (assert_same_derivation, euler, field_canonical, power,
-                     proportional_derivations)
+from helpers import (assert_same_derivation, euler, field_canonical, form_poly, mul_poly, plus,
+                     power, proportional_derivations, scale)
 
 FS = FieldSpec.rational()
 
@@ -88,7 +88,7 @@ def test_mul_degree_additive(ca, cb):
 def test_division_is_left_inverse_of_multiplication(c, t):
     g = HomogPoly.make(c)
     lf = mk_form(t)
-    f = g * HomogPoly.from_linear_form(lf)
+    f = g * form_poly(lf)
     if g.is_zero:
         assert f.is_zero
     else:
@@ -101,7 +101,7 @@ def test_linear_form_multiplicity_oracle(c, t, m):
     lf = mk_form(t)
     if g.is_zero:
         return
-    f = g * power(HomogPoly.from_linear_form(lf), m, FS)
+    f = g * power(form_poly(lf), m, FS)
     # f has multiplicity exactly m + mult(g)
     assert linear_form_multiplicity(f, lf) == m + linear_form_multiplicity(g, lf)
 
@@ -127,7 +127,7 @@ def test_quadratic_field_division():
     s3 = fs.sqrt_element()
     lf = LinearForm.make(fs, 1, s3)  # x + sqrt(3) y
     g = HomogPoly.make([fs.from_int(2), s3])
-    f = g * HomogPoly.from_linear_form(lf)
+    f = g * form_poly(lf)
     assert divide_by_linear_form(f, lf) == g
 
 
@@ -193,7 +193,7 @@ def test_euler_applies_to_forms():
     e = euler(FS)
     lf = LinearForm.make(FS, 1, -1)
     # euler(alpha) = alpha for any linear form
-    assert apply_derivation(e, lf) == HomogPoly.from_linear_form(lf)
+    assert apply_derivation(e, lf) == form_poly(lf)
 
 
 @given(coeffs, st.fractions(min_value=-50, max_value=50, max_denominator=10).filter(bool))
@@ -202,7 +202,7 @@ def test_proportional_derivations_detects_scaling(c, s):
     if p.is_zero:
         return
     t1 = Derivation(p, p.scale(Fraction(2)))
-    t2 = t1.scale(s)
+    t2 = scale(t1, s)
     assert proportional_derivations(t1, t2)
     # perturbing one coefficient breaks proportionality unless it is absorbed
     bumped = Derivation(p, p.scale(Fraction(3)))
@@ -264,7 +264,7 @@ def test_saito_determinant_matches_polynomial_product(fs):
         t1 = rand_derivation(fs, rng, rng.randint(0, 5))
         t2 = rand_derivation(fs, rng, rng.randint(0, 5))  # degrees may differ
         if rng.random() < 0.1:
-            t2 = t1.scale(rand_scalar(fs, rng))  # dependent: cancels to zero
+            t2 = scale(t1, rand_scalar(fs, rng))  # dependent: cancels to zero
         det = saito_determinant(t1, t2)
         assert det == t1.P * t2.Q - t2.P * t1.Q
         assert det.is_zero or type(det.coeffs[0]) is type(fs.one())
@@ -292,7 +292,7 @@ def test_defining_polynomial_matches_power_product(fs, pairs):
     for mu in [(0,) * len(A)] + [tuple(rng.randint(0, 4) for _ in A.forms) for _ in range(20)]:
         want = HomogPoly.one(fs)
         for lf, m in zip(A.forms, mu):
-            want = want * power(HomogPoly.from_linear_form(lf), m, fs)
+            want = want * power(form_poly(lf), m, fs)
         assert defining_polynomial(A, mu) == want
 
 
@@ -363,7 +363,7 @@ def same_ends(fs, rng, theta):
     while not (g.coeffs[0] and g.coeffs[e]):
         g = small_poly(fs, rng, e)
     monomial = HomogPoly.make([fs.zero()] * a + [fs.one()] + [fs.zero()] * b)
-    return theta.mul_poly(g) + small_derivation(fs, rng, d + e - a - b).mul_poly(monomial)
+    return plus(mul_poly(theta, g), mul_poly(small_derivation(fs, rng, d + e - a - b), monomial))
 
 
 def ends_kind(t1, t2):
@@ -388,8 +388,8 @@ def test_derivation_ends_are_the_leading_terms_of_p_over_q(fs):
     seen = set()
     for _ in range(60):
         theta = small_derivation(fs, rng, rng.randint(0, 5))
-        multiple = theta.scale(small_poly(fs, rng, 0).coeffs[0])
-        multiple = multiple.mul_poly(small_poly(fs, rng, rng.randint(1, 3)))
+        multiple = scale(theta, small_poly(fs, rng, 0).coeffs[0])
+        multiple = mul_poly(multiple, small_poly(fs, rng, rng.randint(1, 3)))
         assert theta.ends == field_ends(theta) == field_ends(multiple) == multiple.ends
         seen.add(theta.ends if isinstance(theta.ends, str) else "both parts")
     assert seen == {"dx", "dy", "both parts"}
@@ -414,15 +414,15 @@ def test_a_derivation_is_its_images(fs):
         if theta.is_zero:
             assert theta == Derivation.zero() and theta.cleared is None
             continue
-        multiple = theta.scale(small_poly(fs, rng, 0).coeffs[0])
-        multiple = multiple.mul_poly(small_poly(fs, rng, rng.randint(0, 3)))
+        multiple = scale(theta, small_poly(fs, rng, 0).coeffs[0])
+        multiple = mul_poly(multiple, small_poly(fs, rng, rng.randint(0, 3)))
         forms = [rng.choice(lines) for _ in range(rng.randint(0, 3))]
         g = HomogPoly.one(fs)
         for lf in forms:
-            g = g * HomogPoly.from_linear_form(lf)
+            g = g * form_poly(lf)
         for t in (theta, multiple):
             assert_same_derivation(fs, t, Derivation.of_images(*t.cleared))
-        assert_same_derivation(fs, theta.mul_poly(g), theta.times(forms))
+        assert_same_derivation(fs, mul_poly(theta, g), theta.times(forms))
         assert_same_derivation(fs, field_canonical(multiple), multiple.canonical())
 
 
@@ -433,7 +433,7 @@ def test_dependent_matches_saito_determinant(fs, monkeypatch):
     equal ends; the full determinant is convolved exactly when the ends
     agree and neither part vanishes."""
     rng = random.Random(fs.kind + str(fs.p))
-    root = HomogPoly.from_linear_form(LinearForm.make(fs, 1, -2))
+    root = form_poly(LinearForm.make(fs, 1, -2))
     convolved = []
     real = poly._determinant
     monkeypatch.setattr(poly, "_determinant", lambda *a: convolved.append(a) or real(*a))
@@ -448,17 +448,17 @@ def test_dependent_matches_saito_determinant(fs, monkeypatch):
             pair = (theta, small_derivation(fs, rng, d2))
         elif kind == "multiples":
             # f*theta and g*theta: the determinant vanishes identically
-            pair = (theta.mul_poly(small_poly(fs, rng, d2)),
-                    theta.mul_poly(small_poly(fs, rng, rng.randint(0, 3))))
+            pair = (mul_poly(theta, small_poly(fs, rng, d2)),
+                    mul_poly(theta, small_poly(fs, rng, rng.randint(0, 3))))
         elif kind == "root-left":
             # det((x - 2*y)*theta, theta2) = (x - 2*y) * det(theta, theta2)
-            pair = (theta.mul_poly(root), small_derivation(fs, rng, d2))
+            pair = (mul_poly(theta, root), small_derivation(fs, rng, d2))
         elif kind == "root-mixed":
             # theta2 = g*theta + (x - 2*y)*theta': det = (x - 2*y) * det(theta, theta')
             e = rng.randint(0, 2)
             g = small_poly(fs, rng, e)
             other = small_derivation(fs, rng, d1 + e - 1) if d1 + e else Derivation.zero()
-            pair = (theta, theta.mul_poly(g) + other.mul_poly(root))
+            pair = (theta, plus(mul_poly(theta, g), mul_poly(other, root)))
         elif kind == "one-part":
             pair = (one_part(fs, rng, d1, rng.random() < 0.5),
                     one_part(fs, rng, d2, rng.random() < 0.5))
@@ -490,7 +490,7 @@ def test_dependence_classes_match_pairwise_dependent(fs):
     polynomial multiples, zero, multiples of x - 2*y, derivations with
     P = 0 or Q = 0, and independent derivations with equal ends."""
     rng = random.Random(f"classes {fs.kind} {fs.d} {fs.p}")
-    root = HomogPoly.from_linear_form(LinearForm.make(fs, 1, -2))
+    root = form_poly(LinearForm.make(fs, 1, -2))
     kinds = ("repeat", "scalar", "multiple", "root", "zero", "one-part", "same-ends", "fresh")
     seen = dict.fromkeys(kinds + ("ends-differ", "dx", "dy", "determinant-dependent",
                                   "determinant-independent"), 0)
@@ -503,11 +503,11 @@ def test_dependence_classes_match_pairwise_dependent(fs):
             if kind == "repeat":
                 theta = base
             elif kind == "scalar":
-                theta = base.scale(small_poly(fs, rng, 0).coeffs[0])
+                theta = scale(base, small_poly(fs, rng, 0).coeffs[0])
             elif kind == "multiple":
-                theta = base.mul_poly(small_poly(fs, rng, rng.randint(1, 2)))
+                theta = mul_poly(base, small_poly(fs, rng, rng.randint(1, 2)))
             elif kind == "root":
-                theta = base.mul_poly(root).mul_poly(small_poly(fs, rng, rng.randint(0, 1)))
+                theta = mul_poly(mul_poly(base, root), small_poly(fs, rng, rng.randint(0, 1)))
             elif kind == "zero":
                 theta = Derivation.zero()
             elif kind == "one-part":
@@ -543,11 +543,11 @@ def test_dependence_classes_convolve_only_pairs_with_equal_ends(fs, line, monkey
     determinant that dependence_classes convolves is of two derivations with
     equal leading terms of P/Q at x = 0 and at y = 0 (field_ends)."""
     rng = random.Random(f"equal ends {fs.kind} {fs.p}")
-    root = HomogPoly.from_linear_form(LinearForm.make(fs, *line))
+    root = form_poly(LinearForm.make(fs, *line))
     bases = [small_derivation(fs, rng, rng.randint(1, 3)) for _ in range(5)]
-    thetas = [rng.choice(bases).mul_poly(root).mul_poly(small_poly(fs, rng, rng.randint(0, 2)))
+    thetas = [mul_poly(mul_poly(rng.choice(bases), root), small_poly(fs, rng, rng.randint(0, 2)))
               for _ in range(30)]
-    thetas += [small_derivation(fs, rng, rng.randint(0, 3)).mul_poly(root) for _ in range(10)]
+    thetas += [mul_poly(small_derivation(fs, rng, rng.randint(0, 3)), root) for _ in range(10)]
     ends_of = {(tuple(t.cleared[1]), tuple(t.cleared[2])): field_ends(t) for t in thetas}
     convolved = []
     real = poly._determinant
@@ -576,13 +576,13 @@ def test_proportional_matches_proportional_derivations(fs):
         forms = [rng.choice(lines) for _ in range(rng.randint(0, 3))]
         g = HomogPoly.one(fs)
         for lf in forms:
-            g = g * HomogPoly.from_linear_form(lf)
-        expect = t2.mul_poly(g)
+            g = g * form_poly(lf)
+        expect = mul_poly(t2, g)
         kind = rng.randrange(4)
         if kind == 0:
-            t1 = expect.scale(small_poly(fs, rng, 0).coeffs[0])
+            t1 = scale(expect, small_poly(fs, rng, 0).coeffs[0])
         elif kind == 1:
-            t1 = expect + small_derivation(fs, rng, expect.degree)
+            t1 = plus(expect, small_derivation(fs, rng, expect.degree))
         elif kind == 2:
             t1 = small_derivation(fs, rng, rng.randint(0, 6))  # any degree
         else:

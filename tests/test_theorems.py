@@ -45,12 +45,15 @@ from helpers import (
     descent_forms,
     downalpha,
     euler,
+    form_poly,
+    mul_poly,
     multiplier_form,
     pairs_at_distance_two_by_tuples,
     pairwise_certify_centers,
     path_transport,
     power,
     proportional_derivations,
+    saturated_chain,
     wrong_generator_oracle,
 )
 
@@ -282,15 +285,15 @@ def test_multiplier_form(B2):
     # construct_basis_between multiplies on the images by what the field
     # oracle multiplier_form gives
     f = multiplier_form(B2, (1, 1, 1, 1), (2, 1, 3, 0))
-    want = (HomogPoly.from_linear_form(B2.forms[0])
-            * power(HomogPoly.from_linear_form(B2.forms[2]), 2, B2.field))
+    want = (form_poly(B2.forms[0])
+            * power(form_poly(B2.forms[2]), 2, B2.field))
     assert f == want
     mu, nu = (1, 1, 1, 1), (2, 2, 1, 2)
     t_mu, t_nu = exponents(B2, mu).theta_min, exponents(B2, nu).theta_min
     for kappa in [(1, 1, 1, 1), (2, 2, 1, 2), (1, 2, 1, 1), (2, 1, 1, 2)]:
         (t1, t2), _ = construct_basis_between(B2, mu, nu, kappa, t_mu, t_nu)
         for got, theta, base in ((t1, t_mu, mu), (t2, t_nu, nu)):
-            want = theta.mul_poly(multiplier_form(B2, base, kappa))
+            want = mul_poly(theta, multiplier_form(B2, base, kappa))
             assert got == want and got.format(B2.field) == want.format(B2.field)
 
 
@@ -700,8 +703,8 @@ def test_verdicts_match_the_determinant_oracles(ctype, box, corruption, failed,
     def oracle_proportional(t1, t2, forms=()):
         g = HomogPoly.one(A.field)
         for lf in forms:
-            g = g * HomogPoly.from_linear_form(lf)
-        return proportional_derivations(t1, t2.mul_poly(g))
+            g = g * form_poly(lf)
+        return proportional_derivations(t1, mul_poly(t2, g))
 
     classified = []
 
@@ -744,11 +747,11 @@ def test_descent_forms_multiply_to_downalpha(B2, b2_scan, seed):
     for _ in range(20):
         mu, nu = sorted(rng.sample(points, 2))
         nu = tuple(max(a, b) for a, b in zip(mu, nu))
-        chain = lattice.saturated_chain(mu, nu)
+        chain = saturated_chain(mu, nu)
         dvals = [b2_scan.table[p] for p in chain]
         g = HomogPoly.one(B2.field)
         for lf in descent_forms(B2, chain, dvals):
-            g = g * HomogPoly.from_linear_form(lf)
+            g = g * form_poly(lf)
         assert g == downalpha(B2, chain, dvals)
 
 
