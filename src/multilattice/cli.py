@@ -17,8 +17,9 @@ the command only turns a failed verdict into exit status 1.
 
 Start-up is most of the cost of one solve, so each command imports the
 layers it runs (``dermod``, ``explorer``, ``theorems``, ``coxeter``) when
-it runs, and ``_parser`` builds the argument parser of the named command
-only (that of ``ml verify`` takes its check names from ``theorems``).
+it runs, ``--coxeter`` loads only the built-in table (``builtin``), and
+``_parser`` builds the argument parser of the named command only (that of
+``ml verify`` takes its check names from ``theorems``).
 The walk's memo is freed at exit by ``dermod``, for library callers too;
 it is the only memo, and no command reads or writes a file of results
 (``scan`` and ``verify`` still accept ``--cache-dir``, which has no effect).
@@ -68,7 +69,7 @@ def load_arrangement(path: str) -> Arrangement:
 def _arrangement(args) -> Arrangement:
     if args.arrangement is not None:
         return load_arrangement(args.arrangement)
-    from .coxeter import coxeter_arrangement
+    from .builtin import coxeter_arrangement
 
     return coxeter_arrangement(args.coxeter)
 
@@ -307,7 +308,7 @@ def _parser(argv: List[str]) -> argparse.ArgumentParser:
             return None
         p.set_defaults(run=run)
         if source:
-            from .coxeter import COXETER_TYPES
+            from .builtin import COXETER_TYPES
 
             one = p.add_mutually_exclusive_group(required=True)
             one.add_argument("--arrangement", "-a", help="Arrangement JSON file.")
@@ -362,7 +363,7 @@ def _parser(argv: List[str]) -> argparse.ArgumentParser:
 
     p = command("coxeter", cmd_coxeter)
     if p:
-        from .coxeter import COXETER_TYPES
+        from .builtin import COXETER_TYPES
 
         p.add_argument("ctype", metavar="CTYPE", type=str.upper, choices=COXETER_TYPES)
         p.add_argument("--check-invariance", dest="inv_box",

@@ -1,9 +1,11 @@
-"""Built-in dihedral/Coxeter arrangements and their symmetry applications.
+"""Symmetry applications of the built-in dihedral/Coxeter arrangements.
 
-Covers the rank-2 types A1xA1, A2, B2, G2 (G2 needs sqrt(3), so it lives
-over the quadratic extension), reflection-group actions on multiplicities,
-gap invariance under the action, the symmetric-peak certificate, and the
-near-constant exponent formulas around odd constant multiplicities.
+Covers reflection-group actions on multiplicities, gap invariance under
+the action, the symmetric-peak certificate, and the near-constant exponent
+formulas around odd constant multiplicities.  The built-in realizations of
+the rank-2 types (COXETER_TYPES, coxeter_arrangement) live in builtin,
+which the command line loads for --coxeter without the solver, and are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -13,47 +15,17 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import lattice
+from .builtin import COXETER_TYPES, coxeter_arrangement  # COXETER_TYPES is re-exported
 from .dermod import delta, exponent_pair
 from .errors import (
-    FieldMismatch,
     HypothesisViolated,
     NotArrangementPreserving,
     OffsetTooLarge,
 )
-from .field import FieldSpec, QuadElem, invert
+from .field import QuadElem, invert
 from .lattice import Multiplicity
 from .poly import Arrangement, LinearForm
 from .record import Frozen, set_field
-
-COXETER_TYPES = ("A1A1", "A2", "B2", "G2")
-
-
-def coxeter_arrangement(ctype: str, fs: Optional[FieldSpec] = None) -> Arrangement:
-    """The built-in realization of a rank-2 Coxeter arrangement."""
-    ctype = ctype.upper().replace("X", "")
-    if ctype == "G2":
-        if fs is None:
-            fs = FieldSpec.quadratic(3)
-        if fs.kind != "quadratic" or fs.d != 3:
-            raise FieldMismatch("the G2 realization needs the field with sqrt(3)")
-        s3 = fs.sqrt_element()
-        pairs = [(1, 0), (1, s3), (1, -s3), (0, 1), (s3, 1), (s3, -1)]
-        names = ["x", "x+s3*y", "x-s3*y", "y", "s3*x+y", "s3*x-y"]
-    elif ctype == "B2":
-        fs = fs or FieldSpec.rational()
-        pairs = [(1, 0), (0, 1), (1, 1), (1, -1)]
-        names = ["x", "y", "x+y", "x-y"]
-    elif ctype == "A2":
-        fs = fs or FieldSpec.rational()
-        pairs = [(1, 0), (0, 1), (1, 1)]
-        names = ["x", "y", "x+y"]
-    elif ctype == "A1A1":
-        fs = fs or FieldSpec.rational()
-        pairs = [(1, 0), (0, 1)]
-        names = ["x", "y"]
-    else:
-        raise ValueError(f"unknown Coxeter type {ctype!r}")
-    return Arrangement.make(fs, pairs, names=names)
 
 
 class GroupElement(Frozen):

@@ -282,11 +282,12 @@ class _Walk:
         return self.dom.dot(row, t)
 
     def _times_alpha(self, t: List, d: int, h: int) -> List:
-        dom, n = self.dom, d + 1
-        p, q = [dom.zero] * (n + 1), [dom.zero] * (n + 1)
-        dom.convolve(p, self.forms[h], t[:n], 1)
-        dom.convolve(q, self.forms[h], t[n:], 1)
-        return dom.primitive(p + q)
+        # alpha_h * f = f0*[f, 0] - (-f1)*[0, f] on each half f of t, for
+        # alpha_h = [f0, f1]: one combine of u = [P, 0, Q, 0] and u shifted
+        dom, zero = self.dom, [self.dom.zero]
+        f0, f1 = self.forms[h]
+        u = t[:d + 1] + zero + t[d + 1:] + zero
+        return dom.primitive(dom.combine(f0, u, dom.scale(f1, -1), zero + u[:-1]))
 
     def step(self, state: _State, h: int, m: int) -> _State:
         """The basis at mu + e_h from the basis at mu (mu_h = m)."""
@@ -305,10 +306,7 @@ class _Walk:
             lo, hi = (k, 0) if self.forms[h][1] == dom.zero else (0, k)  # beta = x or y
             shifted = _shift(t1, d1, lo, hi, dom.zero)
             rs = r1 if k == 0 else self._residual(shifted, d2, h, m)
-            out = [dom.zero] * len(t2)
-            dom.convolve(out, [rs], t2, 1)
-            dom.convolve(out, [r2], shifted, -1)
-            t2 = dom.primitive(out)
+            t2 = dom.primitive(dom.combine(rs, t2, r2, shifted))
         t1 = self._times_alpha(t1, d1, h)
         if d1 + 1 > d2:
             return (t2, d2, t1, d1 + 1)
@@ -321,8 +319,23 @@ class _Walk:
 
         A walk that starts at 0 memoises its chain only after certify
         accepts the basis it reaches.  One that starts at a memoised basis
-        does not certify, so a scan in box order pays one step per point.
+        does not certify, so a scan in box order pays one step per point:
+        mu itself, else its predecessor mu - e_h and one step, is looked up
+        before any chain is built.  0 is never memoised, so each walk to a
+        unit point e_i is rooted and certified.
         """
+        state = self.states.get(mu)
+        if state is not None:
+            return state
+        h = len(mu) - 1
+        while h >= 0 and not mu[h]:
+            h -= 1
+        if h >= 0:
+            state = self.states.get(mu[:h] + (mu[h] - 1,) + mu[h + 1:])
+            if state is not None:
+                state = self.step(state, h, mu[h] - 1)
+                self._memoise([(mu, state)])
+                return state
         chain = []
         nu = mu
         while nu not in self.states and any(nu):
@@ -338,13 +351,18 @@ class _Walk:
             walked.append((nu, state))
         if rooted and chain:
             self.certify(mu, state)
+        self._memoise(walked)
+        return state
+
+    def _memoise(self, walked: List[Tuple[Multiplicity, _State]]) -> None:
+        """Keep the walked bases, first dropping every memo of the walk if
+        they would take it past _MAX_STATES bases."""
         if len(self.states) + len(walked) > _MAX_STATES:
             self.states.clear()
             self.rows.clear()
             self.results.clear()
             self.thetas.clear()
         self.states.update(walked)
-        return state
 
     def certify(self, mu: Multiplicity, state: _State) -> None:
         """Saito's criterion (_saito) on the images of a state: raise
@@ -377,10 +395,7 @@ class _Walk:
             return t1, t2
         if l2 < l1:
             return t2, t1
-        out = [zero] * len(t1)
-        self.dom.convolve(out, [t2[l1]], t1, 1)
-        self.dom.convolve(out, [t1[l1]], t2, -1)
-        return self.dom.primitive(out), t1
+        return self.dom.primitive(self.dom.combine(t2[l1], t1, t1[l1], t2)), t1
 
     def partner(self, state: _State) -> List:
         """The degree-d2 generator that full_basis pairs with theta_min.
@@ -397,10 +412,7 @@ class _Walk:
         for i in range(k, -1, -1):  # shift i has its last nonzero at f
             f = last + i + (k if last > d1 else 0)
             if w[f] != dom.zero:
-                out = [dom.zero] * len(w)
-                dom.convolve(out, [t[last]], w, 1)
-                dom.convolve(out, [w[f]], _shift(t, d1, i, k - i, dom.zero), -1)
-                w = dom.primitive(out)
+                w = dom.primitive(dom.combine(t[last], w, w[f], _shift(t, d1, i, k - i, dom.zero)))
         return w
 
     def derivation(self, t: List, d: int) -> Derivation:

@@ -3,12 +3,13 @@
 Each field has one Domain: it clears elements to integer images (ints over
 Q, integer pairs (a, b) for a + b*sqrt(d) over Q(sqrt d), residues over
 F_p), builds elements back, and runs every exact kernel on the images:
-convolution, the valuation along a line (the power of a linear form that
-divides a polynomial, by exact synthetic division), and the products,
+convolution, the linear combination a*u - b*v of two image lists, the
+valuation along a line (the power of a linear form that divides a
+polynomial, by exact synthetic division), and the products,
 integer multiples, dot products, content removal and division by a lead
 coefficient that the lattice walk in dermod, its Saito certificate and
 poly's derivations run on.
-Elimination is written once, on three of those kernels (over, convolve,
+Elimination is written once, on three of those kernels (over, combine,
 primitive), for every field: rank is its pivot count on rows of images;
 nullspace takes field rows, clears them and back-substitutes from its
 echelon rows; invert_matrix reads the inverse off a nullspace.  All three
@@ -34,7 +35,7 @@ class Domain(NamedTuple):
     Coefficient lists of polynomials run from the y-power end as in
     HomogPoly.  Members are module-level functions or partials of them, so
     a Derivation that caches its images still pickles to pool workers.
-    No member eliminates: _echelon does, for every field, on over, convolve
+    No member eliminates: _echelon does, for every field, on over, combine
     and primitive.
     """
 
@@ -43,6 +44,7 @@ class Domain(NamedTuple):
     one: object  # the image of 1
     back: Callable  # (image[, den]) -> the field element image / den
     convolve: Callable  # (out, f, g, sign) adds sign * f * g into out
+    combine: Callable  # (a, u, b, v) -> the images of a*u - b*v, u and v of one length
     valuation: Callable  # (f, s, r) -> the largest m with (s*t + r)**m dividing f(t), f nonzero
     mul: Callable  # (u, v) -> the image of u * v
     scale: Callable  # (u, n) -> the image of n * u, for an integer n
@@ -67,6 +69,10 @@ def _convolve_int(out: List[int], f: Sequence[int], g: Sequence[int], sign: int)
         if a:
             a *= sign
             out[i:i + n] = [o + a * b for o, b in zip(out[i:i + n], g)]
+
+
+def _combine_int(a: int, u: Sequence[int], b: int, v: Sequence[int]) -> List[int]:
+    return [a * x - b * y for x, y in zip(u, v)]
 
 
 def _leading_zeros(f, zero) -> int:
@@ -112,8 +118,9 @@ def _over_int(vec: List[int], v: int) -> Tuple[List[int], int]:
     return [c // g for c in vec], v // g
 
 
-_RATIONAL_DOMAIN = Domain(_clear_rational, 0, 1, Fraction, _convolve_int, _valuation_int,
-                          operator.mul, operator.mul, _dot_int, _primitive_int, _over_int)
+_RATIONAL_DOMAIN = Domain(_clear_rational, 0, 1, Fraction, _convolve_int, _combine_int,
+                          _valuation_int, operator.mul, operator.mul, _dot_int, _primitive_int,
+                          _over_int)
 
 
 def _clear_quadratic(row) -> Tuple[List[Tuple[int, int]], int]:
@@ -139,6 +146,13 @@ def _convolve_quad(d: int, out, f, g, sign: int) -> None:
                 u, v = _qmul(a, b, d)
                 o = out[i + j]
                 out[i + j] = (o[0] + u, o[1] + v)
+
+
+def _combine_quad(d: int, a, u, b, v) -> List[Tuple[int, int]]:
+    (a0, a1), (b0, b1) = a, b
+    da1, db1 = d * a1, d * b1
+    return [(a0 * x0 + da1 * x1 - b0 * y0 - db1 * y1, a0 * x1 + a1 * x0 - b0 * y1 - b1 * y0)
+            for (x0, x1), (y0, y1) in zip(u, v)]
 
 
 def _valuation_quad(d: int, f, s, r) -> int:
@@ -195,7 +209,8 @@ def _quad_back(d: int, v, den: int = 1) -> QuadElem:
 @functools.lru_cache(maxsize=None)
 def _quadratic_domain(d: int) -> Domain:
     return Domain(_clear_quadratic, (0, 0), (1, 0), functools.partial(_quad_back, d),
-                  functools.partial(_convolve_quad, d), functools.partial(_valuation_quad, d),
+                  functools.partial(_convolve_quad, d), functools.partial(_combine_quad, d),
+                  functools.partial(_valuation_quad, d),
                   functools.partial(_qmul, d=d), _qscale, functools.partial(_dot_quad, d),
                   _primitive_quad, functools.partial(_over_quad, d))
 
@@ -203,6 +218,10 @@ def _quadratic_domain(d: int) -> Domain:
 def _convolve_modp(p: int, out: List[int], f, g, sign: int) -> None:
     _convolve_int(out, f, g, sign)
     out[:] = [o % p for o in out]
+
+
+def _combine_modp(p: int, a: int, u: Sequence[int], b: int, v: Sequence[int]) -> List[int]:
+    return [(a * x - b * y) % p for x, y in zip(u, v)]
 
 
 def _valuation_modp(p: int, f: List[int], s: int, r: int) -> int:
@@ -250,7 +269,8 @@ def _modp_back(p: int, v: int, den: int = 1) -> ModInt:
 @functools.lru_cache(maxsize=None)
 def _prime_domain(p: int) -> Domain:
     return Domain(_clear_modp, 0, 1, functools.partial(_modp_back, p),
-                  functools.partial(_convolve_modp, p), functools.partial(_valuation_modp, p),
+                  functools.partial(_convolve_modp, p), functools.partial(_combine_modp, p),
+                  functools.partial(_valuation_modp, p),
                   functools.partial(_mul_modp, p), functools.partial(_mul_modp, p),
                   functools.partial(_dot_modp, p),
                   functools.partial(_primitive_modp, p), functools.partial(_over_modp, p))
@@ -270,11 +290,11 @@ def _echelon(dom: Domain, mat: Sequence[Sequence], ncols: int):
 
     The pivot row is divided by its pivot (over), so the pivot is rational,
     and each row below becomes pr[c]*row - row[c]*pr over its content
-    (convolve, primitive), the combination the lattice walk takes.  Rows are
+    (combine, primitive), the combination the lattice walk takes.  Rows are
     reduced (primitive) before any pivot is read, so an unreduced residue
     is no pivot over F_p; the rows of mat are left as they are.
     """
-    zero, one, over, convolve, primitive = dom.zero, dom.one, dom.over, dom.convolve, dom.primitive
+    zero, over, combine, primitive = dom.zero, dom.over, dom.combine, dom.primitive
     mat = [r for r in map(primitive, mat) if r.count(zero) < len(r)]
     pivcols = []
     for c in range(ncols):
@@ -291,12 +311,7 @@ def _echelon(dom: Domain, mat: Sequence[Sequence], ncols: int):
             row = mat[i]
             if row[c] != zero:
                 # the rows below are zero left of c
-                out = row[c:]
-                if lead != one:  # it is 1 over F_p
-                    out = [zero] * (ncols - c)
-                    convolve(out, [lead], row[c:], 1)
-                convolve(out, [row[c]], tail, -1)
-                mat[i] = [zero] * c + primitive(out)
+                mat[i] = [zero] * c + primitive(combine(lead, row[c:], row[c], tail))
         pivcols.append(c)
     return mat[:len(pivcols)], pivcols
 

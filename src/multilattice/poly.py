@@ -188,12 +188,6 @@ class HomogPoly(Frozen):
             raise ValueError("cannot add homogeneous polynomials of different degrees")
         return HomogPoly.make(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "HomogPoly") -> "HomogPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "HomogPoly":
-        return HomogPoly(tuple(-c for c in self.coeffs))
-
     def scale(self, s: Scalar) -> "HomogPoly":
         if not s:
             return HomogPoly.zero()
@@ -408,7 +402,9 @@ class Derivation(Frozen):
             vals = (None,) * len(A)
         else:
             dom, P, Q, _ = self.cleared
-            zero, convolve, valuation = dom.zero, dom.convolve, dom.valuation
+            zero, combine, valuation = dom.zero, dom.combine, dom.valuation
+            if not P or not Q:  # a zero part as zeros, for combine
+                P, Q = P or [zero] * len(Q), Q or [zero] * len(P)
             out = []
             for lf in A.forms:
                 (r, s), _ = lf.images
@@ -417,9 +413,7 @@ class Derivation(Frozen):
                     continue
                 f = P  # alpha = x (r = 0): theta(alpha) = s*P, as divisible as P
                 if r != zero:
-                    f = [zero] * len(P or Q)
-                    convolve(f, [s], P, 1)
-                    convolve(f, [r], Q, 1)
+                    f = combine(s, P, dom.scale(r, -1), Q)  # s*P + r*Q
                 out.append(valuation(f, s, r) if f.count(zero) < len(f) else None)
             vals = tuple(out)
         set_field(self, "_valuations", (A, vals))

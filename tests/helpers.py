@@ -42,6 +42,16 @@ def mul_poly(theta: Derivation, g: HomogPoly) -> Derivation:
     return Derivation(g * theta.P, g * theta.Q)
 
 
+def neg_poly(f: HomogPoly) -> HomogPoly:
+    """-f in field arithmetic."""
+    return HomogPoly(tuple(-c for c in f.coeffs))
+
+
+def sub_poly(f: HomogPoly, g: HomogPoly) -> HomogPoly:
+    """f - g in field arithmetic."""
+    return f + neg_poly(g)
+
+
 def form_poly(lf: LinearForm) -> HomogPoly:
     """The linear form a*x + b*y as a HomogPoly."""
     return HomogPoly.make((lf.b, lf.a))  # c_0*y + c_1*x

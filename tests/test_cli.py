@@ -518,9 +518,9 @@ def test_cli_import_leaves_out_the_process_pool():
 def _modules_after(*args):
     """The package's optional layers (and click, hashlib, dataclasses, inspect)
     that ``ml args`` imports."""
-    watched = ("click", "dataclasses", "hashlib", "inspect", "multilattice.cache",
-               "multilattice.coxeter", "multilattice.dermod", "multilattice.explorer",
-               "multilattice.theorems")
+    watched = ("click", "dataclasses", "hashlib", "inspect", "multilattice.builtin",
+               "multilattice.cache", "multilattice.coxeter", "multilattice.dermod",
+               "multilattice.explorer", "multilattice.theorems")
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "from multilattice import cli\n"
@@ -535,7 +535,8 @@ def _modules_after(*args):
 
 
 def test_a_cold_solve_imports_only_the_layers_it_runs(scan_file, tmp_path):
-    solver = "['multilattice.coxeter', 'multilattice.dermod']"
+    # --coxeter loads the built-in table, not the group and certificate code
+    solver = "['multilattice.builtin', 'multilattice.dermod']"
     assert _modules_after("exponents", "--coxeter", "B2", "1,1,1,1") == solver
     assert _modules_after("basis", "--coxeter", "G2", "1,1,1,1,1,1") == solver
     # components reads a scan file and never solves
@@ -545,13 +546,16 @@ def test_a_cold_solve_imports_only_the_layers_it_runs(scan_file, tmp_path):
     loaded = _modules_after("scan", "--coxeter", "B2", "--box", "1,1,1,1",
                             "--cache-dir", str(tmp_path / "c"))
     assert "multilattice.explorer" in loaded and "multilattice.cache" not in loaded
+    assert "multilattice.coxeter" not in loaded
     assert not (tmp_path / "c").exists()
 
 
 def test_scan_file_commands_do_not_import_coxeter(scan_file):
-    # a scan file carries its arrangement, so only --coxeter and ml coxeter need it
+    # a scan file carries its arrangement, so only --coxeter and ml coxeter need
+    # the built-in table, and only ml coxeter the group code
     for args in (("components", "--scan", scan_file), ("verify", "--scan", scan_file, "all")):
-        assert "multilattice.coxeter" not in _modules_after(*args), args
+        loaded = _modules_after(*args)
+        assert "multilattice.coxeter" not in loaded and "multilattice.builtin" not in loaded, args
 
 
 def test_no_command_imports_dataclasses_or_inspect(scan_file, tmp_path):

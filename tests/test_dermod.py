@@ -231,6 +231,31 @@ def oracle_arrangement(rng, fs):
     return Arrangement(fs, tuple(lines.values()))
 
 
+def random_images(rng, fs, n):
+    """n integer images of fs: signed ints, signed pairs, or residues."""
+    if fs.kind == "quadratic":
+        return [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(n)]
+    if fs.kind == "prime":
+        return [rng.randrange(fs.p) for _ in range(n)]
+    return [rng.randint(-9, 9) for _ in range(n)]
+
+
+@pytest.mark.parametrize("fs", ORACLE_FIELDS, ids=field_name)
+def test_times_alpha_is_the_convolution_by_the_form(fs):
+    # alpha_h * [P | Q], each half convolved with the form's images, over its content
+    rng = random.Random(field_name(fs))
+    for _ in range(10):
+        walk = dermod._Walk(oracle_arrangement(rng, fs))
+        dom = walk.dom
+        for h, form in enumerate(walk.forms):
+            d = rng.randint(0, 4)
+            t = random_images(rng, fs, 2 * d + 2)
+            p, q = [dom.zero] * (d + 2), [dom.zero] * (d + 2)
+            dom.convolve(p, form, t[:d + 1], 1)
+            dom.convolve(q, form, t[d + 1:], 1)
+            assert walk._times_alpha(t, d, h) == dom.primitive(p + q)
+
+
 def field_rows_dimension(A, mu, d):
     """dim D_d from the field rows of _constraint_rows_basis, cleared."""
     dom, ncols = domain_of(A.field.one()), 2 * (d + 1)

@@ -113,6 +113,58 @@ def test_scan_bytes_match_the_reference(real_pool, monkeypatch, ctype, box):
     assert real_pool == [2]
 
 
+# sha256 of `ml scan -a ARR --box 4,4,4,4` on CI's arrangement files, one per
+# kind of domain the walk runs on, as written before Domain.combine
+GOLDEN_SCANS = {
+    "f3": ('{"field": {"type": "prime", "p": 3},'
+           ' "forms": [["1","0"],["0","1"],["1","1"],["1","2"]]}',
+           "449f5e3899786c20bf78032696ed5f377e60e5405f29d78442a7e7feb058c3f3"),
+    "sqrt2": ('{"field": {"type": "quadratic", "d": 2},'
+              ' "forms": [["1","0"],["0","1"],["1","1"],["2",{"a": "1", "b": "1"}]]}',
+              "48ed1dc5cff8db771802fc79d74fcc4558ff8cf3d2a7ca10aaff9a90abedf959"),
+    "2x3y": ('{"field": {"type": "rational"}, "forms": [["1","0"],["0","1"],["1","1"],["2","3"]]}',
+             "e7c3d6cf9b0330b6249ba38d27adae6827b7f37b98d5016631c5072a3db342c9"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_SCANS)
+def test_scan_bytes_match_the_golden_digest(name, tmp_path, capsys, monkeypatch):
+    from multilattice import cli
+
+    text, want = GOLDEN_SCANS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(text)
+    monkeypatch.setattr(dermod, "_WALKS", {})
+    assert cli.main(["scan", "-a", str(path), "--box", "4,4,4,4"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize("ctype,box,certified", [
+    ("B2", (2, 2, 2, 2), [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+    ("A2", (3, 0, 2), [(1, 0, 0), (0, 0, 1)])])
+def test_a_box_order_scan_steps_once_per_point_and_certifies_each_unit_point(
+        ctype, box, certified, monkeypatch):
+    # every point past 0 is one step from its predecessor in box order, and
+    # only the walks rooted at 0, one per unit point e_i in the box, certify
+    steps, certificates = [], []
+    step, certify = dermod._Walk.step, dermod._Walk.certify
+
+    def counted_step(walk, state, h, m):
+        steps.append((h, m))
+        return step(walk, state, h, m)
+
+    def counted_certify(walk, mu, state):
+        certificates.append(mu)
+        return certify(walk, mu, state)
+
+    monkeypatch.setattr(dermod._Walk, "step", counted_step)
+    monkeypatch.setattr(dermod._Walk, "certify", counted_certify)
+    monkeypatch.setattr(dermod, "_WALKS", {})
+    result = scan(coxeter_arrangement(ctype), box, jobs=1)
+    assert len(steps) == len(result.table) - 1 == math.prod(b + 1 for b in box) - 1
+    assert sorted(certificates, reverse=True) == certified
+
+
 def test_components_partition_support(b2_scan):
     comps = components(b2_scan)
     seen = set()

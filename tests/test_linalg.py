@@ -291,3 +291,31 @@ def test_valuation_matches_the_fraction_oracle(fs, pairs):
             assert dom.valuation(images, dom.scale(s, c), dom.scale(r, c)) == want
             seen.add(want)
     assert {0, 1, 4} <= seen
+
+
+# -- combine against the construction it replaced: a zero list and two convolve calls
+
+
+def two_convolutions(dom, a, u, b, v):
+    """a*u - b*v as the walk built it before combine: zeros, then two convolve calls."""
+    out = [dom.zero] * len(u)
+    dom.convolve(out, [a], u, 1)
+    dom.convolve(out, [b], v, -1)
+    return out
+
+
+COMBINE_FIELDS = [RAT, SQRT2, QUAD, FieldSpec.prime(3), FieldSpec.prime(101)]
+
+
+@pytest.mark.parametrize("fs", COMBINE_FIELDS,
+                         ids=lambda fs: f"sqrt{fs.d}" if fs.d else f"F{fs.p}" if fs.p else "Q")
+@settings(max_examples=150)
+@given(st.integers(0, 6), st.data())
+def test_combine_matches_two_convolutions(fs, n, data):
+    # negative images and, for F_p, images past p too; zero scalars and zero images
+    dom = domain_of(fs.one())
+    ints = st.integers(-250, 250)
+    image = st.one_of(st.just(dom.zero), st.tuples(ints, ints) if fs.kind == "quadratic" else ints)
+    u, v = (data.draw(st.lists(image, min_size=n, max_size=n)) for _ in range(2))
+    a, b = data.draw(image), data.draw(image)
+    assert dom.combine(a, u, b, v) == two_convolutions(dom, a, u, b, v)

@@ -29,8 +29,8 @@ from multilattice.poly import (
     proportional,
     saito_determinant,
 )
-from helpers import (assert_same_derivation, euler, field_canonical, form_poly, mul_poly, plus,
-                     power, proportional_derivations, scale)
+from helpers import (assert_same_derivation, euler, field_canonical, form_poly, mul_poly,
+                     neg_poly, plus, power, proportional_derivations, scale, sub_poly)
 
 FS = FieldSpec.rational()
 
@@ -215,7 +215,7 @@ def test_saito_determinant_alternating():
     t2 = Derivation(HomogPoly.make([Fraction(1), Fraction(2)]),
                     HomogPoly.make([Fraction(3), Fraction(1)]))
     assert saito_determinant(t1, t1).is_zero
-    assert saito_determinant(t1, t2) == -saito_determinant(t2, t1)
+    assert saito_determinant(t1, t2) == neg_poly(saito_determinant(t2, t1))
 
 
 def test_canonical_leading_one():
@@ -266,7 +266,7 @@ def test_saito_determinant_matches_polynomial_product(fs):
         if rng.random() < 0.1:
             t2 = scale(t1, rand_scalar(fs, rng))  # dependent: cancels to zero
         det = saito_determinant(t1, t2)
-        assert det == t1.P * t2.Q - t2.P * t1.Q
+        assert det == sub_poly(t1.P * t2.Q, t2.P * t1.Q)
         assert det.is_zero or type(det.coeffs[0]) is type(fs.one())
         zeros += det.is_zero
     assert 0 < zeros < 300
