@@ -319,50 +319,31 @@ class _Walk:
 
         A walk that starts at 0 memoises its chain only after certify
         accepts the basis it reaches.  One that starts at a memoised basis
-        does not certify, so a scan in box order pays one step per point:
-        mu itself, else its predecessor mu - e_h and one step, is looked up
-        before any chain is built.  0 is never memoised, so each walk to a
-        unit point e_i is rooted and certified.
+        does not certify, so a scan in box order pays one step per point.
         """
-        state = self.states.get(mu)
-        if state is not None:
-            return state
-        h = len(mu) - 1
-        while h >= 0 and not mu[h]:
-            h -= 1
-        if h >= 0:
-            state = self.states.get(mu[:h] + (mu[h] - 1,) + mu[h + 1:])
-            if state is not None:
-                state = self.step(state, h, mu[h] - 1)
-                self._memoise([(mu, state)])
-                return state
         chain = []
         nu = mu
         while nu not in self.states and any(nu):
-            h = max(i for i, v in enumerate(nu) if v)
-            chain.append(h)
+            h = len(nu) - 1
+            while not nu[h]:
+                h -= 1
+            chain.append((nu, h))
             nu = nu[:h] + (nu[h] - 1,) + nu[h + 1:]
         rooted = not any(nu)
         state = self.states.get(nu) or self._root()
         walked = []
-        for h in reversed(chain):
-            state = self.step(state, h, nu[h])
-            nu = nu[:h] + (nu[h] + 1,) + nu[h + 1:]
-            walked.append((nu, state))
+        for up, h in reversed(chain):  # keyed by the chain's tuples, mu itself last
+            state = self.step(state, h, up[h] - 1)
+            walked.append((up, state))
         if rooted and chain:
             self.certify(mu, state)
-        self._memoise(walked)
-        return state
-
-    def _memoise(self, walked: List[Tuple[Multiplicity, _State]]) -> None:
-        """Keep the walked bases, first dropping every memo of the walk if
-        they would take it past _MAX_STATES bases."""
         if len(self.states) + len(walked) > _MAX_STATES:
             self.states.clear()
             self.rows.clear()
             self.results.clear()
             self.thetas.clear()
         self.states.update(walked)
+        return state
 
     def certify(self, mu: Multiplicity, state: _State) -> None:
         """Saito's criterion (_saito) on the images of a state: raise
