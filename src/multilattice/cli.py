@@ -214,7 +214,14 @@ def cmd_basis_for(args):
 
 
 def cmd_coxeter(args):
-    """Inspect a built-in Coxeter arrangement and its symmetry facts."""
+    """Inspect a built-in Coxeter arrangement and its symmetry facts.
+
+    "group order" counts the permutations of the lines that products of
+    the standard reflections induce: the dihedral group of the type modulo
+    its elements that fix every line.  Those are 1 and -1 for B2 and G2,
+    1 alone for A2, and the whole group for A1A1, whose two reflections
+    each fix both lines.  So it is 1 for A1A1, 6 for A2, 4 for B2 and 6
+    for G2."""
     from . import coxeter as cox
 
     ctype, offsets = args.ctype, args.offsets

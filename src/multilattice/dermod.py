@@ -354,11 +354,7 @@ class _Walk:
                 for t, d in ((t1, d1), (t2, d2))]
         failed = _saito(self.A, mu, gens)
         if failed:
-            raise InternalInconsistency({
-                "degree": f"degree: the walk gives {d1}+{d2} != |mu|={sum(mu)} for mu={mu}",
-                "dependent": "dependent: the walk's generators have a zero determinant at "
-                             f"mu={mu}",
-            }.get(failed, f"membership: the walk's {failed} is not in the module at mu={mu}"))
+            raise InternalInconsistency(f"{failed} at mu={mu}")
 
     def minimal(self, state: _State) -> Tuple[List, List]:
         """(theta_min, another generator of degree d2) as images.
@@ -436,6 +432,18 @@ def _kept(A: Arrangement,
     return mu, walk, walk.results.get(mu)
 
 
+def _bounded_basis(mu: Multiplicity, walk: _Walk) -> _State:
+    """The basis walked up to a mu that _kept validated, whose degrees are
+    the exponents (d1, d2); a d1 past the constructive bound |mu| - max(mu)
+    raises InternalInconsistency."""
+    state = walk.basis(mu)
+    d1 = state[1]
+    if any(mu) and d1 > sum(mu) - max(mu):
+        raise InternalInconsistency(
+            f"d1={d1} exceeds the constructive bound |mu|-max(mu) for mu={mu}")
+    return state
+
+
 def exponent_pair(A: Arrangement, mu: Sequence[int]) -> Tuple[int, int]:
     """The exponents (d1, d2) at mu: the walk's kept result, else the
     degrees of the basis walked up the multiplicity lattice.  Builds no
@@ -443,23 +451,20 @@ def exponent_pair(A: Arrangement, mu: Sequence[int]) -> Tuple[int, int]:
     mu, walk, result = _kept(A, mu)
     if result is not None:
         return (result.d1, result.d2)
-    _, d1, _, d2 = walk.basis(mu)
-    total = sum(mu)
-    if mu and total > 0 and d1 > total - max(mu):
-        raise InternalInconsistency(
-            f"d1={d1} exceeds the constructive bound |mu|-max(mu) for mu={mu}")
+    _, d1, _, d2 = _bounded_basis(mu, walk)
     return (d1, d2)
 
 
 def exponents(A: Arrangement, mu: Sequence[int]) -> ExponentResult:
     """Exponents of the multiarrangement and a minimal-degree generator,
-    kept in the walk's memo, so that a kept result costs one lookup:
-    exponent_pair, and theta_min from the basis it walked to, one object
-    per distinct value (the walk's thetas)."""
+    kept in the walk's memo, so that a kept result costs one lookup: the
+    degrees of the walked basis, and theta_min from it, one object per
+    distinct value (the walk's thetas)."""
     mu, walk, result = _kept(A, mu)
     if result is None:
-        d1, d2 = exponent_pair(A, mu)
-        theta = walk.derivation(walk.minimal(walk.basis(mu))[0], d1)
+        state = _bounded_basis(mu, walk)
+        d1, d2 = state[1], state[3]
+        theta = walk.derivation(walk.minimal(state)[0], d1)
         theta = walk.thetas.setdefault(theta, theta)
         result = walk.results[mu] = ExponentResult(d1, d2, theta)
     return result
@@ -486,7 +491,7 @@ def full_basis(A: Arrangement, mu: Sequence[int]) -> Tuple[Derivation, Derivatio
     t2 = walk.thetas.get(t2, t2)
     failed = _saito(A, tuple(mu), [t1, t2])
     if failed:
-        raise InternalInconsistency(f"independent partner failed Saito verification: {failed}")
+        raise InternalInconsistency(f"{failed} at mu={tuple(mu)}")
     return (t1, t2)
 
 
@@ -516,9 +521,10 @@ def _saito(A: Arrangement, mu: Multiplicity, gens: Sequence[Derivation]) -> Opti
     """Saito's criterion on integer images: the one decision of
     _Walk.certify, full_basis and verify_saito, on two Derivations, whose
     membership reads the valuations each keeps (Derivation.valuations).
-    Returns None for a basis of D(A, mu); else the first failed check:
-    "theta1" or "theta2" (zero or not in the module), "degree" (degrees
-    not summing to |mu|), then "dependent".
+    Returns None for a basis of D(A, mu); else the first failed check, in
+    the words of verify_saito's reason: "membership: theta1 is zero" or
+    "... not in the module" (theta1, then theta2), "degree: d1+d2 !=
+    |mu|=n", then "dependent: determinant is zero".
 
     Members whose degrees sum to |mu| have det = c*Q(A, mu), since each
     alpha_H**mu_H divides det.  With every form normalised, only the line
@@ -528,14 +534,17 @@ def _saito(A: Arrangement, mu: Multiplicity, gens: Sequence[Derivation]) -> Opti
     on every field.
     """
     for label, theta in zip(("theta1", "theta2"), gens):
-        if theta.is_zero or not _member(A, mu, theta):
-            return label
-    (dom, p1, q1, _), (_, p2, q2, _) = (theta.cleared for theta in gens)
-    if len(p1 or q1) + len(p2 or q2) - 2 != sum(mu):
-        return "degree"
+        if theta.is_zero:
+            return f"membership: {label} is zero"
+        if not _member(A, mu, theta):
+            return f"membership: {label} not in the module"
+    t1, t2 = gens
+    if t1.degree + t2.degree != sum(mu):
+        return f"degree: {t1.degree}+{t2.degree} != |mu|={sum(mu)}"
+    (dom, p1, q1, _), (_, p2, q2, _) = t1.cleared, t2.cleared
     k = next((m for lf, m in zip(A.forms, mu) if not lf.b), 0)  # mu at the line x
     if _determinant_coefficient(dom, p1, q1, p2, q2, k) == dom.zero:
-        return "dependent"
+        return "dependent: determinant is zero"
     return None
 
 
@@ -563,10 +572,4 @@ def verify_saito(A: Arrangement, mu: Sequence[int], t1: Derivation, t2: Derivati
         Q = defining_polynomial(A, mu).coeffs
         k = next(i for i, c in enumerate(Q) if c)
         scalar = saito_determinant(t1, t2).coeffs[k] / Q[k]
-    if reason in ("theta1", "theta2"):
-        zero = (t1 if reason == "theta1" else t2).is_zero
-        reason = f"membership: {reason} {'is zero' if zero else 'not in the module'}"
-    elif reason:
-        reason = {"degree": f"degree: {t1.degree}+{t2.degree} != |mu|={sum(mu)}",
-                  "dependent": "dependent: determinant is zero"}[reason]
     return SaitoVerdict(reason is None, reason, scalar)

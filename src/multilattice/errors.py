@@ -29,10 +29,6 @@ class LengthMismatch(MultilatticeError, ValueError):
     pass
 
 
-class NotComparable(MultilatticeError, ValueError):
-    pass
-
-
 class InternalInconsistency(MultilatticeError, RuntimeError):
     """The solver produced something that contradicts freeness; a bug."""
 

@@ -9,15 +9,22 @@ Three domains are available:
 * prime fields F_p with p an odd prime, represented by :class:`ModInt`;
   results over F_p describe the arrangement over F_p.
 
+QuadElem and ModInt define only what differs per field: coercion of an
+operand, sum, product, negation, inverse, truth, equality, hash and repr.
+Their common base derives every arithmetic operator from these once,
+subtraction as the sum with the negation and division as the product with
+the inverse, the reflected forms included.  FieldSpec holds the text of a
+scalar, both its JSON (format_scalar, parse_scalar) and its display in a
+printed polynomial (display_scalar), so no other module tells the fields
+apart to print one.
+
 This module holds the scalars only.  The exact kernels work on integer
 images of them, one domain per field (see linalg.Domain).  All arithmetic
-is exact; there is no floating-point fallback anywhere in a correctness
-path.  ``float()`` conversions exist purely for sanity tests.
+is exact, and no scalar converts to a float.
 """
 
 from __future__ import annotations
 
-import math
 import re
 import sys
 from fractions import Fraction
@@ -76,7 +83,33 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-class QuadElem(Frozen):
+def _lifted(op):
+    """The binary operator op(self, other) with other coerced into self's
+    field first, or NotImplemented, for Python to ask the other operand, if
+    other is foreign."""
+    def method(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else op(self, other)
+    return method
+
+
+class _Element(Frozen):
+    """The operators of a field element, written once from what each field
+    defines: _coerce (an operand as an element of this field, or
+    NotImplemented), _add, _mul, __neg__ and inverse.  Subtraction adds the
+    negation and division multiplies by the inverse, on either side."""
+
+    __slots__ = ()
+
+    __add__ = __radd__ = _lifted(lambda x, y: x._add(y))
+    __mul__ = __rmul__ = _lifted(lambda x, y: x._mul(y))
+    __sub__ = _lifted(lambda x, y: x._add(-y))
+    __rsub__ = _lifted(lambda x, y: y._add(-x))
+    __truediv__ = _lifted(lambda x, y: x._mul(y.inverse()))
+    __rtruediv__ = _lifted(lambda x, y: y._mul(x.inverse()))
+
+
+class QuadElem(_Element):
     """``a + b*sqrt(d)`` with rational a, b; always in canonical form."""
 
     __slots__ = _fields = ("a", "b", "d")
@@ -86,52 +119,24 @@ class QuadElem(Frozen):
         set_field(self, "b", Fraction(b))
         set_field(self, "d", d)
 
-    def _check(self, other: "QuadElem") -> None:
-        if self.d != other.d:
-            raise FieldMismatch(f"cannot mix sqrt({self.d}) and sqrt({other.d})")
-
     def _coerce(self, other):
         if isinstance(other, QuadElem):
-            self._check(other)
+            if self.d != other.d:
+                raise FieldMismatch(f"cannot mix sqrt({self.d}) and sqrt({other.d})")
             return other
         if isinstance(other, (int, Fraction)):
             return QuadElem(Fraction(other), Fraction(0), self.d)
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _add(self, other):
         return QuadElem(self.a + other.a, self.b + other.b, self.d)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadElem(self.a - other.a, self.b - other.b, self.d)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadElem(other.a - self.a, other.b - self.b, self.d)
+    def _mul(self, other):
+        return QuadElem(self.a * other.a + self.d * self.b * other.b,
+                        self.a * other.b + self.b * other.a, self.d)
 
     def __neg__(self):
         return QuadElem(-self.a, -self.b, self.d)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadElem(
-            self.a * other.a + self.d * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-            self.d,
-        )
-
-    __rmul__ = __mul__
 
     def norm(self) -> Fraction:
         return self.a * self.a - self.d * self.b * self.b
@@ -142,18 +147,6 @@ class QuadElem(Frozen):
             # d squarefree > 1 makes sqrt(d) irrational, so norm 0 <=> element 0
             raise DivisionByZero("inverse of zero")
         return QuadElem(self.a / n, -self.b / n, self.d)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)
@@ -170,14 +163,11 @@ class QuadElem(Frozen):
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
-    def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
-
     def __repr__(self):
         return f"({self.a} + {self.b}*sqrt({self.d}))"
 
 
-class ModInt(Frozen):
+class ModInt(_Element):
     """Residue in [0, p), an element of the prime field F_p."""
 
     __slots__ = _fields = ("v", "p")
@@ -195,53 +185,19 @@ class ModInt(Frozen):
             return ModInt(other, self.p)
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _add(self, other):
         return ModInt(self.v + other.v, self.p)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ModInt(self.v - other.v, self.p)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ModInt(other.v - self.v, self.p)
+    def _mul(self, other):
+        return ModInt(self.v * other.v, self.p)
 
     def __neg__(self):
         return ModInt(-self.v, self.p)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ModInt(self.v * other.v, self.p)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "ModInt":
         if self.v == 0:
             raise DivisionByZero("inverse of zero")
         return ModInt(pow(self.v, -1, self.p), self.p)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
 
     def __bool__(self):
         return self.v != 0
@@ -354,6 +310,21 @@ class FieldSpec(Frozen):
         if self.kind == "quadratic":
             return {"a": _format_fraction(x.a), "b": _format_fraction(x.b)}
         return str(x.v)
+
+    def display_scalar(self, x: Scalar) -> str:
+        """The text of x in a printed polynomial: format_scalar's, with a
+        quadratic a + b*sqrt(d) as a, b*sqrt(d) or (a+b*sqrt(d)), its zero
+        parts left out."""
+        text = self.format_scalar(x)
+        if self.kind != "quadratic":
+            return text
+        a, b = text["a"], text["b"]
+        if b == "0":
+            return a
+        root = {"1": "", "-1": "-"}.get(b, b + "*") + f"sqrt({self.d})"
+        if a == "0":
+            return root
+        return f"({a}{'' if root.startswith('-') else '+'}{root})"
 
     def parse_scalar(self, obj) -> Scalar:
         try:

@@ -18,8 +18,8 @@ only where those agree, and dermod's Saito certificate reads one
 determinant coefficient.
 
 The field arithmetic of derivations (sum, scalar and polynomial
-multiples) and the linear form as a HomogPoly are the tests' own, in
-tests/helpers.py.  apply_derivation, linear_form_multiplicity and the
+multiples), the product of two HomogPolys and the linear form as a
+HomogPoly are the tests' own, in tests/helpers.py.  apply_derivation, linear_form_multiplicity and the
 division it repeats are the tests' membership oracle; they stay here
 because the benchmark's tracer (perfbench/tracer.py) binds them.
 """
@@ -193,17 +193,6 @@ class HomogPoly(Frozen):
             return HomogPoly.zero()
         return HomogPoly.make(tuple(c * s for c in self.coeffs))
 
-    def __mul__(self, other: "HomogPoly") -> "HomogPoly":
-        if self.is_zero or other.is_zero:
-            return HomogPoly.zero()
-        da, db = self.degree, other.degree
-        out = [None] * (da + db + 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                t = a * b
-                out[i + j] = t if out[i + j] is None else out[i + j] + t
-        return HomogPoly.make(tuple(out))
-
     def format(self, fs: FieldSpec, vars=("x", "y")) -> str:
         if self.is_zero:
             return "0"
@@ -218,9 +207,7 @@ class HomogPoly(Frozen):
                 mono.append(vars[0] if i == 1 else f"{vars[0]}^{i}")
             if d - i:
                 mono.append(vars[1] if d - i == 1 else f"{vars[1]}^{d - i}")
-            cs = fs.format_scalar(c)
-            if isinstance(cs, dict):
-                cs = _format_quadratic(cs["a"], cs["b"], fs.d)
+            cs = fs.display_scalar(c)
             if mono and cs == "1":
                 terms.append("*".join(mono))
             elif mono and cs == "-1":
@@ -230,16 +217,6 @@ class HomogPoly(Frozen):
             else:
                 terms.append(cs)
         return " + ".join(terms).replace("+ -", "- ")
-
-
-def _format_quadratic(a: str, b: str, d: int) -> str:
-    """a + b*sqrt(d) without its zero parts: a, b*sqrt(d) or (a+b*sqrt(d))."""
-    if b == "0":
-        return a
-    root = {"1": "", "-1": "-"}.get(b, b + "*") + f"sqrt({d})"
-    if a == "0":
-        return root
-    return f"({a}{'' if root.startswith('-') else '+'}{root})"
 
 
 def divide_by_linear_form(f: HomogPoly, lf: LinearForm) -> HomogPoly:

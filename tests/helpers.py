@@ -1,15 +1,16 @@
 """Library code that only the tests call: reference predicates and
 enumerations the production paths do not need."""
 
+import math
 import pickle
 from itertools import combinations, product
 from operator import add
 from typing import List, Optional, Sequence
 
 from multilattice.dermod import in_module
-from multilattice.errors import HypothesisViolated, LengthMismatch, NotComparable
+from multilattice.errors import HypothesisViolated, LengthMismatch, MultilatticeError
 from multilattice.explorer import centers, components
-from multilattice.field import FieldSpec, Scalar, invert
+from multilattice.field import FieldSpec, QuadElem, Scalar, invert
 from multilattice.linalg import domain_of, rank
 from multilattice import lattice
 from multilattice.lattice import Multiplicity
@@ -37,9 +38,21 @@ def scale(theta: Derivation, s: Scalar) -> Derivation:
     return Derivation(theta.P.scale(s), theta.Q.scale(s))
 
 
+def mul_polys(f: HomogPoly, g: HomogPoly) -> HomogPoly:
+    """f * g in field arithmetic."""
+    if f.is_zero or g.is_zero:
+        return HomogPoly.zero()
+    out = [None] * (f.degree + g.degree + 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            t = a * b
+            out[i + j] = t if out[i + j] is None else out[i + j] + t
+    return HomogPoly.make(tuple(out))
+
+
 def mul_poly(theta: Derivation, g: HomogPoly) -> Derivation:
     """g * theta in field arithmetic."""
-    return Derivation(g * theta.P, g * theta.Q)
+    return Derivation(mul_polys(g, theta.P), mul_polys(g, theta.Q))
 
 
 def neg_poly(f: HomogPoly) -> HomogPoly:
@@ -50,6 +63,12 @@ def neg_poly(f: HomogPoly) -> HomogPoly:
 def sub_poly(f: HomogPoly, g: HomogPoly) -> HomogPoly:
     """f - g in field arithmetic."""
     return f + neg_poly(g)
+
+
+def quad_float(x: QuadElem) -> float:
+    """The float near a + b*sqrt(d): a sanity view of the representation,
+    never read by a correctness check."""
+    return float(x.a) + float(x.b) * math.sqrt(x.d)
 
 
 def form_poly(lf: LinearForm) -> HomogPoly:
@@ -67,7 +86,7 @@ def power(f: HomogPoly, n: int, fs: FieldSpec) -> HomogPoly:
     """f ** n in field arithmetic."""
     out = HomogPoly.one(fs)
     for _ in range(n):
-        out = out * f
+        out = mul_polys(out, f)
     return out
 
 
@@ -77,7 +96,7 @@ def multiplier_form(A: Arrangement, base: Multiplicity, kappa: Multiplicity) -> 
     out = HomogPoly.one(A.field)
     for lf, b, k in zip(A.forms, base, kappa):
         if k > b:
-            out = out * power(form_poly(lf), k - b, A.field)
+            out = mul_polys(out, power(form_poly(lf), k - b, A.field))
     return out
 
 
@@ -233,6 +252,10 @@ def pairs_at_distance_two_by_tuples(groups: Sequence[Sequence[Multiplicity]],
     return sorted(pair for pair, dist in least.items() if dist == 2)
 
 
+class NotComparable(MultilatticeError, ValueError):
+    """Two multiplicities that no saturated chain joins."""
+
+
 def chain_steps(chain: Sequence[Multiplicity]) -> List[int]:
     """The raised coordinate of each covering step; validates the chain."""
     steps = []
@@ -254,7 +277,7 @@ def downalpha(A: Arrangement, chain: Sequence[Multiplicity],
     out = HomogPoly.one(A.field)
     for idx, h in enumerate(chain_steps(chain)):
         if delta_vals[idx] > delta_vals[idx + 1]:
-            out = out * form_poly(A.forms[h])
+            out = mul_polys(out, form_poly(A.forms[h]))
     return out
 
 

@@ -6,6 +6,7 @@ properties are verified by round-tripping through inverse operations.
 """
 
 import fractions
+import operator
 import sys
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from multilattice.field import (
     is_prime,
     is_squarefree,
 )
+from helpers import quad_float
 from modular import Projection, sqrt_mod
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
@@ -127,7 +129,7 @@ def test_quad_int_interop():
 def test_quad_float_sanity():
     # float view only sanity-checks the representation, never correctness
     x = QuadElem(Fraction(1), Fraction(2), 3)
-    assert abs(float(x) - (1 + 2 * 3**0.5)) < 1e-12
+    assert abs(quad_float(x) - (1 + 2 * 3**0.5)) < 1e-12
 
 
 # -- prime-field elements -----------------------------------------------------
@@ -150,6 +152,86 @@ def test_modint_inverse(a):
 def test_modint_zero_inverse():
     with pytest.raises(DivisionByZero):
         ModInt(0, 7).inverse()
+
+
+# -- the operators each element class derives ---------------------------------
+
+
+OPERATORS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+def quad_oracle(op, x, y, d):
+    """x op y on Fraction pairs (a, b) standing for a + b*sqrt(d)."""
+    (a1, b1), (a2, b2) = x, y
+    if op is operator.add:
+        return a1 + a2, b1 + b2
+    if op is operator.sub:
+        return a1 - a2, b1 - b2
+    if op is operator.mul:
+        return a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2
+    n = a2 * a2 - d * b2 * b2  # x / y = x * conjugate(y) / norm(y)
+    return (a1 * a2 - d * b1 * b2) / n, (b1 * a2 - a1 * b2) / n
+
+
+def quad_operands(d):
+    """(operand, its Fraction pair): an element of Q(sqrt d), an int or a Fraction."""
+    small = rationals | st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)])
+    return st.one_of(
+        st.builds(lambda a, b: (QuadElem(a, b, d), (a, b)), small, small),
+        st.integers(-50, 50).map(lambda n: (n, (Fraction(n), Fraction(0)))),
+        small.map(lambda q: (q, (q, Fraction(0)))))
+
+
+@pytest.mark.parametrize("op", OPERATORS, ids=lambda op: op.__name__)
+@pytest.mark.parametrize("d", [2, 3, 5])
+@given(data=st.data())
+def test_quad_operators_and_their_reflections_match_fraction_pairs(op, d, data):
+    # the element on the left, then on the right, of any operand: the
+    # reflected operator answers an int or Fraction on the left
+    a, b = data.draw(rationals), data.draw(rationals)
+    elem = (QuadElem(a, b, d), (a, b))
+    other = data.draw(quad_operands(d))
+    for (x, px), (y, py) in ((elem, other), (other, elem)):
+        if op is operator.truediv and py == (0, 0):
+            with pytest.raises(DivisionByZero):
+                op(x, y)
+            continue
+        got = op(x, y)
+        assert type(got) is QuadElem and got.d == d
+        assert (got.a, got.b) == quad_oracle(op, px, py, d)
+
+
+@pytest.mark.parametrize("op", OPERATORS, ids=lambda op: op.__name__)
+@pytest.mark.parametrize("p", [3, 101])
+@given(a=st.integers(-500, 500), b=st.integers(-500, 500), element=st.booleans())
+def test_modint_operators_and_their_reflections_match_int_arithmetic(op, p, a, b, element):
+    # b is a ModInt or a plain int, on either side of the ModInt a
+    x, y = ModInt(a, p), ModInt(b, p) if element else b
+    for (u, pu), (v, pv) in (((x, a), (y, b)), ((y, b), (x, a))):
+        if op is operator.truediv:
+            if pv % p == 0:
+                with pytest.raises(DivisionByZero):
+                    op(u, v)
+                continue
+            want = pu * pow(pv, -1, p) % p
+        else:
+            want = op(pu, pv) % p
+        got = op(u, v)
+        assert type(got) is ModInt and got.p == p and got.v == want
+
+
+@pytest.mark.parametrize("op", OPERATORS, ids=lambda op: op.__name__)
+def test_operators_refuse_mixed_fields_and_foreign_operands(op):
+    mixed = [(QuadElem(1, 1, 2), QuadElem(1, 1, 3)), (ModInt(1, 3), ModInt(1, 101))]
+    for x, y in mixed:
+        for call in (lambda: op(x, y), lambda: getattr(x, f"__r{op.__name__}__")(y)):
+            with pytest.raises(FieldMismatch):
+                call()
+    foreign = [(ModInt(2, 3), Fraction(1, 2)), (QuadElem(1, 1, 2), ModInt(2, 3))]
+    for x, y in foreign:
+        for u, v in ((x, y), (y, x)):
+            with pytest.raises(TypeError):
+                op(u, v)
 
 
 # -- FieldSpec ----------------------------------------------------------------

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from multilattice import lattice
-from multilattice.errors import LengthMismatch, NotComparable
+from multilattice.errors import LengthMismatch
 from multilattice.poly import HomogPoly
-from helpers import chain_steps, downalpha, form_poly, saturated_chain
+from helpers import NotComparable, chain_steps, downalpha, form_poly, saturated_chain
 
 mults = st.lists(st.integers(0, 6), min_size=1, max_size=5)
 

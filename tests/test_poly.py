@@ -30,7 +30,7 @@ from multilattice.poly import (
     saito_determinant,
 )
 from helpers import (assert_same_derivation, euler, field_canonical, form_poly, mul_poly,
-                     neg_poly, plus, power, proportional_derivations, scale, sub_poly)
+                     mul_polys, neg_poly, plus, power, proportional_derivations, scale, sub_poly)
 
 FS = FieldSpec.rational()
 
@@ -79,16 +79,16 @@ def test_zero_polynomial_canonical():
 def test_mul_degree_additive(ca, cb):
     f, g = HomogPoly.make(ca), HomogPoly.make(cb)
     if f.is_zero or g.is_zero:
-        assert (f * g).is_zero
+        assert mul_polys(f, g).is_zero
     else:
-        assert (f * g).degree == f.degree + g.degree
+        assert mul_polys(f, g).degree == f.degree + g.degree
 
 
 @given(coeffs, form_pairs)
 def test_division_is_left_inverse_of_multiplication(c, t):
     g = HomogPoly.make(c)
     lf = mk_form(t)
-    f = g * form_poly(lf)
+    f = mul_polys(g, form_poly(lf))
     if g.is_zero:
         assert f.is_zero
     else:
@@ -101,7 +101,7 @@ def test_linear_form_multiplicity_oracle(c, t, m):
     lf = mk_form(t)
     if g.is_zero:
         return
-    f = g * power(form_poly(lf), m, FS)
+    f = mul_polys(g, power(form_poly(lf), m, FS))
     # f has multiplicity exactly m + mult(g)
     assert linear_form_multiplicity(f, lf) == m + linear_form_multiplicity(g, lf)
 
@@ -127,7 +127,7 @@ def test_quadratic_field_division():
     s3 = fs.sqrt_element()
     lf = LinearForm.make(fs, 1, s3)  # x + sqrt(3) y
     g = HomogPoly.make([fs.from_int(2), s3])
-    f = g * form_poly(lf)
+    f = mul_polys(g, form_poly(lf))
     assert divide_by_linear_form(f, lf) == g
 
 
@@ -266,7 +266,7 @@ def test_saito_determinant_matches_polynomial_product(fs):
         if rng.random() < 0.1:
             t2 = scale(t1, rand_scalar(fs, rng))  # dependent: cancels to zero
         det = saito_determinant(t1, t2)
-        assert det == sub_poly(t1.P * t2.Q, t2.P * t1.Q)
+        assert det == sub_poly(mul_polys(t1.P, t2.Q), mul_polys(t2.P, t1.Q))
         assert det.is_zero or type(det.coeffs[0]) is type(fs.one())
         zeros += det.is_zero
     assert 0 < zeros < 300
@@ -292,7 +292,7 @@ def test_defining_polynomial_matches_power_product(fs, pairs):
     for mu in [(0,) * len(A)] + [tuple(rng.randint(0, 4) for _ in A.forms) for _ in range(20)]:
         want = HomogPoly.one(fs)
         for lf, m in zip(A.forms, mu):
-            want = want * power(form_poly(lf), m, fs)
+            want = mul_polys(want, power(form_poly(lf), m, fs))
         assert defining_polynomial(A, mu) == want
 
 
@@ -419,7 +419,7 @@ def test_a_derivation_is_its_images(fs):
         forms = [rng.choice(lines) for _ in range(rng.randint(0, 3))]
         g = HomogPoly.one(fs)
         for lf in forms:
-            g = g * form_poly(lf)
+            g = mul_polys(g, form_poly(lf))
         for t in (theta, multiple):
             assert_same_derivation(fs, t, Derivation.of_images(*t.cleared))
         assert_same_derivation(fs, mul_poly(theta, g), theta.times(forms))
@@ -576,7 +576,7 @@ def test_proportional_matches_proportional_derivations(fs):
         forms = [rng.choice(lines) for _ in range(rng.randint(0, 3))]
         g = HomogPoly.one(fs)
         for lf in forms:
-            g = g * form_poly(lf)
+            g = mul_polys(g, form_poly(lf))
         expect = mul_poly(t2, g)
         kind = rng.randrange(4)
         if kind == 0:

@@ -47,6 +47,7 @@ from helpers import (
     euler,
     form_poly,
     mul_poly,
+    mul_polys,
     multiplier_form,
     pairs_at_distance_two_by_tuples,
     pairwise_certify_centers,
@@ -285,8 +286,7 @@ def test_multiplier_form(B2):
     # construct_basis_between multiplies on the images by what the field
     # oracle multiplier_form gives
     f = multiplier_form(B2, (1, 1, 1, 1), (2, 1, 3, 0))
-    want = (form_poly(B2.forms[0])
-            * power(form_poly(B2.forms[2]), 2, B2.field))
+    want = mul_polys(form_poly(B2.forms[0]), power(form_poly(B2.forms[2]), 2, B2.field))
     assert f == want
     mu, nu = (1, 1, 1, 1), (2, 2, 1, 2)
     t_mu, t_nu = exponents(B2, mu).theta_min, exponents(B2, nu).theta_min
@@ -703,7 +703,7 @@ def test_verdicts_match_the_determinant_oracles(ctype, box, corruption, failed,
     def oracle_proportional(t1, t2, forms=()):
         g = HomogPoly.one(A.field)
         for lf in forms:
-            g = g * form_poly(lf)
+            g = mul_polys(g, form_poly(lf))
         return proportional_derivations(t1, mul_poly(t2, g))
 
     classified = []
@@ -751,7 +751,7 @@ def test_descent_forms_multiply_to_downalpha(B2, b2_scan, seed):
         dvals = [b2_scan.table[p] for p in chain]
         g = HomogPoly.one(B2.field)
         for lf in descent_forms(B2, chain, dvals):
-            g = g * form_poly(lf)
+            g = mul_polys(g, form_poly(lf))
         assert g == downalpha(B2, chain, dvals)
 
 
