@@ -175,11 +175,11 @@ def quad_oracle(op, x, y, d):
 
 def quad_operands(d):
     """(operand, its Fraction pair): an element of Q(sqrt d), an int or a Fraction."""
-    small = rationals | st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)])
+    parts = rationals | st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)])
     return st.one_of(
-        st.builds(lambda a, b: (QuadElem(a, b, d), (a, b)), small, small),
+        st.builds(lambda a, b: (QuadElem(a, b, d), (a, b)), parts, parts),
         st.integers(-50, 50).map(lambda n: (n, (Fraction(n), Fraction(0)))),
-        small.map(lambda q: (q, (q, Fraction(0)))))
+        parts.map(lambda q: (q, (q, Fraction(0)))))
 
 
 @pytest.mark.parametrize("op", OPERATORS, ids=lambda op: op.__name__)
