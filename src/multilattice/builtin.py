@@ -21,9 +21,8 @@ def coxeter_arrangement(ctype: str, fs: Optional[FieldSpec] = None) -> Arrangeme
     """The built-in realization of a rank-2 Coxeter arrangement."""
     ctype = ctype.upper().replace("X", "")
     if ctype == "G2":
-        if fs is None:
-            fs = FieldSpec.quadratic(3)
-        if fs.kind != "quadratic" or fs.d != 3:
+        fs = fs or FieldSpec.quadratic(3)
+        if fs != FieldSpec.quadratic(3):
             raise FieldMismatch("the G2 realization needs the field with sqrt(3)")
         s3 = fs.sqrt_element()
         pairs = [(1, 0), (1, s3), (1, -s3), (0, 1), (s3, 1), (s3, -1)]

@@ -11,7 +11,6 @@ re-exported here.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import lattice
@@ -22,14 +21,13 @@ from .errors import (
     NotArrangementPreserving,
     OffsetTooLarge,
 )
-from .field import QuadElem, invert
 from .lattice import Multiplicity
 from .poly import Arrangement, LinearForm
 from .record import Frozen, set_field
 
 
 class GroupElement(Frozen):
-    """An invertible 2x2 matrix mapping the arrangement's lines to lines.
+    """A nonsingular 2x2 matrix mapping the arrangement's lines to lines.
 
     The induced permutation (entry i holds the index of the image line of
     line i) is computed, not assumed; construction fails if any line is
@@ -49,7 +47,7 @@ class GroupElement(Frozen):
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
         if not det:
             raise NotArrangementPreserving("matrix is singular")
-        inv_det = invert(det)
+        inv_det = 1 / det
         minv = ((m[1][1] * inv_det, -m[0][1] * inv_det),
                 (-m[1][0] * inv_det, m[0][0] * inv_det))
         perm = []
@@ -100,8 +98,8 @@ def standard_generators(A: Arrangement, ctype: str) -> List[GroupElement]:
         # reflections in ker(x) and ker(x - y)
         gens = [refl_x, ((0, 1), (1, 0))]
     elif ctype == "G2":
-        half = QuadElem(Fraction(1, 2), Fraction(0), 3)
-        s3half = QuadElem(Fraction(0), Fraction(1, 2), 3)
+        half = fs.one() / 2
+        s3half = fs.sqrt_element() * half
         # reflections in ker(x) and ker(s3*x - y)
         gens = [refl_x, ((-half, s3half), (s3half, half))]
     else:
@@ -109,9 +107,12 @@ def standard_generators(A: Arrangement, ctype: str) -> List[GroupElement]:
     return [GroupElement.make(A, g) for g in gens]
 
 
-def group_closure(A: Arrangement, generators: Sequence[GroupElement],
-                  limit: int = 256) -> List[GroupElement]:
-    """All products of the generators (the groups here are small dihedral)."""
+# the most elements group_closure builds; the groups here are small dihedral
+CLOSURE_LIMIT = 256
+
+
+def group_closure(A: Arrangement, generators: Sequence[GroupElement]) -> List[GroupElement]:
+    """All products of the generators."""
     seen = {g.perm: g for g in generators}
     ident = GroupElement.make(A, ((1, 0), (0, 1)))
     seen.setdefault(ident.perm, ident)
@@ -125,7 +126,7 @@ def group_closure(A: Arrangement, generators: Sequence[GroupElement],
                     seen[gh.perm] = gh
                     nxt.append(gh)
         frontier = nxt
-        if len(seen) > limit:
+        if len(seen) > CLOSURE_LIMIT:
             raise NotArrangementPreserving("group closure did not terminate")
     return list(seen.values())
 

@@ -19,7 +19,7 @@ import os
 from typing import Dict, List, Optional, Tuple
 
 from . import lattice
-from .errors import ParseError, PreconditionViolated
+from .errors import LengthMismatch, ParseError, PreconditionViolated
 from .lattice import Box, Multiplicity
 from .poly import Arrangement
 from .record import Frozen, Record, set_field
@@ -167,7 +167,7 @@ def scan(A: Arrangement, box: Box, jobs: int = 1) -> ScanResult:
     dermod.MAX_MULTIPLICITY_SUM, raises PreconditionViolated.
     """
     if len(box) != len(A):
-        raise ValueError("box length must match the arrangement")
+        raise LengthMismatch("box length must match the arrangement")
     size = math.prod(b + 1 for b in box)
     if size > MAX_SCAN_POINTS:
         raise PreconditionViolated(

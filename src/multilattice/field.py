@@ -13,10 +13,13 @@ QuadElem and ModInt define only what differs per field: coercion of an
 operand, sum, product, negation, inverse, truth, equality, hash and repr.
 Their common base derives every arithmetic operator from these once,
 subtraction as the sum with the negation and division as the product with
-the inverse, the reflected forms included.  FieldSpec holds the text of a
-scalar, both its JSON (format_scalar, parse_scalar) and its display in a
-printed polynomial (display_scalar), so no other module tells the fields
-apart to print one.
+the inverse, the reflected forms included.  FieldSpec.coerce lifts an
+operand through the coercion of its field's zero element, so coercion is
+written once per element class; only the rationals (Fraction has no
+_coerce) and the reduction of a Fraction mod p are its own.  FieldSpec
+holds the text of a scalar, both its JSON (format_scalar, parse_scalar)
+and its display in a printed polynomial (display_scalar), so no other
+module tells the fields apart to print one.
 
 This module holds the scalars only.  The exact kernels work on integer
 images of them, one domain per field (see linalg.Domain).  All arithmetic
@@ -225,23 +228,27 @@ class FieldSpec(Frozen):
     exact; results over a prime field are those of the arrangement over F_p.
     """
 
-    __slots__ = _fields = ("kind", "d", "p")
+    _fields = ("kind", "d", "p")
+    __slots__ = _fields + ("_zero",)  # the field's zero, through which coerce lifts
 
     def __init__(self, kind: str, d: int = 0, p: int = 0):
         if kind == "rational":
-            pass
+            zero = Fraction(0)
         elif kind == "quadratic":
             if not 1 < d < SQUAREFREE_BOUND or not is_squarefree(d):
                 raise FieldMismatch(f"quadratic d must be squarefree, > 1 and below"
                                     f" {SQUAREFREE_BOUND}, got {d}")
+            zero = QuadElem(Fraction(0), Fraction(0), d)
         elif kind == "prime":
             if not 2 < p < PRIME_BOUND or not is_prime(p):
                 raise FieldMismatch(f"p must be an odd prime below {PRIME_BOUND}, got {p}")
+            zero = ModInt(0, p)
         else:
             raise FieldMismatch(f"unknown field kind {kind!r}")
         set_field(self, "kind", kind)
         set_field(self, "d", d)
         set_field(self, "p", p)
+        set_field(self, "_zero", zero)
 
     @classmethod
     def rational(cls) -> "FieldSpec":
@@ -258,42 +265,30 @@ class FieldSpec(Frozen):
     # -- element construction ------------------------------------------------
 
     def zero(self) -> Scalar:
-        return self.from_int(0)
+        return self._zero
 
     def one(self) -> Scalar:
-        return self.from_int(1)
-
-    def from_int(self, n: int) -> Scalar:
-        if self.kind == "rational":
-            return Fraction(n)
-        if self.kind == "quadratic":
-            return QuadElem(Fraction(n), Fraction(0), self.d)
-        return ModInt(n, self.p)
+        return self.coerce(1)
 
     def coerce(self, x) -> Scalar:
-        """Bring ints/Fractions (and matching elements) into this field."""
-        if isinstance(x, int):
-            return self.from_int(x)
+        """x, an int, a Fraction or an element of this field, in this field.
+
+        The rationals take ints and Fractions, and a Fraction reduces mod p
+        here (BadReduction if p divides its denominator); the field's zero
+        element lifts everything else (its _coerce), and an operand it
+        refuses raises FieldMismatch.
+        """
         if self.kind == "rational":
-            if isinstance(x, Fraction):
-                return x
-        elif self.kind == "quadratic":
-            if isinstance(x, QuadElem):
-                if x.d != self.d:
-                    raise FieldMismatch(f"element over sqrt({x.d}) in field sqrt({self.d})")
-                return x
-            if isinstance(x, Fraction):
-                return QuadElem(x, Fraction(0), self.d)
-        elif self.kind == "prime":
-            if isinstance(x, ModInt):
-                if x.p != self.p:
-                    raise FieldMismatch("modulus mismatch")
-                return x
-            if isinstance(x, Fraction):
-                if x.denominator % self.p == 0:
-                    raise BadReduction(f"denominator divisible by {self.p}")
-                return ModInt(x.numerator * pow(x.denominator, -1, self.p), self.p)
-        raise FieldMismatch(f"cannot coerce {x!r} into {self}")
+            y = Fraction(x) if isinstance(x, (int, Fraction)) else NotImplemented
+        elif self.kind == "prime" and isinstance(x, Fraction):
+            if x.denominator % self.p == 0:
+                raise BadReduction(f"denominator divisible by {self.p}")
+            y = ModInt(x.numerator * pow(x.denominator, -1, self.p), self.p)
+        else:
+            y = self._zero._coerce(x)
+        if y is NotImplemented:
+            raise FieldMismatch(f"cannot coerce {x!r} into {self}")
+        return y
 
     def sqrt_element(self) -> Scalar:
         """The canonical square root of d (quadratic fields only)."""
@@ -382,8 +377,6 @@ _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 def _parse_fraction(s) -> Fraction:
     if isinstance(s, int) and not isinstance(s, bool):  # JSON true is no number
         return Fraction(s)
-    if isinstance(s, Fraction):
-        return s
     if isinstance(s, str):
         # _format_fraction's own spellings "n" and "n/d" (ASCII digits, a
         # nonzero d) are read with int, about twice as fast; Fraction
@@ -402,18 +395,3 @@ def _parse_fraction(s) -> Fraction:
             raise ParseError(f"exponent above {limit} in {s!r}")
         return Fraction(s.strip())
     raise ParseError(f"bad rational {s!r}")
-
-
-def invert(s: Scalar) -> Scalar:
-    """Multiplicative inverse; raises DivisionByZero on zero."""
-    if isinstance(s, Fraction):
-        if s == 0:
-            raise DivisionByZero("inverse of zero")
-        return 1 / s
-    if isinstance(s, (QuadElem, ModInt)):
-        return s.inverse()
-    if isinstance(s, int):
-        if s == 0:
-            raise DivisionByZero("inverse of zero")
-        return Fraction(1, s)
-    raise FieldMismatch(f"not a scalar: {s!r}")

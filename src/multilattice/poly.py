@@ -32,12 +32,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     ExactDivisionError,
-    FieldMismatch,
+    LengthMismatch,
     ParseError,
     ProportionalForms,
     ZeroPolynomial,
 )
-from .field import FieldSpec, Scalar, invert
+from .field import FieldSpec, Scalar
 from .linalg import domain_of
 from .record import Frozen, set_field
 
@@ -57,8 +57,7 @@ class LinearForm(Frozen):
         b = fs.coerce(b)
         if not a and not b:
             raise ValueError("linear form must be nonzero")
-        lead = a if a else b
-        inv = invert(lead)
+        inv = 1 / (a if a else b)
         return cls(a * inv, b * inv)
 
     def proportional(self, other: "LinearForm") -> bool:
@@ -193,7 +192,7 @@ class HomogPoly(Frozen):
             return HomogPoly.zero()
         return HomogPoly.make(tuple(c * s for c in self.coeffs))
 
-    def format(self, fs: FieldSpec, vars=("x", "y")) -> str:
+    def format(self, fs: FieldSpec) -> str:
         if self.is_zero:
             return "0"
         d = self.degree
@@ -204,9 +203,9 @@ class HomogPoly(Frozen):
                 continue
             mono = []
             if i:
-                mono.append(vars[0] if i == 1 else f"{vars[0]}^{i}")
+                mono.append("x" if i == 1 else f"x^{i}")
             if d - i:
-                mono.append(vars[1] if d - i == 1 else f"{vars[1]}^{d - i}")
+                mono.append("y" if d - i == 1 else f"y^{d - i}")
             cs = fs.display_scalar(c)
             if mono and cs == "1":
                 terms.append("*".join(mono))
@@ -564,7 +563,7 @@ def product_images(forms: Sequence[LinearForm]):
 def defining_polynomial(A: Arrangement, mu: Sequence[int]) -> HomogPoly:
     """Product of alpha_H ** mu_H over the arrangement; degree |mu|."""
     if len(mu) != len(A):
-        raise FieldMismatch("multiplicity length does not match arrangement")
+        raise LengthMismatch("multiplicity length does not match arrangement")
     forms = [lf for lf, m in zip(A.forms, mu) for _ in range(m)]
     if not forms:
         return HomogPoly.one(A.field)

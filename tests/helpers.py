@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence
 from multilattice.dermod import in_module
 from multilattice.errors import HypothesisViolated, LengthMismatch, MultilatticeError
 from multilattice.explorer import centers, components
-from multilattice.field import FieldSpec, QuadElem, Scalar, invert
+from multilattice.field import FieldSpec, QuadElem, Scalar
 from multilattice.linalg import domain_of, rank
 from multilattice import lattice
 from multilattice.lattice import Multiplicity
@@ -116,7 +116,7 @@ def field_canonical(theta: Derivation) -> Derivation:
     """theta scaled so that the first nonzero coefficient of flat is 1, in
     field arithmetic: the oracle for Derivation.canonical."""
     lead = next((c for c in flat(theta) if c is not None and c), None)
-    return theta if lead is None else scale(theta, invert(lead))
+    return theta if lead is None else scale(theta, 1 / lead)
 
 
 def field_derivation(fs: FieldSpec, images: Sequence, d: int) -> Derivation:
@@ -158,7 +158,7 @@ def proportional_derivations(t1: Derivation, t2: Derivation) -> bool:
         if an != bn:
             return False
         if an and lead is None:
-            lead = a * invert(b)
+            lead = a / b
         elif an and a != lead * b:
             return False
     return True

@@ -403,6 +403,23 @@ def test_arrangement_file_loading(tmp_path):
     assert "exponents: (1, 2)" in result.output
 
 
+@pytest.mark.parametrize("field, ints, texts", [
+    ({"type": "rational"}, [[1, 0], [0, 1], [1, -2]], [["1", "0"], ["0", "1"], ["1", "-2"]]),
+    ({"type": "quadratic", "d": 2}, [[1, 0], [0, 1], [2, {"a": 1, "b": 1}]],
+     [["1", "0"], ["0", "1"], ["2", {"a": "1", "b": "1"}]]),
+    ({"type": "prime", "p": 3}, [[1, 0], [0, 1], [1, 2]], [["1", "0"], ["0", "1"], ["1", "2"]]),
+], ids=["rational", "quadratic", "prime"])
+def test_arrangement_file_coefficients_may_be_json_integers(tmp_path, field, ints, texts):
+    paths = []
+    for name, forms in (("ints", ints), ("texts", texts)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"field": field, "forms": forms}))
+        paths.append(str(path))
+    assert load_arrangement(paths[0]) == load_arrangement(paths[1])
+    ran = [invoke(["exponents", "-a", path, "2,1,3"]) for path in paths]
+    assert ran[0].exit_code == 0 and ran[0].output == ran[1].output
+
+
 def test_load_arrangement_errors(tmp_path):
     with pytest.raises(ParseError):
         load_arrangement(str(tmp_path / "missing.json"))

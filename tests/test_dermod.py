@@ -223,7 +223,7 @@ def oracle_arrangement(rng, fs):
     size = rng.randint(max(1, len(lines)), 4)  # F_3 has exactly 4 lines
     while len(lines) < size:
         if fs.kind == "prime":
-            a, b = fs.from_int(rng.randrange(fs.p)), fs.from_int(rng.randrange(fs.p))
+            a, b = fs.coerce(rng.randrange(fs.p)), fs.coerce(rng.randrange(fs.p))
         else:
             a, b = rng.choice([fs.zero(), random_scalar(rng, fs)]), random_scalar(rng, fs)
         if a or b:
@@ -677,7 +677,7 @@ def test_in_module_matches_division_oracle(fs, pairs):
         # with forms and random perturbations that leave the module
         nus = [mu] + [mu[:i] + (mu[i] + 1,) + mu[i + 1:] for i in range(len(mu))]
         bump = Derivation(HomogPoly.make([fs.zero()] * t1.degree + [fs.one()]), HomogPoly.zero())
-        thetas = [t1, t2, plus(t1, bump), plus(scale(t2, fs.from_int(3)), mul_poly(
+        thetas = [t1, t2, plus(t1, bump), plus(scale(t2, fs.coerce(3)), mul_poly(
             t1, HomogPoly.make([fs.zero()] * (t2.degree - t1.degree) + [fs.one()]))),
                   mul_poly(t1, form_poly(rng.choice(A.forms))),
                   Derivation(t1.P, HomogPoly.zero()), Derivation(HomogPoly.zero(), t1.Q),
@@ -707,7 +707,7 @@ def valuation_probes(A, rng):
     fs = A.field
 
     def poly(d):
-        return HomogPoly.make([fs.from_int(rng.randint(-2, 2)) for _ in range(d + 1)])
+        return HomogPoly.make([fs.coerce(rng.randint(-2, 2)) for _ in range(d + 1)])
 
     out = [Derivation.zero()]
     for _ in range(6):
@@ -867,7 +867,7 @@ def fraction_verify_saito(A, mu, t1, t2):
 
 def _small_poly(fs, rng, d):
     while True:
-        f = HomogPoly.make([fs.from_int(rng.randint(-4, 4)) for _ in range(d + 1)])
+        f = HomogPoly.make([fs.coerce(rng.randint(-4, 4)) for _ in range(d + 1)])
         if not f.is_zero:
             return f
 
@@ -892,7 +892,7 @@ def test_verify_saito_matches_the_fraction_path(fs, pairs):
         t1, t2 = full_basis(A, mu)
         g = _small_poly(fs, rng, sum(mu) - 2 * t1.degree)
         cases += [
-            (mu, t1, t2), (mu, t2, t1), (mu, scale(t1, fs.from_int(2)), plus(t2, mul_poly(t1, g))),
+            (mu, t1, t2), (mu, t2, t1), (mu, scale(t1, fs.coerce(2)), plus(t2, mul_poly(t1, g))),
             (mu, t1, mul_poly(t1, g)),  # dependent
             (mu, t1, mul_poly(t2, x)),  # wrong degree
             (mu, Derivation.zero(), t2), (mu, t1, Derivation.zero()),
@@ -963,7 +963,7 @@ def random_member(fs, rng, basis, k):
     t1, t2 = basis
     theta = mul_poly(t1, _small_poly(fs, rng, k - t1.degree))
     if k == t2.degree:
-        theta = plus(theta, scale(t2, fs.from_int(rng.randint(-2, 2))))
+        theta = plus(theta, scale(t2, fs.coerce(rng.randint(-2, 2))))
     return theta
 
 

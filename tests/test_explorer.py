@@ -14,7 +14,8 @@ import pytest
 
 from multilattice import dermod, explorer, lattice
 from multilattice.coxeter import coxeter_arrangement
-from multilattice.errors import MultilatticeError, ParseError, PreconditionViolated
+from multilattice.errors import (LengthMismatch, MultilatticeError, ParseError,
+                                 PreconditionViolated)
 from multilattice.field import FieldSpec
 from multilattice.poly import Arrangement
 from multilattice.explorer import (
@@ -288,7 +289,7 @@ def test_csv_exponents_match_the_walk(arrangement, box):
 
 
 def test_scan_box_length_mismatch(B2):
-    with pytest.raises(ValueError):
+    with pytest.raises(LengthMismatch, match="box length"):
         scan(B2, (3, 3))
 
 

@@ -26,7 +26,6 @@ from multilattice.field import (
     ModInt,
     QuadElem,
     _parse_fraction,
-    invert,
     is_prime,
     is_squarefree,
 )
@@ -258,7 +257,7 @@ def test_fieldspec_validation():
 def test_fieldspec_units(fs):
     assert not fs.zero()
     assert fs.one() * fs.one() == fs.one()
-    assert fs.from_int(5) - fs.from_int(5) == fs.zero()
+    assert fs.coerce(5) - fs.coerce(5) == fs.zero()
     assert fs == FieldSpec.from_json(fs.to_json())
 
 
@@ -339,13 +338,21 @@ def test_coerce_rejects_foreign_elements():
         FieldSpec.rational().coerce(QuadElem(1, 1, 3))
     with pytest.raises(FieldMismatch):
         FieldSpec.quadratic(3).coerce(QuadElem(1, 1, 5))
+    with pytest.raises(FieldMismatch):
+        FieldSpec.prime(7).coerce(ModInt(1, 5))
+    with pytest.raises(BadReduction, match="divisible by 7"):
+        FieldSpec.prime(7).coerce(Fraction(1, 14))
 
 
-def test_invert_dispatch():
-    assert invert(Fraction(2, 3)) == Fraction(3, 2)
-    assert invert(4) == Fraction(1, 4)
-    with pytest.raises(DivisionByZero):
-        invert(Fraction(0))
+@pytest.mark.parametrize("fs", [FieldSpec.rational(), FieldSpec.quadratic(3), FieldSpec.prime(7)],
+                         ids=["rational", "quadratic", "prime"])
+def test_coerce_lifts_ints_and_fractions_and_refuses_other_fields(fs):
+    assert fs.coerce(2) == fs.one() + fs.one() and type(fs.coerce(2)) is type(fs.zero())
+    assert fs.coerce(Fraction(1, 2)) * 2 == fs.one()
+    assert fs.coerce(fs.coerce(3)) == fs.coerce(3)
+    for x in [ModInt(1, 5), QuadElem(1, 1, 2), "1", 1.0]:
+        with pytest.raises(FieldMismatch):
+            fs.coerce(x)
 
 
 # -- modular projection -------------------------------------------------------

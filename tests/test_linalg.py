@@ -68,7 +68,7 @@ def test_rank_quadratic_uses_the_radical():
     s3 = QUAD.sqrt_element()
     one = QUAD.one()
     # (1, sqrt3) and (sqrt3, 3) are proportional; (1, 1) is not
-    assert image_rank([[one, s3], [s3, QUAD.from_int(3)]], QUAD, 2) == 1
+    assert image_rank([[one, s3], [s3, QUAD.coerce(3)]], QUAD, 2) == 1
     assert image_rank([[one, s3], [one, one]], QUAD, 2) == 2
 
 
@@ -114,7 +114,7 @@ def test_nullspace_quadratic_membership(nrows, ncols, data):
 
 
 def test_nullspace_prime_field():
-    rows = [[PRIME.from_int(1), PRIME.from_int(2), PRIME.from_int(3)]]
+    rows = [[PRIME.coerce(1), PRIME.coerce(2), PRIME.coerce(3)]]
     basis = nullspace(rows, PRIME, 3)
     assert len(basis) == 2
     for v in basis:
@@ -155,10 +155,10 @@ def test_rank_leaves_its_rows_alone():
 @pytest.mark.parametrize("fs", [RAT, QUAD, PRIME], ids=lambda fs: fs.kind)
 def test_scale_is_the_integer_multiple(fs):
     dom = domain_of(fs.one())
-    for x in (fs.from_int(5), fs.one() / fs.from_int(3), fs.zero()):
+    for x in (fs.coerce(5), fs.one() / fs.coerce(3), fs.zero()):
         (u,), den = dom.clear((x,))
         for n in (-7, 0, 1, 12):
-            assert dom.back(dom.scale(u, n), den) == fs.from_int(n) * x
+            assert dom.back(dom.scale(u, n), den) == fs.coerce(n) * x
 
 
 def oracle_nullspace(rows, fs, ncols):
@@ -194,7 +194,7 @@ SMALL_ENTRIES = {
     "rational": (RAT, st.sampled_from([Fraction(a, b) for a in range(-2, 3) for b in (1, 2)])),
     "quadratic": (QUAD, st.sampled_from([QuadElem(Fraction(a), Fraction(b), 3)
                                          for a in range(-1, 2) for b in range(-1, 2)])),
-    "prime": (F7, st.sampled_from([F7.from_int(a) for a in range(7)])),
+    "prime": (F7, st.sampled_from([F7.coerce(a) for a in range(7)])),
 }
 
 
@@ -256,7 +256,7 @@ def random_scalar(fs, rng):
     num, den = rng.randint(-3, 3), rng.randint(1, 3)
     if fs.kind == "quadratic":
         return QuadElem(Fraction(num, den), Fraction(rng.randint(-2, 2), den), fs.d)
-    return fs.from_int(num) / fs.from_int(den)
+    return fs.coerce(num) / fs.coerce(den)
 
 
 def test_forms_clear_to_a_divisor_that_is_not_monic():

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from multilattice import poly
-from multilattice.errors import ExactDivisionError, ProportionalForms, ZeroPolynomial
+from multilattice.errors import (ExactDivisionError, LengthMismatch, ProportionalForms,
+                                 ZeroPolynomial)
 from multilattice.field import FieldSpec, QuadElem
 from multilattice.linalg import domain_of
 from multilattice.poly import (
@@ -126,7 +127,7 @@ def test_quadratic_field_division():
     fs = FieldSpec.quadratic(3)
     s3 = fs.sqrt_element()
     lf = LinearForm.make(fs, 1, s3)  # x + sqrt(3) y
-    g = HomogPoly.make([fs.from_int(2), s3])
+    g = HomogPoly.make([fs.coerce(2), s3])
     f = mul_polys(g, form_poly(lf))
     assert divide_by_linear_form(f, lf) == g
 
@@ -139,7 +140,7 @@ def test_format_readable():
 
 def test_format_drops_zero_quadratic_parts():
     fs = FieldSpec.quadratic(3)
-    s3, n = fs.sqrt_element(), fs.from_int
+    s3, n = fs.sqrt_element(), fs.coerce
     f = HomogPoly.make([n(2) + s3, -s3, fs.coerce(Fraction(-2, 3)) * s3, n(-1), n(1)])
     assert f.format(fs) == "x^4 - x^3*y - 2/3*sqrt(3)*x^2*y^2 - sqrt(3)*x*y^3 + (2+sqrt(3))*y^4"
     g = HomogPoly.make([n(1) - n(2) * s3, s3, n(0), fs.coerce(Fraction(1, 2))])
@@ -178,6 +179,9 @@ def test_defining_polynomial(boolean):
     q = defining_polynomial(boolean, (2, 1))
     # x^2 * y: degree 3, coefficient 1 on the x^2 y term
     assert q == HomogPoly.make([Fraction(0), Fraction(0), Fraction(1), Fraction(0)])
+    for mu in ((1,), (1, 1, 1)):
+        with pytest.raises(LengthMismatch, match="multiplicity length"):
+            defining_polynomial(boolean, mu)
 
 
 # -- derivations --------------------------------------------------------------

@@ -186,6 +186,19 @@ def test_ball_structure_detects_corruption(b2_scan):
     assert any(w["nu"] == (2, 1, 1, 1) for w in v.witnesses)
 
 
+def test_ball_structure_names_a_member_with_the_wrong_gap():
+    """F_3 lines x, y, x + y on [0,6]^3 with the gap at (4,3,3), one step
+    from the center (3,3,3) of radius 3, lowered from 2 to 1: the component
+    is still the certified ball, and that member is the one witness."""
+    f3 = Arrangement.make(FieldSpec.prime(3), [(1, 0), (0, 1), (1, 1)])
+    honest = scan(f3, (6, 6, 6))
+    ball = next(c for c in centers(honest) if c.center == (3, 3, 3))
+    assert ball.radius == 3 and honest.table[(4, 3, 3)] == 2
+    v = check_ball_structure(corrupt(honest, (4, 3, 3), 1))
+    assert v.status == "fail"
+    assert v.witnesses == [{"center": (3, 3, 3), "nu": (4, 3, 3), "delta": 1, "want": 2}]
+
+
 def test_singleton_gaps_detects_adjacent_zeros(b2_scan):
     bad = corrupt(b2_scan, (1, 1, 1, 0), 0)  # adjacent to the zero at (0,1,1,0)? no:
     bad = corrupt(bad, (1, 1, 0, 0), 0)      # make two adjacent deltas zero
@@ -575,6 +588,16 @@ def test_reconstruct_components_roundtrip(B2, b2_scan, b2_oracle):
     assert set().union(*partition) == odd
 
 
+def test_reconstruct_components_names_an_odd_point_missing_from_the_support(
+        B2, b2_scan, b2_oracle):
+    mu = (1, 1, 1, 0)  # balanced of odd size, so its gap is positive
+    assert lattice.is_balanced(mu) and b2_scan.table[mu] > 0
+    _, v = reconstruct_components(B2, b2_scan.box, b2_oracle,
+                                  trusted_scan=corrupt(b2_scan, mu, 0))
+    assert v.status == "fail"
+    assert {"mu": mu, "reason": "odd point missing from the support"} in v.witnesses
+
+
 def test_reconstruct_components_skipped_without_scan(B2, b2_scan, b2_oracle):
     partition, v = reconstruct_components(B2, (1, 1, 1, 1), b2_oracle)
     assert v.status == "skipped"
@@ -588,6 +611,20 @@ def _verdicts(scan_result, oracle, monkeypatch):
     out = [v for what in ("independence", "transport", "criteria")
            for v in run_checks(scan_result, what)]
     return [json.loads(v.to_json()) for v in out]
+
+
+def test_run_checks_calls_each_check_through_its_module_name(b2_scan, monkeypatch):
+    """A check rebound on the module (as the benchmark's tracer rebinds
+    them) is the one run_checks calls."""
+    calls = []
+    for name in ("check_basis_step_and_path", "check_independency"):
+        def spy(scan_result, oracle, name=name):
+            calls.append((name, scan_result))
+            return theorems.Verdict(name, "pass")
+        monkeypatch.setattr(theorems, name, spy)
+    verdicts = run_checks(b2_scan, "transport") + run_checks(b2_scan, "independence")
+    assert calls == [("check_basis_step_and_path", b2_scan), ("check_independency", b2_scan)]
+    assert [v.name for v in verdicts] == ["check_basis_step_and_path", "check_independency"]
 
 
 def test_run_checks_refuses_an_unknown_check(b2_scan):
