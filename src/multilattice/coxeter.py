@@ -63,8 +63,6 @@ class GroupElement(Frozen):
             else:
                 raise NotArrangementPreserving(
                     f"the image of line {A.name_of(len(perm))} is not in the arrangement")
-        if len(set(perm)) != len(perm):
-            raise NotArrangementPreserving("induced map on lines is not a permutation")
         return cls(m, tuple(perm))
 
     def compose(self, A: Arrangement, other: "GroupElement") -> "GroupElement":

@@ -15,7 +15,11 @@ The classes live only as long as the check.
 
 All four ask pairs_at_distance_two which groups of points lie at distance 2
 (components, candidate components, odd points, the candidate centers' open
-balls), and one walk, _dependent_pairs, lists the dependent pairs across them.
+balls), and one walk, _dependent_pairs, lists the dependent pairs across them;
+it walks the member pairs of two groups only when their classes meet.  The
+support and center criteria share the rest of their steps too: _unmet skips a
+candidate that is not a module member, _hole finds an uncovered component
+larger than one, and _judged compares the condition with the trusted scan.
 
 run_checks is the check sequence of ``ml verify``.
 """
@@ -207,50 +211,43 @@ def _classes(points, theta) -> Dict[Multiplicity, Optional[int]]:
     return dict(zip(points, dependence_classes([theta(mu) for mu in points])))
 
 
-def _dependent_in(cls: Dict[Multiplicity, Optional[int]], a: Multiplicity,
-                  b: Multiplicity) -> bool:
-    """dependent(theta_a, theta_b), read off the classes of _classes."""
-    return cls[a] is None or cls[b] is None or cls[a] == cls[b]
-
-
-def _meet(ids1: set, ids2: set) -> bool:
-    """Whether a generator of class in ids1 depends on one in ids2
-    (both nonempty; None is a zero generator)."""
-    return None in ids1 or None in ids2 or not ids1.isdisjoint(ids2)
-
-
 def _dependent_pairs(cls: Dict[Multiplicity, Optional[int]],
                      groups: Sequence[Sequence[Multiplicity]],
                      near: Sequence[Tuple[int, int]]) -> List[Tuple[Multiplicity, Multiplicity]]:
     """The dependent pairs (a, b) with a in groups[i] and b in groups[j], for
-    (i, j) in near order, each group given in sorted order."""
-    return [(a, b) for i, j in near for a in groups[i] for b in groups[j]
-            if _dependent_in(cls, a, b)]
+    (i, j) in near order, each group given in sorted order, read off the
+    classes of _classes.  The member pairs of (i, j) are walked only when the
+    class ids of the two groups meet; None is a zero generator and meets
+    every class."""
+    ids = {k: {cls[mu] for mu in groups[k]} for k in {i for pair in near for i in pair}}
+    return [(a, b) for i, j in near
+            if None in ids[i] or None in ids[j] or not ids[i].isdisjoint(ids[j])
+            for a in groups[i] for b in groups[j]
+            if cls[a] is None or cls[b] is None or cls[a] == cls[b]]
 
 
 def check_independency(scan: ScanResult, oracle: ThetaOracle) -> Verdict:
     """Generators across components at distance 2 are independent;
     generators within one component are dependent.
 
-    Every pair is decided.  The classes decide at once whether any pair
-    fails: a component must hold one class, and components at distance 2
-    must share none.  Only then does the pairwise walk run, on class
-    lookups, to list every failing pair as a witness.
+    Every pair is decided, on class lookups: a component must hold one
+    class, and components at distance 2 must share none.  So the walk for
+    cross-dependent witnesses visits only component pairs whose classes
+    meet, and the one for same-independent witnesses only components that
+    hold two classes.
     """
     comps = scan_components(scan)
     groups = [c.sorted_members() for c in comps]
     near = pairs_at_distance_two(groups, scan.box)
     cls = _classes((mu for c in comps for mu in c.members), oracle)
-    ids = [{cls[mu] for mu in c.members} for c in comps]
     cross = sum(len(comps[i].members) * len(comps[j].members) for i, j in near)
     same = sum(math.comb(len(c.members), 2) for c in comps)
-    witnesses = []
-    if (any(_meet(ids[i], ids[j]) for i, j in near)
-            or any(len(v - {None}) > 1 for v in ids)):
-        witnesses = [{"kind": "cross-dependent", "mu": a, "nu": b}
-                     for a, b in _dependent_pairs(cls, groups, near)]
-        witnesses += [{"kind": "same-independent", "mu": a, "nu": b} for g in groups
-                      for a, b in combinations(g, 2) if not _dependent_in(cls, a, b)]
+    witnesses = [{"kind": "cross-dependent", "mu": a, "nu": b}
+                 for a, b in _dependent_pairs(cls, groups, near)]
+    witnesses += [{"kind": "same-independent", "mu": a, "nu": b} for g in groups
+                  if len({cls[mu] for mu in g} - {None}) > 1
+                  for a, b in combinations(g, 2)
+                  if None not in (cls[a], cls[b]) and cls[a] != cls[b]]
     return _finish("independence-pattern", witnesses,
                    {"cross_pairs": cross, "same_pairs": same})
 
@@ -344,11 +341,38 @@ def _balanced_window(box: Box) -> List[Multiplicity]:
     return [mu for mu in lattice.box_points(box) if lattice.is_balanced(mu)]
 
 
-def _check_membership(A: Arrangement, candidate: CandidateMap) -> Optional[Multiplicity]:
+def _unmet(name: str, A: Arrangement, candidate: CandidateMap) -> Optional[Verdict]:
+    """The skipped verdict of criterion name if a candidate is not a module
+    member, else None."""
     for mu, theta in candidate.assignment.items():
         if theta.is_zero or not in_module(A, mu, theta):
-            return mu
+            return Verdict(name, "skipped",
+                           details={"reason": f"candidate at {mu} is not a module member"})
     return None
+
+
+def _hole(points, box: Box) -> Optional[Multiplicity]:
+    """The least point of the first connected component of points (in the
+    order of lattice.connected_components) larger than one, or None."""
+    return next((min(c) for c in lattice.connected_components(points, box) if len(c) > 1), None)
+
+
+def _judged(name: str, bad_pairs: List[Tuple[Multiplicity, Multiplicity]], details: dict,
+            key: str, truth: Optional[bool]) -> Verdict:
+    """The verdict of a criterion whose condition is that no pair in its
+    window is dependent, given the dependent pairs found: the last of them
+    is the condition's witness.  The truth read off the trusted scan is
+    reported under key; with no trusted scan (truth None) the criterion is
+    skipped, and otherwise it passes iff the condition equals the truth."""
+    condition = not bad_pairs
+    details = {"condition_holds": condition, **details}
+    if bad_pairs:
+        details["condition_witness"] = {"mu": bad_pairs[-1][0], "nu": bad_pairs[-1][1]}
+    if truth is None:
+        return Verdict(name, "skipped", details={**details, "reason": "no trusted scan"})
+    details[key] = truth
+    return _finish(name, [] if condition == truth else [{"condition": condition, "truth": truth}],
+                   details)
 
 
 def certify_support(A: Arrangement, candidate: CandidateMap, box: Box,
@@ -367,36 +391,20 @@ def certify_support(A: Arrangement, candidate: CandidateMap, box: Box,
     for mu in N:
         if candidate.delta_prime(mu) <= 0:
             raise HypothesisViolated(f"degree of the candidate at {mu} is not below |mu|/2")
-    bad = _check_membership(A, candidate)
-    if bad is not None:
-        return Verdict(name, "skipped",
-                       details={"reason": f"candidate at {bad} is not a module member"})
-    leftovers = lattice.connected_components(balanced - N, box)
-    big = [sorted(c)[0] for c in leftovers if len(c) > 1]
-    if big:
+    if (skipped := _unmet(name, A, candidate)) is not None:
+        return skipped
+    if (hole := _hole(balanced - N, box)) is not None:
         raise HypothesisViolated(
-            f"complement has a connected component larger than one, near {big[0]}")
+            f"complement has a connected component larger than one, near {hole}")
     ncomps = [sorted(c) for c in lattice.connected_components(N, box)]
     near = pairs_at_distance_two(ncomps, box)
     cls = _classes({mu for pair in near for i in pair for mu in ncomps[i]},
                    candidate.assignment.__getitem__)
-    condition = not any(_meet({cls[mu] for mu in ncomps[i]}, {cls[mu] for mu in ncomps[j]})
-                        for i, j in near)
-    details = {"condition_holds": condition,
-               "ambient_graph": "candidate-induced components, lattice distances"}
-    if not condition:  # the witness is the last dependent pair in this order
-        a, b = _dependent_pairs(cls, ncomps, near)[-1]
-        details["condition_witness"] = {"mu": a, "nu": b}
-    if trusted_scan is None:
-        return Verdict(name, "skipped", details={**details, "reason": "no trusted scan"})
-    truth = N == {mu for mu in balanced
-                  if mu in trusted_scan.table and trusted_scan.table[mu] > 0}
-    details["matches_true_support"] = truth
-    if condition == truth:
-        return Verdict(name, "pass", details=details)
-    return Verdict(name, "fail",
-                   witnesses=[{"condition": condition, "truth": truth}],
-                   details=details)
+    truth = None if trusted_scan is None else N == {
+        mu for mu in balanced if mu in trusted_scan.table and trusted_scan.table[mu] > 0}
+    return _judged(name, _dependent_pairs(cls, ncomps, near),
+                   {"ambient_graph": "candidate-induced components, lattice distances"},
+                   "matches_true_support", truth)
 
 
 def certify_centers(A: Arrangement, candidate: CandidateMap, box: Box,
@@ -428,10 +436,8 @@ def _certify_centers(A: Arrangement, candidate: CandidateMap, windows: Sequence[
     for mu in N:
         if gap[mu] <= 0:
             raise HypothesisViolated(f"candidate gap at {mu} is not positive")
-    bad = _check_membership(A, candidate)
-    if bad is not None:
-        return Verdict(name, "skipped",
-                       details={"reason": f"candidate at {bad} is not a module member"}), 0
+    if (skipped := _unmet(name, A, candidate)) is not None:
+        return skipped, 0
     top = tuple(map(max, zip(windows[0], *([m + gap[mu] - 1 for m in mu] for mu in N))))
     balls = [lattice.ball(mu, gap[mu], top) for mu in N]
     owner: Dict[Multiplicity, int] = {}  # each point's first claimant
@@ -441,32 +447,21 @@ def _certify_centers(A: Arrangement, candidate: CandidateMap, windows: Sequence[
         i, j = overlaps[0]
         raise HypothesisViolated(f"candidate balls at {N[i]} and {N[j]} overlap")
     for index, window in enumerate(windows):
-        uncovered = set(_balanced_window(window)).difference(owner)
-        big = [sorted(c)[0] for c in lattice.connected_components(uncovered, window)
-               if len(c) > 1]
-        if not big:
+        hole = _hole(set(_balanced_window(window)).difference(owner), window)
+        if hole is None:
             break
     else:
         raise HypothesisViolated(
-            f"uncovered balanced region has a component larger than one, near {big[0]}")
+            f"uncovered balanced region has a component larger than one, near {hole}")
     touching = pairs_at_distance_two(balls, top)
     cls = _classes({N[k] for pair in touching for k in pair}, candidate.assignment.__getitem__)
-    bad_pairs = _dependent_pairs(cls, [(mu,) for mu in N], touching)
-    condition = not bad_pairs
-    details = {"condition_holds": condition}
-    if bad_pairs:
-        details["condition_witness"] = {"mu": bad_pairs[-1][0], "nu": bad_pairs[-1][1]}
-    if trusted_scan is None:
-        return Verdict(name, "skipped", details={**details, "reason": "no trusted scan"}), index
-    truth = set(N) == {ball.center for ball in scan_centers(trusted_scan)}
-    if truth and oracle is not None:
-        truth = all(proportional(candidate.assignment[mu], oracle(mu)) for mu in N)
-    details["matches_true_centers"] = truth
-    if condition == truth:
-        return Verdict(name, "pass", details=details), index
-    return Verdict(name, "fail",
-                   witnesses=[{"condition": condition, "truth": truth}],
-                   details=details), index
+    truth = None
+    if trusted_scan is not None:
+        truth = set(N) == {ball.center for ball in scan_centers(trusted_scan)}
+        if truth and oracle is not None:
+            truth = all(proportional(candidate.assignment[mu], oracle(mu)) for mu in N)
+    return _judged(name, _dependent_pairs(cls, [(mu,) for mu in N], touching), {},
+                   "matches_true_centers", truth), index
 
 
 def reconstruct_components(A: Arrangement, box: Box, oracle: ThetaOracle,

@@ -697,6 +697,7 @@ def _arrangement_file(**changes):
 
 SCAN = "<a valid B2 [0,1]^4 scan file>"
 NEGATIVE_BOX_SCAN = "<that scan file with box [-1,0,0,0] and no points>"
+MISSING_SCAN = "<a path where no file is>"
 
 MALFORMED_INPUTS = {
     "mu-letter": (["exponents", "--coxeter", "B2", "1,a,1,1"], None),
@@ -712,11 +713,16 @@ MALFORMED_INPUTS = {
     # ml scan refuses the box, so a scan file must not carry it either
     "scan-box-negative": (["components", "--scan", NEGATIVE_BOX_SCAN], None),
     "verify-box-negative": (["verify", "--scan", NEGATIVE_BOX_SCAN, "all"], None),
+    "verify-scan-missing": (["verify", "--scan", MISSING_SCAN, "all"], None),
+    "components-scan-missing": (["components", "--scan", MISSING_SCAN], None),
     "offsets-letter": (["coxeter", "B2", "--near-constant", "1", "--offsets", "a,0,0,0"], None),
     "near-constant-a1a1": (["coxeter", "A1A1", "--near-constant", "1"], None),
     "zero-form": (None, _arrangement_file(forms=[["1", "0"], ["0", "0"]])),
     "three-entry-form": (None, _arrangement_file(forms=[["1", "0", "2"], ["0", "1"]])),
     "field-d-string": (None, _arrangement_file(field={"type": "quadratic", "d": "x"})),
+    "field-type-unknown": (None, _arrangement_file(field={"type": "cubic"})),
+    "field-not-object": (None, _arrangement_file(field=[])),
+    "field-no-type": (None, _arrangement_file(field={"d": 3})),
     "no-forms": (None, _arrangement_file(forms=[])),
     "names-short": (None, _arrangement_file(names=["x"])),
     "names-string": (None, _arrangement_file(names="xy")),
@@ -748,6 +754,7 @@ def test_exit_code_two_on_malformed_input(tmp_path, args, arrangement):
             scan.write_text(json.dumps({**json.loads(scan.read_text()), "box": [-1, 0, 0, 0],
                                         "points": []}))
         args = [str(scan) if a in (SCAN, NEGATIVE_BOX_SCAN) else a for a in args]
+    args = [str(tmp_path / "missing.json") if a == MISSING_SCAN else a for a in args]
     proc = _run_ml(*args)
     assert proc.returncode == 2, proc.stderr
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr

@@ -2,7 +2,7 @@
 
 import pytest
 
-from multilattice import dermod, lattice
+from multilattice import coxeter, dermod, lattice
 from multilattice.coxeter import (
     GroupElement,
     act,
@@ -58,6 +58,9 @@ def test_group_closure_orders(B2, G2):
     # the faithful action on lines: the dihedral group modulo its center
     assert len(group_closure(B2, standard_generators(B2, "B2"))) == 4
     assert len(group_closure(G2, standard_generators(G2, "G2"))) == 6
+    # both reflections of A1A1 fix both of its lines
+    A1A1 = coxeter_arrangement("A1A1")
+    assert len(group_closure(A1A1, standard_generators(A1A1, "A1A1"))) == 1
 
 
 def test_every_line_moved(B2, G2):
@@ -139,11 +142,27 @@ def test_peak_certificate_hypothesis_failures(B2):
     with pytest.raises(HypothesisViolated):  # mu outside the support
         symmetric_peak_certificate(B2, group, (2, 2, 2, 2), (3, 3, 3, 3),
                                    (1, 1, 1, 1))
+    with pytest.raises(HypothesisViolated, match="gap drop towards nu is too small"):
+        # the gap is 2 at both points, 8 apart
+        symmetric_peak_certificate(B2, group, (1, 1, 1, 1), (3, 3, 3, 3),
+                                   (0, 0, 0, 0))
     # fixing a line: a sub-group generated by one reflection fixes its mirror
     sub = [standard_generators(B2, "B2")[0]]
     with pytest.raises(HypothesisViolated):
         symmetric_peak_certificate(B2, sub, (1, 1, 1, 1), (2, 2, 2, 2),
                                    (0, 0, 0, 0))
+
+
+def test_peak_certificate_cross_verification_witness(B2, monkeypatch):
+    # a gap one too high at one point of the certified ball is its witness
+    group = group_closure(B2, standard_generators(B2, "B2"))
+    bumped = (1, 1, 1, 2)
+    real = coxeter.delta
+    monkeypatch.setattr(coxeter, "delta", lambda A, mu: real(A, mu) + (tuple(mu) == bumped))
+    v = symmetric_peak_certificate(B2, group, (1, 1, 1, 1), (2, 2, 2, 2),
+                                   (0, 0, 0, 0))
+    assert v.status == "fail"
+    assert v.witnesses == [{"point": bumped, "delta": 2, "want": 1}]
 
 
 def test_peak_certificate_printed_variant_rejects(B2):
